@@ -74,18 +74,10 @@ fn compute_search_bits(n: usize, widths: &FieldWidths, cells: &[Vec<Cell>]) -> V
     let mut search_bits = vec![0u64; n];
     for level_cells in cells {
         for cell in level_cells {
-            let (router, search) = (&cell.router, &cell.search);
-            for &v in search.tree().nodes() {
-                search_bits[v as usize] +=
-                    search.storage_bits(v, widths.node, widths.node, |lbl| {
-                        lbl.bits(widths.node, router.port_bits())
-                    });
-            }
-            for (v, _) in search.relay_nodes() {
-                if !search.contains(v) {
-                    search_bits[v as usize] += search.relay_bits(v, widths.node);
-                }
-            }
+            let port_bits = cell.router.port_bits();
+            cell.search.add_storage_bits(&mut search_bits, widths.node, widths.node, |lbl| {
+                lbl.bits(widths.node, port_bits)
+            });
         }
     }
     search_bits

@@ -179,15 +179,7 @@ fn compute_search_bits(
 ) -> Vec<u64> {
     let mut search_bits = vec![0u64; n];
     let mut tally = |tree: &SearchTree<Label>| {
-        for &v in tree.tree().nodes() {
-            search_bits[v as usize] +=
-                tree.storage_bits(v, widths.node, widths.node, |_| widths.node);
-        }
-        for (v, _) in tree.relay_nodes() {
-            if !tree.contains(v) {
-                search_bits[v as usize] += tree.relay_bits(v, widths.node);
-            }
-        }
+        tree.add_storage_bits(&mut search_bits, widths.node, widths.node, |_| widths.node)
     };
     for level in btrees {
         for tree in level {

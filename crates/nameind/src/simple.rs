@@ -79,15 +79,7 @@ fn compute_search_bits(
     let mut search_bits = vec![0u64; n];
     for level in trees {
         for tree in level {
-            for &v in tree.tree().nodes() {
-                search_bits[v as usize] +=
-                    tree.storage_bits(v, widths.node, widths.node, |_| widths.node);
-            }
-            for (v, _) in tree.relay_nodes() {
-                if !tree.contains(v) {
-                    search_bits[v as usize] += tree.relay_bits(v, widths.node);
-                }
-            }
+            tree.add_storage_bits(&mut search_bits, widths.node, widths.node, |_| widths.node);
         }
     }
     search_bits

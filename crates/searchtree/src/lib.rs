@@ -19,6 +19,33 @@
 //! per-Voronoi tail paths whose edges cost `O(εr/n)` each (Lemma 4.3).
 //! Pass [`SearchTreeConfig::max_levels`] to select this variant.
 //!
+//! # Construction cost
+//!
+//! Every step of [`SearchTree::new`] is bounded by a ball or a sort, never
+//! by a scan over all pairs of ball members. For a ball of `b` nodes:
+//!
+//! * **Nets.** A candidate `x` for the level-`i` net of radius `ρ` is
+//!   checked against the smaller of its ball `B_x(ρ − 1)` (read off `x`'s
+//!   sorted row, one binary search in the id-sorted net per ball member)
+//!   and the net built so far. Coarse levels have few net points (by
+//!   Lemma 2.2 a `ρ`-net of a radius-`r` ball has `(r/ρ)^{O(α)}` of them)
+//!   and fine levels have small balls, so a level costs
+//!   `b · min(|B_x(ρ)| · log b, |net|)` instead of `b · |net|` distance
+//!   reads. Levels with `ρ ≤ min_dist` take every remaining node without
+//!   any check.
+//! * **Parents and tail sites.** The nearest previous-level node (least
+//!   `(distance, id)`) is the first one in `v`'s sorted row; the scan is
+//!   cut off after as many entries as the level has nodes, then falls back
+//!   to a plain scan of the level.
+//! * **Relays (Lemma 4.3).** Each virtual edge's interior is walked along
+//!   the shortest-path parent pointers, and the counts are kept in one
+//!   sorted vector.
+//! * **Pairs (Algorithm 1).** One sort of the keys; each node's share is a
+//!   span of a single flat vector.
+//!
+//! The underlying [`Tree`] is built from one sort of its edges, without
+//! hashing.
+//!
 //! The tree is *virtual*: its edges are generally not graph edges.
 //! [`SearchTree::search`] returns the walk as a sequence of tree nodes; the
 //! calling scheme executes each virtual hop with its underlying routing
@@ -31,9 +58,7 @@ pub mod packed;
 
 pub use packed::{PackedSearchTree, PackedTreeWidths, PayloadCodec, PortLabelCodec, U32Codec};
 
-use std::collections::HashMap;
-
-use doubling_metric::graph::{Dist, NodeId};
+use doubling_metric::graph::{Dist, NodeId, INFINITY};
 use doubling_metric::space::MetricSpace;
 use treeroute::Tree;
 
@@ -96,15 +121,18 @@ pub struct SearchTree<D> {
     levels: u32,
     /// Whether Definition 4.2 tails were attached.
     has_tails: bool,
-    /// Stored pairs per local index, in ascending key order.
-    pairs: Vec<Vec<(u64, D)>>,
+    /// Every stored pair, in ascending key order. Algorithm 1 hands them
+    /// out in DFS order, so each node's share is one contiguous span.
+    pairs: Vec<(u64, D)>,
+    /// `(start, len)` of each local index's share of `pairs`.
+    spans: Vec<(u32, u32)>,
     /// Min/max stored key in each local subtree (`None` if empty).
     subtree_range: Vec<Option<(u64, u64)>>,
     /// Lemma 4.3 relay accounting: for every *graph* node lying strictly
     /// inside the shortest path realizing a virtual tree edge, the number
     /// of next-hop entries it must store (two directions per edge it
-    /// relays). Keyed by graph node id.
-    relay_entries: HashMap<NodeId, u64>,
+    /// relays). Sorted by graph node id.
+    relay_entries: Vec<(NodeId, u64)>,
 }
 
 impl<D: Clone> SearchTree<D> {
@@ -121,46 +149,29 @@ impl<D: Clone> SearchTree<D> {
         config: SearchTreeConfig,
         pairs: Vec<(u64, D)>,
     ) -> Self {
-        assert!(ball.contains(&center), "ball must contain its center");
-        {
-            let mut sorted = ball.to_vec();
-            sorted.sort_unstable();
-            let before = sorted.len();
-            sorted.dedup();
-            assert_eq!(before, sorted.len(), "ball must not contain duplicates");
-        }
-
-        // --- Layering (Definition 3.2 / 4.2). ---
         let mut remaining: Vec<NodeId> = ball.iter().copied().filter(|&x| x != center).collect();
+        assert!(remaining.len() < ball.len(), "ball must contain its center");
         remaining.sort_unstable();
+        assert!(
+            remaining.len() + 1 == ball.len() && remaining.windows(2).all(|w| w[0] < w[1]),
+            "ball must not contain duplicates"
+        );
 
+        // --- Layering (Definition 3.2 / 4.2). Every level set is id-sorted.
         let mut level_sets: Vec<Vec<NodeId>> = vec![vec![center]];
         let mut edges: Vec<(NodeId, NodeId, Dist)> = Vec::new();
-        let mut level_of_node: Vec<(NodeId, u32)> = vec![(center, 0)];
 
         let cap = config.max_levels.unwrap_or(u32::MAX);
         let mut i: u32 = 1;
         while !remaining.is_empty() && i <= cap {
             let rho = if i >= 64 { 0 } else { config.eps_r >> i };
-            // Greedy rho-net of `remaining` in id order.
-            let mut net: Vec<NodeId> = Vec::new();
-            let mut rest: Vec<NodeId> = Vec::new();
-            for &x in &remaining {
-                let ok = net.iter().all(|&y| m.dist(x, y) >= rho);
-                if ok {
-                    net.push(x);
-                } else {
-                    rest.push(x);
-                }
-            }
-            // Everything not selected but within rho of the net stays for
-            // later levels — the net covers them; they are *not* members.
-            // (Greedy maximality guarantees covering of `remaining`.)
+            let (net, rest) = greedy_net(m, &remaining, rho);
+            // Everything not selected lies within rho of the net and stays
+            // for later levels (greedy maximality guarantees covering).
             let prev = &level_sets[i as usize - 1];
             for &v in &net {
-                let p = m.nearest_in(v, prev).expect("previous level nonempty");
+                let p = nearest_member(m, v, prev);
                 edges.push((v, p, m.dist(v, p)));
-                level_of_node.push((v, i));
             }
             level_sets.push(net);
             remaining = rest;
@@ -176,8 +187,8 @@ impl<D: Clone> SearchTree<D> {
             // Voronoi assignment of leftovers to last-level sites.
             let mut tail_members: Vec<Vec<NodeId>> = vec![Vec::new(); sites.len()];
             for &x in &remaining {
-                let u = m.nearest_in(x, sites).expect("sites nonempty");
-                let k = sites.iter().position(|&s| s == u).expect("site found");
+                let u = nearest_member(m, x, sites);
+                let k = sites.binary_search(&u).expect("site found");
                 tail_members[k].push(x);
             }
             for (k, members) in tail_members.iter().enumerate() {
@@ -185,29 +196,20 @@ impl<D: Clone> SearchTree<D> {
                 for &x in members {
                     // members are in id order (remaining was sorted).
                     edges.push((x, prev, m.dist(x, prev)));
-                    level_of_node.push((x, levels + 1));
                     prev = x;
                 }
             }
         }
 
-        // Lemma 4.3: each virtual edge (u, v) is realized by the shortest
-        // path between its endpoints, whose interior nodes store next-hop
-        // entries in both directions. Tally those entries per graph node.
-        let mut relay_entries: HashMap<NodeId, u64> = HashMap::new();
-        for &(child, parent, _) in &edges {
-            let path = m.path(parent, child);
-            for &x in &path[1..path.len().saturating_sub(1)] {
-                *relay_entries.entry(x).or_insert(0) += 2;
-            }
-        }
-
+        let relay_entries = relay_tally(m, &edges);
         let tree = Tree::new(center, edges).expect("layering forms a tree");
         debug_assert_eq!(tree.len(), ball.len(), "every ball member is placed");
 
-        let mut level_of = vec![0u32; tree.len()];
-        for (x, lv) in level_of_node {
-            level_of[tree.local(x).expect("member") as usize] = lv;
+        let mut level_of = vec![levels + 1; tree.len()];
+        for (lv, set) in level_sets.iter().enumerate() {
+            for &x in set {
+                level_of[tree.local(x).expect("member") as usize] = lv as u32;
+            }
         }
 
         let mut st = SearchTree {
@@ -217,6 +219,7 @@ impl<D: Clone> SearchTree<D> {
             levels,
             has_tails,
             pairs: Vec::new(),
+            spans: Vec::new(),
             subtree_range: Vec::new(),
             relay_entries,
         };
@@ -226,23 +229,24 @@ impl<D: Clone> SearchTree<D> {
 
     /// Algorithm 1: distribute the pairs over the tree in DFS order,
     /// `⌈k/m⌉` per node, and record subtree key ranges.
+    ///
+    /// The sorted pairs stay in one flat vector; DFS order makes each
+    /// node's share a contiguous span of it.
     fn store(&mut self, mut items: Vec<(u64, D)>) {
         items.sort_by_key(|&(k, _)| k);
         let m = self.tree.len();
         let k = items.len();
+        assert!(u32::try_from(k).is_ok(), "{k} pairs overflow the u32 spans");
         let per_node = if k == 0 { 0 } else { k.div_ceil(m) };
 
-        let mut pairs: Vec<Vec<(u64, D)>> = vec![Vec::new(); m];
+        let mut spans = vec![(0u32, 0u32); m];
         let order = self.dfs_order();
-        let mut it = items.into_iter();
-        'outer: for &u in &order {
-            for _ in 0..per_node {
-                match it.next() {
-                    Some(p) => pairs[u as usize].push(p),
-                    None => break 'outer,
-                }
-            }
+        for (t, &u) in order.iter().enumerate() {
+            let start = (t * per_node).min(k);
+            spans[u as usize] = (start as u32, per_node.min(k - start) as u32);
         }
+        self.pairs = items;
+        self.spans = spans;
 
         // Subtree ranges bottom-up (children appear after parents in
         // `order`, so reverse iteration is a valid bottom-up order).
@@ -251,9 +255,8 @@ impl<D: Clone> SearchTree<D> {
             let mut lo = u64::MAX;
             let mut hi = 0u64;
             let mut any = false;
-            if let (Some(&(first, _)), Some(&(last, _))) =
-                (pairs[u as usize].first(), pairs[u as usize].last())
-            {
+            let own = self.local_pairs(u);
+            if let (Some(&(first, _)), Some(&(last, _))) = (own.first(), own.last()) {
                 lo = lo.min(first);
                 hi = hi.max(last);
                 any = true;
@@ -267,9 +270,14 @@ impl<D: Clone> SearchTree<D> {
             }
             range[u as usize] = any.then_some((lo, hi));
         }
-
-        self.pairs = pairs;
         self.subtree_range = range;
+    }
+
+    /// The pairs stored at local index `u`, in ascending key order.
+    #[inline]
+    fn local_pairs(&self, u: u32) -> &[(u64, D)] {
+        let (start, len) = self.spans[u as usize];
+        &self.pairs[start as usize..(start + len) as usize]
     }
 
     /// Pre-order DFS over local indices, children in graph-id order — the
@@ -293,7 +301,7 @@ impl<D: Clone> SearchTree<D> {
         let mut cur = 0u32;
         'descend: loop {
             // If the current node itself stores the key, stop here.
-            if self.pairs[cur as usize].binary_search_by_key(&key, |&(k, _)| k).is_ok() {
+            if self.local_pairs(cur).binary_search_by_key(&key, |&(k, _)| k).is_ok() {
                 break;
             }
             for &c in self.tree.children(cur) {
@@ -307,10 +315,8 @@ impl<D: Clone> SearchTree<D> {
             }
             break; // no child range contains the key
         }
-        let result = self.pairs[cur as usize]
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .ok()
-            .map(|idx| self.pairs[cur as usize][idx].1.clone());
+        let own = self.local_pairs(cur);
+        let result = own.binary_search_by_key(&key, |&(k, _)| k).ok().map(|idx| own[idx].1.clone());
 
         let mut nodes: Vec<NodeId> = down.iter().map(|&u| self.tree.node(u)).collect();
         let back: Vec<NodeId> = down.iter().rev().skip(1).map(|&u| self.tree.node(u)).collect();
@@ -323,8 +329,14 @@ impl<D: Clone> SearchTree<D> {
     /// at the root and the root's range is widened; lookups that may run
     /// after mutations should use [`Self::search_all`].
     pub fn insert_pair(&mut self, key: u64, data: D) {
-        let idx = self.pairs[0].partition_point(|&(k, _)| k < key);
-        self.pairs[0].insert(idx, (key, data));
+        // The root leads the DFS order, so its span starts at 0 and every
+        // other span moves up by one.
+        let idx = self.local_pairs(0).partition_point(|&(k, _)| k < key);
+        self.pairs.insert(idx, (key, data));
+        self.spans[0].1 += 1;
+        for span in &mut self.spans[1..] {
+            span.0 += 1;
+        }
         self.subtree_range[0] = Some(match self.subtree_range[0] {
             Some((lo, hi)) => (lo.min(key), hi.max(key)),
             None => (key, key),
@@ -340,8 +352,16 @@ impl<D: Clone> SearchTree<D> {
         // Backtracking DFS over range-matching subtrees.
         let mut stack = vec![0u32];
         while let Some(u) = stack.pop() {
-            if let Ok(idx) = self.pairs[u as usize].binary_search_by_key(&key, |&(k, _)| k) {
-                return Some(self.pairs[u as usize].remove(idx).1);
+            if let Ok(idx) = self.local_pairs(u).binary_search_by_key(&key, |&(k, _)| k) {
+                // Spans after `u`'s in DFS order start past its start.
+                let start = self.spans[u as usize].0;
+                self.spans[u as usize].1 -= 1;
+                for span in &mut self.spans {
+                    if span.0 > start {
+                        span.0 -= 1;
+                    }
+                }
+                return Some(self.pairs.remove(start as usize + idx).1);
             }
             for &c in self.tree.children(u) {
                 if let Some((lo, hi)) = self.subtree_range[c as usize] {
@@ -388,8 +408,9 @@ impl<D: Clone> SearchTree<D> {
                 return;
             }
             *max_depth = (*max_depth).max(depth);
-            if let Ok(idx) = st.pairs[u as usize].binary_search_by_key(&key, |&(k, _)| k) {
-                *result = Some(st.pairs[u as usize][idx].1.clone());
+            let own = st.local_pairs(u);
+            if let Ok(idx) = own.binary_search_by_key(&key, |&(k, _)| k) {
+                *result = Some(own[idx].1.clone());
                 return;
             }
             for &c in st.tree.children(u) {
@@ -467,7 +488,7 @@ impl<D: Clone> SearchTree<D> {
     ///
     /// Panics if `v` is not a member.
     pub fn pairs_at(&self, v: NodeId) -> &[(u64, D)] {
-        &self.pairs[self.tree.local(v).expect("member") as usize]
+        self.local_pairs(self.tree.local(v).expect("member"))
     }
 
     /// The key range covered by the subtree rooted at local index `local`
@@ -521,11 +542,48 @@ impl<D: Clone> SearchTree<D> {
         data_bits: impl Fn(&D) -> u64,
     ) -> u64 {
         let u = self.tree.local(v).expect("member");
+        self.local_table_bits(u, node_bits, key_bits, &data_bits) + self.relay_bits(v, node_bits)
+    }
+
+    /// Adds every node's share of this tree's storage into `bits` (indexed
+    /// by graph node id): [`Self::storage_bits`] for each member, and
+    /// [`Self::relay_bits`] for each relay that is not a member. Walks
+    /// local indices and the relay list once each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is shorter than the largest node id involved.
+    pub fn add_storage_bits(
+        &self,
+        bits: &mut [u64],
+        node_bits: u64,
+        key_bits: u64,
+        data_bits: impl Fn(&D) -> u64,
+    ) {
+        for u in 0..self.tree.len() as u32 {
+            bits[self.tree.node(u) as usize] +=
+                self.local_table_bits(u, node_bits, key_bits, &data_bits);
+        }
+        // Members' relay bits belong to their storage_bits; everyone
+        // else's are their whole share.
+        for &(v, count) in &self.relay_entries {
+            bits[v as usize] += count * node_bits;
+        }
+    }
+
+    /// [`Self::storage_bits`] of local index `u` without its relay bits.
+    fn local_table_bits(
+        &self,
+        u: u32,
+        node_bits: u64,
+        key_bits: u64,
+        data_bits: &impl Fn(&D) -> u64,
+    ) -> u64 {
         let deg = self.tree.children(u).len() as u64;
         let ranges = 2 * key_bits * (deg + 1);
         let links = node_bits * (deg + 1);
-        let stored: u64 = self.pairs[u as usize].iter().map(|(_, d)| key_bits + data_bits(d)).sum();
-        ranges + links + stored + self.relay_bits(v, node_bits)
+        let stored: u64 = self.local_pairs(u).iter().map(|(_, d)| key_bits + data_bits(d)).sum();
+        ranges + links + stored
     }
 
     /// Lemma 4.3 relay bits stored at graph node `v` for this tree's
@@ -533,14 +591,81 @@ impl<D: Clone> SearchTree<D> {
     /// shortest path passes strictly through `v`). Defined for *any* graph
     /// node, member or not.
     pub fn relay_bits(&self, v: NodeId, node_bits: u64) -> u64 {
-        self.relay_entries.get(&v).copied().unwrap_or(0) * node_bits
+        let count = match self.relay_entries.binary_search_by_key(&v, |&(x, _)| x) {
+            Ok(idx) => self.relay_entries[idx].1,
+            Err(_) => 0,
+        };
+        count * node_bits
     }
+}
 
-    /// Graph nodes (with entry counts) that relay this tree's virtual
-    /// edges without being members.
-    pub fn relay_nodes(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.relay_entries.iter().map(|(&v, &c)| (v, c))
+/// Greedy `rho`-net of the id-sorted `remaining`, in id order: `x` joins
+/// unless an earlier net point lies within distance `< rho`. Returns the
+/// net and the rest, both id-sorted.
+///
+/// A candidate is checked against its ball `B_x(rho − 1)` by binary
+/// search in the net, or against the net itself when that is smaller.
+fn greedy_net(m: &MetricSpace, remaining: &[NodeId], rho: Dist) -> (Vec<NodeId>, Vec<NodeId>) {
+    if rho <= m.min_dist() {
+        // Distinct nodes are at least min_dist apart: everyone is a net point.
+        return (remaining.to_vec(), Vec::new());
     }
+    let mut net: Vec<NodeId> = Vec::new();
+    let mut rest: Vec<NodeId> = Vec::new();
+    for &x in remaining {
+        let close = m.ball(x, rho - 1);
+        let covered = if close.len() <= net.len() {
+            close.iter().any(|&(_, y)| net.binary_search(&y).is_ok())
+        } else {
+            net.iter().any(|&y| m.dist(x, y) < rho)
+        };
+        if covered {
+            rest.push(x);
+        } else {
+            net.push(x);
+        }
+    }
+    (net, rest)
+}
+
+/// The member of the id-sorted, nonempty `set` nearest to `v`, least id
+/// on ties — [`MetricSpace::nearest_in`]'s choice. `v`'s sorted row lists
+/// nodes by `(distance, id)`, so its first member of `set` is the answer;
+/// the scan gives up after `|set|` row entries and falls back to
+/// `nearest_in`, so a miss adds at most `|set|` probes to the plain scan.
+fn nearest_member(m: &MetricSpace, v: NodeId, set: &[NodeId]) -> NodeId {
+    m.sorted_row(v)
+        .iter()
+        .take(set.len())
+        .find(|&&(_, y)| set.binary_search(&y).is_ok())
+        .map(|&(_, y)| y)
+        .unwrap_or_else(|| m.nearest_in(v, set).expect("set nonempty"))
+}
+
+/// Lemma 4.3: each virtual edge `(child, parent)` is realized by the
+/// shortest path from `parent` to `child`, whose interior nodes store
+/// next-hop entries in both directions. Walks the shortest-path parent
+/// pointers and returns the per-node entry counts sorted by node id.
+fn relay_tally(m: &MetricSpace, edges: &[(NodeId, NodeId, Dist)]) -> Vec<(NodeId, u64)> {
+    let apsp = m.apsp();
+    let mut interior: Vec<NodeId> = Vec::new();
+    for &(child, parent, w) in edges {
+        assert_ne!(w, INFINITY, "no path from {parent} to {child}: graph is disconnected");
+        let mut cur = apsp.parent(parent, child);
+        while cur != parent {
+            interior.push(cur);
+            cur = apsp.parent(parent, cur);
+        }
+    }
+    interior.sort_unstable();
+    let mut tally: Vec<(NodeId, u64)> = Vec::new();
+    for x in interior {
+        match tally.last_mut() {
+            Some((y, count)) if *y == x => *count += 2,
+            _ => tally.push((x, 2)),
+        }
+    }
+    tally
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 //! graph's nodes; [`Tree`] maps between graph ids and dense local indices
 //! and validates tree-ness on construction.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use doubling_metric::graph::{Dist, NodeId};
@@ -60,11 +59,14 @@ impl std::error::Error for TreeError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tree {
-    /// Local index → graph node id. Index 0 is the root.
+    /// Local index → graph node id. Index 0 is the root; the rest ascend,
+    /// so [`Tree::local`] is a binary search.
     nodes: Vec<NodeId>,
-    local: HashMap<NodeId, u32>,
     parent: Vec<u32>,
-    children: Vec<Vec<u32>>,
+    /// CSR child lists: the children of `i` are
+    /// `child_list[child_start[i]..child_start[i + 1]]`, in graph-id order.
+    child_start: Vec<u32>,
+    child_list: Vec<u32>,
     weight_up: Vec<Dist>,
     subtree_size: Vec<u32>,
 }
@@ -72,81 +74,104 @@ pub struct Tree {
 impl Tree {
     /// Builds a tree from `(child, parent, weight)` edges rooted at `root`.
     ///
+    /// Costs one sort of the edges by child plus one sort of the mentioned
+    /// ids; no hashing.
+    ///
     /// # Errors
     ///
     /// Returns an error if a node has two parents, the root has a parent,
     /// or the edges do not form a single tree containing every mentioned
-    /// node.
+    /// node. When several edges are at fault, the first one in input order
+    /// decides the error.
     pub fn new(
         root: NodeId,
         edges: impl IntoIterator<Item = (NodeId, NodeId, Dist)>,
     ) -> Result<Self, TreeError> {
-        let mut parent_of: HashMap<NodeId, (NodeId, Dist)> = HashMap::new();
-        let mut mentioned: Vec<NodeId> = vec![root];
-        for (c, p, w) in edges {
-            if c == root {
-                return Err(TreeError::RootHasParent);
-            }
-            if parent_of.insert(c, (p, w)).is_some() {
-                return Err(TreeError::DuplicateChild { child: c });
-            }
-            mentioned.push(c);
-            mentioned.push(p);
+        // (child, input position, parent, weight), sorted by child then
+        // position. An edge is at fault when its child is the root or when
+        // an earlier edge has the same child; the fault earliest in input
+        // order is the one a scan in that order would have met first.
+        let mut by_child: Vec<(NodeId, u32, NodeId, Dist)> =
+            edges.into_iter().enumerate().map(|(i, (c, p, w))| (c, i as u32, p, w)).collect();
+        by_child.sort_unstable_by_key(|&(c, i, _, _)| (c, i));
+        let first_fault = by_child
+            .iter()
+            .enumerate()
+            .filter_map(|(j, &(c, i, _, _))| {
+                if c == root {
+                    Some((i, TreeError::RootHasParent))
+                } else if j > 0 && by_child[j - 1].0 == c {
+                    Some((i, TreeError::DuplicateChild { child: c }))
+                } else {
+                    None
+                }
+            })
+            .min_by_key(|&(i, _)| i);
+        if let Some((_, err)) = first_fault {
+            return Err(err);
         }
-        mentioned.sort_unstable();
-        mentioned.dedup();
 
         // Local indexing: root first, then remaining nodes in id order (the
         // deterministic convention used throughout the workspace).
-        let mut nodes = Vec::with_capacity(mentioned.len());
+        let mut rest: Vec<NodeId> =
+            by_child.iter().flat_map(|&(c, _, p, _)| [c, p]).filter(|&x| x != root).collect();
+        rest.sort_unstable();
+        rest.dedup();
+        let mut nodes = Vec::with_capacity(rest.len() + 1);
         nodes.push(root);
-        for &x in &mentioned {
-            if x != root {
-                nodes.push(x);
-            }
-        }
-        let local: HashMap<NodeId, u32> =
-            nodes.iter().enumerate().map(|(i, &x)| (x, i as u32)).collect();
+        nodes.extend(rest);
+        let len = nodes.len();
+        let local = |x: NodeId| local_in(&nodes, x).expect("endpoint mentioned");
 
-        let mut parent = vec![0u32; nodes.len()];
-        let mut weight_up = vec![0 as Dist; nodes.len()];
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
-        for (&c, &(p, w)) in &parent_of {
-            let cl = local[&c];
-            let pl = *local.get(&p).expect("parent mentioned");
+        // `NONE` marks a node without a parent edge; it stays unreachable.
+        const NONE: u32 = u32::MAX;
+        let mut parent = vec![NONE; len];
+        let mut weight_up = vec![0 as Dist; len];
+        let mut child_start = vec![0u32; len + 1];
+        for &(c, _, p, w) in &by_child {
+            let (cl, pl) = (local(c), local(p));
             parent[cl as usize] = pl;
             weight_up[cl as usize] = w;
-            children[pl as usize].push(cl);
+            child_start[pl as usize + 1] += 1;
         }
-        for ch in &mut children {
-            ch.sort_unstable_by_key(|&c| nodes[c as usize]);
+        for i in 0..len {
+            child_start[i + 1] += child_start[i];
         }
-
-        // Verify reachability (tree-ness) and compute subtree sizes.
-        let mut size = vec![0u32; nodes.len()];
-        let mut order = Vec::with_capacity(nodes.len());
-        let mut stack = vec![0u32];
-        let mut seen = vec![false; nodes.len()];
-        seen[0] = true;
-        while let Some(u) = stack.pop() {
-            order.push(u);
-            for &c in &children[u as usize] {
-                if seen[c as usize] {
-                    return Err(TreeError::NotATree { reachable: order.len(), total: nodes.len() });
-                }
-                seen[c as usize] = true;
-                stack.push(c);
+        // Local indices past the root ascend by graph id, so each list
+        // fills in graph-id order.
+        let mut fill: Vec<u32> = child_start[..len].to_vec();
+        let mut child_list = vec![0u32; by_child.len()];
+        for cl in 1..len as u32 {
+            let pl = parent[cl as usize];
+            if pl != NONE {
+                child_list[fill[pl as usize] as usize] = cl;
+                fill[pl as usize] += 1;
             }
         }
-        if order.len() != nodes.len() {
-            return Err(TreeError::NotATree { reachable: order.len(), total: nodes.len() });
+        parent[0] = 0;
+        let children = |u: u32| {
+            &child_list[child_start[u as usize] as usize..child_start[u as usize + 1] as usize]
+        };
+
+        // Verify reachability (tree-ness) and compute subtree sizes. Every
+        // node has at most one parent, so no node is reached twice.
+        let mut order = Vec::with_capacity(len);
+        let mut stack = vec![0u32];
+        while let Some(u) = stack.pop() {
+            order.push(u);
+            stack.extend_from_slice(children(u));
         }
+        if order.len() != len {
+            return Err(TreeError::NotATree { reachable: order.len(), total: len });
+        }
+        let mut size = vec![1u32; len];
         for &u in order.iter().rev() {
-            size[u as usize] =
-                1 + children[u as usize].iter().map(|&c| size[c as usize]).sum::<u32>();
+            if u != 0 {
+                size[parent[u as usize] as usize] += size[u as usize];
+            }
         }
 
-        Ok(Tree { nodes, local, parent, children, weight_up, subtree_size: size })
+        Ok(Tree { nodes, parent, child_start, child_list, weight_up, subtree_size: size })
     }
 
     /// A single-node tree.
@@ -181,13 +206,13 @@ impl Tree {
     /// Local index of graph node `x`, if present.
     #[inline]
     pub fn local(&self, x: NodeId) -> Option<u32> {
-        self.local.get(&x).copied()
+        local_in(&self.nodes, x)
     }
 
     /// Whether graph node `x` belongs to the tree.
     #[inline]
     pub fn contains(&self, x: NodeId) -> bool {
-        self.local.contains_key(&x)
+        self.local(x).is_some()
     }
 
     /// Parent local index (root maps to itself).
@@ -199,7 +224,8 @@ impl Tree {
     /// Children local indices, sorted by graph id.
     #[inline]
     pub fn children(&self, i: u32) -> &[u32] {
-        &self.children[i as usize]
+        let (lo, hi) = (self.child_start[i as usize], self.child_start[i as usize + 1]);
+        &self.child_list[lo as usize..hi as usize]
     }
 
     /// Weight of the edge from `i` to its parent (0 for the root).
@@ -279,6 +305,14 @@ impl Tree {
     }
 }
 
+/// Local index of `x` in a root-then-ascending id list.
+fn local_in(nodes: &[NodeId], x: NodeId) -> Option<u32> {
+    if nodes[0] == x {
+        return Some(0);
+    }
+    nodes[1..].binary_search(&x).ok().map(|i| i as u32 + 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,10 +371,51 @@ mod tests {
     }
 
     #[test]
+    fn first_offending_edge_decides_the_error() {
+        // Root-as-child edge first, duplicate child later.
+        let err = Tree::new(0, vec![(2, 0, 1), (0, 1, 1), (2, 1, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::RootHasParent);
+        // Duplicate child first, root-as-child edge later.
+        let err = Tree::new(0, vec![(2, 0, 1), (2, 1, 1), (0, 1, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::DuplicateChild { child: 2 });
+        // Of two duplicated children, the one whose second edge comes first.
+        let err = Tree::new(0, vec![(5, 0, 1), (3, 0, 1), (5, 3, 1), (3, 5, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::DuplicateChild { child: 5 });
+        // The root listed twice as a child is still a root error.
+        let err = Tree::new(0, vec![(0, 1, 1), (0, 2, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::RootHasParent);
+    }
+
+    #[test]
+    fn local_and_contains_on_root_members_and_strangers() {
+        // A root whose id is larger than every other member's.
+        let t = Tree::new(50, vec![(20, 50, 1), (60, 20, 1), (10, 50, 1)]).unwrap();
+        assert_eq!(t.nodes(), &[50, 10, 20, 60]);
+        assert_eq!(t.local(50), Some(0));
+        assert!(t.contains(50));
+        for (i, &x) in t.nodes().iter().enumerate() {
+            assert_eq!(t.local(x), Some(i as u32));
+            assert!(t.contains(x));
+        }
+        for x in [0, 15, 30, 55, 61, NodeId::MAX] {
+            assert_eq!(t.local(x), None, "{x} is not a member");
+            assert!(!t.contains(x));
+        }
+        let s = Tree::singleton(7);
+        assert_eq!(s.local(7), Some(0));
+        assert_eq!(s.local(6), None);
+        assert!(!s.contains(8));
+    }
+
+    #[test]
     fn rejects_cycle() {
         // 1 -> 2 -> 3 -> 1 plus root 0 disconnected from the cycle.
         let err = Tree::new(0, vec![(1, 2, 1), (2, 3, 1), (3, 1, 1)]).unwrap_err();
-        assert!(matches!(err, TreeError::NotATree { .. }));
+        assert_eq!(err, TreeError::NotATree { reachable: 1, total: 4 });
+        // A cycle hanging off a reachable part, and a parent with no edge
+        // of its own: only the root's side counts as reachable.
+        let err = Tree::new(0, vec![(4, 0, 1), (1, 2, 1), (2, 1, 1), (5, 9, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::NotATree { reachable: 2, total: 6 });
     }
 
     #[test]
