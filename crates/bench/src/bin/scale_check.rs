@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use doubling_metric::{gen, Eps, MetricSpace};
 use name_independent::ScaleFreeNameIndependent;
-use netsim::stats::{eval_name_independent_par, sample_pairs};
+use netsim::scheme::Named;
+use netsim::stats::{eval, sample_pairs};
 use netsim::{NameIndependentScheme, Naming};
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
 
     let t2 = Instant::now();
     let pairs = sample_pairs(m.n(), 500, cli.seed ^ 0x5A);
-    let res = eval_name_independent_par(&s, &m, &naming, &pairs, 8);
+    let res = eval(&Named(&s, &naming), &m, &pairs, 8, |_, _, _| {});
     println!(
         "500 routes in {:.1?}: max stretch {:.2}, avg {:.2}, failures {}, max table {} b",
         t2.elapsed(),

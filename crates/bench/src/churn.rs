@@ -4,7 +4,7 @@
 //! measures each scheme twice:
 //!
 //! * **stale** — the scheme routes with the tables it built *before* the
-//!   failures (see [`netsim::scheme::LabeledScheme::route_with_faults`]);
+//!   failures (see [`netsim::scheme::Deliver::route_with_faults`]);
 //!   reported as reachability, surviving-route stretch, and a loss
 //!   breakdown ([`FaultEvalResult`]).
 //! * **rebuilt** — preprocessing is re-run from scratch on the largest
@@ -13,29 +13,26 @@
 //!   that component, and stretch is measured against the survivor metric.
 //!
 //! The gap between the two columns is the cost of *not* rebuilding; the
-//! `rebuild(ms)` column is the cost of rebuilding.
+//! `rebuild(ms)` column is the cost of rebuilding (pinned to `0` under
+//! `--stable`, so two same-seed runs produce byte-identical documents).
 
 use std::time::Instant;
 
 use doubling_metric::graph::NodeId;
 use doubling_metric::nets::NetHierarchy;
-use doubling_metric::{gen, Eps, MetricSpace};
-use labeled_routing::{NetLabeled, ScaleFreeLabeled};
-use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
+use doubling_metric::{gen, Eps};
 use netsim::faults::{FaultPlan, FaultTimeline, SurvivingNetwork};
 use netsim::json::Value;
 use netsim::recovery::{RecoveryPolicy, ResilientRouter};
 use netsim::route::{Route, RouteError};
-use netsim::scheme::{LabeledScheme, NameIndependentScheme};
 use netsim::stats::{
-    eval_labeled_resilient_observed, eval_labeled_under_faults_observed,
-    eval_name_independent_resilient_observed, eval_name_independent_under_faults_observed,
-    sample_pairs, FaultEvalResult, RecoveryEvalResult,
+    eval_resilient, eval_under_faults, sample_pairs, FaultEvalResult, RecoveryEvalResult,
 };
 use netsim::Naming;
 use obs::{MetricsRegistry, Tracer};
 
 use crate::cache::MetricCache;
+use crate::schemes::Built;
 use crate::table::f2;
 
 /// Event context identifying one (strategy, fraction, scheme) cell, so a
@@ -154,20 +151,25 @@ impl SchemeCell {
     }
 }
 
-/// Times `build` on the survivor metric, then evaluates it over `pairs`.
-fn rebuild_and_eval<S>(
+/// Times building scheme `i` of the table order on the survivor metric
+/// (under the survivor `naming`), then evaluates it over `pairs`.
+#[allow(clippy::too_many_arguments)]
+fn rebuild_and_eval(
     sn: &SurvivingNetwork,
     plan: &FaultPlan,
     pairs: &[(NodeId, NodeId)],
     ctx: CellCtx<'_>,
-    build: impl FnOnce(&MetricSpace) -> S,
-    route: impl Fn(&S, &MetricSpace, NodeId, NodeId) -> Route,
+    i: usize,
+    eps: Eps,
+    naming: &Naming,
+    stable: bool,
 ) -> (f64, f64, f64) {
     let t0 = Instant::now();
-    let scheme = build(&sn.metric);
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let scheme = Built::new(i, &sn.metric, eps, naming, &Tracer::noop());
+    let ms = if stable { 0.0 } else { t0.elapsed().as_secs_f64() * 1e3 };
+    let seam = scheme.seam();
     let (reach, stretch) =
-        rebuilt_on(sn, plan, pairs, ctx, |u, v| route(&scheme, &sn.metric, u, v));
+        rebuilt_on(sn, plan, pairs, ctx, |u, v| seam.route_to(&sn.metric, u, v).expect("delivers"));
     (reach, stretch, ms)
 }
 
@@ -210,6 +212,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// `registry` counts recovery interventions by kind
 /// ([`obs::eval::meter_recovery_event`]) — pass
 /// [`MetricsRegistry::disabled`] to opt out at one branch per event.
+/// `stable` (the `--stable` flag) pins every `rebuild_ms` to `0`, the only
+/// wall-clock field of the document.
 #[allow(clippy::too_many_arguments)] // experiment entry point: one knob per CLI flag
 pub fn run_churn(
     cache: &MetricCache,
@@ -221,6 +225,7 @@ pub fn run_churn(
     tracer: &Tracer,
     registry: &MetricsRegistry,
     policy: Option<&RecoveryPolicy>,
+    stable: bool,
 ) -> (Vec<&'static str>, Vec<Vec<String>>, Value) {
     let m = cache.family_traced(gen::Family::Grid, n, seed, tracer);
     let g = m.graph();
@@ -229,10 +234,8 @@ pub fn run_churn(
     let nets = NetHierarchy::new(&m);
 
     // Pre-failure ("stale") tables, built once on the intact network.
-    let nl = NetLabeled::new(&m, eps).expect("eps within range");
-    let sfl = ScaleFreeLabeled::new(&m, eps).expect("eps within range");
-    let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-    let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
+    let built = Built::all(&m, eps, &naming);
+    let stale: Vec<_> = built.iter().map(Built::seam).collect();
 
     let mut headers = vec![
         "strategy",
@@ -261,151 +264,40 @@ pub fn run_churn(
             let naming2 = sn.as_ref().map(|sn| Naming::random(sn.n(), seed ^ 0xA5));
             let timeline = policy.map(|_| FaultTimeline::from_plan(plan.clone()));
 
-            let ctx = |scheme: &'static str| CellCtx { tracer, strategy, fraction, scheme };
-            // Resilient delivery of the same pairs, when --policy asked
-            // for it; recovery decisions become trace events.
-            let scheme_cells = vec![
-                SchemeCell {
-                    stale: eval_labeled_under_faults_observed(
-                        &nl,
-                        &m,
-                        &plan,
-                        &pairs,
-                        stale_observer(ctx(nl.scheme_name())),
-                    ),
-                    rebuilt: sn.as_ref().map(|sn| {
-                        rebuild_and_eval(
-                            sn,
-                            &plan,
-                            &pairs,
-                            ctx(nl.scheme_name()),
-                            |m2| NetLabeled::new(m2, eps).expect("eps within range"),
-                            |s, m2, u, v| s.route_to_node(m2, u, v).expect("delivers"),
-                        )
-                    }),
-                    recovery: policy.map(|p| {
-                        let c = ctx(nl.scheme_name());
-                        eval_labeled_resilient_observed(
-                            &ResilientRouter::new(&m, &nl, p.clone()),
-                            timeline.as_ref().unwrap(),
-                            &pairs,
-                            |u, v, ev| {
-                                obs::eval::trace_recovery_event(tracer, || c.fields(u, v), ev);
-                                obs::eval::meter_recovery_event(registry, ev);
-                            },
-                            |_, _, _| {},
-                        )
-                    }),
-                },
-                SchemeCell {
-                    stale: eval_labeled_under_faults_observed(
-                        &sfl,
-                        &m,
-                        &plan,
-                        &pairs,
-                        stale_observer(ctx(sfl.scheme_name())),
-                    ),
-                    rebuilt: sn.as_ref().map(|sn| {
-                        rebuild_and_eval(
-                            sn,
-                            &plan,
-                            &pairs,
-                            ctx(sfl.scheme_name()),
-                            |m2| ScaleFreeLabeled::new(m2, eps).expect("eps within range"),
-                            |s, m2, u, v| s.route_to_node(m2, u, v).expect("delivers"),
-                        )
-                    }),
-                    recovery: policy.map(|p| {
-                        let c = ctx(sfl.scheme_name());
-                        eval_labeled_resilient_observed(
-                            &ResilientRouter::new(&m, &sfl, p.clone()),
-                            timeline.as_ref().unwrap(),
-                            &pairs,
-                            |u, v, ev| {
-                                obs::eval::trace_recovery_event(tracer, || c.fields(u, v), ev);
-                                obs::eval::meter_recovery_event(registry, ev);
-                            },
-                            |_, _, _| {},
-                        )
-                    }),
-                },
-                SchemeCell {
-                    stale: eval_name_independent_under_faults_observed(
-                        &sni,
-                        &m,
-                        &naming,
-                        &plan,
-                        &pairs,
-                        stale_observer(ctx(sni.scheme_name())),
-                    ),
-                    rebuilt: sn.as_ref().map(|sn| {
-                        let nm = naming2.as_ref().unwrap();
-                        rebuild_and_eval(
-                            sn,
-                            &plan,
-                            &pairs,
-                            ctx(sni.scheme_name()),
-                            |m2| {
-                                SimpleNameIndependent::new(m2, eps, nm.clone())
-                                    .expect("eps within range")
-                            },
-                            |s, m2, u, v| s.route(m2, u, nm.name_of(v)).expect("delivers"),
-                        )
-                    }),
-                    recovery: policy.map(|p| {
-                        let c = ctx(sni.scheme_name());
-                        eval_name_independent_resilient_observed(
-                            &ResilientRouter::new(&m, &sni, p.clone()),
-                            &naming,
-                            timeline.as_ref().unwrap(),
-                            &pairs,
-                            |u, v, ev| {
-                                obs::eval::trace_recovery_event(tracer, || c.fields(u, v), ev);
-                                obs::eval::meter_recovery_event(registry, ev);
-                            },
-                            |_, _, _| {},
-                        )
-                    }),
-                },
-                SchemeCell {
-                    stale: eval_name_independent_under_faults_observed(
-                        &sfni,
-                        &m,
-                        &naming,
-                        &plan,
-                        &pairs,
-                        stale_observer(ctx(sfni.scheme_name())),
-                    ),
-                    rebuilt: sn.as_ref().map(|sn| {
-                        let nm = naming2.as_ref().unwrap();
-                        rebuild_and_eval(
-                            sn,
-                            &plan,
-                            &pairs,
-                            ctx(sfni.scheme_name()),
-                            |m2| {
-                                ScaleFreeNameIndependent::new(m2, eps, nm.clone())
-                                    .expect("eps within range")
-                            },
-                            |s, m2, u, v| s.route(m2, u, nm.name_of(v)).expect("delivers"),
-                        )
-                    }),
-                    recovery: policy.map(|p| {
-                        let c = ctx(sfni.scheme_name());
-                        eval_name_independent_resilient_observed(
-                            &ResilientRouter::new(&m, &sfni, p.clone()),
-                            &naming,
-                            timeline.as_ref().unwrap(),
-                            &pairs,
-                            |u, v, ev| {
-                                obs::eval::trace_recovery_event(tracer, || c.fields(u, v), ev);
-                                obs::eval::meter_recovery_event(registry, ev);
-                            },
-                            |_, _, _| {},
-                        )
-                    }),
-                },
-            ];
+            // One cell per scheme: stale tables, a rebuild on the
+            // survivors, and — when --policy asked for it — resilient
+            // delivery of the same pairs, whose recovery decisions become
+            // trace events.
+            let scheme_cells: Vec<SchemeCell> = stale
+                .iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    let ctx = CellCtx { tracer, strategy, fraction, scheme: s.scheme_name() };
+                    SchemeCell {
+                        stale: eval_under_faults(&**s, &m, &plan, &pairs, stale_observer(ctx)),
+                        rebuilt: sn.as_ref().map(|sn| {
+                            let nm = naming2.as_ref().unwrap();
+                            rebuild_and_eval(sn, &plan, &pairs, ctx, i, eps, nm, stable)
+                        }),
+                        recovery: policy.map(|p| {
+                            eval_resilient(
+                                &ResilientRouter::new(&m, &**s, p.clone()),
+                                timeline.as_ref().unwrap(),
+                                &pairs,
+                                |u, v, ev| {
+                                    obs::eval::trace_recovery_event(
+                                        tracer,
+                                        || ctx.fields(u, v),
+                                        ev,
+                                    );
+                                    obs::eval::meter_recovery_event(registry, ev);
+                                },
+                                |_, _, _| {},
+                            )
+                        }),
+                    }
+                })
+                .collect();
 
             for c in &scheme_cells {
                 rows.push(c.row(strategy, fraction));
@@ -469,14 +361,14 @@ pub fn worst_delivery(doc: &Value) -> f64 {
     worst
 }
 
-/// Entry point shared by the root `churn` binary and
-/// `cargo run -p bench --bin churn`: runs the grid, prints the table, and
+/// Entry point for `cargo run --release --bin churn` (the binary lives in
+/// this crate): runs the grid, prints the table, and
 /// writes `results/churn.json`. With `--trace`, every individual loss is
 /// recorded and the trace is written to `results/churn_trace.jsonl`.
 ///
 /// Usage: `churn [n] [1/eps] [pairs] [--seed N] [--trace]
 /// [--chrome-trace PATH] [--json] [--threads N] [--policy P]
-/// [--min-delivery F]`. With `--policy`, each cell also delivers the
+/// [--min-delivery F] [--stable]`. With `--policy`, each cell also delivers the
 /// pairs through a [`ResilientRouter`] applying `P` (see [`run_churn`]).
 /// With `--min-delivery F`, the process exits non-zero when
 /// [`worst_delivery`] of the run falls below `F` — the artifacts are
@@ -500,6 +392,7 @@ pub fn churn_main() {
         &tracer,
         &registry,
         cli.policy.as_ref(),
+        cli.stable,
     );
     crate::table::emit(
         &format!("Churn: reachability under node removal (n≈{n}, eps=1/{inv}, {pairs} pairs)"),
@@ -559,6 +452,7 @@ mod tests {
             &tracer,
             &MetricsRegistry::disabled(),
             None,
+            false,
         );
         // One base metric build, no rebuild through the cache.
         assert_eq!(cache.stats().builds, 1);
@@ -668,6 +562,7 @@ mod tests {
             &tracer,
             &registry,
             Some(&policy),
+            false,
         );
         assert_eq!(*h.last().unwrap(), "policy-reach");
         assert!(rows.iter().all(|r| r.len() == h.len()));
@@ -752,6 +647,7 @@ mod tests {
             &Tracer::noop(),
             &MetricsRegistry::disabled(),
             None,
+            false,
         );
         assert_eq!(h.len(), 8);
         assert!(doc.get("policy").is_none());
@@ -759,6 +655,32 @@ mod tests {
         for cell in cells {
             for s in cell.get("schemes").and_then(Value::as_array).unwrap() {
                 assert!(s.get("recovery").is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn stable_churn_pins_rebuild_ms_and_is_byte_identical() {
+        let run = || {
+            let (_, _, doc) = run_churn(
+                &MetricCache::new(1),
+                36,
+                Eps::one_over(8),
+                60,
+                &[0.1],
+                7,
+                &Tracer::noop(),
+                &MetricsRegistry::disabled(),
+                None,
+                true,
+            );
+            doc
+        };
+        let doc = run();
+        assert_eq!(doc.to_string(), run().to_string());
+        for cell in doc.get("cells").and_then(Value::as_array).unwrap() {
+            for s in cell.get("schemes").and_then(Value::as_array).unwrap() {
+                assert_eq!(s.get("rebuild_ms").and_then(Value::as_f64), Some(0.0));
             }
         }
     }

@@ -300,8 +300,8 @@ pub fn run_conformance(
     (headers, rows, doc)
 }
 
-/// Entry point shared by the root `conformance` binary and
-/// `cargo run -p bench --bin conformance`: runs the sweep, prints the
+/// Entry point for `cargo run --release --bin conformance` (the binary lives in
+/// this crate): runs the sweep, prints the
 /// table, and writes `results/conformance.json`. With `--trace`, every
 /// clause verdict is recorded to `results/conformance_trace.jsonl`.
 ///

@@ -6,19 +6,19 @@
 //! binary that runs several experiments over the same `(family, n, seed)`
 //! builds each `Θ(n²)` metric exactly once.
 
-use doubling_metric::{doubling, gen, Eps};
+use doubling_metric::graph::NodeId;
+use doubling_metric::{doubling, gen, Eps, MetricSpace};
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use lowerbound::{game, LbParams, LowerBoundTree};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::baseline::FullTable;
-use netsim::scheme::{LabeledScheme, NameIndependentScheme};
-use netsim::stats::{
-    eval_labeled, eval_name_independent, sample_pairs, sampled_stretch_labeled,
-    sampled_stretch_name_independent, EvalResult,
-};
+use netsim::scheme::{Deliver, Labeled, LabeledScheme, NameIndependentScheme, Named};
+use netsim::stats::{eval, sample_pairs, sampled_stretch, EvalResult, StretchQuantiles};
 use netsim::Naming;
+use obs::Tracer;
 
 use crate::cache::MetricCache;
+use crate::schemes::{self, Built};
 use crate::table::f2;
 
 /// Result-row helper: one evaluated scheme on one graph.
@@ -43,6 +43,23 @@ fn eval_row(family: &str, n: usize, res: &EvalResult, label_bits: Option<u64>) -
         // A sub-1 stretch means the recorder under-charged a route — a
         // harness bug worth shouting about, never silently clamped.
         row.push(format!("UNDERSTRETCH={}", res.understretch));
+    }
+    row
+}
+
+/// One Table 1 / Table 2 row: `d` evaluated over `pairs`, plus the 95% CI
+/// half-width of the sampled mean stretch when `with_ci`.
+fn table_row(
+    family: &str,
+    m: &MetricSpace,
+    d: &dyn Deliver,
+    pairs: &[(NodeId, NodeId)],
+    label_bits: Option<u64>,
+    with_ci: bool,
+) -> Vec<String> {
+    let mut row = eval_row(family, m.n(), &eval(d, m, pairs, 1, |_, _, _| {}), label_bits);
+    if with_ci {
+        row.push(f2(sampled_stretch(d, m, m, pairs, |_, _, _| {}).ci_half_width));
     }
     row
 }
@@ -76,63 +93,7 @@ pub fn run_table1(
     pairs_per_graph: usize,
     seed: u64,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    run_table1_with_wall(cache, n, eps, pairs_per_graph, seed, CI_WALL)
-}
-
-fn run_table1_with_wall(
-    cache: &MetricCache,
-    n: usize,
-    eps: Eps,
-    pairs_per_graph: usize,
-    seed: u64,
-    ci_wall: usize,
-) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let mut headers = vec![
-        "family",
-        "n",
-        "scheme",
-        "max-stretch",
-        "avg-stretch",
-        "max-table(b)",
-        "avg-table(b)",
-        "header(b)",
-    ];
-    let with_ci = n > ci_wall;
-    if with_ci {
-        headers.push("avg-ci95");
-    }
-    let mut rows = Vec::new();
-    for f in table_families() {
-        let m = cache.family(f, n, seed);
-        let naming = Naming::random(m.n(), seed ^ 0xA5);
-        let pairs = sample_pairs(m.n(), pairs_per_graph, seed ^ 0x5A);
-        let mut push = |row: Vec<String>, ss: Option<netsim::stats::SampledStretch>| {
-            let mut row = row;
-            if let Some(ss) = ss {
-                row.push(f2(ss.ci_half_width));
-            }
-            rows.push(row);
-        };
-
-        let simple = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-        push(
-            eval_row(f.name(), m.n(), &eval_name_independent(&simple, &m, &naming, &pairs), None),
-            with_ci.then(|| sampled_stretch_name_independent(&simple, &m, &naming, &*m, &pairs)),
-        );
-
-        let sf = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-        push(
-            eval_row(f.name(), m.n(), &eval_name_independent(&sf, &m, &naming, &pairs), None),
-            with_ci.then(|| sampled_stretch_name_independent(&sf, &m, &naming, &*m, &pairs)),
-        );
-
-        let full = FullTable::with_naming(&m, naming.clone());
-        push(
-            eval_row(f.name(), m.n(), &eval_name_independent(&full, &m, &naming, &pairs), None),
-            with_ci.then(|| sampled_stretch_name_independent(&full, &m, &naming, &*m, &pairs)),
-        );
-    }
-    (headers, rows)
+    run_table(cache, n, eps, pairs_per_graph, seed, CI_WALL, false)
 }
 
 /// **Table 2** — labeled schemes: stretch, table bits, label bits, header
@@ -145,16 +106,20 @@ pub fn run_table2(
     pairs_per_graph: usize,
     seed: u64,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    run_table2_with_wall(cache, n, eps, pairs_per_graph, seed, CI_WALL)
+    run_table(cache, n, eps, pairs_per_graph, seed, CI_WALL, true)
 }
 
-fn run_table2_with_wall(
+/// Table 2 when `labeled`, else Table 1: the two compact schemes of that
+/// model plus the full-table baseline, addressed by label or by name, with
+/// the CI column above `ci_wall` nodes.
+fn run_table(
     cache: &MetricCache,
     n: usize,
     eps: Eps,
     pairs_per_graph: usize,
     seed: u64,
     ci_wall: usize,
+    labeled: bool,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let mut headers = vec![
         "family",
@@ -165,46 +130,33 @@ fn run_table2_with_wall(
         "max-table(b)",
         "avg-table(b)",
         "header(b)",
-        "label(b)",
     ];
+    if labeled {
+        headers.push("label(b)");
+    }
     let with_ci = n > ci_wall;
     if with_ci {
         headers.push("avg-ci95");
     }
+    let first = if labeled { 0 } else { 2 };
     let mut rows = Vec::new();
     for f in table_families() {
         let m = cache.family(f, n, seed);
+        let naming = Naming::random(m.n(), seed ^ 0xA5);
         let pairs = sample_pairs(m.n(), pairs_per_graph, seed ^ 0x5A);
-        let mut push = |row: Vec<String>, ss: Option<netsim::stats::SampledStretch>| {
-            let mut row = row;
-            if let Some(ss) = ss {
-                row.push(f2(ss.ci_half_width));
-            }
-            rows.push(row);
-        };
-
-        let nl = NetLabeled::new(&m, eps).expect("eps within range");
-        push(
-            eval_row(f.name(), m.n(), &eval_labeled(&nl, &m, &pairs), Some(nl.label_bits())),
-            with_ci.then(|| sampled_stretch_labeled(&nl, &m, &*m, &pairs)),
-        );
-
-        let sf = ScaleFreeLabeled::new(&m, eps).expect("eps within range");
-        push(
-            eval_row(f.name(), m.n(), &eval_labeled(&sf, &m, &pairs), Some(sf.label_bits())),
-            with_ci.then(|| sampled_stretch_labeled(&sf, &m, &*m, &pairs)),
-        );
-
-        let full = FullTable::new(&m);
-        push(
-            eval_row(
-                f.name(),
-                m.n(),
-                &eval_labeled(&full, &m, &pairs),
-                Some(LabeledScheme::label_bits(&full)),
-            ),
-            with_ci.then(|| sampled_stretch_labeled(&full, &m, &*m, &pairs)),
-        );
+        let built: Vec<Built> =
+            (first..first + 2).map(|i| Built::new(i, &m, eps, &naming, &Tracer::noop())).collect();
+        let full = FullTable::with_naming(&m, naming.clone());
+        let mut schemes: Vec<(Box<dyn Deliver + '_>, Option<u64>)> =
+            built.iter().map(|b| (b.seam() as Box<dyn Deliver>, b.label_bits())).collect();
+        schemes.push(if labeled {
+            (Box::new(Labeled(&full)), Some(LabeledScheme::label_bits(&full)))
+        } else {
+            (Box::new(Named(&full, &naming)), None)
+        });
+        for (d, label_bits) in &schemes {
+            rows.push(table_row(f.name(), &m, &**d, &pairs, *label_bits, with_ci));
+        }
     }
     (headers, rows)
 }
@@ -421,44 +373,16 @@ pub fn run_sweep_eps(
     let mut rows = Vec::new();
     for k in [4u64, 8, 16, 32] {
         let eps = Eps::one_over(k);
-        let nl = NetLabeled::new(&m, eps).expect("eps ok");
-        let r = eval_labeled(&nl, &m, &pairs);
-        rows.push(vec![
-            eps.to_string(),
-            r.scheme.into(),
-            f2(r.max_stretch),
-            f2(r.avg_stretch),
-            "1+O(eps)".into(),
-        ]);
-        if k >= 4 {
-            let sf = ScaleFreeLabeled::new(&m, eps).expect("eps ok");
-            let r = eval_labeled(&sf, &m, &pairs);
+        for (i, s) in Built::all(&m, eps, &naming).iter().enumerate() {
+            let r = eval(&*s.seam(), &m, &pairs, 1, |_, _, _| {});
             rows.push(vec![
                 eps.to_string(),
                 r.scheme.into(),
                 f2(r.max_stretch),
                 f2(r.avg_stretch),
-                "1+O(eps)".into(),
+                if i < 2 { "1+O(eps)" } else { "9+O(eps)" }.into(),
             ]);
         }
-        let si = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps ok");
-        let r = eval_name_independent(&si, &m, &naming, &pairs);
-        rows.push(vec![
-            eps.to_string(),
-            r.scheme.into(),
-            f2(r.max_stretch),
-            f2(r.avg_stretch),
-            "9+O(eps)".into(),
-        ]);
-        let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps ok");
-        let r = eval_name_independent(&sfni, &m, &naming, &pairs);
-        rows.push(vec![
-            eps.to_string(),
-            r.scheme.into(),
-            f2(r.max_stretch),
-            f2(r.avg_stretch),
-            "9+O(eps)".into(),
-        ]);
     }
     (headers, rows)
 }
@@ -527,8 +451,8 @@ pub fn run_ablation_rings(cache: &MetricCache, seed: u64) -> (Vec<&'static str>,
         let pairs = sample_pairs(m.n(), 300, seed);
         let nl = NetLabeled::new(&m, eps).expect("eps ok");
         let sf = ScaleFreeLabeled::new(&m, eps).expect("eps ok");
-        let rn = eval_labeled(&nl, &m, &pairs);
-        let rs = eval_labeled(&sf, &m, &pairs);
+        let rn = eval(&Labeled(&nl), &m, &pairs, 1, |_, _, _| {});
+        let rs = eval(&Labeled(&sf), &m, &pairs, 1, |_, _, _| {});
         let ring_counts: Vec<usize> = (0..m.n() as u32).map(|u| sf.ring_levels(u).len()).collect();
         rows.push(vec![
             name.to_string(),
@@ -621,7 +545,6 @@ pub fn run_relaxed(
     n: usize,
     seed: u64,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    use netsim::stats::{stretch_samples_ni, StretchQuantiles};
     let headers = vec!["family", "scheme", "eps", "p50", "p90", "p99", "max"];
     let mut rows = Vec::new();
     for f in [gen::Family::Grid, gen::Family::Geometric] {
@@ -630,28 +553,23 @@ pub fn run_relaxed(
         let pairs = sample_pairs(m.n(), 500, seed ^ 5);
         for inv in [4u64, 8] {
             let eps = Eps::one_over(inv);
-            let si = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps ok");
-            let q = StretchQuantiles::from_stretches(&stretch_samples_ni(&si, &m, &naming, &pairs));
-            rows.push(vec![
-                f.name().into(),
-                "simple-NI".into(),
-                eps.to_string(),
-                f2(q.p50),
-                f2(q.p90),
-                f2(q.p99),
-                f2(q.max),
-            ]);
-            let sf = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps ok");
-            let q = StretchQuantiles::from_stretches(&stretch_samples_ni(&sf, &m, &naming, &pairs));
-            rows.push(vec![
-                f.name().into(),
-                "scale-free-NI".into(),
-                eps.to_string(),
-                f2(q.p50),
-                f2(q.p90),
-                f2(q.p99),
-                f2(q.max),
-            ]);
+            for i in 2..schemes::COUNT {
+                let s = Built::new(i, &m, eps, &naming, &Tracer::noop());
+                let mut stretches = Vec::with_capacity(pairs.len());
+                eval(&*s.seam(), &m, &pairs, 1, |_, _, r| {
+                    stretches.push(r.as_ref().expect("route must deliver").stretch(&m));
+                });
+                let q = StretchQuantiles::from_stretches(&stretches);
+                rows.push(vec![
+                    f.name().into(),
+                    schemes::SHORT_NAMES[i].into(),
+                    eps.to_string(),
+                    f2(q.p50),
+                    f2(q.p90),
+                    f2(q.p99),
+                    f2(q.max),
+                ]);
+            }
         }
     }
     (headers, rows)
@@ -688,9 +606,9 @@ mod tests {
     #[test]
     fn tables_gain_a_ci_column_above_the_wall() {
         // Force the CI path by dropping the wall below n = 36.
-        let (h1, rows1) = run_table1_with_wall(&cache(), 36, Eps::one_over(8), 30, 3, 10);
+        let (h1, rows1) = run_table(&cache(), 36, Eps::one_over(8), 30, 3, 10, false);
         assert_eq!(*h1.last().unwrap(), "avg-ci95");
-        let (h2, rows2) = run_table2_with_wall(&cache(), 36, Eps::one_over(8), 30, 3, 10);
+        let (h2, rows2) = run_table(&cache(), 36, Eps::one_over(8), 30, 3, 10, true);
         assert_eq!(*h2.last().unwrap(), "avg-ci95");
         for r in rows1.iter().chain(&rows2) {
             let ci: f64 = r.last().unwrap().parse().expect("ci cell is numeric");

@@ -40,6 +40,7 @@ pub mod profile;
 pub mod recovery;
 pub mod report;
 pub mod scale;
+pub mod schemes;
 pub mod serve;
 pub mod table;
 

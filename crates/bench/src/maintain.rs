@@ -513,8 +513,8 @@ pub fn run_maintain(
     (headers, rows, doc)
 }
 
-/// Entry point shared by the root `maintain` binary and
-/// `cargo run -p bench --bin maintain`: runs the grid, prints the table,
+/// Entry point for `cargo run --release --bin maintain` (the binary lives in
+/// this crate): runs the grid, prints the table,
 /// and writes `results/maintain.json`. With `--trace` the per-batch
 /// events land in `results/maintain_trace.jsonl`.
 ///

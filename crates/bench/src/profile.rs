@@ -10,10 +10,9 @@
 //! 2. folds the trace into a [`PhaseBreakdown`] (per-phase wall time and
 //!    allocation delta; allocation is nonzero only under the binaries'
 //!    [`obs::alloc::CountingAlloc`] global allocator);
-//! 3. routes a pair sample through
-//!    [`obs::eval::eval_labeled_telemetered`] /
-//!    [`obs::eval::eval_name_independent_telemetered`] with the *no-op*
-//!    tracer, collecting [`RouteMetrics`] (cost / hop / header-bit
+//! 3. routes a pair sample through [`netsim::stats::eval`] observed by
+//!    [`obs::eval::route_observer`] with the *no-op* tracer, collecting
+//!    [`RouteMetrics`] (cost / hop / header-bit
 //!    histograms, per-level search-tree lookups, under-stretch counter)
 //!    per entry, plus run-wide [`obs::MetricsRegistry`] counters and a
 //!    [`obs::FlightRecorder`] ring that dumps
@@ -29,16 +28,15 @@
 use std::time::Instant;
 
 use doubling_metric::Eps;
-use labeled_routing::{NetLabeled, ScaleFreeLabeled};
-use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::json::Value;
-use netsim::stats::{sample_pairs, EvalResult};
+use netsim::stats::{eval, sample_pairs, EvalResult};
 use netsim::Naming;
-use obs::eval::{eval_labeled_telemetered, eval_name_independent_telemetered};
+use obs::eval::route_observer;
 use obs::{FlightRecorder, MetricsRegistry, PhaseBreakdown, RouteMetrics, TraceLog, Tracer};
 
 use crate::cache::MetricCache;
 use crate::experiments::table_families;
+use crate::schemes::{self, Built};
 use crate::table::f2;
 
 /// Version of the `results/profile.json` document layout.
@@ -165,80 +163,20 @@ pub fn run_profile(
         // determinism (and they need `m.n()`, which only the metric knows).
         let pairs_for =
             |m: &doubling_metric::MetricSpace| sample_pairs(m.n(), pairs_count, seed ^ 0x5A);
-        profile_one(f.name(), &mut report, &mut entries, |tracer| {
-            let t0 = Instant::now();
-            let m = cache.family_traced(f, n, seed, tracer);
-            let s = NetLabeled::new_traced(&m, eps, tracer).expect("eps within range");
-            let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut rm = RouteMetrics::new();
-            let res = eval_labeled_telemetered(
-                &s,
-                &m,
-                &pairs_for(&m),
-                &Tracer::noop(),
-                &mut rm,
-                &registry,
-                &mut flight,
-            );
-            (build_ms, res, rm)
-        });
-        profile_one(f.name(), &mut report, &mut entries, |tracer| {
-            let t0 = Instant::now();
-            let m = cache.family_traced(f, n, seed, tracer);
-            let s = ScaleFreeLabeled::new_traced(&m, eps, tracer).expect("eps within range");
-            let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut rm = RouteMetrics::new();
-            let res = eval_labeled_telemetered(
-                &s,
-                &m,
-                &pairs_for(&m),
-                &Tracer::noop(),
-                &mut rm,
-                &registry,
-                &mut flight,
-            );
-            (build_ms, res, rm)
-        });
-        profile_one(f.name(), &mut report, &mut entries, |tracer| {
-            let t0 = Instant::now();
-            let m = cache.family_traced(f, n, seed, tracer);
-            let naming = Naming::random(m.n(), seed ^ 0xA5);
-            let s = SimpleNameIndependent::new_traced(&m, eps, naming.clone(), tracer)
-                .expect("eps within range");
-            let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut rm = RouteMetrics::new();
-            let res = eval_name_independent_telemetered(
-                &s,
-                &m,
-                &naming,
-                &pairs_for(&m),
-                &Tracer::noop(),
-                &mut rm,
-                &registry,
-                &mut flight,
-            );
-            (build_ms, res, rm)
-        });
-        profile_one(f.name(), &mut report, &mut entries, |tracer| {
-            let t0 = Instant::now();
-            let m = cache.family_traced(f, n, seed, tracer);
-            let naming = Naming::random(m.n(), seed ^ 0xA5);
-            let s = ScaleFreeNameIndependent::new_traced(&m, eps, naming.clone(), tracer)
-                .expect("eps within range");
-            let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut rm = RouteMetrics::new();
-            let res = eval_name_independent_telemetered(
-                &s,
-                &m,
-                &naming,
-                &pairs_for(&m),
-                &Tracer::noop(),
-                &mut rm,
-                &registry,
-                &mut flight,
-            );
-            (build_ms, res, rm)
-        });
+        for i in 0..schemes::COUNT {
+            profile_one(f.name(), &mut report, &mut entries, |tracer| {
+                let t0 = Instant::now();
+                let m = cache.family_traced(f, n, seed, tracer);
+                let naming = Naming::random(m.n(), seed ^ 0xA5);
+                let s = Built::new(i, &m, eps, &naming, tracer);
+                let build_ms = t0.elapsed().as_secs_f64() * 1e3;
+                let mut rm = RouteMetrics::new();
+                let noop = Tracer::noop();
+                let observe = route_observer(&m, &noop, &mut rm, &registry, &mut flight);
+                let res = eval(&*s.seam(), &m, &pairs_for(&m), 1, observe);
+                (build_ms, res, rm)
+            });
+        }
     }
 
     let stats = cache.stats();
@@ -263,8 +201,8 @@ pub fn run_profile(
     report
 }
 
-/// Entry point shared by the root `profile` binary and
-/// `cargo run -p bench --bin profile`: runs the grid, prints the two
+/// Entry point for `cargo run --release --bin profile` (the binary lives in
+/// this crate): runs the grid, prints the two
 /// tables, and writes `results/profile.json`.
 ///
 /// Usage: `profile [n] [1/eps] [pairs] [--seed N] [--json] [--threads N]

@@ -30,20 +30,15 @@
 
 use doubling_metric::graph::NodeId;
 use doubling_metric::{gen, Eps, MetricSpace};
-use labeled_routing::{NetLabeled, ScaleFreeLabeled};
-use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::faults::{FaultPlan, FaultTimeline};
 use netsim::json::Value;
 use netsim::recovery::{greedy_chaos, DeliveryOutcome, RecoveryPolicy, ResilientRouter};
-use netsim::scheme::{LabeledScheme, NameIndependentScheme};
-use netsim::stats::{
-    eval_labeled_resilient_observed, eval_name_independent_resilient_observed, sample_pairs,
-    RecoveryEvalResult,
-};
+use netsim::stats::{eval_resilient, sample_pairs, RecoveryEvalResult};
 use netsim::Naming;
 use obs::{FlightRecorder, Log2Histogram, MetricsRegistry, Tracer};
 
 use crate::cache::MetricCache;
+use crate::schemes::Built;
 use crate::table::f2;
 
 /// The policy grid every strategy × scheme cell is measured under.
@@ -201,10 +196,8 @@ pub fn run_recovery(
     let pairs = sample_pairs(m.n(), pairs_count, seed ^ 0x5A);
     let policies = policy_grid();
 
-    let nl = NetLabeled::new(&m, eps).expect("eps within range");
-    let sfl = ScaleFreeLabeled::new(&m, eps).expect("eps within range");
-    let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-    let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
+    let built = Built::all(&m, eps, &naming);
+    let schemes: Vec<_> = built.iter().map(Built::seam).collect();
 
     // The random strategy is dynamic: half the casualties are live at
     // departure, the rest land after `hops_per_epoch` hops. random_nodes
@@ -248,101 +241,32 @@ pub fn run_recovery(
         for policy in &policies {
             // One cell per scheme: identical pairs, identical timeline,
             // only the delivery policy varies.
-            let mut cells = Vec::new();
-            {
-                let mut h = CellHists::new();
-                let eval = eval_labeled_resilient_observed(
-                    &ResilientRouter::new(&m, &nl, policy.clone()),
-                    timeline,
-                    &pairs,
-                    |u, v, ev| {
-                        obs::eval::trace_recovery_event(
-                            tracer,
-                            || event_fields(strategy, policy, nl.scheme_name(), u, v),
-                            ev,
-                        );
-                        obs::eval::meter_recovery_event(registry, ev);
-                        ring.borrow_mut().note_recovery(ev);
-                    },
-                    |u, v, o| {
-                        h.observe(o);
-                        meter_outcome(registry, o);
-                        ring.borrow_mut().record_outcome(u, v, o);
-                    },
-                );
-                cells.push(Cell { eval, hists: h });
-            }
-            {
-                let mut h = CellHists::new();
-                let eval = eval_labeled_resilient_observed(
-                    &ResilientRouter::new(&m, &sfl, policy.clone()),
-                    timeline,
-                    &pairs,
-                    |u, v, ev| {
-                        obs::eval::trace_recovery_event(
-                            tracer,
-                            || event_fields(strategy, policy, sfl.scheme_name(), u, v),
-                            ev,
-                        );
-                        obs::eval::meter_recovery_event(registry, ev);
-                        ring.borrow_mut().note_recovery(ev);
-                    },
-                    |u, v, o| {
-                        h.observe(o);
-                        meter_outcome(registry, o);
-                        ring.borrow_mut().record_outcome(u, v, o);
-                    },
-                );
-                cells.push(Cell { eval, hists: h });
-            }
-            {
-                let mut h = CellHists::new();
-                let eval = eval_name_independent_resilient_observed(
-                    &ResilientRouter::new(&m, &sni, policy.clone()),
-                    &naming,
-                    timeline,
-                    &pairs,
-                    |u, v, ev| {
-                        obs::eval::trace_recovery_event(
-                            tracer,
-                            || event_fields(strategy, policy, sni.scheme_name(), u, v),
-                            ev,
-                        );
-                        obs::eval::meter_recovery_event(registry, ev);
-                        ring.borrow_mut().note_recovery(ev);
-                    },
-                    |u, v, o| {
-                        h.observe(o);
-                        meter_outcome(registry, o);
-                        ring.borrow_mut().record_outcome(u, v, o);
-                    },
-                );
-                cells.push(Cell { eval, hists: h });
-            }
-            {
-                let mut h = CellHists::new();
-                let eval = eval_name_independent_resilient_observed(
-                    &ResilientRouter::new(&m, &sfni, policy.clone()),
-                    &naming,
-                    timeline,
-                    &pairs,
-                    |u, v, ev| {
-                        obs::eval::trace_recovery_event(
-                            tracer,
-                            || event_fields(strategy, policy, sfni.scheme_name(), u, v),
-                            ev,
-                        );
-                        obs::eval::meter_recovery_event(registry, ev);
-                        ring.borrow_mut().note_recovery(ev);
-                    },
-                    |u, v, o| {
-                        h.observe(o);
-                        meter_outcome(registry, o);
-                        ring.borrow_mut().record_outcome(u, v, o);
-                    },
-                );
-                cells.push(Cell { eval, hists: h });
-            }
+            let cells: Vec<Cell> = schemes
+                .iter()
+                .map(|s| {
+                    let mut hists = CellHists::new();
+                    let eval = eval_resilient(
+                        &ResilientRouter::new(&m, &**s, policy.clone()),
+                        timeline,
+                        &pairs,
+                        |u, v, ev| {
+                            obs::eval::trace_recovery_event(
+                                tracer,
+                                || event_fields(strategy, policy, s.scheme_name(), u, v),
+                                ev,
+                            );
+                            obs::eval::meter_recovery_event(registry, ev);
+                            ring.borrow_mut().note_recovery(ev);
+                        },
+                        |u, v, o| {
+                            hists.observe(o);
+                            meter_outcome(registry, o);
+                            ring.borrow_mut().record_outcome(u, v, o);
+                        },
+                    );
+                    Cell { eval, hists }
+                })
+                .collect();
 
             for c in &cells {
                 rows.push(c.row(strategy, policy));
@@ -365,7 +289,7 @@ pub fn run_recovery(
 
     // Adversarial chaos campaign: per policy, the minimal high-damage
     // fault set over high-degree candidates, probed with the NetLabeled
-    // scheme on a pair subsample (the campaign re-evaluates the grid once
+    // scheme (first in table order) on a pair subsample (the campaign re-evaluates the grid once
     // per candidate per step — keep the oracle cheap and deterministic).
     let chaos_pairs = sample_pairs(m.n(), pairs_count.min(80), seed ^ 0x7C);
     let chaos_candidates = top_degree_candidates(&m, 16);
@@ -374,7 +298,7 @@ pub fn run_recovery(
     for policy in &policies {
         let outcome = greedy_chaos(m.n(), &chaos_candidates, chaos_budget, |plan| {
             let tl = FaultTimeline::from_plan(plan.clone());
-            let router = ResilientRouter::new(&m, &nl, policy.clone());
+            let router = ResilientRouter::new(&m, &*schemes[0], policy.clone());
             chaos_pairs
                 .iter()
                 .filter(|&&(u, v)| !plan.is_node_dead(u) && !plan.is_node_dead(v))
@@ -427,7 +351,7 @@ pub fn run_recovery(
         (
             "chaos".into(),
             Value::Object(vec![
-                ("probe_scheme".into(), nl.scheme_name().into()),
+                ("probe_scheme".into(), schemes[0].scheme_name().into()),
                 ("candidates".into(), chaos_candidates.len().into()),
                 ("budget".into(), chaos_budget.into()),
                 ("campaigns".into(), Value::Array(chaos_docs)),
@@ -438,8 +362,8 @@ pub fn run_recovery(
     (headers, rows, doc)
 }
 
-/// Entry point shared by the root `recovery` binary and
-/// `cargo run -p bench --bin recovery`: runs the grid, prints the table,
+/// Entry point for `cargo run --release --bin recovery` (the binary lives in
+/// this crate): runs the grid, prints the table,
 /// and writes `results/recovery.json`. With `--trace`, every recovery
 /// decision is recorded to `results/recovery_trace.jsonl` and the
 /// registry snapshot to `results/recovery_metrics.prom`; with

@@ -433,8 +433,8 @@ pub fn run_report(results_dir: &Path, baselines_dir: &Path) -> Report {
     Report { doc, compared, regressions, skipped }
 }
 
-/// Entry point shared by the root `report` binary and
-/// `cargo run -p bench --bin report`: runs the gate, writes
+/// Entry point for `cargo run --release --bin report` (the binary lives in
+/// this crate): runs the gate, writes
 /// `results/report.json`, prints the summary, and exits non-zero when any
 /// cell regressed.
 ///

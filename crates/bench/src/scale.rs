@@ -39,17 +39,12 @@ use std::time::Instant;
 use doubling_metric::{
     gen, DistanceProvider, Eps, LandmarkEstimator, MetricSpace, OnDemandDijkstra,
 };
-use labeled_routing::{NetLabeled, ScaleFreeLabeled};
-use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::json::Value;
-use netsim::scheme::{LabeledScheme, NameIndependentScheme};
-use netsim::stats::{
-    sample_pairs, sampled_stretch_labeled, sampled_stretch_labeled_observed,
-    sampled_stretch_name_independent, sampled_stretch_name_independent_observed, SampledStretch,
-};
+use netsim::stats::{sample_pairs, sampled_stretch, SampledStretch};
 use netsim::Naming;
 use obs::{FlightRecorder, MetricsRegistry, Tracer};
 
+use crate::schemes::{self, Built};
 use crate::table::f2;
 
 /// Version of the `results/scale.json` document layout.
@@ -207,54 +202,12 @@ fn observe_scale_route(
     }
 }
 
-/// Builds one labeled scheme and measures its cell.
+/// Builds scheme `i` of the table order and measures its cell.
 #[allow(clippy::too_many_arguments)]
-fn labeled_cell<S: LabeledScheme>(
-    scheme: &'static str,
-    build: impl FnOnce() -> S,
+fn scheme_cell(
+    i: usize,
     m: &MetricSpace,
-    oracle: &OnDemandDijkstra,
-    pairs: &[(doubling_metric::NodeId, doubling_metric::NodeId)],
-    stable: bool,
-    tel: &mut ScaleTelemetry,
-) -> SchemeCell {
-    let n = m.n();
-    let pin = |v: u64| if stable { 0 } else { v };
-    let (s, build_us, peak) = {
-        let _sp = tel.tracer.span("scheme-build");
-        measured(build)
-    };
-    let stats = {
-        let _sp = tel.tracer.span("evaluate");
-        let (registry, flight) = (&tel.registry, &mut tel.flight);
-        sampled_stretch_labeled_observed(&s, m, oracle, pairs, |u, v, res| {
-            observe_scale_route(m, registry, flight, u, v, res)
-        })
-    };
-    let check = {
-        let _sp = tel.tracer.span("cross-check");
-        sampled_stretch_labeled(&s, m, m, pairs)
-    };
-    let table_bits: Vec<u64> = (0..n as u32).map(|u| s.table_bits(u)).collect();
-    SchemeCell {
-        n,
-        scheme,
-        build_us: pin(build_us),
-        peak_bytes: pin(peak),
-        label_bits: Some(s.label_bits()),
-        max_table_bits: table_bits.iter().copied().max().unwrap_or(0),
-        avg_table_bits: table_bits.iter().sum::<u64>() as f64 / n as f64,
-        deterministic: stats == check,
-        stats,
-    }
-}
-
-/// Builds one name-independent scheme and measures its cell.
-#[allow(clippy::too_many_arguments)]
-fn name_independent_cell<S: NameIndependentScheme>(
-    scheme: &'static str,
-    build: impl FnOnce() -> S,
-    m: &MetricSpace,
+    eps: Eps,
     naming: &Naming,
     oracle: &OnDemandDijkstra,
     pairs: &[(doubling_metric::NodeId, doubling_metric::NodeId)],
@@ -265,26 +218,27 @@ fn name_independent_cell<S: NameIndependentScheme>(
     let pin = |v: u64| if stable { 0 } else { v };
     let (s, build_us, peak) = {
         let _sp = tel.tracer.span("scheme-build");
-        measured(build)
+        measured(|| Built::new(i, m, eps, naming, &Tracer::noop()))
     };
+    let seam = s.seam();
     let stats = {
         let _sp = tel.tracer.span("evaluate");
         let (registry, flight) = (&tel.registry, &mut tel.flight);
-        sampled_stretch_name_independent_observed(&s, m, naming, oracle, pairs, |u, v, res| {
+        sampled_stretch(&*seam, m, oracle, pairs, |u, v, res| {
             observe_scale_route(m, registry, flight, u, v, res)
         })
     };
     let check = {
         let _sp = tel.tracer.span("cross-check");
-        sampled_stretch_name_independent(&s, m, naming, m, pairs)
+        sampled_stretch(&*seam, m, m, pairs, |_, _, _| {})
     };
-    let table_bits: Vec<u64> = (0..n as u32).map(|u| s.table_bits(u)).collect();
+    let table_bits: Vec<u64> = (0..n as u32).map(|u| seam.table_bits(u)).collect();
     SchemeCell {
         n,
-        scheme,
+        scheme: schemes::SHORT_NAMES[i],
         build_us: pin(build_us),
         peak_bytes: pin(peak),
-        label_bits: None,
+        label_bits: s.label_bits(),
         max_table_bits: table_bits.iter().copied().max().unwrap_or(0),
         avg_table_bits: table_bits.iter().sum::<u64>() as f64 / n as f64,
         deterministic: stats == check,
@@ -382,46 +336,9 @@ pub fn run_scale_telemetered(
 
         // Evaluate against the on-demand oracle, then cross-check bit for
         // bit against the dense matrix.
-        let cells = [
-            labeled_cell(
-                "net-labeled",
-                || NetLabeled::new(&m, eps).expect("eps within range"),
-                &m,
-                &oracle,
-                &pairs,
-                stable,
-                tel,
-            ),
-            labeled_cell(
-                "scale-free-labeled",
-                || ScaleFreeLabeled::new(&m, eps).expect("eps within range"),
-                &m,
-                &oracle,
-                &pairs,
-                stable,
-                tel,
-            ),
-            name_independent_cell(
-                "simple-NI",
-                || SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps ok"),
-                &m,
-                &naming,
-                &oracle,
-                &pairs,
-                stable,
-                tel,
-            ),
-            name_independent_cell(
-                "scale-free-NI",
-                || ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps ok"),
-                &m,
-                &naming,
-                &oracle,
-                &pairs,
-                stable,
-                tel,
-            ),
-        ];
+        let cells: Vec<SchemeCell> = (0..schemes::COUNT)
+            .map(|i| scheme_cell(i, &m, eps, &naming, &oracle, &pairs, stable, tel))
+            .collect();
         for cell in cells {
             all_deterministic &= cell.deterministic;
             failures += cell.stats.failures;

@@ -312,13 +312,14 @@ impl netsim::recovery::FallbackHierarchy for NetLabeled {
 mod tests {
     use super::*;
     use doubling_metric::gen;
-    use netsim::stats::{all_pairs, eval_labeled, sample_pairs};
+    use netsim::scheme::Labeled;
+    use netsim::stats::{all_pairs, eval, sample_pairs};
 
     fn check_graph(g: &doubling_metric::Graph, eps: Eps, max_allowed: f64) {
         let m = MetricSpace::new(g);
         let s = NetLabeled::new(&m, eps).unwrap();
         let pairs = if m.n() <= 40 { all_pairs(m.n()) } else { sample_pairs(m.n(), 400, 7) };
-        let res = eval_labeled(&s, &m, &pairs);
+        let res = eval(&Labeled(&s), &m, &pairs, 1, |_, _, _| {});
         assert_eq!(res.failures, 0, "all routes must deliver");
         assert!(
             res.max_stretch <= max_allowed,
@@ -340,8 +341,8 @@ mod tests {
         let pairs = sample_pairs(m.n(), 500, 3);
         let s8 = NetLabeled::new(&m, Eps::one_over(8)).unwrap();
         let s16 = NetLabeled::new(&m, Eps::one_over(16)).unwrap();
-        let r8 = eval_labeled(&s8, &m, &pairs);
-        let r16 = eval_labeled(&s16, &m, &pairs);
+        let r8 = eval(&Labeled(&s8), &m, &pairs, 1, |_, _, _| {});
+        let r16 = eval(&Labeled(&s16), &m, &pairs, 1, |_, _, _| {});
         assert_eq!(r8.failures + r16.failures, 0);
         assert!(r16.max_stretch <= r8.max_stretch + 1e-9);
         // 1 + O(ε): comfortably small at ε = 1/16.
@@ -365,7 +366,7 @@ mod tests {
         let s_big = NetLabeled::new(&m_big, eps).unwrap();
         // More levels (log Δ grows linearly in n here).
         assert!(s_big.num_levels() > 3 * s_small.num_levels());
-        let res = eval_labeled(&s_big, &m_big, &all_pairs(m_big.n()));
+        let res = eval(&Labeled(&s_big), &m_big, &all_pairs(m_big.n()), 1, |_, _, _| {});
         assert_eq!(res.failures, 0);
     }
 

@@ -649,13 +649,14 @@ impl netsim::recovery::FallbackHierarchy for ScaleFreeLabeled {
 mod tests {
     use super::*;
     use doubling_metric::gen;
-    use netsim::stats::{all_pairs, eval_labeled, sample_pairs};
+    use netsim::scheme::Labeled;
+    use netsim::stats::{all_pairs, eval, sample_pairs};
 
     fn check_graph(g: &doubling_metric::Graph, eps: Eps, max_allowed: f64) {
         let m = MetricSpace::new(g);
         let s = ScaleFreeLabeled::new(&m, eps).unwrap();
         let pairs = if m.n() <= 40 { all_pairs(m.n()) } else { sample_pairs(m.n(), 400, 7) };
-        let res = eval_labeled(&s, &m, &pairs);
+        let res = eval(&Labeled(&s), &m, &pairs, 1, |_, _, _| {});
         assert_eq!(res.failures, 0, "all routes must deliver on {}", res.scheme);
         assert!(
             res.max_stretch <= max_allowed,
@@ -684,7 +685,7 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(8, 8));
         let pairs = sample_pairs(m.n(), 500, 3);
         let s = ScaleFreeLabeled::new(&m, Eps::one_over(16)).unwrap();
-        let res = eval_labeled(&s, &m, &pairs);
+        let res = eval(&Labeled(&s), &m, &pairs, 1, |_, _, _| {});
         assert_eq!(res.failures, 0);
         assert!(res.max_stretch <= 2.0, "max stretch {}", res.max_stretch);
     }
@@ -720,7 +721,7 @@ mod tests {
     fn delivers_on_exp_path() {
         let m = MetricSpace::new(&gen::exp_weight_path(32));
         let s = ScaleFreeLabeled::new(&m, Eps::one_over(8)).unwrap();
-        let res = eval_labeled(&s, &m, &all_pairs(m.n()));
+        let res = eval(&Labeled(&s), &m, &all_pairs(m.n()), 1, |_, _, _| {});
         assert_eq!(res.failures, 0);
         assert!(res.max_stretch <= 3.0, "max stretch {}", res.max_stretch);
     }

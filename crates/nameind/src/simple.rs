@@ -457,14 +457,15 @@ mod tests {
     use super::*;
     use crate::stretch_envelope;
     use doubling_metric::gen;
-    use netsim::stats::{all_pairs, eval_name_independent, sample_pairs};
+    use netsim::scheme::Named;
+    use netsim::stats::{all_pairs, eval, sample_pairs};
 
     fn check(g: &doubling_metric::Graph, eps: Eps, seed: u64) -> netsim::stats::EvalResult {
         let m = MetricSpace::new(g);
         let naming = Naming::random(m.n(), seed);
         let s = SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap();
         let pairs = if m.n() <= 36 { all_pairs(m.n()) } else { sample_pairs(m.n(), 300, 7) };
-        let res = eval_name_independent(&s, &m, &naming, &pairs);
+        let res = eval(&Named(&s, &naming), &m, &pairs, 1, |_, _, _| {});
         assert_eq!(res.failures, 0, "all routes must deliver");
         assert!(
             res.max_stretch <= stretch_envelope(eps),
@@ -512,7 +513,7 @@ mod tests {
         let mut maxes = Vec::new();
         for k in [4u64, 8, 16, 32] {
             let s = SimpleNameIndependent::new(&m, Eps::one_over(k), naming.clone()).unwrap();
-            let r = eval_name_independent(&s, &m, &naming, &pairs);
+            let r = eval(&Named(&s, &naming), &m, &pairs, 1, |_, _, _| {});
             assert_eq!(r.failures, 0);
             maxes.push(r.max_stretch);
         }

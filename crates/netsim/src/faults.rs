@@ -35,13 +35,13 @@
 //! use doubling_metric::{gen, MetricSpace};
 //! use netsim::baseline::FullTable;
 //! use netsim::faults::FaultPlan;
-//! use netsim::scheme::LabeledScheme;
+//! use netsim::scheme::{Deliver, Labeled};
 //!
 //! let m = MetricSpace::new(&gen::grid(4, 4));
 //! let scheme = FullTable::new(&m);
 //! let mut plan = FaultPlan::none(m.n());
 //! plan.kill_node(5); // on the shortest 0 → 15 route's path? replay decides
-//! let stale = scheme.route_with_faults(&m, 0, scheme.label_of(15), &plan);
+//! let stale = Labeled(&scheme).route_with_faults(&m, 0, 15, &plan);
 //! // Either the packet got through on a survivor path, or it was lost at a
 //! // dead element — never silently misdelivered.
 //! if let Ok(route) = &stale {

@@ -21,6 +21,8 @@
 //! [`scheme::LabeledScheme`] (the designer assigns labels; the source knows
 //! the destination's label) and [`scheme::NameIndependentScheme`] (the
 //! source knows only the adversarially-assigned original [`scheme::Name`]).
+//! Both are measured through one seam, [`scheme::Deliver`], by the single
+//! evaluation driver in [`stats`].
 //!
 //! # Example
 //!
@@ -60,4 +62,6 @@ pub use recovery::{
     DeliveryOutcome, FallbackHierarchy, LossReason, RecoveryEvent, RecoveryPolicy, ResilientRouter,
 };
 pub use route::{Route, RouteError, RouteRecorder, Segment};
-pub use scheme::{Certifiable, Label, LabeledScheme, Name, NameIndependentScheme};
+pub use scheme::{
+    Certifiable, Deliver, Label, Labeled, LabeledScheme, Name, NameIndependentScheme, Named,
+};

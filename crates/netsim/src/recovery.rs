@@ -5,12 +5,12 @@
 //! precomputed route either avoids every casualty or the packet is
 //! dropped at the first dead element. Real deployments — and the
 //! dynamic-doubling line of work the paper cites — *recover* in flight.
-//! This module drives any [`LabeledScheme`] / [`NameIndependentScheme`]
+//! This module drives any scheme behind the [`Deliver`] seam
 //! one hop at a time against a [`FaultTimeline`] and, on hitting a dead
 //! node or edge, applies a [`RecoveryPolicy`]:
 //!
 //! * [`RecoveryPolicy::Drop`] — the baseline: give up at the first
-//!   casualty, reproducing `route_with_faults` semantics exactly.
+//!   casualty, reproducing [`Deliver::route_with_faults`] semantics exactly.
 //! * [`RecoveryPolicy::LocalDetour`] — breadth-first search of the
 //!   surviving graph around the casualty, bounded by a TTL, re-entering
 //!   the scheme's planned route at the furthest reachable planned hop.
@@ -51,14 +51,16 @@
 //! use netsim::baseline::FullTable;
 //! use netsim::faults::{FaultPlan, FaultTimeline};
 //! use netsim::recovery::{DeliveryOutcome, RecoveryPolicy, ResilientRouter};
+//! use netsim::scheme::Labeled;
 //!
 //! let m = MetricSpace::new(&gen::grid(4, 4));
 //! let scheme = FullTable::new(&m);
 //! let mut plan = FaultPlan::none(m.n());
 //! plan.kill_node(5);
 //! let timeline = FaultTimeline::from_plan(plan);
+//! let labeled = Labeled(&scheme);
 //! let router =
-//!     ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::LocalDetour { ttl: 4 });
+//!     ResilientRouter::without_hierarchy(&m, &labeled, RecoveryPolicy::LocalDetour { ttl: 4 });
 //! let outcome = router.deliver(0, 10, &timeline, &mut |_| {});
 //! assert!(matches!(outcome, DeliveryOutcome::Delivered { .. }));
 //! ```
@@ -70,9 +72,8 @@ use doubling_metric::nets::NetHierarchy;
 use doubling_metric::space::MetricSpace;
 
 use crate::faults::{FaultPlan, FaultTimeline};
-use crate::naming::Naming;
 use crate::route::{Route, RouteError, RouteRecorder};
-use crate::scheme::{LabeledScheme, NameIndependentScheme};
+use crate::scheme::{Deliver, Labeled, Named};
 
 /// What to do when an in-flight packet hits a dead node or edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -316,6 +317,18 @@ pub trait FallbackHierarchy {
     fn fallback_hierarchy(&self) -> &NetHierarchy;
 }
 
+impl<S: FallbackHierarchy + ?Sized> FallbackHierarchy for Labeled<'_, S> {
+    fn fallback_hierarchy(&self) -> &NetHierarchy {
+        self.0.fallback_hierarchy()
+    }
+}
+
+impl<S: FallbackHierarchy + ?Sized> FallbackHierarchy for Named<'_, S> {
+    fn fallback_hierarchy(&self) -> &NetHierarchy {
+        self.0.fallback_hierarchy()
+    }
+}
+
 /// A successful recovery action, internal to the drive loop.
 enum Recovered {
     /// Splice `via` (`cur ..= rejoin`) in front of the planned tail after
@@ -328,21 +341,21 @@ enum Recovered {
 /// Drives a scheme hop-by-hop against a [`FaultTimeline`], applying a
 /// [`RecoveryPolicy`] at each casualty. See the [module docs](self) for
 /// the policy semantics and the outcome taxonomy.
-pub struct ResilientRouter<'a, S> {
+pub struct ResilientRouter<'a, D: ?Sized> {
     m: &'a MetricSpace,
-    scheme: &'a S,
+    scheme: &'a D,
     policy: RecoveryPolicy,
     nets: Option<&'a NetHierarchy>,
     oracle: Option<&'a dyn doubling_metric::DistanceProvider>,
     hop_budget: Option<usize>,
 }
 
-impl<'a, S> ResilientRouter<'a, S> {
+impl<'a, D: ?Sized> ResilientRouter<'a, D> {
     /// A router over `scheme`, climbing the scheme's own hierarchy on
     /// fallbacks.
-    pub fn new(m: &'a MetricSpace, scheme: &'a S, policy: RecoveryPolicy) -> Self
+    pub fn new(m: &'a MetricSpace, scheme: &'a D, policy: RecoveryPolicy) -> Self
     where
-        S: FallbackHierarchy,
+        D: FallbackHierarchy,
     {
         let nets = Some(scheme.fallback_hierarchy());
         ResilientRouter { m, scheme, policy, nets, oracle: None, hop_budget: None }
@@ -350,7 +363,7 @@ impl<'a, S> ResilientRouter<'a, S> {
 
     /// A router with no hierarchy: [`RecoveryPolicy::LevelFallback`] has
     /// no landmarks to climb to and fails like an exhausted budget.
-    pub fn without_hierarchy(m: &'a MetricSpace, scheme: &'a S, policy: RecoveryPolicy) -> Self {
+    pub fn without_hierarchy(m: &'a MetricSpace, scheme: &'a D, policy: RecoveryPolicy) -> Self {
         ResilientRouter { m, scheme, policy, nets: None, oracle: None, hop_budget: None }
     }
 
@@ -386,7 +399,7 @@ impl<'a, S> ResilientRouter<'a, S> {
     }
 
     /// The wrapped scheme.
-    pub fn scheme(&self) -> &S {
+    pub fn scheme(&self) -> &D {
         self.scheme
     }
 
@@ -714,10 +727,11 @@ impl<'a, S> ResilientRouter<'a, S> {
     }
 }
 
-impl<'a, S: LabeledScheme> ResilientRouter<'a, S> {
-    /// Delivers a packet from `src` to the node the scheme labels
-    /// `label_of(dst)`, recovering per the policy. `on_event` observes
-    /// every recovery decision.
+impl<D: Deliver + ?Sized> ResilientRouter<'_, D> {
+    /// Delivers a packet from `src` to node `dst`, recovering per the
+    /// policy. Every re-plan issues a fresh lookup (by label or by name,
+    /// as the seam addresses `dst`) from wherever the packet stands.
+    /// `on_event` observes every recovery decision.
     pub fn deliver(
         &self,
         src: NodeId,
@@ -725,29 +739,8 @@ impl<'a, S: LabeledScheme> ResilientRouter<'a, S> {
         timeline: &FaultTimeline,
         on_event: &mut dyn FnMut(&RecoveryEvent),
     ) -> DeliveryOutcome {
-        let target = self.scheme.label_of(dst);
-        let scheme = self.scheme;
-        let m = self.m;
-        self.drive(src, dst, timeline, &mut |from| scheme.route(m, from, target), on_event)
-    }
-}
-
-impl<'a, S: NameIndependentScheme> ResilientRouter<'a, S> {
-    /// Delivers a packet from `src` to the node named `naming.name_of(dst)`
-    /// — every re-plan issues a fresh name-independent lookup from
-    /// wherever the packet stands.
-    pub fn deliver_named(
-        &self,
-        naming: &Naming,
-        src: NodeId,
-        dst: NodeId,
-        timeline: &FaultTimeline,
-        on_event: &mut dyn FnMut(&RecoveryEvent),
-    ) -> DeliveryOutcome {
-        let name = naming.name_of(dst);
-        let scheme = self.scheme;
-        let m = self.m;
-        self.drive(src, dst, timeline, &mut |from| scheme.route(m, from, name), on_event)
+        let (scheme, m) = (self.scheme, self.m);
+        self.drive(src, dst, timeline, &mut |from| scheme.route_to(m, from, dst), on_event)
     }
 }
 
@@ -853,7 +846,8 @@ mod tests {
         dst: NodeId,
     ) -> DeliveryOutcome {
         let m = MetricSpace::new(&gen::grid(4, 4));
-        let scheme = FullTable::new(&m);
+        let full = FullTable::new(&m);
+        let scheme = Labeled(&full);
         let mut plan = FaultPlan::none(m.n());
         for &k in kill {
             plan.kill_node(k);
@@ -867,7 +861,8 @@ mod tests {
     fn exact_distance_oracle_preserves_outcomes_bit_for_bit() {
         let g = std::sync::Arc::new(gen::grid(4, 4));
         let m = MetricSpace::from_shared(std::sync::Arc::clone(&g), 1);
-        let scheme = FullTable::new(&m);
+        let full = FullTable::new(&m);
+        let scheme = Labeled(&full);
         let mut plan = FaultPlan::none(m.n());
         plan.kill_node(1);
         let timeline = FaultTimeline::from_plan(plan);
@@ -919,7 +914,8 @@ mod tests {
         }
         let mut events = Vec::new();
         let m = MetricSpace::new(&gen::grid(4, 4));
-        let scheme = FullTable::new(&m);
+        let full = FullTable::new(&m);
+        let scheme = Labeled(&full);
         let mut plan = FaultPlan::none(16);
         plan.kill_node(1);
         let timeline = FaultTimeline::from_plan(plan);
@@ -1008,7 +1004,8 @@ mod tests {
         // Path 0..7: node 5 dies after 3 hops. Drop loses the packet at
         // 4→5; a detour cannot exist on a path graph (Unreachable).
         let m = MetricSpace::new(&gen::path(8));
-        let scheme = FullTable::new(&m);
+        let full = FullTable::new(&m);
+        let scheme = Labeled(&full);
         let mut late = FaultPlan::none(8);
         late.kill_node(5);
         let tl = FaultTimeline::new(vec![FaultPlan::none(8), late], 3).unwrap();
@@ -1039,7 +1036,7 @@ mod tests {
         // real edge), so only a *global* budget can call it a loop — the
         // per-policy TTLs never fire (policy is Drop, no faults at all).
         struct CyclingScheme;
-        impl LabeledScheme for CyclingScheme {
+        impl crate::scheme::LabeledScheme for CyclingScheme {
             fn scheme_name(&self) -> &'static str {
                 "crafted-cycle"
             }
@@ -1074,7 +1071,7 @@ mod tests {
         }
 
         let m = MetricSpace::new(&gen::ring(6));
-        let scheme = CyclingScheme;
+        let scheme = Labeled(&CyclingScheme);
         let timeline = FaultTimeline::from_plan(FaultPlan::none(6));
         // Without a budget the 18-lap prelude stays under the recorder's
         // 64·n + 64 guard and the packet arrives (at absurd stretch).
@@ -1097,12 +1094,10 @@ mod tests {
         }
         // Arriving exactly on the budget still delivers: 0 → 3 on the
         // cycle is 3 hops for the full-table baseline.
-        let exact = {
-            let ft = FullTable::new(&m);
-            ResilientRouter::without_hierarchy(&m, &ft, RecoveryPolicy::Drop)
-                .with_hop_budget(3)
-                .deliver(0, 3, &timeline, &mut |_| {})
-        };
+        let ft = FullTable::new(&m);
+        let exact = ResilientRouter::without_hierarchy(&m, &Labeled(&ft), RecoveryPolicy::Drop)
+            .with_hop_budget(3)
+            .deliver(0, 3, &timeline, &mut |_| {});
         assert!(exact.is_delivered(), "got {exact:?}");
     }
 
@@ -1122,7 +1117,8 @@ mod tests {
             }
         }
         let m = MetricSpace::new(&b.build().unwrap());
-        let scheme = FullTable::new(&m);
+        let full = FullTable::new(&m);
+        let scheme = Labeled(&full);
         let pairs = [(0u32, 6u32), (1, 5), (2, 4), (6, 0), (5, 2)];
         let candidates: Vec<NodeId> = (0..7).collect();
         let outcome = greedy_chaos(7, &candidates, 3, |plan| {

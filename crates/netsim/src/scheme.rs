@@ -8,12 +8,18 @@
 //! Both traits take the [`MetricSpace`] explicitly on `route` so scheme
 //! structs own only their *tables* — the `Θ(n²)` metric is shared, and the
 //! accounting of per-node storage stays honest.
+//!
+//! The two models differ only in how a destination is addressed, so the
+//! evaluation harness ([`crate::stats`]) drives both through one seam,
+//! [`Deliver`], which routes to a destination *node*: [`Labeled`] looks up
+//! its label, [`Named`] its original name.
 
 use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
 
 use crate::bits::{FieldWidths, TableComponent};
-use crate::faults::{FaultPlan, FaultTimeline};
+use crate::faults::FaultPlan;
+use crate::naming::Naming;
 use crate::route::{Route, RouteError};
 
 /// A routing label assigned by a labeled scheme (`⌈log n⌉` bits for the
@@ -79,79 +85,6 @@ pub trait LabeledScheme {
     ) -> Result<Route, RouteError> {
         self.route(m, src, self.label_of(dst))
     }
-
-    /// Routes under *stale tables* with the given faults injected: the
-    /// scheme picks its path as if nothing failed (its tables predate the
-    /// failures), and the simulator delivers the packet only if that path
-    /// avoids every dead node and edge.
-    ///
-    /// With an empty plan, the returned route is byte-identical to
-    /// [`LabeledScheme::route`].
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::NodeFailed`] / [`RouteError::EdgeFailed`] when the
-    /// packet is lost to a casualty (including a dead source), plus
-    /// whatever scheme errors plain routing can produce.
-    fn route_with_faults(
-        &self,
-        m: &MetricSpace,
-        src: NodeId,
-        target: Label,
-        faults: &FaultPlan,
-    ) -> Result<Route, RouteError> {
-        if faults.is_node_dead(src) {
-            return Err(RouteError::NodeFailed { node: src });
-        }
-        let route = self.route(m, src, target)?;
-        faults.check_route(m, &route)?;
-        Ok(route)
-    }
-
-    /// Convenience: [`LabeledScheme::route_with_faults`] to a node by id.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LabeledScheme::route_with_faults`].
-    fn route_to_node_with_faults(
-        &self,
-        m: &MetricSpace,
-        src: NodeId,
-        dst: NodeId,
-        faults: &FaultPlan,
-    ) -> Result<Route, RouteError> {
-        self.route_with_faults(m, src, self.label_of(dst), faults)
-    }
-
-    /// Stale-table routing against a *dynamic* fault schedule: the scheme
-    /// plans against its pre-failure tables, and the route is replayed
-    /// hop-by-hop with [`FaultTimeline::check_route`] so faults that land
-    /// mid-flight (in later epochs) can still kill it. No recovery is
-    /// attempted — wrap the scheme in a
-    /// [`crate::recovery::ResilientRouter`] for that.
-    ///
-    /// With a single-epoch timeline this matches
-    /// [`LabeledScheme::route_with_faults`] on the epoch's plan exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::NodeFailed`] / [`RouteError::EdgeFailed`] when the
-    /// packet is lost to a casualty of the epoch it crossed, plus
-    /// whatever scheme errors plain routing can produce.
-    fn route_with_timeline(
-        &self,
-        m: &MetricSpace,
-        src: NodeId,
-        target: Label,
-        timeline: &FaultTimeline,
-    ) -> Result<Route, RouteError> {
-        if timeline.initial().is_node_dead(src) {
-            return Err(RouteError::NodeFailed { node: src });
-        }
-        let route = self.route(m, src, target)?;
-        timeline.check_route(&route)?;
-        Ok(route)
-    }
 }
 
 /// A name-independent routing scheme: must deliver given only the original
@@ -170,9 +103,35 @@ pub trait NameIndependentScheme {
     ///
     /// Any error indicates a scheme bug; the paper's schemes always deliver.
     fn route(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError>;
+}
 
-    /// Routes under *stale tables* with the given faults injected; see
-    /// [`LabeledScheme::route_with_faults`] for the model.
+/// A scheme together with how its destinations are addressed: the one
+/// seam every measurement in [`crate::stats`] is written against. It is
+/// object-safe, and `Sync` because [`crate::stats::eval`] may route pairs
+/// from worker threads.
+pub trait Deliver: Sync {
+    /// Human-readable scheme name for tables.
+    fn scheme_name(&self) -> &'static str;
+
+    /// Routing-table size at node `u`, in bits.
+    fn table_bits(&self, u: NodeId) -> u64;
+
+    /// Routes a packet from `src` to node `dst`, addressed the way the
+    /// scheme's model requires.
+    ///
+    /// # Errors
+    ///
+    /// Any error indicates a scheme bug; the paper's schemes always deliver.
+    fn route_to(&self, m: &MetricSpace, src: NodeId, dst: NodeId) -> Result<Route, RouteError>;
+
+    /// Routes under *stale tables* with the given faults injected: the
+    /// scheme picks its path as if nothing failed (its tables predate the
+    /// failures), and the simulator delivers the packet only if that path
+    /// avoids every dead node and edge. No recovery is attempted — wrap
+    /// the scheme in a [`crate::recovery::ResilientRouter`] for that.
+    ///
+    /// With an empty plan, the returned route is byte-identical to
+    /// [`Deliver::route_to`].
     ///
     /// # Errors
     ///
@@ -183,37 +142,50 @@ pub trait NameIndependentScheme {
         &self,
         m: &MetricSpace,
         src: NodeId,
-        name: Name,
+        dst: NodeId,
         faults: &FaultPlan,
     ) -> Result<Route, RouteError> {
         if faults.is_node_dead(src) {
             return Err(RouteError::NodeFailed { node: src });
         }
-        let route = self.route(m, src, name)?;
+        let route = self.route_to(m, src, dst)?;
         faults.check_route(m, &route)?;
         Ok(route)
     }
+}
 
-    /// Stale-table routing against a *dynamic* fault schedule; see
-    /// [`LabeledScheme::route_with_timeline`] for the model.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::NodeFailed`] / [`RouteError::EdgeFailed`] when the
-    /// packet is lost to a casualty of the epoch it crossed, plus
-    /// whatever scheme errors plain routing can produce.
-    fn route_with_timeline(
-        &self,
-        m: &MetricSpace,
-        src: NodeId,
-        name: Name,
-        timeline: &FaultTimeline,
-    ) -> Result<Route, RouteError> {
-        if timeline.initial().is_node_dead(src) {
-            return Err(RouteError::NodeFailed { node: src });
-        }
-        let route = self.route(m, src, name)?;
-        timeline.check_route(&route)?;
-        Ok(route)
+/// A [`LabeledScheme`] behind the [`Deliver`] seam: routes to
+/// `label_of(dst)`.
+pub struct Labeled<'a, S: ?Sized>(pub &'a S);
+
+/// A [`NameIndependentScheme`] behind the [`Deliver`] seam: routes to
+/// `naming.name_of(dst)`.
+pub struct Named<'a, S: ?Sized>(pub &'a S, pub &'a Naming);
+
+impl<S: LabeledScheme + Sync + ?Sized> Deliver for Labeled<'_, S> {
+    fn scheme_name(&self) -> &'static str {
+        self.0.scheme_name()
+    }
+
+    fn table_bits(&self, u: NodeId) -> u64 {
+        self.0.table_bits(u)
+    }
+
+    fn route_to(&self, m: &MetricSpace, src: NodeId, dst: NodeId) -> Result<Route, RouteError> {
+        self.0.route(m, src, self.0.label_of(dst))
+    }
+}
+
+impl<S: NameIndependentScheme + Sync + ?Sized> Deliver for Named<'_, S> {
+    fn scheme_name(&self) -> &'static str {
+        self.0.scheme_name()
+    }
+
+    fn table_bits(&self, u: NodeId) -> u64 {
+        self.0.table_bits(u)
+    }
+
+    fn route_to(&self, m: &MetricSpace, src: NodeId, dst: NodeId) -> Result<Route, RouteError> {
+        self.0.route(m, src, self.1.name_of(dst))
     }
 }

@@ -1,5 +1,15 @@
 //! Evaluation harness: run a scheme over a sample of source–destination
 //! pairs and aggregate the quantities the paper's tables report.
+//!
+//! Four entry points, each written once over the [`Deliver`] seam so the
+//! labeled and name-independent models share every line of accounting:
+//! [`eval`] (stretch, table and header bits; optionally parallel),
+//! [`sampled_stretch`] (stretch with a confidence interval against any
+//! [`DistanceProvider`]), [`eval_under_faults`] (stale tables under a
+//! [`FaultPlan`]) and [`eval_resilient`] (a [`ResilientRouter`] under a
+//! [`FaultTimeline`]). Each takes a per-pair observer — the seam
+//! observability layers attach to without this crate depending on them;
+//! plain callers pass a no-op closure.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -9,10 +19,9 @@ use doubling_metric::provider::DistanceProvider;
 use doubling_metric::space::MetricSpace;
 
 use crate::faults::{FaultPlan, FaultTimeline};
-use crate::naming::Naming;
 use crate::recovery::{DeliveryOutcome, LossReason, RecoveryEvent, ResilientRouter};
 use crate::route::{Route, RouteError};
-use crate::scheme::{LabeledScheme, NameIndependentScheme};
+use crate::scheme::Deliver;
 
 /// Aggregated measurements for one scheme on one graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,49 +55,19 @@ pub struct EvalResult {
 /// cross-check route costs against [`doubling_metric::shortest_paths::Apsp`].
 pub const UNDERSTRETCH_TOL: f64 = 1e-9;
 
-/// Counts stretch values strictly below `1 - UNDERSTRETCH_TOL`.
-fn count_understretch(stretches: &[f64]) -> usize {
-    stretches.iter().filter(|&&s| s < 1.0 - UNDERSTRETCH_TOL).count()
-}
-
-impl EvalResult {
-    fn from_parts(
-        scheme: &'static str,
-        stretches: &[f64],
-        failures: usize,
-        tables: &[u64],
-        max_header_bits: u64,
-    ) -> Self {
-        // No clamping: an observed max below 1.0 is a real signal and is
-        // reported as-is, with the violation count in `understretch`.
-        let max_stretch = if stretches.is_empty() {
-            1.0
-        } else {
-            stretches.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-        };
-        let avg_stretch = if stretches.is_empty() {
-            1.0
-        } else {
-            stretches.iter().sum::<f64>() / stretches.len() as f64
-        };
-        let max_table_bits = tables.iter().cloned().max().unwrap_or(0);
-        let avg_table_bits = if tables.is_empty() {
-            0.0
-        } else {
-            tables.iter().sum::<u64>() as f64 / tables.len() as f64
-        };
-        EvalResult {
-            scheme,
-            max_stretch,
-            avg_stretch,
-            routes: stretches.len(),
-            failures,
-            max_table_bits,
-            avg_table_bits,
-            max_header_bits,
-            understretch: count_understretch(stretches),
-        }
+/// `(max, mean, understretch)` over delivered routes' stretch values, in
+/// the given order (the order fixes the floating-point summation). No
+/// clamping: an observed max below 1.0 is a real signal and is reported
+/// as-is, with the count of values below `1 - UNDERSTRETCH_TOL` beside it.
+/// Empty input keeps the neutral `(1.0, 1.0, 0)`.
+fn stretch_summary(stretches: &[f64]) -> (f64, f64, usize) {
+    if stretches.is_empty() {
+        return (1.0, 1.0, 0);
     }
+    let max = stretches.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let mean = stretches.iter().sum::<f64>() / stretches.len() as f64;
+    let understretch = stretches.iter().filter(|&&s| s < 1.0 - UNDERSTRETCH_TOL).count();
+    (max, mean, understretch)
 }
 
 /// Deterministic sample of `count` ordered pairs of distinct nodes.
@@ -120,113 +99,100 @@ pub fn all_pairs(n: usize) -> Vec<(NodeId, NodeId)> {
     out
 }
 
-/// Evaluates a labeled scheme over the given pairs, verifying every route.
+/// Routes every pair through `d` and hands each `(u, v, outcome)` to
+/// `fold` in pair order. With `threads > 1` the pairs are split into
+/// contiguous chunks routed by scoped worker threads; the workers only
+/// route, and `fold` runs on the calling thread chunk by chunk, so every
+/// line of accounting sees the sequential order at any thread count.
+fn route_pairs(
+    d: &dyn Deliver,
+    m: &MetricSpace,
+    pairs: &[(NodeId, NodeId)],
+    threads: usize,
+    mut fold: impl FnMut(NodeId, NodeId, Result<Route, RouteError>),
+) {
+    let threads = threads.max(1).min(pairs.len().max(1));
+    if threads == 1 {
+        for &(u, v) in pairs {
+            fold(u, v, d.route_to(m, u, v));
+        }
+        return;
+    }
+    let chunk = pairs.len().div_ceil(threads);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = pairs
+            .chunks(chunk)
+            .map(|slice| {
+                let routed = s.spawn(move || {
+                    slice.iter().map(|&(u, v)| d.route_to(m, u, v)).collect::<Vec<_>>()
+                });
+                (slice, routed)
+            })
+            .collect();
+        for (slice, routed) in workers {
+            for (&(u, v), res) in slice.iter().zip(routed.join().expect("worker panicked")) {
+                fold(u, v, res);
+            }
+        }
+    });
+}
+
+/// Evaluates a scheme over the given pairs, verifying every route, on
+/// `threads` OS threads (`1` routes inline). `observe(u, v, outcome)` is
+/// called once per pair, in pair order, with the already-verified route
+/// (or the error); results and observations are identical at every
+/// thread count.
 ///
 /// # Panics
 ///
 /// Panics if a delivered route fails trace verification or ends at the
 /// wrong node — those are simulator-level invariants, not measurements.
-pub fn eval_labeled<S: LabeledScheme>(
-    scheme: &S,
+pub fn eval<O>(
+    d: &dyn Deliver,
     m: &MetricSpace,
     pairs: &[(NodeId, NodeId)],
-) -> EvalResult {
-    eval_labeled_observed(scheme, m, pairs, |_, _, _| {})
-}
-
-/// [`eval_labeled`] with a per-pair observer hook: `observe(u, v, outcome)`
-/// is called once per pair with the already-verified route (or the error).
-/// The aggregation is identical to [`eval_labeled`]; the hook exists so an
-/// observability layer can attach without `netsim` depending on it.
-///
-/// # Panics
-///
-/// As [`eval_labeled`].
-pub fn eval_labeled_observed<S, F>(
-    scheme: &S,
-    m: &MetricSpace,
-    pairs: &[(NodeId, NodeId)],
-    mut observe: F,
+    threads: usize,
+    mut observe: O,
 ) -> EvalResult
 where
-    S: LabeledScheme,
-    F: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
+    O: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
 {
     let mut stretches = Vec::with_capacity(pairs.len());
     let mut failures = 0usize;
-    let mut max_header = 0u64;
-    for &(u, v) in pairs {
-        let res = scheme.route(m, u, scheme.label_of(v));
+    let mut max_header_bits = 0u64;
+    route_pairs(d, m, pairs, threads, |u, v, res| {
         match &res {
             Ok(r) => {
-                assert_eq!(r.dst, v, "labeled route delivered to the wrong node");
+                assert_eq!(r.dst, v, "route delivered to the wrong node");
                 r.verify(m).expect("route must verify");
-                max_header = max_header.max(r.max_header_bits);
+                max_header_bits = max_header_bits.max(r.max_header_bits);
                 stretches.push(r.stretch(m));
             }
             Err(_) => failures += 1,
         }
         observe(u, v, &res);
+    });
+    let tables: Vec<u64> = (0..m.n() as NodeId).map(|u| d.table_bits(u)).collect();
+    let (max_stretch, avg_stretch, understretch) = stretch_summary(&stretches);
+    EvalResult {
+        scheme: d.scheme_name(),
+        max_stretch,
+        avg_stretch,
+        routes: stretches.len(),
+        failures,
+        max_table_bits: tables.iter().cloned().max().unwrap_or(0),
+        avg_table_bits: if tables.is_empty() {
+            0.0
+        } else {
+            tables.iter().sum::<u64>() as f64 / tables.len() as f64
+        },
+        max_header_bits,
+        understretch,
     }
-    let tables: Vec<u64> = (0..m.n() as NodeId).map(|u| scheme.table_bits(u)).collect();
-    EvalResult::from_parts(scheme.scheme_name(), &stretches, failures, &tables, max_header)
-}
-
-/// Evaluates a name-independent scheme over the given pairs under `naming`.
-///
-/// # Panics
-///
-/// Panics if a delivered route fails verification or ends at the wrong
-/// node.
-pub fn eval_name_independent<S: NameIndependentScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    pairs: &[(NodeId, NodeId)],
-) -> EvalResult {
-    eval_name_independent_observed(scheme, m, naming, pairs, |_, _, _| {})
-}
-
-/// [`eval_name_independent`] with a per-pair observer hook; see
-/// [`eval_labeled_observed`].
-///
-/// # Panics
-///
-/// As [`eval_name_independent`].
-pub fn eval_name_independent_observed<S, F>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    pairs: &[(NodeId, NodeId)],
-    mut observe: F,
-) -> EvalResult
-where
-    S: NameIndependentScheme,
-    F: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
-{
-    let mut stretches = Vec::with_capacity(pairs.len());
-    let mut failures = 0usize;
-    let mut max_header = 0u64;
-    for &(u, v) in pairs {
-        let res = scheme.route(m, u, naming.name_of(v));
-        match &res {
-            Ok(r) => {
-                assert_eq!(r.dst, v, "name-independent route delivered to the wrong node");
-                r.verify(m).expect("route must verify");
-                max_header = max_header.max(r.max_header_bits);
-                stretches.push(r.stretch(m));
-            }
-            Err(_) => failures += 1,
-        }
-        observe(u, v, &res);
-    }
-    let tables: Vec<u64> = (0..m.n() as NodeId).map(|u| scheme.table_bits(u)).collect();
-    EvalResult::from_parts(scheme.scheme_name(), &stretches, failures, &tables, max_header)
 }
 
 /// Sampled-pair stretch statistics with a 95% confidence interval on the
-/// mean, produced by [`sampled_stretch_labeled`] /
-/// [`sampled_stretch_name_independent`].
+/// mean, produced by [`sampled_stretch`].
 ///
 /// The point statistics (`mean`, `p99`, `max`) use the backend's
 /// [`DistanceProvider::dist`] as denominator. With an exact backend they
@@ -306,105 +272,38 @@ impl SampledStretch {
     }
 }
 
-/// Evaluates a labeled scheme over sampled pairs, taking stretch
-/// denominators from `provider` instead of the dense matrix — the
-/// scalable evaluation path. Routing still simulates over `m` (schemes
-/// walk real shortest-path trees); only the *measurement* denominator
-/// goes through the backend, which is what lets certification-grade
-/// exactness be traded for `O(k·n)` memory at large `n`.
+/// Evaluates a scheme over sampled pairs, taking stretch denominators
+/// from `provider` instead of the dense matrix — the scalable evaluation
+/// path. Routing still simulates over `m` (schemes walk real
+/// shortest-path trees); only the *measurement* denominator goes through
+/// the backend, which is what lets certification-grade exactness be
+/// traded for `O(k·n)` memory at large `n`. `observe(u, v, outcome)` is
+/// called once per pair before the pair is folded into the statistics;
+/// it never changes the returned document.
 ///
 /// # Panics
 ///
 /// Panics if a delivered route fails verification or ends at the wrong
 /// node, or if `provider` covers a different node count than `m`.
-pub fn sampled_stretch_labeled<S: LabeledScheme>(
-    scheme: &S,
+pub fn sampled_stretch<O>(
+    d: &dyn Deliver,
     m: &MetricSpace,
     provider: &dyn DistanceProvider,
     pairs: &[(NodeId, NodeId)],
-) -> SampledStretch {
-    sampled_stretch_labeled_observed(scheme, m, provider, pairs, |_, _, _| {})
-}
-
-/// [`sampled_stretch_labeled`] with a per-pair observer hook, called with
-/// the endpoints and the routing outcome before the pair is folded into
-/// the statistics — the seam telemetry layers (flight recorders, metrics
-/// registries) attach to without this crate depending on them. The
-/// returned document is identical to the unobserved variant's.
-///
-/// # Panics
-///
-/// As [`sampled_stretch_labeled`].
-pub fn sampled_stretch_labeled_observed<S, F>(
-    scheme: &S,
-    m: &MetricSpace,
-    provider: &dyn DistanceProvider,
-    pairs: &[(NodeId, NodeId)],
-    mut observe: F,
+    mut observe: O,
 ) -> SampledStretch
 where
-    S: LabeledScheme,
-    F: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
+    O: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
 {
     assert_eq!(provider.n(), m.n(), "provider covers a different node count");
     let mut obs = Vec::with_capacity(pairs.len());
     let mut failures = 0usize;
     for &(u, v) in pairs {
-        let res = scheme.route(m, u, scheme.label_of(v));
+        let res = d.route_to(m, u, v);
         observe(u, v, &res);
         match res {
             Ok(r) => {
-                assert_eq!(r.dst, v, "labeled route delivered to the wrong node");
-                r.verify(m).expect("route must verify");
-                obs.push((r.cost, provider.dist_bounds(u, v)));
-            }
-            Err(_) => failures += 1,
-        }
-    }
-    SampledStretch::from_observations(&obs, failures, provider.is_exact())
-}
-
-/// Name-independent variant of [`sampled_stretch_labeled`].
-///
-/// # Panics
-///
-/// As [`sampled_stretch_labeled`].
-pub fn sampled_stretch_name_independent<S: NameIndependentScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    provider: &dyn DistanceProvider,
-    pairs: &[(NodeId, NodeId)],
-) -> SampledStretch {
-    sampled_stretch_name_independent_observed(scheme, m, naming, provider, pairs, |_, _, _| {})
-}
-
-/// Name-independent variant of [`sampled_stretch_labeled_observed`].
-///
-/// # Panics
-///
-/// As [`sampled_stretch_labeled`].
-pub fn sampled_stretch_name_independent_observed<S, F>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    provider: &dyn DistanceProvider,
-    pairs: &[(NodeId, NodeId)],
-    mut observe: F,
-) -> SampledStretch
-where
-    S: NameIndependentScheme,
-    F: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
-{
-    assert_eq!(provider.n(), m.n(), "provider covers a different node count");
-    let mut obs = Vec::with_capacity(pairs.len());
-    let mut failures = 0usize;
-    for &(u, v) in pairs {
-        let res = scheme.route(m, u, naming.name_of(v));
-        observe(u, v, &res);
-        match res {
-            Ok(r) => {
-                assert_eq!(r.dst, v, "name-independent route delivered to the wrong node");
+                assert_eq!(r.dst, v, "route delivered to the wrong node");
                 r.verify(m).expect("route must verify");
                 obs.push((r.cost, provider.dist_bounds(u, v)));
             }
@@ -446,157 +345,60 @@ pub struct FaultEvalResult {
     pub understretch: usize,
 }
 
-impl FaultEvalResult {
-    fn from_outcomes(
-        scheme: &'static str,
-        attempted: usize,
-        stretches: &[f64],
-        lost_to_node: usize,
-        lost_to_edge: usize,
-        lost_other: usize,
-    ) -> Self {
-        let delivered = stretches.len();
-        let reachability = if attempted == 0 { 1.0 } else { delivered as f64 / attempted as f64 };
-        // As in `EvalResult::from_parts`: no clamp, under-stretch counted.
-        let max_stretch = if stretches.is_empty() {
-            1.0
-        } else {
-            stretches.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-        };
-        let avg_stretch = if stretches.is_empty() {
-            1.0
-        } else {
-            stretches.iter().sum::<f64>() / stretches.len() as f64
-        };
-        FaultEvalResult {
-            scheme,
-            attempted,
-            delivered,
-            reachability,
-            avg_stretch,
-            max_stretch,
-            lost_to_node,
-            lost_to_edge,
-            lost_other,
-            understretch: count_understretch(stretches),
-        }
-    }
-}
-
-/// Shared fault-eval accumulation over per-pair route outcomes.
-fn eval_under_faults_impl<F, O>(
-    scheme_name: &'static str,
+/// Evaluates a scheme routing with *stale tables* under `faults`
+/// ([`Deliver::route_with_faults`]): reachability, surviving-route
+/// stretch, and loss breakdown. `observe(u, v, outcome)` sees every
+/// attempted pair, so each individual loss (node kill, edge kill) is
+/// attributable; pairs skipped for dead endpoints are not observed.
+///
+/// # Panics
+///
+/// Panics if a delivered route misdelivers or fails [`Route::verify`].
+pub fn eval_under_faults<O>(
+    d: &dyn Deliver,
     m: &MetricSpace,
     faults: &FaultPlan,
     pairs: &[(NodeId, NodeId)],
-    mut route_pair: F,
     mut observe: O,
 ) -> FaultEvalResult
 where
-    F: FnMut(NodeId, NodeId) -> Result<Route, RouteError>,
     O: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
 {
     let mut stretches = Vec::new();
     let mut attempted = 0usize;
-    let (mut lost_node, mut lost_edge, mut lost_other) = (0usize, 0usize, 0usize);
+    let (mut lost_to_node, mut lost_to_edge, mut lost_other) = (0usize, 0usize, 0usize);
     for &(u, v) in pairs {
         if faults.is_node_dead(u) || faults.is_node_dead(v) {
             continue; // dead endpoint: out of the denominator entirely
         }
         attempted += 1;
-        let res = route_pair(u, v);
+        let res = d.route_with_faults(m, u, v, faults);
         match &res {
             Ok(r) => {
                 assert_eq!(r.dst, v, "fault-free delivery must reach the destination");
                 r.verify(m).expect("route must verify");
                 stretches.push(r.stretch(m));
             }
-            Err(RouteError::NodeFailed { .. }) => lost_node += 1,
-            Err(RouteError::EdgeFailed { .. }) => lost_edge += 1,
+            Err(RouteError::NodeFailed { .. }) => lost_to_node += 1,
+            Err(RouteError::EdgeFailed { .. }) => lost_to_edge += 1,
             Err(_) => lost_other += 1,
         }
         observe(u, v, &res);
     }
-    FaultEvalResult::from_outcomes(
-        scheme_name,
+    let delivered = stretches.len();
+    let (max_stretch, avg_stretch, understretch) = stretch_summary(&stretches);
+    FaultEvalResult {
+        scheme: d.scheme_name(),
         attempted,
-        &stretches,
-        lost_node,
-        lost_edge,
+        delivered,
+        reachability: if attempted == 0 { 1.0 } else { delivered as f64 / attempted as f64 },
+        avg_stretch,
+        max_stretch,
+        lost_to_node,
+        lost_to_edge,
         lost_other,
-    )
-}
-
-/// Evaluates a labeled scheme routing with *stale tables* under `faults`:
-/// reachability, surviving-route stretch, and loss breakdown.
-pub fn eval_labeled_under_faults<S: LabeledScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    faults: &FaultPlan,
-    pairs: &[(NodeId, NodeId)],
-) -> FaultEvalResult {
-    eval_labeled_under_faults_observed(scheme, m, faults, pairs, |_, _, _| {})
-}
-
-/// [`eval_labeled_under_faults`] with a per-pair observer hook, so each
-/// individual loss (node kill, edge kill) is attributable; see
-/// [`eval_labeled_observed`]. Pairs skipped for dead endpoints are not
-/// observed.
-pub fn eval_labeled_under_faults_observed<S, O>(
-    scheme: &S,
-    m: &MetricSpace,
-    faults: &FaultPlan,
-    pairs: &[(NodeId, NodeId)],
-    observe: O,
-) -> FaultEvalResult
-where
-    S: LabeledScheme,
-    O: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
-{
-    eval_under_faults_impl(
-        scheme.scheme_name(),
-        m,
-        faults,
-        pairs,
-        |u, v| scheme.route_with_faults(m, u, scheme.label_of(v), faults),
-        observe,
-    )
-}
-
-/// Evaluates a name-independent scheme routing with *stale tables* under
-/// `faults`.
-pub fn eval_name_independent_under_faults<S: NameIndependentScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    faults: &FaultPlan,
-    pairs: &[(NodeId, NodeId)],
-) -> FaultEvalResult {
-    eval_name_independent_under_faults_observed(scheme, m, naming, faults, pairs, |_, _, _| {})
-}
-
-/// [`eval_name_independent_under_faults`] with a per-pair observer hook;
-/// see [`eval_labeled_under_faults_observed`].
-pub fn eval_name_independent_under_faults_observed<S, O>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    faults: &FaultPlan,
-    pairs: &[(NodeId, NodeId)],
-    observe: O,
-) -> FaultEvalResult
-where
-    S: NameIndependentScheme,
-    O: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
-{
-    eval_under_faults_impl(
-        scheme.scheme_name(),
-        m,
-        faults,
-        pairs,
-        |u, v| scheme.route_with_faults(m, u, naming.name_of(v), faults),
-        observe,
-    )
+        understretch,
+    }
 }
 
 /// Aggregated measurements for one scheme delivering under a
@@ -607,7 +409,7 @@ where
 /// endpoint dead in the timeline's *initial* epoch are out of the
 /// denominator (a dead customer, not a routing failure); with the `Drop`
 /// policy and a single-epoch timeline the delivered/lost split is
-/// identical to [`eval_labeled_under_faults`].
+/// identical to [`eval_under_faults`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryEvalResult {
     /// Scheme display name.
@@ -649,20 +451,31 @@ pub struct RecoveryEvalResult {
     pub understretch: usize,
 }
 
-/// Shared resilient-eval accumulation over per-pair delivery outcomes.
-fn eval_resilient_impl<D, O>(
-    scheme_name: &'static str,
-    policy: String,
-    m: &MetricSpace,
+/// Evaluates a scheme delivering under `timeline` with the router's
+/// recovery policy: delivered fraction, stretch of survivors (detours
+/// included), recovery/detour totals, and a loss taxonomy.
+/// `on_event(u, v, ev)` fires for every recovery decision mid-delivery,
+/// and `observe(u, v, outcome)` once per attempted pair; pairs skipped
+/// for dead endpoints see neither hook.
+///
+/// # Panics
+///
+/// Panics if a delivered route misdelivers, fails [`Route::verify`], or
+/// does not replay cleanly under [`FaultTimeline::check_route`] — those
+/// are simulator invariants, not measurements.
+pub fn eval_resilient<D, E, O>(
+    router: &ResilientRouter<'_, D>,
     timeline: &FaultTimeline,
     pairs: &[(NodeId, NodeId)],
-    mut deliver_pair: D,
+    mut on_event: E,
     mut observe: O,
 ) -> RecoveryEvalResult
 where
-    D: FnMut(NodeId, NodeId) -> DeliveryOutcome,
+    D: Deliver + ?Sized,
+    E: FnMut(NodeId, NodeId, &RecoveryEvent),
     O: FnMut(NodeId, NodeId, &DeliveryOutcome),
 {
+    let m = router.metric();
     let initial = timeline.initial();
     let mut stretches = Vec::new();
     let mut attempted = 0usize;
@@ -675,7 +488,7 @@ where
             continue; // dead endpoint: out of the denominator entirely
         }
         attempted += 1;
-        let outcome = deliver_pair(u, v);
+        let outcome = router.deliver(u, v, timeline, &mut |ev| on_event(u, v, ev));
         match &outcome {
             DeliveryOutcome::Delivered { stretch, detour_hops, recoveries, route } => {
                 assert_eq!(route.dst, v, "resilient delivery must reach the destination");
@@ -705,23 +518,13 @@ where
         observe(u, v, &outcome);
     }
     let delivered = stretches.len();
-    let delivered_fraction = if attempted == 0 { 1.0 } else { delivered as f64 / attempted as f64 };
-    let max_stretch = if stretches.is_empty() {
-        1.0
-    } else {
-        stretches.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-    };
-    let avg_stretch = if stretches.is_empty() {
-        1.0
-    } else {
-        stretches.iter().sum::<f64>() / stretches.len() as f64
-    };
+    let (max_stretch, avg_stretch, understretch) = stretch_summary(&stretches);
     RecoveryEvalResult {
-        scheme: scheme_name,
-        policy,
+        scheme: router.scheme().scheme_name(),
+        policy: router.policy().to_string(),
         attempted,
         delivered,
-        delivered_fraction,
+        delivered_fraction: if attempted == 0 { 1.0 } else { delivered as f64 / attempted as f64 },
         avg_stretch,
         max_stretch,
         recoveries: recoveries_total,
@@ -731,109 +534,8 @@ where
         lost_unreachable,
         lost_exhausted,
         lost_other,
-        understretch: count_understretch(&stretches),
+        understretch,
     }
-}
-
-/// Evaluates a labeled scheme delivering under `timeline` with the
-/// router's recovery policy: delivered fraction, stretch of survivors
-/// (detours included), recovery/detour totals, and a loss taxonomy.
-///
-/// # Panics
-///
-/// Panics if a delivered route misdelivers, fails [`Route::verify`], or
-/// does not replay cleanly under [`FaultTimeline::check_route`] — those
-/// are simulator invariants, not measurements.
-pub fn eval_labeled_resilient<S: LabeledScheme>(
-    router: &ResilientRouter<'_, S>,
-    timeline: &FaultTimeline,
-    pairs: &[(NodeId, NodeId)],
-) -> RecoveryEvalResult {
-    eval_labeled_resilient_observed(router, timeline, pairs, |_, _, _| {}, |_, _, _| {})
-}
-
-/// [`eval_labeled_resilient`] with observer hooks: `on_event(u, v, ev)`
-/// fires for every recovery decision mid-delivery, and
-/// `observe(u, v, outcome)` once per attempted pair — the seams the `obs`
-/// tracing layer attaches to. Pairs skipped for dead endpoints see
-/// neither hook.
-///
-/// # Panics
-///
-/// As [`eval_labeled_resilient`].
-pub fn eval_labeled_resilient_observed<S, E, O>(
-    router: &ResilientRouter<'_, S>,
-    timeline: &FaultTimeline,
-    pairs: &[(NodeId, NodeId)],
-    mut on_event: E,
-    observe: O,
-) -> RecoveryEvalResult
-where
-    S: LabeledScheme,
-    E: FnMut(NodeId, NodeId, &RecoveryEvent),
-    O: FnMut(NodeId, NodeId, &DeliveryOutcome),
-{
-    eval_resilient_impl(
-        LabeledScheme::scheme_name(router.scheme()),
-        router.policy().to_string(),
-        router.metric(),
-        timeline,
-        pairs,
-        |u, v| router.deliver(u, v, timeline, &mut |ev| on_event(u, v, ev)),
-        observe,
-    )
-}
-
-/// Evaluates a name-independent scheme delivering under `timeline` with
-/// the router's recovery policy; see [`eval_labeled_resilient`].
-///
-/// # Panics
-///
-/// As [`eval_labeled_resilient`].
-pub fn eval_name_independent_resilient<S: NameIndependentScheme>(
-    router: &ResilientRouter<'_, S>,
-    naming: &Naming,
-    timeline: &FaultTimeline,
-    pairs: &[(NodeId, NodeId)],
-) -> RecoveryEvalResult {
-    eval_name_independent_resilient_observed(
-        router,
-        naming,
-        timeline,
-        pairs,
-        |_, _, _| {},
-        |_, _, _| {},
-    )
-}
-
-/// [`eval_name_independent_resilient`] with observer hooks; see
-/// [`eval_labeled_resilient_observed`].
-///
-/// # Panics
-///
-/// As [`eval_labeled_resilient`].
-pub fn eval_name_independent_resilient_observed<S, E, O>(
-    router: &ResilientRouter<'_, S>,
-    naming: &Naming,
-    timeline: &FaultTimeline,
-    pairs: &[(NodeId, NodeId)],
-    mut on_event: E,
-    observe: O,
-) -> RecoveryEvalResult
-where
-    S: NameIndependentScheme,
-    E: FnMut(NodeId, NodeId, &RecoveryEvent),
-    O: FnMut(NodeId, NodeId, &DeliveryOutcome),
-{
-    eval_resilient_impl(
-        NameIndependentScheme::scheme_name(router.scheme()),
-        router.policy().to_string(),
-        router.metric(),
-        timeline,
-        pairs,
-        |u, v| router.deliver_named(naming, u, v, timeline, &mut |ev| on_event(u, v, ev)),
-        observe,
-    )
 }
 
 /// Stretch quantiles over a set of routed pairs — the measurement behind
@@ -866,127 +568,12 @@ impl StretchQuantiles {
     }
 }
 
-/// Routes all pairs with a name-independent scheme and returns the raw
-/// stretch values (for quantile analysis).
-///
-/// # Panics
-///
-/// Panics if any route fails, misdelivers, or does not verify.
-pub fn stretch_samples_ni<S: NameIndependentScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    pairs: &[(NodeId, NodeId)],
-) -> Vec<f64> {
-    pairs
-        .iter()
-        .map(|&(u, v)| {
-            let r = scheme.route(m, u, naming.name_of(v)).expect("route must deliver");
-            assert_eq!(r.dst, v);
-            r.stretch(m)
-        })
-        .collect()
-}
-
-/// Parallel variant of [`eval_labeled`]: splits the pairs across
-/// `threads` OS threads (schemes route through `&self`, so any `Sync`
-/// scheme works). Results are identical to the serial version.
-pub fn eval_labeled_par<S: LabeledScheme + Sync>(
-    scheme: &S,
-    m: &MetricSpace,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> EvalResult {
-    let threads = threads.max(1).min(pairs.len().max(1));
-    let chunk = pairs.len().div_ceil(threads);
-    let partials: Vec<(Vec<f64>, usize, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk.max(1))
-            .map(|slice| {
-                s.spawn(move || {
-                    let mut stretches = Vec::with_capacity(slice.len());
-                    let mut failures = 0usize;
-                    let mut max_header = 0u64;
-                    for &(u, v) in slice {
-                        match scheme.route(m, u, scheme.label_of(v)) {
-                            Ok(r) => {
-                                assert_eq!(r.dst, v);
-                                r.verify(m).expect("route must verify");
-                                max_header = max_header.max(r.max_header_bits);
-                                stretches.push(r.stretch(m));
-                            }
-                            Err(_) => failures += 1,
-                        }
-                    }
-                    (stretches, failures, max_header)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-    let mut stretches = Vec::with_capacity(pairs.len());
-    let mut failures = 0;
-    let mut max_header = 0;
-    for (s, f, h) in partials {
-        stretches.extend(s);
-        failures += f;
-        max_header = max_header.max(h);
-    }
-    let tables: Vec<u64> = (0..m.n() as NodeId).map(|u| scheme.table_bits(u)).collect();
-    EvalResult::from_parts(scheme.scheme_name(), &stretches, failures, &tables, max_header)
-}
-
-/// Parallel variant of [`eval_name_independent`].
-pub fn eval_name_independent_par<S: NameIndependentScheme + Sync>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> EvalResult {
-    let threads = threads.max(1).min(pairs.len().max(1));
-    let chunk = pairs.len().div_ceil(threads);
-    let partials: Vec<(Vec<f64>, usize, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk.max(1))
-            .map(|slice| {
-                s.spawn(move || {
-                    let mut stretches = Vec::with_capacity(slice.len());
-                    let mut failures = 0usize;
-                    let mut max_header = 0u64;
-                    for &(u, v) in slice {
-                        match scheme.route(m, u, naming.name_of(v)) {
-                            Ok(r) => {
-                                assert_eq!(r.dst, v);
-                                r.verify(m).expect("route must verify");
-                                max_header = max_header.max(r.max_header_bits);
-                                stretches.push(r.stretch(m));
-                            }
-                            Err(_) => failures += 1,
-                        }
-                    }
-                    (stretches, failures, max_header)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-    let mut stretches = Vec::with_capacity(pairs.len());
-    let mut failures = 0;
-    let mut max_header = 0;
-    for (s, f, h) in partials {
-        stretches.extend(s);
-        failures += f;
-        max_header = max_header.max(h);
-    }
-    let tables: Vec<u64> = (0..m.n() as NodeId).map(|u| scheme.table_bits(u)).collect();
-    EvalResult::from_parts(scheme.scheme_name(), &stretches, failures, &tables, max_header)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline::FullTable;
+    use crate::naming::Naming;
+    use crate::scheme::{Labeled, LabeledScheme, Named};
     use doubling_metric::gen;
 
     use crate::route::RouteRecorder;
@@ -1029,9 +616,9 @@ mod tests {
         let g = Arc::new(gen::grid(6, 6));
         let m = MetricSpace::from_shared(Arc::clone(&g), 1);
         let pairs = sample_pairs(m.n(), 150, 9);
-        let via_matrix = sampled_stretch_labeled(&HubScheme, &m, &m, &pairs);
+        let via_matrix = sampled_stretch(&Labeled(&HubScheme), &m, &m, &pairs, |_, _, _| {});
         let lazy = OnDemandDijkstra::new(Arc::clone(&g), 4);
-        let via_lazy = sampled_stretch_labeled(&HubScheme, &m, &lazy, &pairs);
+        let via_lazy = sampled_stretch(&Labeled(&HubScheme), &m, &lazy, &pairs, |_, _, _| {});
         assert_eq!(via_matrix, via_lazy);
         assert!(via_matrix.exact);
         assert_eq!(via_matrix.mean, via_matrix.mean_upper);
@@ -1045,9 +632,9 @@ mod tests {
         let g = Arc::new(gen::grid(7, 6));
         let m = MetricSpace::from_shared(Arc::clone(&g), 1);
         let pairs = sample_pairs(m.n(), 200, 4);
-        let exact = sampled_stretch_labeled(&HubScheme, &m, &m, &pairs);
+        let exact = sampled_stretch(&Labeled(&HubScheme), &m, &m, &pairs, |_, _, _| {});
         let lm = LandmarkEstimator::new(&g, 6);
-        let est = sampled_stretch_labeled(&HubScheme, &m, &lm, &pairs);
+        let est = sampled_stretch(&Labeled(&HubScheme), &m, &lm, &pairs, |_, _, _| {});
         assert!(!est.exact);
         assert!(
             est.mean <= exact.mean + 1e-12 && exact.mean <= est.mean_upper + 1e-12,
@@ -1062,12 +649,13 @@ mod tests {
     fn sampled_ci_covers_exhaustive_mean_on_at_least_90_percent_of_seeds() {
         let m = MetricSpace::new(&gen::grid(10, 10));
         // Exhaustive oracle value: mean stretch over every ordered pair.
-        let truth = sampled_stretch_labeled(&HubScheme, &m, &m, &all_pairs(m.n())).mean;
+        let hub = Labeled(&HubScheme);
+        let truth = sampled_stretch(&hub, &m, &m, &all_pairs(m.n()), |_, _, _| {}).mean;
         let trials = 40usize;
         let covered = (0..trials)
             .filter(|&seed| {
                 let pairs = sample_pairs(m.n(), 400, seed as u64);
-                let s = sampled_stretch_labeled(&HubScheme, &m, &m, &pairs);
+                let s = sampled_stretch(&hub, &m, &m, &pairs, |_, _, _| {});
                 (s.mean - truth).abs() <= s.ci_half_width
             })
             .count();
@@ -1078,12 +666,12 @@ mod tests {
     }
 
     #[test]
-    fn sampled_stretch_name_independent_matches_labeled_on_identity_naming() {
+    fn sampled_stretch_named_matches_labeled_on_identity_naming() {
         let m = MetricSpace::new(&gen::grid(4, 4));
         let nm = Naming::random(16, 5);
         let s = FullTable::with_naming(&m, nm.clone());
         let pairs = sample_pairs(16, 60, 2);
-        let res = sampled_stretch_name_independent(&s, &m, &nm, &m, &pairs);
+        let res = sampled_stretch(&Named(&s, &nm), &m, &m, &pairs, |_, _, _| {});
         assert_eq!(res.failures, 0);
         assert!((res.mean - 1.0).abs() < 1e-12);
         assert_eq!(res.ci_half_width, 0.0);
@@ -1110,7 +698,7 @@ mod tests {
     fn baseline_eval_has_unit_stretch() {
         let m = MetricSpace::new(&gen::grid(5, 5));
         let s = FullTable::new(&m);
-        let res = eval_labeled(&s, &m, &all_pairs(25));
+        let res = eval(&Labeled(&s), &m, &all_pairs(25), 1, |_, _, _| {});
         assert_eq!(res.failures, 0);
         assert_eq!(res.routes, 600);
         assert!((res.max_stretch - 1.0).abs() < 1e-12);
@@ -1119,11 +707,11 @@ mod tests {
     }
 
     #[test]
-    fn baseline_eval_name_independent() {
+    fn baseline_eval_named() {
         let m = MetricSpace::new(&gen::grid(4, 4));
         let nm = Naming::random(16, 5);
         let s = FullTable::with_naming(&m, nm.clone());
-        let res = eval_name_independent(&s, &m, &nm, &sample_pairs(16, 40, 1));
+        let res = eval(&Named(&s, &nm), &m, &sample_pairs(16, 40, 1), 1, |_, _, _| {});
         assert_eq!(res.failures, 0);
         assert!((res.max_stretch - 1.0).abs() < 1e-12);
     }
@@ -1133,14 +721,9 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(6, 6));
         let s = FullTable::new(&m);
         let pairs = sample_pairs(36, 120, 2);
-        let serial = eval_labeled(&s, &m, &pairs);
+        let serial = eval(&Labeled(&s), &m, &pairs, 1, |_, _, _| {});
         for threads in [1usize, 2, 4, 7] {
-            let par = eval_labeled_par(&s, &m, &pairs, threads);
-            assert_eq!(par.routes, serial.routes);
-            assert!((par.max_stretch - serial.max_stretch).abs() < 1e-12);
-            assert!((par.avg_stretch - serial.avg_stretch).abs() < 1e-9);
-            assert_eq!(par.max_table_bits, serial.max_table_bits);
-            assert_eq!(par.max_header_bits, serial.max_header_bits);
+            assert_eq!(eval(&Labeled(&s), &m, &pairs, threads, |_, _, _| {}), serial);
         }
     }
 
@@ -1150,10 +733,8 @@ mod tests {
         let nm = Naming::random(25, 3);
         let s = FullTable::with_naming(&m, nm.clone());
         let pairs = sample_pairs(25, 80, 4);
-        let serial = eval_name_independent(&s, &m, &nm, &pairs);
-        let par = eval_name_independent_par(&s, &m, &nm, &pairs, 3);
-        assert_eq!(par.routes, serial.routes);
-        assert!((par.avg_stretch - serial.avg_stretch).abs() < 1e-9);
+        let serial = eval(&Named(&s, &nm), &m, &pairs, 1, |_, _, _| {});
+        assert_eq!(eval(&Named(&s, &nm), &m, &pairs, 3, |_, _, _| {}), serial);
     }
 
     #[test]
@@ -1161,7 +742,7 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(3, 3));
         let s = FullTable::new(&m);
         let pairs = sample_pairs(9, 3, 5);
-        let par = eval_labeled_par(&s, &m, &pairs, 64);
+        let par = eval(&Labeled(&s), &m, &pairs, 64, |_, _, _| {});
         assert_eq!(par.routes, 3);
     }
 
@@ -1179,28 +760,33 @@ mod tests {
 
     #[test]
     fn understretch_is_surfaced_not_clamped() {
-        // A (bogus) stretch below 1.0 must show up both in max_stretch
+        // A (bogus) stretch below 1.0 must show up both in the max
         // (unclamped) and in the violation counter.
-        let res = EvalResult::from_parts("bogus", &[0.5, 0.9, 1.2], 0, &[8], 4);
-        assert_eq!(res.understretch, 2);
-        assert!((res.max_stretch - 1.2).abs() < 1e-12);
+        let (max, _, understretch) = stretch_summary(&[0.5, 0.9, 1.2]);
+        assert_eq!(understretch, 2);
+        assert!((max - 1.2).abs() < 1e-12);
         // Rounding noise just below 1.0 is not a violation.
-        let ok = EvalResult::from_parts("ok", &[1.0 - 1e-12, 1.0], 0, &[8], 4);
-        assert_eq!(ok.understretch, 0);
+        assert_eq!(stretch_summary(&[1.0 - 1e-12, 1.0]).2, 0);
         // Empty input keeps the neutral 1.0 convention.
-        let empty = EvalResult::from_parts("empty", &[], 3, &[8], 0);
-        assert_eq!(empty.max_stretch, 1.0);
-        assert_eq!(empty.understretch, 0);
+        assert_eq!(stretch_summary(&[]), (1.0, 1.0, 0));
     }
 
     #[test]
     fn fault_understretch_is_surfaced_not_clamped() {
-        let res = FaultEvalResult::from_outcomes("bogus", 4, &[0.8, 1.1], 1, 1, 0);
-        assert_eq!(res.understretch, 1);
-        assert!((res.max_stretch - 1.1).abs() < 1e-12);
-        let empty = FaultEvalResult::from_outcomes("empty", 0, &[], 0, 0, 0);
-        assert_eq!(empty.max_stretch, 1.0);
-        assert_eq!(empty.understretch, 0);
+        // Under faults the same summary feeds `FaultEvalResult`: a clean
+        // run reports no violations and a neutral stretch when every
+        // attempted pair is lost.
+        let m = MetricSpace::new(&gen::grid(4, 4));
+        let s = FullTable::new(&m);
+        let pairs = sample_pairs(16, 40, 3);
+        let res = eval_under_faults(&Labeled(&s), &m, &FaultPlan::none(16), &pairs, |_, _, _| {});
+        assert_eq!((res.attempted, res.delivered, res.understretch), (40, 40, 0));
+        let mut cut = FaultPlan::none(16);
+        for u in [1, 4] {
+            cut.kill_node(u);
+        }
+        let res = eval_under_faults(&Labeled(&s), &m, &cut, &[(0, 15)], |_, _, _| {});
+        assert_eq!((res.delivered, res.max_stretch, res.understretch), (0, 1.0, 0));
     }
 
     #[test]
@@ -1209,12 +795,12 @@ mod tests {
         let s = FullTable::new(&m);
         let pairs = sample_pairs(16, 25, 9);
         let mut seen = Vec::new();
-        let observed = eval_labeled_observed(&s, &m, &pairs, |u, v, res| {
+        let observed = eval(&Labeled(&s), &m, &pairs, 1, |u, v, res| {
             assert!(res.is_ok());
             seen.push((u, v));
         });
         assert_eq!(seen, pairs);
-        assert_eq!(observed, eval_labeled(&s, &m, &pairs));
+        assert_eq!(observed, eval(&Labeled(&s), &m, &pairs, 1, |_, _, _| {}));
     }
 
     #[test]
@@ -1224,9 +810,9 @@ mod tests {
         let s = FullTable::with_naming(&m, nm.clone());
         let pairs = sample_pairs(16, 25, 9);
         let mut count = 0usize;
-        let observed = eval_name_independent_observed(&s, &m, &nm, &pairs, |_, _, _| count += 1);
+        let observed = eval(&Named(&s, &nm), &m, &pairs, 1, |_, _, _| count += 1);
         assert_eq!(count, pairs.len());
-        assert_eq!(observed, eval_name_independent(&s, &m, &nm, &pairs));
+        assert_eq!(observed, eval(&Named(&s, &nm), &m, &pairs, 1, |_, _, _| {}));
     }
 
     #[test]
@@ -1236,10 +822,11 @@ mod tests {
         let s = FullTable::new(&m);
         let pairs = sample_pairs(25, 80, 7);
         let faults = FaultPlan::random_nodes(25, 0.2, 11);
-        let legacy = eval_labeled_under_faults(&s, &m, &faults, &pairs);
+        let d = Labeled(&s);
+        let legacy = eval_under_faults(&d, &m, &faults, &pairs, |_, _, _| {});
         let timeline = FaultTimeline::from_plan(faults);
-        let router = ResilientRouter::without_hierarchy(&m, &s, RecoveryPolicy::Drop);
-        let res = eval_labeled_resilient(&router, &timeline, &pairs);
+        let router = ResilientRouter::without_hierarchy(&m, &d, RecoveryPolicy::Drop);
+        let res = eval_resilient(&router, &timeline, &pairs, |_, _, _| {}, |_, _, _| {});
         assert_eq!(res.attempted, legacy.attempted);
         assert_eq!(res.delivered, legacy.delivered);
         assert_eq!(res.lost_to_node, legacy.lost_to_node);
@@ -1261,14 +848,17 @@ mod tests {
         let pairs = sample_pairs(36, 120, 3);
         let faults = FaultPlan::random_nodes(36, 0.15, 5);
         let timeline = FaultTimeline::from_plan(faults);
-        let drop = eval_labeled_resilient(
-            &ResilientRouter::without_hierarchy(&m, &s, RecoveryPolicy::Drop),
+        let d = Labeled(&s);
+        let drop = eval_resilient(
+            &ResilientRouter::without_hierarchy(&m, &d, RecoveryPolicy::Drop),
             &timeline,
             &pairs,
+            |_, _, _| {},
+            |_, _, _| {},
         );
         let mut events = 0usize;
-        let detour = eval_labeled_resilient_observed(
-            &ResilientRouter::without_hierarchy(&m, &s, RecoveryPolicy::LocalDetour { ttl: 8 }),
+        let detour = eval_resilient(
+            &ResilientRouter::without_hierarchy(&m, &d, RecoveryPolicy::LocalDetour { ttl: 8 }),
             &timeline,
             &pairs,
             |_, _, _| events += 1,
@@ -1288,32 +878,40 @@ mod tests {
         let s = FullTable::with_naming(&m, nm.clone());
         let pairs = sample_pairs(25, 60, 13);
         let faults = FaultPlan::random_nodes(25, 0.2, 17);
-        let legacy = eval_name_independent_under_faults(&s, &m, &nm, &faults, &pairs);
+        let d = Named(&s, &nm);
+        let legacy = eval_under_faults(&d, &m, &faults, &pairs, |_, _, _| {});
         let timeline = FaultTimeline::from_plan(faults);
-        let drop = eval_name_independent_resilient(
-            &ResilientRouter::without_hierarchy(&m, &s, RecoveryPolicy::Drop),
-            &nm,
+        let drop = eval_resilient(
+            &ResilientRouter::without_hierarchy(&m, &d, RecoveryPolicy::Drop),
             &timeline,
             &pairs,
+            |_, _, _| {},
+            |_, _, _| {},
         );
         assert_eq!(drop.delivered, legacy.delivered);
         assert_eq!(drop.attempted, legacy.attempted);
-        let detour = eval_name_independent_resilient(
-            &ResilientRouter::without_hierarchy(&m, &s, RecoveryPolicy::LocalDetour { ttl: 8 }),
-            &nm,
+        let detour = eval_resilient(
+            &ResilientRouter::without_hierarchy(&m, &d, RecoveryPolicy::LocalDetour { ttl: 8 }),
             &timeline,
             &pairs,
+            |_, _, _| {},
+            |_, _, _| {},
         );
         assert!(detour.delivered >= drop.delivered);
     }
 
     #[test]
     fn stretch_samples_match_eval() {
+        // Raw stretch values for quantile analysis come through the
+        // observer of the one driver.
         let m = MetricSpace::new(&gen::grid(4, 4));
         let nm = Naming::random(16, 5);
         let s = FullTable::with_naming(&m, nm.clone());
         let pairs = sample_pairs(16, 30, 1);
-        let samples = stretch_samples_ni(&s, &m, &nm, &pairs);
+        let mut samples = Vec::new();
+        eval(&Named(&s, &nm), &m, &pairs, 2, |_, _, r| {
+            samples.push(r.as_ref().expect("route must deliver").stretch(&m));
+        });
         assert_eq!(samples.len(), 30);
         assert!(samples.iter().all(|&x| (x - 1.0).abs() < 1e-12));
     }

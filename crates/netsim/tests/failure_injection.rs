@@ -5,8 +5,8 @@
 use doubling_metric::graph::NodeId;
 use doubling_metric::{gen, MetricSpace};
 use netsim::route::{Route, RouteError, RouteRecorder};
-use netsim::scheme::{Label, LabeledScheme};
-use netsim::stats::eval_labeled;
+use netsim::scheme::{Label, Labeled, LabeledScheme};
+use netsim::stats::eval;
 
 /// A scheme with selectable misbehaviour.
 struct Buggy {
@@ -71,7 +71,7 @@ fn teleporting_is_rejected() {
         other => panic!("teleport must be caught, got {other:?}"),
     }
     // eval counts it as a failure rather than crediting the route.
-    let res = eval_labeled(&s, &m, &[(0, 15)]);
+    let res = eval(&Labeled(&s), &m, &[(0, 15)], 1, |_, _, _| {});
     assert_eq!(res.failures, 1);
     assert_eq!(res.routes, 0);
 }
@@ -90,7 +90,7 @@ fn loops_hit_the_hop_budget() {
 fn misdelivery_is_caught_by_eval() {
     let m = MetricSpace::new(&gen::grid(4, 4));
     let s = Buggy { mode: Mode::Misdeliver };
-    let result = std::panic::catch_unwind(|| eval_labeled(&s, &m, &[(5, 15)]));
+    let result = std::panic::catch_unwind(|| eval(&Labeled(&s), &m, &[(5, 15)], 1, |_, _, _| {}));
     assert!(result.is_err(), "eval must panic on misdelivery");
 }
 

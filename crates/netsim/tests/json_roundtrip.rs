@@ -5,8 +5,8 @@
 use doubling_metric::{gen, MetricSpace};
 use netsim::baseline::FullTable;
 use netsim::json::{graph_from_json, graph_to_json, naming_from_json, naming_to_json, Value};
-use netsim::scheme::LabeledScheme;
-use netsim::stats::{eval_labeled, sample_pairs, StretchQuantiles};
+use netsim::scheme::{Labeled, LabeledScheme};
+use netsim::stats::{eval, sample_pairs, StretchQuantiles};
 use netsim::Naming;
 
 #[test]
@@ -41,7 +41,7 @@ fn naming_roundtrips_through_json() {
 fn results_serialize() {
     let m = MetricSpace::new(&gen::grid(4, 4));
     let s = FullTable::new(&m);
-    let res = eval_labeled(&s, &m, &sample_pairs(16, 20, 1));
+    let res = eval(&Labeled(&s), &m, &sample_pairs(16, 20, 1), 1, |_, _, _| {});
     let json = res.to_json().to_string();
     assert!(json.contains("\"max_stretch\":1.0"), "json was: {json}");
     let q = StretchQuantiles::from_stretches(&[1.0, 2.0, 3.0]);

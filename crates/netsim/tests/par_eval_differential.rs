@@ -1,23 +1,54 @@
-//! Differential tests: the parallel evaluators must be *field-for-field*
-//! identical to their sequential counterparts at every thread count.
+//! Differential tests: parallel evaluation must be *field-for-field*
+//! identical to sequential evaluation at every thread count.
 //!
-//! The parallel implementations merge per-chunk partials in chunk order,
-//! so floating-point accumulation happens in exactly the sequential
-//! order — `assert_eq!` on the whole [`EvalResult`] (which derives
-//! `PartialEq`, including the `f64` stretch fields) is therefore exact,
-//! not approximate.
+//! Workers only route; aggregation runs on the calling thread chunk by
+//! chunk in pair order, so floating-point accumulation happens in exactly
+//! the sequential order — `assert_eq!` on the whole [`EvalResult`] (which
+//! derives `PartialEq`, including the `f64` stretch fields) is therefore
+//! exact, not approximate. The same ordering means an observer sees the
+//! identical `(u, v, result)` sequence at any thread count.
 
 use doubling_metric::gen;
+use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::naming::Naming;
-use netsim::stats::{
-    all_pairs, eval_labeled, eval_labeled_par, eval_name_independent, eval_name_independent_par,
-};
+use netsim::route::{Route, RouteError};
+use netsim::scheme::{Deliver, Labeled, Named};
+use netsim::stats::{all_pairs, eval, EvalResult};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// Everything one observer saw, in call order.
+type Observed = Vec<(NodeId, NodeId, Result<Route, RouteError>)>;
+
+/// Evaluates `d` on `threads` threads, recording every observation.
+fn observed(
+    d: &dyn Deliver,
+    m: &MetricSpace,
+    pairs: &[(NodeId, NodeId)],
+    threads: usize,
+) -> (EvalResult, Observed) {
+    let mut seen = Vec::with_capacity(pairs.len());
+    let res = eval(d, m, pairs, threads, |u, v, r| seen.push((u, v, r.clone())));
+    (res, seen)
+}
+
+/// Asserts equality of results and of observer sequences against the
+/// single-threaded run.
+fn assert_par_matches_seq(d: &dyn Deliver, m: &MetricSpace, pairs: &[(NodeId, NodeId)]) {
+    let seq = eval(d, m, pairs, 1, |_, _, _| {});
+    let (_, seq_seen) = observed(d, m, pairs, 1);
+    assert_eq!(seq_seen.len(), pairs.len());
+    for t in THREAD_COUNTS {
+        assert_eq!(seq, eval(d, m, pairs, t, |_, _, _| {}), "{}, {t} threads", d.scheme_name());
+        let (res, seen) = observed(d, m, pairs, t);
+        assert_eq!(seq, res, "{}, observed, {t} threads", d.scheme_name());
+        assert_eq!(seq_seen, seen, "{}: observer sequence at {t} threads", d.scheme_name());
+    }
+}
 
 #[test]
 fn labeled_par_eval_matches_sequential_exactly() {
@@ -27,20 +58,10 @@ fn labeled_par_eval_matches_sequential_exactly() {
         let pairs = all_pairs(m.n());
 
         let nl = NetLabeled::new(&m, eps).expect("eps within range");
-        let seq = eval_labeled(&nl, &m, &pairs);
-        for t in THREAD_COUNTS {
-            assert_eq!(seq, eval_labeled_par(&nl, &m, &pairs, t), "net-labeled, {t} threads");
-        }
+        assert_par_matches_seq(&Labeled(&nl), &m, &pairs);
 
         let sfl = ScaleFreeLabeled::new(&m, eps).expect("eps within range");
-        let seq = eval_labeled(&sfl, &m, &pairs);
-        for t in THREAD_COUNTS {
-            assert_eq!(
-                seq,
-                eval_labeled_par(&sfl, &m, &pairs, t),
-                "scale-free labeled, {t} threads"
-            );
-        }
+        assert_par_matches_seq(&Labeled(&sfl), &m, &pairs);
     }
 }
 
@@ -53,25 +74,11 @@ fn name_independent_par_eval_matches_sequential_exactly() {
         let pairs = all_pairs(m.n());
 
         let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-        let seq = eval_name_independent(&sni, &m, &naming, &pairs);
-        for t in THREAD_COUNTS {
-            assert_eq!(
-                seq,
-                eval_name_independent_par(&sni, &m, &naming, &pairs, t),
-                "simple name-independent, {t} threads"
-            );
-        }
+        assert_par_matches_seq(&Named(&sni, &naming), &m, &pairs);
 
         let sfni =
             ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-        let seq = eval_name_independent(&sfni, &m, &naming, &pairs);
-        for t in THREAD_COUNTS {
-            assert_eq!(
-                seq,
-                eval_name_independent_par(&sfni, &m, &naming, &pairs, t),
-                "scale-free name-independent, {t} threads"
-            );
-        }
+        assert_par_matches_seq(&Named(&sfni, &naming), &m, &pairs);
     }
 }
 
@@ -83,14 +90,6 @@ fn par_eval_matches_on_degenerate_pair_lists() {
     let eps = Eps::one_over(8);
     let nl = NetLabeled::new(&m, eps).expect("eps within range");
     for pairs in [Vec::new(), vec![(0u32, 8u32)]] {
-        let seq = eval_labeled(&nl, &m, &pairs);
-        for t in THREAD_COUNTS {
-            assert_eq!(
-                seq,
-                eval_labeled_par(&nl, &m, &pairs, t),
-                "{} pairs, {t} threads",
-                pairs.len()
-            );
-        }
+        assert_par_matches_seq(&Labeled(&nl), &m, &pairs);
     }
 }

@@ -16,7 +16,7 @@ use netsim::baseline::FullTable;
 use netsim::faults::{FaultPlan, FaultTimeline};
 use netsim::recovery::{DeliveryOutcome, LossReason, RecoveryPolicy, ResilientRouter};
 use netsim::route::RouteError;
-use netsim::scheme::LabeledScheme;
+use netsim::scheme::{Deliver, Labeled};
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (3usize..=max_n).prop_flat_map(|n| {
@@ -80,7 +80,8 @@ proptest! {
             let hpe = if epochs == 1 { 0 } else { (tl_seed % 4) as usize + 1 };
             FaultTimeline::new(plans, hpe).expect("cumulative")
         };
-        let scheme = FullTable::new(&m);
+        let full = FullTable::new(&m);
+        let scheme = Labeled(&full);
         let router = ResilientRouter::without_hierarchy(&m, &scheme, policy);
         let pairs = netsim::stats::sample_pairs(n, 20, seed_pairs);
         for (u, v) in pairs {
@@ -117,14 +118,15 @@ proptest! {
         let n = m.n();
         let plan = FaultPlan::random_nodes(n, frac_pct as f64 / 100.0, seed);
         let timeline = FaultTimeline::from_plan(plan.clone());
-        let scheme = FullTable::new(&m);
+        let full = FullTable::new(&m);
+        let scheme = Labeled(&full);
         let router = ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::Drop);
         for u in 0..n as NodeId {
             for v in 0..n as NodeId {
                 if u == v {
                     continue;
                 }
-                let legacy = scheme.route_with_faults(&m, u, scheme.label_of(v), &plan);
+                let legacy = scheme.route_with_faults(&m, u, v, &plan);
                 let resilient = router.deliver(u, v, &timeline, &mut |_| {});
                 match (&legacy, &resilient) {
                     (Ok(r), DeliveryOutcome::Delivered { route, .. }) => {
@@ -165,7 +167,8 @@ proptest! {
         let n = m.n();
         let timeline =
             FaultTimeline::from_plan(FaultPlan::random_nodes(n, frac_pct as f64 / 100.0, seed));
-        let scheme = FullTable::new(&m);
+        let full = FullTable::new(&m);
+        let scheme = Labeled(&full);
         let pairs = netsim::stats::sample_pairs(n, 30, seed ^ 0x99);
         let delivered = |policy: RecoveryPolicy| {
             let router = ResilientRouter::without_hierarchy(&m, &scheme, policy);

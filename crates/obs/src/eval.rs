@@ -1,141 +1,67 @@
-//! Traced wrappers around the `netsim` evaluation harness.
+//! Observers for the `netsim` evaluation harness.
 //!
-//! These drive [`netsim::stats::eval_labeled_observed`] /
-//! [`netsim::stats::eval_name_independent_observed`] with an observer that
-//! (a) folds every delivered route into a [`RouteMetrics`] set and (b) —
-//! only when the tracer is recording — emits one `"route"` event carrying
-//! the full [`crate::spans::route_span_tree`]. With [`Tracer::noop`] the
-//! per-route work reduces to the metrics fold plus one `enabled()` branch:
-//! no allocation, no clock reads, no assertions (the zero-overhead path
-//! the acceptance criteria pin down).
+//! [`route_observer`] is the per-pair hook [`netsim::stats::eval`] takes:
+//! it (a) folds every delivered route into a [`RouteMetrics`] set, the
+//! shared [`MetricsRegistry`] and a [`FlightRecorder`], and (b) — only
+//! when the tracer is recording — emits one `"route"` event carrying the
+//! full [`crate::spans::route_span_tree`]. With [`Tracer::noop`] and
+//! disabled sinks the per-route work reduces to the metrics fold plus a
+//! few branches: no allocation, no clock reads, no assertions (the
+//! zero-overhead path the acceptance criteria pin down). The remaining
+//! helpers translate maintenance batches, recovery decisions and
+//! conformance clauses into trace events and registry counters.
 
 use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
 
 use netsim::json::Value;
 use netsim::recovery::RecoveryEvent;
-use netsim::scheme::{LabeledScheme, NameIndependentScheme};
-use netsim::stats::{self, EvalResult};
-use netsim::Naming;
+use netsim::{Route, RouteError};
 
 use crate::flight::FlightRecorder;
 use crate::registry::MetricsRegistry;
 use crate::spans::{route_span_tree, RouteMetrics};
 use crate::trace::Tracer;
 
-/// [`netsim::stats::eval_labeled`] plus observability: histograms into
-/// `metrics`, one span-tree event per route when `tracer` is recording.
-pub fn eval_labeled_traced<S: LabeledScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    pairs: &[(NodeId, NodeId)],
-    tracer: &Tracer,
-    metrics: &mut RouteMetrics,
-) -> EvalResult {
-    eval_labeled_telemetered(
-        scheme,
-        m,
-        pairs,
-        tracer,
-        metrics,
-        &MetricsRegistry::disabled(),
-        &mut FlightRecorder::disabled(),
-    )
-}
-
-/// [`eval_labeled_traced`] plus the shared-telemetry sinks: every route
-/// is folded into `registry` (counters `eval.routes` /
+/// The observer to pass to [`netsim::stats::eval`]: every route is folded
+/// into `metrics`, into `registry` (counters `eval.routes` /
 /// `eval.route_failures` / `eval.understretch`, histograms
 /// `eval.route_cost` / `eval.route_hops` / `eval.header_bits` — shared
 /// across all concurrent evaluations holding a clone of the registry) and
-/// into `flight` for per-hop forensics. With a disabled registry and
-/// recorder this is exactly [`eval_labeled_traced`]'s fast path.
-#[allow(clippy::too_many_arguments)]
-pub fn eval_labeled_telemetered<S: LabeledScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    pairs: &[(NodeId, NodeId)],
-    tracer: &Tracer,
-    metrics: &mut RouteMetrics,
+/// into `flight` for per-hop forensics; when `tracer` is recording, each
+/// route also becomes a `"route"` span-tree event (a failure, a
+/// `"route-error"` event). Registry handles are resolved once, here, not
+/// per route.
+pub fn route_observer<'a>(
+    m: &'a MetricSpace,
+    tracer: &'a Tracer,
+    metrics: &'a mut RouteMetrics,
     registry: &MetricsRegistry,
-    flight: &mut FlightRecorder,
-) -> EvalResult {
-    let sinks = RegistrySinks::new(registry);
-    stats::eval_labeled_observed(scheme, m, pairs, |u, v, res| {
-        observe_route(m, u, v, res, tracer, metrics, &sinks, flight);
-    })
-}
-
-/// Name-independent variant of [`eval_labeled_telemetered`].
-#[allow(clippy::too_many_arguments)]
-pub fn eval_name_independent_telemetered<S: NameIndependentScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    pairs: &[(NodeId, NodeId)],
-    tracer: &Tracer,
-    metrics: &mut RouteMetrics,
-    registry: &MetricsRegistry,
-    flight: &mut FlightRecorder,
-) -> EvalResult {
-    let sinks = RegistrySinks::new(registry);
-    stats::eval_name_independent_observed(scheme, m, naming, pairs, |u, v, res| {
-        observe_route(m, u, v, res, tracer, metrics, &sinks, flight);
-    })
-}
-
-/// The registry handles one evaluation records through, resolved once per
-/// evaluation (not per route).
-struct RegistrySinks {
-    routes: crate::registry::CounterHandle,
-    failures: crate::registry::CounterHandle,
-    understretch: crate::registry::CounterHandle,
-    cost: crate::registry::HistogramHandle,
-    hops: crate::registry::HistogramHandle,
-    header_bits: crate::registry::HistogramHandle,
-}
-
-impl RegistrySinks {
-    fn new(registry: &MetricsRegistry) -> Self {
-        RegistrySinks {
-            routes: registry.counter("eval.routes"),
-            failures: registry.counter("eval.route_failures"),
-            understretch: registry.counter("eval.understretch"),
-            cost: registry.histogram("eval.route_cost"),
-            hops: registry.histogram("eval.route_hops"),
-            header_bits: registry.histogram("eval.header_bits"),
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn observe_route(
-    m: &MetricSpace,
-    u: NodeId,
-    v: NodeId,
-    res: &Result<netsim::Route, netsim::RouteError>,
-    tracer: &Tracer,
-    metrics: &mut RouteMetrics,
-    sinks: &RegistrySinks,
-    flight: &mut FlightRecorder,
-) {
-    match res {
+    flight: &'a mut FlightRecorder,
+) -> impl FnMut(NodeId, NodeId, &Result<Route, RouteError>) + 'a {
+    let routes = registry.counter("eval.routes");
+    let failures = registry.counter("eval.route_failures");
+    let understretch = registry.counter("eval.understretch");
+    let cost = registry.histogram("eval.route_cost");
+    let hops = registry.histogram("eval.route_hops");
+    let header_bits = registry.histogram("eval.header_bits");
+    move |u, v, res| match res {
         Ok(r) => {
             let stretch = r.stretch(m);
             metrics.record(r);
             metrics.record_stretch(stretch);
-            sinks.routes.inc();
-            sinks.cost.record(r.cost);
-            sinks.hops.record(r.hop_count() as u64);
-            sinks.header_bits.record(r.max_header_bits);
-            if stretch < 1.0 - 1e-9 {
-                sinks.understretch.inc();
+            routes.inc();
+            cost.record(r.cost);
+            hops.record(r.hop_count() as u64);
+            header_bits.record(r.max_header_bits);
+            if stretch < 1.0 - netsim::stats::UNDERSTRETCH_TOL {
+                understretch.inc();
             }
             flight.record_route(u, v, r, stretch);
             tracer.event_lazy("route", || vec![("route", route_span_tree(r))]);
         }
         Err(e) => {
-            sinks.failures.inc();
+            failures.inc();
             flight.record_error(u, v, e);
             if tracer.enabled() {
                 tracer.event("route-error", vec![("src", u.into()), ("dst", v.into())]);
@@ -257,28 +183,6 @@ pub fn trace_conformance_clause(
         fields.push(("measured", measured.into()));
         fields
     });
-}
-
-/// [`netsim::stats::eval_name_independent`] plus observability; see
-/// [`eval_labeled_traced`].
-pub fn eval_name_independent_traced<S: NameIndependentScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    pairs: &[(NodeId, NodeId)],
-    tracer: &Tracer,
-    metrics: &mut RouteMetrics,
-) -> EvalResult {
-    eval_name_independent_telemetered(
-        scheme,
-        m,
-        naming,
-        pairs,
-        tracer,
-        metrics,
-        &MetricsRegistry::disabled(),
-        &mut FlightRecorder::disabled(),
-    )
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //!   asserts the structural invariant behind Figures 1/2: the segment
 //!   spans partition the route's recorded cost and hop count exactly.
 //! * The no-op test pins the zero-overhead contract: evaluating through
-//!   [`obs::eval::eval_labeled_traced`] with [`Tracer::noop`] produces a
+//!   [`obs::eval::route_observer`] with [`Tracer::noop`] produces a
 //!   bit-identical [`EvalResult`] to the plain harness and records
 //!   nothing.
 //!
@@ -16,10 +16,24 @@ use doubling_metric::{gen, Eps, MetricSpace};
 use labeled_routing::NetLabeled;
 use name_independent::SimpleNameIndependent;
 use netsim::json::Value;
-use netsim::stats::{eval_labeled, eval_name_independent, sample_pairs};
-use netsim::{LabeledScheme, NameIndependentScheme, Naming};
+use netsim::stats::{eval, sample_pairs, EvalResult};
+use netsim::{Deliver, Labeled, LabeledScheme, NameIndependentScheme, Named, Naming};
 use obs::spans::segment_span_sum;
-use obs::{route_span_tree, RouteMetrics, Tracer};
+use obs::{route_span_tree, FlightRecorder, MetricsRegistry, RouteMetrics, Tracer};
+
+/// Evaluates `d` through the observer the profiler uses, with disabled
+/// registry and flight sinks.
+fn traced_eval(
+    d: &dyn Deliver,
+    m: &MetricSpace,
+    pairs: &[(u32, u32)],
+    tracer: &Tracer,
+    rm: &mut RouteMetrics,
+) -> EvalResult {
+    let mut flight = FlightRecorder::disabled();
+    let registry = MetricsRegistry::disabled();
+    eval(d, m, pairs, 1, obs::eval::route_observer(m, tracer, rm, &registry, &mut flight))
+}
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/route_span_tree.json");
 
@@ -87,21 +101,20 @@ fn noop_traced_eval_is_bit_identical_to_plain_eval_and_records_nothing() {
     let pairs = sample_pairs(m.n(), 60, 5);
 
     let nl = NetLabeled::new(&m, Eps::one_over(8)).unwrap();
-    let plain = eval_labeled(&nl, &m, &pairs);
+    let plain = eval(&Labeled(&nl), &m, &pairs, 1, |_, _, _| {});
     let tracer = Tracer::noop();
     let mut rm = RouteMetrics::new();
-    let traced = obs::eval::eval_labeled_traced(&nl, &m, &pairs, &tracer, &mut rm);
+    let traced = traced_eval(&Labeled(&nl), &m, &pairs, &tracer, &mut rm);
     assert_eq!(traced, plain, "no-op tracing must not perturb the evaluation");
     assert_eq!(rm.cost.count(), pairs.len() as u64);
     let log = tracer.finish();
     assert!(log.spans.is_empty() && log.events.is_empty(), "no-op tracer must record nothing");
 
     let sni = SimpleNameIndependent::new(&m, Eps::one_over(8), naming.clone()).unwrap();
-    let plain = eval_name_independent(&sni, &m, &naming, &pairs);
+    let plain = eval(&Named(&sni, &naming), &m, &pairs, 1, |_, _, _| {});
     let tracer = Tracer::noop();
     let mut rm = RouteMetrics::new();
-    let traced =
-        obs::eval::eval_name_independent_traced(&sni, &m, &naming, &pairs, &tracer, &mut rm);
+    let traced = traced_eval(&Named(&sni, &naming), &m, &pairs, &tracer, &mut rm);
     assert_eq!(traced, plain);
     assert!(tracer.finish().to_jsonl().is_empty());
 }
@@ -113,7 +126,7 @@ fn recording_traced_eval_emits_one_route_event_per_pair() {
     let pairs = sample_pairs(m.n(), 30, 9);
     let tracer = Tracer::recording();
     let mut rm = RouteMetrics::new();
-    let res = obs::eval::eval_labeled_traced(&nl, &m, &pairs, &tracer, &mut rm);
+    let res = traced_eval(&Labeled(&nl), &m, &pairs, &tracer, &mut rm);
     assert_eq!(res.failures, 0);
     let log = tracer.finish();
     assert_eq!(log.events.len(), pairs.len());

@@ -2,7 +2,8 @@
 //! hop-by-hop delivery and the paper's stretch envelopes.
 
 use compact_routing::netsim::baseline::FullTable;
-use compact_routing::netsim::stats::{eval_labeled, eval_name_independent, sample_pairs};
+use compact_routing::netsim::scheme::{Labeled, Named};
+use compact_routing::netsim::stats::{eval, sample_pairs};
 use compact_routing::{gen, Eps, MetricSpace, Naming};
 use compact_routing::{
     LabeledScheme, NameIndependentScheme, NetLabeled, ScaleFreeLabeled, ScaleFreeNameIndependent,
@@ -19,17 +20,17 @@ fn all_schemes_deliver_on_all_families() {
         let pairs = sample_pairs(m.n(), 150, 31);
 
         let nl = NetLabeled::new(&m, eps).unwrap();
-        let r = eval_labeled(&nl, &m, &pairs);
+        let r = eval(&Labeled(&nl), &m, &pairs, 1, |_, _, _| {});
         assert_eq!(r.failures, 0, "{} on {}", r.scheme, f.name());
         assert!(r.max_stretch < 4.0, "{} stretch {} on {}", r.scheme, r.max_stretch, f.name());
 
         let sfl = ScaleFreeLabeled::new(&m, eps).unwrap();
-        let r = eval_labeled(&sfl, &m, &pairs);
+        let r = eval(&Labeled(&sfl), &m, &pairs, 1, |_, _, _| {});
         assert_eq!(r.failures, 0, "{} on {}", r.scheme, f.name());
         assert!(r.max_stretch < 4.0, "{} stretch {} on {}", r.scheme, r.max_stretch, f.name());
 
         let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap();
-        let r = eval_name_independent(&sni, &m, &naming, &pairs);
+        let r = eval(&Named(&sni, &naming), &m, &pairs, 1, |_, _, _| {});
         assert_eq!(r.failures, 0, "{} on {}", r.scheme, f.name());
         assert!(
             r.max_stretch < name_independent::stretch_envelope(eps),
@@ -40,7 +41,7 @@ fn all_schemes_deliver_on_all_families() {
         );
 
         let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
-        let r = eval_name_independent(&sfni, &m, &naming, &pairs);
+        let r = eval(&Named(&sfni, &naming), &m, &pairs, 1, |_, _, _| {});
         assert_eq!(r.failures, 0, "{} on {}", r.scheme, f.name());
         assert!(
             r.max_stretch < name_independent::stretch_envelope(eps) + 1.0,
@@ -51,7 +52,7 @@ fn all_schemes_deliver_on_all_families() {
         );
 
         let full = FullTable::with_naming(&m, naming.clone());
-        let r = eval_name_independent(&full, &m, &naming, &pairs);
+        let r = eval(&Named(&full, &naming), &m, &pairs, 1, |_, _, _| {});
         assert!((r.max_stretch - 1.0).abs() < 1e-12);
     }
 }
@@ -68,10 +69,10 @@ fn labeled_beats_name_independent_stretch() {
     let pairs = sample_pairs(m.n(), 400, 7);
 
     let labeled = ScaleFreeLabeled::new(&m, eps).unwrap();
-    let rl = eval_labeled(&labeled, &m, &pairs);
+    let rl = eval(&Labeled(&labeled), &m, &pairs, 1, |_, _, _| {});
 
     let ni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
-    let rn = eval_name_independent(&ni, &m, &naming, &pairs);
+    let rn = eval(&Named(&ni, &naming), &m, &pairs, 1, |_, _, _| {});
 
     assert!(rl.max_stretch < 2.0, "labeled should be near-optimal: {}", rl.max_stretch);
     assert!(
@@ -106,12 +107,12 @@ fn headers_are_polylogarithmic() {
     let pairs = sample_pairs(m.n(), 200, 9);
 
     let sfl = ScaleFreeLabeled::new(&m, eps).unwrap();
-    let r = eval_labeled(&sfl, &m, &pairs);
+    let r = eval(&Labeled(&sfl), &m, &pairs, 1, |_, _, _| {});
     // O(log² n) bits: for n = 100, log n = 7; allow a generous constant.
     assert!(r.max_header_bits <= 7 * 7 * 4, "labeled header {} bits", r.max_header_bits);
 
     let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
-    let r = eval_name_independent(&sfni, &m, &naming, &pairs);
+    let r = eval(&Named(&sfni, &naming), &m, &pairs, 1, |_, _, _| {});
     assert!(r.max_header_bits <= 7 * 7 * 4, "NI header {} bits", r.max_header_bits);
 }
 

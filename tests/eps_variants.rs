@@ -2,7 +2,8 @@
 //! cross-multiplied comparison in the stack; all schemes must keep their
 //! guarantees for any rational ε in range.
 
-use compact_routing::netsim::stats::{eval_labeled, eval_name_independent, sample_pairs};
+use compact_routing::netsim::scheme::{Labeled, Named};
+use compact_routing::netsim::stats::{eval, sample_pairs};
 use compact_routing::{gen, Eps, MetricSpace, Naming};
 use compact_routing::{
     LabeledScheme, NameIndependentScheme, NetLabeled, ScaleFreeLabeled, ScaleFreeNameIndependent,
@@ -16,14 +17,14 @@ fn labeled_schemes_accept_rational_eps() {
     for (num, den) in [(2u64, 7u64), (3, 16), (5, 32), (1, 3), (7, 64)] {
         let eps = Eps::new(num, den).unwrap();
         let nl = NetLabeled::new(&m, eps).unwrap();
-        let r = eval_labeled(&nl, &m, &pairs);
+        let r = eval(&Labeled(&nl), &m, &pairs, 1, |_, _, _| {});
         assert_eq!(r.failures, 0, "net-labeled at eps {eps}");
         assert!(r.max_stretch <= 3.0, "stretch {} at eps {eps}", r.max_stretch);
 
         if eps.mul_le(4, 1) {
             // ε ≤ 1/4: the scale-free scheme accepts it.
             let sf = ScaleFreeLabeled::new(&m, eps).unwrap();
-            let r = eval_labeled(&sf, &m, &pairs);
+            let r = eval(&Labeled(&sf), &m, &pairs, 1, |_, _, _| {});
             assert_eq!(r.failures, 0, "scale-free-labeled at eps {eps}");
             assert!(r.max_stretch <= 3.0);
         }
@@ -38,7 +39,7 @@ fn name_independent_schemes_accept_rational_eps() {
     for (num, den) in [(2u64, 9u64), (3, 16), (1, 5)] {
         let eps = Eps::new(num, den).unwrap();
         let si = SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap();
-        let r = eval_name_independent(&si, &m, &naming, &pairs);
+        let r = eval(&Named(&si, &naming), &m, &pairs, 1, |_, _, _| {});
         assert_eq!(r.failures, 0, "simple NI at eps {eps}");
         assert!(
             r.max_stretch <= name_independent::stretch_envelope(eps),
@@ -48,7 +49,7 @@ fn name_independent_schemes_accept_rational_eps() {
 
         if eps.mul_le(4, 1) {
             let sf = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
-            let r = eval_name_independent(&sf, &m, &naming, &pairs);
+            let r = eval(&Named(&sf, &naming), &m, &pairs, 1, |_, _, _| {});
             assert_eq!(r.failures, 0, "scale-free NI at eps {eps}");
         }
     }

@@ -4,7 +4,8 @@
 //! assumption is deliberately violated.
 
 use compact_routing::metric::{doubling, gen};
-use compact_routing::netsim::stats::{eval_labeled, eval_name_independent, sample_pairs};
+use compact_routing::netsim::scheme::{Labeled, Named};
+use compact_routing::netsim::stats::{eval, sample_pairs};
 use compact_routing::{Eps, MetricSpace, Naming};
 use compact_routing::{ScaleFreeLabeled, ScaleFreeNameIndependent, SimpleNameIndependent};
 
@@ -17,12 +18,12 @@ fn schemes_deliver_on_sierpinski() {
     let pairs = sample_pairs(m.n(), 200, 6);
 
     let l = ScaleFreeLabeled::new(&m, eps).unwrap();
-    let r = eval_labeled(&l, &m, &pairs);
+    let r = eval(&Labeled(&l), &m, &pairs, 1, |_, _, _| {});
     assert_eq!(r.failures, 0);
     assert!(r.max_stretch <= 2.0, "labeled stretch {} on fractal", r.max_stretch);
 
     let ni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
-    let r = eval_name_independent(&ni, &m, &naming, &pairs);
+    let r = eval(&Named(&ni, &naming), &m, &pairs, 1, |_, _, _| {});
     assert_eq!(r.failures, 0);
     assert!(
         r.max_stretch <= name_independent::stretch_envelope(eps) + 1.0,
@@ -42,7 +43,7 @@ fn schemes_deliver_on_clustered_geometric() {
     let pairs = sample_pairs(m.n(), 200, 2);
 
     let si = SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap();
-    let r = eval_name_independent(&si, &m, &naming, &pairs);
+    let r = eval(&Named(&si, &naming), &m, &pairs, 1, |_, _, _| {});
     assert_eq!(r.failures, 0);
     assert!(
         r.max_stretch <= name_independent::stretch_envelope(eps),
@@ -51,7 +52,7 @@ fn schemes_deliver_on_clustered_geometric() {
     );
 
     let sf = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
-    let r = eval_name_independent(&sf, &m, &naming, &pairs);
+    let r = eval(&Named(&sf, &naming), &m, &pairs, 1, |_, _, _| {});
     assert_eq!(r.failures, 0);
 }
 
@@ -63,7 +64,7 @@ fn schemes_deliver_on_caterpillar() {
     let naming = Naming::random(m.n(), 3);
     let pairs = sample_pairs(m.n(), 200, 5);
     let sf = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
-    let r = eval_name_independent(&sf, &m, &naming, &pairs);
+    let r = eval(&Named(&sf, &naming), &m, &pairs, 1, |_, _, _| {});
     assert_eq!(r.failures, 0);
     assert!(r.max_stretch <= name_independent::stretch_envelope(eps) + 1.0);
 }
@@ -81,8 +82,8 @@ fn hypercube_still_delivers_but_tables_balloon() {
     let s_cube = ScaleFreeLabeled::new(&cube, eps).unwrap();
     let s_grid = ScaleFreeLabeled::new(&grid, eps).unwrap();
     let pairs = sample_pairs(64, 150, 7);
-    let r_cube = eval_labeled(&s_cube, &cube, &pairs);
-    let r_grid = eval_labeled(&s_grid, &grid, &pairs);
+    let r_cube = eval(&Labeled(&s_cube), &cube, &pairs, 1, |_, _, _| {});
+    let r_grid = eval(&Labeled(&s_grid), &grid, &pairs, 1, |_, _, _| {});
     assert_eq!(r_cube.failures, 0, "delivery is unconditional");
     assert!(r_cube.max_stretch <= 2.0);
 

@@ -3,6 +3,7 @@
 
 use compact_routing::netsim::faults::FaultPlan;
 use compact_routing::netsim::route::RouteError;
+use compact_routing::netsim::scheme::{Deliver, Labeled, Named};
 use compact_routing::netsim::stats::sample_pairs;
 use compact_routing::{gen, Eps, MetricSpace, Naming};
 use compact_routing::{
@@ -27,11 +28,11 @@ fn routing_from_a_failed_source_reports_the_source() {
     let mut plan = FaultPlan::none(m.n());
     plan.kill_node(3);
 
-    match nl.route_with_faults(&m, 3, nl.label_of(40), &plan) {
+    match Labeled(&nl).route_with_faults(&m, 3, 40, &plan) {
         Err(RouteError::NodeFailed { node }) => assert_eq!(node, 3),
         other => panic!("expected NodeFailed at the source, got {other:?}"),
     }
-    match sni.route_with_faults(&m, 3, naming.name_of(40), &plan) {
+    match Named(&sni, &naming).route_with_faults(&m, 3, 40, &plan) {
         Err(RouteError::NodeFailed { node }) => assert_eq!(node, 3),
         other => panic!("expected NodeFailed at the source, got {other:?}"),
     }
@@ -49,11 +50,11 @@ fn routing_to_a_failed_destination_dies_at_the_destination() {
 
     // The packet must be lost to a casualty — and since only the
     // destination is dead, the casualty must be the destination itself.
-    match nl.route_with_faults(&m, 3, nl.label_of(40), &plan) {
+    match Labeled(&nl).route_with_faults(&m, 3, 40, &plan) {
         Err(RouteError::NodeFailed { node }) => assert_eq!(node, 40),
         other => panic!("expected NodeFailed at the destination, got {other:?}"),
     }
-    match sfni.route_with_faults(&m, 3, naming.name_of(40), &plan) {
+    match Named(&sfni, &naming).route_with_faults(&m, 3, 40, &plan) {
         Err(RouteError::NodeFailed { node }) => assert_eq!(node, 40),
         other => panic!("expected NodeFailed at the destination, got {other:?}"),
     }
@@ -84,14 +85,14 @@ fn killing_every_net_center_of_a_level_degrades_but_never_panics() {
         attempted += 1;
         // Both schemes must either deliver around the hole or report a
         // clean fault — anything else is a scheme bug.
-        match nl.route_with_faults(&m, u, nl.label_of(v), &plan) {
+        match Labeled(&nl).route_with_faults(&m, u, v, &plan) {
             Ok(r) => assert_eq!(r.dst, v),
             Err(e) => {
                 assert!(e.is_fault(), "non-fault error: {e}");
                 losses += 1;
             }
         }
-        match sni.route_with_faults(&m, u, naming.name_of(v), &plan) {
+        match Named(&sni, &naming).route_with_faults(&m, u, v, &plan) {
             Ok(r) => assert_eq!(r.dst, v),
             Err(e) => assert!(e.is_fault(), "non-fault error: {e}"),
         }
@@ -116,19 +117,19 @@ fn empty_fault_plan_is_byte_identical_to_baseline() {
 
     for (u, v) in sample_pairs(m.n(), 200, 29) {
         let a = nl.route(&m, u, nl.label_of(v)).unwrap();
-        let b = nl.route_with_faults(&m, u, nl.label_of(v), &plan).unwrap();
+        let b = Labeled(&nl).route_with_faults(&m, u, v, &plan).unwrap();
         assert_eq!(a, b);
 
         let a = sfl.route(&m, u, sfl.label_of(v)).unwrap();
-        let b = sfl.route_with_faults(&m, u, sfl.label_of(v), &plan).unwrap();
+        let b = Labeled(&sfl).route_with_faults(&m, u, v, &plan).unwrap();
         assert_eq!(a, b);
 
         let a = sni.route(&m, u, naming.name_of(v)).unwrap();
-        let b = sni.route_with_faults(&m, u, naming.name_of(v), &plan).unwrap();
+        let b = Named(&sni, &naming).route_with_faults(&m, u, v, &plan).unwrap();
         assert_eq!(a, b);
 
         let a = sfni.route(&m, u, naming.name_of(v)).unwrap();
-        let b = sfni.route_with_faults(&m, u, naming.name_of(v), &plan).unwrap();
+        let b = Named(&sfni, &naming).route_with_faults(&m, u, v, &plan).unwrap();
         assert_eq!(a, b);
     }
 }

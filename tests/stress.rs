@@ -5,7 +5,8 @@
 //! avoids for runtime reasons; they are the long-haul confidence runs
 //! behind the EXPERIMENTS.md numbers.
 
-use compact_routing::netsim::stats::{eval_labeled_par, eval_name_independent_par, sample_pairs};
+use compact_routing::netsim::scheme::{Labeled, Named};
+use compact_routing::netsim::stats::{eval, sample_pairs};
 use compact_routing::{gen, Eps, MetricSpace, Naming};
 use compact_routing::{ScaleFreeLabeled, ScaleFreeNameIndependent};
 
@@ -19,12 +20,12 @@ fn thousand_node_grid_full_sweep() {
     let pairs = sample_pairs(m.n(), 5_000, 7);
 
     let sfl = ScaleFreeLabeled::new(&m, eps).unwrap();
-    let r = eval_labeled_par(&sfl, &m, &pairs, 8);
+    let r = eval(&Labeled(&sfl), &m, &pairs, 8, |_, _, _| {});
     assert_eq!(r.failures, 0);
     assert!(r.max_stretch <= 1.5, "labeled stretch {}", r.max_stretch);
 
     let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
-    let r = eval_name_independent_par(&sfni, &m, &naming, &pairs, 8);
+    let r = eval(&Named(&sfni, &naming), &m, &pairs, 8, |_, _, _| {});
     assert_eq!(r.failures, 0);
     assert!(
         r.max_stretch <= name_independent::stretch_envelope(eps),
@@ -43,7 +44,7 @@ fn fifty_adversarial_namings() {
         let naming = Naming::random(m.n(), seed);
         let s = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
         let pairs = sample_pairs(m.n(), 100, seed);
-        let r = eval_name_independent_par(&s, &m, &naming, &pairs, 4);
+        let r = eval(&Named(&s, &naming), &m, &pairs, 4, |_, _, _| {});
         assert_eq!(r.failures, 0, "seed {seed}");
         assert!(
             r.max_stretch <= name_independent::stretch_envelope(eps) + 1.0,
