@@ -32,9 +32,11 @@ pub mod oracle;
 pub mod plane;
 pub mod rings;
 pub mod scale_free;
+pub mod view;
 
 pub use error::SchemeError;
 pub use net_labeled::NetLabeled;
 pub use oracle::DistanceEstimate;
 pub use plane::{NetLabeledPlane, ScaleFreeLabeledPlane};
 pub use scale_free::ScaleFreeLabeled;
+pub use view::{CellView, LabeledView, NetLabeledView, RingHit, ScaleFreeView};

@@ -35,6 +35,7 @@ use crate::error::SchemeError;
 use crate::rings::{
     affected_nodes, build_ring, refresh_ring_ranges, ring_lookup, RingEntry, RingRepair,
 };
+use crate::view::{LabeledView, NetLabeledView, RingHit};
 
 /// The non-scale-free `(1+O(ε))`-stretch labeled scheme.
 ///
@@ -181,20 +182,64 @@ impl NetLabeled {
     pub fn ring(&self, u: NodeId, i: usize) -> &[RingEntry] {
         &self.rings[u as usize][i]
     }
+}
 
-    /// Minimal-level ring hit for `label` at node `u`.
-    fn min_hit(&self, u: NodeId, label: Label) -> Option<(usize, RingEntry)> {
-        for i in 0..self.num_levels {
-            if let Some(e) = ring_lookup(&self.rings[u as usize][i], label) {
-                return Some((i, *e));
-            }
+/// The greedy ring walk over any [`NetLabeledView`] — the scheme's one
+/// routing procedure, run by [`NetLabeled`] and by
+/// [`crate::NetLabeledPlane`] alike: at each node take the minimal-level
+/// ring hit for the target and step toward it, opening a `"ring-walk"`
+/// segment whenever the level changes. The header is the destination
+/// label.
+pub(crate) fn route<V: NetLabeledView + ?Sized>(
+    view: &V,
+    m: &MetricSpace,
+    src: NodeId,
+    target: Label,
+) -> Result<Route, RouteError> {
+    let mut rec = RouteRecorder::new(m, src);
+    rec.note_header_bits(view.widths().node);
+    let mut seg_level: Option<u32> = None;
+    loop {
+        let u = rec.current();
+        if view.label_at(u) == target {
+            return Ok(rec.finish());
         }
-        None
+        let hit = view.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
+            at: u,
+            detail: "no ring hit at any level (broken hierarchy)".into(),
+        })?;
+        if seg_level != Some(hit.level) {
+            rec.begin_segment("ring-walk", Some(hit.level));
+            seg_level = Some(hit.level);
+        }
+        rec.hop(hit.next)?;
+    }
+}
+
+impl LabeledView for NetLabeled {
+    fn widths(&self) -> FieldWidths {
+        self.widths
     }
 
-    /// Crate-internal accessor for the distance oracle extension.
-    pub(crate) fn min_hit_public(&self, u: NodeId, label: Label) -> Option<(usize, RingEntry)> {
-        self.min_hit(u, label)
+    fn label_at(&self, u: NodeId) -> Label {
+        self.nets.label(u)
+    }
+
+    fn route_label(
+        &self,
+        m: &MetricSpace,
+        src: NodeId,
+        target: Label,
+    ) -> Result<Route, RouteError> {
+        route(self, m, src, target)
+    }
+}
+
+impl NetLabeledView for NetLabeled {
+    fn min_hit(&self, u: NodeId, label: Label) -> Option<RingHit> {
+        self.rings[u as usize].iter().enumerate().find_map(|(i, ring)| {
+            ring_lookup(ring, label).map(|e| RingHit { level: i as u32, x: e.x, next: e.next })
+        })
     }
 }
 
@@ -221,25 +266,7 @@ impl LabeledScheme for NetLabeled {
     }
 
     fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        // Header: the destination label.
-        rec.note_header_bits(self.widths.node);
-        let mut seg_level: Option<u32> = None;
-        loop {
-            let u = rec.current();
-            if self.nets.label(u) == target {
-                return Ok(rec.finish());
-            }
-            let (i, e) = self.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
-                at: u,
-                detail: "no ring hit at any level (broken hierarchy)".into(),
-            })?;
-            if seg_level != Some(i as u32) {
-                rec.begin_segment("ring-walk", Some(i as u32));
-                seg_level = Some(i as u32);
-            }
-            rec.hop(e.next)?;
-        }
+        route(self, m, src, target)
     }
 }
 

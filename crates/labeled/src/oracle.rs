@@ -25,6 +25,8 @@ use doubling_metric::graph::NodeId;
 use netsim::scheme::{Label, LabeledScheme};
 
 use crate::net_labeled::NetLabeled;
+use crate::rings::ring_lookup;
+use crate::view::{NetLabeledView, ScaleFreeView};
 
 /// The result of a local distance query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,13 +55,15 @@ impl NetLabeled {
         if self.label_of(u) == target {
             return Some(DistanceEstimate { estimate: 0, level: 0, error_bound: 0 });
         }
-        let (i, e) = self.min_hit_public(u, target)?;
-        let error_bound = if self.label_of(e.x) == target {
+        let hit = self.min_hit(u, target)?;
+        // The stored d(u, x) of the hit's ring entry.
+        let estimate = ring_lookup(self.ring(u, hit.level as usize), target)?.dist;
+        let error_bound = if self.label_of(hit.x) == target {
             0 // the hit is the destination itself
         } else {
-            2 * m.scale(i)
+            2 * m.scale(hit.level as usize)
         };
-        Some(DistanceEstimate { estimate: e.dist, level: i as u32, error_bound })
+        Some(DistanceEstimate { estimate, level: hit.level, error_bound })
     }
 }
 
@@ -87,13 +91,13 @@ impl crate::scale_free::ScaleFreeLabeled {
         if self.label_of(u) == target {
             return Some((0, 0));
         }
-        let (i, e) = self.min_hit_public(u, target)?;
-        if self.label_of(e.x) == target {
-            return Some((e.dist, e.dist));
+        let (hit, dist) = self.min_hit(u, target)?;
+        if self.label_of(hit.x) == target {
+            return Some((dist, dist));
         }
-        let err = 2 * m.scale(i as usize);
-        let lo = e.dist.saturating_sub(err).max(m.min_dist());
-        let hi = e.dist + err;
+        let err = 2 * m.scale(hit.level as usize);
+        let lo = dist.saturating_sub(err).max(m.min_dist());
+        let hi = dist + err;
         Some((lo, hi))
     }
 }

@@ -2,10 +2,13 @@
 //!
 //! [`NetLabeledPlane`] and [`ScaleFreeLabeledPlane`] compile a built
 //! [`NetLabeled`] / [`ScaleFreeLabeled`] scheme into one contiguous
-//! [`BitArena`] and implement [`ForwardingPlane`] by replaying the
-//! reference route procedures against the packed state — the same ring
-//! lookups, the same stall tests, the same segment labels and header-bit
-//! notes, so every returned [`Route`] is `==` to the reference scheme's.
+//! [`BitArena`]. This module holds only compilation, decoding and packed
+//! accessors: each plane implements its scheme's table view
+//! ([`NetLabeledView`] / [`ScaleFreeView`]) over its bits, and
+//! [`ForwardingPlane::route`] runs the scheme's one routing procedure over
+//! that view. A returned [`Route`] is therefore `==` to the reference
+//! scheme's whenever the two views answer alike, which the differential
+//! tests check accessor by accessor.
 //!
 //! Arena layouts (all counts packed in-arena; see [`netsim::plane`] for
 //! the shared conventions):
@@ -35,58 +38,263 @@
 //!     packed search tree (PortLabel payloads)
 //! ```
 //!
+//! Departed (churned-out) nodes keep their physical forwarding state, as
+//! in the reference schemes, so a plane packs their rings and Voronoi rows
+//! like any other node's. Their label field holds the all-ones node-width
+//! value: while some node is away the live labels are below
+//! `|Y_0| < n ≤ 2^node`, so it never matches a live destination. A plane
+//! compiled with every node active contains no such field.
+//!
 //! An optional *name directory* (`name → label`, one row per name) gives
 //! labeled planes a [`ForwardingPlane::route_named`] ingress; planes
 //! compiled without one fail named queries with a structured lookup error
 //! at the source.
 
-use doubling_metric::graph::{Dist, Graph, NodeId};
+use std::borrow::Cow;
+
+use doubling_metric::graph::{Dist, NodeId};
+use doubling_metric::nets::NetHierarchy;
 use doubling_metric::space::MetricSpace;
 
 use netsim::bits::{bits_for_count, FieldWidths};
 use netsim::naming::Naming;
 use netsim::plane::{push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane};
-use netsim::route::{Route, RouteError, RouteRecorder};
+use netsim::route::{Route, RouteError};
 use netsim::scheme::{Label, LabeledScheme, Name};
-use searchtree::{PackedSearchTree, PackedTreeWidths, PayloadCodec, PortLabelCodec};
-use treeroute::PortLabel;
+use searchtree::{
+    PackedSearchTree, PackedTreeView, PackedTreeWidths, PayloadCodec, PortLabelCodec,
+};
+use treeroute::RouterRecords;
 
-use crate::{NetLabeled, ScaleFreeLabeled};
+use crate::view::{CellView, LabeledView, NetLabeledView, RingHit, ScaleFreeView};
+use crate::{net_labeled, scale_free, NetLabeled, ScaleFreeLabeled};
 
 /// Width of the small structural header fields (level counts, size
 /// exponents) that are bounded by 64-ish but not by the metric widths.
 const SMALL_FIELD_BITS: u64 = 7;
 
-/// Packs the optional name directory: a presence flag, then one label per
-/// name in name order.
-fn push_name_directory(arena: &mut BitArena, naming: Option<&Naming>, labels: &[Label], w: u64) {
-    match naming {
-        Some(nm) => {
-            arena.push(1, 1);
-            for name in 0..labels.len() as Name {
-                arena.push(labels[nm.node_of(name) as usize] as u64, w);
-            }
+/// A labeled scheme compiled into one bit arena: the header, optional
+/// name directory and per-node label column both layouts open with, plus
+/// the scheme's own offsets `T` ([`NetRings`] or [`ScaleFreeCells`]).
+#[derive(Debug, Clone)]
+pub struct LabeledPlane<T> {
+    arena: BitArena,
+    epoch: u64,
+    widths: FieldWidths,
+    cnt: u64,
+    names_off: Option<u64>,
+    /// Offset of each node's section: its label, then the scheme's rows.
+    node_off: Vec<u64>,
+    tables: T,
+}
+
+/// The part of a [`LabeledPlane`] that differs per scheme.
+pub trait PlaneTables: Sized {
+    /// The plane's [`ForwardingPlane::plane_name`].
+    const NAME: &'static str;
+
+    /// Routes over the plane with the scheme's one routing procedure.
+    ///
+    /// # Errors
+    ///
+    /// The procedure's lookup failures and hop-budget loops.
+    fn route(
+        plane: &LabeledPlane<Self>,
+        m: &MetricSpace,
+        src: NodeId,
+        target: Label,
+    ) -> Result<Route, RouteError>;
+}
+
+impl LabeledPlane<()> {
+    /// Opens a layout: the widths, `n`, the epoch, the scheme's `header`
+    /// fields, then the optional name directory. Returns the plane so far
+    /// and the per-node label column, which packs the all-ones node-width
+    /// value for departed nodes (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `naming` is present with a different node count.
+    fn open(
+        m: &MetricSpace,
+        (s, nets): (&impl LabeledScheme, &NetHierarchy),
+        naming: Option<&Naming>,
+        epoch: u64,
+        header: &[(u64, u64)],
+    ) -> (Self, Vec<Label>) {
+        let n = m.n();
+        let widths = FieldWidths::new(m);
+        let cnt = bits_for_count(n as u64 + 1);
+        let departed = ((1u64 << widths.node) - 1) as Label;
+        let labels: Vec<Label> = (0..n as NodeId)
+            .map(|v| if nets.is_active(v) { s.label_of(v) } else { departed })
+            .collect();
+
+        let mut arena = BitArena::new();
+        push_width_header(&mut arena, &widths, cnt);
+        arena.push(n as u64, cnt);
+        arena.push(epoch, 64);
+        for &(v, w) in header {
+            arena.push(v, w);
         }
-        None => arena.push(0, 1),
+        arena.push(naming.is_some() as u64, 1);
+        let names_off = naming.map(|nm| {
+            assert_eq!(nm.n(), n, "naming must cover all nodes");
+            let off = arena.len_bits();
+            for name in 0..n as Name {
+                arena.push(labels[nm.node_of(name) as usize] as u64, widths.node);
+            }
+            off
+        });
+        let node_off = Vec::with_capacity(n);
+        (LabeledPlane { arena, epoch, widths, cnt, names_off, node_off, tables: () }, labels)
+    }
+
+    /// Reads back what [`Self::open`] wrote, recording every field into
+    /// `out`. Returns the plane so far, the values of the scheme's header
+    /// fields (widths `header`), `n`, and the offset of the node sections.
+    fn reopen(
+        arena: BitArena,
+        header: &[u64],
+        out: &mut Vec<(u64, u64)>,
+    ) -> (Self, Vec<u64>, usize, u64) {
+        let mut cur = BitCursor::new(&arena, 0);
+        let (widths, cnt) = take_width_header(&mut cur, out);
+        let n = cur.take_recorded(cnt, out) as usize;
+        let epoch = cur.take_recorded(64, out);
+        let values = header.iter().map(|&w| cur.take_recorded(w, out)).collect();
+        let names_off = (cur.take_recorded(1, out) == 1).then(|| {
+            let off = cur.pos();
+            for _ in 0..n {
+                cur.take_recorded(widths.node, out);
+            }
+            off
+        });
+        let pos = cur.pos();
+        let node_off = Vec::with_capacity(n);
+        (
+            LabeledPlane { arena, epoch, widths, cnt, names_off, node_off, tables: () },
+            values,
+            n,
+            pos,
+        )
+    }
+
+    /// Attaches the scheme's offsets.
+    fn with<T>(self, tables: T) -> LabeledPlane<T> {
+        let LabeledPlane { arena, epoch, widths, cnt, names_off, node_off, .. } = self;
+        LabeledPlane { arena, epoch, widths, cnt, names_off, node_off, tables }
     }
 }
 
-/// Reads back the optional name directory, recording fields. Returns the
-/// offset of the first directory row, if present.
-fn take_name_directory(
-    cur: &mut BitCursor<'_>,
-    n: usize,
-    w: u64,
-    out: &mut Vec<(u64, u64)>,
-) -> Option<u64> {
-    if cur.take_recorded(1, out) == 1 {
-        let off = cur.pos();
-        for _ in 0..n {
-            cur.take_recorded(w, out);
+impl<T> LabeledPlane<T> {
+    /// The backing arena.
+    pub fn arena(&self) -> &BitArena {
+        &self.arena
+    }
+}
+
+impl<T: PlaneTables> LabeledView for LabeledPlane<T> {
+    fn widths(&self) -> FieldWidths {
+        self.widths
+    }
+
+    #[inline]
+    fn label_at(&self, u: NodeId) -> Label {
+        self.arena.read(self.node_off[u as usize], self.widths.node) as Label
+    }
+
+    fn route_label(
+        &self,
+        m: &MetricSpace,
+        src: NodeId,
+        target: Label,
+    ) -> Result<Route, RouteError> {
+        T::route(self, m, src, target)
+    }
+}
+
+impl<T: PlaneTables + Send + Sync> ForwardingPlane for LabeledPlane<T> {
+    fn plane_name(&self) -> &'static str {
+        T::NAME
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn n(&self) -> usize {
+        self.node_off.len()
+    }
+
+    fn packed_bits(&self) -> u64 {
+        self.arena.len_bits()
+    }
+
+    fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
+        T::route(self, m, src, target)
+    }
+
+    fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
+        let off = self.names_off.ok_or_else(|| RouteError::LookupFailed {
+            at: src,
+            detail: format!("name {name}: no name directory compiled into this plane"),
+        })?;
+        let w = self.widths.node;
+        T::route(self, m, src, self.arena.read(off + name as u64 * w, w) as Label)
+    }
+}
+
+/// The packed ring lookup both planes share. Among the `len` entries of
+/// `esz` bits at `base` — each opening with `x lo hi next` at width `w`,
+/// sorted by `lo` — finds the one whose range holds `label`, with
+/// [`crate::rings::ring_lookup`]'s partition-point search, and returns it
+/// as a hit at `level` plus the entry's offset.
+fn ring_entry(
+    arena: &BitArena,
+    (base, len): (u64, u64),
+    (w, esz): (u64, u64),
+    level: u32,
+    label: Label,
+) -> Option<(RingHit, u64)> {
+    let (mut lo_i, mut hi_i) = (0u64, len);
+    while lo_i < hi_i {
+        let mid = (lo_i + hi_i) / 2;
+        if arena.read(base + mid * esz + w, w) <= label as u64 {
+            lo_i = mid + 1;
+        } else {
+            hi_i = mid;
         }
-        Some(off)
-    } else {
-        None
+    }
+    let e = base + lo_i.checked_sub(1)? * esz;
+    (label as u64 <= arena.read(e + 2 * w, w)).then(|| {
+        let hit = RingHit {
+            level,
+            x: arena.read(e, w) as NodeId,
+            next: arena.read(e + 3 * w, w) as NodeId,
+        };
+        (hit, e)
+    })
+}
+
+/// The net-labeled offsets: one ring per node and level.
+#[derive(Debug, Clone)]
+pub struct NetRings {
+    num_levels: usize,
+    /// Offset of ring `(u, i)`'s count field, `n × num_levels` rows.
+    ring_off: Vec<u64>,
+}
+
+impl PlaneTables for NetRings {
+    const NAME: &'static str = "net-labeled";
+
+    fn route(
+        plane: &LabeledPlane<Self>,
+        m: &MetricSpace,
+        src: NodeId,
+        target: Label,
+    ) -> Result<Route, RouteError> {
+        net_labeled::route(plane, m, src, target)
     }
 }
 
@@ -106,19 +314,7 @@ fn take_name_directory(
 /// assert_eq!(plane.route(&m, 0, s.label_of(15))?, want);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct NetLabeledPlane {
-    arena: BitArena,
-    epoch: u64,
-    n: usize,
-    num_levels: usize,
-    widths: FieldWidths,
-    cnt: u64,
-    names_off: Option<u64>,
-    node_off: Vec<u64>,
-    /// Offset of ring `(u, i)`'s count field, `n × num_levels` rows.
-    ring_off: Vec<u64>,
-}
+pub type NetLabeledPlane = LabeledPlane<NetRings>;
 
 impl NetLabeledPlane {
     /// Compiles `s` at maintainer epoch `epoch`. With `naming` set, a
@@ -128,49 +324,26 @@ impl NetLabeledPlane {
     ///
     /// Panics if `naming` is present with a different node count.
     pub fn compile(m: &MetricSpace, s: &NetLabeled, naming: Option<&Naming>, epoch: u64) -> Self {
-        let n = m.n();
-        if let Some(nm) = naming {
-            assert_eq!(nm.n(), n, "naming must cover all nodes");
-        }
-        let widths = FieldWidths::new(m);
-        let cnt = bits_for_count(n as u64 + 1);
         let num_levels = s.num_levels();
-        // Inactive (churned-out) nodes pack a zero label and empty rings;
-        // they are unreachable through active tables, so the placeholder
-        // is never consulted. Routing from/to them is undefined, exactly
-        // as in the reference scheme.
-        let labels: Vec<Label> = (0..n as NodeId)
-            .map(|v| if s.nets().is_active(v) { s.label_of(v) } else { 0 })
-            .collect();
-
-        let mut arena = BitArena::new();
-        push_width_header(&mut arena, &widths, cnt);
-        arena.push(n as u64, cnt);
-        arena.push(epoch, 64);
-        arena.push(num_levels as u64, SMALL_FIELD_BITS);
-        let names_flag_off = arena.len_bits();
-        push_name_directory(&mut arena, naming, &labels, widths.node);
-        let names_off = naming.map(|_| names_flag_off + 1);
-
-        let mut node_off = Vec::with_capacity(n);
-        let mut ring_off = Vec::with_capacity(n * num_levels);
-        for u in 0..n as NodeId {
-            node_off.push(arena.len_bits());
-            arena.push(labels[u as usize] as u64, widths.node);
-            let active = s.nets().is_active(u);
+        let header = [(num_levels as u64, SMALL_FIELD_BITS)];
+        let (mut p, labels) = LabeledPlane::open(m, (s, s.nets()), naming, epoch, &header);
+        let (w, cnt) = (p.widths.node, p.cnt);
+        let mut ring_off = Vec::with_capacity(m.n() * num_levels);
+        for u in 0..m.n() as NodeId {
+            p.node_off.push(p.arena.len_bits());
+            p.arena.push(labels[u as usize] as u64, w);
             for i in 0..num_levels {
-                ring_off.push(arena.len_bits());
-                let ring = if active { s.ring(u, i) } else { &[] };
-                arena.push(ring.len() as u64, cnt);
+                ring_off.push(p.arena.len_bits());
+                let ring = s.ring(u, i);
+                p.arena.push(ring.len() as u64, cnt);
                 for e in ring {
-                    arena.push(e.x as u64, widths.node);
-                    arena.push(e.range.0 as u64, widths.node);
-                    arena.push(e.range.1 as u64, widths.node);
-                    arena.push(e.next as u64, widths.node);
+                    for v in [e.x, e.range.0, e.range.1, e.next] {
+                        p.arena.push(v as u64, w);
+                    }
                 }
             }
         }
-        NetLabeledPlane { arena, epoch, n, num_levels, widths, cnt, names_off, node_off, ring_off }
+        p.with(NetRings { num_levels, ring_off })
     }
 
     /// Rebuilds a plane from its arena alone, recording every structural
@@ -178,137 +351,34 @@ impl NetLabeledPlane {
     /// re-encodes to the identical arena.
     pub fn decode(arena: BitArena) -> (Self, Vec<(u64, u64)>) {
         let mut out = Vec::new();
-        let mut cur = BitCursor::new(&arena, 0);
-        let (widths, cnt) = take_width_header(&mut cur, &mut out);
-        let n = cur.take_recorded(cnt, &mut out) as usize;
-        let epoch = cur.take_recorded(64, &mut out);
-        let num_levels = cur.take_recorded(SMALL_FIELD_BITS, &mut out) as usize;
-        let names_off = take_name_directory(&mut cur, n, widths.node, &mut out);
-        let mut node_off = Vec::with_capacity(n);
+        let (mut p, header, n, pos) = LabeledPlane::reopen(arena, &[SMALL_FIELD_BITS], &mut out);
+        let (num_levels, w, cnt) = (header[0] as usize, p.widths.node, p.cnt);
         let mut ring_off = Vec::with_capacity(n * num_levels);
+        let mut cur = BitCursor::new(&p.arena, pos);
         for _ in 0..n {
-            node_off.push(cur.pos());
-            cur.take_recorded(widths.node, &mut out);
+            p.node_off.push(cur.pos());
+            cur.take_recorded(w, &mut out);
             for _ in 0..num_levels {
                 ring_off.push(cur.pos());
                 let len = cur.take_recorded(cnt, &mut out);
                 for _ in 0..4 * len {
-                    cur.take_recorded(widths.node, &mut out);
+                    cur.take_recorded(w, &mut out);
                 }
             }
         }
-        let plane = NetLabeledPlane {
-            arena,
-            epoch,
-            n,
-            num_levels,
-            widths,
-            cnt,
-            names_off,
-            node_off,
-            ring_off,
-        };
-        (plane, out)
-    }
-
-    /// The backing arena.
-    pub fn arena(&self) -> &BitArena {
-        &self.arena
-    }
-
-    /// The packed label of node `u`.
-    pub fn label_at(&self, u: NodeId) -> Label {
-        self.arena.read(self.node_off[u as usize], self.widths.node) as Label
-    }
-
-    /// Resolves `name` through the packed directory, if one was compiled.
-    pub fn resolve_name(&self, name: Name) -> Option<Label> {
-        self.names_off.map(|off| {
-            self.arena.read(off + name as u64 * self.widths.node, self.widths.node) as Label
-        })
-    }
-
-    /// `ring_lookup` against a packed ring at `off`: the entry whose range
-    /// contains `label`, as `(x, next)`. Same partition-point binary
-    /// search as the reference.
-    fn ring_hit(&self, off: u64, label: Label) -> Option<(NodeId, NodeId)> {
-        let w = self.widths.node;
-        let len = self.arena.read(off, self.cnt);
-        let base = off + self.cnt;
-        let esz = 4 * w;
-        let (mut lo_i, mut hi_i) = (0u64, len);
-        while lo_i < hi_i {
-            let mid = (lo_i + hi_i) / 2;
-            if self.arena.read(base + mid * esz + w, w) <= label as u64 {
-                lo_i = mid + 1;
-            } else {
-                hi_i = mid;
-            }
-        }
-        if lo_i == 0 {
-            return None;
-        }
-        let e = base + (lo_i - 1) * esz;
-        let e_lo = self.arena.read(e + w, w);
-        let e_hi = self.arena.read(e + 2 * w, w);
-        (e_lo <= label as u64 && label as u64 <= e_hi)
-            .then(|| (self.arena.read(e, w) as NodeId, self.arena.read(e + 3 * w, w) as NodeId))
-    }
-
-    /// Minimal-level ring hit for `label` at node `u` — the packed
-    /// `min_hit`.
-    fn min_hit(&self, u: NodeId, label: Label) -> Option<(usize, NodeId)> {
-        (0..self.num_levels).find_map(|i| {
-            self.ring_hit(self.ring_off[u as usize * self.num_levels + i], label)
-                .map(|(_, next)| (i, next))
-        })
+        (p.with(NetRings { num_levels, ring_off }), out)
     }
 }
 
-impl ForwardingPlane for NetLabeledPlane {
-    fn plane_name(&self) -> &'static str {
-        "net-labeled"
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn packed_bits(&self) -> u64 {
-        self.arena.len_bits()
-    }
-
-    fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        rec.note_header_bits(self.widths.node);
-        let mut seg_level: Option<u32> = None;
-        loop {
-            let u = rec.current();
-            if self.label_at(u) == target {
-                return Ok(rec.finish());
-            }
-            let (i, next) = self.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
-                at: u,
-                detail: "no ring hit at any level (broken hierarchy)".into(),
-            })?;
-            if seg_level != Some(i as u32) {
-                rec.begin_segment("ring-walk", Some(i as u32));
-                seg_level = Some(i as u32);
-            }
-            rec.hop(next)?;
-        }
-    }
-
-    fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
-        let label = self.resolve_name(name).ok_or_else(|| RouteError::LookupFailed {
-            at: src,
-            detail: format!("name {name}: no name directory compiled into this plane"),
-        })?;
-        self.route(m, src, label)
+impl NetLabeledView for NetLabeledPlane {
+    fn min_hit(&self, u: NodeId, label: Label) -> Option<RingHit> {
+        let (w, levels) = (self.widths.node, self.tables.num_levels);
+        let rings = &self.tables.ring_off[u as usize * levels..][..levels];
+        rings.iter().enumerate().find_map(|(i, &off)| {
+            let len = self.arena.read(off, self.cnt);
+            ring_entry(&self.arena, (off + self.cnt, len), (w, 4 * w), i as u32, label)
+                .map(|(hit, _)| hit)
+        })
     }
 }
 
@@ -323,33 +393,84 @@ struct PackedCell {
     search: PackedSearchTree<PortLabelCodec>,
 }
 
-/// The [`ScaleFreeLabeled`] scheme compiled into a bit arena.
-///
-/// Replays Algorithm 5 exactly: the greedy ring walk over the packed
-/// `R(u)` rings, the stall test with the packed `ε`, and the packing
-/// phase over packed Voronoi tree routers and search trees.
-#[derive(Debug, Clone)]
-pub struct ScaleFreeLabeledPlane {
-    arena: BitArena,
-    epoch: u64,
-    n: usize,
-    widths: FieldWidths,
+/// The packed tree-router records of one scale-free plane cell: one
+/// fixed-size `node dfs lo hi parent heavy? heavy_local` record per
+/// tree-local index.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedRouter<'a> {
+    arena: &'a BitArena,
+    base: u64,
+    node: u64,
     cnt: u64,
+}
+
+impl PackedRouter<'_> {
+    /// Offset of local index `i`'s record.
+    #[inline]
+    fn rec(&self, i: u32) -> u64 {
+        self.base + i as u64 * (5 * self.node + 1 + self.cnt)
+    }
+}
+
+impl RouterRecords for PackedRouter<'_> {
+    #[inline]
+    fn node(&self, i: u32) -> NodeId {
+        self.arena.read(self.rec(i), self.node) as NodeId
+    }
+
+    #[inline]
+    fn dfs(&self, i: u32) -> u32 {
+        self.arena.read(self.rec(i) + self.node, self.node) as u32
+    }
+
+    #[inline]
+    fn interval(&self, i: u32) -> (u32, u32) {
+        let r = self.rec(i) + 2 * self.node;
+        (self.arena.read(r, self.node) as u32, self.arena.read(r + self.node, self.node) as u32)
+    }
+
+    #[inline]
+    fn parent_node(&self, i: u32) -> NodeId {
+        self.arena.read(self.rec(i) + 4 * self.node, self.node) as NodeId
+    }
+
+    #[inline]
+    fn heavy(&self, i: u32) -> Option<u32> {
+        let r = self.rec(i) + 5 * self.node;
+        (self.arena.read(r, 1) == 1).then(|| self.arena.read(r + 1, self.cnt) as u32)
+    }
+}
+
+/// The scale-free offsets: `ε`, the size-exponent range and the packed
+/// Voronoi cells.
+#[derive(Debug, Clone)]
+pub struct ScaleFreeCells {
     log2_n: u32,
     eps_num: u64,
     eps_den: u64,
-    names_off: Option<u64>,
-    node_off: Vec<u64>,
-    /// `cells[j][k]`, mirroring the scheme's cell table.
+    /// `cells[j][k]`, indexed like the scheme's cell table.
     cells: Vec<Vec<PackedCell>>,
 }
 
-impl ScaleFreeLabeledPlane {
-    /// Size of one packed router record.
-    fn router_record_bits(node: u64, cnt: u64) -> u64 {
-        5 * node + 1 + cnt
-    }
+impl PlaneTables for ScaleFreeCells {
+    const NAME: &'static str = "scale-free-labeled";
 
+    fn route(
+        plane: &LabeledPlane<Self>,
+        m: &MetricSpace,
+        src: NodeId,
+        target: Label,
+    ) -> Result<Route, RouteError> {
+        scale_free::route(plane, m, src, target)
+    }
+}
+
+/// The [`ScaleFreeLabeled`] scheme compiled into a bit arena: the `R(u)`
+/// rings, `ε`, Voronoi rows, tree-router records and search trees that
+/// Algorithm 5 reads, packed.
+pub type ScaleFreeLabeledPlane = LabeledPlane<ScaleFreeCells>;
+
+impl ScaleFreeLabeledPlane {
     /// Compiles `s` at maintainer epoch `epoch`, optionally with a name
     /// directory.
     ///
@@ -362,143 +483,83 @@ impl ScaleFreeLabeledPlane {
         naming: Option<&Naming>,
         epoch: u64,
     ) -> Self {
-        let n = m.n();
-        if let Some(nm) = naming {
-            assert_eq!(nm.n(), n, "naming must cover all nodes");
-        }
-        let widths = FieldWidths::new(m);
-        let cnt = bits_for_count(n as u64 + 1);
-        let log2_n = s.log2_n();
-        // Placeholder rows for inactive nodes, as in [`NetLabeledPlane`].
-        let labels: Vec<Label> = (0..n as NodeId)
-            .map(|v| if s.nets().is_active(v) { s.label_of(v) } else { 0 })
-            .collect();
-
-        let mut arena = BitArena::new();
-        push_width_header(&mut arena, &widths, cnt);
-        arena.push(n as u64, cnt);
-        arena.push(epoch, 64);
-        arena.push(s.eps().num(), 64);
-        arena.push(s.eps().den(), 64);
-        arena.push(log2_n as u64, SMALL_FIELD_BITS);
-        let names_flag_off = arena.len_bits();
-        push_name_directory(&mut arena, naming, &labels, widths.node);
-        let names_off = naming.map(|_| names_flag_off + 1);
-
-        let mut node_off = Vec::with_capacity(n);
-        for u in 0..n as NodeId {
-            node_off.push(arena.len_bits());
+        let (log2_n, eps_num, eps_den) = (s.log2_n(), s.eps().num(), s.eps().den());
+        let header = [(eps_num, 64), (eps_den, 64), (log2_n as u64, SMALL_FIELD_BITS)];
+        let (mut p, labels) = LabeledPlane::open(m, (s, s.nets()), naming, epoch, &header);
+        let (widths, cnt) = (p.widths, p.cnt);
+        let arena = &mut p.arena;
+        for u in 0..m.n() as NodeId {
+            p.node_off.push(arena.len_bits());
             arena.push(labels[u as usize] as u64, widths.node);
-            let active = s.nets().is_active(u);
             for j in 0..=log2_n {
-                if !active {
-                    arena.push(0, cnt);
-                    arena.push(0, cnt);
-                    continue;
-                }
-                let packing = s.packings().at(j);
-                let k = packing.voronoi_index(u);
-                let local = s.cell(j, k).0.tree().local(u).expect("u is in its Voronoi region");
+                let (k, local) = s.voronoi_row(u, j);
                 arena.push(k as u64, cnt);
                 arena.push(local as u64, cnt);
             }
-            let rings: &[_] = if active { s.rings_of(u) } else { &[] };
+            let rings = s.rings_of(u);
             arena.push(rings.len() as u64, cnt);
             for (i, ring) in rings {
                 arena.push(*i as u64, widths.level);
                 arena.push(ring.len() as u64, cnt);
                 for e in ring {
-                    arena.push(e.x as u64, widths.node);
-                    arena.push(e.range.0 as u64, widths.node);
-                    arena.push(e.range.1 as u64, widths.node);
-                    arena.push(e.next as u64, widths.node);
+                    for v in [e.x, e.range.0, e.range.1, e.next] {
+                        arena.push(v as u64, widths.node);
+                    }
                     arena.push(e.dist, widths.dist);
                 }
             }
         }
 
+        let tw = PackedTreeWidths { key: widths.node, cnt, node: widths.node };
         let mut cells: Vec<Vec<PackedCell>> = Vec::with_capacity(log2_n as usize + 1);
         for j in 0..=log2_n {
-            let packing = s.packings().at(j);
-            let nballs = packing.balls().len();
+            let nballs = s.packings().at(j).balls().len();
             arena.push(nballs as u64, cnt);
             let mut level_cells = Vec::with_capacity(nballs);
             for k in 0..nballs as u32 {
-                let (router, search) = s.cell(j, k);
-                let c = packing.balls()[k as usize].center;
-                arena.push(c as u64, widths.node);
-                arena.push(router.port_bits(), SMALL_FIELD_BITS);
-                let len = router.tree().len();
+                let CellView { center, port_bits, root_label, router, search } = s.cell(j, k);
+                arena.push(center as u64, widths.node);
+                arena.push(port_bits, SMALL_FIELD_BITS);
+                let len = router.tree().len() as u32;
                 arena.push(len as u64, cnt);
                 let router_base = arena.len_bits();
-                for i in 0..len as u32 {
-                    arena.push(router.tree().node(i) as u64, widths.node);
-                    arena.push(router.dfs_of(i) as u64, widths.node);
-                    let (lo, hi) = router.interval_of(i);
-                    arena.push(lo as u64, widths.node);
-                    arena.push(hi as u64, widths.node);
-                    arena.push(router.tree().node(router.tree().parent(i)) as u64, widths.node);
-                    match router.heavy_of(i) {
-                        Some(h) => {
-                            arena.push(1, 1);
-                            arena.push(h as u64, cnt);
-                        }
-                        None => {
-                            arena.push(0, 1);
-                            arena.push(0, cnt);
-                        }
+                for i in 0..len {
+                    let (lo, hi) = router.interval(i);
+                    for v in [router.node(i), router.dfs(i), lo, hi, router.parent_node(i)] {
+                        arena.push(v as u64, widths.node);
                     }
+                    let heavy = router.heavy(i);
+                    arena.push(heavy.is_some() as u64, 1);
+                    arena.push(heavy.unwrap_or(0) as u64, cnt);
                 }
-                let codec = PortLabelCodec { node: widths.node, port: router.port_bits(), cnt };
+                let codec = PortLabelCodec { node: widths.node, port: port_bits, cnt };
                 let root_label_off = arena.len_bits();
-                codec.encode(&mut arena, router.label_of(c));
-                let packed_search = PackedSearchTree::encode(
-                    &mut arena,
-                    search,
-                    codec,
-                    PackedTreeWidths { key: widths.node, cnt, node: widths.node },
-                );
+                codec.encode(arena, &root_label);
+                let search = PackedSearchTree::encode(arena, search, codec, tw);
                 level_cells.push(PackedCell {
-                    center: c,
-                    port_bits: router.port_bits(),
+                    center,
+                    port_bits,
                     router_base,
                     root_label_off,
-                    search: packed_search,
+                    search,
                 });
             }
             cells.push(level_cells);
         }
-
-        ScaleFreeLabeledPlane {
-            arena,
-            epoch,
-            n,
-            widths,
-            cnt,
-            log2_n,
-            eps_num: s.eps().num(),
-            eps_den: s.eps().den(),
-            names_off,
-            node_off,
-            cells,
-        }
+        p.with(ScaleFreeCells { log2_n, eps_num, eps_den, cells })
     }
 
     /// Rebuilds a plane from its arena alone, recording every structural
     /// field for the byte-exact round-trip check.
     pub fn decode(arena: BitArena) -> (Self, Vec<(u64, u64)>) {
         let mut out = Vec::new();
-        let mut cur = BitCursor::new(&arena, 0);
-        let (widths, cnt) = take_width_header(&mut cur, &mut out);
-        let n = cur.take_recorded(cnt, &mut out) as usize;
-        let epoch = cur.take_recorded(64, &mut out);
-        let eps_num = cur.take_recorded(64, &mut out);
-        let eps_den = cur.take_recorded(64, &mut out);
-        let log2_n = cur.take_recorded(SMALL_FIELD_BITS, &mut out) as u32;
-        let names_off = take_name_directory(&mut cur, n, widths.node, &mut out);
-        let mut node_off = Vec::with_capacity(n);
+        let header = [64, 64, SMALL_FIELD_BITS];
+        let (mut p, header, n, pos) = LabeledPlane::reopen(arena, &header, &mut out);
+        let (eps_num, eps_den, log2_n) = (header[0], header[1], header[2] as u32);
+        let (widths, cnt) = (p.widths, p.cnt);
+        let mut cur = BitCursor::new(&p.arena, pos);
         for _ in 0..n {
-            node_off.push(cur.pos());
+            p.node_off.push(cur.pos());
             cur.take_recorded(widths.node, &mut out);
             for _ in 0..=log2_n {
                 cur.take_recorded(cnt, &mut out);
@@ -516,6 +577,7 @@ impl ScaleFreeLabeledPlane {
                 }
             }
         }
+        let tw = PackedTreeWidths { key: widths.node, cnt, node: widths.node };
         let mut cells = Vec::with_capacity(log2_n as usize + 1);
         for _ in 0..=log2_n {
             let nballs = cur.take_recorded(cnt, &mut out);
@@ -535,12 +597,7 @@ impl ScaleFreeLabeledPlane {
                 let codec = PortLabelCodec { node: widths.node, port: port_bits, cnt };
                 let root_label_off = cur.pos();
                 codec.decode_recorded(&mut cur, &mut out);
-                let search = PackedSearchTree::decode(
-                    &mut cur,
-                    codec,
-                    PackedTreeWidths { key: widths.node, cnt, node: widths.node },
-                    &mut out,
-                );
+                let search = PackedSearchTree::decode(&mut cur, codec, tw, &mut out);
                 level_cells.push(PackedCell {
                     center,
                     port_bits,
@@ -551,267 +608,67 @@ impl ScaleFreeLabeledPlane {
             }
             cells.push(level_cells);
         }
-        let plane = ScaleFreeLabeledPlane {
-            arena,
-            epoch,
-            n,
-            widths,
-            cnt,
-            log2_n,
-            eps_num,
-            eps_den,
-            names_off,
-            node_off,
-            cells,
-        };
-        (plane, out)
+        (p.with(ScaleFreeCells { log2_n, eps_num, eps_den, cells }), out)
+    }
+}
+
+impl ScaleFreeView for ScaleFreeLabeledPlane {
+    type Router<'a> = PackedRouter<'a>;
+    type Search<'a> = PackedTreeView<'a, PortLabelCodec>;
+
+    fn eps_ratio(&self) -> (u64, u64) {
+        (self.tables.eps_num, self.tables.eps_den)
     }
 
-    /// The backing arena.
-    pub fn arena(&self) -> &BitArena {
-        &self.arena
+    fn log2_n(&self) -> u32 {
+        self.tables.log2_n
     }
 
-    /// The packed label of node `u`.
-    pub fn label_at(&self, u: NodeId) -> Label {
-        self.arena.read(self.node_off[u as usize], self.widths.node) as Label
-    }
-
-    /// Resolves `name` through the packed directory, if one was compiled.
-    pub fn resolve_name(&self, name: Name) -> Option<Label> {
-        self.names_off.map(|off| {
-            self.arena.read(off + name as u64 * self.widths.node, self.widths.node) as Label
-        })
-    }
-
-    /// The packed `(k, local)` Voronoi row of node `u` at size exponent
-    /// `j`.
-    fn vj_row(&self, u: NodeId, j: u32) -> (u32, u32) {
-        let off = self.node_off[u as usize] + self.widths.node + j as u64 * 2 * self.cnt;
-        (self.arena.read(off, self.cnt) as u32, self.arena.read(off + self.cnt, self.cnt) as u32)
-    }
-
-    /// Minimal-level ring hit among the packed `R(u)` rings, as
-    /// `(level, x, dist, next)`.
-    fn min_hit(&self, u: NodeId, label: Label) -> Option<(u32, NodeId, Dist, NodeId)> {
-        let w = self.widths.node;
-        let esz = 4 * w + self.widths.dist;
-        let mut off = self.node_off[u as usize] + w + (self.log2_n as u64 + 1) * 2 * self.cnt;
+    fn min_hit(&self, u: NodeId, label: Label) -> Option<(RingHit, Dist)> {
+        let (w, dw) = (self.widths.node, self.widths.dist);
+        let esz = 4 * w + dw;
+        let mut off =
+            self.node_off[u as usize] + w + (self.tables.log2_n as u64 + 1) * 2 * self.cnt;
         let nrings = self.arena.read(off, self.cnt);
         off += self.cnt;
         for _ in 0..nrings {
             let i = self.arena.read(off, self.widths.level) as u32;
-            off += self.widths.level;
-            let len = self.arena.read(off, self.cnt);
-            off += self.cnt;
-            let base = off;
-            let (mut lo_i, mut hi_i) = (0u64, len);
-            while lo_i < hi_i {
-                let mid = (lo_i + hi_i) / 2;
-                if self.arena.read(base + mid * esz + w, w) <= label as u64 {
-                    lo_i = mid + 1;
-                } else {
-                    hi_i = mid;
-                }
-            }
-            if lo_i > 0 {
-                let e = base + (lo_i - 1) * esz;
-                let e_lo = self.arena.read(e + w, w);
-                let e_hi = self.arena.read(e + 2 * w, w);
-                if e_lo <= label as u64 && label as u64 <= e_hi {
-                    return Some((
-                        i,
-                        self.arena.read(e, w) as NodeId,
-                        self.arena.read(e + 4 * w, self.widths.dist),
-                        self.arena.read(e + 3 * w, w) as NodeId,
-                    ));
-                }
+            let len = self.arena.read(off + self.widths.level, self.cnt);
+            off += self.widths.level + self.cnt;
+            if let Some((hit, e)) = ring_entry(&self.arena, (off, len), (w, esz), i, label) {
+                return Some((hit, self.arena.read(e + 4 * w, dw)));
             }
             off += len * esz;
         }
         None
     }
 
-    /// Algorithm 5 line 3's continuation test, with the packed `ε`.
-    fn far_from_target(&self, d: Dist, s_i: Dist) -> bool {
-        2 * (d + s_i) as u128 * self.eps_num as u128 >= s_i as u128 * self.eps_den as u128
+    #[inline]
+    fn voronoi_row(&self, u: NodeId, j: u32) -> (u32, u32) {
+        let off = self.node_off[u as usize] + self.widths.node + j as u64 * 2 * self.cnt;
+        (self.arena.read(off, self.cnt) as u32, self.arena.read(off + self.cnt, self.cnt) as u32)
     }
 
-    /// [`treeroute::PortTreeRouter::next_hop`] against the packed router
-    /// records of `cell`.
-    fn cell_next_hop(
+    fn cell(
         &self,
-        g: &Graph,
-        cell: &PackedCell,
-        from: NodeId,
-        from_local: u32,
-        target: &PortLabel,
-    ) -> Option<NodeId> {
-        let w = self.widths.node;
-        let esz = Self::router_record_bits(w, self.cnt);
-        let rec = cell.router_base + from_local as u64 * esz;
-        let my = self.arena.read(rec + w, w) as u32;
-        if my == target.dfs {
-            return None;
-        }
-        let lo = self.arena.read(rec + 2 * w, w) as u32;
-        let hi = self.arena.read(rec + 3 * w, w) as u32;
-        if target.dfs < lo || target.dfs > hi {
-            return Some(self.arena.read(rec + 4 * w, w) as NodeId);
-        }
-        if self.arena.read(rec + 5 * w, 1) == 1 {
-            let hrec = cell.router_base + self.arena.read(rec + 5 * w + 1, self.cnt) * esz;
-            let hlo = self.arena.read(hrec + 2 * w, w) as u32;
-            let hhi = self.arena.read(hrec + 3 * w, w) as u32;
-            if hlo <= target.dfs && target.dfs <= hhi {
-                return Some(self.arena.read(hrec, w) as NodeId);
-            }
-        }
-        for &(x_dfs, port) in &target.lights {
-            if x_dfs == my {
-                return Some(g.neighbors(from)[port as usize].node);
-            }
-        }
-        unreachable!("light trail must name the branching port")
-    }
-
-    /// [`treeroute::PortTreeRouter::route`] against the packed records:
-    /// each hop's local index comes from its packed Voronoi row.
-    fn cell_route(
-        &self,
-        g: &Graph,
         j: u32,
-        cell: &PackedCell,
-        from: NodeId,
-        target: &PortLabel,
-    ) -> Vec<NodeId> {
-        let mut path = vec![from];
-        let mut cur = from;
-        let mut cur_local = self.vj_row(cur, j).1;
-        while let Some(next) = self.cell_next_hop(g, cell, cur, cur_local, target) {
-            path.push(next);
-            cur = next;
-            cur_local = self.vj_row(cur, j).1;
-        }
-        path
-    }
-
-    /// Phase 2 of Algorithm 5 against the packed cells.
-    fn packing_phase(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        target: Label,
-        i_t: u32,
-    ) -> Result<(), RouteError> {
-        let u_t = rec.current();
-        let s_it = m.scale(i_t as usize);
-        let j = (0..=self.log2_n)
-            .rev()
-            .find(|&j| m.r_small(u_t, j) <= s_it)
-            .expect("r_u(0) = 0 always qualifies");
-        let k = self.vj_row(u_t, j).0;
-        let cell = &self.cells[j as usize][k as usize];
-        let c = cell.center;
+        k: u32,
+    ) -> CellView<'_, PackedRouter<'_>, PackedTreeView<'_, PortLabelCodec>> {
+        let cell = &self.tables.cells[j as usize][k as usize];
         let codec = PortLabelCodec { node: self.widths.node, port: cell.port_bits, cnt: self.cnt };
-
-        rec.begin_segment("to-center", Some(j));
         let root_label = codec.decode(&mut BitCursor::new(&self.arena, cell.root_label_off));
-        rec.note_header_bits(
-            root_label.bits(self.widths.node, cell.port_bits) + self.widths.size_exp,
-        );
-        for x in self.cell_route(m.graph(), j, cell, u_t, &root_label).into_iter().skip(1) {
-            rec.hop(x)?;
+        CellView {
+            center: cell.center,
+            port_bits: cell.port_bits,
+            root_label: Cow::Owned(root_label),
+            router: PackedRouter {
+                arena: &self.arena,
+                base: cell.router_base,
+                node: self.widths.node,
+                cnt: self.cnt,
+            },
+            search: cell.search.view(&self.arena),
         }
-
-        rec.begin_segment("tree-search", Some(j));
-        rec.note_header_bits(self.widths.node + self.widths.size_exp);
-        let walk = cell.search.search(&self.arena, target as u64);
-        for &x in &walk.nodes[1..] {
-            rec.walk_shortest(x)?;
-        }
-        let local = walk.result.ok_or_else(|| RouteError::LookupFailed {
-            at: rec.current(),
-            detail: format!("label {target} not in search tree of ball j={j} (Lemma 4.5)"),
-        })?;
-
-        rec.begin_segment("to-target", Some(j));
-        rec.note_header_bits(local.bits(self.widths.node, cell.port_bits));
-        for x in self.cell_route(m.graph(), j, cell, c, &local).into_iter().skip(1) {
-            rec.hop(x)?;
-        }
-        Ok(())
-    }
-}
-
-impl ForwardingPlane for ScaleFreeLabeledPlane {
-    fn plane_name(&self) -> &'static str {
-        "scale-free-labeled"
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn packed_bits(&self) -> u64 {
-        self.arena.len_bits()
-    }
-
-    fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        rec.note_header_bits(self.widths.node + self.widths.level);
-        let mut i_prev = u32::MAX;
-        let mut seg_level: Option<u32> = None;
-        loop {
-            let u = rec.current();
-            if self.label_at(u) == target {
-                return Ok(rec.finish());
-            }
-            let (i, x, dist, next) =
-                self.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
-                    at: u,
-                    detail: "no ring hit on R(u) (requires eps <= 1/4)".into(),
-                })?;
-            if self.label_at(x) == target {
-                if seg_level != Some(i) {
-                    rec.begin_segment("ring-walk", Some(i));
-                    seg_level = Some(i);
-                }
-                rec.hop(next)?;
-                i_prev = i;
-                continue;
-            }
-            let s_i = m.scale(i as usize);
-            if i <= i_prev && self.far_from_target(dist, s_i) {
-                if seg_level != Some(i) {
-                    rec.begin_segment("ring-walk", Some(i));
-                    seg_level = Some(i);
-                }
-                rec.hop(next)?;
-                i_prev = i;
-                continue;
-            }
-            self.packing_phase(m, &mut rec, target, i)?;
-            let arrived = rec.current();
-            if self.label_at(arrived) != target {
-                return Err(RouteError::Internal(format!(
-                    "packing phase delivered to {arrived}, not the target"
-                )));
-            }
-            return Ok(rec.finish());
-        }
-    }
-
-    fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
-        let label = self.resolve_name(name).ok_or_else(|| RouteError::LookupFailed {
-            at: src,
-            detail: format!("name {name}: no name directory compiled into this plane"),
-        })?;
-        self.route(m, src, label)
     }
 }
 
@@ -849,7 +706,7 @@ mod tests {
         assert!(roundtrip_ok(plane.arena(), &fields));
         assert_eq!(dec.epoch(), 7);
         assert_eq!(dec.node_off, plane.node_off);
-        assert_eq!(dec.ring_off, plane.ring_off);
+        assert_eq!(dec.tables.ring_off, plane.tables.ring_off);
         let r = dec.route(&m, 0, s.label_of(15)).unwrap();
         assert_eq!(r, s.route(&m, 0, s.label_of(15)).unwrap());
     }

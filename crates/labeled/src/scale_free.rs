@@ -24,6 +24,8 @@
 //! degree-independent tree-router tables, and its share of the search
 //! trees' `(key, data)` pairs — `(1/ε)^{O(α)}·log³ n` bits (Lemma 4.4).
 
+use std::borrow::Cow;
+
 use doubling_metric::graph::{Dist, NodeId};
 use doubling_metric::nets::{ChurnBatch, NetHierarchy, NetRepair, NetRepairBudget};
 use doubling_metric::packing::Packings;
@@ -35,12 +37,13 @@ use netsim::route::{Route, RouteError, RouteRecorder};
 use netsim::scheme::{Certifiable, Label, LabeledScheme};
 use obs::Tracer;
 use searchtree::{SearchTree, SearchTreeConfig};
-use treeroute::{PortLabel, PortTreeRouter, Tree};
+use treeroute::{PortLabel, PortTreeRouter, RouterRecords, Tree};
 
 use crate::error::SchemeError;
 use crate::rings::{
     affected_nodes, build_ring, refresh_ring_ranges, ring_lookup, RingEntry, RingRepair,
 };
+use crate::view::{CellView, LabeledView, RingHit, ScaleFreeView};
 
 /// The `(l(v), l(v;c,j))` pair set of one Voronoi cell: active region
 /// members within `r_c(j+1)`, keyed by hierarchy label. Cell *skeletons*
@@ -380,94 +383,199 @@ impl ScaleFreeLabeled {
         &self.rings[u as usize]
     }
 
-    /// Ball `k`'s cell at size exponent `j`: its Voronoi tree router and
-    /// local-label search tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` or `k` is out of range.
-    pub fn cell(&self, j: u32, k: u32) -> (&PortTreeRouter, &SearchTree<PortLabel>) {
-        let cell = &self.cells[j as usize][k as usize];
-        (&cell.router, &cell.search)
-    }
-
     /// `⌈log₂ n⌉` — the number of ball-packing size exponents minus one.
     pub fn log2_n(&self) -> u32 {
         self.log2_n
     }
+}
 
-    /// Minimal-level ring hit among `R(u)`.
-    fn min_hit(&self, u: NodeId, label: Label) -> Option<(u32, RingEntry)> {
-        for (i, ring) in &self.rings[u as usize] {
-            if let Some(e) = ring_lookup(ring, label) {
-                return Some((*i, *e));
-            }
+/// Algorithm 5 line 3's continuation test: `d(u_k, x_k) ≥
+/// 2^{i_k−1}/ε − 2^{i_k}`, evaluated exactly as `2·ε·(d + s_i) ≥ s_i`
+/// (using `s_{i−1} = s_i/2`).
+fn far_from_target((num, den): (u64, u64), d: Dist, s_i: Dist) -> bool {
+    2 * (d + s_i) as u128 * num as u128 >= s_i as u128 * den as u128
+}
+
+/// Algorithm 5 over any [`ScaleFreeView`] — the scheme's one routing
+/// procedure, run by [`ScaleFreeLabeled`] and by
+/// [`crate::ScaleFreeLabeledPlane`] alike.
+///
+/// Phase 1 (lines 1–6) is the greedy ring walk over `R(u)`: step toward
+/// the minimal-level hit while the level does not increase and the hit is
+/// still far. When the hit is the destination itself (`x = v`, which
+/// happens whenever `v ∈ Y_i` — in particular at every level-0 hit) the
+/// walk goes straight to it: the per-hop recomputation keeps the target
+/// fixed, so this is the exact shortest path. Claim 4.6's analysis only
+/// covers stalls with `x_t ≠ v` (it needs `i_t ≥ 1` and `x' = v(i_t − 1)`
+/// distinct from the walk target). Once the walk stalls, phase 2 hands off
+/// to the ball-packing machinery.
+pub(crate) fn route<V: ScaleFreeView + ?Sized>(
+    view: &V,
+    m: &MetricSpace,
+    src: NodeId,
+    target: Label,
+) -> Result<Route, RouteError> {
+    let widths = view.widths();
+    let mut rec = RouteRecorder::new(m, src);
+    // Phase-1 header: destination label + previous level.
+    rec.note_header_bits(widths.node + widths.level);
+    let mut i_prev = u32::MAX;
+    let mut seg_level: Option<u32> = None;
+    loop {
+        let u = rec.current();
+        if view.label_at(u) == target {
+            return Ok(rec.finish());
         }
-        None
+        let (hit, dist) = view.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
+            at: u,
+            detail: "no ring hit on R(u) (requires eps <= 1/4)".into(),
+        })?;
+        let i = hit.level;
+        if view.label_at(hit.x) == target
+            || (i <= i_prev && far_from_target(view.eps_ratio(), dist, m.scale(i as usize)))
+        {
+            if seg_level != Some(i) {
+                rec.begin_segment("ring-walk", Some(i));
+                seg_level = Some(i);
+            }
+            rec.hop(hit.next)?;
+            i_prev = i;
+            continue;
+        }
+        // Stalled: hand off to the ball-packing machinery.
+        packing_phase(view, m, &mut rec, target, i)?;
+        let arrived = rec.current();
+        if view.label_at(arrived) != target {
+            return Err(RouteError::Internal(format!(
+                "packing phase delivered to {arrived}, not the target"
+            )));
+        }
+        return Ok(rec.finish());
+    }
+}
+
+/// Phase 2 of Algorithm 5 (lines 7–10) from the stalled node `u_t`: route
+/// to the center `c` of `u_t`'s Voronoi ball in `ℬ_j` on `T_c(j)`, look up
+/// the target's local label in `T'(c, r_c(j))`, and route to it on
+/// `T_c(j)`.
+fn packing_phase<V: ScaleFreeView + ?Sized>(
+    view: &V,
+    m: &MetricSpace,
+    rec: &mut RouteRecorder<'_>,
+    target: Label,
+    i_t: u32,
+) -> Result<(), RouteError> {
+    let widths = view.widths();
+    let u_t = rec.current();
+    let s_it = m.scale(i_t as usize);
+    // j: the largest index with r_{u_t}(j) ≤ 2^{i_t}.
+    let j = (0..=view.log2_n())
+        .rev()
+        .find(|&j| m.r_small(u_t, j) <= s_it)
+        .expect("r_u(0) = 0 always qualifies");
+    let (k, _) = view.voronoi_row(u_t, j);
+    let cell = view.cell(j, k);
+
+    // Route to c on T_c(j) using the stored local label l(c;c,j).
+    rec.begin_segment("to-center", Some(j));
+    rec.note_header_bits(cell.root_label.bits(widths.node, cell.port_bits) + widths.size_exp);
+    tree_walk(view, m, rec, j, &cell.router, &cell.root_label)?;
+
+    // Search T'(c, r_c(j)) for the local label of the target.
+    rec.begin_segment("tree-search", Some(j));
+    rec.note_header_bits(widths.node + widths.size_exp);
+    let walk = searchtree::descend(&cell.search, target as u64);
+    for &x in &walk.nodes[1..] {
+        rec.walk_shortest(x)?;
+    }
+    let local = walk.result.ok_or_else(|| RouteError::LookupFailed {
+        at: rec.current(),
+        detail: format!("label {target} not in search tree of ball j={j} (Lemma 4.5)"),
+    })?;
+
+    // Route to the target on T_c(j).
+    rec.begin_segment("to-target", Some(j));
+    rec.note_header_bits(local.bits(widths.node, cell.port_bits));
+    tree_walk(view, m, rec, j, &cell.router, &local)
+}
+
+/// Forwards on a cell's tree `T_c(j)` until `target` is reached; each
+/// hop's tree-local index is the forwarding node's own Voronoi row.
+fn tree_walk<V: ScaleFreeView + ?Sized, R: RouterRecords>(
+    view: &V,
+    m: &MetricSpace,
+    rec: &mut RouteRecorder<'_>,
+    j: u32,
+    router: &R,
+    target: &PortLabel,
+) -> Result<(), RouteError> {
+    loop {
+        let u = rec.current();
+        let (_, local) = view.voronoi_row(u, j);
+        match treeroute::next_hop(router, m.graph(), u, local, target)? {
+            Some(next) => rec.hop(next)?,
+            None => return Ok(()),
+        }
+    }
+}
+
+impl LabeledView for ScaleFreeLabeled {
+    fn widths(&self) -> FieldWidths {
+        self.widths
     }
 
-    /// Minimal-level ring hit among `R(u)`, exposed for the
-    /// distance-bounds extension in [`crate::oracle`].
-    pub(crate) fn min_hit_public(&self, u: NodeId, label: Label) -> Option<(u32, RingEntry)> {
-        self.min_hit(u, label)
+    fn label_at(&self, u: NodeId) -> Label {
+        self.nets.label(u)
     }
 
-    /// Algorithm 5 line 3's continuation test: `d(u_k, x_k) ≥
-    /// 2^{i_k−1}/ε − 2^{i_k}`, evaluated exactly as
-    /// `2·ε·(d + s_i) ≥ s_i` (using `s_{i−1} = s_i/2`).
-    fn far_from_target(&self, d: Dist, s_i: Dist) -> bool {
-        2 * (d + s_i) as u128 * self.eps.num() as u128 >= s_i as u128 * self.eps.den() as u128
-    }
-
-    /// Phase 2 of Algorithm 5 (lines 7–10) from the stalled node.
-    fn packing_phase(
+    fn route_label(
         &self,
         m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
+        src: NodeId,
         target: Label,
-        i_t: u32,
-    ) -> Result<(), RouteError> {
-        let u_t = rec.current();
-        let s_it = m.scale(i_t as usize);
-        // j: the largest index with r_{u_t}(j) ≤ 2^{i_t}.
-        let j = (0..=self.log2_n)
-            .rev()
-            .find(|&j| m.r_small(u_t, j) <= s_it)
-            .expect("r_u(0) = 0 always qualifies");
-        let packing = self.packings.at(j);
-        let k = packing.voronoi_index(u_t);
+    ) -> Result<Route, RouteError> {
+        route(self, m, src, target)
+    }
+}
+
+impl ScaleFreeView for ScaleFreeLabeled {
+    type Router<'a> = &'a PortTreeRouter;
+    type Search<'a> = &'a SearchTree<PortLabel>;
+
+    fn eps_ratio(&self) -> (u64, u64) {
+        (self.eps.num(), self.eps.den())
+    }
+
+    fn log2_n(&self) -> u32 {
+        self.log2_n
+    }
+
+    fn min_hit(&self, u: NodeId, label: Label) -> Option<(RingHit, Dist)> {
+        self.rings[u as usize].iter().find_map(|(i, ring)| {
+            ring_lookup(ring, label).map(|e| (RingHit { level: *i, x: e.x, next: e.next }, e.dist))
+        })
+    }
+
+    fn voronoi_row(&self, u: NodeId, j: u32) -> (u32, u32) {
+        let k = self.packings.at(j).voronoi_index(u);
+        let local = self.cells[j as usize][k as usize]
+            .router
+            .tree()
+            .local(u)
+            .expect("u is in its Voronoi region");
+        (k, local)
+    }
+
+    fn cell(&self, j: u32, k: u32) -> CellView<'_, &PortTreeRouter, &SearchTree<PortLabel>> {
         let cell = &self.cells[j as usize][k as usize];
-        let c = packing.balls()[k as usize].center;
-
-        // Route to c on T_c(j) using the stored local label l(c;c,j).
-        rec.begin_segment("to-center", Some(j));
-        let root_label = cell.router.label_of(c);
-        rec.note_header_bits(
-            root_label.bits(self.widths.node, cell.router.port_bits()) + self.widths.size_exp,
-        );
-        for x in cell.router.route(m.graph(), u_t, root_label).into_iter().skip(1) {
-            rec.hop(x)?;
+        let center = self.packings.at(j).balls()[k as usize].center;
+        CellView {
+            center,
+            port_bits: cell.router.port_bits(),
+            root_label: Cow::Borrowed(cell.router.label_of(center)),
+            router: &cell.router,
+            search: &cell.search,
         }
-
-        // Search T'(c, r_c(j)) for the local label of the target.
-        rec.begin_segment("tree-search", Some(j));
-        rec.note_header_bits(self.widths.node + self.widths.size_exp);
-        let walk = cell.search.search(target as u64);
-        for &x in &walk.nodes[1..] {
-            rec.walk_shortest(x)?;
-        }
-        let local = walk.result.ok_or_else(|| RouteError::LookupFailed {
-            at: rec.current(),
-            detail: format!("label {target} not in search tree of ball j={j} (Lemma 4.5)"),
-        })?;
-
-        // Route to the target on T_c(j).
-        rec.begin_segment("to-target", Some(j));
-        rec.note_header_bits(local.bits(self.widths.node, cell.router.port_bits()));
-        for x in cell.router.route(m.graph(), c, &local).into_iter().skip(1) {
-            rec.hop(x)?;
-        }
-        Ok(())
     }
 }
 
@@ -508,55 +616,7 @@ impl LabeledScheme for ScaleFreeLabeled {
     }
 
     fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        // Phase-1 header: destination label + previous level.
-        rec.note_header_bits(self.widths.node + self.widths.level);
-        let mut i_prev = u32::MAX;
-        let mut seg_level: Option<u32> = None;
-        loop {
-            let u = rec.current();
-            if self.nets.label(u) == target {
-                return Ok(rec.finish());
-            }
-            let (i, e) = self.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
-                at: u,
-                detail: "no ring hit on R(u) (requires eps <= 1/4)".into(),
-            })?;
-            // When the hit is the destination itself (x = v, which happens
-            // whenever v ∈ Y_i — in particular at every level-0 hit), walk
-            // straight to it: the per-hop recomputation keeps the target
-            // fixed, so this is the exact shortest path. Claim 4.6's
-            // analysis only covers stalls with x_t ≠ v (it needs i_t ≥ 1
-            // and x' = v(i_t − 1) distinct from the walk target).
-            if self.nets.label(e.x) == target {
-                if seg_level != Some(i) {
-                    rec.begin_segment("ring-walk", Some(i));
-                    seg_level = Some(i);
-                }
-                rec.hop(e.next)?;
-                i_prev = i;
-                continue;
-            }
-            let s_i = m.scale(i as usize);
-            if i <= i_prev && self.far_from_target(e.dist, s_i) {
-                if seg_level != Some(i) {
-                    rec.begin_segment("ring-walk", Some(i));
-                    seg_level = Some(i);
-                }
-                rec.hop(e.next)?;
-                i_prev = i;
-                continue;
-            }
-            // Stalled: hand off to the ball-packing machinery.
-            self.packing_phase(m, &mut rec, target, i)?;
-            let arrived = rec.current();
-            if self.nets.label(arrived) != target {
-                return Err(RouteError::Internal(format!(
-                    "packing phase delivered to {arrived}, not the target"
-                )));
-            }
-            return Ok(rec.finish());
-        }
+        route(self, m, src, target)
     }
 }
 

@@ -36,11 +36,13 @@ pub mod plane;
 pub mod rounds;
 pub mod scale_free;
 pub mod simple;
+pub mod view;
 
 pub use objects::ObjectDirectory;
-pub use plane::{ScaleFreeNiPlane, SimpleNiPlane};
-pub use scale_free::{FacilityView, ScaleFreeNameIndependent};
+pub use plane::{NiPlane, ScaleFreeNiPlane, SimpleNiPlane};
+pub use scale_free::ScaleFreeNameIndependent;
 pub use simple::SimpleNameIndependent;
+pub use view::{Facility, NameIndependentView};
 
 /// The paper's Lemma 3.4 stretch bound `1 + 8(1/ε + 1)/(1/ε − 2)` as a
 /// float (it tends to `9` as `ε → 0`). This is the *search-layer* bound;

@@ -18,12 +18,14 @@
 use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
 
+use labeled_routing::LabeledView;
 use netsim::bits::BitTally;
 use netsim::route::{Route, RouteError, RouteRecorder};
 use netsim::scheme::Label;
 use searchtree::{SearchTree, SearchTreeConfig};
 
 use crate::simple::SimpleNameIndependent;
+use crate::view::go;
 
 /// An application-level object key (independent of node names).
 pub type ObjectKey = u32;
@@ -209,19 +211,14 @@ impl<'s> ObjectDirectory<'s> {
         for k in 0..rounds.count() {
             let y = nets.zoom(src, rounds.host_level(k));
             rec.begin_segment("zoom", Some(k as u32));
-            go(underlying, m, &mut rec, netsim::scheme::LabeledScheme::label_of(underlying, y))?;
+            go(underlying, m, &mut rec, underlying.label_at(y))?;
 
             rec.begin_segment("search", Some(k as u32));
             let level = nets.level(rounds.host_level(k));
             let j = level.binary_search(&y).expect("zoom lands in net level");
             let walk = self.trees[k][j].search_all(key as u64);
             for &x in &walk.nodes[1..] {
-                go(
-                    underlying,
-                    m,
-                    &mut rec,
-                    netsim::scheme::LabeledScheme::label_of(underlying, x),
-                )?;
+                go(underlying, m, &mut rec, underlying.label_at(x))?;
             }
             if let Some(label) = walk.result {
                 rec.begin_segment("final", Some(k as u32));
@@ -239,20 +236,6 @@ impl<'s> ObjectDirectory<'s> {
 
 fn underlying_eps(scheme: &SimpleNameIndependent) -> doubling_metric::Eps {
     scheme.eps()
-}
-
-fn go(
-    underlying: &labeled_routing::NetLabeled,
-    m: &MetricSpace,
-    rec: &mut RouteRecorder<'_>,
-    target: Label,
-) -> Result<(), RouteError> {
-    use netsim::scheme::LabeledScheme;
-    if underlying.label_of(rec.current()) == target {
-        return Ok(());
-    }
-    let sub = underlying.route(m, rec.current(), target)?;
-    rec.absorb(&sub)
 }
 
 #[cfg(test)]

@@ -1,54 +1,85 @@
 //! Bit-packed forwarding planes for the two name-independent schemes.
 //!
-//! Each NI plane owns the packed name-resolution state (per-node names,
-//! zoom rows, packed search trees / facilities) and *wraps* the packed
-//! plane of its underlying labeled scheme, replaying Algorithm 2 /
-//! Algorithm 4 exactly: the same round order, segment labels, header-bit
-//! notes, and error strings as the reference, with every `go()` sub-route
-//! served by the underlying packed plane (itself hop-identical to the
-//! reference labeled scheme).
+//! An [`NiPlane`] owns the packed name-resolution state (per-node names,
+//! zoom rows, packed search trees and facilities) and *wraps* the packed
+//! plane of its underlying labeled scheme. This module holds only
+//! compilation, decoding and packed accessors: the plane implements
+//! [`NameIndependentView`] over its bits, with the wrapped labeled plane as
+//! its [`LabeledView`], and [`ForwardingPlane::route_named`] runs the one
+//! Algorithm 3 procedure, [`route_named`], over that view — the procedure
+//! the reference schemes run.
 //!
-//! Own-arena layouts:
+//! Own-arena layout; the bracketed parts are packed only over the
+//! scale-free labeled plane ([`NiUnderlying::LINKS`]):
 //!
 //! ```text
-//! simple NI:
-//!   widths:5×7  n:cnt  epoch:64  nrounds:7
+//!   widths:5×7  n:cnt  epoch:64  nrounds:7  [log2_n:7]
 //!   per node u: name:node, per round k: y:node j:cnt    (zoom rows)
-//!   per round k: nhosts:cnt, per host: packed search tree (Label payloads)
-//!
-//! scale-free NI:
-//!   widths:5×7  n:cnt  epoch:64  nrounds:7  log2_n:7
-//!   per node u: name:node, per round k: y:node j:cnt
-//!   per j ∈ [0, log2_n]: ntrees:cnt, per ball: packed ℬ-type tree
+//!   [per j ∈ [0, log2_n]: ntrees:cnt, per ball: packed ℬ-type tree]
 //!   per round k: nhosts:cnt, per host:
-//!     own?:1  { packed 𝒜-type tree | bj:7 ball:cnt }
+//!     [own?:1]  { packed own tree (Label payloads) | bj:7 ball:cnt }
 //! ```
 
 use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
 
-use labeled_routing::{NetLabeledPlane, ScaleFreeLabeledPlane};
+use labeled_routing::{LabeledView, NetLabeledPlane, ScaleFreeLabeledPlane};
 use netsim::bits::{bits_for_count, FieldWidths};
 use netsim::plane::{push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane};
-use netsim::route::{Route, RouteError, RouteRecorder};
+use netsim::route::{Route, RouteError};
 use netsim::scheme::{Label, Name};
-use searchtree::{PackedSearchTree, PackedTreeWidths, U32Codec};
+use searchtree::{PackedSearchTree, PackedTreeView, PackedTreeWidths, SearchTree, U32Codec};
 
-use crate::scale_free::FacilityView;
+use crate::view::{route_named, Facility, NameIndependentView};
 use crate::{ScaleFreeNameIndependent, SimpleNameIndependent};
 
 /// Width of small structural counters (round count, size exponents).
 const SMALL_FIELD_BITS: u64 = 7;
 
-/// Per-round zoom row size in bits.
-fn zoom_row_bits(widths: &FieldWidths, cnt: u64) -> u64 {
-    widths.node + cnt
+/// The labeled plane an [`NiPlane`] wraps, which also fixes which of the
+/// two name-independent schemes sits on top of it.
+pub trait NiUnderlying: ForwardingPlane + LabeledView {
+    /// The name-independent plane's [`ForwardingPlane::plane_name`].
+    const NAME: &'static str;
+
+    /// Whether the layer packs ℬ-type trees and `H(y, k)` links (the
+    /// scale-free scheme) or only own trees (the simple scheme).
+    const LINKS: bool;
 }
 
-/// The packed-tree widths shared by every NI search tree (name keys and
-/// `Label` payloads both fit in node width).
-fn ni_tree_widths(widths: &FieldWidths, cnt: u64) -> PackedTreeWidths {
-    PackedTreeWidths { key: widths.node, cnt, node: widths.node }
+impl NiUnderlying for NetLabeledPlane {
+    const NAME: &'static str = "simple-name-independent";
+    const LINKS: bool = false;
+}
+
+impl NiUnderlying for ScaleFreeLabeledPlane {
+    const NAME: &'static str = "scale-free-name-independent";
+    const LINKS: bool = true;
+}
+
+/// One packed facility: an own tree, or a link into the ℬ-type pool.
+#[derive(Debug, Clone)]
+enum PackedFacility {
+    Own(PackedSearchTree<U32Codec>),
+    Link { j: u32, ball: u32 },
+}
+
+/// A name-independent scheme compiled into a bit arena, layered over the
+/// packed plane `L` of its underlying labeled scheme.
+#[derive(Debug, Clone)]
+pub struct NiPlane<L> {
+    underlying: L,
+    arena: BitArena,
+    epoch: u64,
+    n: usize,
+    node: u64,
+    cnt: u64,
+    /// Offset of each node's name and zoom rows.
+    node_off: Vec<u64>,
+    /// `btrees[j][k]` = packed ℬ-type tree of ball `k` in `ℬ_j`.
+    btrees: Vec<Vec<PackedSearchTree<U32Codec>>>,
+    /// `facility[k][j]` for the `j`-th member of round `k`'s hosting level.
+    facility: Vec<Vec<PackedFacility>>,
 }
 
 /// The [`SimpleNameIndependent`] scheme compiled into a bit arena, layered
@@ -67,374 +98,148 @@ fn ni_tree_widths(widths: &FieldWidths, cnt: u64) -> PackedTreeWidths {
 /// assert_eq!(plane.route_named(&m, 0, 7)?, s.route(&m, 0, 7)?);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct SimpleNiPlane {
-    underlying: NetLabeledPlane,
-    arena: BitArena,
-    epoch: u64,
-    n: usize,
-    widths: FieldWidths,
-    cnt: u64,
-    nrounds: usize,
-    node_off: Vec<u64>,
-    /// `trees[k][j]` = packed search tree of the `j`-th round-`k` host.
-    trees: Vec<Vec<PackedSearchTree<U32Codec>>>,
-}
+pub type SimpleNiPlane = NiPlane<NetLabeledPlane>;
+
+/// The [`ScaleFreeNameIndependent`] scheme compiled into a bit arena,
+/// layered over a packed [`ScaleFreeLabeledPlane`].
+pub type ScaleFreeNiPlane = NiPlane<ScaleFreeLabeledPlane>;
 
 impl SimpleNiPlane {
     /// Compiles `s` (and its underlying labeled scheme) at epoch `epoch`.
     pub fn compile(m: &MetricSpace, s: &SimpleNameIndependent, epoch: u64) -> Self {
         let underlying = NetLabeledPlane::compile(m, s.underlying(), None, epoch);
-        let n = m.n();
-        let widths = FieldWidths::new(m);
-        let cnt = bits_for_count(n as u64 + 1);
-        let nrounds = s.rounds().count();
-        let nets = s.underlying().nets();
-
-        let mut arena = BitArena::new();
-        push_width_header(&mut arena, &widths, cnt);
-        arena.push(n as u64, cnt);
-        arena.push(epoch, 64);
-        arena.push(nrounds as u64, SMALL_FIELD_BITS);
-
-        let mut node_off = Vec::with_capacity(n);
-        for u in 0..n as NodeId {
-            node_off.push(arena.len_bits());
-            arena.push(s.naming().name_of(u) as u64, widths.node);
-            // Placeholder zoom rows for inactive (churned-out) nodes:
-            // routing from them is undefined, as in the reference scheme.
-            let active = nets.is_active(u);
-            for k in 0..nrounds {
-                if !active {
-                    arena.push(0, widths.node);
-                    arena.push(0, cnt);
-                    continue;
-                }
-                let host = s.rounds().host_level(k);
-                let y = nets.zoom(u, host);
-                let j = nets.level(host).binary_search(&y).expect("zoom lands in Y_i");
-                arena.push(y as u64, widths.node);
-                arena.push(j as u64, cnt);
-            }
-        }
-
-        let codec = U32Codec { width: widths.node };
-        let tw = ni_tree_widths(&widths, cnt);
-        let mut trees = Vec::with_capacity(nrounds);
-        for k in 0..nrounds {
-            let hosts = nets.level(s.rounds().host_level(k));
-            arena.push(hosts.len() as u64, cnt);
-            let mut round = Vec::with_capacity(hosts.len());
-            for &y in hosts {
-                round.push(PackedSearchTree::encode(&mut arena, s.tree_of(k, y), codec, tw));
-            }
-            trees.push(round);
-        }
-
-        SimpleNiPlane { underlying, arena, epoch, n, widths, cnt, nrounds, node_off, trees }
+        Self::pack(m, s, underlying, &[], epoch)
     }
-
-    /// Rebuilds the NI layer from its arena plus a decoded underlying
-    /// plane, recording every structural field of the *own* arena.
-    pub fn decode(arena: BitArena, underlying: NetLabeledPlane) -> (Self, Vec<(u64, u64)>) {
-        let mut out = Vec::new();
-        let mut cur = BitCursor::new(&arena, 0);
-        let (widths, cnt) = take_width_header(&mut cur, &mut out);
-        let n = cur.take_recorded(cnt, &mut out) as usize;
-        let epoch = cur.take_recorded(64, &mut out);
-        let nrounds = cur.take_recorded(SMALL_FIELD_BITS, &mut out) as usize;
-        let mut node_off = Vec::with_capacity(n);
-        for _ in 0..n {
-            node_off.push(cur.pos());
-            cur.take_recorded(widths.node, &mut out);
-            for _ in 0..nrounds {
-                cur.take_recorded(widths.node, &mut out);
-                cur.take_recorded(cnt, &mut out);
-            }
-        }
-        let codec = U32Codec { width: widths.node };
-        let tw = ni_tree_widths(&widths, cnt);
-        let mut trees = Vec::with_capacity(nrounds);
-        for _ in 0..nrounds {
-            let nhosts = cur.take_recorded(cnt, &mut out);
-            let mut round = Vec::with_capacity(nhosts as usize);
-            for _ in 0..nhosts {
-                round.push(PackedSearchTree::decode(&mut cur, codec, tw, &mut out));
-            }
-            trees.push(round);
-        }
-        let plane =
-            SimpleNiPlane { underlying, arena, epoch, n, widths, cnt, nrounds, node_off, trees };
-        (plane, out)
-    }
-
-    /// The NI layer's own arena (excludes the underlying plane's).
-    pub fn arena(&self) -> &BitArena {
-        &self.arena
-    }
-
-    /// The wrapped underlying labeled plane.
-    pub fn underlying(&self) -> &NetLabeledPlane {
-        &self.underlying
-    }
-
-    /// The packed name of node `u`.
-    pub fn name_at(&self, u: NodeId) -> Name {
-        self.arena.read(self.node_off[u as usize], self.widths.node) as Name
-    }
-
-    /// The packed `(y, j)` zoom row of node `u` for round `k`.
-    fn zoom_row(&self, u: NodeId, k: usize) -> (NodeId, usize) {
-        let off = self.node_off[u as usize]
-            + self.widths.node
-            + k as u64 * zoom_row_bits(&self.widths, self.cnt);
-        (
-            self.arena.read(off, self.widths.node) as NodeId,
-            self.arena.read(off + self.widths.node, self.cnt) as usize,
-        )
-    }
-
-    /// `go()` via the underlying packed plane.
-    fn go(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        target: Label,
-    ) -> Result<(), RouteError> {
-        if self.underlying.label_at(rec.current()) == target {
-            return Ok(());
-        }
-        let sub = self.underlying.route(m, rec.current(), target)?;
-        rec.absorb(&sub)
-    }
-}
-
-impl ForwardingPlane for SimpleNiPlane {
-    fn plane_name(&self) -> &'static str {
-        "simple-name-independent"
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn packed_bits(&self) -> u64 {
-        self.arena.len_bits() + self.underlying.packed_bits()
-    }
-
-    fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        self.underlying.route(m, src, target)
-    }
-
-    fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        rec.note_header_bits(self.widths.node + self.widths.level);
-
-        if self.name_at(src) == name {
-            return Ok(rec.finish());
-        }
-
-        for k in 0..self.nrounds {
-            let (y, j) = self.zoom_row(src, k);
-            rec.begin_segment("zoom", Some(k as u32));
-            self.go(m, &mut rec, self.underlying.label_at(y))?;
-
-            rec.begin_segment("search", Some(k as u32));
-            let walk = self.trees[k][j].search(&self.arena, name as u64);
-            for &x in &walk.nodes[1..] {
-                self.go(m, &mut rec, self.underlying.label_at(x))?;
-            }
-            if let Some(label) = walk.result {
-                rec.begin_segment("final", Some(k as u32));
-                self.go(m, &mut rec, label)?;
-                return Ok(rec.finish());
-            }
-        }
-        Err(RouteError::LookupFailed {
-            at: rec.current(),
-            detail: format!("name {name} not found at any round (top ball must cover V)"),
-        })
-    }
-}
-
-/// One packed facility: own 𝒜-type tree, or a link into the ℬ-type pool.
-#[derive(Debug, Clone)]
-enum PackedFacility {
-    Own(PackedSearchTree<U32Codec>),
-    Link { j: u32, ball: u32 },
-}
-
-/// The [`ScaleFreeNameIndependent`] scheme compiled into a bit arena,
-/// layered over a packed [`ScaleFreeLabeledPlane`].
-#[derive(Debug, Clone)]
-pub struct ScaleFreeNiPlane {
-    underlying: ScaleFreeLabeledPlane,
-    arena: BitArena,
-    epoch: u64,
-    n: usize,
-    widths: FieldWidths,
-    cnt: u64,
-    nrounds: usize,
-    node_off: Vec<u64>,
-    /// `btrees[j][k]` = packed ℬ-type tree of ball `k` in `ℬ_j`.
-    btrees: Vec<Vec<PackedSearchTree<U32Codec>>>,
-    /// `facility[k][j]` for the `j`-th member of round `k`'s hosting level.
-    facility: Vec<Vec<PackedFacility>>,
 }
 
 impl ScaleFreeNiPlane {
     /// Compiles `s` (and its underlying labeled scheme) at epoch `epoch`.
     pub fn compile(m: &MetricSpace, s: &ScaleFreeNameIndependent, epoch: u64) -> Self {
         let underlying = ScaleFreeLabeledPlane::compile(m, s.underlying(), None, epoch);
+        let pools: Vec<_> = (0..=s.underlying().log2_n()).map(|j| s.btrees_at(j)).collect();
+        Self::pack(m, s, underlying, &pools, epoch)
+    }
+}
+
+impl<L: NiUnderlying> NiPlane<L> {
+    /// Packs the name-resolution layer of `s` (with ℬ-type `pools` when
+    /// `L::LINKS`) over the compiled `underlying` plane.
+    fn pack<S: 'static + for<'a> NameIndependentView<Tree<'a> = &'a SearchTree<Label>>>(
+        m: &MetricSpace,
+        s: &S,
+        underlying: L,
+        pools: &[&[SearchTree<Label>]],
+        epoch: u64,
+    ) -> Self {
         let n = m.n();
         let widths = FieldWidths::new(m);
-        let cnt = bits_for_count(n as u64 + 1);
-        let nrounds = s.rounds().count();
-        let log2_n = s.underlying().log2_n();
-        let nets = s.underlying().nets();
+        let (node, cnt) = (widths.node, bits_for_count(n as u64 + 1));
+        let nrounds = s.round_count();
+        let (codec, tw) = (U32Codec { width: node }, PackedTreeWidths { key: node, cnt, node });
 
         let mut arena = BitArena::new();
         push_width_header(&mut arena, &widths, cnt);
         arena.push(n as u64, cnt);
         arena.push(epoch, 64);
         arena.push(nrounds as u64, SMALL_FIELD_BITS);
-        arena.push(log2_n as u64, SMALL_FIELD_BITS);
-
-        let mut node_off = Vec::with_capacity(n);
-        for u in 0..n as NodeId {
-            node_off.push(arena.len_bits());
-            arena.push(s.naming().name_of(u) as u64, widths.node);
-            // Placeholder zoom rows for inactive nodes, as in the simple
-            // NI plane.
-            let active = nets.is_active(u);
-            for k in 0..nrounds {
-                if !active {
-                    arena.push(0, widths.node);
-                    arena.push(0, cnt);
-                    continue;
+        if L::LINKS {
+            arena.push(pools.len() as u64 - 1, SMALL_FIELD_BITS);
+        }
+        let node_off = (0..n as NodeId)
+            .map(|u| {
+                let off = arena.len_bits();
+                arena.push(s.name_at(u) as u64, node);
+                for k in 0..nrounds {
+                    let (y, j) = s.zoom_row(u, k);
+                    arena.push(y as u64, node);
+                    arena.push(j as u64, cnt);
                 }
-                let host = s.rounds().host_level(k);
-                let y = nets.zoom(u, host);
-                let j = nets.level(host).binary_search(&y).expect("zoom lands in Y_i");
-                arena.push(y as u64, widths.node);
-                arena.push(j as u64, cnt);
-            }
-        }
-
-        let codec = U32Codec { width: widths.node };
-        let tw = ni_tree_widths(&widths, cnt);
-        let mut btrees = Vec::with_capacity(log2_n as usize + 1);
-        for j in 0..=log2_n {
-            let pool = s.btrees_at(j);
-            arena.push(pool.len() as u64, cnt);
-            let mut level = Vec::with_capacity(pool.len());
-            for tree in pool {
-                level.push(PackedSearchTree::encode(&mut arena, tree, codec, tw));
-            }
-            btrees.push(level);
-        }
-
-        let mut facility = Vec::with_capacity(nrounds);
-        for k in 0..nrounds {
-            let nhosts = nets.level(s.rounds().host_level(k)).len();
-            arena.push(nhosts as u64, cnt);
-            let mut round = Vec::with_capacity(nhosts);
-            for j in 0..nhosts {
-                match s.facility_of(k, j) {
-                    FacilityView::Own(tree) => {
-                        arena.push(1, 1);
-                        round.push(PackedFacility::Own(PackedSearchTree::encode(
-                            &mut arena, tree, codec, tw,
-                        )));
-                    }
-                    FacilityView::Link { j: bj, ball } => {
-                        arena.push(0, 1);
-                        arena.push(bj as u64, SMALL_FIELD_BITS);
-                        arena.push(ball as u64, cnt);
-                        round.push(PackedFacility::Link { j: bj, ball });
-                    }
-                }
-            }
-            facility.push(round);
-        }
-
-        ScaleFreeNiPlane {
-            underlying,
-            arena,
-            epoch,
-            n,
-            widths,
-            cnt,
-            nrounds,
-            node_off,
-            btrees,
-            facility,
-        }
+                off
+            })
+            .collect();
+        let btrees = pools
+            .iter()
+            .map(|pool| {
+                arena.push(pool.len() as u64, cnt);
+                pool.iter().map(|t| PackedSearchTree::encode(&mut arena, t, codec, tw)).collect()
+            })
+            .collect();
+        let facility = (0..nrounds)
+            .map(|k| {
+                arena.push(s.hosts(k) as u64, cnt);
+                (0..s.hosts(k))
+                    .map(|j| match s.facility(k, j) {
+                        Facility::Own(tree) => {
+                            if L::LINKS {
+                                arena.push(1, 1);
+                            }
+                            PackedFacility::Own(PackedSearchTree::encode(
+                                &mut arena, tree, codec, tw,
+                            ))
+                        }
+                        Facility::Link { j: bj, ball, .. } => {
+                            arena.push(0, 1);
+                            arena.push(bj as u64, SMALL_FIELD_BITS);
+                            arena.push(ball as u64, cnt);
+                            PackedFacility::Link { j: bj, ball }
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        NiPlane { underlying, arena, epoch, n, node, cnt, node_off, btrees, facility }
     }
 
     /// Rebuilds the NI layer from its arena plus a decoded underlying
     /// plane, recording every structural field of the *own* arena.
-    pub fn decode(arena: BitArena, underlying: ScaleFreeLabeledPlane) -> (Self, Vec<(u64, u64)>) {
+    pub fn decode(arena: BitArena, underlying: L) -> (Self, Vec<(u64, u64)>) {
         let mut out = Vec::new();
         let mut cur = BitCursor::new(&arena, 0);
         let (widths, cnt) = take_width_header(&mut cur, &mut out);
+        let node = widths.node;
+        let (codec, tw) = (U32Codec { width: node }, PackedTreeWidths { key: node, cnt, node });
         let n = cur.take_recorded(cnt, &mut out) as usize;
         let epoch = cur.take_recorded(64, &mut out);
         let nrounds = cur.take_recorded(SMALL_FIELD_BITS, &mut out) as usize;
-        let log2_n = cur.take_recorded(SMALL_FIELD_BITS, &mut out) as u32;
-        let mut node_off = Vec::with_capacity(n);
-        for _ in 0..n {
-            node_off.push(cur.pos());
-            cur.take_recorded(widths.node, &mut out);
-            for _ in 0..nrounds {
-                cur.take_recorded(widths.node, &mut out);
-                cur.take_recorded(cnt, &mut out);
-            }
-        }
-        let codec = U32Codec { width: widths.node };
-        let tw = ni_tree_widths(&widths, cnt);
-        let mut btrees = Vec::with_capacity(log2_n as usize + 1);
-        for _ in 0..=log2_n {
-            let ntrees = cur.take_recorded(cnt, &mut out);
-            let mut level = Vec::with_capacity(ntrees as usize);
-            for _ in 0..ntrees {
-                level.push(PackedSearchTree::decode(&mut cur, codec, tw, &mut out));
-            }
-            btrees.push(level);
-        }
-        let mut facility = Vec::with_capacity(nrounds);
-        for _ in 0..nrounds {
-            let nhosts = cur.take_recorded(cnt, &mut out);
-            let mut round = Vec::with_capacity(nhosts as usize);
-            for _ in 0..nhosts {
-                if cur.take_recorded(1, &mut out) == 1 {
-                    round.push(PackedFacility::Own(PackedSearchTree::decode(
-                        &mut cur, codec, tw, &mut out,
-                    )));
-                } else {
-                    let bj = cur.take_recorded(SMALL_FIELD_BITS, &mut out) as u32;
-                    let ball = cur.take_recorded(cnt, &mut out) as u32;
-                    round.push(PackedFacility::Link { j: bj, ball });
+        let npools = if L::LINKS { cur.take_recorded(SMALL_FIELD_BITS, &mut out) + 1 } else { 0 };
+        let node_off = (0..n)
+            .map(|_| {
+                let off = cur.pos();
+                cur.take_recorded(node, &mut out);
+                for _ in 0..nrounds {
+                    cur.take_recorded(node, &mut out);
+                    cur.take_recorded(cnt, &mut out);
                 }
-            }
-            facility.push(round);
-        }
-        let plane = ScaleFreeNiPlane {
-            underlying,
-            arena,
-            epoch,
-            n,
-            widths,
-            cnt,
-            nrounds,
-            node_off,
-            btrees,
-            facility,
-        };
+                off
+            })
+            .collect();
+        let btrees = (0..npools)
+            .map(|_| {
+                let ntrees = cur.take_recorded(cnt, &mut out);
+                (0..ntrees)
+                    .map(|_| PackedSearchTree::decode(&mut cur, codec, tw, &mut out))
+                    .collect()
+            })
+            .collect();
+        let facility = (0..nrounds)
+            .map(|_| {
+                let nhosts = cur.take_recorded(cnt, &mut out);
+                (0..nhosts)
+                    .map(|_| {
+                        if !L::LINKS || cur.take_recorded(1, &mut out) == 1 {
+                            PackedFacility::Own(PackedSearchTree::decode(
+                                &mut cur, codec, tw, &mut out,
+                            ))
+                        } else {
+                            let j = cur.take_recorded(SMALL_FIELD_BITS, &mut out) as u32;
+                            let ball = cur.take_recorded(cnt, &mut out) as u32;
+                            PackedFacility::Link { j, ball }
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let plane = NiPlane { underlying, arena, epoch, n, node, cnt, node_off, btrees, facility };
         (plane, out)
     }
 
@@ -442,77 +247,54 @@ impl ScaleFreeNiPlane {
     pub fn arena(&self) -> &BitArena {
         &self.arena
     }
+}
 
-    /// The wrapped underlying labeled plane.
-    pub fn underlying(&self) -> &ScaleFreeLabeledPlane {
+impl<L: NiUnderlying> NameIndependentView for NiPlane<L> {
+    type Labeled = L;
+    type Tree<'a>
+        = PackedTreeView<'a, U32Codec>
+    where
+        L: 'a;
+
+    fn underlying(&self) -> &L {
         &self.underlying
     }
 
-    /// The packed name of node `u`.
-    pub fn name_at(&self, u: NodeId) -> Name {
-        self.arena.read(self.node_off[u as usize], self.widths.node) as Name
+    fn name_at(&self, u: NodeId) -> Name {
+        self.arena.read(self.node_off[u as usize], self.node) as Name
     }
 
-    /// The packed `(y, j)` zoom row of node `u` for round `k`.
+    fn round_count(&self) -> usize {
+        self.facility.len()
+    }
+
+    fn hosts(&self, k: usize) -> usize {
+        self.facility[k].len()
+    }
+
     fn zoom_row(&self, u: NodeId, k: usize) -> (NodeId, usize) {
-        let off = self.node_off[u as usize]
-            + self.widths.node
-            + k as u64 * zoom_row_bits(&self.widths, self.cnt);
+        let off = self.node_off[u as usize] + self.node + k as u64 * (self.node + self.cnt);
         (
-            self.arena.read(off, self.widths.node) as NodeId,
-            self.arena.read(off + self.widths.node, self.cnt) as usize,
+            self.arena.read(off, self.node) as NodeId,
+            self.arena.read(off + self.node, self.cnt) as usize,
         )
     }
 
-    /// `go()` via the underlying packed plane.
-    fn go(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        target: Label,
-    ) -> Result<(), RouteError> {
-        if self.underlying.label_at(rec.current()) == target {
-            return Ok(());
-        }
-        let sub = self.underlying.route(m, rec.current(), target)?;
-        rec.absorb(&sub)
-    }
-
-    /// Algorithm 4's local search against the packed facilities.
-    fn search(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        k: usize,
-        j: usize,
-        name: Name,
-    ) -> Result<Option<Label>, RouteError> {
+    fn facility(&self, k: usize, j: usize) -> Facility<PackedTreeView<'_, U32Codec>> {
         match &self.facility[k][j] {
-            PackedFacility::Own(tree) => {
-                let walk = tree.search(&self.arena, name as u64);
-                for &x in &walk.nodes[1..] {
-                    self.go(m, rec, self.underlying.label_at(x))?;
-                }
-                Ok(walk.result)
-            }
-            PackedFacility::Link { j: bj, ball } => {
-                let tree = &self.btrees[*bj as usize][*ball as usize];
-                let y = rec.current();
-                self.go(m, rec, self.underlying.label_at(tree.center()))?;
-                let walk = tree.search(&self.arena, name as u64);
-                for &x in &walk.nodes[1..] {
-                    self.go(m, rec, self.underlying.label_at(x))?;
-                }
-                self.go(m, rec, self.underlying.label_at(y))?;
-                Ok(walk.result)
-            }
+            PackedFacility::Own(tree) => Facility::Own(tree.view(&self.arena)),
+            &PackedFacility::Link { j, ball } => Facility::Link {
+                j,
+                ball,
+                tree: self.btrees[j as usize][ball as usize].view(&self.arena),
+            },
         }
     }
 }
 
-impl ForwardingPlane for ScaleFreeNiPlane {
+impl<L: NiUnderlying> ForwardingPlane for NiPlane<L> {
     fn plane_name(&self) -> &'static str {
-        "scale-free-name-independent"
+        L::NAME
     }
 
     fn epoch(&self) -> u64 {
@@ -532,29 +314,7 @@ impl ForwardingPlane for ScaleFreeNiPlane {
     }
 
     fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        rec.note_header_bits(self.widths.node + self.widths.level);
-
-        if self.name_at(src) == name {
-            return Ok(rec.finish());
-        }
-
-        for k in 0..self.nrounds {
-            let (y, j) = self.zoom_row(src, k);
-            rec.begin_segment("zoom", Some(k as u32));
-            self.go(m, &mut rec, self.underlying.label_at(y))?;
-
-            rec.begin_segment("search", Some(k as u32));
-            if let Some(label) = self.search(m, &mut rec, k, j, name)? {
-                rec.begin_segment("final", Some(k as u32));
-                self.go(m, &mut rec, label)?;
-                return Ok(rec.finish());
-            }
-        }
-        Err(RouteError::LookupFailed {
-            at: rec.current(),
-            detail: format!("name {name} not found at any round (top ball must cover V)"),
-        })
+        route_named(self, m, src, name)
     }
 }
 

@@ -21,7 +21,8 @@
 //! the paper. The extra rounds add a `log(1/ε)` factor to the number of
 //! search trees, absorbed in `(1/ε)^{O(α)}`.
 
-use doubling_metric::graph::Dist;
+use doubling_metric::graph::{Dist, NodeId};
+use doubling_metric::nets::NetHierarchy;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::{ceil_log2, Eps};
 
@@ -61,6 +62,18 @@ impl Rounds {
     /// Panics on shift overflow (diameters beyond `~2^55`).
     pub fn radius(&self, k: usize) -> Dist {
         self.s0.checked_shl(k as u32).expect("round radius overflow")
+    }
+
+    /// Node `u`'s round-`k` host in `nets` as `(y, index of y in its
+    /// level)`: the zoom `u(i_k)`. A departed node has no zooming
+    /// sequence; its row names the level's first host.
+    pub fn zoom_row(&self, nets: &NetHierarchy, u: NodeId, k: usize) -> (NodeId, usize) {
+        let host = self.host_level(k);
+        if !nets.is_active(u) {
+            return (nets.level(host)[0], 0);
+        }
+        let y = nets.zoom(u, host);
+        (y, nets.level(host).binary_search(&y).expect("zoom lands in Y_i"))
     }
 
     /// `⌈log₂(1/ε)⌉`.

@@ -36,12 +36,13 @@ use labeled_routing::{ScaleFreeLabeled, SchemeError};
 use netsim::bits::{BitTally, FieldWidths, TableComponent};
 use netsim::maintain::TreeRepair;
 use netsim::naming::Naming;
-use netsim::route::{Route, RouteError, RouteRecorder};
+use netsim::route::{Route, RouteError};
 use netsim::scheme::{Certifiable, Label, LabeledScheme, Name, NameIndependentScheme};
 use obs::Tracer;
 use searchtree::{SearchTree, SearchTreeConfig};
 
 use crate::rounds::Rounds;
+use crate::view::{self, route_named, NameIndependentView};
 
 /// The `(name, label)` pairs for the given (active) nodes. Keys are names,
 /// so the store order is irrelevant.
@@ -194,22 +195,6 @@ fn compute_search_bits(
         }
     }
     search_bits
-}
-
-/// A borrowed view of a node's search facility, for consumers (plane
-/// compilation, audits) that must mirror the `Own`/`Link` split without
-/// owning it.
-#[derive(Debug, Clone, Copy)]
-pub enum FacilityView<'a> {
-    /// The ball keeps its own search tree (member of 𝒜).
-    Own(&'a SearchTree<Label>),
-    /// `H(y, k)`: redirect to the ℬ-type tree of ball `ball` in `ℬ_j`.
-    Link {
-        /// Size exponent of the packing holding the linked tree.
-        j: u32,
-        /// Ball index within `ℬ_j`.
-        ball: u32,
-    },
 }
 
 /// Per-(round, net point) search facility: own 𝒜-type tree, or a link to a
@@ -564,65 +549,42 @@ impl ScaleFreeNameIndependent {
         }
     }
 
-    /// A read-only view of the facility of the `j`-th member of round
-    /// `k`'s hosting level (plane compilation walks these).
-    pub fn facility_of(&self, k: usize, j: usize) -> FacilityView<'_> {
-        match &self.facility[k][j] {
-            Facility::Own(tree) => FacilityView::Own(tree),
-            Facility::Link { j, ball } => FacilityView::Link { j: *j, ball: *ball },
-        }
-    }
-
     /// The ℬ-type search trees of the balls in `ℬ_j` (stub trees for
     /// never-linked balls included, so indices track `packings().at(j)`).
     pub fn btrees_at(&self, j: u32) -> &[SearchTree<Label>] {
         &self.btrees[j as usize]
     }
+}
 
-    fn go(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        target: Label,
-    ) -> Result<(), RouteError> {
-        if self.underlying.label_of(rec.current()) == target {
-            return Ok(());
-        }
-        let sub = self.underlying.route(m, rec.current(), target)?;
-        rec.absorb(&sub)
+impl NameIndependentView for ScaleFreeNameIndependent {
+    type Labeled = ScaleFreeLabeled;
+    type Tree<'a> = &'a SearchTree<Label>;
+
+    fn underlying(&self) -> &ScaleFreeLabeled {
+        &self.underlying
     }
 
-    /// Algorithm 4: search for `name` in the area of `B_{u(i_k)}(ρ_k)`,
-    /// from the current position (the round-`k` host). Returns the label
-    /// if found, with the packet back at the host.
-    fn search(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        k: usize,
-        j: usize,
-        name: Name,
-    ) -> Result<Option<Label>, RouteError> {
+    fn name_at(&self, u: NodeId) -> Name {
+        self.naming.name_of(u)
+    }
+
+    fn round_count(&self) -> usize {
+        self.rounds.count()
+    }
+
+    fn hosts(&self, k: usize) -> usize {
+        self.underlying.nets().level(self.rounds.host_level(k)).len()
+    }
+
+    fn zoom_row(&self, u: NodeId, k: usize) -> (NodeId, usize) {
+        self.rounds.zoom_row(self.underlying.nets(), u, k)
+    }
+
+    fn facility(&self, k: usize, j: usize) -> view::Facility<&SearchTree<Label>> {
         match &self.facility[k][j] {
-            Facility::Own(tree) => {
-                let walk = tree.search(name as u64);
-                for &x in &walk.nodes[1..] {
-                    self.go(m, rec, self.underlying.label_of(x))?;
-                }
-                Ok(walk.result)
-            }
-            Facility::Link { j: bj, ball } => {
-                let tree = &self.btrees[*bj as usize][*ball as usize];
-                let y = rec.current();
-                // Go to the packed ball's center via the labeled scheme.
-                self.go(m, rec, self.underlying.label_of(tree.center()))?;
-                let walk = tree.search(name as u64);
-                for &x in &walk.nodes[1..] {
-                    self.go(m, rec, self.underlying.label_of(x))?;
-                }
-                // Return to the host.
-                self.go(m, rec, self.underlying.label_of(y))?;
-                Ok(walk.result)
+            Facility::Own(tree) => view::Facility::Own(tree),
+            &Facility::Link { j, ball } => {
+                view::Facility::Link { j, ball, tree: &self.btrees[j as usize][ball as usize] }
             }
         }
     }
@@ -655,32 +617,7 @@ impl NameIndependentScheme for ScaleFreeNameIndependent {
     }
 
     fn route(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        rec.note_header_bits(self.widths.node + self.widths.level);
-
-        if self.naming.name_of(src) == name {
-            return Ok(rec.finish());
-        }
-
-        let nets = self.underlying.nets();
-        for k in 0..self.rounds.count() {
-            let host = self.rounds.host_level(k);
-            let y = nets.zoom(src, host);
-            rec.begin_segment("zoom", Some(k as u32));
-            self.go(m, &mut rec, self.underlying.label_of(y))?;
-
-            rec.begin_segment("search", Some(k as u32));
-            let j = nets.level(host).binary_search(&y).expect("zoom lands in Y_i");
-            if let Some(label) = self.search(m, &mut rec, k, j, name)? {
-                rec.begin_segment("final", Some(k as u32));
-                self.go(m, &mut rec, label)?;
-                return Ok(rec.finish());
-            }
-        }
-        Err(RouteError::LookupFailed {
-            at: rec.current(),
-            detail: format!("name {name} not found at any round (top ball must cover V)"),
-        })
+        route_named(self, m, src, name)
     }
 }
 

@@ -30,12 +30,13 @@ use labeled_routing::{NetLabeled, SchemeError};
 use netsim::bits::{BitTally, FieldWidths, TableComponent};
 use netsim::maintain::TreeRepair;
 use netsim::naming::Naming;
-use netsim::route::{Route, RouteError, RouteRecorder};
+use netsim::route::{Route, RouteError};
 use netsim::scheme::{Certifiable, Label, LabeledScheme, Name, NameIndependentScheme};
 use obs::Tracer;
 use searchtree::{SearchTree, SearchTreeConfig};
 
 use crate::rounds::Rounds;
+use crate::view::{route_named, Facility, NameIndependentView};
 
 /// The `(name, label)` pairs a search tree stores for the given (active)
 /// ball nodes. Keys are names, so the store order is irrelevant.
@@ -307,30 +308,34 @@ impl SimpleNameIndependent {
     pub fn eps(&self) -> Eps {
         self.eps
     }
+}
 
-    /// The search tree hosted by net point `y` for round `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` is not in the hosting level of round `k`.
-    pub fn tree_of(&self, k: usize, y: NodeId) -> &SearchTree<Label> {
-        let level = self.underlying.nets().level(self.rounds.host_level(k));
-        let j = level.binary_search(&y).expect("y must host round k");
-        &self.trees[k][j]
+impl NameIndependentView for SimpleNameIndependent {
+    type Labeled = NetLabeled;
+    type Tree<'a> = &'a SearchTree<Label>;
+
+    fn underlying(&self) -> &NetLabeled {
+        &self.underlying
     }
 
-    /// Routes via the underlying labeled scheme and absorbs the sub-route.
-    fn go(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        target: Label,
-    ) -> Result<(), RouteError> {
-        if self.underlying.label_of(rec.current()) == target {
-            return Ok(());
-        }
-        let sub = self.underlying.route(m, rec.current(), target)?;
-        rec.absorb(&sub)
+    fn name_at(&self, u: NodeId) -> Name {
+        self.naming.name_of(u)
+    }
+
+    fn round_count(&self) -> usize {
+        self.rounds.count()
+    }
+
+    fn hosts(&self, k: usize) -> usize {
+        self.underlying.nets().level(self.rounds.host_level(k)).len()
+    }
+
+    fn zoom_row(&self, u: NodeId, k: usize) -> (NodeId, usize) {
+        self.rounds.zoom_row(self.underlying.nets(), u, k)
+    }
+
+    fn facility(&self, k: usize, j: usize) -> Facility<&SearchTree<Label>> {
+        Facility::Own(&self.trees[k][j])
     }
 }
 
@@ -351,39 +356,7 @@ impl NameIndependentScheme for SimpleNameIndependent {
     }
 
     fn route(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        // Name-independent header: the destination name plus the current
-        // round; underlying headers are folded in by absorb().
-        rec.note_header_bits(self.widths.node + self.widths.level);
-
-        if self.naming.name_of(src) == name {
-            return Ok(rec.finish());
-        }
-
-        let nets = self.underlying.nets();
-        for k in 0..self.rounds.count() {
-            // Go to the round's host u(i_k) — reached by netting-tree hops
-            // whose labels the intermediate net points store.
-            let y = nets.zoom(src, self.rounds.host_level(k));
-            rec.begin_segment("zoom", Some(k as u32));
-            self.go(m, &mut rec, self.underlying.label_of(y))?;
-
-            // Local search of B_y(ρ_k) (Algorithm 2).
-            rec.begin_segment("search", Some(k as u32));
-            let walk = self.tree_of(k, y).search(name as u64);
-            for &x in &walk.nodes[1..] {
-                self.go(m, &mut rec, self.underlying.label_of(x))?;
-            }
-            if let Some(label) = walk.result {
-                rec.begin_segment("final", Some(k as u32));
-                self.go(m, &mut rec, label)?;
-                return Ok(rec.finish());
-            }
-        }
-        Err(RouteError::LookupFailed {
-            at: rec.current(),
-            detail: format!("name {name} not found at any round (top ball must cover V)"),
-        })
+        route_named(self, m, src, name)
     }
 }
 

@@ -194,10 +194,12 @@ impl<'a> BitCursor<'a> {
 ///
 /// Hop-identity contract: for every `(source, target)` the returned
 /// [`Route`] is **equal** (`PartialEq`, i.e. hops, cost, segments, and
-/// header bits all match) to the reference scheme's route — the packed
-/// plane replays the exact decision procedure against packed state. The
-/// differential layer in `crates/netsim/tests/proptest_plane.rs` enforces
-/// this on random connected graphs.
+/// header bits all match) to the reference scheme's route — the plane
+/// runs the scheme's own routing procedure, written once over a table
+/// view that the scheme and the plane both implement. The differential
+/// layer in `crates/netsim/tests/proptest_plane.rs` checks the two views
+/// accessor by accessor on random connected graphs, with and without
+/// departed nodes, and keeps route equality as a smoke check.
 pub trait ForwardingPlane: Send + Sync {
     /// Compiled scheme's name (e.g. `"net-labeled"`).
     fn plane_name(&self) -> &'static str;

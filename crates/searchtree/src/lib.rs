@@ -56,7 +56,9 @@
 
 pub mod packed;
 
-pub use packed::{PackedSearchTree, PackedTreeWidths, PayloadCodec, PortLabelCodec, U32Codec};
+pub use packed::{
+    PackedSearchTree, PackedTreeView, PackedTreeWidths, PayloadCodec, PortLabelCodec, U32Codec,
+};
 
 use doubling_metric::graph::{Dist, NodeId, INFINITY};
 use doubling_metric::space::MetricSpace;
@@ -83,6 +85,57 @@ pub struct SearchWalk<D> {
     /// Deepest tree level (edges below the root) the lookup descended to —
     /// the per-lookup depth statistic the observability layer aggregates.
     pub depth: usize,
+}
+
+/// What one tree node's record says about a key: the payload it stores
+/// under the key, or else the first child (local index, children in
+/// graph-id order) whose subtree key range contains the key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeScan<D> {
+    /// The payload stored under the key at this node (first match).
+    pub hit: Option<D>,
+    /// The child to descend into; always `None` when `hit` is `Some`.
+    pub descend: Option<u32>,
+}
+
+/// A read-only view of a search tree's per-node records — exactly what
+/// the Algorithm 2 descent reads. A `&`[`SearchTree`] implements it over
+/// the in-memory vectors and a [`PackedTreeView`] over a plane's bits, so
+/// [`descend`] is the single lookup both run.
+pub trait TreeScan {
+    /// The stored payload type.
+    type Item;
+
+    /// The graph node at local index `local` (`0` is the root).
+    fn node_of(&self, local: u32) -> NodeId;
+
+    /// Scans the record of local index `local` for `key`.
+    fn scan(&self, local: u32, key: u64) -> NodeScan<Self::Item>;
+}
+
+/// Algorithm 2 over any [`TreeScan`] view: descend from the root while the
+/// current holder misses and a child range covers the key, then report
+/// back to the root along the same path.
+pub fn descend<T: TreeScan + ?Sized>(tree: &T, key: u64) -> SearchWalk<T::Item> {
+    let mut down: Vec<u32> = vec![0];
+    let mut result = None;
+    loop {
+        let s = tree.scan(down[down.len() - 1], key);
+        if s.hit.is_some() {
+            result = s.hit;
+            break;
+        }
+        match s.descend {
+            Some(c) => down.push(c),
+            None => break,
+        }
+    }
+    let mut nodes: Vec<NodeId> = Vec::with_capacity(2 * down.len() - 1);
+    nodes.extend(down.iter().map(|&u| tree.node_of(u)));
+    for i in (0..down.len() - 1).rev() {
+        nodes.push(nodes[i]);
+    }
+    SearchWalk { nodes, result, depth: down.len() - 1 }
 }
 
 /// A search tree over a ball, with stored `(key, data)` pairs.
@@ -295,33 +348,10 @@ impl<D: Clone> SearchTree<D> {
     }
 
     /// Algorithm 2: look up `key` starting from the root, returning the
-    /// walk (down and back up) and the retrieved data if present.
+    /// walk (down and back up) and the retrieved data if present — the
+    /// shared [`descend`] over this tree's records.
     pub fn search(&self, key: u64) -> SearchWalk<D> {
-        let mut down: Vec<u32> = vec![0];
-        let mut cur = 0u32;
-        'descend: loop {
-            // If the current node itself stores the key, stop here.
-            if self.local_pairs(cur).binary_search_by_key(&key, |&(k, _)| k).is_ok() {
-                break;
-            }
-            for &c in self.tree.children(cur) {
-                if let Some((lo, hi)) = self.subtree_range[c as usize] {
-                    if lo <= key && key <= hi {
-                        down.push(c);
-                        cur = c;
-                        continue 'descend;
-                    }
-                }
-            }
-            break; // no child range contains the key
-        }
-        let own = self.local_pairs(cur);
-        let result = own.binary_search_by_key(&key, |&(k, _)| k).ok().map(|idx| own[idx].1.clone());
-
-        let mut nodes: Vec<NodeId> = down.iter().map(|&u| self.tree.node(u)).collect();
-        let back: Vec<NodeId> = down.iter().rev().skip(1).map(|&u| self.tree.node(u)).collect();
-        nodes.extend(back);
-        SearchWalk { nodes, result, depth: down.len() - 1 }
+        descend(&self, key)
     }
 
     /// Inserts a `(key, data)` pair after construction (mobility support:
@@ -596,6 +626,26 @@ impl<D: Clone> SearchTree<D> {
             Err(_) => 0,
         };
         count * node_bits
+    }
+}
+
+impl<D: Clone> TreeScan for &SearchTree<D> {
+    type Item = D;
+
+    #[inline]
+    fn node_of(&self, local: u32) -> NodeId {
+        self.tree.node(local)
+    }
+
+    fn scan(&self, local: u32, key: u64) -> NodeScan<D> {
+        let own = self.local_pairs(local);
+        if let Ok(idx) = own.binary_search_by_key(&key, |&(k, _)| k) {
+            return NodeScan { hit: Some(own[idx].1.clone()), descend: None };
+        }
+        let descend = self.tree.children(local).iter().copied().find(|&c| {
+            self.subtree_range[c as usize].is_some_and(|(lo, hi)| lo <= key && key <= hi)
+        });
+        NodeScan { hit: None, descend }
     }
 }
 

@@ -4,10 +4,12 @@
 //! schemes and the scale-free labeled scheme route through. A
 //! [`PackedSearchTree`] is the same structure compiled into a plane's
 //! [`BitArena`]: the tree skeleton, subtree key ranges, and stored
-//! `(key, payload)` pairs are written as a self-describing field stream,
-//! and [`PackedSearchTree::search`] replays [`crate::SearchTree::search`]'s
-//! exact descent against the packed bits — same visited nodes, same
-//! result, same depth.
+//! `(key, payload)` pairs are written as a self-describing field stream.
+//! This module only compiles, decodes and reads records: a
+//! [`PackedTreeView`] implements [`TreeScan`] over the packed bits, and
+//! [`PackedSearchTree::search`] runs the crate's one Algorithm 2 descent,
+//! [`crate::descend`], over it — the same procedure
+//! [`crate::SearchTree::search`] runs over the in-memory tree.
 //!
 //! Payloads differ per use (a `u32` label for the name-independent
 //! directories, a [`treeroute::PortLabel`] for the scale-free packing
@@ -31,7 +33,7 @@ use doubling_metric::graph::NodeId;
 use netsim::plane::{BitArena, BitCursor};
 use treeroute::PortLabel;
 
-use crate::{SearchTree, SearchWalk};
+use crate::{descend, NodeScan, SearchTree, SearchWalk, TreeScan};
 
 /// Serialization of one stored payload inside a [`PackedSearchTree`].
 pub trait PayloadCodec {
@@ -41,12 +43,20 @@ pub trait PayloadCodec {
     /// Appends `item` to the arena.
     fn encode(&self, arena: &mut BitArena, item: &Self::Item);
 
+    /// Reads one payload field by field, `take(width)` yielding each
+    /// field in order.
+    fn read(&self, take: impl FnMut(u64) -> u64) -> Self::Item;
+
     /// Reads one payload at the cursor.
-    fn decode(&self, cur: &mut BitCursor<'_>) -> Self::Item;
+    fn decode(&self, cur: &mut BitCursor<'_>) -> Self::Item {
+        self.read(|w| cur.take(w))
+    }
 
     /// Reads one payload, recording its raw fields into `out` (the
     /// round-trip-test path).
-    fn decode_recorded(&self, cur: &mut BitCursor<'_>, out: &mut Vec<(u64, u64)>) -> Self::Item;
+    fn decode_recorded(&self, cur: &mut BitCursor<'_>, out: &mut Vec<(u64, u64)>) -> Self::Item {
+        self.read(|w| cur.take_recorded(w, out))
+    }
 }
 
 /// Codec for plain `u32` payloads (labels of an underlying scheme) at a
@@ -64,12 +74,8 @@ impl PayloadCodec for U32Codec {
         arena.push(*item as u64, self.width);
     }
 
-    fn decode(&self, cur: &mut BitCursor<'_>) -> u32 {
-        cur.take(self.width) as u32
-    }
-
-    fn decode_recorded(&self, cur: &mut BitCursor<'_>, out: &mut Vec<(u64, u64)>) -> u32 {
-        cur.take_recorded(self.width, out) as u32
+    fn read(&self, mut take: impl FnMut(u64) -> u64) -> u32 {
+        take(self.width) as u32
     }
 }
 
@@ -97,30 +103,10 @@ impl PayloadCodec for PortLabelCodec {
         }
     }
 
-    fn decode(&self, cur: &mut BitCursor<'_>) -> PortLabel {
-        let dfs = cur.take(self.node) as u32;
-        let k = cur.take(self.cnt);
-        let lights = (0..k)
-            .map(|_| {
-                let x = cur.take(self.node) as u32;
-                let p = cur.take(self.port) as u32;
-                (x, p)
-            })
-            .collect();
-        PortLabel { dfs, lights }
-    }
-
-    fn decode_recorded(&self, cur: &mut BitCursor<'_>, out: &mut Vec<(u64, u64)>) -> PortLabel {
-        let dfs = cur.take_recorded(self.node, out) as u32;
-        let k = cur.take_recorded(self.cnt, out);
-        let lights = (0..k)
-            .map(|_| {
-                let x = cur.take_recorded(self.node, out) as u32;
-                let p = cur.take_recorded(self.port, out) as u32;
-                (x, p)
-            })
-            .collect();
-        PortLabel { dfs, lights }
+    fn read(&self, mut take: impl FnMut(u64) -> u64) -> PortLabel {
+        let dfs = take(self.node) as u32;
+        let lights = (0..take(self.cnt)).map(|_| (take(self.node) as u32, take(self.port) as u32));
+        PortLabel { dfs, lights: lights.collect() }
     }
 }
 
@@ -144,7 +130,6 @@ pub struct PackedSearchTree<C: PayloadCodec> {
     widths: PackedTreeWidths,
     /// Absolute bit offset of each local's record.
     local_off: Vec<u64>,
-    center: NodeId,
 }
 
 impl<C: PayloadCodec> PackedSearchTree<C> {
@@ -183,7 +168,7 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
                 }
             }
         }
-        PackedSearchTree { codec, widths, local_off, center: tree.center() }
+        PackedSearchTree { codec, widths, local_off }
     }
 
     /// Walks one packed tree starting at the cursor, recording every field
@@ -197,13 +182,9 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
     ) -> Self {
         let len = cur.take_recorded(widths.cnt, out);
         let mut local_off = Vec::with_capacity(len as usize);
-        let mut center = 0;
-        for u in 0..len {
+        for _ in 0..len {
             local_off.push(cur.pos());
-            let v = cur.take_recorded(widths.node, out) as NodeId;
-            if u == 0 {
-                center = v;
-            }
+            cur.take_recorded(widths.node, out);
             let npairs = cur.take_recorded(widths.cnt, out);
             for _ in 0..npairs {
                 cur.take_recorded(widths.key, out);
@@ -218,88 +199,60 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
                 }
             }
         }
-        PackedSearchTree { codec, widths, local_off, center }
+        PackedSearchTree { codec, widths, local_off }
     }
 
-    /// The ball center (root node id).
+    /// The read-only record view of this tree inside `arena`.
     #[inline]
-    pub fn center(&self) -> NodeId {
-        self.center
+    pub fn view<'a>(&'a self, arena: &'a BitArena) -> PackedTreeView<'a, C> {
+        PackedTreeView { tree: self, arena }
     }
 
-    /// Number of tree members.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.local_off.len()
-    }
-
-    /// Whether the tree has no members (never true for a well-formed
-    /// tree, which contains at least its center).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.local_off.is_empty()
-    }
-
-    /// Scans local `u`'s record: the payload stored under `key` (if any)
-    /// and the first child whose subtree range contains `key`.
-    fn scan(&self, arena: &BitArena, u: u32, key: u64) -> (NodeId, Option<C::Item>, Option<u32>) {
-        let mut cur = BitCursor::new(arena, self.local_off[u as usize]);
-        let v = cur.take(self.widths.node) as NodeId;
-        let npairs = cur.take(self.widths.cnt);
-        let mut hit = None;
-        for _ in 0..npairs {
-            let k = cur.take(self.widths.key);
-            let d = self.codec.decode(&mut cur);
-            if k == key && hit.is_none() {
-                hit = Some(d);
-            }
-        }
-        let nchildren = cur.take(self.widths.cnt);
-        let mut descend = None;
-        for _ in 0..nchildren {
-            let c = cur.take(self.widths.cnt) as u32;
-            if cur.take(1) == 1 {
-                let lo = cur.take(self.widths.key);
-                let hi = cur.take(self.widths.key);
-                if descend.is_none() && lo <= key && key <= hi {
-                    descend = Some(c);
-                }
-            }
-        }
-        (v, hit, descend)
-    }
-
-    /// The node id of local index `u`.
-    fn node_of(&self, arena: &BitArena, u: u32) -> NodeId {
-        arena.read(self.local_off[u as usize], self.widths.node) as NodeId
-    }
-
-    /// Replays [`SearchTree::search`] against the packed bits: descend
-    /// while the current holder misses and a child range covers the key,
-    /// then report back to the root. Identical walk, result, and depth.
+    /// Algorithm 2 against the packed bits: [`crate::descend`] over
+    /// [`Self::view`].
     pub fn search(&self, arena: &BitArena, key: u64) -> SearchWalk<C::Item> {
-        let mut down: Vec<u32> = vec![0];
-        let mut cur = 0u32;
-        let mut result;
-        loop {
-            let (_, hit, descend) = self.scan(arena, cur, key);
-            result = hit;
-            if result.is_some() {
-                break;
-            }
-            match descend {
-                Some(c) => {
-                    down.push(c);
-                    cur = c;
-                }
-                None => break,
+        descend(&self.view(arena), key)
+    }
+}
+
+/// A [`PackedSearchTree`] paired with the arena holding its records.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedTreeView<'a, C: PayloadCodec> {
+    tree: &'a PackedSearchTree<C>,
+    arena: &'a BitArena,
+}
+
+impl<C: PayloadCodec> TreeScan for PackedTreeView<'_, C> {
+    type Item = C::Item;
+
+    #[inline]
+    fn node_of(&self, local: u32) -> NodeId {
+        self.arena.read(self.tree.local_off[local as usize], self.tree.widths.node) as NodeId
+    }
+
+    fn scan(&self, local: u32, key: u64) -> NodeScan<C::Item> {
+        let w = &self.tree.widths;
+        let mut cur = BitCursor::new(self.arena, self.tree.local_off[local as usize] + w.node);
+        let npairs = cur.take(w.cnt);
+        for _ in 0..npairs {
+            let k = cur.take(w.key);
+            let d = self.tree.codec.decode(&mut cur);
+            if k == key {
+                return NodeScan { hit: Some(d), descend: None };
             }
         }
-        let mut nodes: Vec<NodeId> = down.iter().map(|&u| self.node_of(arena, u)).collect();
-        let back: Vec<NodeId> =
-            down.iter().rev().skip(1).map(|&u| self.node_of(arena, u)).collect();
-        nodes.extend(back);
-        SearchWalk { nodes, result, depth: down.len() - 1 }
+        let nchildren = cur.take(w.cnt);
+        for _ in 0..nchildren {
+            let c = cur.take(w.cnt) as u32;
+            if cur.take(1) == 1 {
+                let lo = cur.take(w.key);
+                let hi = cur.take(w.key);
+                if lo <= key && key <= hi {
+                    return NodeScan { hit: None, descend: Some(c) };
+                }
+            }
+        }
+        NodeScan { hit: None, descend: None }
     }
 }
 
@@ -344,7 +297,6 @@ mod tests {
         );
         assert!(roundtrip_ok(&arena, &out));
         assert_eq!(dec.local_off, enc.local_off);
-        assert_eq!(dec.center(), enc.center());
         for key in 0..30u64 {
             assert_eq!(dec.search(&arena, key), st.search(key));
         }

@@ -1,29 +1,19 @@
-//! Heavy-path compact tree routing (Fraigniaud–Gavoille style).
+//! Heavy-path compact tree routing (Fraigniaud–Gavoille style), naming
+//! each light edge by the graph id of the child it enters.
 //!
-//! Every node has a *heavy* child (largest subtree, ties by least graph
-//! id); edges to other children are *light*. Any root-to-node path crosses
-//! at most `⌊log₂ n⌋` light edges, so a label consisting of the node's DFS
-//! number plus one `(dfs(x), child-of-x)` pair per light edge on its root
-//! path is `O(log² n)` bits. Per-node storage is constant-many fields
-//! (`O(log n)` bits) *independent of degree*:
-//!
-//! * own DFS number and interval,
-//! * parent,
-//! * heavy child and its interval.
-//!
-//! Forwarding at `u` toward label `L`:
-//!
-//! 1. `dfs(u) == L.dfs` → deliver;
-//! 2. `L.dfs ∉ interval(u)` → forward to parent;
-//! 3. `L.dfs ∈ interval(heavy(u))` → forward to heavy child;
-//! 4. otherwise the edge taken is light, so `L.lights` contains a pair
-//!    `(dfs(u), c)` → forward to `c`.
+//! Any root-to-node path crosses at most `⌊log₂ n⌋` light edges, so a
+//! label of the node's DFS number plus one `(dfs(x), child-of-x)` pair per
+//! light edge on its root path is `O(log² n)` bits. Per-node storage is
+//! constant-many fields (`O(log n)` bits) *independent of degree*: own DFS
+//! number and interval, parent, heavy child and its interval. The
+//! decomposition and the forwarding decision are [`crate::heavy`]'s.
 //!
 //! This matches the bounds of Lemma 4.1 up to the `log log n` encoding
 //! factor we deliberately do not implement (see crate docs).
 
 use doubling_metric::graph::NodeId;
 
+use crate::heavy::{decide, HeavyPaths, Step};
 use crate::tree::Tree;
 
 /// A compact routing label: DFS number plus the light-edge trail from the
@@ -60,97 +50,27 @@ impl CompactLabel {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactTreeRouter {
-    tree: Tree,
-    dfs: Vec<u32>,
-    interval: Vec<(u32, u32)>,
-    /// Heavy child per local index (`u32::MAX` for leaves).
-    heavy: Vec<u32>,
+    paths: HeavyPaths,
     labels: Vec<CompactLabel>,
 }
-
-const NO_CHILD: u32 = u32::MAX;
 
 impl CompactTreeRouter {
     /// Builds the router: heavy children, DFS numbering (heavy child first,
     /// then light children in graph-id order), and all labels.
     pub fn new(tree: Tree) -> Self {
-        let n = tree.len();
-        let mut heavy = vec![NO_CHILD; n];
-        for u in 0..n as u32 {
-            let mut best: Option<(u32, NodeId, u32)> = None; // (size desc, id asc, child)
-            for &c in tree.children(u) {
-                let sz = tree.subtree_size(c);
-                let id = tree.node(c);
-                let better = match best {
-                    None => true,
-                    Some((bs, bid, _)) => sz > bs || (sz == bs && id < bid),
-                };
-                if better {
-                    best = Some((sz, id, c));
-                }
-            }
-            if let Some((_, _, c)) = best {
-                heavy[u as usize] = c;
-            }
-        }
-
-        let mut dfs = vec![0u32; n];
-        let mut interval = vec![(0u32, 0u32); n];
-        let mut counter = 0u32;
-        enum Frame {
-            Enter(u32),
-            Exit(u32),
-        }
-        let mut stack = vec![Frame::Enter(0)];
-        while let Some(f) = stack.pop() {
-            match f {
-                Frame::Enter(u) => {
-                    dfs[u as usize] = counter;
-                    counter += 1;
-                    stack.push(Frame::Exit(u));
-                    // Visit heavy child first: push light children (reverse
-                    // id order), then the heavy child so it pops first.
-                    let h = heavy[u as usize];
-                    for &c in tree.children(u).iter().rev() {
-                        if c != h {
-                            stack.push(Frame::Enter(c));
-                        }
-                    }
-                    if h != NO_CHILD {
-                        stack.push(Frame::Enter(h));
-                    }
-                }
-                Frame::Exit(u) => {
-                    let mut hi = dfs[u as usize];
-                    for &c in tree.children(u) {
-                        hi = hi.max(interval[c as usize].1);
-                    }
-                    interval[u as usize] = (dfs[u as usize], hi);
-                }
-            }
-        }
-
-        // Labels: walk the tree once, carrying the light trail.
-        let mut labels: Vec<CompactLabel> = vec![CompactLabel { dfs: 0, lights: Vec::new() }; n];
-        let mut stack: Vec<(u32, Vec<(u32, NodeId)>)> = vec![(0, Vec::new())];
-        while let Some((u, trail)) = stack.pop() {
-            labels[u as usize] = CompactLabel { dfs: dfs[u as usize], lights: trail.clone() };
-            for &c in tree.children(u) {
-                let mut t = trail.clone();
-                if c != heavy[u as usize] {
-                    t.push((dfs[u as usize], tree.node(c)));
-                }
-                stack.push((c, t));
-            }
-        }
-
-        CompactTreeRouter { tree, dfs, interval, heavy, labels }
+        let paths = HeavyPaths::new(tree);
+        let labels = paths
+            .labels(|c| paths.tree.node(c))
+            .into_iter()
+            .map(|(dfs, lights)| CompactLabel { dfs, lights })
+            .collect();
+        CompactTreeRouter { paths, labels }
     }
 
     /// The underlying tree.
     #[inline]
     pub fn tree(&self) -> &Tree {
-        &self.tree
+        &self.paths.tree
     }
 
     /// The label of graph node `v`.
@@ -159,7 +79,7 @@ impl CompactTreeRouter {
     ///
     /// Panics if `v` is not in the tree.
     pub fn label_of(&self, v: NodeId) -> &CompactLabel {
-        &self.labels[self.tree.local(v).expect("node in tree") as usize]
+        &self.labels[self.paths.tree.local(v).expect("node in tree") as usize]
     }
 
     /// Next hop (graph node) from `from` toward `target`, or `None` on
@@ -168,33 +88,15 @@ impl CompactTreeRouter {
     ///
     /// # Panics
     ///
-    /// Panics if `from` is not in the tree.
+    /// Panics if `from` is not in the tree, or if the target lies in a
+    /// light subtree of `from` that the label's trail does not name.
     pub fn next_hop(&self, from: NodeId, target: &CompactLabel) -> Option<NodeId> {
-        let u = self.tree.local(from).expect("node in tree");
-        let my = self.dfs[u as usize];
-        if my == target.dfs {
-            return None;
+        let u = self.paths.tree.local(from).expect("node in tree");
+        match decide(&self.paths, u, target.dfs, &target.lights) {
+            Some(Step::Arrived) => None,
+            Some(Step::To(v) | Step::Light(v)) => Some(v),
+            None => panic!("target under a light edge the trail does not name"),
         }
-        let (lo, hi) = self.interval[u as usize];
-        if target.dfs < lo || target.dfs > hi {
-            return Some(self.tree.node(self.tree.parent(u)));
-        }
-        let h = self.heavy[u as usize];
-        if h != NO_CHILD {
-            let (hlo, hhi) = self.interval[h as usize];
-            if hlo <= target.dfs && target.dfs <= hhi {
-                return Some(self.tree.node(h));
-            }
-        }
-        // Light edge out of u: look up our DFS number in the trail.
-        for &(x_dfs, child) in &target.lights {
-            if x_dfs == my {
-                return Some(child);
-            }
-        }
-        unreachable!(
-            "target inside interval but not under heavy child: trail must name the light edge"
-        )
     }
 
     /// Full hop-by-hop route from `from` to the labeled node, as graph

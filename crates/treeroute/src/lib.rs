@@ -16,11 +16,14 @@
 //!   the paper itself uses inside its search trees, where degrees are
 //!   bounded by `(1/ε)^{O(α)}`.
 //! * [`compact::CompactTreeRouter`] — heavy-path routing in the style of
-//!   Fraigniaud–Gavoille: label = DFS number plus one `(dfs, port)` pair per
-//!   light edge on the root path (`O(log² n)` bits since there are at most
-//!   `⌊log n⌋` light edges), and `O(log n)`-bit tables at every node
-//!   regardless of degree. This is the router used for the Voronoi trees
-//!   `T_c(j)` of Section 4, whose degrees are unbounded.
+//!   Fraigniaud–Gavoille: label = DFS number plus one `(dfs, child)` pair
+//!   per light edge on the root path (`O(log² n)` bits since there are at
+//!   most `⌊log n⌋` light edges), and `O(log n)`-bit tables at every node
+//!   regardless of degree. [`port::PortTreeRouter`] is the same scheme
+//!   naming each light edge by its physical port instead; it is the router
+//!   used for the Voronoi trees `T_c(j)` of Section 4, whose degrees are
+//!   unbounded. Both share [`heavy`]'s decomposition and forwarding
+//!   decision.
 //!
 //! Both routers route *optimally* (along the unique tree path). We do not
 //! implement the final `log log n`-factor label compression of Thorup–Zwick
@@ -30,11 +33,13 @@
 #![warn(missing_docs)]
 
 pub mod compact;
+pub mod heavy;
 pub mod interval;
 pub mod port;
 pub mod tree;
 
 pub use compact::{CompactLabel, CompactTreeRouter};
+pub use heavy::RouterRecords;
 pub use interval::IntervalRouter;
-pub use port::{PortLabel, PortTreeRouter};
+pub use port::{next_hop, PortLabel, PortTreeRouter};
 pub use tree::{Tree, TreeError};

@@ -16,7 +16,9 @@
 use std::fmt;
 
 use doubling_metric::graph::{Graph, NodeId};
+use netsim::route::RouteError;
 
+use crate::heavy::{decide, HeavyPaths, RouterRecords, Step};
 use crate::tree::Tree;
 
 /// Errors from [`PortTreeRouter::new`].
@@ -65,16 +67,11 @@ impl PortLabel {
 /// Port-based heavy-path router over a tree embedded in a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortTreeRouter {
-    tree: Tree,
-    dfs: Vec<u32>,
-    interval: Vec<(u32, u32)>,
-    heavy: Vec<u32>,
+    paths: HeavyPaths,
     labels: Vec<PortLabel>,
     /// `⌈log₂ max-degree⌉`, the port field width.
     port_bits: u64,
 }
-
-const NO_CHILD: u32 = u32::MAX;
 
 impl PortTreeRouter {
     /// Builds the router, verifying every tree edge is a graph edge and
@@ -100,82 +97,19 @@ impl PortTreeRouter {
                 .map_err(|_| PortError::NotAGraphEdge { child: cu, parent: pu })?;
             port_down[i as usize] = port as u32;
         }
-
-        let mut heavy = vec![NO_CHILD; n];
-        for u in 0..n as u32 {
-            let mut best: Option<(u32, NodeId, u32)> = None;
-            for &c in tree.children(u) {
-                let sz = tree.subtree_size(c);
-                let id = tree.node(c);
-                let better = match best {
-                    None => true,
-                    Some((bs, bid, _)) => sz > bs || (sz == bs && id < bid),
-                };
-                if better {
-                    best = Some((sz, id, c));
-                }
-            }
-            if let Some((_, _, c)) = best {
-                heavy[u as usize] = c;
-            }
-        }
-
-        let mut dfs = vec![0u32; n];
-        let mut interval = vec![(0u32, 0u32); n];
-        let mut counter = 0u32;
-        enum Frame {
-            Enter(u32),
-            Exit(u32),
-        }
-        let mut stack = vec![Frame::Enter(0)];
-        while let Some(f) = stack.pop() {
-            match f {
-                Frame::Enter(u) => {
-                    dfs[u as usize] = counter;
-                    counter += 1;
-                    stack.push(Frame::Exit(u));
-                    let h = heavy[u as usize];
-                    for &c in tree.children(u).iter().rev() {
-                        if c != h {
-                            stack.push(Frame::Enter(c));
-                        }
-                    }
-                    if h != NO_CHILD {
-                        stack.push(Frame::Enter(h));
-                    }
-                }
-                Frame::Exit(u) => {
-                    let mut hi = dfs[u as usize];
-                    for &c in tree.children(u) {
-                        hi = hi.max(interval[c as usize].1);
-                    }
-                    interval[u as usize] = (dfs[u as usize], hi);
-                }
-            }
-        }
-
-        let mut labels: Vec<PortLabel> = vec![PortLabel { dfs: 0, lights: Vec::new() }; n];
-        let mut stack: Vec<(u32, Vec<(u32, u32)>)> = vec![(0, Vec::new())];
-        while let Some((u, trail)) = stack.pop() {
-            labels[u as usize] = PortLabel { dfs: dfs[u as usize], lights: trail.clone() };
-            for &c in tree.children(u) {
-                let mut t = trail.clone();
-                if c != heavy[u as usize] {
-                    t.push((dfs[u as usize], port_down[c as usize]));
-                }
-                stack.push((c, t));
-            }
-        }
-
         let max_deg = (0..n as u32).map(|i| g.degree(tree.node(i)) as u64).max().unwrap_or(1);
-        let port_bits = netsim_bits(max_deg);
-
-        Ok(PortTreeRouter { tree, dfs, interval, heavy, labels, port_bits })
+        let paths = HeavyPaths::new(tree);
+        let labels = paths
+            .labels(|c| port_down[c as usize])
+            .into_iter()
+            .map(|(dfs, lights)| PortLabel { dfs, lights })
+            .collect();
+        Ok(PortTreeRouter { paths, labels, port_bits: netsim_bits(max_deg) })
     }
 
     /// The underlying tree.
     pub fn tree(&self) -> &Tree {
-        &self.tree
+        &self.paths.tree
     }
 
     /// The port field width in bits (`⌈log₂ max-degree⌉`).
@@ -189,80 +123,46 @@ impl PortTreeRouter {
     ///
     /// Panics if `v` is not in the tree.
     pub fn label_of(&self, v: NodeId) -> &PortLabel {
-        &self.labels[self.tree.local(v).expect("node in tree") as usize]
+        &self.labels[self.paths.tree.local(v).expect("node in tree") as usize]
     }
 
-    /// DFS number of local index `i` — the per-node field a plane compiler
-    /// packs.
+    /// Next hop from `from` toward `target`, or `None` on arrival — the
+    /// shared [`next_hop`] over this router's records.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `i` is out of range.
-    pub fn dfs_of(&self, i: u32) -> u32 {
-        self.dfs[i as usize]
-    }
-
-    /// DFS interval `[lo, hi]` of the subtree at local index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn interval_of(&self, i: u32) -> (u32, u32) {
-        self.interval[i as usize]
-    }
-
-    /// Heavy child (local index) of local index `i`, or `None` for a leaf.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn heavy_of(&self, i: u32) -> Option<u32> {
-        let h = self.heavy[i as usize];
-        (h != NO_CHILD).then_some(h)
-    }
-
-    /// Next hop from `from` toward `target`, or `None` on arrival. The
-    /// decision uses the node's constant-size table, the label in the
-    /// header, and the node's own physical link list (free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not in the tree or a port is out of range.
-    pub fn next_hop(&self, g: &Graph, from: NodeId, target: &PortLabel) -> Option<NodeId> {
-        let u = self.tree.local(from).expect("node in tree");
-        let my = self.dfs[u as usize];
-        if my == target.dfs {
-            return None;
-        }
-        let (lo, hi) = self.interval[u as usize];
-        if target.dfs < lo || target.dfs > hi {
-            return Some(self.tree.node(self.tree.parent(u)));
-        }
-        let h = self.heavy[u as usize];
-        if h != NO_CHILD {
-            let (hlo, hhi) = self.interval[h as usize];
-            if hlo <= target.dfs && target.dfs <= hhi {
-                return Some(self.tree.node(h));
-            }
-        }
-        for &(x_dfs, port) in &target.lights {
-            if x_dfs == my {
-                return Some(g.neighbors(from)[port as usize].node);
-            }
-        }
-        unreachable!("light trail must name the branching port")
+    /// [`RouteError::LookupFailed`] if `from` is not in the tree or the
+    /// label's light trail does not name the branching port.
+    pub fn next_hop(
+        &self,
+        g: &Graph,
+        from: NodeId,
+        target: &PortLabel,
+    ) -> Result<Option<NodeId>, RouteError> {
+        let local = self.paths.tree.local(from).ok_or_else(|| RouteError::LookupFailed {
+            at: from,
+            detail: "node is not in the port tree".into(),
+        })?;
+        next_hop(&self.paths, g, from, local, target)
     }
 
     /// Full route from `from` to the labeled node (graph nodes,
     /// inclusive).
-    pub fn route(&self, g: &Graph, from: NodeId, target: &PortLabel) -> Vec<NodeId> {
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::next_hop`].
+    pub fn route(
+        &self,
+        g: &Graph,
+        from: NodeId,
+        target: &PortLabel,
+    ) -> Result<Vec<NodeId>, RouteError> {
         let mut path = vec![from];
-        let mut cur = from;
-        while let Some(next) = self.next_hop(g, cur, target) {
+        while let Some(next) = self.next_hop(g, path[path.len() - 1], target)? {
             path.push(next);
-            cur = next;
         }
-        path
+        Ok(path)
     }
 
     /// Table bits per node: same seven node-sized fields as the id-based
@@ -274,6 +174,63 @@ impl PortTreeRouter {
     /// The largest label in bits.
     pub fn max_label_bits(&self, node_bits: u64) -> u64 {
         self.labels.iter().map(|l| l.bits(node_bits, self.port_bits)).max().unwrap_or(node_bits)
+    }
+}
+
+impl RouterRecords for &PortTreeRouter {
+    #[inline]
+    fn node(&self, i: u32) -> NodeId {
+        self.paths.node(i)
+    }
+
+    #[inline]
+    fn dfs(&self, i: u32) -> u32 {
+        self.paths.dfs(i)
+    }
+
+    #[inline]
+    fn interval(&self, i: u32) -> (u32, u32) {
+        self.paths.interval(i)
+    }
+
+    #[inline]
+    fn parent_node(&self, i: u32) -> NodeId {
+        self.paths.parent_node(i)
+    }
+
+    #[inline]
+    fn heavy(&self, i: u32) -> Option<u32> {
+        self.paths.heavy(i)
+    }
+}
+
+/// The port-model forwarding step at `from` (tree local index
+/// `from_local`) toward `target`: [`decide`] over the router records,
+/// with a light exit resolved through `from`'s own physical link list.
+/// `None` on arrival.
+///
+/// # Errors
+///
+/// [`RouteError::LookupFailed`] if the light trail names no port at
+/// `from`, or a port beyond `from`'s degree — a malformed label or table
+/// yields an error, never a panic.
+pub fn next_hop<R: RouterRecords + ?Sized>(
+    r: &R,
+    g: &Graph,
+    from: NodeId,
+    from_local: u32,
+    target: &PortLabel,
+) -> Result<Option<NodeId>, RouteError> {
+    match decide(r, from_local, target.dfs, &target.lights) {
+        Some(Step::Arrived) => Ok(None),
+        Some(Step::To(v)) => Ok(Some(v)),
+        Some(Step::Light(port)) if (port as usize) < g.degree(from) => {
+            Ok(Some(g.neighbors(from)[port as usize].node))
+        }
+        _ => Err(RouteError::LookupFailed {
+            at: from,
+            detail: format!("port label (dfs {}) names no usable light port here", target.dfs),
+        }),
     }
 }
 
@@ -311,7 +268,7 @@ mod tests {
         for a in 0..36u32 {
             for b in 0..36u32 {
                 assert_eq!(
-                    pr.route(m.graph(), a, pr.label_of(b)),
+                    pr.route(m.graph(), a, pr.label_of(b)).unwrap(),
                     cr.route(a, cr.label_of(b)),
                     "{a}->{b}"
                 );
@@ -351,10 +308,33 @@ mod tests {
         let pr = PortTreeRouter::new(tree, m.graph()).unwrap();
         for a in 0..40u32 {
             for b in 0..40u32 {
-                let route = pr.route(m.graph(), a, pr.label_of(b));
+                let route = pr.route(m.graph(), a, pr.label_of(b)).unwrap();
                 assert_eq!(route, pr.tree().path(a, b));
             }
         }
+    }
+
+    #[test]
+    fn light_trail_without_branching_port_is_an_error() {
+        // A spider's center branches into equal legs: every leg but the
+        // heavy one is entered through a light edge named in the label.
+        let m = MetricSpace::new(&gen::spider(3, 2));
+        let pr = PortTreeRouter::new(spt(&m, 0), m.graph()).unwrap();
+        let v = (0..m.n() as NodeId)
+            .find(|&v| !pr.label_of(v).lights.is_empty())
+            .expect("some node lies below a light edge");
+        let light = pr.label_of(v).clone();
+        assert_eq!(pr.route(m.graph(), 0, &light).unwrap().last(), Some(&v));
+        let stripped = PortLabel { dfs: light.dfs, lights: Vec::new() };
+        assert!(matches!(
+            pr.next_hop(m.graph(), 0, &stripped),
+            Err(RouteError::LookupFailed { at: 0, .. })
+        ));
+        let out_of_range = PortLabel { dfs: light.dfs, lights: vec![(0, 1_000)] };
+        assert!(matches!(
+            pr.next_hop(m.graph(), 0, &out_of_range),
+            Err(RouteError::LookupFailed { at: 0, .. })
+        ));
     }
 
     #[test]
