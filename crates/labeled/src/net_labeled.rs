@@ -190,19 +190,17 @@ impl NetLabeled {
 /// ring hit for the target and step toward it, opening a `"ring-walk"`
 /// segment whenever the level changes. The header is the destination
 /// label.
-pub(crate) fn route<V: NetLabeledView + ?Sized>(
+pub(crate) fn walk<V: NetLabeledView + ?Sized>(
     view: &V,
-    m: &MetricSpace,
-    src: NodeId,
+    rec: &mut RouteRecorder<'_>,
     target: Label,
-) -> Result<Route, RouteError> {
-    let mut rec = RouteRecorder::new(m, src);
+) -> Result<(), RouteError> {
     rec.note_header_bits(view.widths().node);
     let mut seg_level: Option<u32> = None;
     loop {
         let u = rec.current();
         if view.label_at(u) == target {
-            return Ok(rec.finish());
+            return Ok(());
         }
         let hit = view.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
             at: u,
@@ -225,13 +223,8 @@ impl LabeledView for NetLabeled {
         self.nets.label(u)
     }
 
-    fn route_label(
-        &self,
-        m: &MetricSpace,
-        src: NodeId,
-        target: Label,
-    ) -> Result<Route, RouteError> {
-        route(self, m, src, target)
+    fn walk_label(&self, rec: &mut RouteRecorder<'_>, target: Label) -> Result<(), RouteError> {
+        walk(self, rec, target)
     }
 }
 
@@ -266,7 +259,7 @@ impl LabeledScheme for NetLabeled {
     }
 
     fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        route(self, m, src, target)
+        self.route_label(m, src, target)
     }
 }
 

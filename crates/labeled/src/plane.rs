@@ -5,10 +5,10 @@
 //! [`BitArena`]. This module holds only compilation, decoding and packed
 //! accessors: each plane implements its scheme's table view
 //! ([`NetLabeledView`] / [`ScaleFreeView`]) over its bits, and
-//! [`ForwardingPlane::route`] runs the scheme's one routing procedure over
-//! that view. A returned [`Route`] is therefore `==` to the reference
-//! scheme's whenever the two views answer alike, which the differential
-//! tests check accessor by accessor.
+//! [`ForwardingPlane::route`] is the view's [`LabeledView::route_label`]:
+//! the scheme's one routing procedure over that view. A returned [`Route`]
+//! is therefore `==` to the reference scheme's whenever the two views
+//! answer alike, which the differential tests check accessor by accessor.
 //!
 //! Arena layouts (all counts packed in-arena; see [`netsim::plane`] for
 //! the shared conventions):
@@ -59,7 +59,7 @@ use doubling_metric::space::MetricSpace;
 use netsim::bits::{bits_for_count, FieldWidths};
 use netsim::naming::Naming;
 use netsim::plane::{push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane};
-use netsim::route::{Route, RouteError};
+use netsim::route::{Route, RouteError, RouteRecorder};
 use netsim::scheme::{Label, LabeledScheme, Name};
 use searchtree::{
     PackedSearchTree, PackedTreeView, PackedTreeWidths, PayloadCodec, PortLabelCodec,
@@ -93,17 +93,17 @@ pub trait PlaneTables: Sized {
     /// The plane's [`ForwardingPlane::plane_name`].
     const NAME: &'static str;
 
-    /// Routes over the plane with the scheme's one routing procedure.
+    /// Walks the plane with the scheme's one routing procedure
+    /// ([`LabeledView::walk_label`]).
     ///
     /// # Errors
     ///
     /// The procedure's lookup failures and hop-budget loops.
-    fn route(
+    fn walk(
         plane: &LabeledPlane<Self>,
-        m: &MetricSpace,
-        src: NodeId,
+        rec: &mut RouteRecorder<'_>,
         target: Label,
-    ) -> Result<Route, RouteError>;
+    ) -> Result<(), RouteError>;
 }
 
 impl LabeledPlane<()> {
@@ -204,13 +204,8 @@ impl<T: PlaneTables> LabeledView for LabeledPlane<T> {
         self.arena.read(self.node_off[u as usize], self.widths.node) as Label
     }
 
-    fn route_label(
-        &self,
-        m: &MetricSpace,
-        src: NodeId,
-        target: Label,
-    ) -> Result<Route, RouteError> {
-        T::route(self, m, src, target)
+    fn walk_label(&self, rec: &mut RouteRecorder<'_>, target: Label) -> Result<(), RouteError> {
+        T::walk(self, rec, target)
     }
 }
 
@@ -232,7 +227,7 @@ impl<T: PlaneTables + Send + Sync> ForwardingPlane for LabeledPlane<T> {
     }
 
     fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        T::route(self, m, src, target)
+        self.route_label(m, src, target)
     }
 
     fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
@@ -240,8 +235,14 @@ impl<T: PlaneTables + Send + Sync> ForwardingPlane for LabeledPlane<T> {
             at: src,
             detail: format!("name {name}: no name directory compiled into this plane"),
         })?;
+        if name as usize >= self.n() {
+            return Err(RouteError::LookupFailed {
+                at: src,
+                detail: format!("name {name}: beyond the {}-row name directory", self.n()),
+            });
+        }
         let w = self.widths.node;
-        T::route(self, m, src, self.arena.read(off + name as u64 * w, w) as Label)
+        self.route_label(m, src, self.arena.read(off + name as u64 * w, w) as Label)
     }
 }
 
@@ -288,13 +289,12 @@ pub struct NetRings {
 impl PlaneTables for NetRings {
     const NAME: &'static str = "net-labeled";
 
-    fn route(
+    fn walk(
         plane: &LabeledPlane<Self>,
-        m: &MetricSpace,
-        src: NodeId,
+        rec: &mut RouteRecorder<'_>,
         target: Label,
-    ) -> Result<Route, RouteError> {
-        net_labeled::route(plane, m, src, target)
+    ) -> Result<(), RouteError> {
+        net_labeled::walk(plane, rec, target)
     }
 }
 
@@ -455,13 +455,12 @@ pub struct ScaleFreeCells {
 impl PlaneTables for ScaleFreeCells {
     const NAME: &'static str = "scale-free-labeled";
 
-    fn route(
+    fn walk(
         plane: &LabeledPlane<Self>,
-        m: &MetricSpace,
-        src: NodeId,
+        rec: &mut RouteRecorder<'_>,
         target: Label,
-    ) -> Result<Route, RouteError> {
-        scale_free::route(plane, m, src, target)
+    ) -> Result<(), RouteError> {
+        scale_free::walk(plane, rec, target)
     }
 }
 
@@ -750,5 +749,31 @@ mod tests {
         let s = NetLabeled::new(&m, Eps::one_over(4)).unwrap();
         let plane = NetLabeledPlane::compile(&m, &s, None, 0);
         assert!(matches!(plane.route_named(&m, 0, 5), Err(RouteError::LookupFailed { at: 0, .. })));
+    }
+
+    #[test]
+    fn names_beyond_the_directory_fail_at_the_source() {
+        let m = MetricSpace::new(&gen::grid(3, 3));
+        let naming = Naming::random(9, 1);
+        let eps = Eps::one_over(4);
+        let nl = NetLabeledPlane::compile(&m, &NetLabeled::new(&m, eps).unwrap(), Some(&naming), 0);
+        let sfl = ScaleFreeLabeledPlane::compile(
+            &m,
+            &ScaleFreeLabeled::new(&m, eps).unwrap(),
+            Some(&naming),
+            0,
+        );
+        for plane in [&nl as &dyn ForwardingPlane, &sfl] {
+            for name in [9, u32::MAX] {
+                assert!(
+                    matches!(
+                        plane.route_named(&m, 4, name),
+                        Err(RouteError::LookupFailed { at: 4, .. })
+                    ),
+                    "{} name {name}",
+                    plane.plane_name()
+                );
+            }
+        }
     }
 }

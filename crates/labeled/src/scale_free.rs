@@ -409,14 +409,12 @@ fn far_from_target((num, den): (u64, u64), d: Dist, s_i: Dist) -> bool {
 /// covers stalls with `x_t ≠ v` (it needs `i_t ≥ 1` and `x' = v(i_t − 1)`
 /// distinct from the walk target). Once the walk stalls, phase 2 hands off
 /// to the ball-packing machinery.
-pub(crate) fn route<V: ScaleFreeView + ?Sized>(
+pub(crate) fn walk<V: ScaleFreeView + ?Sized>(
     view: &V,
-    m: &MetricSpace,
-    src: NodeId,
+    rec: &mut RouteRecorder<'_>,
     target: Label,
-) -> Result<Route, RouteError> {
+) -> Result<(), RouteError> {
     let widths = view.widths();
-    let mut rec = RouteRecorder::new(m, src);
     // Phase-1 header: destination label + previous level.
     rec.note_header_bits(widths.node + widths.level);
     let mut i_prev = u32::MAX;
@@ -424,7 +422,7 @@ pub(crate) fn route<V: ScaleFreeView + ?Sized>(
     loop {
         let u = rec.current();
         if view.label_at(u) == target {
-            return Ok(rec.finish());
+            return Ok(());
         }
         let (hit, dist) = view.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
             at: u,
@@ -432,7 +430,8 @@ pub(crate) fn route<V: ScaleFreeView + ?Sized>(
         })?;
         let i = hit.level;
         if view.label_at(hit.x) == target
-            || (i <= i_prev && far_from_target(view.eps_ratio(), dist, m.scale(i as usize)))
+            || (i <= i_prev
+                && far_from_target(view.eps_ratio(), dist, rec.metric().scale(i as usize)))
         {
             if seg_level != Some(i) {
                 rec.begin_segment("ring-walk", Some(i));
@@ -443,14 +442,14 @@ pub(crate) fn route<V: ScaleFreeView + ?Sized>(
             continue;
         }
         // Stalled: hand off to the ball-packing machinery.
-        packing_phase(view, m, &mut rec, target, i)?;
+        packing_phase(view, rec, target, i)?;
         let arrived = rec.current();
         if view.label_at(arrived) != target {
             return Err(RouteError::Internal(format!(
                 "packing phase delivered to {arrived}, not the target"
             )));
         }
-        return Ok(rec.finish());
+        return Ok(());
     }
 }
 
@@ -460,12 +459,11 @@ pub(crate) fn route<V: ScaleFreeView + ?Sized>(
 /// `T_c(j)`.
 fn packing_phase<V: ScaleFreeView + ?Sized>(
     view: &V,
-    m: &MetricSpace,
     rec: &mut RouteRecorder<'_>,
     target: Label,
     i_t: u32,
 ) -> Result<(), RouteError> {
-    let widths = view.widths();
+    let (widths, m) = (view.widths(), rec.metric());
     let u_t = rec.current();
     let s_it = m.scale(i_t as usize);
     // j: the largest index with r_{u_t}(j) ≤ 2^{i_t}.
@@ -479,16 +477,14 @@ fn packing_phase<V: ScaleFreeView + ?Sized>(
     // Route to c on T_c(j) using the stored local label l(c;c,j).
     rec.begin_segment("to-center", Some(j));
     rec.note_header_bits(cell.root_label.bits(widths.node, cell.port_bits) + widths.size_exp);
-    tree_walk(view, m, rec, j, &cell.router, &cell.root_label)?;
+    tree_walk(view, rec, j, &cell.router, &cell.root_label)?;
 
-    // Search T'(c, r_c(j)) for the local label of the target.
+    // Search T'(c, r_c(j)) for the local label of the target, scanning
+    // each tree node once the packet stands on it.
     rec.begin_segment("tree-search", Some(j));
     rec.note_header_bits(widths.node + widths.size_exp);
-    let walk = searchtree::descend(&cell.search, target as u64);
-    for &x in &walk.nodes[1..] {
-        rec.walk_shortest(x)?;
-    }
-    let local = walk.result.ok_or_else(|| RouteError::LookupFailed {
+    let found = searchtree::descend(&cell.search, target as u64, |x| rec.walk_shortest(x))?;
+    let local = found.ok_or_else(|| RouteError::LookupFailed {
         at: rec.current(),
         detail: format!("label {target} not in search tree of ball j={j} (Lemma 4.5)"),
     })?;
@@ -496,14 +492,13 @@ fn packing_phase<V: ScaleFreeView + ?Sized>(
     // Route to the target on T_c(j).
     rec.begin_segment("to-target", Some(j));
     rec.note_header_bits(local.bits(widths.node, cell.port_bits));
-    tree_walk(view, m, rec, j, &cell.router, &local)
+    tree_walk(view, rec, j, &cell.router, &local)
 }
 
 /// Forwards on a cell's tree `T_c(j)` until `target` is reached; each
 /// hop's tree-local index is the forwarding node's own Voronoi row.
 fn tree_walk<V: ScaleFreeView + ?Sized, R: RouterRecords>(
     view: &V,
-    m: &MetricSpace,
     rec: &mut RouteRecorder<'_>,
     j: u32,
     router: &R,
@@ -512,7 +507,7 @@ fn tree_walk<V: ScaleFreeView + ?Sized, R: RouterRecords>(
     loop {
         let u = rec.current();
         let (_, local) = view.voronoi_row(u, j);
-        match treeroute::next_hop(router, m.graph(), u, local, target)? {
+        match treeroute::next_hop(router, rec.metric().graph(), u, local, target)? {
             Some(next) => rec.hop(next)?,
             None => return Ok(()),
         }
@@ -528,13 +523,8 @@ impl LabeledView for ScaleFreeLabeled {
         self.nets.label(u)
     }
 
-    fn route_label(
-        &self,
-        m: &MetricSpace,
-        src: NodeId,
-        target: Label,
-    ) -> Result<Route, RouteError> {
-        route(self, m, src, target)
+    fn walk_label(&self, rec: &mut RouteRecorder<'_>, target: Label) -> Result<(), RouteError> {
+        walk(self, rec, target)
     }
 }
 
@@ -616,7 +606,7 @@ impl LabeledScheme for ScaleFreeLabeled {
     }
 
     fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        route(self, m, src, target)
+        self.route_label(m, src, target)
     }
 }
 

@@ -20,7 +20,7 @@ use doubling_metric::graph::{Dist, NodeId};
 use doubling_metric::space::MetricSpace;
 
 use netsim::bits::FieldWidths;
-use netsim::route::{Route, RouteError};
+use netsim::route::{Route, RouteError, RouteRecorder};
 use netsim::scheme::Label;
 use searchtree::TreeScan;
 use treeroute::{PortLabel, RouterRecords};
@@ -48,14 +48,32 @@ pub trait LabeledView {
     /// active node carries, so it never matches a live destination.
     fn label_at(&self, u: NodeId) -> Label;
 
-    /// Routes from `src` toward the node labeled `target` with this
-    /// scheme's one routing procedure over this view.
+    /// Moves the packet from `rec`'s current node to the node labeled
+    /// `target` with this scheme's one routing procedure over this view,
+    /// continuing `rec` (a caller's sub-route runs it inside
+    /// [`RouteRecorder::nested`]).
     ///
     /// # Errors
     ///
     /// The procedure's lookup failures and hop-budget loops.
-    fn route_label(&self, m: &MetricSpace, src: NodeId, target: Label)
-        -> Result<Route, RouteError>;
+    fn walk_label(&self, rec: &mut RouteRecorder<'_>, target: Label) -> Result<(), RouteError>;
+
+    /// Routes from `src` toward the node labeled `target`: one recorder,
+    /// one [`Self::walk_label`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::walk_label`].
+    fn route_label(
+        &self,
+        m: &MetricSpace,
+        src: NodeId,
+        target: Label,
+    ) -> Result<Route, RouteError> {
+        let mut rec = RouteRecorder::new(m, src);
+        self.walk_label(&mut rec, target)?;
+        Ok(rec.finish())
+    }
 }
 
 /// The tables of the non-scale-free scheme: a ring for every level.

@@ -211,18 +211,18 @@ impl<'s> ObjectDirectory<'s> {
         for k in 0..rounds.count() {
             let y = nets.zoom(src, rounds.host_level(k));
             rec.begin_segment("zoom", Some(k as u32));
-            go(underlying, m, &mut rec, underlying.label_at(y))?;
+            go(underlying, &mut rec, underlying.label_at(y))?;
 
             rec.begin_segment("search", Some(k as u32));
             let level = nets.level(rounds.host_level(k));
             let j = level.binary_search(&y).expect("zoom lands in net level");
             let walk = self.trees[k][j].search_all(key as u64);
             for &x in &walk.nodes[1..] {
-                go(underlying, m, &mut rec, underlying.label_at(x))?;
+                go(underlying, &mut rec, underlying.label_at(x))?;
             }
             if let Some(label) = walk.result {
                 rec.begin_segment("final", Some(k as u32));
-                go(underlying, m, &mut rec, label)?;
+                go(underlying, &mut rec, label)?;
                 let replica = rec.current();
                 return Ok((rec.finish(), replica));
             }

@@ -10,6 +10,13 @@
 //! [`NameIndependentView`]; the in-memory schemes and their forwarding
 //! planes both implement the view, and [`go`] runs every sub-route through
 //! whichever [`LabeledView`] the view wraps.
+//!
+//! A query owns one [`RouteRecorder`]. Each underlying leg walks inside
+//! it through [`RouteRecorder::nested`], folding into the open zoom,
+//! search or final segment, and each search tree is descended as a stream
+//! ([`descend`]): the packet reaches a tree node, the node's record is
+//! scanned there, and the next leg starts. No sub-route or search walk is
+//! materialized.
 
 use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
@@ -69,29 +76,27 @@ pub trait NameIndependentView {
 }
 
 /// Moves the packet to the node labeled `target` with the underlying
-/// labeled scheme and absorbs the sub-route (a no-op when already there).
+/// labeled scheme, as a sub-route nested in `rec` (a no-op when already
+/// there).
 ///
 /// # Errors
 ///
-/// The underlying route's errors, or a failed replay.
+/// The underlying route's errors.
 pub fn go<L: LabeledView + ?Sized>(
     underlying: &L,
-    m: &MetricSpace,
     rec: &mut RouteRecorder<'_>,
     target: Label,
 ) -> Result<(), RouteError> {
     if underlying.label_at(rec.current()) == target {
         return Ok(());
     }
-    let sub = underlying.route_label(m, rec.current(), target)?;
-    rec.absorb(&sub)
+    rec.nested(|rec| underlying.walk_label(rec, target))
 }
 
 /// Searches one facility for `name` from its host (the current node),
 /// returning the label if found, with the packet back at the host.
 fn search<L: LabeledView + ?Sized, T: TreeScan<Item = Label>>(
     underlying: &L,
-    m: &MetricSpace,
     rec: &mut RouteRecorder<'_>,
     facility: &Facility<T>,
     name: Name,
@@ -101,18 +106,15 @@ fn search<L: LabeledView + ?Sized, T: TreeScan<Item = Label>>(
         Facility::Link { tree, .. } => {
             // Go to the packed ball's center first, and come back after.
             let host = rec.current();
-            go(underlying, m, rec, underlying.label_at(tree.node_of(0)))?;
+            go(underlying, rec, underlying.label_at(tree.node_of(0)))?;
             (tree, Some(host))
         }
     };
-    let walk = descend(tree, name as u64);
-    for &x in &walk.nodes[1..] {
-        go(underlying, m, rec, underlying.label_at(x))?;
-    }
+    let found = descend(tree, name as u64, |x| go(underlying, rec, underlying.label_at(x)))?;
     if let Some(y) = host {
-        go(underlying, m, rec, underlying.label_at(y))?;
+        go(underlying, rec, underlying.label_at(y))?;
     }
-    Ok(walk.result)
+    Ok(found)
 }
 
 /// Algorithm 3 over any [`NameIndependentView`]: for each round `k`, zoom
@@ -133,7 +135,7 @@ pub fn route_named<V: NameIndependentView + ?Sized>(
     let widths = underlying.widths();
     let mut rec = RouteRecorder::new(m, src);
     // Name-independent header: the destination name plus the current
-    // round; underlying headers are folded in by absorb().
+    // round; the nested underlying legs fold their headers in.
     rec.note_header_bits(widths.node + widths.level);
 
     if view.name_at(src) == name {
@@ -145,12 +147,12 @@ pub fn route_named<V: NameIndependentView + ?Sized>(
         // whose labels the intermediate net points store.
         let (y, j) = view.zoom_row(src, k);
         rec.begin_segment("zoom", Some(k as u32));
-        go(underlying, m, &mut rec, underlying.label_at(y))?;
+        go(underlying, &mut rec, underlying.label_at(y))?;
 
         rec.begin_segment("search", Some(k as u32));
-        if let Some(label) = search(underlying, m, &mut rec, &view.facility(k, j), name)? {
+        if let Some(label) = search(underlying, &mut rec, &view.facility(k, j), name)? {
             rec.begin_segment("final", Some(k as u32));
-            go(underlying, m, &mut rec, label)?;
+            go(underlying, &mut rec, label)?;
             return Ok(rec.finish());
         }
     }

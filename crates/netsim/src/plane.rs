@@ -170,6 +170,12 @@ impl<'a> BitCursor<'a> {
         v
     }
 
+    /// Advances past `width` bits without reading them.
+    #[inline]
+    pub fn skip(&mut self, width: u64) {
+        self.pos += width;
+    }
+
     /// Reads the next `width`-bit field, records it into `out`, and
     /// advances — the structural-decode primitive behind the byte-exact
     /// round-trip tests.
@@ -232,8 +238,11 @@ pub trait ForwardingPlane: Send + Sync {
     /// directory report a [`RouteError::LookupFailed`] at the source.
     fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError>;
 
-    /// First hop from `at` toward the node labeled `target` (`None` when
-    /// already there) — the per-message forwarding decision.
+    /// First hop of a fresh route from `at` toward the node labeled
+    /// `target` (`None` when already there). It routes the whole query
+    /// and keeps its second node: no header state (previous level, phase,
+    /// round) is carried in, so it is the decision a packet *originating*
+    /// at `at` takes, not the next step of a packet already in flight.
     ///
     /// # Errors
     ///
@@ -247,8 +256,9 @@ pub trait ForwardingPlane: Send + Sync {
         Ok(self.route(m, at, target)?.hops.get(1).copied())
     }
 
-    /// First hop from `at` toward the node named `name` (`None` when
-    /// already there).
+    /// First hop of a fresh route from `at` toward the node named `name`
+    /// (`None` when already there); like [`Self::next_hop`], it carries
+    /// no header state.
     ///
     /// # Errors
     ///

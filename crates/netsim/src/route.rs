@@ -8,6 +8,14 @@
 //! Schemes build routes through a [`RouteRecorder`], which *enforces* that
 //! consecutive hops are graph edges and charges their exact weights — a
 //! scheme cannot accidentally teleport or undercount cost.
+//!
+//! One recorder serves one query. A procedure that moves the packet with
+//! another scheme's route (a name-independent scheme's underlying labeled
+//! legs) runs that route *inside* the same recorder through
+//! [`RouteRecorder::nested`]: every hop is validated and charged once, as
+//! it happens, and no sub-route is built or replayed. The recorder sizes
+//! its buffers once, so on a typical query the returned [`Route`]'s two
+//! vectors are its only allocations.
 
 use std::fmt;
 
@@ -246,6 +254,15 @@ impl Route {
     }
 }
 
+/// Hops a recorder reserves up front, so a route's hop vector is
+/// allocated once: above the longest route any of the four schemes takes
+/// between two nodes of a 24×24 grid at ε = 1/8 (229 hops, a named query).
+const HOP_CAPACITY: usize = 256;
+
+/// Segments a recorder reserves up front: above the most any route of
+/// that grid opens (10, on a named query).
+const SEGMENT_CAPACITY: usize = 16;
+
 /// Incremental builder for [`Route`], used inside scheme implementations.
 ///
 /// The recorder borrows the metric so that every movement is validated and
@@ -262,24 +279,29 @@ pub struct RouteRecorder<'m> {
     seg_label: &'static str,
     seg_level: Option<u32>,
     hop_budget: usize,
+    /// Open [`Self::nested`] scopes; segments only open at depth 0.
+    depth: u32,
 }
 
 impl<'m> RouteRecorder<'m> {
     /// Starts a route at `src`. The default hop budget is `64·n + 64`,
     /// far above any compact scheme's worst case; exceeding it means a loop.
     pub fn new(m: &'m MetricSpace, src: NodeId) -> Self {
+        let mut hops = Vec::with_capacity(HOP_CAPACITY);
+        hops.push(src);
         RouteRecorder {
             m,
             faults: None,
-            hops: vec![src],
+            hops,
             cost: 0,
             max_header_bits: 0,
-            segments: Vec::new(),
+            segments: Vec::with_capacity(SEGMENT_CAPACITY),
             seg_start_cost: 0,
             seg_start_hops: 0,
             seg_label: "route",
             seg_level: None,
             hop_budget: 64 * m.n() + 64,
+            depth: 0,
         }
     }
 
@@ -304,6 +326,12 @@ impl<'m> RouteRecorder<'m> {
         Ok(rec)
     }
 
+    /// The metric every hop is validated and charged against.
+    #[inline]
+    pub fn metric(&self) -> &'m MetricSpace {
+        self.m
+    }
+
     /// The node the packet currently sits at.
     #[inline]
     pub fn current(&self) -> NodeId {
@@ -323,7 +351,12 @@ impl<'m> RouteRecorder<'m> {
     }
 
     /// Closes the current segment (if it accrued cost) and opens a new one.
+    /// Inside a [`Self::nested`] scope this does nothing: the sub-route's
+    /// phases fold into the segment the enclosing route has open.
     pub fn begin_segment(&mut self, label: &'static str, level: Option<u32>) {
+        if self.depth > 0 {
+            return;
+        }
         self.flush_segment();
         self.seg_label = label;
         self.seg_level = level;
@@ -400,28 +433,17 @@ impl<'m> RouteRecorder<'m> {
         Ok(())
     }
 
-    /// Appends an already-executed sub-route (e.g. from an underlying
-    /// labeled scheme). The sub-route must start at the current node; its
-    /// hops are replayed and re-validated, and its header requirement is
-    /// folded into this route's maximum.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the sub-route does not start here or replay
-    /// fails.
-    pub fn absorb(&mut self, sub: &Route) -> Result<(), RouteError> {
-        if sub.src != self.current() {
-            return Err(RouteError::Internal(format!(
-                "sub-route starts at {} but packet is at {}",
-                sub.src,
-                self.current()
-            )));
-        }
-        for &x in &sub.hops[1..] {
-            self.hop(x)?;
-        }
-        self.note_header_bits(sub.max_header_bits);
-        Ok(())
+    /// Runs `walk` as a sub-route of this route (e.g. a leg of an
+    /// underlying labeled scheme), starting at the current node. The
+    /// sub-route moves the packet through this recorder, so its hops are
+    /// validated, charged and budgeted here as they happen; its
+    /// [`Self::begin_segment`] calls fold into the segment open here, and
+    /// its header bits into this route's maximum.
+    pub fn nested<T>(&mut self, walk: impl FnOnce(&mut Self) -> T) -> T {
+        self.depth += 1;
+        let out = walk(self);
+        self.depth -= 1;
+        out
     }
 
     /// Finishes the route at the current node.
@@ -485,21 +507,45 @@ mod tests {
     }
 
     #[test]
-    fn absorb_validates_start() {
-        let m = MetricSpace::new(&gen::path(5));
-        let mut a = RouteRecorder::new(&m, 0);
-        a.walk_shortest(2).unwrap();
-        let sub = a.finish();
+    fn nested_folds_segments_and_headers() {
+        let m = MetricSpace::new(&gen::path(6));
+        let mut r = RouteRecorder::new(&m, 0);
+        r.note_header_bits(5);
+        r.begin_segment("zoom", Some(0));
+        r.walk_shortest(1).unwrap();
+        r.nested(|r| {
+            // A sub-route's phases and headers, as an underlying scheme
+            // would declare them.
+            r.begin_segment("ring-walk", Some(2));
+            r.note_header_bits(9);
+            r.walk_shortest(3).unwrap();
+            r.begin_segment("ring-walk", Some(1));
+            r.note_header_bits(4);
+            r.walk_shortest(4).unwrap();
+        });
+        r.begin_segment("final", Some(0));
+        r.walk_shortest(5).unwrap();
+        let route = r.finish();
+        route.verify(&m).unwrap();
+        assert_eq!(route.hops, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(route.max_header_bits, 9);
+        let phases: Vec<_> = route.segments.iter().map(|s| (s.label, s.level, s.hops)).collect();
+        assert_eq!(phases, vec![("zoom", Some(0), 4), ("final", Some(0), 1)]);
+    }
 
-        let mut b = RouteRecorder::new(&m, 0);
-        b.walk_shortest(1).unwrap();
-        // sub starts at 0 but packet is at 1.
-        assert!(b.absorb(&sub).is_err());
-
-        let mut c = RouteRecorder::new(&m, 0);
-        c.absorb(&sub).unwrap();
-        assert_eq!(c.current(), 2);
-        assert_eq!(c.cost(), 2);
+    #[test]
+    fn nested_hops_are_still_validated() {
+        let m = MetricSpace::new(&gen::path(3));
+        let mut r = RouteRecorder::new(&m, 0);
+        assert!(matches!(r.nested(|r| r.hop(2)), Err(RouteError::Internal(_))));
+        // The hop budget spans the nested scope and the enclosing route.
+        let result = r.nested(|r| {
+            (0..10_000).try_for_each(|_| {
+                r.hop(1)?;
+                r.hop(0)
+            })
+        });
+        assert!(matches!(result, Err(RouteError::HopBudgetExceeded { .. })));
     }
 
     #[test]

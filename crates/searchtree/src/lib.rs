@@ -47,10 +47,11 @@
 //! hashing.
 //!
 //! The tree is *virtual*: its edges are generally not graph edges.
-//! [`SearchTree::search`] returns the walk as a sequence of tree nodes; the
-//! calling scheme executes each virtual hop with its underlying routing
-//! machinery (shortest-path next hops or an underlying labeled scheme) and
-//! charges the true cost.
+//! [`descend`] streams the walk to the calling scheme one tree node at a
+//! time, and the scheme executes each virtual hop with its underlying
+//! routing machinery (shortest-path next hops or an underlying labeled
+//! scheme) and charges the true cost; [`SearchTree::search`] collects the
+//! same walk as a sequence of tree nodes.
 
 #![warn(missing_docs)]
 
@@ -113,29 +114,64 @@ pub trait TreeScan {
     fn scan(&self, local: u32, key: u64) -> NodeScan<Self::Item>;
 }
 
-/// Algorithm 2 over any [`TreeScan`] view: descend from the root while the
-/// current holder misses and a child range covers the key, then report
-/// back to the root along the same path.
-pub fn descend<T: TreeScan + ?Sized>(tree: &T, key: u64) -> SearchWalk<T::Item> {
-    let mut down: Vec<u32> = vec![0];
-    let mut result = None;
-    loop {
-        let s = tree.scan(down[down.len() - 1], key);
+/// Tree depth [`descend`] keeps on the call stack; only a deeper path (a
+/// long Definition 4.2 tail) spills the rest to the heap.
+const STACK_DEPTH: usize = 32;
+
+/// Algorithm 2 over any [`TreeScan`] view, streamed: descend from the root
+/// while the current holder misses and a child range covers the key, then
+/// report back to the root along the same path. `visit` is called with
+/// every tree node the packet moves to, in travel order (the root itself
+/// is where the packet starts), and each record is scanned only after the
+/// packet has reached its node. Returns the retrieved payload, or `None`
+/// if no pair has the key.
+///
+/// # Errors
+///
+/// The first error `visit` returns; the walk stops there.
+pub fn descend<T: TreeScan + ?Sized, E>(
+    tree: &T,
+    key: u64,
+    mut visit: impl FnMut(NodeId) -> Result<(), E>,
+) -> Result<Option<T::Item>, E> {
+    // Graph nodes above the packet, root first, for the report back up.
+    let mut above = [0 as NodeId; STACK_DEPTH];
+    let mut spill: Vec<NodeId> = Vec::new();
+    let mut depth = 0;
+    let mut local = 0;
+    let result = loop {
+        let s = tree.scan(local, key);
         if s.hit.is_some() {
-            result = s.hit;
-            break;
+            break s.hit;
         }
-        match s.descend {
-            Some(c) => down.push(c),
-            None => break,
+        let Some(child) = s.descend else { break None };
+        let here = tree.node_of(local);
+        match above.get_mut(depth) {
+            Some(slot) => *slot = here,
+            None => spill.push(here),
         }
+        depth += 1;
+        local = child;
+        visit(tree.node_of(local))?;
+    };
+    while depth > 0 {
+        depth -= 1;
+        visit(above.get(depth).copied().or_else(|| spill.pop()).expect("pushed on descent"))?;
     }
-    let mut nodes: Vec<NodeId> = Vec::with_capacity(2 * down.len() - 1);
-    nodes.extend(down.iter().map(|&u| tree.node_of(u)));
-    for i in (0..down.len() - 1).rev() {
-        nodes.push(nodes[i]);
+    Ok(result)
+}
+
+impl<D> SearchWalk<D> {
+    /// Collects [`descend`] over `tree` into the whole walk.
+    fn collect<T: TreeScan<Item = D> + ?Sized>(tree: &T, key: u64) -> Self {
+        let mut nodes = vec![tree.node_of(0)];
+        let Ok(result) = descend(tree, key, |x| {
+            nodes.push(x);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        let depth = nodes.len() / 2;
+        SearchWalk { nodes, result, depth }
     }
-    SearchWalk { nodes, result, depth: down.len() - 1 }
 }
 
 /// A search tree over a ball, with stored `(key, data)` pairs.
@@ -349,9 +385,9 @@ impl<D: Clone> SearchTree<D> {
 
     /// Algorithm 2: look up `key` starting from the root, returning the
     /// walk (down and back up) and the retrieved data if present — the
-    /// shared [`descend`] over this tree's records.
+    /// shared [`descend`] over this tree's records, collected.
     pub fn search(&self, key: u64) -> SearchWalk<D> {
-        descend(&self, key)
+        SearchWalk::collect(&self, key)
     }
 
     /// Inserts a `(key, data)` pair after construction (mobility support:
@@ -831,6 +867,24 @@ mod tests {
         let tail_count =
             ball.iter().filter(|&&x| capped.level_of(x) == capped.levels() + 1).count();
         assert!(tail_count > 0);
+    }
+
+    #[test]
+    fn descent_deeper_than_the_stack_reports_back_exactly() {
+        // One level-1 net point, so the other 98 nodes hang off it as one
+        // Definition 4.2 tail, far deeper than the descent's fixed stack.
+        let m = MetricSpace::new(&gen::path(100));
+        let ball: Vec<NodeId> = (0..100).collect();
+        let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64, x)).collect();
+        let config = SearchTreeConfig { eps_r: 200, max_levels: Some(1) };
+        let st = SearchTree::new(&m, 0, &ball, config, pairs);
+        let mut deepest = 0;
+        for key in 0..100 {
+            let (a, b) = (st.search(key), st.search_all(key));
+            assert_eq!((&a.nodes, a.result, a.depth), (&b.nodes, b.result, b.depth), "key {key}");
+            deepest = deepest.max(a.depth);
+        }
+        assert!(deepest > STACK_DEPTH, "deepest walk {deepest}");
     }
 
     #[test]

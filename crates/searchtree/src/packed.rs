@@ -7,9 +7,10 @@
 //! `(key, payload)` pairs are written as a self-describing field stream.
 //! This module only compiles, decodes and reads records: a
 //! [`PackedTreeView`] implements [`TreeScan`] over the packed bits, and
-//! [`PackedSearchTree::search`] runs the crate's one Algorithm 2 descent,
-//! [`crate::descend`], over it — the same procedure
-//! [`crate::SearchTree::search`] runs over the in-memory tree.
+//! [`PackedSearchTree::search`] collects the crate's one Algorithm 2
+//! descent, [`crate::descend`], over it — the same procedure
+//! [`crate::SearchTree::search`] runs over the in-memory tree. A scan
+//! decodes only the payload it returns and skips the others.
 //!
 //! Payloads differ per use (a `u32` label for the name-independent
 //! directories, a [`treeroute::PortLabel`] for the scale-free packing
@@ -33,7 +34,7 @@ use doubling_metric::graph::NodeId;
 use netsim::plane::{BitArena, BitCursor};
 use treeroute::PortLabel;
 
-use crate::{descend, NodeScan, SearchTree, SearchWalk, TreeScan};
+use crate::{NodeScan, SearchTree, SearchWalk, TreeScan};
 
 /// Serialization of one stored payload inside a [`PackedSearchTree`].
 pub trait PayloadCodec {
@@ -46,6 +47,9 @@ pub trait PayloadCodec {
     /// Reads one payload field by field, `take(width)` yielding each
     /// field in order.
     fn read(&self, take: impl FnMut(u64) -> u64) -> Self::Item;
+
+    /// Advances the cursor past one payload without building it.
+    fn skip(&self, cur: &mut BitCursor<'_>);
 
     /// Reads one payload at the cursor.
     fn decode(&self, cur: &mut BitCursor<'_>) -> Self::Item {
@@ -77,6 +81,10 @@ impl PayloadCodec for U32Codec {
     fn read(&self, mut take: impl FnMut(u64) -> u64) -> u32 {
         take(self.width) as u32
     }
+
+    fn skip(&self, cur: &mut BitCursor<'_>) {
+        cur.skip(self.width);
+    }
 }
 
 /// Codec for [`PortLabel`] payloads: DFS number, light-trail length, then
@@ -107,6 +115,12 @@ impl PayloadCodec for PortLabelCodec {
         let dfs = take(self.node) as u32;
         let lights = (0..take(self.cnt)).map(|_| (take(self.node) as u32, take(self.port) as u32));
         PortLabel { dfs, lights: lights.collect() }
+    }
+
+    fn skip(&self, cur: &mut BitCursor<'_>) {
+        cur.skip(self.node);
+        let lights = cur.take(self.cnt);
+        cur.skip(lights * (self.node + self.port));
     }
 }
 
@@ -209,9 +223,9 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
     }
 
     /// Algorithm 2 against the packed bits: [`crate::descend`] over
-    /// [`Self::view`].
+    /// [`Self::view`], collected.
     pub fn search(&self, arena: &BitArena, key: u64) -> SearchWalk<C::Item> {
-        descend(&self.view(arena), key)
+        SearchWalk::collect(&self.view(arena), key)
     }
 }
 
@@ -235,11 +249,10 @@ impl<C: PayloadCodec> TreeScan for PackedTreeView<'_, C> {
         let mut cur = BitCursor::new(self.arena, self.tree.local_off[local as usize] + w.node);
         let npairs = cur.take(w.cnt);
         for _ in 0..npairs {
-            let k = cur.take(w.key);
-            let d = self.tree.codec.decode(&mut cur);
-            if k == key {
-                return NodeScan { hit: Some(d), descend: None };
+            if cur.take(w.key) == key {
+                return NodeScan { hit: Some(self.tree.codec.decode(&mut cur)), descend: None };
             }
+            self.tree.codec.skip(&mut cur);
         }
         let nchildren = cur.take(w.cnt);
         for _ in 0..nchildren {
@@ -278,6 +291,26 @@ mod tests {
         let packed = PackedSearchTree::encode(&mut arena, &st, U32Codec { width: 5 }, widths);
         for key in 0..30u64 {
             assert_eq!(packed.search(&arena, key), st.search(key), "key {key}");
+        }
+
+        // PortLabel payloads of varying light-trail lengths, three per
+        // node of a multi-level tree: scans skip the payloads they pass,
+        // within a node and before its child ranges, and decode only the hit.
+        let ball: Vec<NodeId> = m.ball(12, 6).iter().map(|&(_, x)| x).collect();
+        let pairs: Vec<(u64, PortLabel)> = (0..3 * ball.len() as u32)
+            .map(|k| {
+                let lights = (0..k % 4).map(|i| ((k + i) % 32, i % 8)).collect();
+                (k as u64, PortLabel { dfs: k % 32, lights })
+            })
+            .collect();
+        let config = SearchTreeConfig { eps_r: 4, max_levels: None };
+        let st = SearchTree::new(&m, 12, &ball, config, pairs);
+        assert!(st.levels() > 1, "the descent must pass interior nodes");
+        let codec = PortLabelCodec { node: 5, port: 3, cnt: 3 };
+        let widths = PackedTreeWidths { key: 7, cnt: 6, node: 5 };
+        let packed = PackedSearchTree::encode(&mut arena, &st, codec, widths);
+        for key in 0..4 * ball.len() as u64 {
+            assert_eq!(packed.search(&arena, key), st.search(key), "port-label key {key}");
         }
     }
 
