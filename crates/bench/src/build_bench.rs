@@ -22,7 +22,7 @@ use std::sync::Arc;
 use doubling_metric::build::BuildProfile;
 use doubling_metric::{gen, MetricSpace};
 use netsim::json::Value;
-use obs::Log2Histogram;
+use obs::{Log2Histogram, Telemetry};
 
 use crate::table::f2;
 
@@ -115,7 +115,14 @@ pub struct BuildBenchReport {
 
 /// Runs the sweep: for each `n`, a 1-thread baseline build, then one
 /// build per entry of `thread_counts` compared `==` against the baseline.
-pub fn run_build_bench(ns: &[usize], thread_counts: &[usize], seed: u64) -> BuildBenchReport {
+/// Every build is a `metric-build` span with its per-phase children on
+/// `tel.tracer`.
+pub fn run_build_bench(
+    ns: &[usize],
+    thread_counts: &[usize],
+    seed: u64,
+    tel: &Telemetry,
+) -> BuildBenchReport {
     let headers = vec![
         "n",
         "threads",
@@ -135,9 +142,15 @@ pub fn run_build_bench(ns: &[usize], thread_counts: &[usize], seed: u64) -> Buil
     for &n in ns {
         let graph = Arc::new(gen::Family::Grid.build(n, seed));
         let real_n = graph.node_count();
+        let build = |threads| {
+            let _sp = tel.tracer.span("metric-build");
+            let (m, profile) = MetricSpace::build_profiled(Arc::clone(&graph), threads);
+            obs::phase::record_build_profile(&tel.tracer, &profile);
+            (m, profile)
+        };
 
         let alloc0 = obs::alloc::allocated_bytes();
-        let (reference, baseline) = MetricSpace::build_profiled(Arc::clone(&graph), 1);
+        let (reference, baseline) = build(1);
         let baseline_alloc = obs::alloc::allocated_bytes() - alloc0;
 
         for &threads in thread_counts {
@@ -151,7 +164,7 @@ pub fn run_build_bench(ns: &[usize], thread_counts: &[usize], seed: u64) -> Buil
                 }
             } else {
                 let alloc0 = obs::alloc::allocated_bytes();
-                let (m, profile) = MetricSpace::build_profiled(Arc::clone(&graph), threads);
+                let (m, profile) = build(threads);
                 let alloc_bytes = obs::alloc::allocated_bytes() - alloc0;
                 let deterministic = m == reference;
                 all_deterministic &= deterministic;
@@ -187,7 +200,8 @@ pub fn thread_sweep(cap: usize) -> Vec<usize> {
 /// Entry point for `cargo run --release -p bench --bin bench_build`: runs
 /// the sweep, prints the table, and writes `results/bench_build.json`.
 ///
-/// Usage: `bench_build [max_n] [--seed N] [--threads N] [--json]`.
+/// Usage: `bench_build [max_n] [--seed N] [--threads N] [--json] [--trace]
+/// [--chrome-trace PATH]`.
 /// `max_n` truncates the default n sweep {100, 200, 400, 800}; `--threads`
 /// caps the thread sweep {1, 2, 4, max} (default: available parallelism).
 pub fn build_bench_main() {
@@ -195,7 +209,8 @@ pub fn build_bench_main() {
     let max_n: usize = cli.pos(0, *DEFAULT_NS.last().unwrap());
     let ns: Vec<usize> = DEFAULT_NS.into_iter().filter(|&n| n <= max_n).collect();
     let threads = thread_sweep(cli.threads);
-    let report = run_build_bench(&ns, &threads, cli.seed);
+    let tel = cli.telemetry();
+    let report = run_build_bench(&ns, &threads, cli.seed, &tel);
     crate::table::emit(
         &format!(
             "B1: metric build scaling (grid, threads {threads:?}, {} core(s) available, seed {})",
@@ -214,6 +229,7 @@ pub fn build_bench_main() {
         println!("single-core machine it stays ≈1.0 — the `identical` column is the");
         println!("invariant that must hold everywhere.");
     }
+    cli.finish("bench_build", std::path::Path::new("results"), tel);
     assert!(report.all_deterministic, "parallel build diverged from sequential");
 }
 
@@ -223,7 +239,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_cells_and_stays_deterministic() {
-        let report = run_build_bench(&[64, 100], &[1, 2, 4], 3);
+        let report = run_build_bench(&[64, 100], &[1, 2, 4], 3, &Telemetry::off());
         assert_eq!(report.rows.len(), 2 * 3);
         assert!(report.all_deterministic);
         assert_eq!(report.doc.get("schema_version").and_then(Value::as_u64), Some(SCHEMA_VERSION));

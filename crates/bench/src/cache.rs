@@ -109,12 +109,8 @@ impl MetricCache {
         self.threads
     }
 
-    /// The metric of `family.build(n, seed)`, built on first use.
-    pub fn family(&self, f: gen::Family, n: usize, seed: u64) -> Arc<MetricSpace> {
-        self.family_traced(f, n, seed, &Tracer::noop())
-    }
-
-    /// As [`MetricCache::family`], logging a cache event to `tracer`.
+    /// The metric of `family.build(n, seed)`, built on first use; see
+    /// [`MetricCache::get_or_build_traced`] for what `tracer` records.
     pub fn family_traced(
         &self,
         f: gen::Family,
@@ -127,18 +123,9 @@ impl MetricCache {
 
     /// The metric for an arbitrary generator under an explicit key name;
     /// `build` runs only on the first request for `(name, n, seed)`.
-    pub fn get_or_build(
-        &self,
-        name: &str,
-        n: usize,
-        seed: u64,
-        build: impl FnOnce() -> Graph,
-    ) -> Arc<MetricSpace> {
-        self.get_or_build_traced(name, n, seed, &Tracer::noop(), build)
-    }
-
-    /// As [`MetricCache::get_or_build`], logging a `metric-cache-build`
-    /// or `metric-cache-hit` event (fields: family, n, seed) to `tracer`.
+    /// Every lookup logs a `metric-cache-build` or `metric-cache-hit`
+    /// event (fields: family, n, seed) to `tracer`, and a build records
+    /// its `metric-build` span with the per-phase children.
     pub fn get_or_build_traced(
         &self,
         name: &str,
@@ -210,7 +197,7 @@ impl MetricCache {
             return Arc::clone(p);
         }
         let provider: Arc<dyn DistanceProvider> = match backend {
-            DistanceBackend::Exact => self.family(f, n, seed),
+            DistanceBackend::Exact => self.family_traced(f, n, seed, &Tracer::noop()),
             DistanceBackend::OnDemand { rows } => {
                 Arc::new(OnDemandDijkstra::new(self.graph(f, n, seed), rows))
             }
@@ -242,12 +229,12 @@ mod tests {
     #[test]
     fn builds_once_and_shares_the_arc() {
         let cache = MetricCache::new(1);
-        let a = cache.family(gen::Family::Grid, 16, 3);
-        let b = cache.family(gen::Family::Grid, 16, 3);
+        let a = cache.family_traced(gen::Family::Grid, 16, 3, &Tracer::noop());
+        let b = cache.family_traced(gen::Family::Grid, 16, 3, &Tracer::noop());
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats(), CacheStats { builds: 1, hits: 1 });
         // A different key is a different build.
-        let c = cache.family(gen::Family::Grid, 16, 4);
+        let c = cache.family_traced(gen::Family::Grid, 16, 4, &Tracer::noop());
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.stats(), CacheStats { builds: 2, hits: 1 });
     }
@@ -255,7 +242,7 @@ mod tests {
     #[test]
     fn cached_metric_equals_direct_build() {
         let cache = MetricCache::new(2);
-        let m = cache.family(gen::Family::Geometric, 36, 7);
+        let m = cache.family_traced(gen::Family::Geometric, 36, 7, &Tracer::noop());
         let direct = MetricSpace::new(&gen::Family::Geometric.build(36, 7));
         assert_eq!(*m, direct);
     }
@@ -264,11 +251,12 @@ mod tests {
     fn custom_generator_keys_work() {
         let cache = MetricCache::new(1);
         let mut calls = 0;
-        let a = cache.get_or_build("exp-path", 12, 0, || {
+        let noop = Tracer::noop();
+        let a = cache.get_or_build_traced("exp-path", 12, 0, &noop, || {
             calls += 1;
             gen::exp_weight_path(12)
         });
-        let b = cache.get_or_build("exp-path", 12, 0, || unreachable!("must hit the cache"));
+        let b = cache.get_or_build_traced("exp-path", 12, 0, &noop, || unreachable!("must hit"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(calls, 1);
     }
@@ -308,7 +296,7 @@ mod tests {
     fn graph_is_shared_between_backends_and_the_metric() {
         let cache = MetricCache::new(1);
         let g = cache.graph(gen::Family::Grid, 16, 2);
-        let m = cache.family(gen::Family::Grid, 16, 2);
+        let m = cache.family_traced(gen::Family::Grid, 16, 2, &Tracer::noop());
         assert!(Arc::ptr_eq(&g, &m.graph_arc()));
     }
 

@@ -29,7 +29,7 @@ use netsim::stats::{
     eval_resilient, eval_under_faults, sample_pairs, FaultEvalResult, RecoveryEvalResult,
 };
 use netsim::Naming;
-use obs::{MetricsRegistry, Tracer};
+use obs::{Telemetry, Tracer};
 
 use crate::cache::MetricCache;
 use crate::schemes::Built;
@@ -194,7 +194,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// strategy × every removal fraction. Returns table headers/rows for the
 /// console plus the full JSON document.
 ///
-/// When `tracer` is recording, every individual loss becomes an
+/// When `tel.tracer` is recording, every individual loss becomes an
 /// attributable event: `"stale-loss"` (strategy, fraction, scheme, pair,
 /// loss kind) for stale-table losses and `"rebuilt-unreachable"` for
 /// pairs outside the rebuilt component. With [`Tracer::noop`] the
@@ -209,11 +209,11 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// context as the loss events. With `None`, output is byte-identical to
 /// before the flag existed.
 ///
-/// `registry` counts recovery interventions by kind
-/// ([`obs::eval::meter_recovery_event`]) — pass
-/// [`MetricsRegistry::disabled`] to opt out at one branch per event.
-/// `stable` (the `--stable` flag) pins every `rebuild_ms` to `0`, the only
-/// wall-clock field of the document.
+/// `tel` also counts recovery interventions by kind and records every
+/// resilient delivery in its flight ring ([`Telemetry::recovery_event`],
+/// [`Telemetry::delivery`]); [`Telemetry::off`] opts out at one branch
+/// per event. `stable` (the `--stable` flag) pins every `rebuild_ms` to
+/// `0`, the only wall-clock field of the document.
 #[allow(clippy::too_many_arguments)] // experiment entry point: one knob per CLI flag
 pub fn run_churn(
     cache: &MetricCache,
@@ -222,12 +222,11 @@ pub fn run_churn(
     pairs_count: usize,
     fractions: &[f64],
     seed: u64,
-    tracer: &Tracer,
-    registry: &MetricsRegistry,
+    tel: &Telemetry,
     policy: Option<&RecoveryPolicy>,
     stable: bool,
 ) -> (Vec<&'static str>, Vec<Vec<String>>, Value) {
-    let m = cache.family_traced(gen::Family::Grid, n, seed, tracer);
+    let m = cache.family_traced(gen::Family::Grid, n, seed, &tel.tracer);
     let g = m.graph();
     let naming = Naming::random(m.n(), seed ^ 0xA5);
     let pairs = sample_pairs(m.n(), pairs_count, seed ^ 0x5A);
@@ -272,7 +271,8 @@ pub fn run_churn(
                 .iter()
                 .enumerate()
                 .map(|(i, s)| {
-                    let ctx = CellCtx { tracer, strategy, fraction, scheme: s.scheme_name() };
+                    let scheme = s.scheme_name();
+                    let ctx = CellCtx { tracer: &tel.tracer, strategy, fraction, scheme };
                     SchemeCell {
                         stale: eval_under_faults(&**s, &m, &plan, &pairs, stale_observer(ctx)),
                         rebuilt: sn.as_ref().map(|sn| {
@@ -284,15 +284,8 @@ pub fn run_churn(
                                 &ResilientRouter::new(&m, &**s, p.clone()),
                                 timeline.as_ref().unwrap(),
                                 &pairs,
-                                |u, v, ev| {
-                                    obs::eval::trace_recovery_event(
-                                        tracer,
-                                        || ctx.fields(u, v),
-                                        ev,
-                                    );
-                                    obs::eval::meter_recovery_event(registry, ev);
-                                },
-                                |_, _, _| {},
+                                |u, v, ev| tel.recovery_event(|| ctx.fields(u, v), ev),
+                                |u, v, o| tel.delivery(u, v, o),
                             )
                         }),
                     }
@@ -364,7 +357,8 @@ pub fn worst_delivery(doc: &Value) -> f64 {
 /// Entry point for `cargo run --release --bin churn` (the binary lives in
 /// this crate): runs the grid, prints the table, and
 /// writes `results/churn.json`. With `--trace`, every individual loss is
-/// recorded and the trace is written to `results/churn_trace.jsonl`.
+/// recorded and the trace is written to `results/churn_trace.jsonl`
+/// ([`crate::cli::Cli::finish`] writes the telemetry artifacts).
 ///
 /// Usage: `churn [n] [1/eps] [pairs] [--seed N] [--trace]
 /// [--chrome-trace PATH] [--json] [--threads N] [--policy P]
@@ -379,9 +373,8 @@ pub fn churn_main() {
     let inv: u64 = cli.pos(1, 8);
     let pairs: usize = cli.pos(2, 300);
     let fractions = [0.05, 0.10, 0.20, 0.30];
-    let tracer = cli.tracer();
+    let tel = cli.telemetry();
     let cache = MetricCache::new(cli.threads);
-    let registry = MetricsRegistry::new();
     let (headers, rows, doc) = run_churn(
         &cache,
         n,
@@ -389,8 +382,7 @@ pub fn churn_main() {
         pairs,
         &fractions,
         cli.seed,
-        &tracer,
-        &registry,
+        &tel,
         cli.policy.as_ref(),
         cli.stable,
     );
@@ -405,20 +397,7 @@ pub fn churn_main() {
     if !cli.json {
         println!("\nwrote results/churn.json");
     }
-    let snapshot = registry.snapshot();
-    let log = tracer.finish();
-    if cli.trace {
-        std::fs::write("results/churn_trace.jsonl", log.to_jsonl())
-            .expect("write results/churn_trace.jsonl");
-        if !cli.json {
-            println!("wrote results/churn_trace.jsonl");
-        }
-    }
-    if let Some(path) = cli.write_chrome_trace(&log, Some(&snapshot)) {
-        if !cli.json {
-            println!("wrote {path}");
-        }
-    }
+    cli.finish("churn", std::path::Path::new("results"), tel);
     if let Some(threshold) = cli.min_delivery {
         let worst = worst_delivery(&doc);
         if worst < threshold {
@@ -440,20 +419,10 @@ mod tests {
     #[test]
     fn churn_grid_covers_all_cells_and_rebuild_beats_stale_under_targeting() {
         let fractions = [0.1, 0.2];
-        let tracer = Tracer::recording();
+        let tel = Telemetry { tracer: Tracer::recording(), ..Telemetry::off() };
         let cache = MetricCache::new(1);
-        let (h, rows, doc) = run_churn(
-            &cache,
-            64,
-            Eps::one_over(8),
-            150,
-            &fractions,
-            7,
-            &tracer,
-            &MetricsRegistry::disabled(),
-            None,
-            false,
-        );
+        let (h, rows, doc) =
+            run_churn(&cache, 64, Eps::one_over(8), 150, &fractions, 7, &tel, None, false);
         // One base metric build, no rebuild through the cache.
         assert_eq!(cache.stats().builds, 1);
         assert_eq!(h.len(), 8);
@@ -508,7 +477,7 @@ mod tests {
         // event count matches the aggregated loss counters exactly, and
         // each event carries the full (strategy, fraction, scheme, pair,
         // kind) context.
-        let log = tracer.finish();
+        let log = tel.tracer.finish();
         let mut expected_losses = 0u64;
         for cell in cells {
             for s in cell.get("schemes").and_then(Value::as_array).unwrap() {
@@ -548,22 +517,11 @@ mod tests {
     #[test]
     fn churn_policy_adds_recovery_column_and_trace_events() {
         let fractions = [0.2];
-        let tracer = Tracer::recording();
+        let tel = Telemetry::on(Tracer::recording());
         let cache = MetricCache::new(1);
         let policy = RecoveryPolicy::parse("detour:8").unwrap();
-        let registry = MetricsRegistry::new();
-        let (h, rows, doc) = run_churn(
-            &cache,
-            64,
-            Eps::one_over(8),
-            120,
-            &fractions,
-            7,
-            &tracer,
-            &registry,
-            Some(&policy),
-            false,
-        );
+        let (h, rows, doc) =
+            run_churn(&cache, 64, Eps::one_over(8), 120, &fractions, 7, &tel, Some(&policy), false);
         assert_eq!(*h.last().unwrap(), "policy-reach");
         assert!(rows.iter().all(|r| r.len() == h.len()));
         assert_eq!(doc.get("policy").and_then(Value::as_str), Some("detour:8"));
@@ -589,9 +547,13 @@ mod tests {
         }
         assert!(recoveries_total > 0, "20% removal must force recoveries");
 
+        // Every resilient delivery entered the flight ring.
+        assert!(!tel.flight.borrow().is_empty());
+
         // Recovery decisions are attributable trace events carrying the
         // same cell context as the loss events.
-        let log = tracer.finish();
+        let snap = tel.registry.snapshot();
+        let log = tel.tracer.finish();
         let detours: Vec<_> = log.events.iter().filter(|e| e.name == "recovery-detour").collect();
         assert!(!detours.is_empty());
         for e in &detours {
@@ -603,7 +565,6 @@ mod tests {
         }
 
         // The registry counted exactly the interventions that were traced.
-        let snap = registry.snapshot();
         assert_eq!(snap.counter("recovery-detour"), Some(detours.len() as u64));
     }
 
@@ -644,8 +605,7 @@ mod tests {
             60,
             &fractions,
             7,
-            &Tracer::noop(),
-            &MetricsRegistry::disabled(),
+            &Telemetry::off(),
             None,
             false,
         );
@@ -669,8 +629,7 @@ mod tests {
                 60,
                 &[0.1],
                 7,
-                &Tracer::noop(),
-                &MetricsRegistry::disabled(),
+                &Telemetry::off(),
                 None,
                 true,
             );

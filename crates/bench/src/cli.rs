@@ -10,12 +10,14 @@
 //! * `--json` — machine-readable output; [`crate::table::emit`] also
 //!   checks for this flag, so the tables switch automatically, and the
 //!   binaries use [`Cli::json`] to suppress their prose footers.
-//! * `--trace` — opt into recording-tracer output where the binary
-//!   supports it (e.g. `churn` writes `results/churn_trace.jsonl`).
+//! * `--trace` — record a trace and write it, with the registry
+//!   snapshot, as `results/<name>_trace.jsonl` and
+//!   `results/<name>_metrics.prom` (see [`Cli::finish`]).
 //! * `--chrome-trace PATH` / `--chrome-trace=PATH` — additionally render
-//!   the recorded trace as Chrome trace-event / Perfetto JSON (see
-//!   [`obs::export::chrome_trace`]) at `PATH`. Implies recording even
-//!   without `--trace`.
+//!   the recorded trace, with the registry counters, as Chrome
+//!   trace-event / Perfetto JSON (see
+//!   [`obs::export::chrome_trace_with_metrics`]) at `PATH`. Implies
+//!   recording even without `--trace`.
 //! * `--threads N` / `--threads=N` — worker threads for parallel metric
 //!   preprocessing (default: available parallelism; `1` recovers the
 //!   sequential build, which is byte-identical anyway).
@@ -44,6 +46,16 @@
 //! Unknown `--flags` are rejected loudly rather than silently treated as
 //! positionals, so a typo like `--sed 7` cannot quietly run with the
 //! default seed.
+//!
+//! Telemetry goes through one seam: a binary takes its
+//! [`obs::Telemetry`] from [`Cli::telemetry`], threads it through its
+//! run, and hands it to [`Cli::finish`], the one artifact writer. This
+//! file is the only place in the crate that serializes a trace, a
+//! registry snapshot or a flight ring.
+
+use std::path::Path;
+
+use obs::Telemetry;
 
 /// Parsed command line: positionals plus the shared flags.
 #[derive(Debug, Clone, PartialEq)]
@@ -230,35 +242,55 @@ impl Cli {
         self.positionals.get(idx).and_then(|s| s.parse().ok()).unwrap_or(default)
     }
 
-    /// Whether any flag requests a recording tracer (`--trace` or
-    /// `--chrome-trace`).
-    pub fn wants_recording(&self) -> bool {
-        self.trace || self.chrome_trace.is_some()
+    /// The run's telemetry: an enabled registry, a flight ring, and a
+    /// tracer that records iff `--trace` or `--chrome-trace` was passed.
+    pub fn telemetry(&self) -> Telemetry {
+        let recording = self.trace || self.chrome_trace.is_some();
+        Telemetry::on(if recording { obs::Tracer::recording() } else { obs::Tracer::noop() })
     }
 
-    /// A tracer matching the flags: recording iff
-    /// [`Cli::wants_recording`], noop otherwise.
-    pub fn tracer(&self) -> obs::Tracer {
-        if self.wants_recording() {
-            obs::Tracer::recording()
-        } else {
-            obs::Tracer::noop()
+    /// Writes the artifacts of `tel` for the binary `name`, the same set
+    /// for every binary:
+    ///
+    /// * under `--trace`, the trace as `<dir>/<name>_trace.jsonl` and the
+    ///   registry snapshot as `<dir>/<name>_metrics.prom`;
+    /// * under `--chrome-trace PATH`, the trace plus the registry counters
+    ///   as Chrome trace-event JSON at `PATH`;
+    /// * when the flight ring saw an anomaly, the ring as
+    ///   `<dir>/<name>_flight.jsonl` — and on a clean run, no such file:
+    ///   a dump left by an earlier run is removed.
+    ///
+    /// Every file written is announced on stdout unless `--json`.
+    pub fn finish(&self, name: &str, dir: &Path, tel: Telemetry) {
+        let Telemetry { tracer, registry, flight } = tel;
+        let (log, snapshot, flight) = (tracer.finish(), registry.snapshot(), flight.into_inner());
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
+        let write = |path: &Path, body: String| {
+            std::fs::write(path, body).unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
+            if !self.json {
+                println!("wrote {}", path.display());
+            }
+        };
+        if self.trace {
+            write(&dir.join(format!("{name}_trace.jsonl")), log.to_jsonl());
+            let prom = obs::export::prometheus_text(&snapshot);
+            write(&dir.join(format!("{name}_metrics.prom")), prom);
         }
-    }
-
-    /// Writes `log` (plus `snapshot`'s counters, when given) as Chrome
-    /// trace-event JSON to the `--chrome-trace` path, if one was passed.
-    /// Returns the path written.
-    pub fn write_chrome_trace(
-        &self,
-        log: &obs::TraceLog,
-        snapshot: Option<&obs::registry::Snapshot>,
-    ) -> Option<&str> {
-        let path = self.chrome_trace.as_deref()?;
-        let doc = obs::export::chrome_trace_with_metrics(log, snapshot);
-        std::fs::write(path, doc.to_string_pretty() + "\n")
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        Some(path)
+        if let Some(path) = &self.chrome_trace {
+            let doc = obs::export::chrome_trace_with_metrics(&log, Some(&snapshot));
+            write(Path::new(path), doc.to_string_pretty() + "\n");
+        }
+        let dump = dir.join(format!("{name}_flight.jsonl"));
+        let dumped = flight
+            .dump_if_anomalous(&dump)
+            .unwrap_or_else(|e| panic!("cannot write {dump:?}: {e}"));
+        if dumped {
+            eprintln!("{} anomalies: flight ring dumped to {}", flight.anomalies(), dump.display());
+        } else if let Err(e) = std::fs::remove_file(&dump) {
+            if e.kind() != std::io::ErrorKind::NotFound {
+                panic!("cannot remove stale {dump:?}: {e}");
+            }
+        }
     }
 }
 
@@ -363,17 +395,69 @@ mod tests {
     fn chrome_trace_flag_both_forms_and_implies_recording() {
         let c = parse(&[], 42);
         assert_eq!(c.chrome_trace, None);
-        assert!(!c.wants_recording());
-        assert!(!c.tracer().enabled());
+        assert!(!c.telemetry().tracer.enabled());
         let c = parse(&["--chrome-trace", "out.json"], 42);
         assert_eq!(c.chrome_trace.as_deref(), Some("out.json"));
-        assert!(c.wants_recording());
-        assert!(c.tracer().enabled());
+        assert!(c.telemetry().tracer.enabled());
         let c = parse(&["--chrome-trace=/tmp/t.json"], 42);
         assert_eq!(c.chrome_trace.as_deref(), Some("/tmp/t.json"));
-        let c = parse(&["--trace"], 42);
-        assert!(c.wants_recording());
-        assert!(c.write_chrome_trace(&obs::TraceLog::default(), None).is_none());
+        assert!(parse(&["--trace"], 42).telemetry().tracer.enabled());
+    }
+
+    /// A fresh, empty directory for one test's artifacts.
+    fn scratch_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("bench-cli-{}-{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn finish_writes_every_artifact_the_flags_ask_for() {
+        let dir = scratch_dir("artifacts");
+        let chrome = dir.join("x_chrome.json");
+        let c = parse(&["--json", "--trace", "--chrome-trace", chrome.to_str().unwrap()], 42);
+        let tel = c.telemetry();
+        {
+            let _s = tel.tracer.span("phase");
+        }
+        tel.registry.counter("x.count").add(3);
+        c.finish("x", &dir, tel);
+        let trace = std::fs::read_to_string(dir.join("x_trace.jsonl")).unwrap();
+        assert!(trace.contains("\"phase\""));
+        let prom = std::fs::read_to_string(dir.join("x_metrics.prom")).unwrap();
+        assert!(prom.contains("x_count 3"), "{prom}");
+        let doc = std::fs::read_to_string(&chrome).unwrap();
+        assert!(doc.contains("traceEvents") && doc.contains("x.count"));
+        assert!(!dir.join("x_flight.jsonl").exists());
+        // Without flags nothing but the (absent) flight dump is touched.
+        let dir2 = scratch_dir("no-flags");
+        parse(&["--json"], 42).finish("x", &dir2, Telemetry::off());
+        assert_eq!(std::fs::read_dir(&dir2).unwrap().count(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&dir2).unwrap();
+    }
+
+    #[test]
+    fn finish_dumps_the_flight_ring_on_anomaly_and_removes_a_stale_dump() {
+        let dir = scratch_dir("flight");
+        let dump = dir.join("x_flight.jsonl");
+        let c = parse(&["--json"], 42);
+        // A red run dumps the ring.
+        let tel = c.telemetry();
+        tel.flight.borrow_mut().record_error(
+            0,
+            1,
+            &netsim::RouteError::HopBudgetExceeded { budget: 7 },
+        );
+        c.finish("x", &dir, tel);
+        let text = std::fs::read_to_string(&dump).unwrap();
+        assert_eq!(text.lines().count(), 1);
+        assert!(text.contains("\"loss\""));
+        // A later green run leaves no file behind.
+        c.finish("x", &dir, c.telemetry());
+        assert!(!dump.exists(), "stale flight dump survived a clean run");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

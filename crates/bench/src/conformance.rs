@@ -24,7 +24,7 @@ use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::json::Value;
 use netsim::stats::{all_pairs, sample_pairs};
 use netsim::Naming;
-use obs::{FlightRecorder, Tracer};
+use obs::Telemetry;
 
 use conform::{certify_labeled_with, certify_lower_bound, certify_name_independent_with};
 use conform::{Certificate, Guarantee, Params};
@@ -83,12 +83,15 @@ fn cert_row(family: &str, n: usize, eps: &str, seed: u64, cert: &Certificate) ->
     ]
 }
 
-/// Emits one trace event per clause of `cert` (see
-/// [`obs::eval::trace_conformance_clause`]); free with a noop tracer.
-fn trace_cert(tracer: &Tracer, family: &str, n: usize, eps: &str, seed: u64, cert: &Certificate) {
+/// Observes `cert`: its worst-stretch witness route enters the flight
+/// ring, then every clause goes through [`Telemetry::conformance_clause`]
+/// (a failing clause flags the witness as an anomaly).
+fn observe_cert(tel: &Telemetry, family: &str, n: usize, eps: &str, seed: u64, cert: &Certificate) {
+    if let Some(w) = &cert.witness {
+        tel.flight.borrow_mut().record_route(w.src, w.dst, &w.route, w.stretch);
+    }
     for c in &cert.clauses {
-        obs::eval::trace_conformance_clause(
-            tracer,
+        tel.conformance_clause(
             || {
                 vec![
                     ("family", family.into()),
@@ -115,8 +118,8 @@ fn trace_cert(tracer: &Tracer, family: &str, n: usize, eps: &str, seed: u64, cer
 /// document (the audit merge is order-deterministic), so two runs with the
 /// same sweep arguments and seed are byte-identical at any thread count.
 ///
-/// Every certificate's worst-stretch witness route enters `flight` (hop
-/// attribution included); a failing certificate flags it with a
+/// Every certificate's worst-stretch witness route enters `tel`'s flight
+/// ring (hop attribution included); a failing clause flags it with a
 /// `"conformance-failure"` anomaly, so the owning binary dumps the ring.
 #[allow(clippy::too_many_arguments)]
 pub fn run_conformance(
@@ -130,8 +133,7 @@ pub fn run_conformance(
     lb_tree_size: usize,
     lb_iters: usize,
     audit_wall: usize,
-    tracer: &Tracer,
-    flight: &mut FlightRecorder,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>, Value) {
     let headers = vec![
         "family", "n", "eps", "seed", "theorem", "scheme", "stretch", "s-bound", "table-b",
@@ -147,7 +149,7 @@ pub fn run_conformance(
         for &n in ns {
             for &eps in eps_list {
                 for s in seed..seed + num_seeds as u64 {
-                    let m = cache.family_traced(family, n, s, tracer);
+                    let m = cache.family_traced(family, n, s, &tel.tracer);
                     let params = Params::measure(&m, eps);
                     let naming = Naming::random(m.n(), s ^ 0xA5);
                     let exhaustive = m.n() <= audit_wall;
@@ -213,14 +215,8 @@ pub fn run_conformance(
                     ];
 
                     for cert in &certs {
-                        trace_cert(tracer, family.name(), m.n(), &eps_str, s, cert);
+                        observe_cert(tel, family.name(), m.n(), &eps_str, s, cert);
                         rows.push(cert_row(family.name(), m.n(), &eps_str, s, cert));
-                        if let Some(w) = &cert.witness {
-                            flight.record_route(w.src, w.dst, &w.route, w.stretch);
-                        }
-                        if !cert.pass() {
-                            flight.note_anomaly("conformance-failure");
-                        }
                         total_clauses += cert.clauses.len();
                         total_certs += 1;
                         all_pass &= cert.pass();
@@ -253,7 +249,7 @@ pub fn run_conformance(
 
     // Theorem 1.3, once per run: the search game on the lower-bound tree.
     let lb = certify_lower_bound(&LB_EPS_VALUES, lb_tree_size, lb_iters, seed);
-    trace_cert(tracer, "lb-tree", lb_tree_size, "-", seed, &lb);
+    observe_cert(tel, "lb-tree", lb_tree_size, "-", seed, &lb);
     for c in &lb.clauses {
         rows.push(vec![
             "lb-tree".to_string(),
@@ -274,9 +270,6 @@ pub fn run_conformance(
     total_clauses += lb.clauses.len();
     total_certs += 1;
     all_pass &= lb.pass();
-    if !lb.pass() {
-        flight.note_anomaly("conformance-failure");
-    }
 
     let doc = Value::Object(vec![
         ("schema_version".into(), 1u64.into()),
@@ -308,8 +301,8 @@ pub fn run_conformance(
 /// Usage: `conformance [1/eps-list] [--n LIST] [--seeds K] [--seed N]
 /// [--json] [--trace] [--chrome-trace PATH] [--threads N]` — e.g.
 /// `conformance 4,8 --n 64,196`. A failing certificate dumps the witness
-/// flight ring to `results/conformance_flight.jsonl` before the verdict
-/// assertion fires.
+/// flight ring to `results/conformance_flight.jsonl` (see
+/// [`crate::cli::Cli::finish`]) before the verdict assertion fires.
 pub fn conformance_main() {
     let cli = crate::cli::Cli::parse_env(42);
     let inv_list: String = cli.pos(0, "4,8".to_string());
@@ -326,9 +319,8 @@ pub fn conformance_main() {
     let ns = cli.n_list.clone().unwrap_or_else(|| vec![64, 196]);
     let num_seeds = cli.seeds.unwrap_or(1);
     let families = crate::experiments::table_families();
-    let tracer = cli.tracer();
+    let tel = cli.telemetry();
     let cache = MetricCache::new(cli.threads);
-    let mut flight = FlightRecorder::new(obs::flight::DEFAULT_CAPACITY);
     let (headers, rows, doc) = run_conformance(
         &cache,
         &families,
@@ -340,8 +332,7 @@ pub fn conformance_main() {
         LB_TREE_SIZE,
         LB_ITERS,
         AUDIT_WALL,
-        &tracer,
-        &mut flight,
+        &tel,
     );
     crate::table::emit(
         &format!(
@@ -363,28 +354,7 @@ pub fn conformance_main() {
         println!("\nwrote results/conformance.json");
         println!("verdict: {}", if all_pass { "all certificates PASS" } else { "FAILURES found" });
     }
-    let log = tracer.finish();
-    if cli.trace {
-        std::fs::write("results/conformance_trace.jsonl", log.to_jsonl())
-            .expect("write results/conformance_trace.jsonl");
-        if !cli.json {
-            println!("wrote results/conformance_trace.jsonl");
-        }
-    }
-    if let Some(path) = cli.write_chrome_trace(&log, None) {
-        if !cli.json {
-            println!("wrote {path}");
-        }
-    }
-    let dumped = flight
-        .dump_if_anomalous("results/conformance_flight.jsonl")
-        .expect("write results/conformance_flight.jsonl");
-    if dumped {
-        eprintln!(
-            "conformance failures: witness flight ring dumped to \
-             results/conformance_flight.jsonl"
-        );
-    }
+    cli.finish("conformance", std::path::Path::new("results"), tel);
     assert!(all_pass, "conformance FAILED — see results/conformance.json");
 }
 
@@ -394,9 +364,11 @@ mod tests {
 
     #[test]
     fn small_grid_cell_certifies_all_four_theorems() {
-        let tracer = Tracer::recording();
+        let tel = Telemetry {
+            flight: obs::FlightRecorder::new(8).into(),
+            ..Telemetry::on(obs::Tracer::recording())
+        };
         let cache = MetricCache::new(1);
-        let mut flight = FlightRecorder::new(8);
         let (h, rows, doc) = run_conformance(
             &cache,
             &[gen::Family::Grid],
@@ -408,8 +380,7 @@ mod tests {
             1 << 9,
             120,
             AUDIT_WALL,
-            &tracer,
-            &mut flight,
+            &tel,
         );
         assert_eq!(h.len(), 13);
         for row in &rows {
@@ -437,7 +408,12 @@ mod tests {
             assert!(w.get("stretch").and_then(Value::as_f64).unwrap() >= 1.0);
         }
 
-        // Clause verdicts were traced.
+        // Clause verdicts were traced and counted.
+        let Telemetry { tracer, registry, flight } = tel;
+        let flight = flight.into_inner();
+        let snap = registry.snapshot();
+        assert!(snap.counter("conformance.clauses").unwrap_or(0) > 0);
+        assert_eq!(snap.counter("conformance.violations"), None);
         let log = tracer.finish();
         assert!(log.events.iter().any(|e| e.name == "conformance-pass"));
         assert!(!log.events.iter().any(|e| e.name == "conformance-violation"));
@@ -466,8 +442,7 @@ mod tests {
                 1 << 8,
                 60,
                 16,
-                &Tracer::noop(),
-                &mut FlightRecorder::disabled(),
+                &Telemetry::off(),
             );
             for row in &rows {
                 assert_eq!(row.last().unwrap(), "PASS", "row failed: {row:?}");
@@ -499,8 +474,7 @@ mod tests {
                 1 << 8,
                 60,
                 AUDIT_WALL,
-                &Tracer::noop(),
-                &mut FlightRecorder::disabled(),
+                &Telemetry::off(),
             );
             doc.to_string()
         };

@@ -4,7 +4,8 @@
 //!
 //! All runners draw their metrics from a shared [`MetricCache`], so a
 //! binary that runs several experiments over the same `(family, n, seed)`
-//! builds each `Θ(n²)` metric exactly once.
+//! builds each `Θ(n²)` metric exactly once; the metric builds and scheme
+//! constructions land as spans on the run's [`Telemetry`] tracer.
 
 use doubling_metric::graph::NodeId;
 use doubling_metric::{doubling, gen, Eps, MetricSpace};
@@ -15,7 +16,7 @@ use netsim::baseline::FullTable;
 use netsim::scheme::{Deliver, Labeled, LabeledScheme, NameIndependentScheme, Named};
 use netsim::stats::{eval, sample_pairs, sampled_stretch, EvalResult, StretchQuantiles};
 use netsim::Naming;
-use obs::Tracer;
+use obs::Telemetry;
 
 use crate::cache::MetricCache;
 use crate::schemes::{self, Built};
@@ -92,8 +93,9 @@ pub fn run_table1(
     eps: Eps,
     pairs_per_graph: usize,
     seed: u64,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    run_table(cache, n, eps, pairs_per_graph, seed, CI_WALL, false)
+    run_table(cache, n, eps, pairs_per_graph, seed, CI_WALL, false, tel)
 }
 
 /// **Table 2** — labeled schemes: stretch, table bits, label bits, header
@@ -105,13 +107,15 @@ pub fn run_table2(
     eps: Eps,
     pairs_per_graph: usize,
     seed: u64,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    run_table(cache, n, eps, pairs_per_graph, seed, CI_WALL, true)
+    run_table(cache, n, eps, pairs_per_graph, seed, CI_WALL, true, tel)
 }
 
 /// Table 2 when `labeled`, else Table 1: the two compact schemes of that
 /// model plus the full-table baseline, addressed by label or by name, with
 /// the CI column above `ci_wall` nodes.
+#[allow(clippy::too_many_arguments)]
 fn run_table(
     cache: &MetricCache,
     n: usize,
@@ -120,6 +124,7 @@ fn run_table(
     seed: u64,
     ci_wall: usize,
     labeled: bool,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let mut headers = vec![
         "family",
@@ -141,11 +146,11 @@ fn run_table(
     let first = if labeled { 0 } else { 2 };
     let mut rows = Vec::new();
     for f in table_families() {
-        let m = cache.family(f, n, seed);
+        let m = cache.family_traced(f, n, seed, &tel.tracer);
         let naming = Naming::random(m.n(), seed ^ 0xA5);
         let pairs = sample_pairs(m.n(), pairs_per_graph, seed ^ 0x5A);
         let built: Vec<Built> =
-            (first..first + 2).map(|i| Built::new(i, &m, eps, &naming, &Tracer::noop())).collect();
+            (first..first + 2).map(|i| Built::new(i, &m, eps, &naming, &tel.tracer)).collect();
         let full = FullTable::with_naming(&m, naming.clone());
         let mut schemes: Vec<(Box<dyn Deliver + '_>, Option<u64>)> =
             built.iter().map(|b| (b.seam() as Box<dyn Deliver>, b.label_bits())).collect();
@@ -169,6 +174,7 @@ pub fn run_fig1(
     n: usize,
     eps: Eps,
     seed: u64,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let headers = vec![
         "family",
@@ -182,7 +188,7 @@ pub fn run_fig1(
     ];
     let mut rows = Vec::new();
     for f in [gen::Family::Grid, gen::Family::Geometric] {
-        let m = cache.family(f, n, seed);
+        let m = cache.family_traced(f, n, seed, &tel.tracer);
         let naming = Naming::random(m.n(), seed ^ 0xA5);
         let s = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps ok");
         // Buckets keyed by the final round (level of the "final" segment).
@@ -236,7 +242,12 @@ pub fn run_fig1(
 /// **Figure 2** — anatomy of scale-free labeled routes: cost split between
 /// the greedy ring walk and the three packing phases, bucketed by whether
 /// the packing machinery engaged.
-pub fn run_fig2(cache: &MetricCache, eps: Eps, seed: u64) -> (Vec<&'static str>, Vec<Vec<String>>) {
+pub fn run_fig2(
+    cache: &MetricCache,
+    eps: Eps,
+    seed: u64,
+    tel: &Telemetry,
+) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let headers = vec![
         "family",
         "phase-mix",
@@ -250,8 +261,11 @@ pub fn run_fig2(cache: &MetricCache, eps: Eps, seed: u64) -> (Vec<&'static str>,
     ];
     let mut rows = Vec::new();
     for (name, m) in [
-        ("grid", cache.family(gen::Family::Grid, 144, seed)),
-        ("exp-path", cache.get_or_build("exp-path", 48, 0, || gen::exp_weight_path(48))),
+        ("grid", cache.family_traced(gen::Family::Grid, 144, seed, &tel.tracer)),
+        (
+            "exp-path",
+            cache.get_or_build_traced("exp-path", 48, 0, &tel.tracer, || gen::exp_weight_path(48)),
+        ),
     ] {
         let s = ScaleFreeLabeled::new(&m, eps).expect("eps ok");
         let mut agg: std::collections::BTreeMap<&str, (usize, f64, [f64; 4], f64)> =
@@ -299,7 +313,11 @@ pub fn run_fig2(cache: &MetricCache, eps: Eps, seed: u64) -> (Vec<&'static str>,
 /// **Figure 3 / Theorem 1.3** — the lower-bound construction: parameters,
 /// measured doubling constant vs Lemma 5.8, measured Δ vs the theorem's
 /// envelope, and the search-game stretch (oblivious / optimized / 9−ε).
-pub fn run_fig3(cache: &MetricCache, seed: u64) -> (Vec<&'static str>, Vec<Vec<String>>) {
+pub fn run_fig3(
+    cache: &MetricCache,
+    seed: u64,
+    tel: &Telemetry,
+) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let headers = vec![
         "eps",
         "p",
@@ -321,7 +339,7 @@ pub fn run_fig3(cache: &MetricCache, seed: u64) -> (Vec<&'static str>, Vec<Vec<S
         // materialization (Θ(n²) memory).
         let big = LowerBoundTree::new(params, 1 << 16);
         let small = LowerBoundTree::new(params, 256);
-        let m = cache.get_or_build("lb-tree", 256, eps, || small.to_graph());
+        let m = cache.get_or_build_traced("lb-tree", 256, eps, &tel.tracer, || small.to_graph());
         let est = doubling::estimate(&m, Some(24));
         let alpha_bound = 6.0 - (eps as f64).log2();
 
@@ -365,9 +383,10 @@ pub fn run_sweep_eps(
     cache: &MetricCache,
     n: usize,
     seed: u64,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let headers = vec!["eps", "scheme", "max-stretch", "avg-stretch", "bound"];
-    let m = cache.family(gen::Family::Grid, n, seed);
+    let m = cache.family_traced(gen::Family::Grid, n, seed, &tel.tracer);
     let naming = Naming::random(m.n(), seed ^ 1);
     let pairs = sample_pairs(m.n(), 400, seed ^ 2);
     let mut rows = Vec::new();
@@ -394,6 +413,7 @@ pub fn run_sweep_scale(
     cache: &MetricCache,
     eps: Eps,
     seed: u64,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let headers = vec![
         "graph",
@@ -405,7 +425,7 @@ pub fn run_sweep_scale(
     ];
     let mut rows = Vec::new();
     let mut push = |name: &str, n: usize, build: fn(usize) -> doubling_metric::Graph| {
-        let m = cache.get_or_build(name, n, 0, || build(n));
+        let m = cache.get_or_build_traced(name, n, 0, &tel.tracer, || build(n));
         let naming = Naming::random(m.n(), seed);
         let si = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps ok");
         let sf = ScaleFreeNameIndependent::new(&m, eps, naming).expect("eps ok");
@@ -431,7 +451,11 @@ pub fn run_sweep_scale(
 /// **A1** — ring-table ablation: how many levels `R(u)` keeps vs the full
 /// hierarchy, and the stretch cost of the pruning (NetLabeled stores all
 /// levels; ScaleFreeLabeled prunes to R(u) + packing machinery).
-pub fn run_ablation_rings(cache: &MetricCache, seed: u64) -> (Vec<&'static str>, Vec<Vec<String>>) {
+pub fn run_ablation_rings(
+    cache: &MetricCache,
+    seed: u64,
+    tel: &Telemetry,
+) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let headers = vec![
         "graph",
         "levels-total",
@@ -445,8 +469,11 @@ pub fn run_ablation_rings(cache: &MetricCache, seed: u64) -> (Vec<&'static str>,
     let eps = Eps::one_over(8);
     let mut rows = Vec::new();
     for (name, m) in [
-        ("grid-144", cache.family(gen::Family::Grid, 144, seed)),
-        ("exp-path-40", cache.get_or_build("exp-path", 40, 0, || gen::exp_weight_path(40))),
+        ("grid-144", cache.family_traced(gen::Family::Grid, 144, seed, &tel.tracer)),
+        (
+            "exp-path-40",
+            cache.get_or_build_traced("exp-path", 40, 0, &tel.tracer, || gen::exp_weight_path(40)),
+        ),
     ] {
         let pairs = sample_pairs(m.n(), 300, seed);
         let nl = NetLabeled::new(&m, eps).expect("eps ok");
@@ -474,15 +501,19 @@ pub fn run_ablation_rings(cache: &MetricCache, seed: u64) -> (Vec<&'static str>,
 pub fn run_ablation_packing(
     cache: &MetricCache,
     seed: u64,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let headers =
         vec!["graph", "link-fraction", "avg-links/node", "max-links/node", "max-table(b)"];
     let eps = Eps::one_over(4);
     let mut rows = Vec::new();
     for (name, m) in [
-        ("grid-100", cache.family(gen::Family::Grid, 100, seed)),
-        ("geometric-100", cache.family(gen::Family::Geometric, 100, seed)),
-        ("exp-path-32", cache.get_or_build("exp-path", 32, 0, || gen::exp_weight_path(32))),
+        ("grid-100", cache.family_traced(gen::Family::Grid, 100, seed, &tel.tracer)),
+        ("geometric-100", cache.family_traced(gen::Family::Geometric, 100, seed, &tel.tracer)),
+        (
+            "exp-path-32",
+            cache.get_or_build_traced("exp-path", 32, 0, &tel.tracer, || gen::exp_weight_path(32)),
+        ),
     ] {
         let naming = Naming::random(m.n(), seed);
         let sf = ScaleFreeNameIndependent::new(&m, eps, naming).expect("eps ok");
@@ -507,6 +538,7 @@ pub fn run_storage_growth(
     cache: &MetricCache,
     ns: &[usize],
     seed: u64,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let headers =
         vec!["n", "full-table(b)", "sf-labeled max(b)", "sf-NI max(b)", "sfNI/full", "sfNI-growth"];
@@ -514,7 +546,7 @@ pub fn run_storage_growth(
     let mut rows = Vec::new();
     let mut prev_sf: Option<f64> = None;
     for &n in ns {
-        let m = cache.family(gen::Family::Grid, n, seed);
+        let m = cache.family_traced(gen::Family::Grid, n, seed, &tel.tracer);
         let naming = Naming::random(m.n(), seed);
         let full_bits = m.n() as u64 * netsim::bits::bits_for_count(m.n() as u64);
         let sfl = ScaleFreeLabeled::new(&m, eps).expect("eps ok");
@@ -544,17 +576,18 @@ pub fn run_relaxed(
     cache: &MetricCache,
     n: usize,
     seed: u64,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let headers = vec!["family", "scheme", "eps", "p50", "p90", "p99", "max"];
     let mut rows = Vec::new();
     for f in [gen::Family::Grid, gen::Family::Geometric] {
-        let m = cache.family(f, n, seed);
+        let m = cache.family_traced(f, n, seed, &tel.tracer);
         let naming = Naming::random(m.n(), seed ^ 9);
         let pairs = sample_pairs(m.n(), 500, seed ^ 5);
         for inv in [4u64, 8] {
             let eps = Eps::one_over(inv);
             for i in 2..schemes::COUNT {
-                let s = Built::new(i, &m, eps, &naming, &Tracer::noop());
+                let s = Built::new(i, &m, eps, &naming, &tel.tracer);
                 let mut stretches = Vec::with_capacity(pairs.len());
                 eval(&*s.seam(), &m, &pairs, 1, |_, _, r| {
                     stretches.push(r.as_ref().expect("route must deliver").stretch(&m));
@@ -585,7 +618,7 @@ mod tests {
 
     #[test]
     fn table1_produces_rows_for_every_family_and_scheme() {
-        let (h, rows) = run_table1(&cache(), 36, Eps::one_over(8), 30, 3);
+        let (h, rows) = run_table1(&cache(), 36, Eps::one_over(8), 30, 3, &Telemetry::off());
         assert_eq!(h.len(), 8);
         assert_eq!(rows.len(), table_families().len() * 3);
         // No failure annotations.
@@ -596,7 +629,7 @@ mod tests {
 
     #[test]
     fn table2_produces_rows() {
-        let (_, rows) = run_table2(&cache(), 36, Eps::one_over(8), 30, 3);
+        let (_, rows) = run_table2(&cache(), 36, Eps::one_over(8), 30, 3, &Telemetry::off());
         assert_eq!(rows.len(), table_families().len() * 3);
         for r in &rows {
             assert!(!r.iter().any(|c| c.starts_with("FAILURES")), "row {r:?}");
@@ -606,9 +639,11 @@ mod tests {
     #[test]
     fn tables_gain_a_ci_column_above_the_wall() {
         // Force the CI path by dropping the wall below n = 36.
-        let (h1, rows1) = run_table(&cache(), 36, Eps::one_over(8), 30, 3, 10, false);
+        let (h1, rows1) =
+            run_table(&cache(), 36, Eps::one_over(8), 30, 3, 10, false, &Telemetry::off());
         assert_eq!(*h1.last().unwrap(), "avg-ci95");
-        let (h2, rows2) = run_table(&cache(), 36, Eps::one_over(8), 30, 3, 10, true);
+        let (h2, rows2) =
+            run_table(&cache(), 36, Eps::one_over(8), 30, 3, 10, true, &Telemetry::off());
         assert_eq!(*h2.last().unwrap(), "avg-ci95");
         for r in rows1.iter().chain(&rows2) {
             let ci: f64 = r.last().unwrap().parse().expect("ci cell is numeric");
@@ -621,7 +656,7 @@ mod tests {
 
     #[test]
     fn fig3_rows_respect_theorem_bounds() {
-        let (_, rows) = run_fig3(&cache(), 7);
+        let (_, rows) = run_fig3(&cache(), 7, &Telemetry::off());
         for r in &rows {
             let optimized: f64 = r[10].parse().unwrap();
             let bound: f64 = r[11].parse().unwrap();
@@ -637,18 +672,18 @@ mod tests {
     #[test]
     fn experiments_share_metrics_through_the_cache() {
         let c = cache();
-        run_table1(&c, 36, Eps::one_over(8), 10, 3);
+        run_table1(&c, 36, Eps::one_over(8), 10, 3, &Telemetry::off());
         let builds_after_t1 = c.stats().builds;
         assert_eq!(builds_after_t1, table_families().len() as u64);
         // Table 2 on the same (n, seed) must be served entirely from cache.
-        run_table2(&c, 36, Eps::one_over(8), 10, 3);
+        run_table2(&c, 36, Eps::one_over(8), 10, 3, &Telemetry::off());
         assert_eq!(c.stats().builds, builds_after_t1);
         assert_eq!(c.stats().hits, table_families().len() as u64);
     }
 
     #[test]
     fn sweep_scale_shows_crossover() {
-        let (_, rows) = run_sweep_scale(&cache(), Eps::one_over(4), 3);
+        let (_, rows) = run_sweep_scale(&cache(), Eps::one_over(4), 3, &Telemetry::off());
         // On exp-paths, the simple/scale-free ratio must exceed 1 and grow
         // with n; on unit paths it stays near or below ~1.5.
         let exp_ratios: Vec<f64> =

@@ -1,28 +1,26 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
 //! Each experiment in EXPERIMENTS.md is a pure function in
-//! [`experiments`] returning a header row plus data rows; the `bin/`
-//! targets print them as aligned text tables:
+//! [`experiments`] (or its own module) returning a header row plus data
+//! rows; ten `bin/` targets print them as aligned text tables:
 //!
 //! | binary | regenerates |
 //! |---|---|
-//! | `table1` | Table 1 — name-independent schemes (stretch / table bits / header bits) |
-//! | `table2` | Table 2 — labeled schemes (stretch / table / label / header bits) |
-//! | `fig1` | Figure 1 — name-independent route anatomy by search round |
-//! | `fig2` | Figure 2 — labeled route anatomy (ring walk / packing phases) |
-//! | `fig3` | Figure 3 + Theorem 1.3 — lower-bound tree properties and the search-game curve |
-//! | `sweep_eps` | E1 — stretch vs ε for all four schemes |
-//! | `sweep_scale` | E2 — storage vs log Δ: the scale-free crossover |
-//! | `ablation_rings` | A1 — R(u) pruning vs full ring tables |
-//! | `ablation_packing` | A2 — ℬ/𝒜 reuse statistics (Claims 3.6–3.9) |
+//! | `paper <subcommand>` | the paper's tables and figures — `table1`, `table2`, `fig1`–`fig3`, `sweep_eps`, `sweep_scale`, `ablation_rings`, `ablation_packing`, `storage_growth`, `relaxed` (see [`paper`]) |
 //! | `profile` | P1 — per-phase preprocessing breakdown + route-metric histograms |
 //! | `churn` | fault injection: stale-table vs rebuilt routing |
+//! | `recovery` | R1 — delivery under faults per recovery policy |
 //! | `maintain` | M1 — incremental repair vs full rebuild under seeded churn |
 //! | `conformance` | V1 — theorem certificates: bound vs measured per (family, n, ε, seed) |
 //! | `scale` | S1 — end-to-end scaling of all four schemes to n = 10,000 |
+//! | `serve` | T1 — forwarding planes served by worker threads |
+//! | `bench_build` | B1 — metric build-time scaling |
+//! | `report` | the perf-regression gate over `results/` vs `baselines/` |
 //!
 //! Every binary shares the flag vocabulary of [`cli::Cli`]
-//! (`--seed N`, `--json`, `--trace`).
+//! (`--seed N`, `--json`, `--trace`, `--chrome-trace PATH`, …), and every
+//! experiment binary threads one [`obs::Telemetry`] from
+//! [`cli::Cli::telemetry`] through its run into [`cli::Cli::finish`].
 //!
 //! Criterion benches (`benches/`) time preprocessing, routing, search-tree
 //! lookups and game evaluation on the same inputs.
@@ -36,6 +34,7 @@ pub mod cli;
 pub mod conformance;
 pub mod experiments;
 pub mod maintain;
+pub mod paper;
 pub mod profile;
 pub mod recovery;
 pub mod report;

@@ -42,7 +42,7 @@ use netsim::maintain::{BatchReport, Maintainable, Maintainer, MaintainerConfig};
 use netsim::scheme::{Certifiable, LabeledScheme, NameIndependentScheme};
 use netsim::stats::sample_pairs;
 use netsim::Naming;
-use obs::{Log2Histogram, MetricsRegistry, Tracer};
+use obs::{Log2Histogram, Telemetry};
 
 use crate::cache::MetricCache;
 use crate::table::f2;
@@ -198,8 +198,7 @@ fn run_cell<S: Maintainable + Clone + PartialEq>(
     seed: u64,
     per_batch: usize,
     stable: bool,
-    tracer: &Tracer,
-    registry: &MetricsRegistry,
+    tel: &Telemetry,
     audit: impl Fn(&S, &[(NodeId, NodeId)]) -> bool,
 ) -> CellResult {
     let pin = |v: u64| if stable { 0 } else { v };
@@ -261,8 +260,7 @@ fn run_cell<S: Maintainable + Clone + PartialEq>(
         out.rebuild_us += pin(t1.elapsed().as_micros() as u64);
         out.equal &= *mt.scheme() == baseline;
 
-        obs::eval::trace_maintain_batch(
-            tracer,
+        tel.maintain_batch(
             || {
                 vec![
                     ("scheme", scheme_name.into()),
@@ -272,7 +270,6 @@ fn run_cell<S: Maintainable + Clone + PartialEq>(
             },
             &report,
         );
-        obs::eval::meter_maintain_batch(registry, &report);
         out.reports.push(report);
     }
     out
@@ -319,7 +316,6 @@ fn audit_name_independent<'a, S: NameIndependentScheme + Certifiable + Sync>(
 /// budget tight enough that the degradation ladder must fire, followed by
 /// the rejoins. Returns its JSON block; the embedded assertions are the
 /// acceptance criterion (fallback fires AND the maintainer recovers).
-#[allow(clippy::too_many_arguments)] // experiment cell: one knob per measured dimension
 fn run_adversarial(
     m: &MetricSpace,
     eps: Eps,
@@ -327,8 +323,7 @@ fn run_adversarial(
     seed: u64,
     threads: usize,
     stable: bool,
-    tracer: &Tracer,
-    registry: &MetricsRegistry,
+    tel: &Telemetry,
 ) -> Value {
     let nets = NetHierarchy::new(m);
     let per_batch = (m.n() / 16).max(2);
@@ -351,8 +346,7 @@ fn run_adversarial(
         seed,
         per_batch,
         stable,
-        tracer,
-        registry,
+        tel,
         audit_labeled(m, threads),
     );
     let recovered = audit_failures(&cell.reports) == 0
@@ -378,10 +372,9 @@ fn run_adversarial(
 /// net-center cell on the smallest n. Returns table headers/rows for the
 /// console plus the full JSON document.
 ///
-/// When `tracer` records, every committed batch becomes one
-/// `"maintain-batch"` event ([`obs::eval::trace_maintain_batch`]);
-/// `registry` counts batches by action
-/// ([`obs::eval::meter_maintain_batch`]).
+/// Every committed batch goes through [`Telemetry::maintain_batch`]: one
+/// `"maintain-batch"` event when `tel.tracer` records, and registry
+/// counters by action.
 #[allow(clippy::too_many_arguments)] // experiment entry point: one knob per CLI flag
 pub fn run_maintain(
     cache: &MetricCache,
@@ -393,8 +386,7 @@ pub fn run_maintain(
     seed: u64,
     threads: usize,
     stable: bool,
-    tracer: &Tracer,
-    registry: &MetricsRegistry,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>, Value) {
     let headers = vec![
         "n",
@@ -413,7 +405,7 @@ pub fn run_maintain(
     let mut adversarial = None;
 
     for &n in ns {
-        let m = cache.family_traced(gen::Family::Grid, n, seed, tracer);
+        let m = cache.family_traced(gen::Family::Grid, n, seed, &tel.tracer);
         let naming = Naming::random(m.n(), seed ^ 0xA5);
         for &rate in rates {
             let schedule = churn_schedule(&m, None, leave_batches, rate, seed ^ rate as u64);
@@ -429,8 +421,7 @@ pub fn run_maintain(
                     seed,
                     rate,
                     stable,
-                    tracer,
-                    registry,
+                    tel,
                     audit_labeled(&m, threads),
                 ),
                 run_cell(
@@ -443,8 +434,7 @@ pub fn run_maintain(
                     seed,
                     rate,
                     stable,
-                    tracer,
-                    registry,
+                    tel,
                     audit_labeled(&m, threads),
                 ),
                 run_cell(
@@ -457,8 +447,7 @@ pub fn run_maintain(
                     seed,
                     rate,
                     stable,
-                    tracer,
-                    registry,
+                    tel,
                     audit_name_independent(&m, &naming, threads),
                 ),
                 run_cell(
@@ -472,8 +461,7 @@ pub fn run_maintain(
                     seed,
                     rate,
                     stable,
-                    tracer,
-                    registry,
+                    tel,
                     audit_name_independent(&m, &naming, threads),
                 ),
             ];
@@ -483,16 +471,7 @@ pub fn run_maintain(
             }
         }
         if adversarial.is_none() {
-            adversarial = Some(run_adversarial(
-                &m,
-                eps,
-                audit_pairs,
-                seed,
-                threads,
-                stable,
-                tracer,
-                registry,
-            ));
+            adversarial = Some(run_adversarial(&m, eps, audit_pairs, seed, threads, stable, tel));
         }
     }
 
@@ -527,9 +506,8 @@ pub fn maintain_main() {
     let ns = cli.n_list.clone().unwrap_or_else(|| vec![64, 256, 2025]);
     let rates = [1usize, 8];
     let leave_batches = 3usize;
-    let tracer = cli.tracer();
+    let tel = cli.telemetry();
     let cache = MetricCache::new(cli.threads);
-    let registry = MetricsRegistry::new();
     let (headers, rows, doc) = run_maintain(
         &cache,
         &ns,
@@ -540,8 +518,7 @@ pub fn maintain_main() {
         cli.seed,
         cli.threads,
         cli.stable,
-        &tracer,
-        &registry,
+        &tel,
     );
     crate::table::emit(
         &format!(
@@ -556,20 +533,7 @@ pub fn maintain_main() {
     if !cli.json {
         println!("\nwrote results/maintain.json");
     }
-    let snapshot = registry.snapshot();
-    let log = tracer.finish();
-    if cli.trace {
-        std::fs::write("results/maintain_trace.jsonl", log.to_jsonl())
-            .expect("write results/maintain_trace.jsonl");
-        if !cli.json {
-            println!("wrote results/maintain_trace.jsonl");
-        }
-    }
-    if let Some(path) = cli.write_chrome_trace(&log, Some(&snapshot)) {
-        if !cli.json {
-            println!("wrote {path}");
-        }
-    }
+    cli.finish("maintain", std::path::Path::new("results"), tel);
 }
 
 #[cfg(test)]
@@ -603,8 +567,7 @@ mod tests {
     #[test]
     fn maintain_grid_certifies_every_batch_and_matches_rebuild() {
         let cache = MetricCache::new(1);
-        let tracer = Tracer::recording();
-        let registry = MetricsRegistry::new();
+        let tel = Telemetry::on(obs::Tracer::recording());
         let (h, rows, doc) = run_maintain(
             &cache,
             &[36],
@@ -615,8 +578,7 @@ mod tests {
             7,
             1,
             true, // stable: pinned wall fields keep this test timing-free
-            &tracer,
-            &registry,
+            &tel,
         );
         assert_eq!(h.len(), 10);
         assert_eq!(rows.len(), 4); // 4 schemes × 1 n × 1 rate
@@ -645,10 +607,11 @@ mod tests {
         // Telemetry: one maintain-batch event and one counter tick per
         // committed batch (grid cells + adversarial cell).
         let total = batches_total + adv_batches;
-        let log = tracer.finish();
+        assert_eq!(tel.registry.snapshot().counter("maintain.batches"), Some(total));
+        assert_eq!(tel.flight.borrow().anomalies(), 0, "no committed table failed its audit");
+        let log = tel.tracer.finish();
         let events = log.events.iter().filter(|e| e.name == "maintain-batch").count() as u64;
         assert_eq!(events, total);
-        assert_eq!(registry.snapshot().counter("maintain.batches"), Some(total));
 
         // schema_version leads the document.
         assert!(doc.to_string_pretty().starts_with("{\n  \"schema_version\""));
@@ -672,8 +635,7 @@ mod tests {
             7,
             1,
             false,
-            &Tracer::noop(),
-            &MetricsRegistry::disabled(),
+            &Telemetry::off(),
         );
         let cells = doc.get("cells").and_then(Value::as_array).unwrap();
         for c in cells {

@@ -10,20 +10,18 @@
 //! 2. folds the trace into a [`PhaseBreakdown`] (per-phase wall time and
 //!    allocation delta; allocation is nonzero only under the binaries'
 //!    [`obs::alloc::CountingAlloc`] global allocator);
-//! 3. routes a pair sample through [`netsim::stats::eval`] observed by
-//!    [`obs::eval::route_observer`] with the *no-op* tracer, collecting
-//!    [`RouteMetrics`] (cost / hop / header-bit
-//!    histograms, per-level search-tree lookups, under-stretch counter)
-//!    per entry, plus run-wide [`obs::MetricsRegistry`] counters and a
-//!    [`obs::FlightRecorder`] ring that dumps
-//!    `results/profile_flight.jsonl` if any route is lost or
-//!    under-stretched.
+//! 3. routes a pair sample through [`netsim::stats::eval`], folding
+//!    every route into a per-entry [`RouteMetrics`] (cost / hop /
+//!    header-bit histograms, per-level search-tree lookups, under-stretch
+//!    counter) and into the run's [`Telemetry::route`] (`eval.*` registry
+//!    counters, a flight ring that dumps `results/profile_flight.jsonl` if
+//!    any route is lost or under-stretched).
 //!
 //! The binary prints the two tables and writes the full document —
 //! `schema_version` 1, including the registry snapshot under
-//! `"telemetry"` — to `results/profile.json`. With `--chrome-trace PATH`
-//! the per-entry traces are merged into one timeline and exported as
-//! Chrome trace-event JSON.
+//! `"telemetry"` — to `results/profile.json`. The per-entry traces are
+//! appended to the run's tracer, so `--chrome-trace PATH` exports them as
+//! one timeline.
 
 use std::time::Instant;
 
@@ -31,8 +29,7 @@ use doubling_metric::Eps;
 use netsim::json::Value;
 use netsim::stats::{eval, sample_pairs, EvalResult};
 use netsim::Naming;
-use obs::eval::route_observer;
-use obs::{FlightRecorder, MetricsRegistry, PhaseBreakdown, RouteMetrics, TraceLog, Tracer};
+use obs::{PhaseBreakdown, RouteMetrics, Telemetry, Tracer};
 
 use crate::cache::MetricCache;
 use crate::experiments::table_families;
@@ -56,14 +53,6 @@ pub struct ProfileReport {
     /// The full document (`schema_version`, parameters, per-entry phases,
     /// histograms, eval results, registry snapshot).
     pub doc: Value,
-    /// Every entry's recorded trace, merged into one timeline
-    /// ([`TraceLog::append_shifted`]) for Chrome-trace export.
-    pub trace: TraceLog,
-    /// Run-wide registry snapshot (route counters/histograms plus metric
-    /// cache stats) — the same object embedded in `doc` as `"telemetry"`.
-    pub telemetry: obs::registry::Snapshot,
-    /// Flight ring fed by every evaluation; anomalous runs dump it.
-    pub flight: FlightRecorder,
 }
 
 /// One scheme profiled on one family: build time, trace, route metrics.
@@ -71,13 +60,14 @@ fn profile_one(
     family: &'static str,
     report: &mut ProfileReport,
     entries: &mut Vec<Value>,
+    tel: &Telemetry,
     run: impl FnOnce(&Tracer) -> (f64, EvalResult, RouteMetrics),
 ) {
     let tracer = Tracer::recording();
     let (build_ms, res, rm) = run(&tracer);
     let log = tracer.finish();
     let breakdown = PhaseBreakdown::from_log(&log);
-    report.trace.append_shifted(&log);
+    tel.tracer.append(&log);
 
     for p in &breakdown.phases {
         report.phase_rows.push(vec![
@@ -120,13 +110,15 @@ fn profile_one(
 /// Runs the full profiling grid: every Table-1/2 family × all four
 /// schemes. Metrics come from `cache`: the first scheme of each family
 /// pays the (traced) `metric-build`, the other three hit the cache — the
-/// `metric_cache` counters in the JSON document prove it.
+/// `metric_cache` counters in the JSON document prove it. The document
+/// embeds `tel.registry`'s snapshot under `"telemetry"`.
 pub fn run_profile(
     cache: &MetricCache,
     n: usize,
     eps: Eps,
     pairs_count: usize,
     seed: u64,
+    tel: &Telemetry,
 ) -> ProfileReport {
     let mut report = ProfileReport {
         phase_headers: vec!["family", "scheme", "phase", "calls", "wall(ms)", "alloc(KiB)"],
@@ -147,13 +139,8 @@ pub fn run_profile(
         ],
         metric_rows: Vec::new(),
         doc: Value::Null,
-        trace: TraceLog::default(),
-        telemetry: obs::registry::Snapshot::default(),
-        flight: FlightRecorder::disabled(),
     };
     let mut entries = Vec::new();
-    let registry = MetricsRegistry::new();
-    let mut flight = FlightRecorder::new(obs::flight::DEFAULT_CAPACITY);
 
     for f in table_families() {
         // Every closure fetches the metric through the cache *inside* the
@@ -164,26 +151,28 @@ pub fn run_profile(
         let pairs_for =
             |m: &doubling_metric::MetricSpace| sample_pairs(m.n(), pairs_count, seed ^ 0x5A);
         for i in 0..schemes::COUNT {
-            profile_one(f.name(), &mut report, &mut entries, |tracer| {
+            profile_one(f.name(), &mut report, &mut entries, tel, |tracer| {
                 let t0 = Instant::now();
                 let m = cache.family_traced(f, n, seed, tracer);
                 let naming = Naming::random(m.n(), seed ^ 0xA5);
                 let s = Built::new(i, &m, eps, &naming, tracer);
                 let build_ms = t0.elapsed().as_secs_f64() * 1e3;
                 let mut rm = RouteMetrics::new();
-                let noop = Tracer::noop();
-                let observe = route_observer(&m, &noop, &mut rm, &registry, &mut flight);
-                let res = eval(&*s.seam(), &m, &pairs_for(&m), 1, observe);
+                let res = eval(&*s.seam(), &m, &pairs_for(&m), 1, |u, v, r| {
+                    if let Ok(route) = r {
+                        rm.record(route);
+                        rm.record_stretch(route.stretch(&m));
+                    }
+                    tel.route(&m, u, v, r);
+                });
                 (build_ms, res, rm)
             });
         }
     }
 
     let stats = cache.stats();
-    registry.counter("metric_cache.builds").add(stats.builds);
-    registry.counter("metric_cache.hits").add(stats.hits);
-    report.telemetry = registry.snapshot();
-    report.flight = flight;
+    tel.registry.counter("metric_cache.builds").add(stats.builds);
+    tel.registry.counter("metric_cache.hits").add(stats.hits);
 
     report.doc = Value::Object(vec![
         ("schema_version".into(), SCHEMA_VERSION.into()),
@@ -195,7 +184,7 @@ pub fn run_profile(
         ("alloc_counted".into(), (obs::alloc::allocated_bytes() > 0).into()),
         ("threads".into(), cache.threads().into()),
         ("metric_cache".into(), stats.to_json()),
-        ("telemetry".into(), report.telemetry.to_json()),
+        ("telemetry".into(), tel.registry.snapshot().to_json()),
         ("entries".into(), Value::Array(entries)),
     ]);
     report
@@ -206,14 +195,15 @@ pub fn run_profile(
 /// tables, and writes `results/profile.json`.
 ///
 /// Usage: `profile [n] [1/eps] [pairs] [--seed N] [--json] [--threads N]
-/// [--chrome-trace PATH]`.
+/// [--trace] [--chrome-trace PATH]`.
 pub fn profile_main() {
     let cli = crate::cli::Cli::parse_env(42);
     let n: usize = cli.pos(0, 100);
     let inv: u64 = cli.pos(1, 8);
     let pairs: usize = cli.pos(2, 200);
     let cache = MetricCache::new(cli.threads);
-    let report = run_profile(&cache, n, Eps::one_over(inv), pairs, cli.seed);
+    let tel = cli.telemetry();
+    let report = run_profile(&cache, n, Eps::one_over(inv), pairs, cli.seed, &tel);
     crate::table::emit(
         &format!("P1a: preprocessing phases (n≈{n}, eps=1/{inv}, seed {})", cli.seed),
         &report.phase_headers,
@@ -227,21 +217,7 @@ pub fn profile_main() {
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/profile.json", report.doc.to_string_pretty() + "\n")
         .expect("write results/profile.json");
-    if let Some(path) = cli.write_chrome_trace(&report.trace, Some(&report.telemetry)) {
-        if !cli.json {
-            println!("wrote {path}");
-        }
-    }
-    let dumped = report
-        .flight
-        .dump_if_anomalous("results/profile_flight.jsonl")
-        .expect("write results/profile_flight.jsonl");
-    if dumped {
-        eprintln!(
-            "anomalies observed ({}); flight ring dumped to results/profile_flight.jsonl",
-            report.flight.anomalies()
-        );
-    }
+    cli.finish("profile", std::path::Path::new("results"), tel);
     if !cli.json {
         println!("\nwrote results/profile.json");
     }
@@ -254,7 +230,10 @@ mod tests {
     #[test]
     fn profile_covers_every_family_and_scheme() {
         let cache = MetricCache::new(1);
-        let report = run_profile(&cache, 36, Eps::one_over(8), 40, 3);
+        let tel = Telemetry::on(Tracer::recording());
+        let report = run_profile(&cache, 36, Eps::one_over(8), 40, 3, &tel);
+        let Telemetry { tracer, registry, flight } = tel;
+        let (snap, flight) = (registry.snapshot(), flight.into_inner());
         let n_families = table_families().len();
         assert_eq!(report.metric_rows.len(), n_families * 4);
 
@@ -269,19 +248,19 @@ mod tests {
         // stats were published as counters, and nothing tripped the flight
         // recorder's anomaly detection.
         let routes = n_families as u64 * 4 * 40;
-        assert_eq!(report.telemetry.counter("eval.routes"), Some(routes));
-        assert_eq!(report.telemetry.counter("eval.route_failures"), Some(0));
-        assert_eq!(
-            report.telemetry.histogram("eval.route_cost").map(obs::Log2Histogram::count),
-            Some(routes)
-        );
-        assert_eq!(report.telemetry.counter("metric_cache.builds"), Some(n_families as u64));
-        assert_eq!(report.telemetry.counter("metric_cache.hits"), Some(n_families as u64 * 3));
-        assert_eq!(report.flight.anomalies(), 0);
-        assert_eq!(report.flight.len(), obs::flight::DEFAULT_CAPACITY.min(routes as usize));
-        assert!(report.doc.get("telemetry").is_some(), "doc embeds the registry snapshot");
-        // Per-entry traces were merged into one non-empty timeline.
-        assert!(!report.trace.spans.is_empty());
+        assert_eq!(snap.counter("eval.routes"), Some(routes));
+        assert_eq!(snap.counter("eval.route_failures"), Some(0));
+        assert_eq!(snap.histogram("eval.route_cost").map(obs::Log2Histogram::count), Some(routes));
+        assert_eq!(snap.counter("metric_cache.builds"), Some(n_families as u64));
+        assert_eq!(snap.counter("metric_cache.hits"), Some(n_families as u64 * 3));
+        assert_eq!(flight.anomalies(), 0);
+        assert_eq!(flight.len(), obs::flight::DEFAULT_CAPACITY.min(routes as usize));
+        assert_eq!(report.doc.get("telemetry"), Some(&snap.to_json()), "doc embeds the snapshot");
+        // Per-entry traces were merged into the run's timeline, one
+        // route event per sampled pair alongside.
+        let log = tracer.finish();
+        assert!(!log.spans.is_empty());
+        assert_eq!(log.events.iter().filter(|e| e.name == "route").count() as u64, routes);
         // The first entry of each family carries the metric-build phase.
         let entries = report.doc.get("entries").and_then(Value::as_array).expect("entries");
         for (i, e) in entries.iter().enumerate() {

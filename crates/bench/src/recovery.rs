@@ -35,7 +35,7 @@ use netsim::json::Value;
 use netsim::recovery::{greedy_chaos, DeliveryOutcome, RecoveryPolicy, ResilientRouter};
 use netsim::stats::{eval_resilient, sample_pairs, RecoveryEvalResult};
 use netsim::Naming;
-use obs::{FlightRecorder, Log2Histogram, MetricsRegistry, Tracer};
+use obs::{Log2Histogram, Telemetry};
 
 use crate::cache::MetricCache;
 use crate::schemes::Built;
@@ -144,15 +144,6 @@ fn event_fields(
     ]
 }
 
-/// Counts a resilient delivery in the registry: `recovery.delivered` or
-/// `recovery.lost`.
-fn meter_outcome(registry: &MetricsRegistry, outcome: &DeliveryOutcome) {
-    if registry.enabled() {
-        let name = if outcome.is_delivered() { "recovery.delivered" } else { "recovery.lost" };
-        registry.counter(name).inc();
-    }
-}
-
 /// The node ids with the `k` highest degrees (ties to the smaller id) —
 /// the chaos campaign's candidate pool: hubs are where a targeted
 /// adversary gets the most loss per kill.
@@ -171,11 +162,10 @@ fn top_degree_candidates(m: &MetricSpace, k: usize) -> Vec<NodeId> {
 /// plans), so two runs with the same arguments produce byte-identical
 /// documents — the CI determinism check relies on this.
 ///
-/// `registry` counts every recovery intervention by kind
+/// `tel` traces and counts every recovery intervention by kind
 /// (`recovery-detour` / `recovery-fallback` / `recovery-exhausted`) plus
-/// delivered/lost totals; `flight` keeps per-hop forensics for the last
-/// K deliveries, each loss flagged as an anomaly.
-#[allow(clippy::too_many_arguments)]
+/// delivered/lost totals, and its flight ring keeps per-hop forensics for
+/// the last K deliveries, each loss flagged as an anomaly.
 pub fn run_recovery(
     cache: &MetricCache,
     n: usize,
@@ -183,14 +173,9 @@ pub fn run_recovery(
     pairs_count: usize,
     fraction: f64,
     seed: u64,
-    tracer: &Tracer,
-    registry: &MetricsRegistry,
-    flight: &mut FlightRecorder,
+    tel: &Telemetry,
 ) -> (Vec<&'static str>, Vec<Vec<String>>, Value) {
-    // The event and outcome observers are separate closures but both feed
-    // the ring, so it rides in a RefCell for the duration of the grid.
-    let ring = std::cell::RefCell::new(std::mem::replace(flight, FlightRecorder::disabled()));
-    let m = cache.family_traced(gen::Family::Grid, n, seed, tracer);
+    let m = cache.family_traced(gen::Family::Grid, n, seed, &tel.tracer);
     let g = m.graph();
     let naming = Naming::random(m.n(), seed ^ 0xA5);
     let pairs = sample_pairs(m.n(), pairs_count, seed ^ 0x5A);
@@ -250,18 +235,12 @@ pub fn run_recovery(
                         timeline,
                         &pairs,
                         |u, v, ev| {
-                            obs::eval::trace_recovery_event(
-                                tracer,
-                                || event_fields(strategy, policy, s.scheme_name(), u, v),
-                                ev,
-                            );
-                            obs::eval::meter_recovery_event(registry, ev);
-                            ring.borrow_mut().note_recovery(ev);
+                            let fields = || event_fields(strategy, policy, s.scheme_name(), u, v);
+                            tel.recovery_event(fields, ev);
                         },
                         |u, v, o| {
                             hists.observe(o);
-                            meter_outcome(registry, o);
-                            ring.borrow_mut().record_outcome(u, v, o);
+                            tel.delivery(u, v, o);
                         },
                     );
                     Cell { eval, hists }
@@ -305,7 +284,7 @@ pub fn run_recovery(
                 .filter(|&&(u, v)| !router.deliver(u, v, &tl, &mut |_| {}).is_delivered())
                 .count()
         });
-        tracer.event_lazy("chaos-campaign", || {
+        tel.tracer.event_lazy("chaos-campaign", || {
             vec![
                 ("policy", policy.to_string().into()),
                 ("lost", outcome.lost.into()),
@@ -358,18 +337,15 @@ pub fn run_recovery(
             ]),
         ),
     ]);
-    *flight = ring.into_inner();
     (headers, rows, doc)
 }
 
 /// Entry point for `cargo run --release --bin recovery` (the binary lives in
 /// this crate): runs the grid, prints the table,
 /// and writes `results/recovery.json`. With `--trace`, every recovery
-/// decision is recorded to `results/recovery_trace.jsonl` and the
-/// registry snapshot to `results/recovery_metrics.prom`; with
-/// `--chrome-trace PATH`, the trace (with registry counters) is exported
-/// as Chrome trace-event JSON. Losses dump the flight ring to
-/// `results/recovery_flight.jsonl`.
+/// decision is recorded to `results/recovery_trace.jsonl`; losses dump
+/// the flight ring to `results/recovery_flight.jsonl` (see
+/// [`crate::cli::Cli::finish`]).
 ///
 /// Usage: `recovery [n] [1/eps] [pairs] [fraction%] [--seed N] [--trace]
 /// [--chrome-trace PATH] [--json] [--threads N]`.
@@ -380,21 +356,10 @@ pub fn recovery_main() {
     let pairs: usize = cli.pos(2, 300);
     let pct: u64 = cli.pos(3, 20);
     let fraction = pct as f64 / 100.0;
-    let tracer = cli.tracer();
+    let tel = cli.telemetry();
     let cache = MetricCache::new(cli.threads);
-    let registry = MetricsRegistry::new();
-    let mut flight = FlightRecorder::new(obs::flight::DEFAULT_CAPACITY);
-    let (headers, rows, doc) = run_recovery(
-        &cache,
-        n,
-        Eps::one_over(inv),
-        pairs,
-        fraction,
-        cli.seed,
-        &tracer,
-        &registry,
-        &mut flight,
-    );
+    let (headers, rows, doc) =
+        run_recovery(&cache, n, Eps::one_over(inv), pairs, fraction, cli.seed, &tel);
     crate::table::emit(
         &format!(
             "Recovery: delivery under {pct}% node faults by policy (n≈{n}, eps=1/{inv}, {pairs} pairs)"
@@ -408,32 +373,7 @@ pub fn recovery_main() {
     if !cli.json {
         println!("\nwrote results/recovery.json");
     }
-    let snapshot = registry.snapshot();
-    let log = tracer.finish();
-    if cli.trace {
-        std::fs::write("results/recovery_trace.jsonl", log.to_jsonl())
-            .expect("write results/recovery_trace.jsonl");
-        std::fs::write("results/recovery_metrics.prom", obs::export::prometheus_text(&snapshot))
-            .expect("write results/recovery_metrics.prom");
-        if !cli.json {
-            println!("wrote results/recovery_trace.jsonl");
-            println!("wrote results/recovery_metrics.prom");
-        }
-    }
-    if let Some(path) = cli.write_chrome_trace(&log, Some(&snapshot)) {
-        if !cli.json {
-            println!("wrote {path}");
-        }
-    }
-    let dumped = flight
-        .dump_if_anomalous("results/recovery_flight.jsonl")
-        .expect("write results/recovery_flight.jsonl");
-    if dumped && !cli.json {
-        println!(
-            "flight ring dumped to results/recovery_flight.jsonl ({} anomalies)",
-            flight.anomalies()
-        );
-    }
+    cli.finish("recovery", std::path::Path::new("results"), tel);
 }
 
 #[cfg(test)]
@@ -442,21 +382,12 @@ mod tests {
 
     #[test]
     fn recovery_grid_policies_beat_drop_and_document_round_trips() {
-        let tracer = Tracer::recording();
+        let tel = Telemetry {
+            flight: obs::FlightRecorder::new(16).into(),
+            ..Telemetry::on(obs::Tracer::recording())
+        };
         let cache = MetricCache::new(1);
-        let registry = MetricsRegistry::new();
-        let mut flight = FlightRecorder::new(16);
-        let (h, rows, doc) = run_recovery(
-            &cache,
-            64,
-            Eps::one_over(8),
-            150,
-            0.2,
-            7,
-            &tracer,
-            &registry,
-            &mut flight,
-        );
+        let (h, rows, doc) = run_recovery(&cache, 64, Eps::one_over(8), 150, 0.2, 7, &tel);
         assert_eq!(h.len(), 8);
         // 3 strategies × 4 policies × 4 schemes.
         assert_eq!(rows.len(), 3 * 4 * 4);
@@ -533,6 +464,8 @@ mod tests {
         );
 
         // Recovery decisions were traced.
+        let Telemetry { tracer, registry, flight } = tel;
+        let flight = flight.into_inner();
         let log = tracer.finish();
         assert!(log.events.iter().any(|e| e.name == "recovery-detour"));
         assert!(log.events.iter().any(|e| e.name == "chaos-campaign"));
@@ -559,17 +492,8 @@ mod tests {
     fn recovery_run_is_deterministic() {
         let run = || {
             let cache = MetricCache::new(1);
-            let (_, _, doc) = run_recovery(
-                &cache,
-                36,
-                Eps::one_over(8),
-                60,
-                0.2,
-                7,
-                &Tracer::noop(),
-                &MetricsRegistry::disabled(),
-                &mut FlightRecorder::disabled(),
-            );
+            let (_, _, doc) =
+                run_recovery(&cache, 36, Eps::one_over(8), 60, 0.2, 7, &Telemetry::off());
             doc.to_string()
         };
         assert_eq!(run(), run());

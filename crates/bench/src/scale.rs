@@ -42,7 +42,7 @@ use doubling_metric::{
 use netsim::json::Value;
 use netsim::stats::{sample_pairs, sampled_stretch, SampledStretch};
 use netsim::Naming;
-use obs::{FlightRecorder, MetricsRegistry, Tracer};
+use obs::{Telemetry, Tracer};
 
 use crate::schemes::{self, Built};
 use crate::table::f2;
@@ -165,43 +165,6 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     (out, t.elapsed().as_micros() as u64, obs::alloc::peak_bytes())
 }
 
-/// Telemetry sinks shared by every cell of one sweep (see
-/// [`run_scale_telemetered`]); [`run_scale`] wires in disabled sinks.
-pub struct ScaleTelemetry<'a> {
-    /// Span/event tracer (per-phase spans when recording).
-    pub tracer: &'a Tracer,
-    /// Shared registry: route counters/histograms plus oracle row-cache
-    /// stats.
-    pub registry: MetricsRegistry,
-    /// Flight recorder fed from the oracle evaluation pass.
-    pub flight: FlightRecorder,
-}
-
-/// Observes one oracle-pass routing outcome into the registry + flight
-/// recorder (the cross-check pass stays unobserved: it replays the same
-/// pairs and would double-count).
-fn observe_scale_route(
-    m: &MetricSpace,
-    registry: &MetricsRegistry,
-    flight: &mut FlightRecorder,
-    u: doubling_metric::NodeId,
-    v: doubling_metric::NodeId,
-    res: &Result<netsim::Route, netsim::RouteError>,
-) {
-    match res {
-        Ok(r) => {
-            registry.counter("scale.routes").inc();
-            registry.histogram("scale.route_cost").record(r.cost);
-            registry.histogram("scale.route_hops").record(r.hop_count() as u64);
-            flight.record_route(u, v, r, r.stretch(m));
-        }
-        Err(e) => {
-            registry.counter("scale.route_failures").inc();
-            flight.record_error(u, v, e);
-        }
-    }
-}
-
 /// Builds scheme `i` of the table order and measures its cell.
 #[allow(clippy::too_many_arguments)]
 fn scheme_cell(
@@ -212,7 +175,7 @@ fn scheme_cell(
     oracle: &OnDemandDijkstra,
     pairs: &[(doubling_metric::NodeId, doubling_metric::NodeId)],
     stable: bool,
-    tel: &mut ScaleTelemetry,
+    tel: &Telemetry,
 ) -> SchemeCell {
     let n = m.n();
     let pin = |v: u64| if stable { 0 } else { v };
@@ -223,11 +186,9 @@ fn scheme_cell(
     let seam = s.seam();
     let stats = {
         let _sp = tel.tracer.span("evaluate");
-        let (registry, flight) = (&tel.registry, &mut tel.flight);
-        sampled_stretch(&*seam, m, oracle, pairs, |u, v, res| {
-            observe_scale_route(m, registry, flight, u, v, res)
-        })
+        sampled_stretch(&*seam, m, oracle, pairs, |u, v, res| tel.route(m, u, v, res))
     };
+    // The cross-check replays the same pairs, so it stays unobserved.
     let check = {
         let _sp = tel.tracer.span("cross-check");
         sampled_stretch(&*seam, m, m, pairs, |_, _, _| {})
@@ -250,36 +211,20 @@ fn scheme_cell(
 /// four schemes built and sampled-evaluated against the on-demand oracle
 /// with a dense-matrix cross-check. `stable` pins the volatile fields
 /// (wall times, peak bytes) to `0` for byte-identity checks.
+///
+/// Telemetry never feeds back into the document: `tel.tracer` gets
+/// per-phase spans (`metric-build` with its apsp/sort-rows worker
+/// children, `scheme-build`, `evaluate`, `cross-check`, `landmark-gap`),
+/// every oracle-pass route goes through [`Telemetry::route`] (`eval.*`
+/// counters and histograms, flight ring), and `tel.registry` also gets
+/// the oracle row-cache stats.
 pub fn run_scale(
     ns: &[usize],
     pairs_per_cell: usize,
     seed: u64,
     threads: usize,
     stable: bool,
-) -> ScaleReport {
-    let tracer = Tracer::noop();
-    let mut tel = ScaleTelemetry {
-        tracer: &tracer,
-        registry: MetricsRegistry::disabled(),
-        flight: FlightRecorder::disabled(),
-    };
-    run_scale_telemetered(ns, pairs_per_cell, seed, threads, stable, &mut tel)
-}
-
-/// [`run_scale`] with telemetry: per-phase spans (`metric-build` with its
-/// apsp/sort-rows worker children, `scheme-build`, `evaluate`,
-/// `cross-check`, `landmark-gap`) when `tel.tracer` is recording, route
-/// counters/histograms and oracle row-cache stats into `tel.registry`,
-/// and per-hop forensics for the oracle evaluation pass into
-/// `tel.flight`. The produced document is identical to [`run_scale`]'s —
-/// telemetry never feeds back into the sweep.
-pub fn run_scale_telemetered(
-    ns: &[usize],
-    pairs_per_cell: usize,
-    seed: u64,
-    threads: usize,
-    stable: bool,
-    tel: &mut ScaleTelemetry,
+    tel: &Telemetry,
 ) -> ScaleReport {
     let headers = vec![
         "n",
@@ -308,7 +253,7 @@ pub fn run_scale_telemetered(
         let ((m, profile), _, metric_peak) = {
             let _sp = tel.tracer.span("metric-build");
             let out = measured(|| MetricSpace::build_profiled(Arc::clone(&graph), threads));
-            obs::phase::record_build_profile(tel.tracer, &out.0 .1);
+            obs::phase::record_build_profile(&tel.tracer, &out.0 .1);
             out
         };
         let n = m.n();
@@ -382,10 +327,9 @@ pub fn run_scale_telemetered(
 /// recorded thread count to `0` so same-seed runs are byte-identical at
 /// any `--threads` (CI's determinism check `cmp`s the raw files —
 /// telemetry output lives in separate files and never perturbs the
-/// document). `--trace` writes `results/scale_trace.jsonl` and the
-/// registry snapshot as `results/scale_metrics.prom`; the flight
-/// recorder dumps `results/scale_flight.jsonl` whenever a loss or
-/// under-stretch route was observed.
+/// document). [`crate::cli::Cli::finish`] writes the telemetry
+/// artifacts: the flight recorder dumps `results/scale_flight.jsonl`
+/// whenever a loss or under-stretch route was observed.
 pub fn scale_main() {
     let cli = crate::cli::Cli::parse_env(42);
     let max_n: usize = cli.pos(0, *DEFAULT_NS.last().unwrap());
@@ -394,13 +338,8 @@ pub fn scale_main() {
         None => DEFAULT_NS.into_iter().filter(|&n| n <= max_n).collect(),
     };
     let pairs = cli.pairs.unwrap_or(DEFAULT_PAIRS);
-    let tracer = cli.tracer();
-    let mut tel = ScaleTelemetry {
-        tracer: &tracer,
-        registry: MetricsRegistry::new(),
-        flight: FlightRecorder::new(obs::flight::DEFAULT_CAPACITY),
-    };
-    let report = run_scale_telemetered(&ns, pairs, cli.seed, cli.threads, cli.stable, &mut tel);
+    let tel = cli.telemetry();
+    let report = run_scale(&ns, pairs, cli.seed, cli.threads, cli.stable, &tel);
     crate::table::emit(
         &format!(
             "S1: scheme scaling (grid, eps=1/{EPS_INV}, {pairs} pairs/cell, seed {}{})",
@@ -413,29 +352,7 @@ pub fn scale_main() {
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/scale.json", report.doc.to_string_pretty() + "\n")
         .expect("write results/scale.json");
-    let ScaleTelemetry { registry, flight, .. } = tel;
-    let snapshot = registry.snapshot();
-    let log = tracer.finish();
-    if cli.trace {
-        std::fs::write("results/scale_trace.jsonl", log.to_jsonl())
-            .expect("write results/scale_trace.jsonl");
-        std::fs::write("results/scale_metrics.prom", obs::export::prometheus_text(&snapshot))
-            .expect("write results/scale_metrics.prom");
-        if !cli.json {
-            println!("wrote results/scale_trace.jsonl and results/scale_metrics.prom");
-        }
-    }
-    if let Some(path) = cli.write_chrome_trace(&log, Some(&snapshot)) {
-        if !cli.json {
-            println!("wrote {path}");
-        }
-    }
-    if flight.dump_if_anomalous("results/scale_flight.jsonl").expect("write scale_flight.jsonl") {
-        eprintln!(
-            "anomalies observed ({}): flight ring dumped to results/scale_flight.jsonl",
-            flight.anomalies()
-        );
-    }
+    cli.finish("scale", std::path::Path::new("results"), tel);
     if !cli.json {
         println!("\nwrote results/scale.json");
         println!("reading: stretch is sampled ({pairs} seeded pairs/cell) against the");
@@ -452,7 +369,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_cells_with_exact_sampled_stats() {
-        let report = run_scale(&[64], 100, 3, 1, false);
+        let report = run_scale(&[64], 100, 3, 1, false, &Telemetry::off());
         assert_eq!(report.rows.len(), 4);
         assert!(report.all_deterministic);
         assert_eq!(report.failures, 0);
@@ -477,17 +394,16 @@ mod tests {
 
     #[test]
     fn telemetered_sweep_records_spans_registry_and_flight() {
-        let tracer = Tracer::recording();
-        let mut tel = ScaleTelemetry {
-            tracer: &tracer,
-            registry: MetricsRegistry::new(),
-            flight: FlightRecorder::new(16),
+        let tel = Telemetry {
+            flight: obs::FlightRecorder::new(16).into(),
+            ..Telemetry::on(Tracer::recording())
         };
-        let report = run_scale_telemetered(&[36], 40, 3, 1, false, &mut tel);
+        let report = run_scale(&[36], 40, 3, 1, false, &tel);
         assert!(report.all_deterministic);
         assert_eq!(report.failures, 0);
 
-        let ScaleTelemetry { registry, flight, .. } = tel;
+        let Telemetry { tracer, registry, flight } = tel;
+        let flight = flight.into_inner();
         let log = tracer.finish();
         let names: std::collections::BTreeSet<&str> = log.spans.iter().map(|s| s.name).collect();
         for want in [
@@ -505,9 +421,9 @@ mod tests {
         // 4 schemes × 40 pairs, all delivered, observed only on the
         // oracle pass (the cross-check replays the same pairs).
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("scale.routes"), Some(160));
-        assert_eq!(snap.counter("scale.route_failures"), None);
-        assert_eq!(snap.histogram("scale.route_cost").map(obs::Log2Histogram::count), Some(160));
+        assert_eq!(snap.counter("eval.routes"), Some(160));
+        assert_eq!(snap.counter("eval.route_failures"), Some(0));
+        assert_eq!(snap.histogram("eval.route_cost").map(obs::Log2Histogram::count), Some(160));
         assert!(snap.counter("oracle.row_builds").unwrap_or(0) > 0);
 
         // The flight ring retains the last 16 of those queries, none
@@ -518,8 +434,9 @@ mod tests {
 
     #[test]
     fn stable_runs_are_byte_identical_at_any_thread_count() {
-        let a = run_scale(&[36], 60, 7, 1, true).doc.to_string_pretty();
-        let b = run_scale(&[36], 60, 7, 4, true).doc.to_string_pretty();
+        let tel = Telemetry::off();
+        let a = run_scale(&[36], 60, 7, 1, true, &tel).doc.to_string_pretty();
+        let b = run_scale(&[36], 60, 7, 4, true, &tel).doc.to_string_pretty();
         // The *whole document* must agree byte for byte — `--stable`
         // pins the recorded thread count too (CI `cmp`s raw files).
         assert_eq!(a, b);
@@ -531,8 +448,8 @@ mod tests {
 
     #[test]
     fn unstable_runs_pin_nothing_but_agree_on_semantics() {
-        let a = run_scale(&[36], 60, 7, 1, false);
-        let b = run_scale(&[36], 60, 7, 1, false);
+        let a = run_scale(&[36], 60, 7, 1, false, &Telemetry::off());
+        let b = run_scale(&[36], 60, 7, 1, false, &Telemetry::off());
         let strip = |doc: &Value| {
             let cells = doc.get("cells").and_then(Value::as_array).unwrap();
             cells

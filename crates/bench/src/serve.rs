@@ -55,7 +55,7 @@ use netsim::plane::ForwardingPlane;
 use netsim::route::{Route, RouteError};
 use netsim::scheme::{Label, LabeledScheme, Name, NameIndependentScheme};
 use netsim::Naming;
-use obs::{Log2Histogram, MetricsRegistry};
+use obs::{Log2Histogram, MetricsRegistry, Telemetry};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
@@ -371,6 +371,11 @@ pub struct ServeReport {
 /// compiles + epoch-checks their planes, serves the workload at every
 /// worker count, and differentially verifies every query against the
 /// reference schemes. `stable` pins volatile fields for byte-identity.
+///
+/// `tel.tracer` gets one span per stage (`metric-build` with its worker
+/// children, `plane-compile`, `serve`, `differential`); the serving
+/// workers share `tel.registry` (`serve.latency_ns.<scheme>`,
+/// `serve.queries.<scheme>`, `serve.divergences`).
 pub fn run_serve(
     requested_n: usize,
     queries: usize,
@@ -378,7 +383,7 @@ pub fn run_serve(
     threads: usize,
     stable: bool,
     phases: &[Phase],
-    registry: &MetricsRegistry,
+    tel: &Telemetry,
 ) -> ServeReport {
     let headers = vec![
         "scheme",
@@ -395,7 +400,12 @@ pub fn run_serve(
     ];
     let eps = Eps::one_over(EPS_INV);
     let graph = Arc::new(gen::Family::Grid.build(requested_n, seed));
-    let m = MetricSpace::from_shared(Arc::clone(&graph), threads);
+    let m = {
+        let _sp = tel.tracer.span("metric-build");
+        let (m, profile) = MetricSpace::build_profiled(Arc::clone(&graph), threads);
+        obs::phase::record_build_profile(&tel.tracer, &profile);
+        m
+    };
     let n = m.n();
     let naming = Naming::random(n, seed ^ 0xA5);
     let workload = generate_workload(n, queries, seed, phases);
@@ -403,6 +413,7 @@ pub fn run_serve(
     // Build the schemes, wrap each in a maintainer, compile the planes at
     // the maintainer epoch, and gate serving on the epoch check — the
     // serving path must refuse stale planes (see `Maintainer::check_plane`).
+    let compile_span = tel.tracer.span("plane-compile");
     let mt_nl =
         Maintainer::new(n, NetLabeled::new(&m, eps).expect("eps ok"), MaintainerConfig::default());
     let nl_plane = NetLabeledPlane::compile(&m, mt_nl.scheme(), Some(&naming), mt_nl.epoch());
@@ -432,6 +443,7 @@ pub fn run_serve(
     );
     let sfni_plane = ScaleFreeNiPlane::compile(&m, mt_sfni.scheme(), mt_sfni.epoch());
     mt_sfni.check_plane(&sfni_plane).expect("fresh plane serves");
+    drop(compile_span);
 
     // Resolve the scheme-independent workload into per-scheme streams and
     // reference closures (the oracle the differential pass replays).
@@ -501,8 +513,10 @@ pub fn run_serve(
         let mut baseline_digest = None;
         let mut single_qps = 0.0f64;
         for &workers in &WORKER_GRID {
-            let (agg, hist, wall_us) =
-                serve_cell(&m, s.plane, &s.queries, workers, registry, s.name);
+            let (agg, hist, wall_us) = {
+                let _sp = tel.tracer.span("serve");
+                serve_cell(&m, s.plane, &s.queries, workers, &tel.registry, s.name)
+            };
             let wall_s = (wall_us.max(1) as f64) / 1e6;
             let qps = agg.queries as f64 / wall_s;
             let deterministic =
@@ -533,6 +547,7 @@ pub fn run_serve(
         }
 
         // Untimed differential pass: every query, plane vs reference.
+        let _differential = tel.tracer.span("differential");
         let mut scheme_divergences = 0u64;
         for (idx, q) in s.queries.iter().enumerate() {
             let got = match q.ingress {
@@ -542,7 +557,7 @@ pub fn run_serve(
             let want = (s.reference)(q.src, q.ingress);
             if got != want {
                 scheme_divergences += 1;
-                registry.counter("serve.divergences").inc();
+                tel.registry.counter("serve.divergences").inc();
                 if scheme_divergences == 1 {
                     eprintln!("divergence: scheme={} query#{idx} {:?}", s.name, q);
                 }
@@ -620,26 +635,20 @@ pub fn run_serve(
 /// prints the table, and writes `results/serve.json`.
 ///
 /// Usage: `serve [n] [--pairs QUERIES_PER_CELL] [--seed N] [--threads N]
-/// [--stable] [--json]`. `--pairs` reuses the shared evaluation-size flag
-/// as queries per (scheme, workers) cell; `--threads` controls metric
-/// preprocessing only (the serving worker grid is fixed — see
-/// [`WORKER_GRID`]); `--stable` pins wall times, throughput, latency
-/// quantiles, the thread count, and the timing verdict so same-seed runs
-/// are byte-identical at any `--threads`.
+/// [--stable] [--json] [--trace] [--chrome-trace PATH]`. `--pairs`
+/// reuses the shared evaluation-size flag as queries per (scheme,
+/// workers) cell; `--threads` controls metric preprocessing only (the
+/// serving worker grid is fixed — see [`WORKER_GRID`]); `--stable` pins
+/// wall times, throughput, latency quantiles, the thread count, and the
+/// timing verdict so same-seed runs are byte-identical at any
+/// `--threads`.
 pub fn serve_main() {
     let cli = crate::cli::Cli::parse_env(42);
     let requested_n: usize = cli.pos(0, DEFAULT_N);
     let queries = cli.pairs.unwrap_or(DEFAULT_QUERIES);
-    let registry = MetricsRegistry::new();
-    let report = run_serve(
-        requested_n,
-        queries,
-        cli.seed,
-        cli.threads,
-        cli.stable,
-        &default_phases(),
-        &registry,
-    );
+    let tel = cli.telemetry();
+    let report =
+        run_serve(requested_n, queries, cli.seed, cli.threads, cli.stable, &default_phases(), &tel);
     crate::table::emit(
         &format!(
             "T1: forwarding-plane serving (grid n={requested_n}, eps=1/{EPS_INV}, {queries} \
@@ -667,6 +676,7 @@ pub fn serve_main() {
             println!("for artifacts generated on multi-core hosts.");
         }
     }
+    cli.finish("serve", std::path::Path::new("results"), tel);
     assert_eq!(report.failures, 0, "route errors while serving — see results/serve.json");
     assert_eq!(
         report.divergences, 0,
@@ -705,8 +715,8 @@ mod tests {
 
     #[test]
     fn serve_report_is_deterministic_and_divergence_free() {
-        let registry = MetricsRegistry::new();
-        let report = run_serve(36, 400, 3, 1, false, &default_phases(), &registry);
+        let tel = Telemetry::on(obs::Tracer::recording());
+        let report = run_serve(36, 400, 3, 1, false, &default_phases(), &tel);
         assert_eq!(report.divergences, 0);
         assert_eq!(report.failures, 0);
         assert!(report.all_deterministic);
@@ -725,23 +735,29 @@ mod tests {
         for v in verify {
             assert_eq!(v.get("divergences").and_then(Value::as_u64), Some(0));
         }
-        // Registry got the counters and latency histograms.
-        let snap = registry.snapshot();
+        // Registry got the counters and latency histograms, the tracer
+        // one span per stage.
+        let snap = tel.registry.snapshot();
         assert_eq!(snap.counter("serve.divergences"), None);
         assert_eq!(snap.counter("serve.queries.net-labeled"), Some(3 * 400));
         assert!(
             snap.histogram("serve.latency_ns.net-labeled").map(Log2Histogram::count).unwrap_or(0)
                 == 3 * 400
         );
+        let spans: std::collections::BTreeSet<&str> =
+            tel.tracer.finish().spans.iter().map(|s| s.name).collect();
+        for want in ["metric-build", "plane-compile", "serve", "differential"] {
+            assert!(spans.contains(want), "missing span {want:?} in {spans:?}");
+        }
         // Round-trips through the parser.
         assert_eq!(Value::parse(&report.doc.to_string_pretty()).unwrap(), report.doc);
     }
 
     #[test]
     fn stable_runs_are_byte_identical_at_any_thread_count() {
-        let reg = MetricsRegistry::disabled();
-        let a = run_serve(36, 200, 7, 1, true, &default_phases(), &reg).doc.to_string_pretty();
-        let b = run_serve(36, 200, 7, 4, true, &default_phases(), &reg).doc.to_string_pretty();
+        let tel = Telemetry::off();
+        let a = run_serve(36, 200, 7, 1, true, &default_phases(), &tel).doc.to_string_pretty();
+        let b = run_serve(36, 200, 7, 4, true, &default_phases(), &tel).doc.to_string_pretty();
         assert_eq!(a, b);
         assert!(a.contains("\"threads\": 0"), "thread count not pinned:\n{a}");
         assert!(a.contains("\"wall_us\": 0"), "volatile field not pinned:\n{a}");
@@ -750,9 +766,9 @@ mod tests {
 
     #[test]
     fn digests_differ_between_seeds_but_not_runs() {
-        let reg = MetricsRegistry::disabled();
+        let tel = Telemetry::off();
         let digest_of = |seed: u64| {
-            let doc = run_serve(36, 150, seed, 1, true, &default_phases(), &reg).doc;
+            let doc = run_serve(36, 150, seed, 1, true, &default_phases(), &tel).doc;
             doc.get("cells").and_then(Value::as_array).unwrap()[0]
                 .get("digest")
                 .and_then(Value::as_str)

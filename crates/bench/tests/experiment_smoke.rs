@@ -5,14 +5,19 @@
 use bench::experiments::*;
 use bench::MetricCache;
 use doubling_metric::Eps;
+use obs::Telemetry;
 
 fn cache() -> MetricCache {
     MetricCache::new(2)
 }
 
+fn off() -> Telemetry {
+    Telemetry::off()
+}
+
 #[test]
 fn fig1_rows_cover_rounds() {
-    let (h, rows) = run_fig1(&cache(), 49, Eps::one_over(8), 3);
+    let (h, rows) = run_fig1(&cache(), 49, Eps::one_over(8), 3, &off());
     assert_eq!(h.len(), 8);
     assert!(!rows.is_empty());
     // Rounds within a family must be strictly increasing and distances
@@ -30,7 +35,7 @@ fn fig1_rows_cover_rounds() {
 
 #[test]
 fn fig2_shows_greedy_on_grid_and_packing_on_exp_path() {
-    let (_, rows) = run_fig2(&cache(), Eps::one_over(8), 3);
+    let (_, rows) = run_fig2(&cache(), Eps::one_over(8), 3, &off());
     assert!(rows.iter().any(|r| r[0] == "grid" && r[1] == "greedy-only"));
     assert!(
         rows.iter().any(|r| r[0] == "exp-path" && r[1] == "packing"),
@@ -55,7 +60,7 @@ fn fig3_advice_curve_is_monotone() {
 
 #[test]
 fn sweep_eps_labeled_stretch_monotone() {
-    let (_, rows) = run_sweep_eps(&cache(), 49, 3);
+    let (_, rows) = run_sweep_eps(&cache(), 49, 3, &off());
     let nl: Vec<f64> =
         rows.iter().filter(|r| r[1] == "net-labeled").map(|r| r[2].parse().unwrap()).collect();
     assert!(nl.len() >= 3);
@@ -66,7 +71,7 @@ fn sweep_eps_labeled_stretch_monotone() {
 
 #[test]
 fn ablation_rows_are_well_formed() {
-    let (h1, r1) = run_ablation_rings(&cache(), 3);
+    let (h1, r1) = run_ablation_rings(&cache(), 3, &off());
     assert_eq!(r1.len(), 2);
     assert_eq!(h1.len(), r1[0].len());
     // On the exp-path, R(u) must prune a majority of levels.
@@ -75,7 +80,7 @@ fn ablation_rows_are_well_formed() {
     let kept: f64 = exp[2].parse().unwrap();
     assert!(kept * 2.0 < total, "R(u) must prune: kept {kept} of {total}");
 
-    let (_, r2) = run_ablation_packing(&cache(), 3);
+    let (_, r2) = run_ablation_packing(&cache(), 3, &off());
     for row in &r2 {
         let frac: f64 = row[1].parse().unwrap();
         assert!((0.0..=1.0).contains(&frac));
@@ -85,7 +90,7 @@ fn ablation_rows_are_well_formed() {
 
 #[test]
 fn relaxed_quantiles_are_ordered() {
-    let (_, rows) = run_relaxed(&cache(), 49, 3);
+    let (_, rows) = run_relaxed(&cache(), 49, 3, &off());
     for r in &rows {
         let p50: f64 = r[3].parse().unwrap();
         let p90: f64 = r[4].parse().unwrap();
@@ -97,7 +102,7 @@ fn relaxed_quantiles_are_ordered() {
 
 #[test]
 fn storage_growth_ratio_falls() {
-    let (_, rows) = run_storage_growth(&cache(), &[64, 144, 256], 3);
+    let (_, rows) = run_storage_growth(&cache(), &[64, 144, 256], 3, &off());
     let ratios: Vec<f64> = rows.iter().map(|r| r[4].parse().unwrap()).collect();
     // Non-monotone wobble is possible at tiny n (level-count steps); the
     // end-to-end trend must still fall.

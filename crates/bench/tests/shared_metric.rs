@@ -18,6 +18,7 @@ use doubling_metric::{gen, Eps, MetricSpace};
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::Naming;
+use obs::Tracer;
 
 /// Property 1 body: a `threads`-way build equals the sequential one.
 fn check_parallel_identical(n: usize, radius: u64, seed: u64, threads: usize) {
@@ -36,7 +37,7 @@ fn check_schemes_from_shared_metric(n: usize, radius: u64, seed: u64, threads: u
 
     // One cached metric shared by all four schemes...
     let cache = MetricCache::new(threads);
-    let shared = cache.get_or_build("geo", n, seed, || g.clone());
+    let shared = cache.get_or_build_traced("geo", n, seed, &Tracer::noop(), || g.clone());
     // ...versus a private sequential metric per scheme.
     let private = MetricSpace::new(&g);
     assert_eq!(&private, shared.as_ref());
@@ -54,7 +55,8 @@ fn check_schemes_from_shared_metric(n: usize, radius: u64, seed: u64, threads: u
     assert_eq!(sfni, ScaleFreeNameIndependent::new(&private, eps, naming).unwrap());
 
     // The four scheme constructions hit the cache's single build.
-    let again = cache.get_or_build("geo", n, seed, || unreachable!("must hit"));
+    let again =
+        cache.get_or_build_traced("geo", n, seed, &Tracer::noop(), || unreachable!("must hit"));
     assert_eq!(again.as_ref(), shared.as_ref());
     assert_eq!(cache.stats().builds, 1);
 }

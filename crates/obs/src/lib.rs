@@ -37,6 +37,16 @@
 //!   per-hop forensics for the last K route queries, dumped when a loss,
 //!   under-stretch route, or conformance failure is observed.
 //!
+//! # One seam
+//!
+//! Experiments never hold the three sinks side by side: a
+//! [`telemetry::Telemetry`] value owns the tracer, the registry and the
+//! flight ring, and has one method per experiment event (an evaluated
+//! route, a resilient delivery, a recovery decision, a maintenance batch,
+//! an audited theorem clause) that feeds all three together under one
+//! metric namespace (`eval.*`, `recovery.*`, `maintain.*`,
+//! `conformance.*`).
+//!
 //! # Spans ↔ Figure 1/2 route anatomy
 //!
 //! A delivered [`netsim::Route`] already carries the paper's
@@ -80,13 +90,13 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod eval;
 pub mod export;
 pub mod flight;
 pub mod metrics;
 pub mod phase;
 pub mod registry;
 pub mod spans;
+pub mod telemetry;
 pub mod trace;
 
 pub use flight::FlightRecorder;
@@ -94,4 +104,5 @@ pub use metrics::{Counter, Gauge, Log2Histogram};
 pub use phase::PhaseBreakdown;
 pub use registry::MetricsRegistry;
 pub use spans::{route_span_tree, RouteMetrics};
+pub use telemetry::Telemetry;
 pub use trace::{TraceLog, Tracer};

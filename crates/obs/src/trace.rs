@@ -90,40 +90,6 @@ impl TraceLog {
         }
         out
     }
-
-    /// Latest end timestamp over all spans and events (0 when empty).
-    pub fn end_us(&self) -> u64 {
-        let spans = self.spans.iter().map(|s| s.start_us + s.dur_us).max().unwrap_or(0);
-        let events = self.events.iter().map(|e| e.at_us).max().unwrap_or(0);
-        spans.max(events)
-    }
-
-    /// Appends `other` after this log's timeline: parent indices are
-    /// rebased and every timestamp shifted by [`TraceLog::end_us`], so
-    /// logs recorded by sequential tracers (each with its own epoch)
-    /// merge into one non-overlapping timeline — what the Chrome-trace
-    /// exporter expects from the profile grid's per-entry tracers.
-    pub fn append_shifted(&mut self, other: &TraceLog) {
-        let shift = self.end_us();
-        let base = self.spans.len();
-        for s in &other.spans {
-            self.spans.push(SpanRecord {
-                name: s.name,
-                parent: s.parent.map(|p| p + base),
-                start_us: s.start_us + shift,
-                dur_us: s.dur_us,
-                alloc_bytes: s.alloc_bytes,
-            });
-        }
-        for e in &other.events {
-            self.events.push(EventRecord {
-                name: e.name,
-                parent: e.parent.map(|p| p + base),
-                at_us: e.at_us + shift,
-                fields: e.fields.clone(),
-            });
-        }
-    }
 }
 
 struct TraceBuf {
@@ -225,6 +191,31 @@ impl Tracer {
         if self.enabled() {
             self.event(name, fields());
         }
+    }
+
+    /// Appends a log finished by another tracer at top level, after
+    /// everything recorded so far: parent indices are rebased and every
+    /// timestamp shifted past the latest span end or event, so logs of
+    /// sequential tracers (each with its own epoch) merge into one
+    /// non-overlapping timeline — how the profiler folds its per-entry
+    /// traces into the run's.
+    pub fn append(&self, log: &TraceLog) {
+        let Some(inner) = &self.inner else { return };
+        let mut buf = inner.borrow_mut();
+        let spans_end = buf.spans.iter().map(|s| s.start_us + s.dur_us).max().unwrap_or(0);
+        let shift = buf.events.iter().map(|e| e.at_us).fold(spans_end, u64::max);
+        let base = buf.spans.len();
+        let rebase = |p: Option<usize>| p.map(|p| p + base);
+        buf.spans.extend(log.spans.iter().map(|s| SpanRecord {
+            parent: rebase(s.parent),
+            start_us: s.start_us + shift,
+            ..s.clone()
+        }));
+        buf.events.extend(log.events.iter().map(|e| EventRecord {
+            parent: rebase(e.parent),
+            at_us: e.at_us + shift,
+            ..e.clone()
+        }));
     }
 
     fn close_span(&self, idx: usize) {
@@ -339,6 +330,29 @@ mod tests {
         // No-op mode: still free.
         let noop = Tracer::noop();
         noop.span_completed("x", 1, 1);
+        assert!(noop.finish().spans.is_empty());
+    }
+
+    #[test]
+    fn appended_logs_follow_the_recorded_timeline() {
+        let entry = Tracer::recording();
+        {
+            let _b = entry.span("build");
+            let _r = entry.span("rings");
+        }
+        let entry = entry.finish();
+        let t = Tracer::recording();
+        t.event("start", vec![]);
+        t.append(&entry);
+        t.append(&entry);
+        let log = t.finish();
+        let names: Vec<&str> = log.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["build", "rings", "build", "rings"]);
+        assert_eq!(log.spans[3].parent, Some(2));
+        assert!(log.spans[2].start_us >= log.spans[0].start_us + log.spans[0].dur_us);
+        // No-op mode: nothing appended.
+        let noop = Tracer::noop();
+        noop.append(&entry);
         assert!(noop.finish().spans.is_empty());
     }
 

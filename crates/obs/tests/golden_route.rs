@@ -5,9 +5,8 @@
 //!   asserts the structural invariant behind Figures 1/2: the segment
 //!   spans partition the route's recorded cost and hop count exactly.
 //! * The no-op test pins the zero-overhead contract: evaluating through
-//!   [`obs::eval::route_observer`] with [`Tracer::noop`] produces a
-//!   bit-identical [`EvalResult`] to the plain harness and records
-//!   nothing.
+//!   [`Telemetry::route`] with [`Tracer::noop`] produces a bit-identical
+//!   [`EvalResult`] to the plain harness and records nothing.
 //!
 //! Regenerate the golden file with
 //! `UPDATE_GOLDEN=1 cargo test -p obs --test golden_route`.
@@ -19,20 +18,27 @@ use netsim::json::Value;
 use netsim::stats::{eval, sample_pairs, EvalResult};
 use netsim::{Deliver, Labeled, LabeledScheme, NameIndependentScheme, Named, Naming};
 use obs::spans::segment_span_sum;
-use obs::{route_span_tree, FlightRecorder, MetricsRegistry, RouteMetrics, Tracer};
+use obs::{route_span_tree, RouteMetrics, Telemetry, TraceLog, Tracer};
 
-/// Evaluates `d` through the observer the profiler uses, with disabled
-/// registry and flight sinks.
+/// Evaluates `d` the way the profiler does — a [`RouteMetrics`] fold plus
+/// [`Telemetry::route`] — with disabled registry and flight sinks; returns
+/// the result and what `tracer` recorded.
 fn traced_eval(
     d: &dyn Deliver,
     m: &MetricSpace,
     pairs: &[(u32, u32)],
-    tracer: &Tracer,
+    tracer: Tracer,
     rm: &mut RouteMetrics,
-) -> EvalResult {
-    let mut flight = FlightRecorder::disabled();
-    let registry = MetricsRegistry::disabled();
-    eval(d, m, pairs, 1, obs::eval::route_observer(m, tracer, rm, &registry, &mut flight))
+) -> (EvalResult, TraceLog) {
+    let tel = Telemetry { tracer, ..Telemetry::off() };
+    let res = eval(d, m, pairs, 1, |u, v, r| {
+        if let Ok(route) = r {
+            rm.record(route);
+            rm.record_stretch(route.stretch(m));
+        }
+        tel.route(m, u, v, r);
+    });
+    (res, tel.tracer.finish())
 }
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/route_span_tree.json");
@@ -102,21 +108,18 @@ fn noop_traced_eval_is_bit_identical_to_plain_eval_and_records_nothing() {
 
     let nl = NetLabeled::new(&m, Eps::one_over(8)).unwrap();
     let plain = eval(&Labeled(&nl), &m, &pairs, 1, |_, _, _| {});
-    let tracer = Tracer::noop();
     let mut rm = RouteMetrics::new();
-    let traced = traced_eval(&Labeled(&nl), &m, &pairs, &tracer, &mut rm);
+    let (traced, log) = traced_eval(&Labeled(&nl), &m, &pairs, Tracer::noop(), &mut rm);
     assert_eq!(traced, plain, "no-op tracing must not perturb the evaluation");
     assert_eq!(rm.cost.count(), pairs.len() as u64);
-    let log = tracer.finish();
     assert!(log.spans.is_empty() && log.events.is_empty(), "no-op tracer must record nothing");
 
     let sni = SimpleNameIndependent::new(&m, Eps::one_over(8), naming.clone()).unwrap();
     let plain = eval(&Named(&sni, &naming), &m, &pairs, 1, |_, _, _| {});
-    let tracer = Tracer::noop();
     let mut rm = RouteMetrics::new();
-    let traced = traced_eval(&Named(&sni, &naming), &m, &pairs, &tracer, &mut rm);
+    let (traced, log) = traced_eval(&Named(&sni, &naming), &m, &pairs, Tracer::noop(), &mut rm);
     assert_eq!(traced, plain);
-    assert!(tracer.finish().to_jsonl().is_empty());
+    assert!(log.to_jsonl().is_empty());
 }
 
 #[test]
@@ -124,11 +127,9 @@ fn recording_traced_eval_emits_one_route_event_per_pair() {
     let m = MetricSpace::new(&gen::grid(5, 5));
     let nl = NetLabeled::new(&m, Eps::one_over(8)).unwrap();
     let pairs = sample_pairs(m.n(), 30, 9);
-    let tracer = Tracer::recording();
     let mut rm = RouteMetrics::new();
-    let res = traced_eval(&Labeled(&nl), &m, &pairs, &tracer, &mut rm);
+    let (res, log) = traced_eval(&Labeled(&nl), &m, &pairs, Tracer::recording(), &mut rm);
     assert_eq!(res.failures, 0);
-    let log = tracer.finish();
     assert_eq!(log.events.len(), pairs.len());
     for e in &log.events {
         assert_eq!(e.name, "route");
