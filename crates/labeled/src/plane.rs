@@ -248,9 +248,14 @@ impl<T: PlaneTables + Send + Sync> ForwardingPlane for LabeledPlane<T> {
 
 /// The packed ring lookup both planes share. Among the `len` entries of
 /// `esz` bits at `base` — each opening with `x lo hi next` at width `w`,
-/// sorted by `lo` — finds the one whose range holds `label`, with
-/// [`crate::rings::ring_lookup`]'s partition-point search, and returns it
-/// as a hit at `level` plus the entry's offset.
+/// sorted by `lo` — finds the one whose range holds `label`, the entry
+/// [`crate::rings::ring_lookup`]'s partition-point search picks, and
+/// returns it as a hit at `level` plus the entry's offset.
+///
+/// The ring's whole extent is bounds-checked once ([`BitArena::span`]).
+/// The search then halves a window whose size depends only on `len`, so
+/// the probes form a fixed-length chain with no data-dependent branch,
+/// ending on the last entry with `lo <= label` if there is one.
 fn ring_entry(
     arena: &BitArena,
     (base, len): (u64, u64),
@@ -258,21 +263,23 @@ fn ring_entry(
     level: u32,
     label: Label,
 ) -> Option<(RingHit, u64)> {
-    let (mut lo_i, mut hi_i) = (0u64, len);
-    while lo_i < hi_i {
-        let mid = (lo_i + hi_i) / 2;
-        if arena.read(base + mid * esz + w, w) <= label as u64 {
-            lo_i = mid + 1;
-        } else {
-            hi_i = mid;
-        }
+    if len == 0 {
+        return None;
     }
-    let e = base + lo_i.checked_sub(1)? * esz;
-    (label as u64 <= arena.read(e + 2 * w, w)).then(|| {
+    let ring = arena.span(base, len * esz);
+    let label = label as u64;
+    let (mut e, mut size) = (base, len);
+    while size > 1 {
+        let half = size / 2;
+        let mid = e + half * esz;
+        e = if ring.read(mid + w, w) <= label { mid } else { e };
+        size -= half;
+    }
+    (ring.read(e + w, w) <= label && label <= ring.read(e + 2 * w, w)).then(|| {
         let hit = RingHit {
             level,
-            x: arena.read(e, w) as NodeId,
-            next: arena.read(e + 3 * w, w) as NodeId,
+            x: ring.read(e, w) as NodeId,
+            next: ring.read(e + 3 * w, w) as NodeId,
         };
         (hit, e)
     })
@@ -282,8 +289,23 @@ fn ring_entry(
 #[derive(Debug, Clone)]
 pub struct NetRings {
     num_levels: usize,
-    /// Offset of ring `(u, i)`'s count field, `n × num_levels` rows.
+    /// Ring `(u, i)`'s first-entry offset and entry count packed as
+    /// `off << cnt | len`, `n × num_levels` rows: a lookup starts without
+    /// reading the count field from the arena.
     ring_off: Vec<u64>,
+}
+
+impl NetRings {
+    /// Packs a ring's first-entry offset and its `cnt`-bit count into one
+    /// index word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `off` does not fit in `64 - cnt` bits.
+    fn pack(off: u64, len: u64, cnt: u64) -> u64 {
+        assert!(off >> (64 - cnt) == 0, "ring offset {off} does not fit in {} bits", 64 - cnt);
+        off << cnt | len
+    }
 }
 
 impl PlaneTables for NetRings {
@@ -333,9 +355,9 @@ impl NetLabeledPlane {
             p.node_off.push(p.arena.len_bits());
             p.arena.push(labels[u as usize] as u64, w);
             for i in 0..num_levels {
-                ring_off.push(p.arena.len_bits());
                 let ring = s.ring(u, i);
                 p.arena.push(ring.len() as u64, cnt);
+                ring_off.push(NetRings::pack(p.arena.len_bits(), ring.len() as u64, cnt));
                 for e in ring {
                     for v in [e.x, e.range.0, e.range.1, e.next] {
                         p.arena.push(v as u64, w);
@@ -359,8 +381,8 @@ impl NetLabeledPlane {
             p.node_off.push(cur.pos());
             cur.take_recorded(w, &mut out);
             for _ in 0..num_levels {
-                ring_off.push(cur.pos());
                 let len = cur.take_recorded(cnt, &mut out);
+                ring_off.push(NetRings::pack(cur.pos(), len, cnt));
                 for _ in 0..4 * len {
                     cur.take_recorded(w, &mut out);
                 }
@@ -372,12 +394,11 @@ impl NetLabeledPlane {
 
 impl NetLabeledView for NetLabeledPlane {
     fn min_hit(&self, u: NodeId, label: Label) -> Option<RingHit> {
-        let (w, levels) = (self.widths.node, self.tables.num_levels);
+        let (w, levels, cnt) = (self.widths.node, self.tables.num_levels, self.cnt);
         let rings = &self.tables.ring_off[u as usize * levels..][..levels];
-        rings.iter().enumerate().find_map(|(i, &off)| {
-            let len = self.arena.read(off, self.cnt);
-            ring_entry(&self.arena, (off + self.cnt, len), (w, 4 * w), i as u32, label)
-                .map(|(hit, _)| hit)
+        rings.iter().enumerate().find_map(|(i, &ring)| {
+            let (off, len) = (ring >> cnt, ring & ((1 << cnt) - 1));
+            ring_entry(&self.arena, (off, len), (w, 4 * w), i as u32, label).map(|(hit, _)| hit)
         })
     }
 }
@@ -708,6 +729,19 @@ mod tests {
         assert_eq!(dec.tables.ring_off, plane.tables.ring_off);
         let r = dec.route(&m, 0, s.label_of(15)).unwrap();
         assert_eq!(r, s.route(&m, 0, s.label_of(15)).unwrap());
+    }
+
+    #[test]
+    fn ring_index_packs_offset_and_count() {
+        let (off, len) = ((1 << 59) - 1, 31);
+        let packed = NetRings::pack(off, len, 5);
+        assert_eq!((packed >> 5, packed & 31), (off, len));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in 59 bits")]
+    fn ring_index_rejects_an_offset_beyond_its_bits() {
+        NetRings::pack(1 << 59, 0, 5);
     }
 
     #[test]

@@ -113,22 +113,31 @@ impl BitArena {
 
     /// Reads a `width`-bit field at bit offset `offset`.
     ///
+    /// The read is branch-free: the field's word and the next one (0 past
+    /// the last word) are combined and masked, so a field that spills into
+    /// the next word costs the same as one that does not. The only check is
+    /// the length assert below; a run of reads inside one known extent
+    /// checks it once through [`Self::span`] instead.
+    ///
     /// # Panics
     ///
     /// Panics if the field extends past the written length.
     #[inline]
     pub fn read(&self, offset: u64, width: u64) -> u64 {
-        debug_assert!((1..=64).contains(&width));
         assert!(offset + width <= self.len_bits, "read past end of arena");
-        let word = (offset / 64) as usize;
-        let bit = offset % 64;
-        let lo = self.words[word] >> bit;
-        let val = if bit + width > 64 { lo | (self.words[word + 1] << (64 - bit)) } else { lo };
-        if width == 64 {
-            val
-        } else {
-            val & ((1u64 << width) - 1)
-        }
+        read_bits(&self.words, offset, width)
+    }
+
+    /// The `bits`-bit extent starting at `offset`, checked against the
+    /// written length once; [`BitSpan::read`]s inside it skip the check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the extent runs past the written length.
+    #[inline]
+    pub fn span(&self, offset: u64, bits: u64) -> BitSpan<'_> {
+        assert!(offset + bits <= self.len_bits, "read past end of arena");
+        BitSpan { words: &self.words, start: offset, end: offset + bits }
     }
 
     /// Builds an arena from a `(value, width)` field stream — the inverse
@@ -140,6 +149,44 @@ impl BitArena {
             a.push(v, w);
         }
         a
+    }
+}
+
+/// Reads the `width`-bit field at bit `offset` of `words` (LSB-first,
+/// `width` in `1..=64`). `next << 1 << (63 - bit)` is the next word's
+/// share of a spilling field, and 0 when the field starts on a word
+/// boundary, where a single `<< (64 - bit)` would overflow.
+#[inline]
+fn read_bits(words: &[u64], offset: u64, width: u64) -> u64 {
+    debug_assert!((1..=64).contains(&width));
+    let word = (offset / 64) as usize;
+    let bit = offset % 64;
+    let next = words.get(word + 1).copied().unwrap_or(0);
+    ((words[word] >> bit) | (next << 1 << (63 - bit))) & (u64::MAX >> (64 - width))
+}
+
+/// A bit extent of a [`BitArena`] whose bounds [`BitArena::span`] checked
+/// once. Reads take absolute arena offsets and are only debug-asserted to
+/// stay inside the extent.
+#[derive(Debug, Clone, Copy)]
+pub struct BitSpan<'a> {
+    words: &'a [u64],
+    start: u64,
+    end: u64,
+}
+
+impl BitSpan<'_> {
+    /// Reads a `width`-bit field at arena bit offset `offset`, which must
+    /// lie inside the span.
+    #[inline]
+    pub fn read(&self, offset: u64, width: u64) -> u64 {
+        debug_assert!(
+            self.start <= offset && offset + width <= self.end,
+            "read of {width} bits at {offset} outside span {}..{}",
+            self.start,
+            self.end
+        );
+        read_bits(self.words, offset, width)
     }
 }
 
@@ -312,6 +359,7 @@ pub fn roundtrip_ok(arena: &BitArena, fields: &[(u64, u64)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn push_read_roundtrip_across_word_boundaries() {
@@ -356,6 +404,73 @@ mod tests {
     #[should_panic(expected = "does not fit")]
     fn oversized_value_panics() {
         BitArena::new().push(8, 3);
+    }
+
+    /// The value of `width` bits at `offset`, assembled one bit at a time
+    /// from the stream's bits.
+    fn bitwise(bits: &[bool], offset: u64, width: u64) -> u64 {
+        (0..width).fold(0, |v, i| v | (bits[(offset + i) as usize] as u64) << i)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A 64-bit field at bit 0, a `lead`-bit field that moves a second
+        /// 64-bit field off the word boundary, random fields of every
+        /// width, and padding so the last field ends exactly on the final
+        /// word (no next word to combine). Every field, and random windows
+        /// across field boundaries, read back as the bits pushed, both
+        /// through [`BitArena::read`] and through a span.
+        #[test]
+        fn reads_match_a_bitwise_reference(
+            words in (0u64..u64::MAX, 0u64..u64::MAX),
+            lead in 1u64..=63,
+            raw in proptest::collection::vec((1u64..=64, 0u64..u64::MAX), 0..48),
+            windows in proptest::collection::vec((0u64..u64::MAX, 1u64..=64), 32),
+        ) {
+            let mask = |v: u64, w: u64| v & (u64::MAX >> (64 - w));
+            let mut fields = vec![(words.0, 64), (mask(raw.len() as u64, lead), lead), (words.1, 64)];
+            fields.extend(raw.iter().map(|&(w, v)| (mask(v, w), w)));
+            let pad = (64 - fields.iter().map(|&(_, w)| w).sum::<u64>() % 64) % 64;
+            if pad > 0 {
+                fields.push((mask(words.0.rotate_left(7), pad), pad));
+            }
+            let bits: Vec<bool> =
+                fields.iter().flat_map(|&(v, w)| (0..w).map(move |i| v >> i & 1 == 1)).collect();
+
+            let a = BitArena::from_fields(&fields);
+            prop_assert_eq!(a.len_bits(), bits.len() as u64);
+            prop_assert_eq!(a.len_bits() % 64, 0);
+            let whole = a.span(0, a.len_bits());
+            let mut off = 0;
+            for &(v, w) in &fields {
+                prop_assert_eq!(a.read(off, w), v);
+                prop_assert_eq!(whole.read(off, w), v);
+                prop_assert_eq!(bitwise(&bits, off, w), v);
+                off += w;
+            }
+            for &(at, w) in &windows {
+                let w = w.min(a.len_bits());
+                let at = at % (a.len_bits() - w + 1);
+                let want = bitwise(&bits, at, w);
+                prop_assert_eq!(a.read(at, w), want, "window {} at {}", w, at);
+                prop_assert_eq!(a.span(at, w).read(at, w), want);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "read past end of arena")]
+    fn read_one_bit_past_the_end_panics() {
+        let a = BitArena::from_fields(&[(5, 3), (u64::MAX, 64)]);
+        a.read(a.len_bits() - 63, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "read past end of arena")]
+    fn span_past_the_end_panics() {
+        let a = BitArena::from_fields(&[(5, 3), (u64::MAX, 64)]);
+        a.span(8, a.len_bits() - 7);
     }
 
     #[test]

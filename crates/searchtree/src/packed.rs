@@ -254,13 +254,18 @@ impl<C: PayloadCodec> TreeScan for PackedTreeView<'_, C> {
             }
             self.tree.codec.skip(&mut cur);
         }
+        // Children's ranges ascend in record order (Algorithm 1 hands the
+        // sorted keys out in DFS order), so the first range starting above
+        // the key ends the scan: no later child can hold it.
         let nchildren = cur.take(w.cnt);
         for _ in 0..nchildren {
             let c = cur.take(w.cnt) as u32;
             if cur.take(1) == 1 {
                 let lo = cur.take(w.key);
-                let hi = cur.take(w.key);
-                if lo <= key && key <= hi {
+                if key < lo {
+                    break;
+                }
+                if key <= cur.take(w.key) {
                     return NodeScan { hit: None, descend: Some(c) };
                 }
             }
@@ -311,6 +316,23 @@ mod tests {
         let packed = PackedSearchTree::encode(&mut arena, &st, codec, widths);
         for key in 0..4 * ball.len() as u64 {
             assert_eq!(packed.search(&arena, key), st.search(key), "port-label key {key}");
+        }
+
+        // Few, spaced keys: the late DFS subtrees store nothing (unranged
+        // children), and the keys between two child ranges and above the
+        // last one exercise the scan's early exit.
+        let pairs: Vec<(u64, u32)> =
+            (0..ball.len() as u32 / 3).map(|i| (10 * i as u64 + 5, i)).collect();
+        let st = SearchTree::new(&m, 12, &ball, config, pairs.clone());
+        let t = st.tree();
+        let ranged =
+            |u: u32| t.children(u).iter().filter(|&&c| st.subtree_range_of(c).is_some()).count();
+        assert!((0..t.len() as u32).any(|c| st.subtree_range_of(c).is_none()), "no unranged child");
+        assert!((0..t.len() as u32).any(|u| ranged(u) > 1), "no gap between child ranges");
+        let widths = PackedTreeWidths { key: 9, cnt: 6, node: 5 };
+        let packed = PackedSearchTree::encode(&mut arena, &st, U32Codec { width: 5 }, widths);
+        for key in 0..10 * pairs.len() as u64 + 20 {
+            assert_eq!(packed.search(&arena, key), st.search(key), "spaced key {key}");
         }
     }
 

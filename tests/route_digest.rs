@@ -9,11 +9,19 @@
 //! of the core families at n = 40 and ε ∈ {1/4, 1/8}, and compares it with
 //! the pinned [`GOLDEN`]. A deliberate change to route anatomy must update
 //! it and say why.
+//!
+//! Beside it, [`ARENA_GOLDEN`] pins the bytes of every compiled plane over
+//! the same families × ε: each arena's words and bit length, the
+//! name-independent planes' own arenas and their underlying labeled ones.
+//! A faster decode must leave both digests as they are.
 
 use std::fmt::{self, Write as _};
 
 use compact_routing::labeled::{NetLabeledPlane, ScaleFreeLabeledPlane};
-use compact_routing::nameind::{ObjectDirectory, ScaleFreeNiPlane, SimpleNiPlane};
+use compact_routing::nameind::{
+    NameIndependentView, ObjectDirectory, ScaleFreeNiPlane, SimpleNiPlane,
+};
+use compact_routing::netsim::plane::BitArena;
 use compact_routing::netsim::ForwardingPlane;
 use compact_routing::{gen, Eps, MetricSpace, Naming};
 use compact_routing::{
@@ -24,6 +32,9 @@ use compact_routing::{
 /// `(routes hashed, FNV-1a 64 of their Debug forms)`.
 const GOLDEN: (u64, u64) = (178_060, 0x8957_edea_8473_d82d);
 
+/// `(arenas hashed, FNV-1a 64 of their lengths and words)`.
+const ARENA_GOLDEN: (u64, u64) = (72, 0xbeab_b128_13cd_550e);
+
 /// 64-bit FNV-1a over formatted output, so no route string is ever held,
 /// and the number of results added.
 struct Digest {
@@ -33,23 +44,40 @@ struct Digest {
 
 impl fmt::Write for Digest {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.hash = (self.hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.eat(s.as_bytes());
         Ok(())
     }
 }
 
 impl Digest {
+    fn new() -> Self {
+        Digest { hash: 0xcbf2_9ce4_8422_2325, count: 0 }
+    }
+
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash = (self.hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
     fn add(&mut self, result: &dyn fmt::Debug) {
         writeln!(self, "{result:?}").unwrap();
+        self.count += 1;
+    }
+
+    /// Adds one arena: its bit length, then every word, little-endian.
+    fn add_arena(&mut self, arena: &BitArena) {
+        self.eat(&arena.len_bits().to_le_bytes());
+        for w in arena.words() {
+            self.eat(&w.to_le_bytes());
+        }
         self.count += 1;
     }
 }
 
 #[test]
 fn every_route_matches_the_pinned_digest() {
-    let mut h = Digest { hash: 0xcbf2_9ce4_8422_2325, count: 0 };
+    let (mut h, mut bytes) = (Digest::new(), Digest::new());
     for &family in gen::Family::all() {
         let m = MetricSpace::new(&family.build(40, 1));
         let n = m.n() as u32;
@@ -65,6 +93,16 @@ fn every_route_matches_the_pinned_digest() {
             let sfni_plane = ScaleFreeNiPlane::compile(&m, &sfni, 0);
             let dir = ObjectDirectory::new(&m, &sni, &[(7, vec![0, n - 1]), (9, vec![n / 2])]);
             writeln!(h, "{family:?} {eps:?}").unwrap();
+            for arena in [
+                nl_plane.arena(),
+                sfl_plane.arena(),
+                sni_plane.arena(),
+                sni_plane.underlying().arena(),
+                sfni_plane.arena(),
+                sfni_plane.underlying().arena(),
+            ] {
+                bytes.add_arena(arena);
+            }
             for u in 0..n {
                 for v in 0..n {
                     let (nl_label, sfl_label) = (nl.label_of(v), sfl.label_of(v));
@@ -87,4 +125,5 @@ fn every_route_matches_the_pinned_digest() {
         }
     }
     assert_eq!((h.count, h.hash), GOLDEN, "route digest changed");
+    assert_eq!((bytes.count, bytes.hash), ARENA_GOLDEN, "plane arena digest changed");
 }
