@@ -1,11 +1,12 @@
-//! Forwarding-plane benchmarks: single-thread `next_hop` cost, packed
+//! Forwarding-plane benchmarks: single-thread full-route cost, packed
 //! versus unpacked, per scheme.
 //!
-//! "Unpacked" is the reference scheme answering the same question through
-//! its pointer-rich tables (first hop of a full reference route);
-//! "packed/route" is the plane's full hop-identical route; "packed" is
-//! the plane's [`netsim::plane::ForwardingPlane::next_hop`] — the ns/op
-//! number the serving engine's throughput rests on.
+//! "Unpacked" is the reference scheme's route through its pointer-rich
+//! tables; "packed-route" is the plane's hop-identical route
+//! ([`netsim::plane::ForwardingPlane::route`] for the labeled planes,
+//! [`netsim::plane::ForwardingPlane::route_named`] for the
+//! name-independent ones) — the ns/op number the serving engine's
+//! throughput rests on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use doubling_metric::{gen, Eps, MetricSpace};
@@ -51,13 +52,6 @@ fn bench_plane_throughput(c: &mut Criterion) {
             }
         })
     });
-    group.bench_with_input(BenchmarkId::new("net-labeled/packed-next-hop", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                nl_plane.next_hop(&m, u, nl.label_of(v)).unwrap();
-            }
-        })
-    });
 
     group.bench_with_input(BenchmarkId::new("scale-free-labeled/unpacked", n), &n, |b, _| {
         b.iter(|| {
@@ -73,17 +67,6 @@ fn bench_plane_throughput(c: &mut Criterion) {
             }
         })
     });
-    group.bench_with_input(
-        BenchmarkId::new("scale-free-labeled/packed-next-hop", n),
-        &n,
-        |b, _| {
-            b.iter(|| {
-                for &(u, v) in &pairs {
-                    sfl_plane.next_hop(&m, u, sfl.label_of(v)).unwrap();
-                }
-            })
-        },
-    );
 
     group.bench_with_input(BenchmarkId::new("simple-ni/unpacked", n), &n, |b, _| {
         b.iter(|| {
@@ -92,10 +75,10 @@ fn bench_plane_throughput(c: &mut Criterion) {
             }
         })
     });
-    group.bench_with_input(BenchmarkId::new("simple-ni/packed-next-hop", n), &n, |b, _| {
+    group.bench_with_input(BenchmarkId::new("simple-ni/packed-route", n), &n, |b, _| {
         b.iter(|| {
             for &(u, v) in &pairs {
-                sni_plane.next_hop_named(&m, u, naming.name_of(v)).unwrap();
+                sni_plane.route_named(&m, u, naming.name_of(v)).unwrap();
             }
         })
     });
@@ -107,10 +90,10 @@ fn bench_plane_throughput(c: &mut Criterion) {
             }
         })
     });
-    group.bench_with_input(BenchmarkId::new("scale-free-ni/packed-next-hop", n), &n, |b, _| {
+    group.bench_with_input(BenchmarkId::new("scale-free-ni/packed-route", n), &n, |b, _| {
         b.iter(|| {
             for &(u, v) in &pairs {
-                sfni_plane.next_hop_named(&m, u, naming.name_of(v)).unwrap();
+                sfni_plane.route_named(&m, u, naming.name_of(v)).unwrap();
             }
         })
     });

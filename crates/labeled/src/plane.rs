@@ -2,8 +2,10 @@
 //!
 //! [`NetLabeledPlane`] and [`ScaleFreeLabeledPlane`] compile a built
 //! [`NetLabeled`] / [`ScaleFreeLabeled`] scheme into one contiguous
-//! [`BitArena`]. This module holds only compilation, decoding and packed
-//! accessors: each plane implements its scheme's table view
+//! [`BitArena`]. This module holds only encoding, decoding and packed
+//! accessors. `compile` only writes bits; [`LabeledPlane::decode`] is the
+//! one place that builds a plane and derives its offset indices from
+//! those bits. Each plane implements its scheme's table view
 //! ([`NetLabeledView`] / [`ScaleFreeView`]) over its bits, and
 //! [`ForwardingPlane::route`] is the view's [`LabeledView::route_label`]:
 //! the scheme's one routing procedure over that view. A returned [`Route`]
@@ -58,7 +60,9 @@ use doubling_metric::space::MetricSpace;
 
 use netsim::bits::{bits_for_count, FieldWidths};
 use netsim::naming::Naming;
-use netsim::plane::{push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane};
+use netsim::plane::{
+    push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane, SMALL_FIELD_BITS,
+};
 use netsim::route::{Route, RouteError, RouteRecorder};
 use netsim::scheme::{Label, LabeledScheme, Name};
 use searchtree::{
@@ -68,10 +72,6 @@ use treeroute::RouterRecords;
 
 use crate::view::{CellView, LabeledView, NetLabeledView, RingHit, ScaleFreeView};
 use crate::{net_labeled, scale_free, NetLabeled, ScaleFreeLabeled};
-
-/// Width of the small structural header fields (level counts, size
-/// exponents) that are bounded by 64-ish but not by the metric widths.
-const SMALL_FIELD_BITS: u64 = 7;
 
 /// A labeled scheme compiled into one bit arena: the header, optional
 /// name directory and per-node label column both layouts open with, plus
@@ -93,6 +93,22 @@ pub trait PlaneTables: Sized {
     /// The plane's [`ForwardingPlane::plane_name`].
     const NAME: &'static str;
 
+    /// Widths of the scheme's own header fields, packed after the epoch.
+    const HEADER: &'static [u64];
+
+    /// Walks the node sections and the scheme's trailing rows at `cur`,
+    /// given the plane's `format` `(widths, count width, n)` and the
+    /// values of the [`Self::HEADER`] fields: pushes the offset of each of
+    /// the `n` node sections onto `node_off` and returns the scheme's
+    /// offsets. Reads only counts and the fields the offsets keep, and
+    /// skips every fixed-size run.
+    fn decode(
+        cur: &mut BitCursor<'_>,
+        format: (FieldWidths, u64, usize),
+        header: &[u64],
+        node_off: &mut Vec<u64>,
+    ) -> Self;
+
     /// Walks the plane with the scheme's one routing procedure
     /// ([`LabeledView::walk_label`]).
     ///
@@ -106,11 +122,12 @@ pub trait PlaneTables: Sized {
     ) -> Result<(), RouteError>;
 }
 
-impl LabeledPlane<()> {
+impl<T: PlaneTables> LabeledPlane<T> {
     /// Opens a layout: the widths, `n`, the epoch, the scheme's `header`
-    /// fields, then the optional name directory. Returns the plane so far
-    /// and the per-node label column, which packs the all-ones node-width
-    /// value for departed nodes (see the module docs).
+    /// values (at the widths [`PlaneTables::HEADER`]), then the optional
+    /// name directory. Returns the arena so far and the per-node label
+    /// column, which packs the all-ones node-width value for departed
+    /// nodes (see the module docs).
     ///
     /// # Panics
     ///
@@ -120,8 +137,8 @@ impl LabeledPlane<()> {
         (s, nets): (&impl LabeledScheme, &NetHierarchy),
         naming: Option<&Naming>,
         epoch: u64,
-        header: &[(u64, u64)],
-    ) -> (Self, Vec<Label>) {
+        header: &[u64],
+    ) -> (BitArena, Vec<Label>) {
         let n = m.n();
         let widths = FieldWidths::new(m);
         let cnt = bits_for_count(n as u64 + 1);
@@ -134,55 +151,42 @@ impl LabeledPlane<()> {
         push_width_header(&mut arena, &widths, cnt);
         arena.push(n as u64, cnt);
         arena.push(epoch, 64);
-        for &(v, w) in header {
+        assert_eq!(header.len(), T::HEADER.len(), "{} header field count", T::NAME);
+        for (&v, &w) in header.iter().zip(T::HEADER) {
             arena.push(v, w);
         }
         arena.push(naming.is_some() as u64, 1);
-        let names_off = naming.map(|nm| {
+        if let Some(nm) = naming {
             assert_eq!(nm.n(), n, "naming must cover all nodes");
-            let off = arena.len_bits();
             for name in 0..n as Name {
                 arena.push(labels[nm.node_of(name) as usize] as u64, widths.node);
             }
-            off
-        });
-        let node_off = Vec::with_capacity(n);
-        (LabeledPlane { arena, epoch, widths, cnt, names_off, node_off, tables: () }, labels)
+        }
+        (arena, labels)
     }
 
-    /// Reads back what [`Self::open`] wrote, recording every field into
-    /// `out`. Returns the plane so far, the values of the scheme's header
-    /// fields (widths `header`), `n`, and the offset of the node sections.
-    fn reopen(
-        arena: BitArena,
-        header: &[u64],
-        out: &mut Vec<(u64, u64)>,
-    ) -> (Self, Vec<u64>, usize, u64) {
+    /// Builds a plane from its arena alone: reads the shared header and
+    /// skips the optional name directory, then walks the scheme's rows
+    /// ([`PlaneTables::decode`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout reads past the end of `arena` or does not end
+    /// exactly at it ([`BitCursor::finish`]).
+    pub fn decode(arena: BitArena) -> Self {
         let mut cur = BitCursor::new(&arena, 0);
-        let (widths, cnt) = take_width_header(&mut cur, out);
-        let n = cur.take_recorded(cnt, out) as usize;
-        let epoch = cur.take_recorded(64, out);
-        let values = header.iter().map(|&w| cur.take_recorded(w, out)).collect();
-        let names_off = (cur.take_recorded(1, out) == 1).then(|| {
+        let (widths, cnt) = take_width_header(&mut cur);
+        let n = cur.take(cnt) as usize;
+        let epoch = cur.take(64);
+        let header: Vec<u64> = T::HEADER.iter().map(|&w| cur.take(w)).collect();
+        let names_off = (cur.take(1) == 1).then(|| {
             let off = cur.pos();
-            for _ in 0..n {
-                cur.take_recorded(widths.node, out);
-            }
+            cur.skip(n as u64 * widths.node);
             off
         });
-        let pos = cur.pos();
-        let node_off = Vec::with_capacity(n);
-        (
-            LabeledPlane { arena, epoch, widths, cnt, names_off, node_off, tables: () },
-            values,
-            n,
-            pos,
-        )
-    }
-
-    /// Attaches the scheme's offsets.
-    fn with<T>(self, tables: T) -> LabeledPlane<T> {
-        let LabeledPlane { arena, epoch, widths, cnt, names_off, node_off, .. } = self;
+        let mut node_off = Vec::with_capacity(n);
+        let tables = T::decode(&mut cur, (widths, cnt, n), &header, &mut node_off);
+        cur.finish(T::NAME);
         LabeledPlane { arena, epoch, widths, cnt, names_off, node_off, tables }
     }
 }
@@ -310,6 +314,27 @@ impl NetRings {
 
 impl PlaneTables for NetRings {
     const NAME: &'static str = "net-labeled";
+    const HEADER: &'static [u64] = &[SMALL_FIELD_BITS];
+
+    fn decode(
+        cur: &mut BitCursor<'_>,
+        (widths, cnt, n): (FieldWidths, u64, usize),
+        header: &[u64],
+        node_off: &mut Vec<u64>,
+    ) -> Self {
+        let num_levels = header[0] as usize;
+        let mut ring_off = Vec::with_capacity(n * num_levels);
+        for _ in 0..n {
+            node_off.push(cur.pos());
+            cur.skip(widths.node);
+            for _ in 0..num_levels {
+                let len = cur.take(cnt);
+                ring_off.push(NetRings::pack(cur.pos(), len, cnt));
+                cur.skip(len * 4 * widths.node);
+            }
+        }
+        NetRings { num_levels, ring_off }
+    }
 
     fn walk(
         plane: &LabeledPlane<Self>,
@@ -347,48 +372,21 @@ impl NetLabeledPlane {
     /// Panics if `naming` is present with a different node count.
     pub fn compile(m: &MetricSpace, s: &NetLabeled, naming: Option<&Naming>, epoch: u64) -> Self {
         let num_levels = s.num_levels();
-        let header = [(num_levels as u64, SMALL_FIELD_BITS)];
-        let (mut p, labels) = LabeledPlane::open(m, (s, s.nets()), naming, epoch, &header);
-        let (w, cnt) = (p.widths.node, p.cnt);
-        let mut ring_off = Vec::with_capacity(m.n() * num_levels);
+        let (mut arena, labels) = Self::open(m, (s, s.nets()), naming, epoch, &[num_levels as u64]);
+        let (w, cnt) = (FieldWidths::new(m).node, bits_for_count(m.n() as u64 + 1));
         for u in 0..m.n() as NodeId {
-            p.node_off.push(p.arena.len_bits());
-            p.arena.push(labels[u as usize] as u64, w);
+            arena.push(labels[u as usize] as u64, w);
             for i in 0..num_levels {
                 let ring = s.ring(u, i);
-                p.arena.push(ring.len() as u64, cnt);
-                ring_off.push(NetRings::pack(p.arena.len_bits(), ring.len() as u64, cnt));
+                arena.push(ring.len() as u64, cnt);
                 for e in ring {
                     for v in [e.x, e.range.0, e.range.1, e.next] {
-                        p.arena.push(v as u64, w);
+                        arena.push(v as u64, w);
                     }
                 }
             }
         }
-        p.with(NetRings { num_levels, ring_off })
-    }
-
-    /// Rebuilds a plane from its arena alone, recording every structural
-    /// field — the differential layer asserts the recorded stream
-    /// re-encodes to the identical arena.
-    pub fn decode(arena: BitArena) -> (Self, Vec<(u64, u64)>) {
-        let mut out = Vec::new();
-        let (mut p, header, n, pos) = LabeledPlane::reopen(arena, &[SMALL_FIELD_BITS], &mut out);
-        let (num_levels, w, cnt) = (header[0] as usize, p.widths.node, p.cnt);
-        let mut ring_off = Vec::with_capacity(n * num_levels);
-        let mut cur = BitCursor::new(&p.arena, pos);
-        for _ in 0..n {
-            p.node_off.push(cur.pos());
-            cur.take_recorded(w, &mut out);
-            for _ in 0..num_levels {
-                let len = cur.take_recorded(cnt, &mut out);
-                ring_off.push(NetRings::pack(cur.pos(), len, cnt));
-                for _ in 0..4 * len {
-                    cur.take_recorded(w, &mut out);
-                }
-            }
-        }
-        (p.with(NetRings { num_levels, ring_off }), out)
+        Self::decode(arena)
     }
 }
 
@@ -475,6 +473,46 @@ pub struct ScaleFreeCells {
 
 impl PlaneTables for ScaleFreeCells {
     const NAME: &'static str = "scale-free-labeled";
+    const HEADER: &'static [u64] = &[64, 64, SMALL_FIELD_BITS];
+
+    fn decode(
+        cur: &mut BitCursor<'_>,
+        (widths, cnt, n): (FieldWidths, u64, usize),
+        header: &[u64],
+        node_off: &mut Vec<u64>,
+    ) -> Self {
+        let (eps_num, eps_den, log2_n) = (header[0], header[1], header[2] as u32);
+        let esz = 4 * widths.node + widths.dist;
+        for _ in 0..n {
+            node_off.push(cur.pos());
+            cur.skip(widths.node + (log2_n as u64 + 1) * 2 * cnt);
+            for _ in 0..cur.take(cnt) {
+                cur.skip(widths.level);
+                let len = cur.take(cnt);
+                cur.skip(len * esz);
+            }
+        }
+        let tw = PackedTreeWidths { key: widths.node, cnt, node: widths.node };
+        let cells = (0..=log2_n)
+            .map(|_| {
+                (0..cur.take(cnt))
+                    .map(|_| {
+                        let center = cur.take(widths.node) as NodeId;
+                        let port_bits = cur.take(SMALL_FIELD_BITS);
+                        let len = cur.take(cnt);
+                        let router_base = cur.pos();
+                        cur.skip(len * (5 * widths.node + 1 + cnt));
+                        let codec = PortLabelCodec { node: widths.node, port: port_bits, cnt };
+                        let root_label_off = cur.pos();
+                        codec.skip(cur);
+                        let search = PackedSearchTree::decode(cur, codec, tw);
+                        PackedCell { center, port_bits, router_base, root_label_off, search }
+                    })
+                    .collect()
+            })
+            .collect();
+        ScaleFreeCells { log2_n, eps_num, eps_den, cells }
+    }
 
     fn walk(
         plane: &LabeledPlane<Self>,
@@ -503,13 +541,11 @@ impl ScaleFreeLabeledPlane {
         naming: Option<&Naming>,
         epoch: u64,
     ) -> Self {
-        let (log2_n, eps_num, eps_den) = (s.log2_n(), s.eps().num(), s.eps().den());
-        let header = [(eps_num, 64), (eps_den, 64), (log2_n as u64, SMALL_FIELD_BITS)];
-        let (mut p, labels) = LabeledPlane::open(m, (s, s.nets()), naming, epoch, &header);
-        let (widths, cnt) = (p.widths, p.cnt);
-        let arena = &mut p.arena;
+        let log2_n = s.log2_n();
+        let header = [s.eps().num(), s.eps().den(), log2_n as u64];
+        let (mut arena, labels) = Self::open(m, (s, s.nets()), naming, epoch, &header);
+        let (widths, cnt) = (FieldWidths::new(m), bits_for_count(m.n() as u64 + 1));
         for u in 0..m.n() as NodeId {
-            p.node_off.push(arena.len_bits());
             arena.push(labels[u as usize] as u64, widths.node);
             for j in 0..=log2_n {
                 let (k, local) = s.voronoi_row(u, j);
@@ -531,18 +567,15 @@ impl ScaleFreeLabeledPlane {
         }
 
         let tw = PackedTreeWidths { key: widths.node, cnt, node: widths.node };
-        let mut cells: Vec<Vec<PackedCell>> = Vec::with_capacity(log2_n as usize + 1);
         for j in 0..=log2_n {
             let nballs = s.packings().at(j).balls().len();
             arena.push(nballs as u64, cnt);
-            let mut level_cells = Vec::with_capacity(nballs);
             for k in 0..nballs as u32 {
                 let CellView { center, port_bits, root_label, router, search } = s.cell(j, k);
                 arena.push(center as u64, widths.node);
                 arena.push(port_bits, SMALL_FIELD_BITS);
                 let len = router.tree().len() as u32;
                 arena.push(len as u64, cnt);
-                let router_base = arena.len_bits();
                 for i in 0..len {
                     let (lo, hi) = router.interval(i);
                     for v in [router.node(i), router.dfs(i), lo, hi, router.parent_node(i)] {
@@ -553,82 +586,11 @@ impl ScaleFreeLabeledPlane {
                     arena.push(heavy.unwrap_or(0) as u64, cnt);
                 }
                 let codec = PortLabelCodec { node: widths.node, port: port_bits, cnt };
-                let root_label_off = arena.len_bits();
-                codec.encode(arena, &root_label);
-                let search = PackedSearchTree::encode(arena, search, codec, tw);
-                level_cells.push(PackedCell {
-                    center,
-                    port_bits,
-                    router_base,
-                    root_label_off,
-                    search,
-                });
-            }
-            cells.push(level_cells);
-        }
-        p.with(ScaleFreeCells { log2_n, eps_num, eps_den, cells })
-    }
-
-    /// Rebuilds a plane from its arena alone, recording every structural
-    /// field for the byte-exact round-trip check.
-    pub fn decode(arena: BitArena) -> (Self, Vec<(u64, u64)>) {
-        let mut out = Vec::new();
-        let header = [64, 64, SMALL_FIELD_BITS];
-        let (mut p, header, n, pos) = LabeledPlane::reopen(arena, &header, &mut out);
-        let (eps_num, eps_den, log2_n) = (header[0], header[1], header[2] as u32);
-        let (widths, cnt) = (p.widths, p.cnt);
-        let mut cur = BitCursor::new(&p.arena, pos);
-        for _ in 0..n {
-            p.node_off.push(cur.pos());
-            cur.take_recorded(widths.node, &mut out);
-            for _ in 0..=log2_n {
-                cur.take_recorded(cnt, &mut out);
-                cur.take_recorded(cnt, &mut out);
-            }
-            let nrings = cur.take_recorded(cnt, &mut out);
-            for _ in 0..nrings {
-                cur.take_recorded(widths.level, &mut out);
-                let len = cur.take_recorded(cnt, &mut out);
-                for _ in 0..len {
-                    for _ in 0..4 {
-                        cur.take_recorded(widths.node, &mut out);
-                    }
-                    cur.take_recorded(widths.dist, &mut out);
-                }
+                codec.encode(&mut arena, &root_label);
+                PackedSearchTree::encode(&mut arena, search, &codec, tw);
             }
         }
-        let tw = PackedTreeWidths { key: widths.node, cnt, node: widths.node };
-        let mut cells = Vec::with_capacity(log2_n as usize + 1);
-        for _ in 0..=log2_n {
-            let nballs = cur.take_recorded(cnt, &mut out);
-            let mut level_cells = Vec::with_capacity(nballs as usize);
-            for _ in 0..nballs {
-                let center = cur.take_recorded(widths.node, &mut out) as NodeId;
-                let port_bits = cur.take_recorded(SMALL_FIELD_BITS, &mut out);
-                let len = cur.take_recorded(cnt, &mut out);
-                let router_base = cur.pos();
-                for _ in 0..len {
-                    for _ in 0..5 {
-                        cur.take_recorded(widths.node, &mut out);
-                    }
-                    cur.take_recorded(1, &mut out);
-                    cur.take_recorded(cnt, &mut out);
-                }
-                let codec = PortLabelCodec { node: widths.node, port: port_bits, cnt };
-                let root_label_off = cur.pos();
-                codec.decode_recorded(&mut cur, &mut out);
-                let search = PackedSearchTree::decode(&mut cur, codec, tw, &mut out);
-                level_cells.push(PackedCell {
-                    center,
-                    port_bits,
-                    router_base,
-                    root_label_off,
-                    search,
-                });
-            }
-            cells.push(level_cells);
-        }
-        (p.with(ScaleFreeCells { log2_n, eps_num, eps_den, cells }), out)
+        Self::decode(arena)
     }
 }
 
@@ -696,7 +658,6 @@ impl ScaleFreeView for ScaleFreeLabeledPlane {
 mod tests {
     use super::*;
     use doubling_metric::{gen, Eps};
-    use netsim::plane::roundtrip_ok;
 
     #[test]
     fn net_labeled_plane_routes_match_reference() {
@@ -722,11 +683,8 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(4, 4));
         let s = NetLabeled::new(&m, Eps::one_over(4)).unwrap();
         let plane = NetLabeledPlane::compile(&m, &s, Some(&Naming::random(16, 9)), 7);
-        let (dec, fields) = NetLabeledPlane::decode(plane.arena().clone());
-        assert!(roundtrip_ok(plane.arena(), &fields));
+        let dec = NetLabeledPlane::decode(plane.arena().clone());
         assert_eq!(dec.epoch(), 7);
-        assert_eq!(dec.node_off, plane.node_off);
-        assert_eq!(dec.tables.ring_off, plane.tables.ring_off);
         let r = dec.route(&m, 0, s.label_of(15)).unwrap();
         assert_eq!(r, s.route(&m, 0, s.label_of(15)).unwrap());
     }
@@ -763,10 +721,8 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(4, 4));
         let s = ScaleFreeLabeled::new(&m, Eps::one_over(4)).unwrap();
         let plane = ScaleFreeLabeledPlane::compile(&m, &s, Some(&Naming::random(16, 2)), 3);
-        let (dec, fields) = ScaleFreeLabeledPlane::decode(plane.arena().clone());
-        assert!(roundtrip_ok(plane.arena(), &fields));
+        let dec = ScaleFreeLabeledPlane::decode(plane.arena().clone());
         assert_eq!(dec.epoch(), 3);
-        assert_eq!(dec.node_off, plane.node_off);
         for u in 0..16u32 {
             for v in 0..16u32 {
                 assert_eq!(

@@ -3,7 +3,9 @@
 //! An [`NiPlane`] owns the packed name-resolution state (per-node names,
 //! zoom rows, packed search trees and facilities) and *wraps* the packed
 //! plane of its underlying labeled scheme. This module holds only
-//! compilation, decoding and packed accessors: the plane implements
+//! encoding, decoding and packed accessors. `compile` only writes bits;
+//! [`NiPlane::decode`] is the one place that builds a plane and derives
+//! its offset indices from those bits. The plane implements
 //! [`NameIndependentView`] over its bits, with the wrapped labeled plane as
 //! its [`LabeledView`], and [`ForwardingPlane::route_named`] runs the one
 //! Algorithm 3 procedure, [`route_named`], over that view — the procedure
@@ -25,16 +27,15 @@ use doubling_metric::space::MetricSpace;
 
 use labeled_routing::{LabeledView, NetLabeledPlane, ScaleFreeLabeledPlane};
 use netsim::bits::{bits_for_count, FieldWidths};
-use netsim::plane::{push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane};
+use netsim::plane::{
+    push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane, SMALL_FIELD_BITS,
+};
 use netsim::route::{Route, RouteError};
 use netsim::scheme::{Label, Name};
 use searchtree::{PackedSearchTree, PackedTreeView, PackedTreeWidths, SearchTree, U32Codec};
 
 use crate::view::{route_named, Facility, NameIndependentView};
 use crate::{ScaleFreeNameIndependent, SimpleNameIndependent};
-
-/// Width of small structural counters (round count, size exponents).
-const SMALL_FIELD_BITS: u64 = 7;
 
 /// The labeled plane an [`NiPlane`] wraps, which also fixes which of the
 /// two name-independent schemes sits on top of it.
@@ -108,7 +109,7 @@ impl SimpleNiPlane {
     /// Compiles `s` (and its underlying labeled scheme) at epoch `epoch`.
     pub fn compile(m: &MetricSpace, s: &SimpleNameIndependent, epoch: u64) -> Self {
         let underlying = NetLabeledPlane::compile(m, s.underlying(), None, epoch);
-        Self::pack(m, s, underlying, &[], epoch)
+        Self::decode(Self::pack(m, s, &[], epoch), underlying)
     }
 }
 
@@ -117,20 +118,19 @@ impl ScaleFreeNiPlane {
     pub fn compile(m: &MetricSpace, s: &ScaleFreeNameIndependent, epoch: u64) -> Self {
         let underlying = ScaleFreeLabeledPlane::compile(m, s.underlying(), None, epoch);
         let pools: Vec<_> = (0..=s.underlying().log2_n()).map(|j| s.btrees_at(j)).collect();
-        Self::pack(m, s, underlying, &pools, epoch)
+        Self::decode(Self::pack(m, s, &pools, epoch), underlying)
     }
 }
 
 impl<L: NiUnderlying> NiPlane<L> {
     /// Packs the name-resolution layer of `s` (with ℬ-type `pools` when
-    /// `L::LINKS`) over the compiled `underlying` plane.
+    /// `L::LINKS`) into its own arena.
     fn pack<S: 'static + for<'a> NameIndependentView<Tree<'a> = &'a SearchTree<Label>>>(
         m: &MetricSpace,
         s: &S,
-        underlying: L,
         pools: &[&[SearchTree<Label>]],
         epoch: u64,
-    ) -> Self {
+    ) -> BitArena {
         let n = m.n();
         let widths = FieldWidths::new(m);
         let (node, cnt) = (widths.node, bits_for_count(n as u64 + 1));
@@ -145,102 +145,86 @@ impl<L: NiUnderlying> NiPlane<L> {
         if L::LINKS {
             arena.push(pools.len() as u64 - 1, SMALL_FIELD_BITS);
         }
-        let node_off = (0..n as NodeId)
-            .map(|u| {
-                let off = arena.len_bits();
-                arena.push(s.name_at(u) as u64, node);
-                for k in 0..nrounds {
-                    let (y, j) = s.zoom_row(u, k);
-                    arena.push(y as u64, node);
-                    arena.push(j as u64, cnt);
+        for u in 0..n as NodeId {
+            arena.push(s.name_at(u) as u64, node);
+            for k in 0..nrounds {
+                let (y, j) = s.zoom_row(u, k);
+                arena.push(y as u64, node);
+                arena.push(j as u64, cnt);
+            }
+        }
+        for pool in pools {
+            arena.push(pool.len() as u64, cnt);
+            for t in *pool {
+                PackedSearchTree::encode(&mut arena, t, &codec, tw);
+            }
+        }
+        for k in 0..nrounds {
+            arena.push(s.hosts(k) as u64, cnt);
+            for j in 0..s.hosts(k) {
+                match s.facility(k, j) {
+                    Facility::Own(tree) => {
+                        if L::LINKS {
+                            arena.push(1, 1);
+                        }
+                        PackedSearchTree::encode(&mut arena, tree, &codec, tw);
+                    }
+                    Facility::Link { j: bj, ball, .. } => {
+                        arena.push(0, 1);
+                        arena.push(bj as u64, SMALL_FIELD_BITS);
+                        arena.push(ball as u64, cnt);
+                    }
                 }
-                off
-            })
-            .collect();
-        let btrees = pools
-            .iter()
-            .map(|pool| {
-                arena.push(pool.len() as u64, cnt);
-                pool.iter().map(|t| PackedSearchTree::encode(&mut arena, t, codec, tw)).collect()
-            })
-            .collect();
-        let facility = (0..nrounds)
-            .map(|k| {
-                arena.push(s.hosts(k) as u64, cnt);
-                (0..s.hosts(k))
-                    .map(|j| match s.facility(k, j) {
-                        Facility::Own(tree) => {
-                            if L::LINKS {
-                                arena.push(1, 1);
-                            }
-                            PackedFacility::Own(PackedSearchTree::encode(
-                                &mut arena, tree, codec, tw,
-                            ))
-                        }
-                        Facility::Link { j: bj, ball, .. } => {
-                            arena.push(0, 1);
-                            arena.push(bj as u64, SMALL_FIELD_BITS);
-                            arena.push(ball as u64, cnt);
-                            PackedFacility::Link { j: bj, ball }
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        NiPlane { underlying, arena, epoch, n, node, cnt, node_off, btrees, facility }
+            }
+        }
+        arena
     }
 
-    /// Rebuilds the NI layer from its arena plus a decoded underlying
-    /// plane, recording every structural field of the *own* arena.
-    pub fn decode(arena: BitArena, underlying: L) -> (Self, Vec<(u64, u64)>) {
-        let mut out = Vec::new();
+    /// Builds the NI layer from its own arena alone, over the decoded
+    /// `underlying` plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout reads past the end of `arena` or does not end
+    /// exactly at it ([`BitCursor::finish`]).
+    pub fn decode(arena: BitArena, underlying: L) -> Self {
         let mut cur = BitCursor::new(&arena, 0);
-        let (widths, cnt) = take_width_header(&mut cur, &mut out);
+        let (widths, cnt) = take_width_header(&mut cur);
         let node = widths.node;
         let (codec, tw) = (U32Codec { width: node }, PackedTreeWidths { key: node, cnt, node });
-        let n = cur.take_recorded(cnt, &mut out) as usize;
-        let epoch = cur.take_recorded(64, &mut out);
-        let nrounds = cur.take_recorded(SMALL_FIELD_BITS, &mut out) as usize;
-        let npools = if L::LINKS { cur.take_recorded(SMALL_FIELD_BITS, &mut out) + 1 } else { 0 };
+        let n = cur.take(cnt) as usize;
+        let epoch = cur.take(64);
+        let nrounds = cur.take(SMALL_FIELD_BITS) as usize;
+        let npools = if L::LINKS { cur.take(SMALL_FIELD_BITS) + 1 } else { 0 };
         let node_off = (0..n)
             .map(|_| {
                 let off = cur.pos();
-                cur.take_recorded(node, &mut out);
-                for _ in 0..nrounds {
-                    cur.take_recorded(node, &mut out);
-                    cur.take_recorded(cnt, &mut out);
-                }
+                cur.skip(node + nrounds as u64 * (node + cnt));
                 off
             })
             .collect();
         let btrees = (0..npools)
             .map(|_| {
-                let ntrees = cur.take_recorded(cnt, &mut out);
-                (0..ntrees)
-                    .map(|_| PackedSearchTree::decode(&mut cur, codec, tw, &mut out))
-                    .collect()
+                (0..cur.take(cnt)).map(|_| PackedSearchTree::decode(&mut cur, codec, tw)).collect()
             })
             .collect();
         let facility = (0..nrounds)
             .map(|_| {
-                let nhosts = cur.take_recorded(cnt, &mut out);
-                (0..nhosts)
+                (0..cur.take(cnt))
                     .map(|_| {
-                        if !L::LINKS || cur.take_recorded(1, &mut out) == 1 {
-                            PackedFacility::Own(PackedSearchTree::decode(
-                                &mut cur, codec, tw, &mut out,
-                            ))
+                        if !L::LINKS || cur.take(1) == 1 {
+                            PackedFacility::Own(PackedSearchTree::decode(&mut cur, codec, tw))
                         } else {
-                            let j = cur.take_recorded(SMALL_FIELD_BITS, &mut out) as u32;
-                            let ball = cur.take_recorded(cnt, &mut out) as u32;
+                            let j = cur.take(SMALL_FIELD_BITS) as u32;
+                            let ball = cur.take(cnt) as u32;
                             PackedFacility::Link { j, ball }
                         }
                     })
                     .collect()
             })
             .collect();
-        let plane = NiPlane { underlying, arena, epoch, n, node, cnt, node_off, btrees, facility };
-        (plane, out)
+        cur.finish(L::NAME);
+        NiPlane { underlying, arena, epoch, n, node, cnt, node_off, btrees, facility }
     }
 
     /// The NI layer's own arena (excludes the underlying plane's).
@@ -322,7 +306,6 @@ impl<L: NiUnderlying> ForwardingPlane for NiPlane<L> {
 mod tests {
     use super::*;
     use doubling_metric::{gen, Eps};
-    use netsim::plane::roundtrip_ok;
     use netsim::scheme::NameIndependentScheme;
     use netsim::Naming;
 
@@ -344,11 +327,9 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(4, 4));
         let s = SimpleNameIndependent::new(&m, Eps::one_over(4), Naming::random(16, 5)).unwrap();
         let plane = SimpleNiPlane::compile(&m, &s, 2);
-        let (u_dec, _) = NetLabeledPlane::decode(plane.underlying().arena().clone());
-        let (dec, fields) = SimpleNiPlane::decode(plane.arena().clone(), u_dec);
-        assert!(roundtrip_ok(plane.arena(), &fields));
+        let u_dec = NetLabeledPlane::decode(plane.underlying().arena().clone());
+        let dec = SimpleNiPlane::decode(plane.arena().clone(), u_dec);
         assert_eq!(dec.epoch(), 2);
-        assert_eq!(dec.node_off, plane.node_off);
         assert_eq!(dec.route_named(&m, 3, 9).unwrap(), s.route(&m, 3, 9).unwrap());
     }
 
@@ -370,9 +351,8 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(4, 4));
         let s = ScaleFreeNameIndependent::new(&m, Eps::one_over(4), Naming::random(16, 8)).unwrap();
         let plane = ScaleFreeNiPlane::compile(&m, &s, 6);
-        let (u_dec, _) = ScaleFreeLabeledPlane::decode(plane.underlying().arena().clone());
-        let (dec, fields) = ScaleFreeNiPlane::decode(plane.arena().clone(), u_dec);
-        assert!(roundtrip_ok(plane.arena(), &fields));
+        let u_dec = ScaleFreeLabeledPlane::decode(plane.underlying().arena().clone());
+        let dec = ScaleFreeNiPlane::decode(plane.arena().clone(), u_dec);
         assert_eq!(dec.epoch(), 6);
         for u in 0..16u32 {
             for name in 0..16u32 {

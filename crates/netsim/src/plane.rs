@@ -8,7 +8,7 @@
 //! table fields back to back, plus the [`ForwardingPlane`] trait that
 //! routes against the packed state.
 //!
-//! Conventions shared by every plane compiler:
+//! Conventions shared by every plane layout:
 //!
 //! * Fields are written with [`BitArena::push`] in a fixed, documented
 //!   order, using the [`crate::bits::FieldWidths`] vocabulary (node ids,
@@ -16,11 +16,14 @@
 //!   width; counts at `bits_for_count(n + 1)`).
 //! * Structural counts (ring lengths, tree sizes, pair counts) are packed
 //!   **in the arena**, so a decoder can walk the complete layout from bit
-//!   0 without any side tables. The differential test layer round-trips
-//!   `decode(encode(tables))` byte-exactly through [`BitArena::from_fields`].
-//! * Planes keep in-memory *offset indices* (where node `u`'s section
-//!   starts) for O(1) addressing — derived data, reconstructible from the
-//!   arena alone.
+//!   0 without any side tables.
+//! * `compile = decode(encode)`: an encoder only pushes fields, and the
+//!   plane's `decode` is the one place that builds the plane and its
+//!   in-memory *offset indices* (where node `u`'s section starts), for
+//!   O(1) addressing. The indices are derived data: decode reads only
+//!   counts, tags, flags and the fields the index keeps, skips every
+//!   fixed-size run, and must end exactly at the arena's end
+//!   ([`BitCursor::finish`]).
 //! * Planes are immutable after compilation and are stamped with the
 //!   [`crate::maintain::Maintainer`] epoch they were compiled at; serving
 //!   a stale plane after churn is a structured error
@@ -139,17 +142,6 @@ impl BitArena {
         assert!(offset + bits <= self.len_bits, "read past end of arena");
         BitSpan { words: &self.words, start: offset, end: offset + bits }
     }
-
-    /// Builds an arena from a `(value, width)` field stream — the inverse
-    /// of a plane's structural decode. Used by the differential tests to
-    /// prove `decode(encode(tables))` reproduces the arena byte-exactly.
-    pub fn from_fields(fields: &[(u64, u64)]) -> Self {
-        let mut a = BitArena::new();
-        for &(v, w) in fields {
-            a.push(v, w);
-        }
-        a
-    }
 }
 
 /// Reads the `width`-bit field at bit `offset` of `words` (LSB-first,
@@ -223,14 +215,23 @@ impl<'a> BitCursor<'a> {
         self.pos += width;
     }
 
-    /// Reads the next `width`-bit field, records it into `out`, and
-    /// advances — the structural-decode primitive behind the byte-exact
-    /// round-trip tests.
-    #[inline]
-    pub fn take_recorded(&mut self, width: u64, out: &mut Vec<(u64, u64)>) -> u64 {
-        let v = self.take(width);
-        out.push((v, width));
-        v
+    /// Ends a decode of `layout`: the cursor must stand exactly at the
+    /// end of its arena, so a layout disagreement fails here instead of
+    /// serving from misread offsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "read past end of arena" if the decode skipped past
+    /// the written length, and with "decode must end at the arena's end"
+    /// if bits are left over.
+    pub fn finish(self, layout: &str) {
+        let len = self.arena.len_bits();
+        assert!(self.pos <= len, "read past end of arena");
+        assert!(
+            self.pos == len,
+            "decode must end at the arena's end: {layout} stopped at bit {} of {len}",
+            self.pos
+        );
     }
 }
 
@@ -284,40 +285,6 @@ pub trait ForwardingPlane: Send + Sync {
     /// As [`Self::route`]; labeled planes compiled without a name
     /// directory report a [`RouteError::LookupFailed`] at the source.
     fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError>;
-
-    /// First hop of a fresh route from `at` toward the node labeled
-    /// `target` (`None` when already there). It routes the whole query
-    /// and keeps its second node: no header state (previous level, phase,
-    /// round) is carried in, so it is the decision a packet *originating*
-    /// at `at` takes, not the next step of a packet already in flight.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::route`].
-    fn next_hop(
-        &self,
-        m: &MetricSpace,
-        at: NodeId,
-        target: Label,
-    ) -> Result<Option<NodeId>, RouteError> {
-        Ok(self.route(m, at, target)?.hops.get(1).copied())
-    }
-
-    /// First hop of a fresh route from `at` toward the node named `name`
-    /// (`None` when already there); like [`Self::next_hop`], it carries
-    /// no header state.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::route_named`].
-    fn next_hop_named(
-        &self,
-        m: &MetricSpace,
-        at: NodeId,
-        name: Name,
-    ) -> Result<Option<NodeId>, RouteError> {
-        Ok(self.route_named(m, at, name)?.hops.get(1).copied())
-    }
 }
 
 /// Widths every plane compiler packs into its arena header, so a decoder
@@ -325,6 +292,11 @@ pub trait ForwardingPlane: Send + Sync {
 /// plus the structural-count width `bits_for_count(n + 1)`. Each width is
 /// itself stored as a 7-bit field (widths never exceed 64).
 pub const WIDTH_FIELD_BITS: u64 = 7;
+
+/// Width of the small structural fields bounded by about 64 rather than
+/// by the metric widths: level counts, size exponents, round counts and
+/// port widths.
+pub const SMALL_FIELD_BITS: u64 = 7;
 
 /// Packs the five-width header (node, dist, level, size_exp, count) used
 /// by every plane layout.
@@ -334,26 +306,10 @@ pub fn push_width_header(arena: &mut BitArena, w: &crate::bits::FieldWidths, cou
     }
 }
 
-/// Reads back the five-width header, recording the fields into `out`.
-/// Returns `(widths, count_width)`.
-pub fn take_width_header(
-    cur: &mut BitCursor<'_>,
-    out: &mut Vec<(u64, u64)>,
-) -> (crate::bits::FieldWidths, u64) {
-    let node = cur.take_recorded(WIDTH_FIELD_BITS, out);
-    let dist = cur.take_recorded(WIDTH_FIELD_BITS, out);
-    let level = cur.take_recorded(WIDTH_FIELD_BITS, out);
-    let size_exp = cur.take_recorded(WIDTH_FIELD_BITS, out);
-    let count = cur.take_recorded(WIDTH_FIELD_BITS, out);
+/// Reads back the five-width header. Returns `(widths, count_width)`.
+pub fn take_width_header(cur: &mut BitCursor<'_>) -> (crate::bits::FieldWidths, u64) {
+    let [node, dist, level, size_exp, count] = [(); 5].map(|()| cur.take(WIDTH_FIELD_BITS));
     (crate::bits::FieldWidths { node, dist, level, size_exp }, count)
-}
-
-/// Whether re-encoding `fields` reproduces `arena` exactly — word-for-word
-/// and length-for-length. The shared assertion of every plane's
-/// encode/decode round-trip test.
-pub fn roundtrip_ok(arena: &BitArena, fields: &[(u64, u64)]) -> bool {
-    let rebuilt = BitArena::from_fields(fields);
-    rebuilt.words() == arena.words() && rebuilt.len_bits() == arena.len_bits()
 }
 
 #[cfg(test)]
@@ -382,22 +338,44 @@ mod tests {
             off += w;
         }
         assert_eq!(a.len_bits(), off);
-        assert!(roundtrip_ok(&a, &fields));
+    }
+
+    /// The arena holding the `(value, width)` fields back to back.
+    fn arena_of(fields: &[(u64, u64)]) -> BitArena {
+        let mut a = BitArena::new();
+        for &(v, w) in fields {
+            a.push(v, w);
+        }
+        a
     }
 
     #[test]
-    fn cursor_walks_sequentially_and_records() {
-        let mut a = BitArena::new();
-        a.push(3, 2);
-        a.push(77, 50);
-        a.push(1, 64);
-        let mut out = Vec::new();
+    fn cursor_walks_sequentially_and_finishes_at_the_end() {
+        let a = arena_of(&[(3, 2), (77, 50), (1, 64)]);
         let mut cur = BitCursor::new(&a, 0);
-        assert_eq!(cur.take_recorded(2, &mut out), 3);
-        assert_eq!(cur.take_recorded(50, &mut out), 77);
-        assert_eq!(cur.take_recorded(64, &mut out), 1);
+        assert_eq!(cur.take(2), 3);
+        cur.skip(50);
+        assert_eq!(cur.take(64), 1);
         assert_eq!(cur.pos(), a.len_bits());
-        assert!(roundtrip_ok(&a, &out));
+        cur.finish("test");
+    }
+
+    #[test]
+    #[should_panic(expected = "decode must end at the arena's end: test stopped at bit 52 of 116")]
+    fn cursor_finishing_before_the_end_panics() {
+        let a = arena_of(&[(3, 2), (77, 50), (1, 64)]);
+        let mut cur = BitCursor::new(&a, 0);
+        cur.skip(52);
+        cur.finish("test");
+    }
+
+    #[test]
+    #[should_panic(expected = "read past end of arena")]
+    fn cursor_skipping_past_the_end_panics_on_finish() {
+        let a = arena_of(&[(3, 2), (77, 50)]);
+        let mut cur = BitCursor::new(&a, 0);
+        cur.skip(53);
+        cur.finish("test");
     }
 
     #[test]
@@ -438,7 +416,7 @@ mod tests {
             let bits: Vec<bool> =
                 fields.iter().flat_map(|&(v, w)| (0..w).map(move |i| v >> i & 1 == 1)).collect();
 
-            let a = BitArena::from_fields(&fields);
+            let a = arena_of(&fields);
             prop_assert_eq!(a.len_bits(), bits.len() as u64);
             prop_assert_eq!(a.len_bits() % 64, 0);
             let whole = a.span(0, a.len_bits());
@@ -462,14 +440,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "read past end of arena")]
     fn read_one_bit_past_the_end_panics() {
-        let a = BitArena::from_fields(&[(5, 3), (u64::MAX, 64)]);
+        let a = arena_of(&[(5, 3), (u64::MAX, 64)]);
         a.read(a.len_bits() - 63, 64);
     }
 
     #[test]
     #[should_panic(expected = "read past end of arena")]
     fn span_past_the_end_panics() {
-        let a = BitArena::from_fields(&[(5, 3), (u64::MAX, 64)]);
+        let a = arena_of(&[(5, 3), (u64::MAX, 64)]);
         a.span(8, a.len_bits() - 7);
     }
 
@@ -478,10 +456,8 @@ mod tests {
         let w = crate::bits::FieldWidths { node: 9, dist: 13, level: 3, size_exp: 4 };
         let mut a = BitArena::new();
         push_width_header(&mut a, &w, 10);
-        let mut out = Vec::new();
-        let (got, cnt) = take_width_header(&mut BitCursor::new(&a, 0), &mut out);
-        assert_eq!(got, w);
-        assert_eq!(cnt, 10);
-        assert!(roundtrip_ok(&a, &out));
+        let mut cur = BitCursor::new(&a, 0);
+        assert_eq!(take_width_header(&mut cur), (w, 10));
+        cur.finish("width header");
     }
 }

@@ -10,8 +10,11 @@
 //! facilities for every node × round. Route-level checks stay as smoke
 //! tests: on every active pair each plane returns exactly the reference
 //! outcome (equal `Route`, or the same error) for labeled and named
-//! ingress, also when the reference forwards through a departed node, and
-//! every arena survives a decode → re-encode round trip byte-exactly.
+//! ingress, also when the reference forwards through a departed node.
+//! Every compiled plane is a decoded plane (`compile = decode(encode)`),
+//! so these checks cover the index each `decode` derives from the bytes;
+//! decoding an arena again yields the same epoch and routes, and a decode
+//! must consume exactly its arena.
 
 // The vendored proptest macro expands deeply for multi-property blocks.
 #![recursion_limit = "1024"]
@@ -32,7 +35,7 @@ use name_independent::{
 };
 use netsim::maintain::{Maintainable, Maintainer, MaintainerConfig};
 use netsim::naming::Naming;
-use netsim::plane::{roundtrip_ok, ForwardingPlane};
+use netsim::plane::{BitArena, ForwardingPlane};
 use netsim::route::{Route, RouteError};
 use netsim::scheme::{LabeledScheme, NameIndependentScheme};
 use searchtree::{SearchTree, TreeScan};
@@ -116,8 +119,8 @@ where
 
 /// Both labeled planes against their schemes with `departed` away: views,
 /// every active pair's outcome via the label and the name directory, and
-/// the byte-exact round trip. Returns how many reference routes passed a
-/// departed node.
+/// a second decode of each arena. Returns how many reference routes passed
+/// a departed node.
 fn check_labeled(m: &MetricSpace, eps: Eps, naming: &Naming, departed: &[NodeId]) -> usize {
     let nl = after_leaves(m, NetLabeled::new(m, eps).expect("eps within range"), departed);
     let sfl = after_leaves(m, ScaleFreeLabeled::new(m, eps).expect("eps within range"), departed);
@@ -188,14 +191,12 @@ fn check_labeled(m: &MetricSpace, eps: Eps, naming: &Naming, departed: &[NodeId]
         }
     }
 
-    // Decoding rebuilds a faithful index, not just the same bytes.
+    // Decoding the arena alone serves the same plane again.
     let (u, v) = (active[0], active[active.len() - 1]);
-    let (nld, fields) = NetLabeledPlane::decode(nlp.arena().clone());
-    assert!(roundtrip_ok(nlp.arena(), &fields), "net-labeled arena round-trip");
+    let nld = NetLabeledPlane::decode(nlp.arena().clone());
     assert_eq!(nld.epoch(), 3);
     assert_eq!(nld.route(m, u, nl.label_of(v)), nl.route(m, u, nl.label_of(v)));
-    let (sfld, fields) = ScaleFreeLabeledPlane::decode(sflp.arena().clone());
-    assert!(roundtrip_ok(sflp.arena(), &fields), "scale-free arena round-trip");
+    let sfld = ScaleFreeLabeledPlane::decode(sflp.arena().clone());
     assert_eq!(sfld.epoch(), 5);
     assert_eq!(sfld.route(m, u, sfl.label_of(v)), sfl.route(m, u, sfl.label_of(v)));
     through
@@ -253,7 +254,7 @@ where
 }
 
 /// Both name-independent planes against their schemes with `departed`
-/// away, plus the byte-exact round trip of both arenas.
+/// away, plus a second decode of each plane from its two arenas.
 fn check_name_independent(
     m: &MetricSpace,
     eps: Eps,
@@ -268,16 +269,16 @@ fn check_name_independent(
         (SimpleNiPlane::compile(m, &sni, 7), ScaleFreeNiPlane::compile(m, &sfni, 9));
     let through = check_ni(m, &sni, &snip, departed) + check_ni(m, &sfni, &sfnip, departed);
 
-    let (u_dec, fields) = NetLabeledPlane::decode(snip.underlying().arena().clone());
-    assert!(roundtrip_ok(snip.underlying().arena(), &fields));
-    let (snid, fields) = SimpleNiPlane::decode(snip.arena().clone(), u_dec);
-    assert!(roundtrip_ok(snip.arena(), &fields), "simple-ni arena round-trip");
+    let active: Vec<NodeId> = (0..m.n() as NodeId).filter(|v| !departed.contains(v)).collect();
+    let (u, v) = (active[0], naming.name_of(active[active.len() - 1]));
+    let u_dec = NetLabeledPlane::decode(snip.underlying().arena().clone());
+    let snid = SimpleNiPlane::decode(snip.arena().clone(), u_dec);
     assert_eq!(snid.epoch(), 7);
-    let (u_dec, fields) = ScaleFreeLabeledPlane::decode(sfnip.underlying().arena().clone());
-    assert!(roundtrip_ok(sfnip.underlying().arena(), &fields));
-    let (sfnid, fields) = ScaleFreeNiPlane::decode(sfnip.arena().clone(), u_dec);
-    assert!(roundtrip_ok(sfnip.arena(), &fields), "scale-free-ni arena round-trip");
+    assert_eq!(snid.route_named(m, u, v), sni.route(m, u, v));
+    let u_dec = ScaleFreeLabeledPlane::decode(sfnip.underlying().arena().clone());
+    let sfnid = ScaleFreeNiPlane::decode(sfnip.arena().clone(), u_dec);
     assert_eq!(sfnid.epoch(), 9);
+    assert_eq!(sfnid.route_named(m, u, v), sfni.route(m, u, v));
     through
 }
 
@@ -286,8 +287,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Both labeled planes agree with their schemes view by view and
-    /// route by route, before and after a random leave batch, and
-    /// round-trip byte-exactly.
+    /// route by route, before and after a random leave batch, and decode
+    /// again from their arenas.
     #[test]
     fn labeled_planes_are_hop_identical(
         g in arb_connected_graph(12),
@@ -304,7 +305,7 @@ proptest! {
 
     /// Both name-independent planes agree with their schemes view by view
     /// and route by route (named and label ingress), before and after a
-    /// random leave batch, and round-trip byte-exactly.
+    /// random leave batch, and decode again from their arenas.
     #[test]
     fn name_independent_planes_are_hop_identical(
         g in arb_connected_graph(10),
@@ -330,4 +331,65 @@ fn post_leave_planes_route_through_departed_nodes() {
     let departed = [1, 6, 12, 18];
     assert!(check_labeled(&m, Eps::one_over(8), &naming, &departed) > 0);
     assert!(check_name_independent(&m, Eps::one_over(8), &naming, &departed) > 0);
+}
+
+/// The message `f` panics with.
+fn panic_message(f: impl FnOnce()) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("no panic");
+    err.downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap().to_string())
+}
+
+/// `a` without its last bit.
+fn truncated(a: &BitArena) -> BitArena {
+    let (mut t, len) = (BitArena::new(), a.len_bits() - 1);
+    for off in (0..len).step_by(64) {
+        let w = (len - off).min(64);
+        t.push(a.read(off, w), w);
+    }
+    t
+}
+
+/// Decoding `arena` as `layout` succeeds, fails the end check with one
+/// extra trailing field, and reads past the end with one bit missing.
+fn assert_consumes_exactly(layout: &str, arena: &BitArena, decode: impl Fn(BitArena)) {
+    decode(arena.clone());
+    let mut longer = arena.clone();
+    longer.push(1, 1);
+    let want = format!(
+        "decode must end at the arena's end: {layout} stopped at bit {} of {}",
+        arena.len_bits(),
+        longer.len_bits()
+    );
+    assert_eq!(panic_message(|| decode(longer)), want);
+    assert_eq!(panic_message(|| decode(truncated(arena))), "read past end of arena", "{layout}");
+}
+
+/// Every decode consumes exactly its arena, on all four planes and the
+/// name-independent planes' underlying arenas.
+#[test]
+fn decode_consumes_exactly_its_arena() {
+    let m = MetricSpace::new(&gen::grid(4, 4));
+    let (eps, naming) = (Eps::one_over(8), Naming::random(16, 5));
+    let nlp = NetLabeledPlane::compile(&m, &NetLabeled::new(&m, eps).unwrap(), Some(&naming), 0);
+    let sfl = ScaleFreeLabeled::new(&m, eps).unwrap();
+    let sflp = ScaleFreeLabeledPlane::compile(&m, &sfl, Some(&naming), 0);
+    let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap();
+    let snip = SimpleNiPlane::compile(&m, &sni, 0);
+    let sfni = ScaleFreeNameIndependent::new(&m, eps, naming).unwrap();
+    let sfnip = ScaleFreeNiPlane::compile(&m, &sfni, 0);
+
+    let nl = |a| drop(NetLabeledPlane::decode(a));
+    let sf = |a| drop(ScaleFreeLabeledPlane::decode(a));
+    assert_consumes_exactly(nlp.plane_name(), nlp.arena(), nl);
+    assert_consumes_exactly(sflp.plane_name(), sflp.arena(), sf);
+    assert_consumes_exactly(nlp.plane_name(), snip.underlying().arena(), nl);
+    assert_consumes_exactly(sflp.plane_name(), sfnip.underlying().arena(), sf);
+    assert_consumes_exactly(snip.plane_name(), snip.arena(), |a| {
+        drop(SimpleNiPlane::decode(a, snip.underlying().clone()))
+    });
+    assert_consumes_exactly(sfnip.plane_name(), sfnip.arena(), |a| {
+        drop(ScaleFreeNiPlane::decode(a, sfnip.underlying().clone()))
+    });
 }

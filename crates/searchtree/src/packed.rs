@@ -25,10 +25,11 @@
 //!   nchildren:cnt { child_local:cnt  has_range:1  [lo:key hi:key] }*
 //! ```
 //!
-//! Records are variable-size, so the encoder returns per-local bit
-//! offsets for O(1) addressing; [`PackedSearchTree::decode`] rebuilds the
-//! same index from the arena alone, recording every field for the
-//! byte-exact round-trip tests.
+//! [`PackedSearchTree::encode`] only writes the fields. Records are
+//! variable-size, so [`PackedSearchTree::decode`] walks them once from the
+//! arena alone and keeps per-local bit offsets for O(1) addressing. It
+//! reads only the counts, light-trail lengths and `has_range` flags, and
+//! skips node ids, keys, payloads and child indices.
 
 use doubling_metric::graph::NodeId;
 use netsim::plane::{BitArena, BitCursor};
@@ -44,23 +45,11 @@ pub trait PayloadCodec {
     /// Appends `item` to the arena.
     fn encode(&self, arena: &mut BitArena, item: &Self::Item);
 
-    /// Reads one payload field by field, `take(width)` yielding each
-    /// field in order.
-    fn read(&self, take: impl FnMut(u64) -> u64) -> Self::Item;
+    /// Reads one payload at the cursor.
+    fn decode(&self, cur: &mut BitCursor<'_>) -> Self::Item;
 
     /// Advances the cursor past one payload without building it.
     fn skip(&self, cur: &mut BitCursor<'_>);
-
-    /// Reads one payload at the cursor.
-    fn decode(&self, cur: &mut BitCursor<'_>) -> Self::Item {
-        self.read(|w| cur.take(w))
-    }
-
-    /// Reads one payload, recording its raw fields into `out` (the
-    /// round-trip-test path).
-    fn decode_recorded(&self, cur: &mut BitCursor<'_>, out: &mut Vec<(u64, u64)>) -> Self::Item {
-        self.read(|w| cur.take_recorded(w, out))
-    }
 }
 
 /// Codec for plain `u32` payloads (labels of an underlying scheme) at a
@@ -78,8 +67,8 @@ impl PayloadCodec for U32Codec {
         arena.push(*item as u64, self.width);
     }
 
-    fn read(&self, mut take: impl FnMut(u64) -> u64) -> u32 {
-        take(self.width) as u32
+    fn decode(&self, cur: &mut BitCursor<'_>) -> u32 {
+        cur.take(self.width) as u32
     }
 
     fn skip(&self, cur: &mut BitCursor<'_>) {
@@ -111,10 +100,12 @@ impl PayloadCodec for PortLabelCodec {
         }
     }
 
-    fn read(&self, mut take: impl FnMut(u64) -> u64) -> PortLabel {
-        let dfs = take(self.node) as u32;
-        let lights = (0..take(self.cnt)).map(|_| (take(self.node) as u32, take(self.port) as u32));
-        PortLabel { dfs, lights: lights.collect() }
+    fn decode(&self, cur: &mut BitCursor<'_>) -> PortLabel {
+        let dfs = cur.take(self.node) as u32;
+        let lights = (0..cur.take(self.cnt))
+            .map(|_| (cur.take(self.node) as u32, cur.take(self.port) as u32))
+            .collect();
+        PortLabel { dfs, lights }
     }
 
     fn skip(&self, cur: &mut BitCursor<'_>) {
@@ -147,19 +138,17 @@ pub struct PackedSearchTree<C: PayloadCodec> {
 }
 
 impl<C: PayloadCodec> PackedSearchTree<C> {
-    /// Compiles `tree` into `arena` at its current end.
+    /// Compiles `tree` into `arena` at its current end; [`Self::decode`]
+    /// at that offset yields the packed tree.
     pub fn encode(
         arena: &mut BitArena,
         tree: &SearchTree<C::Item>,
-        codec: C,
+        codec: &C,
         widths: PackedTreeWidths,
-    ) -> Self {
+    ) {
         let t = tree.tree();
-        let len = t.len() as u64;
-        arena.push(len, widths.cnt);
-        let mut local_off = Vec::with_capacity(t.len());
+        arena.push(t.len() as u64, widths.cnt);
         for u in 0..t.len() as u32 {
-            local_off.push(arena.len_bits());
             let v = t.node(u);
             arena.push(v as u64, widths.node);
             let pairs = tree.pairs_at(v);
@@ -182,34 +171,24 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
                 }
             }
         }
-        PackedSearchTree { codec, widths, local_off }
     }
 
-    /// Walks one packed tree starting at the cursor, recording every field
-    /// into `out` and rebuilding the offset index — proves the layout is
-    /// self-describing and feeds the byte-exact round-trip check.
-    pub fn decode(
-        cur: &mut BitCursor<'_>,
-        codec: C,
-        widths: PackedTreeWidths,
-        out: &mut Vec<(u64, u64)>,
-    ) -> Self {
-        let len = cur.take_recorded(widths.cnt, out);
+    /// Walks one packed tree starting at the cursor and builds its offset
+    /// index, leaving the cursor just past the tree.
+    pub fn decode(cur: &mut BitCursor<'_>, codec: C, widths: PackedTreeWidths) -> Self {
+        let len = cur.take(widths.cnt);
         let mut local_off = Vec::with_capacity(len as usize);
         for _ in 0..len {
             local_off.push(cur.pos());
-            cur.take_recorded(widths.node, out);
-            let npairs = cur.take_recorded(widths.cnt, out);
-            for _ in 0..npairs {
-                cur.take_recorded(widths.key, out);
-                codec.decode_recorded(cur, out);
+            cur.skip(widths.node);
+            for _ in 0..cur.take(widths.cnt) {
+                cur.skip(widths.key);
+                codec.skip(cur);
             }
-            let nchildren = cur.take_recorded(widths.cnt, out);
-            for _ in 0..nchildren {
-                cur.take_recorded(widths.cnt, out);
-                if cur.take_recorded(1, out) == 1 {
-                    cur.take_recorded(widths.key, out);
-                    cur.take_recorded(widths.key, out);
+            for _ in 0..cur.take(widths.cnt) {
+                cur.skip(widths.cnt);
+                if cur.take(1) == 1 {
+                    cur.skip(2 * widths.key);
                 }
             }
         }
@@ -279,7 +258,18 @@ mod tests {
     use super::*;
     use crate::SearchTreeConfig;
     use doubling_metric::{gen, MetricSpace};
-    use netsim::plane::roundtrip_ok;
+
+    /// Encodes `tree` at the end of `arena` and decodes it from there.
+    fn pack<C: PayloadCodec + Copy>(
+        arena: &mut BitArena,
+        tree: &SearchTree<C::Item>,
+        codec: C,
+        widths: PackedTreeWidths,
+    ) -> PackedSearchTree<C> {
+        let at = arena.len_bits();
+        PackedSearchTree::encode(arena, tree, &codec, widths);
+        PackedSearchTree::decode(&mut BitCursor::new(arena, at), codec, widths)
+    }
 
     fn sample_tree(m: &MetricSpace) -> SearchTree<u32> {
         let ball: Vec<NodeId> = m.ball(12, 6).iter().map(|&(_, x)| x).collect();
@@ -293,7 +283,7 @@ mod tests {
         let st = sample_tree(&m);
         let mut arena = BitArena::new();
         let widths = PackedTreeWidths { key: 5, cnt: 6, node: 5 };
-        let packed = PackedSearchTree::encode(&mut arena, &st, U32Codec { width: 5 }, widths);
+        let packed = pack(&mut arena, &st, U32Codec { width: 5 }, widths);
         for key in 0..30u64 {
             assert_eq!(packed.search(&arena, key), st.search(key), "key {key}");
         }
@@ -313,7 +303,7 @@ mod tests {
         assert!(st.levels() > 1, "the descent must pass interior nodes");
         let codec = PortLabelCodec { node: 5, port: 3, cnt: 3 };
         let widths = PackedTreeWidths { key: 7, cnt: 6, node: 5 };
-        let packed = PackedSearchTree::encode(&mut arena, &st, codec, widths);
+        let packed = pack(&mut arena, &st, codec, widths);
         for key in 0..4 * ball.len() as u64 {
             assert_eq!(packed.search(&arena, key), st.search(key), "port-label key {key}");
         }
@@ -330,7 +320,7 @@ mod tests {
         assert!((0..t.len() as u32).any(|c| st.subtree_range_of(c).is_none()), "no unranged child");
         assert!((0..t.len() as u32).any(|u| ranged(u) > 1), "no gap between child ranges");
         let widths = PackedTreeWidths { key: 9, cnt: 6, node: 5 };
-        let packed = PackedSearchTree::encode(&mut arena, &st, U32Codec { width: 5 }, widths);
+        let packed = pack(&mut arena, &st, U32Codec { width: 5 }, widths);
         for key in 0..10 * pairs.len() as u64 + 20 {
             assert_eq!(packed.search(&arena, key), st.search(key), "spaced key {key}");
         }
@@ -340,20 +330,14 @@ mod tests {
     fn decode_roundtrips_byte_exactly() {
         let m = MetricSpace::new(&gen::grid(5, 5));
         let st = sample_tree(&m);
+        let (codec, widths) = (U32Codec { width: 5 }, PackedTreeWidths { key: 5, cnt: 6, node: 5 });
         let mut arena = BitArena::new();
-        let widths = PackedTreeWidths { key: 5, cnt: 6, node: 5 };
-        let enc = PackedSearchTree::encode(&mut arena, &st, U32Codec { width: 5 }, widths);
-        let mut out = Vec::new();
-        let dec = PackedSearchTree::decode(
-            &mut BitCursor::new(&arena, 0),
-            U32Codec { width: 5 },
-            widths,
-            &mut out,
-        );
-        assert!(roundtrip_ok(&arena, &out));
-        assert_eq!(dec.local_off, enc.local_off);
+        PackedSearchTree::encode(&mut arena, &st, &codec, widths);
+        let mut cur = BitCursor::new(&arena, 0);
+        let dec = PackedSearchTree::decode(&mut cur, codec, widths);
+        cur.finish("search tree");
         for key in 0..30u64 {
-            assert_eq!(dec.search(&arena, key), st.search(key));
+            assert_eq!(dec.search(&arena, key), st.search(key), "key {key}");
         }
     }
 
@@ -363,9 +347,11 @@ mod tests {
         let label = PortLabel { dfs: 17, lights: vec![(3, 1), (9, 4)] };
         let mut arena = BitArena::new();
         codec.encode(&mut arena, &label);
-        assert_eq!(codec.decode(&mut BitCursor::new(&arena, 0)), label);
-        let mut out = Vec::new();
-        assert_eq!(codec.decode_recorded(&mut BitCursor::new(&arena, 0), &mut out), label);
-        assert!(roundtrip_ok(&arena, &out));
+        let mut cur = BitCursor::new(&arena, 0);
+        assert_eq!(codec.decode(&mut cur), label);
+        cur.finish("port label");
+        let mut cur = BitCursor::new(&arena, 0);
+        codec.skip(&mut cur);
+        cur.finish("skipped port label");
     }
 }
