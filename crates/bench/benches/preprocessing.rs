@@ -2,10 +2,12 @@
 //! tables (the "preprocessing step" of the paper's model).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use doubling_metric::graph::NodeId;
 use doubling_metric::{gen, Eps, MetricSpace};
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
-use netsim::Naming;
+use netsim::{LabeledScheme, Naming};
+use searchtree::{SearchTree, SearchTreeConfig};
 
 fn bench_preprocessing(c: &mut Criterion) {
     let mut group = c.benchmark_group("preprocessing");
@@ -33,5 +35,42 @@ fn bench_preprocessing(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_preprocessing);
+/// The search-tree kernel alone: every simple-NI round tree `T(y, ρ_k)`
+/// (every host `y`, every round `k`) of a 24×24 grid at ε = 1/8, from
+/// prepared balls and `(name, label)` pairs.
+fn bench_search_trees(c: &mut Criterion) {
+    let mut group = c.benchmark_group("preprocessing");
+    group.sample_size(10);
+    let n = 576;
+    let m = MetricSpace::new(&gen::Family::Grid.build(n, 7));
+    let eps = Eps::one_over(8);
+    let naming = Naming::random(m.n(), 3);
+    let s = SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap();
+    let mut inputs = Vec::new();
+    for k in 0..s.rounds().count() {
+        let radius = s.rounds().radius(k);
+        let config = SearchTreeConfig { eps_r: eps.mul_floor(radius).max(1), max_levels: None };
+        for &y in s.underlying().nets().level(s.rounds().host_level(k)) {
+            let ball: Vec<NodeId> = m.ball(y, radius).iter().map(|&(_, x)| x).collect();
+            let pairs: Vec<(u64, u32)> = ball
+                .iter()
+                .map(|&v| (naming.name_of(v) as u64, s.underlying().label_of(v)))
+                .collect();
+            inputs.push((y, ball, config, pairs));
+        }
+    }
+    group.bench_with_input(BenchmarkId::new("search-trees", n), &inputs, |b, inputs| {
+        b.iter(|| {
+            inputs
+                .iter()
+                .map(|(y, ball, config, pairs)| {
+                    SearchTree::new(&m, *y, ball, *config, pairs.clone()).tree().len()
+                })
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_preprocessing, bench_search_trees);
 criterion_main!(benches);

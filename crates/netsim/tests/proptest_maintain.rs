@@ -170,3 +170,40 @@ proptest! {
         );
     }
 }
+
+/// Both name-independent schemes at the shape of a benchmark churn cycle:
+/// a 16×16 grid at ε = 1/8, two 4-node leave batches, then their rejoins.
+/// Most search trees there are rebuilt or refreshed by every batch, so
+/// this pins repair ≡ rebuild on balls far larger than the random graphs
+/// above reach.
+#[test]
+fn name_independent_repair_equals_rebuild_on_a_churned_grid() {
+    let m = MetricSpace::new(&doubling_metric::gen::grid(16, 16));
+    let eps = Eps::one_over(8);
+    let naming = Naming::random(m.n(), 7);
+    let (a, b) = (vec![3, 70, 161, 250], vec![17, 119, 136, 204]);
+    let script = [
+        ChurnBatch::new(Vec::new(), a.clone()),
+        ChurnBatch::new(Vec::new(), b.clone()),
+        ChurnBatch::new(a, Vec::new()),
+        ChurnBatch::new(b, Vec::new()),
+    ];
+    assert_repair_equals_rebuild(
+        &m,
+        SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap(),
+        &script,
+        8,
+        |s: &SimpleNameIndependent, u, v| {
+            s.route(&m, u, naming.name_of(v)).expect("active pair routes")
+        },
+    );
+    assert_repair_equals_rebuild(
+        &m,
+        ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap(),
+        &script,
+        8,
+        |s: &ScaleFreeNameIndependent, u, v| {
+            s.route(&m, u, naming.name_of(v)).expect("active pair routes")
+        },
+    );
+}

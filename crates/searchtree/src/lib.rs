@@ -21,30 +21,41 @@
 //!
 //! # Construction cost
 //!
-//! Every step of [`SearchTree::new`] is bounded by a ball or a sort, never
-//! by a scan over all pairs of ball members. For a ball of `b` nodes:
+//! Every step of [`SearchTree::new`] costs `O(b)` or the length of the
+//! shortest paths it walks, for a ball of `b` nodes, plus one id sort of
+//! the ball and one key sort of the pairs. No step searches or sorts per
+//! node:
 //!
-//! * **Nets.** A candidate `x` for the level-`i` net of radius `ρ` is
-//!   checked against the smaller of its ball `B_x(ρ − 1)` (read off `x`'s
-//!   sorted row, one binary search in the id-sorted net per ball member)
-//!   and the net built so far. Coarse levels have few net points (by
-//!   Lemma 2.2 a `ρ`-net of a radius-`r` ball has `(r/ρ)^{O(α)}` of them)
-//!   and fine levels have small balls, so a level costs
-//!   `b · min(|B_x(ρ)| · log b, |net|)` instead of `b · |net|` distance
-//!   reads. Levels with `ρ ≤ min_dist` take every remaining node without
-//!   any check.
+//! * **Nets.** A candidate `x` for the level-`i` net of radius `ρ` reads
+//!   its sorted row from the front, one level-map lookup per entry, until
+//!   a net point or an entry at distance `ρ`; once it has read more
+//!   entries than the net built so far has points, it scans the net
+//!   instead. So it costs `min(|B_x(ρ − 1)|, |net|) + 1` reads: coarse
+//!   levels have few net points (by Lemma 2.2 a `ρ`-net of a radius-`r`
+//!   ball has `(r/ρ)^{O(α)}` of them) and fine levels have small balls.
+//!   Levels with `ρ ≤ min_dist` take every remaining node without any
+//!   check.
 //! * **Parents and tail sites.** The nearest previous-level node (least
-//!   `(distance, id)`) is the first one in `v`'s sorted row; the scan is
-//!   cut off after as many entries as the level has nodes, then falls back
-//!   to a plain scan of the level.
+//!   `(distance, id)`) is the first entry of `v`'s sorted row that the
+//!   level map places on that level, and the row entry carries the edge
+//!   weight; the scan is cut off after as many entries as the level has
+//!   nodes, then falls back to a plain scan of the level. Definition 4.2
+//!   tails chain onto their site's current end.
 //! * **Relays (Lemma 4.3).** Each virtual edge's interior is walked along
-//!   the shortest-path parent pointers, and the counts are kept in one
-//!   sorted vector.
+//!   the shortest-path parent pointers into a dense counter; only the
+//!   distinct relays (its touched list) are sorted.
+//! * **Tree.** Local indices are the center, then the id-sorted ball, so
+//!   [`Tree::from_parents`] assembles the CSR child lists, DFS check and
+//!   subtree sizes in `O(b)` with no sort of edges or endpoints.
 //! * **Pairs (Algorithm 1).** One sort of the keys; each node's share is a
 //!   span of a single flat vector.
 //!
-//! The underlying [`Tree`] is built from one sort of its edges, without
-//! hashing.
+//! The level map, the local-index map and the relay counter are dense
+//! node-id arrays in one scratch per thread. They grow to `n` once per
+//! thread, and each build resets exactly the entries it set (its ball and
+//! its relay touched list), so no tree pays `O(n)` to allocate or clear
+//! them. A build that panics drops the scratch rather than return it
+//! dirty.
 //!
 //! The tree is *virtual*: its edges are generally not graph edges.
 //! [`descend`] streams the walk to the calling scheme one tree node at a
@@ -60,6 +71,8 @@ pub mod packed;
 pub use packed::{
     PackedSearchTree, PackedTreeView, PackedTreeWidths, PayloadCodec, PortLabelCodec, U32Codec,
 };
+
+use std::cell::Cell;
 
 use doubling_metric::graph::{Dist, NodeId, INFINITY};
 use doubling_metric::space::MetricSpace;
@@ -238,80 +251,23 @@ impl<D: Clone> SearchTree<D> {
         config: SearchTreeConfig,
         pairs: Vec<(u64, D)>,
     ) -> Self {
-        let mut remaining: Vec<NodeId> = ball.iter().copied().filter(|&x| x != center).collect();
-        assert!(remaining.len() < ball.len(), "ball must contain its center");
-        remaining.sort_unstable();
+        // Local indexing: the center first, then the id-sorted rest of the
+        // ball — the convention `Tree` uses, so no edge is ever sorted.
+        let mut nodes: Vec<NodeId> = Vec::with_capacity(ball.len());
+        nodes.push(center);
+        nodes.extend(ball.iter().copied().filter(|&x| x != center));
+        assert!(nodes.len() <= ball.len(), "ball must contain its center");
+        nodes[1..].sort_unstable();
         assert!(
-            remaining.len() + 1 == ball.len() && remaining.windows(2).all(|w| w[0] < w[1]),
+            nodes.len() == ball.len() && nodes[1..].windows(2).all(|w| w[0] < w[1]),
             "ball must not contain duplicates"
         );
 
-        // --- Layering (Definition 3.2 / 4.2). Every level set is id-sorted.
-        let mut level_sets: Vec<Vec<NodeId>> = vec![vec![center]];
-        let mut edges: Vec<(NodeId, NodeId, Dist)> = Vec::new();
-
-        let cap = config.max_levels.unwrap_or(u32::MAX);
-        let mut i: u32 = 1;
-        while !remaining.is_empty() && i <= cap {
-            let rho = if i >= 64 { 0 } else { config.eps_r >> i };
-            let (net, rest) = greedy_net(m, &remaining, rho);
-            // Everything not selected lies within rho of the net and stays
-            // for later levels (greedy maximality guarantees covering).
-            let prev = &level_sets[i as usize - 1];
-            for &v in &net {
-                let p = nearest_member(m, v, prev);
-                edges.push((v, p, m.dist(v, p)));
-            }
-            level_sets.push(net);
-            remaining = rest;
-            i += 1;
-        }
-        let levels = (level_sets.len() - 1) as u32;
-
-        // --- Definition 4.2 tails for leftovers. ---
-        let has_tails = !remaining.is_empty();
-        if has_tails {
-            let sites = &level_sets[levels as usize];
-            assert!(!sites.is_empty(), "tails require a nonempty last net level");
-            // Voronoi assignment of leftovers to last-level sites.
-            let mut tail_members: Vec<Vec<NodeId>> = vec![Vec::new(); sites.len()];
-            for &x in &remaining {
-                let u = nearest_member(m, x, sites);
-                let k = sites.binary_search(&u).expect("site found");
-                tail_members[k].push(x);
-            }
-            for (k, members) in tail_members.iter().enumerate() {
-                let mut prev = sites[k];
-                for &x in members {
-                    // members are in id order (remaining was sorted).
-                    edges.push((x, prev, m.dist(x, prev)));
-                    prev = x;
-                }
-            }
-        }
-
-        let relay_entries = relay_tally(m, &edges);
-        let tree = Tree::new(center, edges).expect("layering forms a tree");
-        debug_assert_eq!(tree.len(), ball.len(), "every ball member is placed");
-
-        let mut level_of = vec![levels + 1; tree.len()];
-        for (lv, set) in level_sets.iter().enumerate() {
-            for &x in set {
-                level_of[tree.local(x).expect("member") as usize] = lv as u32;
-            }
-        }
-
-        let mut st = SearchTree {
-            center,
-            tree,
-            level_of,
-            levels,
-            has_tails,
-            pairs: Vec::new(),
-            spans: Vec::new(),
-            subtree_range: Vec::new(),
-            relay_entries,
-        };
+        // A panic mid-build drops the taken scratch instead of returning a
+        // dirty one to the thread.
+        let mut scratch = SCRATCH.with(Cell::take);
+        let mut st = scratch.layer(m, nodes, config);
+        SCRATCH.with(|cell| cell.set(scratch));
         st.store(pairs);
         st
     }
@@ -685,73 +641,189 @@ impl<D: Clone> TreeScan for &SearchTree<D> {
     }
 }
 
-/// Greedy `rho`-net of the id-sorted `remaining`, in id order: `x` joins
-/// unless an earlier net point lies within distance `< rho`. Returns the
-/// net and the rest, both id-sorted.
-///
-/// A candidate is checked against its ball `B_x(rho − 1)` by binary
-/// search in the net, or against the net itself when that is smaller.
-fn greedy_net(m: &MetricSpace, remaining: &[NodeId], rho: Dist) -> (Vec<NodeId>, Vec<NodeId>) {
-    if rho <= m.min_dist() {
-        // Distinct nodes are at least min_dist apart: everyone is a net point.
-        return (remaining.to_vec(), Vec::new());
-    }
-    let mut net: Vec<NodeId> = Vec::new();
-    let mut rest: Vec<NodeId> = Vec::new();
-    for &x in remaining {
-        let close = m.ball(x, rho - 1);
-        let covered = if close.len() <= net.len() {
-            close.iter().any(|&(_, y)| net.binary_search(&y).is_ok())
-        } else {
-            net.iter().any(|&y| m.dist(x, y) < rho)
+/// Marks a node that is not (yet) placed in the tree being built.
+const UNPLACED: u32 = u32::MAX;
+
+thread_local! {
+    /// The calling thread's [`Scratch`], taken for the length of one build.
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+}
+
+/// Dense node-id-indexed maps one [`SearchTree::new`] call works in. They
+/// grow to `n` once per thread and are handed back clean: every build
+/// resets exactly the entries it set (its ball, and its relay touched
+/// list), so no tree pays `O(n)` for allocating or clearing them.
+#[derive(Default)]
+struct Scratch {
+    /// Net level of each placed ball member (tails: last level `+ 1`);
+    /// [`UNPLACED`] everywhere else between builds.
+    level: Vec<u32>,
+    /// Local index of each ball member. Only members' entries are read,
+    /// and each build writes them first, so this is never reset.
+    local: Vec<u32>,
+    /// Lemma 4.3 relay entries per graph node; nonzero exactly at
+    /// `touched` during a build, and all zero between builds.
+    relays: Vec<u64>,
+    /// The graph nodes with a nonzero relay count.
+    touched: Vec<NodeId>,
+}
+
+impl Scratch {
+    /// Lays out the ball `nodes` (center first, the rest id-sorted) per
+    /// Definition 3.2, or 4.2 when `config` caps the levels, and tallies
+    /// the Lemma 4.3 relays of every virtual edge. The tree stores no
+    /// pairs yet.
+    fn layer<D>(
+        &mut self,
+        m: &MetricSpace,
+        nodes: Vec<NodeId>,
+        config: SearchTreeConfig,
+    ) -> SearchTree<D> {
+        let n = m.n();
+        if self.level.len() < n {
+            self.level.resize(n, UNPLACED);
+            self.local.resize(n, 0);
+            self.relays.resize(n, 0);
+        }
+        for (i, &x) in nodes.iter().enumerate() {
+            self.local[x as usize] = i as u32;
+        }
+        let b = nodes.len();
+        let mut parent = vec![0u32; b];
+        let mut weight_up = vec![0 as Dist; b];
+        let mut attach = |v: NodeId, (w, p): (Dist, NodeId), local: &[u32]| {
+            let lv = local[v as usize] as usize;
+            parent[lv] = local[p as usize];
+            weight_up[lv] = w;
         };
-        if covered {
-            rest.push(x);
-        } else {
-            net.push(x);
-        }
-    }
-    (net, rest)
-}
 
-/// The member of the id-sorted, nonempty `set` nearest to `v`, least id
-/// on ties — [`MetricSpace::nearest_in`]'s choice. `v`'s sorted row lists
-/// nodes by `(distance, id)`, so its first member of `set` is the answer;
-/// the scan gives up after `|set|` row entries and falls back to
-/// `nearest_in`, so a miss adds at most `|set|` probes to the plain scan.
-fn nearest_member(m: &MetricSpace, v: NodeId, set: &[NodeId]) -> NodeId {
-    m.sorted_row(v)
-        .iter()
-        .take(set.len())
-        .find(|&&(_, y)| set.binary_search(&y).is_ok())
-        .map(|&(_, y)| y)
-        .unwrap_or_else(|| m.nearest_in(v, set).expect("set nonempty"))
-}
+        // --- Layering (Definition 3.2 / 4.2): the levels concatenated,
+        // each id-sorted; the previous level starts at `prev_lo`.
+        self.level[nodes[0] as usize] = 0;
+        let mut by_level: Vec<NodeId> = Vec::with_capacity(b);
+        by_level.push(nodes[0]);
+        let mut prev_lo = 0;
+        let mut remaining: Vec<NodeId> = nodes[1..].to_vec();
+        let mut rest: Vec<NodeId> = Vec::new();
+        let cap = config.max_levels.unwrap_or(u32::MAX);
+        let mut i: u32 = 1;
+        while !remaining.is_empty() && i <= cap {
+            let rho = if i >= 64 { 0 } else { config.eps_r >> i };
+            let lo = by_level.len();
+            // Greedy rho-net in id order: `x` joins unless a net point lies
+            // within `< rho`. Everything else stays for later levels
+            // (greedy maximality guarantees covering). Distinct nodes are at
+            // least min_dist apart, so a small rho takes everyone. Otherwise
+            // `x`'s sorted row is read up to its first net point or first
+            // entry at distance `rho`, giving up for a scan of the net once
+            // it has read more entries than the net has points.
+            for &x in &remaining {
+                let covered = rho > m.min_dist() && {
+                    let net = &by_level[lo..];
+                    match m
+                        .sorted_row(x)
+                        .iter()
+                        .take(net.len() + 1)
+                        .find(|&&(d, y)| d >= rho || self.level[y as usize] == i)
+                    {
+                        Some(&(d, _)) => d < rho,
+                        None => net.iter().any(|&y| m.dist(x, y) < rho),
+                    }
+                };
+                if covered {
+                    rest.push(x);
+                } else {
+                    self.level[x as usize] = i;
+                    by_level.push(x);
+                }
+            }
+            std::mem::swap(&mut remaining, &mut rest);
+            rest.clear();
+            let prev = &by_level[prev_lo..lo];
+            for &v in &by_level[lo..] {
+                attach(v, self.nearest(m, v, i - 1, prev), &self.local);
+            }
+            prev_lo = lo;
+            i += 1;
+        }
+        let levels = i - 1;
 
-/// Lemma 4.3: each virtual edge `(child, parent)` is realized by the
-/// shortest path from `parent` to `child`, whose interior nodes store
-/// next-hop entries in both directions. Walks the shortest-path parent
-/// pointers and returns the per-node entry counts sorted by node id.
-fn relay_tally(m: &MetricSpace, edges: &[(NodeId, NodeId, Dist)]) -> Vec<(NodeId, u64)> {
-    let apsp = m.apsp();
-    let mut interior: Vec<NodeId> = Vec::new();
-    for &(child, parent, w) in edges {
-        assert_ne!(w, INFINITY, "no path from {parent} to {child}: graph is disconnected");
-        let mut cur = apsp.parent(parent, child);
-        while cur != parent {
-            interior.push(cur);
-            cur = apsp.parent(parent, cur);
+        // --- Definition 4.2 tails: each leftover joins the Voronoi cell of
+        // its nearest last-level site, chained in id order.
+        let has_tails = !remaining.is_empty();
+        if has_tails {
+            let sites = &by_level[prev_lo..];
+            assert!(!sites.is_empty(), "tails require a nonempty last net level");
+            // The current end of each site's chain, by the site's local index.
+            let mut end: Vec<NodeId> = nodes.to_vec();
+            for &x in &remaining {
+                let (_, u) = self.nearest(m, x, levels, sites);
+                let lu = self.local[u as usize] as usize;
+                attach(x, (m.dist(x, end[lu]), end[lu]), &self.local);
+                end[lu] = x;
+                self.level[x as usize] = levels + 1;
+            }
+        }
+
+        // --- Lemma 4.3: each virtual edge `(child, parent)` is realized by
+        // the shortest path from `parent` to `child`, whose interior nodes
+        // store next-hop entries in both directions.
+        let apsp = m.apsp();
+        for (c, &child) in nodes.iter().enumerate().skip(1) {
+            let p = nodes[parent[c] as usize];
+            assert_ne!(
+                weight_up[c], INFINITY,
+                "no path from {p} to {child}: graph is disconnected"
+            );
+            let mut cur = apsp.parent(p, child);
+            while cur != p {
+                let count = &mut self.relays[cur as usize];
+                if *count == 0 {
+                    self.touched.push(cur);
+                }
+                *count += 2;
+                cur = apsp.parent(p, cur);
+            }
+        }
+        self.touched.sort_unstable();
+        let relay_entries = self
+            .touched
+            .iter()
+            .map(|&x| (x, std::mem::take(&mut self.relays[x as usize])))
+            .collect();
+        self.touched.clear();
+
+        let level_of = nodes.iter().map(|&x| self.level[x as usize]).collect();
+        for &x in &nodes {
+            self.level[x as usize] = UNPLACED;
+        }
+        SearchTree {
+            center: nodes[0],
+            tree: Tree::from_parents(nodes, parent, weight_up).expect("layering forms a tree"),
+            level_of,
+            levels,
+            has_tails,
+            pairs: Vec::new(),
+            spans: Vec::new(),
+            subtree_range: Vec::new(),
+            relay_entries,
         }
     }
-    interior.sort_unstable();
-    let mut tally: Vec<(NodeId, u64)> = Vec::new();
-    for x in interior {
-        match tally.last_mut() {
-            Some((y, count)) if *y == x => *count += 2,
-            _ => tally.push((x, 2)),
-        }
+
+    /// The member of `set` — the nonempty, id-sorted level `lv` — nearest
+    /// to `v`, least id on ties ([`MetricSpace::nearest_in`]'s choice), with
+    /// its distance. `v`'s sorted row lists nodes by `(distance, id)`, so
+    /// its first entry at level `lv` is the answer; the scan gives up after
+    /// `|set|` row entries and falls back to a plain scan of `set`, so a
+    /// miss adds at most `|set|` probes to the plain scan.
+    fn nearest(&self, m: &MetricSpace, v: NodeId, lv: u32, set: &[NodeId]) -> (Dist, NodeId) {
+        m.sorted_row(v)
+            .iter()
+            .take(set.len())
+            .find(|&&(_, y)| self.level[y as usize] == lv)
+            .copied()
+            .unwrap_or_else(|| set.iter().map(|&y| (m.dist(v, y), y)).min().expect("set nonempty"))
     }
-    tally
 }
 
 #[cfg(test)]
@@ -922,6 +994,52 @@ mod tests {
         assert_eq!(st.search(99).result, Some(4));
         assert_eq!(st.search(99).nodes, vec![4]);
         assert_eq!(st.height(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ball must contain its center")]
+    fn ball_without_its_center_is_rejected() {
+        let m = MetricSpace::new(&gen::grid(3, 3));
+        let config = SearchTreeConfig { eps_r: 1, max_levels: None };
+        SearchTree::<u32>::new(&m, 4, &[1, 3, 5], config, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "ball must not contain duplicates")]
+    fn ball_with_a_duplicate_is_rejected() {
+        let m = MetricSpace::new(&gen::grid(3, 3));
+        let config = SearchTreeConfig { eps_r: 1, max_levels: None };
+        SearchTree::<u32>::new(&m, 4, &[4, 1, 5, 1], config, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "ball must not contain duplicates")]
+    fn ball_with_its_center_twice_is_rejected() {
+        let m = MetricSpace::new(&gen::grid(3, 3));
+        let config = SearchTreeConfig { eps_r: 1, max_levels: None };
+        SearchTree::<u32>::new(&m, 4, &[4, 1, 4], config, Vec::new());
+    }
+
+    #[test]
+    fn a_build_that_panics_leaves_no_dirty_scratch() {
+        // A path 0..=9 and a separate node 10: the relay walks of the
+        // virtual edges 0 → 1..=9 count relays, then the edge 0 → 10 meets
+        // an infinite distance with the layering and the counts in place.
+        let mut b = doubling_metric::graph::GraphBuilder::new(11);
+        for u in 0..9 {
+            b.edge(u, u + 1, 1).unwrap();
+        }
+        let m = MetricSpace::new(&b.build_any().unwrap());
+        let config = SearchTreeConfig { eps_r: 1, max_levels: None };
+        let all: Vec<NodeId> = (0..=10).collect();
+        let err =
+            std::panic::catch_unwind(|| SearchTree::<u32>::new(&m, 0, &all, config, Vec::new()))
+                .unwrap_err();
+        assert!(err.downcast_ref::<String>().unwrap().contains("graph is disconnected"));
+        // The same relays again, on this thread and on a fresh one.
+        let path = || SearchTree::<u32>::new(&m, 0, &all[..10], config, Vec::new());
+        let fresh = std::thread::scope(|s| s.spawn(path).join().unwrap());
+        assert_eq!(path(), fresh);
     }
 
     #[test]

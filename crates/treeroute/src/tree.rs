@@ -75,7 +75,7 @@ impl Tree {
     /// Builds a tree from `(child, parent, weight)` edges rooted at `root`.
     ///
     /// Costs one sort of the edges by child plus one sort of the mentioned
-    /// ids; no hashing.
+    /// ids, then [`Tree::from_parents`]; no hashing.
     ///
     /// # Errors
     ///
@@ -120,41 +120,72 @@ impl Tree {
         let mut nodes = Vec::with_capacity(rest.len() + 1);
         nodes.push(root);
         nodes.extend(rest);
-        let len = nodes.len();
         let local = |x: NodeId| local_in(&nodes, x).expect("endpoint mentioned");
 
-        // `NONE` marks a node without a parent edge; it stays unreachable.
-        const NONE: u32 = u32::MAX;
-        let mut parent = vec![NONE; len];
-        let mut weight_up = vec![0 as Dist; len];
-        let mut child_start = vec![0u32; len + 1];
+        // A node without a parent edge is its own parent: never reachable.
+        let mut parent: Vec<u32> = (0..nodes.len() as u32).collect();
+        let mut weight_up = vec![0 as Dist; nodes.len()];
         for &(c, _, p, w) in &by_child {
-            let (cl, pl) = (local(c), local(p));
-            parent[cl as usize] = pl;
-            weight_up[cl as usize] = w;
-            child_start[pl as usize + 1] += 1;
+            let cl = local(c) as usize;
+            parent[cl] = local(p);
+            weight_up[cl] = w;
+        }
+        Tree::from_parents(nodes, parent, weight_up)
+    }
+
+    /// Assembles a tree from local-index parent pointers in `O(len)`, with
+    /// no sort and no search — the constructor [`Tree::new`] ends in, for
+    /// callers that already hold the local indexing.
+    ///
+    /// `nodes[0]` is the root and `nodes[1..]` must ascend strictly by
+    /// graph id; `parent[i]` is the local index of `i`'s parent and
+    /// `weight_up[i]` the weight of that edge, for every `i ≥ 1`. The
+    /// root's entries are ignored (the root is its own parent, at weight
+    /// 0).
+    ///
+    /// # Errors
+    ///
+    /// [`TreeError::NotATree`] if some node is not reachable from the root
+    /// (a cycle, or a node that is its own parent).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three vectors differ in length, `nodes` is empty, or
+    /// a parent index is out of range.
+    pub fn from_parents(
+        nodes: Vec<NodeId>,
+        mut parent: Vec<u32>,
+        mut weight_up: Vec<Dist>,
+    ) -> Result<Self, TreeError> {
+        let len = nodes.len();
+        assert!(len > 0, "a tree has a root");
+        assert!(parent.len() == len && weight_up.len() == len, "one entry per node");
+        debug_assert!(nodes[1..].windows(2).all(|w| w[0] < w[1]), "non-root ids ascend");
+        parent[0] = 0;
+        weight_up[0] = 0;
+
+        // CSR child lists. Local indices past the root ascend by graph id,
+        // so each list fills in graph-id order.
+        let mut child_start = vec![0u32; len + 1];
+        for &p in &parent[1..] {
+            child_start[p as usize + 1] += 1;
         }
         for i in 0..len {
             child_start[i + 1] += child_start[i];
         }
-        // Local indices past the root ascend by graph id, so each list
-        // fills in graph-id order.
         let mut fill: Vec<u32> = child_start[..len].to_vec();
-        let mut child_list = vec![0u32; by_child.len()];
+        let mut child_list = vec![0u32; len - 1];
         for cl in 1..len as u32 {
-            let pl = parent[cl as usize];
-            if pl != NONE {
-                child_list[fill[pl as usize] as usize] = cl;
-                fill[pl as usize] += 1;
-            }
+            let pl = parent[cl as usize] as usize;
+            child_list[fill[pl] as usize] = cl;
+            fill[pl] += 1;
         }
-        parent[0] = 0;
         let children = |u: u32| {
             &child_list[child_start[u as usize] as usize..child_start[u as usize + 1] as usize]
         };
 
         // Verify reachability (tree-ness) and compute subtree sizes. Every
-        // node has at most one parent, so no node is reached twice.
+        // node has one parent entry, so no node is reached twice.
         let mut order = Vec::with_capacity(len);
         let mut stack = vec![0u32];
         while let Some(u) = stack.pop() {
@@ -416,6 +447,17 @@ mod tests {
         // of its own: only the root's side counts as reachable.
         let err = Tree::new(0, vec![(4, 0, 1), (1, 2, 1), (2, 1, 1), (5, 9, 1)]).unwrap_err();
         assert_eq!(err, TreeError::NotATree { reachable: 2, total: 6 });
+    }
+
+    #[test]
+    fn from_parents_rejects_unreachable_nodes() {
+        // Local 2 is its own parent; local 1 hangs off it.
+        let err = Tree::from_parents(vec![0, 1, 2], vec![0, 2, 2], vec![0, 1, 1]).unwrap_err();
+        assert_eq!(err, TreeError::NotATree { reachable: 1, total: 3 });
+        // The root's own entries are ignored.
+        let t = Tree::from_parents(vec![5, 1], vec![1, 0], vec![9, 4]).unwrap();
+        assert_eq!((t.parent(0), t.weight_up(0), t.weight_up(1)), (0, 0, 4));
+        assert_eq!(t, Tree::new(5, vec![(1, 5, 4)]).unwrap());
     }
 
     #[test]

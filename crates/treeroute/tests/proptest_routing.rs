@@ -1,7 +1,8 @@
 //! Property-based tests: both tree routers must route along the exact
 //! tree path for arbitrary random trees, and their compactness invariants
-//! must hold.
+//! must hold; the edge-list and local-index constructors must agree.
 
+use doubling_metric::graph::{Dist, NodeId};
 use proptest::prelude::*;
 use treeroute::{CompactTreeRouter, IntervalRouter, Tree};
 
@@ -22,6 +23,58 @@ fn arb_tree(max_n: usize) -> impl Strategy<Value = Tree> {
                 Tree::new(0, edges).expect("parent structure is a tree")
             })
     })
+}
+
+/// Strategy: a random tree on `1..=max_n` nodes with scattered graph ids
+/// (the root's id is arbitrary among them), as the root and its
+/// `(child, parent, weight)` edges in shuffled order.
+fn arb_shuffled_edges(
+    max_n: usize,
+) -> impl Strategy<Value = (NodeId, Vec<(NodeId, NodeId, Dist)>)> {
+    (1usize..=max_n).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(0u32..1000, n),
+            proptest::collection::vec((0usize..usize::MAX, 1u64..100, 0u64..u64::MAX), n - 1),
+        )
+            .prop_map(|(raw_ids, links)| {
+                // Distinct ids in random order: index i is tree position i.
+                let ids: Vec<NodeId> =
+                    raw_ids.iter().enumerate().map(|(i, &r)| r * 64 + i as u32).collect();
+                let mut keyed: Vec<(u64, (NodeId, NodeId, Dist))> = links
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &(praw, w, key))| {
+                        let c = j + 1;
+                        (key, (ids[c], ids[praw % c], w))
+                    })
+                    .collect();
+                keyed.sort_unstable_by_key(|&(key, _)| key);
+                (ids[0], keyed.into_iter().map(|(_, e)| e).collect())
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn edge_list_constructor_equals_local_index_constructor(case in arb_shuffled_edges(40)) {
+        let (root, edges) = case;
+        let mut nodes: Vec<NodeId> = edges.iter().map(|&(c, _, _)| c).collect();
+        nodes.sort_unstable();
+        nodes.insert(0, root);
+        let local = |x: NodeId| {
+            if x == root { 0 } else { nodes[1..].binary_search(&x).unwrap() as u32 + 1 }
+        };
+        let mut parent = vec![0u32; nodes.len()];
+        let mut weight_up = vec![0 as Dist; nodes.len()];
+        for &(c, p, w) in &edges {
+            parent[local(c) as usize] = local(p);
+            weight_up[local(c) as usize] = w;
+        }
+        let direct = Tree::from_parents(nodes, parent, weight_up).unwrap();
+        prop_assert_eq!(Tree::new(root, edges).unwrap(), direct);
+    }
 }
 
 proptest! {
