@@ -3,9 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use doubling_metric::graph::NodeId;
+use doubling_metric::nets::{ChurnBatch, NetRepairBudget};
 use doubling_metric::{gen, Eps, MetricSpace};
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
+use netsim::maintain::Maintainable;
 use netsim::{LabeledScheme, Naming};
 use searchtree::{SearchTree, SearchTreeConfig};
 
@@ -72,5 +74,41 @@ fn bench_search_trees(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_preprocessing, bench_search_trees);
+/// The churn-repair kernel alone: one 4-node leave and its rejoin,
+/// repaired in place on all four schemes of a 24×24 grid at ε = 1/8 (the
+/// `churn` workload's instance shape, without its plane recompiles and
+/// audits). Repair equals rebuild, so every iteration returns each scheme
+/// to its starting tables.
+fn bench_churn_repair(c: &mut Criterion) {
+    let mut group = c.benchmark_group("preprocessing");
+    group.sample_size(10);
+    let n = 576;
+    let m = MetricSpace::new(&gen::Family::Grid.build(n, 7));
+    let eps = Eps::one_over(8);
+    let naming = Naming::random(m.n(), 3);
+    let mut schemes: Vec<Box<dyn Maintainable>> = vec![
+        Box::new(NetLabeled::new(&m, eps).unwrap()),
+        Box::new(ScaleFreeLabeled::new(&m, eps).unwrap()),
+        Box::new(SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap()),
+        Box::new(ScaleFreeNameIndependent::new(&m, eps, naming).unwrap()),
+    ];
+    let leaving: Vec<NodeId> = vec![61, 212, 347, 498];
+    let batches =
+        [ChurnBatch::new(Vec::new(), leaving.clone()), ChurnBatch::new(leaving, Vec::new())];
+    let budget = NetRepairBudget::unbounded();
+    group.bench_with_input(BenchmarkId::new("churn-repair", n), &batches, |b, batches| {
+        b.iter(|| {
+            let mut rings = 0;
+            for s in schemes.iter_mut() {
+                for batch in batches {
+                    rings += s.repair(&m, batch, &budget).rings_rebuilt;
+                }
+            }
+            rings
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_preprocessing, bench_search_trees, bench_churn_repair);
 criterion_main!(benches);

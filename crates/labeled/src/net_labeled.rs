@@ -33,7 +33,8 @@ use obs::Tracer;
 
 use crate::error::SchemeError;
 use crate::rings::{
-    affected_nodes, build_ring, refresh_ring_ranges, ring_lookup, RingEntry, RingRepair,
+    affected_nodes, build_ring, level_ranges, patch_ring, refresh_ring_ranges, ring_lookup,
+    RingEntry, RingRepair,
 };
 use crate::view::{LabeledView, NetLabeledView, RingHit};
 
@@ -126,10 +127,10 @@ impl NetLabeled {
     }
 
     /// Applies an overlay churn batch incrementally: repairs the net
-    /// hierarchy via [`NetHierarchy::apply_churn`], then rebuilds only the
-    /// rings within the ring radius of a changed net member and
-    /// range-refreshes the rest. The repaired scheme is **identical** to
-    /// [`Self::new_over`] on the post-churn active set.
+    /// hierarchy via [`NetHierarchy::apply_churn`], then patches the rings
+    /// within the ring radius of a changed net member by their level delta
+    /// ([`patch_ring`]) and range-refreshes the rest. The repaired scheme
+    /// is **identical** to [`Self::new_over`] on the post-churn active set.
     ///
     /// # Panics
     ///
@@ -145,12 +146,14 @@ impl NetLabeled {
         for i in 0..self.num_levels {
             let changed = rep.deltas[i].changed();
             let affected = (!changed.is_empty()).then(|| affected_nodes(m, self.eps, i, &changed));
+            let ranges = level_ranges(&self.nets, m.n(), i);
             for u in 0..m.n() {
+                let ring = &mut self.rings[u][i];
                 if affected.as_ref().is_some_and(|a| a[u]) {
-                    self.rings[u][i] = build_ring(m, &self.nets, self.eps, u as NodeId, i);
+                    patch_ring(ring, m, &ranges, self.eps, u as NodeId, i, &rep.deltas[i]);
                     rr.rebuilt += 1;
                 } else {
-                    refresh_ring_ranges(&mut self.rings[u][i], &self.nets, i);
+                    refresh_ring_ranges(ring, &ranges);
                     rr.refreshed += 1;
                 }
             }

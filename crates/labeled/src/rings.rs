@@ -7,15 +7,18 @@
 //! stopping rule). By Lemma 2.2, `|X_i(u)| ≤ (4/ε)^α`.
 
 use doubling_metric::graph::{Dist, NodeId};
-use doubling_metric::nets::NetHierarchy;
+use doubling_metric::nets::{LevelDelta, NetHierarchy};
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 
 /// Counters from a ring-table repair pass: how many `(node, level)` rings
-/// were rebuilt from scratch vs merely range-refreshed.
+/// lay in a blast zone (patched by their level delta) vs merely
+/// range-refreshed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RingRepair {
-    /// Rings rebuilt because a nearby net member churned.
+    /// Rings within the ring radius of a churned net member, patched by
+    /// the level delta ([`patch_ring`]). They count as the repair's blast
+    /// zone, as a from-scratch rebuild of the ring would.
     pub rebuilt: u64,
     /// Rings whose membership was provably unchanged (ranges refreshed).
     pub refreshed: u64,
@@ -94,16 +97,59 @@ pub fn affected_nodes(m: &MetricSpace, eps: Eps, i: usize, changed: &[NodeId]) -
     out
 }
 
+/// `Range(x, i)` for every `x ∈ Y_i`, indexed by node id (entries of
+/// other nodes are unused). Built once per level per repair, it turns each
+/// ring entry's range refresh into an array read instead of a binary
+/// search over `Y_i`.
+pub fn level_ranges(nets: &NetHierarchy, n: usize, i: usize) -> Vec<(u32, u32)> {
+    let mut ranges = vec![(0, 0); n];
+    for &x in nets.level(i) {
+        ranges[x as usize] = nets.range(i, x).expect("x is in Y_i");
+    }
+    ranges
+}
+
 /// Refreshes the stored `Range(x, i)` fields of a ring whose *member set*
 /// is known to be unchanged (labels are renumbered by every hierarchy
 /// repair, so ranges shift even when membership does not) and restores the
-/// range-start sort order. The result is byte-identical to rebuilding the
-/// ring from scratch against the repaired hierarchy.
-pub fn refresh_ring_ranges(ring: &mut [RingEntry], nets: &NetHierarchy, i: usize) {
+/// range-start sort order. `ranges` is the level's [`level_ranges`] table.
+/// The result is byte-identical to rebuilding the ring from scratch
+/// against the repaired hierarchy.
+pub fn refresh_ring_ranges(ring: &mut [RingEntry], ranges: &[(u32, u32)]) {
     for e in ring.iter_mut() {
-        e.range = nets.range(i, e.x).expect("ring member is in Y_i");
+        e.range = ranges[e.x as usize];
     }
     ring.sort_unstable_by_key(|e| e.range.0);
+}
+
+/// Patches `X_i(u)` by its level's net membership delta: drops the members
+/// that left `Y_i`, appends the arrivals within the ring radius (computing
+/// `dist` and `next` for those alone), then refreshes every range from the
+/// level's [`level_ranges`] table and restores the sort order. Because
+/// `X_i(u) = B_u(2^i/ε) ∩ Y_i` and `delta` is the exact set difference of
+/// `Y_i`, the result is byte-identical to [`build_ring`] against the
+/// repaired hierarchy.
+pub fn patch_ring(
+    ring: &mut Vec<RingEntry>,
+    m: &MetricSpace,
+    ranges: &[(u32, u32)],
+    eps: Eps,
+    u: NodeId,
+    i: usize,
+    delta: &LevelDelta,
+) {
+    if !delta.removed.is_empty() {
+        ring.retain(|e| delta.removed.binary_search(&e.x).is_err());
+    }
+    let s_i = m.scale(i);
+    for &x in &delta.added {
+        let d = m.dist(u, x);
+        if eps.mul_le(d, s_i) {
+            let next = m.next_hop(u, x).unwrap_or(u);
+            ring.push(RingEntry { x, range: (0, 0), next, dist: d });
+        }
+    }
+    refresh_ring_ranges(ring, ranges);
 }
 
 /// Binary-searches a ring for the entry whose range contains `label`.

@@ -41,7 +41,8 @@ use treeroute::{PortLabel, PortTreeRouter, RouterRecords, Tree};
 
 use crate::error::SchemeError;
 use crate::rings::{
-    affected_nodes, build_ring, refresh_ring_ranges, ring_lookup, RingEntry, RingRepair,
+    affected_nodes, build_ring, level_ranges, patch_ring, refresh_ring_ranges, ring_lookup,
+    RingEntry, RingRepair,
 };
 use crate::view::{CellView, LabeledView, RingHit, ScaleFreeView};
 
@@ -287,13 +288,13 @@ impl ScaleFreeLabeled {
     }
 
     /// Applies an overlay churn batch incrementally: repairs the hierarchy,
-    /// rebuilds only the rings near changed net members (range-refreshing
-    /// the rest), redistributes every cell's `(label, local-label)` pair set
-    /// over its **unchanged** physical skeleton, and re-prices the per-node
-    /// search shares. The repaired scheme is **identical** to
-    /// [`Self::new_over`] on the post-churn active set. Returns the net
-    /// repair report, ring counters, and the number of cell pair sets
-    /// refreshed.
+    /// patches the rings near changed net members by their level delta
+    /// ([`patch_ring`]; range-refreshing the rest), redistributes every
+    /// cell's `(label, local-label)` pair set over its **unchanged**
+    /// physical skeleton, and re-prices the per-node search shares. The
+    /// repaired scheme is **identical** to [`Self::new_over`] on the
+    /// post-churn active set. Returns the net repair report, ring counters,
+    /// and the number of cell pair sets refreshed.
     ///
     /// # Panics
     ///
@@ -306,15 +307,17 @@ impl ScaleFreeLabeled {
     ) -> (NetRepair, RingRepair, u64) {
         let rep = self.nets.apply_churn(m, batch, budget);
 
-        // Rings: stored levels only. Lazily compute per-level blast zones.
-        let mut affected: Vec<Option<Vec<bool>>> = vec![None; m.num_scales()];
+        // Rings: stored levels only. Lazily compute per-level blast zones
+        // and range tables.
+        let mut zones: Vec<Option<Vec<bool>>> = vec![None; m.num_scales()];
+        let mut tables: Vec<Option<Vec<(u32, u32)>>> = vec![None; m.num_scales()];
         let mut rr = RingRepair::default();
         for u in 0..m.n() {
             // Split borrow: rings mutably, the rest of self immutably.
             let (nets, eps) = (&self.nets, self.eps);
             for (i, ring) in self.rings[u].iter_mut() {
                 let i = *i as usize;
-                let zone = affected[i].get_or_insert_with(|| {
+                let zone = zones[i].get_or_insert_with(|| {
                     let changed = rep.deltas[i].changed();
                     if changed.is_empty() {
                         vec![false; m.n()]
@@ -322,11 +325,12 @@ impl ScaleFreeLabeled {
                         affected_nodes(m, eps, i, &changed)
                     }
                 });
+                let ranges = tables[i].get_or_insert_with(|| level_ranges(nets, m.n(), i));
                 if zone[u] {
-                    *ring = build_ring(m, nets, eps, u as NodeId, i);
+                    patch_ring(ring, m, ranges, eps, u as NodeId, i, &rep.deltas[i]);
                     rr.rebuilt += 1;
                 } else {
-                    refresh_ring_ranges(ring, nets, i);
+                    refresh_ring_ranges(ring, ranges);
                     rr.refreshed += 1;
                 }
             }

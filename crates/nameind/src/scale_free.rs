@@ -125,8 +125,34 @@ fn build_own_tree(
     )
 }
 
-/// Decides the facility of round host `y`: the minimal-`j` qualifying
-/// packed ball with an *active* center, or an own 𝒜-type tree.
+/// Conditions (1) and (2) of `H(y, k)` for ball `b ∈ ℬ_j`, as exact
+/// integer comparisons:
+///   (1) d(y,c) + r_c(j) ≤ ρ_k + 2^{i_k}
+///       [B inside the slightly enlarged search ball around y]
+///   (2) d(y,c) + ρ_k ≤ r_c(j+2)
+///       [y's search ball inside the indexed ball]
+/// Returns `d(y, c)` when both hold. Activity of the center is the
+/// caller's check.
+fn link_distance(
+    m: &MetricSpace,
+    y: NodeId,
+    rho: Dist,
+    s_host: Dist,
+    b: &PackedBall,
+    j: u32,
+    log2_n: u32,
+) -> Option<Dist> {
+    let d = m.dist(y, b.center);
+    if d.saturating_add(b.radius) > rho.saturating_add(s_host) {
+        return None;
+    }
+    let r_big = m.r_small(b.center, (j + 2).min(log2_n));
+    (d.saturating_add(rho) <= r_big).then_some(d)
+}
+
+/// Decides the facility of round host `y`: the qualifying packed ball
+/// with an *active* center and the least `(j, d(y, c), c)`, or an own
+/// 𝒜-type tree when none qualifies.
 #[allow(clippy::too_many_arguments)]
 fn compute_facility(
     m: &MetricSpace,
@@ -138,12 +164,6 @@ fn compute_facility(
     s_host: Dist,
     log2_n: u32,
 ) -> Facility {
-    // Find H(y, k): minimal j, then minimal (d(y,c), c), with
-    //   (1) d(y,c) + r_c(j) ≤ ρ_k + 2^{i_k}
-    //       [B inside the slightly enlarged search ball around y]
-    //   (2) d(y,c) + ρ_k ≤ r_c(j+2)
-    //       [y's search ball inside the indexed ball]
-    // — exact integer comparisons; inactive centers never qualify.
     for j in 0..=log2_n {
         let packing = underlying.packings().at(j);
         let mut best: Option<(u64, NodeId, u32)> = None;
@@ -151,14 +171,9 @@ fn compute_facility(
             if !underlying.nets().is_active(b.center) {
                 continue;
             }
-            let d = m.dist(y, b.center);
-            if d.saturating_add(b.radius) > rho.saturating_add(s_host) {
+            let Some(d) = link_distance(m, y, rho, s_host, b, j, log2_n) else {
                 continue;
-            }
-            let r_big = m.r_small(b.center, (j + 2).min(log2_n));
-            if d.saturating_add(rho) > r_big {
-                continue;
-            }
+            };
             if best.is_none_or(|(bd, bc, _)| (d, b.center) < (bd, bc)) {
                 best = Some((d, b.center, bk as u32));
             }
@@ -383,13 +398,20 @@ impl ScaleFreeNameIndependent {
     /// The underlying scale-free labeled scheme repairs first. A ℬ-type
     /// tree is rebuilt only when its indexed ball `B_c(r_big)` was touched
     /// by some churned node (this covers the skeleton and the center's own
-    /// activity); untouched ℬ-trees re-store their renumbered pairs. If no
-    /// churned node is a packing center, facility *decisions* are provably
-    /// stable — kept links are copied, kept own trees are rebuilt only when
-    /// their ball `B_y(ρ_k)` was touched and refreshed otherwise; if a
-    /// packing center churned, every facility is re-decided from scratch.
-    /// Search-bit shares are recomputed wholesale. The result is
-    /// byte-identical to [`Self::new_over`] on the post-churn active set.
+    /// activity); untouched ℬ-trees re-store their renumbered pairs.
+    ///
+    /// A facility decision is the least `(j, d(y, c), c)` qualifying packed
+    /// ball with an active center (an own tree counting as +∞), and
+    /// qualification is physical. Every node centers its own `ℬ_0` ball,
+    /// so every batch moves some packing center; but a batch can change a
+    /// host's decision only when the linked center leaves or a center that
+    /// joined in this batch qualifies with a smaller key. A surviving host
+    /// keeps its decision unless one of those holds: kept links are
+    /// copied, kept own trees are rebuilt only when their ball `B_y(ρ_k)`
+    /// was touched and refreshed otherwise. New hosts and hosts whose
+    /// decision fails the test are re-decided from scratch. Search-bit
+    /// shares are recomputed wholesale. The result is byte-identical to
+    /// [`Self::new_over`] on the post-churn active set.
     ///
     /// # Panics
     ///
@@ -429,29 +451,52 @@ impl ScaleFreeNameIndependent {
             }
         }
 
-        // Facility decisions are invariant under churn that avoids packing
-        // centers: eligibility depends only on physical distances/radii and
-        // the centers' activity.
-        let centers_touched = changed.iter().any(|&v| {
-            (0..=log2_n)
-                .any(|j| self.underlying.packings().at(j).balls().iter().any(|b| b.center == v))
-        });
+        // The packed balls whose centers joined in this batch, listed once:
+        // the only candidates that can beat a kept facility decision.
+        let packings = self.underlying.packings();
+        let joined: Vec<(u32, &PackedBall)> = (0..=log2_n)
+            .flat_map(|j| {
+                let packing = packings.at(j);
+                batch.joins.iter().filter_map(move |&v| {
+                    let b = &packing.balls()[packing.ball_index_of(v)? as usize];
+                    (b.center == v).then_some((j, b))
+                })
+            })
+            .collect();
+        // Whether `y`'s old decision survives the batch: its linked center
+        // stayed and no joined center qualifies with a smaller key.
+        let stands = |f: &Facility, y: NodeId, rho: Dist, s_host: Dist| {
+            let key = match *f {
+                Facility::Link { j, ball } => {
+                    let c = packings.at(j).balls()[ball as usize].center;
+                    if batch.leaves.contains(&c) {
+                        return false;
+                    }
+                    Some((j, m.dist(y, c), c))
+                }
+                Facility::Own(_) => None,
+            };
+            !joined.iter().any(|&(j, b)| {
+                link_distance(m, y, rho, s_host, b, j, log2_n)
+                    .is_some_and(|d| key.is_none_or(|key| (j, d, b.center) < key))
+            })
+        };
         #[allow(clippy::needless_range_loop)] // k also indexes self.facility
         for k in 0..self.rounds.count() {
             let rho = self.rounds.radius(k);
             let host = self.rounds.host_level(k);
             let s_host = m.scale(host);
-            let hosts = self.underlying.nets().level(host).to_vec();
+            let hosts = self.underlying.nets().level(host);
             let mut old: Vec<Option<Facility>> =
                 std::mem::take(&mut self.facility[k]).into_iter().map(Some).collect();
             self.facility[k] = hosts
                 .iter()
                 .map(|&y| {
-                    let prev = if centers_touched {
-                        None
-                    } else {
-                        old_hosts[k].binary_search(&y).ok().and_then(|j| old[j].take())
-                    };
+                    let prev = old_hosts[k]
+                        .binary_search(&y)
+                        .ok()
+                        .and_then(|p| old[p].take())
+                        .filter(|f| stands(f, y, rho, s_host));
                     match prev {
                         Some(Facility::Link { j, ball }) => Facility::Link { j, ball },
                         Some(Facility::Own(mut tree)) => {
@@ -518,15 +563,24 @@ impl ScaleFreeNameIndependent {
     /// How many rounds hosted by `y` use a link rather than their own tree
     /// (`|S(y)|` in the paper's notation, bounded by Claim 3.9).
     pub fn link_count(&self, y: NodeId) -> usize {
-        let nets = self.underlying.nets();
-        (0..self.facility.len())
-            .filter(|&k| {
-                nets.level(self.rounds.host_level(k))
-                    .binary_search(&y)
-                    .ok()
-                    .is_some_and(|j| matches!(self.facility[k][j], Facility::Link { .. }))
-            })
-            .count()
+        (0..self.facility.len()).filter(|&k| self.link(k, y).is_some()).count()
+    }
+
+    /// The link `H(y, k)` as `(j, c)`: round `k`'s host `y` searches the
+    /// ℬ-type tree of the packed ball centered at `c` in `ℬ_j`. `None` when
+    /// `y` keeps its own 𝒜-type tree for round `k` or does not host it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not a round.
+    pub fn link(&self, k: usize, y: NodeId) -> Option<(u32, NodeId)> {
+        let hosts = self.underlying.nets().level(self.rounds.host_level(k));
+        match self.facility[k][hosts.binary_search(&y).ok()?] {
+            Facility::Link { j, ball } => {
+                Some((j, self.underlying.packings().at(j).balls()[ball as usize].center))
+            }
+            Facility::Own(_) => None,
+        }
     }
 
     /// Fraction of (round, net point) facilities that are links — the

@@ -48,7 +48,8 @@ pub struct RepairStats {
     /// The net-hierarchy repair report (level deltas, scoped rebuilds,
     /// distance evaluations).
     pub net: NetRepair,
-    /// Rings rebuilt because a nearby net member churned.
+    /// Rings within the ring radius of a churned net member, patched by
+    /// the level delta (the ring part of the blast zone).
     pub rings_rebuilt: u64,
     /// Rings with provably unchanged membership (ranges refreshed).
     pub rings_refreshed: u64,

@@ -207,3 +207,56 @@ fn name_independent_repair_equals_rebuild_on_a_churned_grid() {
         },
     );
 }
+
+/// Facility decisions of scale-free-NI under batches that move them: one
+/// batch takes out the center a round host `y` links to (`H(y, k)` must
+/// move elsewhere), the next rejoins it while another node leaves (the
+/// rejoined center beats the decision then in effect), the last rejoins
+/// the rest. Every batch but the last mixes joins and leaves. Both
+/// name-independent schemes must equal a rebuild after every batch.
+#[test]
+fn facility_repair_follows_leaving_and_rejoining_centers() {
+    let m = MetricSpace::new(&doubling_metric::gen::grid(12, 12));
+    let eps = Eps::one_over(8);
+    let naming = Naming::random(m.n(), 5);
+    let sf = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
+
+    // The first round host whose link points at another node's ball.
+    let (k, y, j, c) = (0..sf.rounds().count())
+        .flat_map(|k| {
+            let hosts = sf.underlying().nets().level(sf.rounds().host_level(k)).to_vec();
+            hosts.into_iter().map(move |y| (k, y))
+        })
+        .find_map(|(k, y)| sf.link(k, y).filter(|&(_, c)| c != y).map(|(j, c)| (k, y, j, c)))
+        .expect("some host links to another node's ball");
+    // Two bystanders far from y and c, never y itself.
+    let others: Vec<NodeId> =
+        [0, 143, 11, 132].into_iter().filter(|&v| v != y && v != c).take(2).collect();
+    let (a, b) = (others[0], others[1]);
+    let script = [
+        ChurnBatch::new(vec![], vec![c, a]),
+        ChurnBatch::new(vec![c], vec![b]),
+        ChurnBatch::new(vec![a, b], vec![]),
+    ];
+
+    // The script does move the decision: away from c, then back to it.
+    let mut probe = sf.clone();
+    let budget = doubling_metric::nets::NetRepairBudget::unbounded();
+    probe.repair(&m, &script[0], &budget);
+    assert_ne!(probe.link(k, y), Some((j, c)), "H(y, k) must leave the departed center");
+    probe.repair(&m, &script[1], &budget);
+    assert_eq!(probe.link(k, y), Some((j, c)), "the rejoined center must win H(y, k) back");
+
+    assert_repair_equals_rebuild(&m, sf, &script, 8, |s: &ScaleFreeNameIndependent, u, v| {
+        s.route(&m, u, naming.name_of(v)).expect("active pair routes")
+    });
+    assert_repair_equals_rebuild(
+        &m,
+        SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap(),
+        &script,
+        8,
+        |s: &SimpleNameIndependent, u, v| {
+            s.route(&m, u, naming.name_of(v)).expect("active pair routes")
+        },
+    );
+}

@@ -149,9 +149,8 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
         let t = tree.tree();
         arena.push(t.len() as u64, widths.cnt);
         for u in 0..t.len() as u32 {
-            let v = t.node(u);
-            arena.push(v as u64, widths.node);
-            let pairs = tree.pairs_at(v);
+            arena.push(t.node(u) as u64, widths.node);
+            let pairs = tree.local_pairs(u);
             arena.push(pairs.len() as u64, widths.cnt);
             for (k, d) in pairs {
                 arena.push(*k, widths.key);
