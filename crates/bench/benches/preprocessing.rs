@@ -53,7 +53,7 @@ fn bench_search_trees(c: &mut Criterion) {
         let radius = s.rounds().radius(k);
         let config = SearchTreeConfig { eps_r: eps.mul_floor(radius).max(1), max_levels: None };
         for &y in s.underlying().nets().level(s.rounds().host_level(k)) {
-            let ball: Vec<NodeId> = m.ball(y, radius).iter().map(|&(_, x)| x).collect();
+            let ball = m.ball(y, radius);
             let pairs: Vec<(u64, u32)> = ball
                 .iter()
                 .map(|&v| (naming.name_of(v) as u64, s.underlying().label_of(v)))

@@ -26,14 +26,14 @@ fn bench_substrate(c: &mut Criterion) {
 
         let eps = Eps::one_over(8);
         let r = m.diameter() / 2;
-        let ball: Vec<u32> = m.ball(0, r).iter().map(|&(_, x)| x).collect();
+        let ball = m.ball(0, r);
         let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64, x)).collect();
         group.bench_with_input(BenchmarkId::new("search-tree-build", n), &n, |b, _| {
             b.iter(|| {
                 SearchTree::new(
                     &m,
                     0,
-                    &ball,
+                    ball,
                     SearchTreeConfig { eps_r: eps.mul_floor(r).max(1), max_levels: None },
                     pairs.clone(),
                 )
@@ -42,13 +42,13 @@ fn bench_substrate(c: &mut Criterion) {
         let st = SearchTree::new(
             &m,
             0,
-            &ball,
+            ball,
             SearchTreeConfig { eps_r: eps.mul_floor(r).max(1), max_levels: None },
             pairs.clone(),
         );
         group.bench_with_input(BenchmarkId::new("search-tree-lookup", n), &n, |b, _| {
             b.iter(|| {
-                for &x in &ball {
+                for &x in ball {
                     st.search(x as u64);
                 }
             })

@@ -165,15 +165,17 @@ impl<T: PlaneTables> LabeledPlane<T> {
         (arena, labels)
     }
 
-    /// Builds a plane from its arena alone: reads the shared header and
-    /// skips the optional name directory, then walks the scheme's rows
+    /// Builds a plane from its arena alone: trims the arena
+    /// ([`BitArena::trim`]), reads the shared header and skips the
+    /// optional name directory, then walks the scheme's rows
     /// ([`PlaneTables::decode`]).
     ///
     /// # Panics
     ///
     /// Panics if the layout reads past the end of `arena` or does not end
     /// exactly at it ([`BitCursor::finish`]).
-    pub fn decode(arena: BitArena) -> Self {
+    pub fn decode(mut arena: BitArena) -> Self {
+        arena.trim();
         let mut cur = BitCursor::new(&arena, 0);
         let (widths, cnt) = take_width_header(&mut cur);
         let n = cur.take(cnt) as usize;

@@ -90,7 +90,7 @@ pub fn affected_nodes(m: &MetricSpace, eps: Eps, i: usize, changed: &[NodeId]) -
     let r = ring_radius(m, eps, i);
     let mut out = vec![false; m.n()];
     for &y in changed {
-        for &(_, u) in m.ball(y, r) {
+        for &u in m.ball(y, r) {
             out[u as usize] = true;
         }
     }

@@ -216,10 +216,9 @@ impl ScaleFreeLabeled {
                     packing
                         .balls()
                         .iter()
-                        .enumerate()
-                        .map(|(k, ball)| {
+                        .zip(packing.voronoi_regions())
+                        .map(|(ball, region)| {
                             let c = ball.center;
-                            let region = packing.voronoi_region(k as u32);
                             // Shortest-path tree T_c(j): deterministic
                             // Dijkstra parents; regions are
                             // shortest-path-closed so parents stay inside.
@@ -249,22 +248,20 @@ impl ScaleFreeLabeled {
                     let packing = packings.at(j);
                     level_routers
                         .into_iter()
-                        .enumerate()
-                        .map(|(k, router)| {
-                            let c = packing.balls()[k].center;
-                            let region = packing.voronoi_region(k as u32);
+                        .zip(packing.balls().iter().zip(packing.voronoi_regions()))
+                        .map(|(router, (ball, region))| {
+                            let c = ball.center;
                             // Search tree II over B_c(r_c(j)), holding
                             // (l(v), l(v;c,j)) for active v ∈ V(c,j) ∩
                             // B_c(r_c(j+1)).
                             let r_j = m.r_small(c, j);
                             let r_j1 = m.r_small(c, (j + 1).min(log2_n));
-                            let tree_ball: Vec<NodeId> =
-                                m.ball(c, r_j).iter().map(|&(_, x)| x).collect();
+                            let tree_ball = m.ball(c, r_j);
                             let pairs = cell_pairs(m, &nets, &region, &router, c, r_j1);
                             let search = SearchTree::new(
                                 m,
                                 c,
-                                &tree_ball,
+                                tree_ball,
                                 SearchTreeConfig {
                                     eps_r: eps.mul_floor(r_j),
                                     max_levels: Some(log2_n.max(1)),
@@ -342,9 +339,9 @@ impl ScaleFreeLabeled {
         for (j, level_cells) in self.cells.iter_mut().enumerate() {
             let j = j as u32;
             let packing = self.packings.at(j);
-            for (k, cell) in level_cells.iter_mut().enumerate() {
-                let c = packing.balls()[k].center;
-                let region = packing.voronoi_region(k as u32);
+            let regions = packing.voronoi_regions();
+            for ((cell, ball), region) in level_cells.iter_mut().zip(packing.balls()).zip(regions) {
+                let c = ball.center;
                 let r_j1 = m.r_small(c, (j + 1).min(self.log2_n));
                 let pairs = cell_pairs(m, &self.nets, &region, &cell.router, c, r_j1);
                 cell.search.refresh_pairs(pairs);

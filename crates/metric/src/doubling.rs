@@ -33,7 +33,7 @@ pub struct DoublingEstimate {
 /// size of a `⌈r/2⌉`-packing of the ball — a valid lower bound on no cover
 /// and upper bound `2^{O(α)}`.
 pub fn greedy_half_cover(m: &MetricSpace, u: NodeId, r: Dist) -> usize {
-    let ball: Vec<NodeId> = m.ball(u, r).iter().map(|&(_, x)| x).collect();
+    let ball = m.ball(u, r);
     let half = r.div_ceil(2);
     let mut covered = vec![false; ball.len()];
     let mut count = 0;
@@ -60,7 +60,7 @@ pub fn greedy_half_cover(m: &MetricSpace, u: NodeId, r: Dist) -> usize {
 ///
 /// Panics if the ball has more than 20 nodes.
 pub fn exact_half_cover(m: &MetricSpace, u: NodeId, r: Dist) -> usize {
-    let ball: Vec<NodeId> = m.ball(u, r).iter().map(|&(_, x)| x).collect();
+    let ball = m.ball(u, r);
     let k = ball.len();
     assert!(k <= 20, "exact cover limited to 20-node balls (got {k})");
     if k == 0 {

@@ -481,7 +481,7 @@ fn repair_level(
         };
         for &y in seed_delta.added.iter().chain(seed_delta.removed.iter()) {
             push(y, &mut in_heap, &mut heap);
-            for &(_, w) in m.ball(y, rad) {
+            for &w in m.ball(y, rad) {
                 push(w, &mut in_heap, &mut heap);
             }
         }
@@ -490,7 +490,7 @@ fn repair_level(
         }
         for &v in &batch.leaves {
             if mem[v as usize] {
-                for &(_, w) in m.ball(v, rad) {
+                for &w in m.ball(v, rad) {
                     push(w, &mut in_heap, &mut heap);
                 }
             }
@@ -522,7 +522,7 @@ fn repair_level(
             break;
         }
         let mut blocked = false;
-        for &(_, y) in ball {
+        for &y in ball {
             let yi = y as usize;
             if y != v && mem[yi] && (seed_flag[yi] || y < v) {
                 blocked = true;
@@ -532,7 +532,7 @@ fn repair_level(
         let want = !blocked;
         if want != mem[vi] {
             mem[vi] = want;
-            for &(_, w) in ball {
+            for &w in ball {
                 let wi = w as usize;
                 if w > v && active[wi] && !seed_flag[wi] && !in_heap[wi] {
                     in_heap[wi] = true;

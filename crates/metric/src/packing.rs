@@ -76,11 +76,11 @@ impl BallPacking {
         let mut balls: Vec<PackedBall> = Vec::new();
         for &(radius, u) in &order {
             let members = m.nearest_set(u, j);
-            if members.iter().any(|&(_, x)| ball_of[x as usize].is_some()) {
+            if members.iter().any(|&x| ball_of[x as usize].is_some()) {
                 continue; // intersects an earlier (smaller-radius) ball
             }
             let idx = balls.len() as u32;
-            let nodes: Vec<NodeId> = members.iter().map(|&(_, x)| x).collect();
+            let nodes = members.to_vec();
             for &x in &nodes {
                 ball_of[x as usize] = Some(idx);
             }
@@ -138,14 +138,15 @@ impl BallPacking {
         &self.balls[self.voronoi[v as usize] as usize]
     }
 
-    /// The Voronoi region `V(c, j)` of the `k`-th ball: all nodes assigned
-    /// to it.
-    pub fn voronoi_region(&self, k: u32) -> Vec<NodeId> {
-        self.voronoi
-            .iter()
-            .enumerate()
-            .filter_map(|(v, &b)| (b == k).then_some(v as NodeId))
-            .collect()
+    /// Every Voronoi region `V(c, j)`, indexed like [`Self::balls`]: entry
+    /// `k` lists the nodes assigned to the `k`-th ball in ascending id
+    /// order. One pass over the assignment groups all regions.
+    pub fn voronoi_regions(&self) -> Vec<Vec<NodeId>> {
+        let mut regions = vec![Vec::new(); self.balls.len()];
+        for (v, &k) in self.voronoi.iter().enumerate() {
+            regions[k as usize].push(v as NodeId);
+        }
+        regions
     }
 
     /// The Lemma 2.3(2) witness for `u`: a packed ball `B` with center `c`
@@ -160,7 +161,7 @@ impl BallPacking {
             }
         }
         let mut best: Option<(Dist, NodeId, u32)> = None;
-        for &(_, x) in m.nearest_set(u, self.j) {
+        for &x in m.nearest_set(u, self.j) {
             if let Some(k) = self.ball_of[x as usize] {
                 let b = &self.balls[k as usize];
                 if best.is_none_or(|(br, bc, _)| (b.radius, b.center) < (br, bc)) {
@@ -264,8 +265,7 @@ mod tests {
         for j in 0..=m.log2_n() {
             let p = BallPacking::new(&m, j);
             for u in 0..m.n() as NodeId {
-                let intersects =
-                    m.nearest_set(u, j).iter().any(|&(_, x)| p.ball_index_of(x).is_some());
+                let intersects = m.nearest_set(u, j).iter().any(|&x| p.ball_index_of(x).is_some());
                 assert!(intersects, "maximality violated at j={j}, u={u}");
             }
         }
@@ -303,9 +303,13 @@ mod tests {
         let g = gen::random_geometric(45, 250, 23);
         let m = MetricSpace::new(&g);
         let p = BallPacking::new(&m, 2);
+        let regions = p.voronoi_regions();
+        assert_eq!(regions.len(), p.balls().len());
         let mut seen = vec![false; m.n()];
-        for k in 0..p.balls().len() as u32 {
-            for v in p.voronoi_region(k) {
+        for (k, region) in regions.iter().enumerate() {
+            assert!(region.windows(2).all(|w| w[0] < w[1]), "region {k} not id-sorted");
+            for &v in region {
+                assert_eq!(p.voronoi_index(v), k as u32);
                 assert!(!seen[v as usize]);
                 seen[v as usize] = true;
             }

@@ -1,7 +1,7 @@
 //! The shortest-path metric space of a graph, with exact ball queries.
 //!
 //! [`MetricSpace`] packages the all-pairs distance oracle together with the
-//! per-node sorted distance rows that the paper's structures need:
+//! per-node sorted rows that the paper's structures need:
 //!
 //! * **Balls** `B_u(r) = {x : d(u, x) ≤ r}` (Section 2);
 //! * **Size-`2^j` radii** `r_u(j)`, the radius of the smallest ball around
@@ -12,6 +12,12 @@
 //!   distance to 1.
 //!
 //! Ties everywhere are broken by `(distance, least node id)`.
+//!
+//! A sorted row holds node ids only: every distance already sits in the
+//! APSP matrix, so a caller that needs `d(u, x)` beside the row reads
+//! [`Apsp::row`] (or [`MetricSpace::dist`]). The whole metric is `16·n²`
+//! bytes: 8 for each distance, 4 for each shortest-path parent and 4 for
+//! each sorted-row entry.
 
 use std::sync::Arc;
 
@@ -26,7 +32,7 @@ use crate::shortest_paths::Apsp;
 /// building one from a shared graph with [`MetricSpace::from_shared`])
 /// never duplicates the adjacency lists, and an `Arc<MetricSpace>` can be
 /// handed to every routing-scheme constructor without rebuilding the
-/// `Θ(n²)` tables.
+/// `Θ(n²)` tables (`16·n²` bytes; see the module docs).
 ///
 /// # Examples
 ///
@@ -43,9 +49,9 @@ pub struct MetricSpace {
     graph: Arc<Graph>,
     apsp: Apsp,
     /// All `n` sorted rows in one contiguous allocation: row `u` occupies
-    /// `sorted[u*n..(u+1)*n]` and holds every `(d(u, x), x)` sorted
-    /// ascending (self first with d = 0).
-    sorted: Vec<(Dist, NodeId)>,
+    /// `sorted[u*n..(u+1)*n]` and holds every node `x` in ascending
+    /// `(d(u, x), x)` order (self first). Distances live in `apsp` only.
+    sorted: Vec<NodeId>,
     min_dist: Dist,
     diameter: Dist,
     num_scales: usize,
@@ -86,22 +92,25 @@ impl MetricSpace {
         let n = graph.node_count();
         let (apsp, apsp_profile) = Apsp::new_profiled(&graph, threads);
 
-        let mut sorted = vec![(0 as Dist, 0 as NodeId); n * n];
+        let mut sorted = vec![0 as NodeId; n * n];
         let mut unused: Vec<()> = Vec::new();
         let apsp_ref = &apsp;
         let rows_profile =
             run_rows(n, n, threads, &mut sorted, &mut unused, |source, local, chunk, _| {
                 let row = &mut chunk[local * n..(local + 1) * n];
-                for (v, &d) in apsp_ref.row(source as NodeId).iter().enumerate() {
-                    row[v] = (d, v as NodeId);
+                let dist = apsp_ref.row(source as NodeId);
+                for (v, x) in row.iter_mut().enumerate() {
+                    *x = v as NodeId;
                 }
-                row.sort_unstable();
+                // A stable sort by distance keeps equal distances in the
+                // ascending id order the row starts in: `(d(u, x), x)`.
+                row.sort_by_key(|&x| dist[x as usize]);
             });
         // Each row is sorted ascending, so its last entry is that source's
-        // eccentricity; the diameter is the max over sources.
+        // farthest node; the diameter is the max eccentricity over sources.
         let mut diameter: Dist = 0;
         for u in 0..n {
-            diameter = diameter.max(sorted[(u + 1) * n - 1].0);
+            diameter = diameter.max(apsp.dist(u as NodeId, sorted[(u + 1) * n - 1]));
         }
 
         // The minimum pairwise distance equals the minimum edge weight.
@@ -188,9 +197,10 @@ impl MetricSpace {
         self.min_dist.checked_shl(i as u32).expect("scale overflow")
     }
 
-    /// Sorted row of `(d(u, x), x)` pairs, ascending by `(distance, id)`.
+    /// Every node, ascending by `(d(u, x), x)` (so `u` first). The
+    /// distances are `apsp().row(u)`, indexed by node.
     #[inline]
-    pub fn sorted_row(&self, u: NodeId) -> &[(Dist, NodeId)] {
+    pub fn sorted_row(&self, u: NodeId) -> &[NodeId] {
         let n = self.n();
         &self.sorted[u as usize * n..(u as usize + 1) * n]
     }
@@ -201,22 +211,22 @@ impl MetricSpace {
     #[inline]
     pub fn r_small(&self, u: NodeId, j: u32) -> Dist {
         let size = (1usize << j.min(62)).min(self.n());
-        self.sorted_row(u)[size - 1].0
+        self.dist(u, self.sorted_row(u)[size - 1])
     }
 
     /// The `min(2^j, n)` nodes nearest to `u` (by `(distance, id)`), i.e. the
     /// canonical size-`2^j` ball used by the packing construction.
     #[inline]
-    pub fn nearest_set(&self, u: NodeId, j: u32) -> &[(Dist, NodeId)] {
+    pub fn nearest_set(&self, u: NodeId, j: u32) -> &[NodeId] {
         let size = (1usize << j.min(62)).min(self.n());
         &self.sorted_row(u)[..size]
     }
 
     /// All nodes within distance `r` of `u` (the ball `B_u(r)`), in
     /// `(distance, id)` order.
-    pub fn ball(&self, u: NodeId, r: Dist) -> &[(Dist, NodeId)] {
-        let row = self.sorted_row(u);
-        let end = row.partition_point(|&(d, _)| d <= r);
+    pub fn ball(&self, u: NodeId, r: Dist) -> &[NodeId] {
+        let (row, dist) = (self.sorted_row(u), self.apsp.row(u));
+        let end = row.partition_point(|&x| dist[x as usize] <= r);
         &row[..end]
     }
 
@@ -269,7 +279,7 @@ mod tests {
         let g = gen::grid(3, 3);
         let m = MetricSpace::new(&g);
         for u in 0..9 {
-            assert_eq!(m.sorted_row(u)[0], (0, u));
+            assert_eq!(m.sorted_row(u)[0], u);
         }
     }
 
@@ -279,7 +289,7 @@ mod tests {
         let m = MetricSpace::new(&g);
         for u in 0..25u32 {
             for r in 0..8u64 {
-                let ball: Vec<NodeId> = m.ball(u, r).iter().map(|&(_, x)| x).collect();
+                let ball = m.ball(u, r);
                 for v in 0..25u32 {
                     assert_eq!(ball.contains(&v), m.dist(u, v) <= r);
                 }
@@ -306,7 +316,7 @@ mod tests {
                             // a smaller radius must cut below 2^j *in sorted
                             // (dist,id) order*; ball_size counts by distance only
                             // and may exceed due to equal distances.
-                            m.sorted_row(u)[(1usize << j).min(m.n()) - 1].0 == r
+                            m.dist(u, m.sorted_row(u)[(1usize << j).min(m.n()) - 1]) == r
                         }
                     );
                 }

@@ -1,19 +1,25 @@
 //! Property-based tests of the metric substrate: exact rational ε
-//! arithmetic, shortest-path metric axioms, and ball/radius consistency
-//! on random graphs.
+//! arithmetic, shortest-path metric axioms, sorted-row order, and
+//! ball/radius consistency on random graphs.
 
 use proptest::prelude::*;
 
 use doubling_metric::eps::Eps;
-use doubling_metric::graph::{Graph, GraphBuilder};
+use doubling_metric::graph::{Graph, GraphBuilder, NodeId};
 use doubling_metric::space::MetricSpace;
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
-    (2usize..=max_n).prop_flat_map(|n| {
+    arb_weighted_graph(max_n, 50)
+}
+
+/// A random connected graph on up to `max_n` nodes with edge weights in
+/// `1..max_w`; a small `max_w` makes distance ties common.
+fn arb_weighted_graph(max_n: usize, max_w: u64) -> impl Strategy<Value = Graph> {
+    (2usize..=max_n).prop_flat_map(move |n| {
         (
             Just(n),
-            proptest::collection::vec((0usize..usize::MAX, 1u64..50), n - 1),
-            proptest::collection::vec((0u32..n as u32, 0u32..n as u32, 1u64..50), 0..n),
+            proptest::collection::vec((0usize..usize::MAX, 1u64..max_w), n - 1),
+            proptest::collection::vec((0u32..n as u32, 0u32..n as u32, 1u64..max_w), 0..n),
         )
             .prop_map(|(n, tree, extra)| {
                 let mut b = GraphBuilder::new(n);
@@ -71,6 +77,43 @@ proptest! {
                 for w in 0..n {
                     prop_assert!(m.dist(u, w) <= m.dist(u, v) + m.dist(v, w));
                 }
+            }
+        }
+    }
+
+    /// Every sorted row is a permutation of the nodes in `(d(u, x), x)`
+    /// order; a ball is the row's prefix within its radius, and
+    /// `nearest_set` / `r_small` read the same prefix. The id tie-break is
+    /// what keeps the search trees built from these rows byte-identical.
+    #[test]
+    fn sorted_rows_order_balls_and_nearest_sets(
+        g in (2u64..=50).prop_flat_map(|max_w| arb_weighted_graph(24, max_w)),
+    ) {
+        let m = MetricSpace::new(&g);
+        let n = m.n();
+        for u in 0..n as NodeId {
+            let row = m.sorted_row(u);
+            let key = |x: NodeId| (m.dist(u, x), x);
+            let mut ids = row.to_vec();
+            ids.sort_unstable();
+            prop_assert_eq!(ids, (0..n as NodeId).collect::<Vec<_>>());
+            prop_assert!(row.windows(2).all(|w| key(w[0]) < key(w[1])), "row {} out of order", u);
+            prop_assert_eq!(row.first(), Some(&u));
+
+            let radii = row.iter().flat_map(|&x| {
+                let d = m.dist(u, x);
+                [d.saturating_sub(1), d, d + 1]
+            });
+            for r in radii {
+                let within = row.iter().take_while(|&&x| m.dist(u, x) <= r).count();
+                prop_assert_eq!(m.ball(u, r), &row[..within], "ball({}, {})", u, r);
+                prop_assert_eq!(m.ball_size(u, r), within);
+                prop_assert!(row[within..].iter().all(|&x| m.dist(u, x) > r));
+            }
+            for j in 0..=m.log2_n() + 1 {
+                let size = (1usize << j).min(n);
+                prop_assert_eq!(m.nearest_set(u, j), &row[..size]);
+                prop_assert_eq!(m.r_small(u, j), m.dist(u, row[size - 1]));
             }
         }
     }

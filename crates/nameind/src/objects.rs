@@ -88,7 +88,7 @@ impl<'s> ObjectDirectory<'s> {
             let radius = rounds.radius(k);
             let mut level = Vec::new();
             for &y in nets.level(rounds.host_level(k)) {
-                let ball: Vec<NodeId> = m.ball(y, radius).iter().map(|&(_, x)| x).collect();
+                let ball = m.ball(y, radius);
                 // Pairs: every replica hosted inside this ball.
                 let pairs: Vec<(u64, Label)> = placements
                     .iter()
@@ -100,7 +100,7 @@ impl<'s> ObjectDirectory<'s> {
                 level.push(SearchTree::new(
                     m,
                     y,
-                    &ball,
+                    ball,
                     SearchTreeConfig { eps_r: eps.mul_floor(radius).max(1), max_levels: None },
                     pairs,
                 ));

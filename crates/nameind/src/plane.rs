@@ -180,14 +180,15 @@ impl<L: NiUnderlying> NiPlane<L> {
         arena
     }
 
-    /// Builds the NI layer from its own arena alone, over the decoded
-    /// `underlying` plane.
+    /// Builds the NI layer from its own arena alone (trimmed, as
+    /// [`BitArena::trim`]), over the decoded `underlying` plane.
     ///
     /// # Panics
     ///
     /// Panics if the layout reads past the end of `arena` or does not end
     /// exactly at it ([`BitCursor::finish`]).
-    pub fn decode(arena: BitArena, underlying: L) -> Self {
+    pub fn decode(mut arena: BitArena, underlying: L) -> Self {
+        arena.trim();
         let mut cur = BitCursor::new(&arena, 0);
         let (widths, cnt) = take_width_header(&mut cur);
         let node = widths.node;

@@ -67,12 +67,8 @@ fn btree_pairs(
     if !underlying.nets().is_active(c) {
         return Vec::new();
     }
-    let nodes: Vec<NodeId> = m
-        .ball(c, r_big)
-        .iter()
-        .map(|&(_, v)| v)
-        .filter(|&v| underlying.nets().is_active(v))
-        .collect();
+    let nodes: Vec<NodeId> =
+        m.ball(c, r_big).iter().copied().filter(|&v| underlying.nets().is_active(v)).collect();
     pairs_for(naming, underlying, &nodes)
 }
 
@@ -109,12 +105,8 @@ fn build_own_tree(
     y: NodeId,
     rho: Dist,
 ) -> SearchTree<Label> {
-    let ball: Vec<NodeId> = m
-        .ball(y, rho)
-        .iter()
-        .map(|&(_, x)| x)
-        .filter(|&x| underlying.nets().is_active(x))
-        .collect();
+    let ball: Vec<NodeId> =
+        m.ball(y, rho).iter().copied().filter(|&x| underlying.nets().is_active(x)).collect();
     let pairs = pairs_for(naming, underlying, &ball);
     SearchTree::new(
         m,

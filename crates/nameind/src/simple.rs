@@ -54,12 +54,8 @@ fn build_tree(
     y: NodeId,
     radius: doubling_metric::graph::Dist,
 ) -> SearchTree<Label> {
-    let ball: Vec<NodeId> = m
-        .ball(y, radius)
-        .iter()
-        .map(|&(_, x)| x)
-        .filter(|&x| underlying.nets().is_active(x))
-        .collect();
+    let ball: Vec<NodeId> =
+        m.ball(y, radius).iter().copied().filter(|&x| underlying.nets().is_active(x)).collect();
     let pairs = tree_pairs(naming, underlying, &ball);
     SearchTree::new(
         m,

@@ -24,6 +24,10 @@
 //!   counts, tags, flags and the fields the index keeps, skips every
 //!   fixed-size run, and must end exactly at the arena's end
 //!   ([`BitCursor::finish`]).
+//! * A decoded plane retains its arena's words and its offset index and
+//!   nothing else: decode trims the arena ([`BitArena::trim`]) of the
+//!   capacity encoding grew it by, and search-tree records are indexed
+//!   by 32-bit offsets relative to their tree.
 //! * Planes are immutable after compilation and are stamped with the
 //!   [`crate::maintain::Maintainer`] epoch they were compiled at; serving
 //!   a stale plane after churn is a structured error
@@ -86,6 +90,20 @@ impl BitArena {
     /// Total packed size in bytes (rounded up to whole words).
     pub fn size_bytes(&self) -> u64 {
         self.words.len() as u64 * 8
+    }
+
+    /// Drops the spare capacity [`Self::push`] grew the words by, so the
+    /// arena retains [`Self::size_bytes`]. The words and the length are
+    /// unchanged.
+    ///
+    /// The words move to an exact-size allocation instead of shrinking in
+    /// place: a multi-MiB block shrunk in place keeps the allocator handing
+    /// the next compile's growth fresh pages from the OS, which made plane
+    /// recompiles under churn about 10% slower than the copy.
+    pub fn trim(&mut self) {
+        if self.words.capacity() > self.words.len() {
+            self.words = self.words.to_vec();
+        }
     }
 
     /// Appends `value` as a `width`-bit field.

@@ -199,7 +199,7 @@ impl<D> SearchWalk<D> {
 /// use searchtree::{SearchTree, SearchTreeConfig};
 ///
 /// let m = MetricSpace::new(&gen::grid(5, 5));
-/// let ball: Vec<u32> = m.ball(12, 3).iter().map(|&(_, x)| x).collect();
+/// let ball = m.ball(12, 3);
 /// let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64, x)).collect();
 /// let st = SearchTree::new(
 ///     &m,
@@ -719,15 +719,15 @@ impl Scratch {
             // it has read more entries than the net has points.
             for &x in &remaining {
                 let covered = rho > m.min_dist() && {
-                    let net = &by_level[lo..];
+                    let (net, dist) = (&by_level[lo..], m.apsp().row(x));
                     match m
                         .sorted_row(x)
                         .iter()
                         .take(net.len() + 1)
-                        .find(|&&(d, y)| d >= rho || self.level[y as usize] == i)
+                        .find(|&&y| dist[y as usize] >= rho || self.level[y as usize] == i)
                     {
-                        Some(&(d, _)) => d < rho,
-                        None => net.iter().any(|&y| m.dist(x, y) < rho),
+                        Some(&y) => dist[y as usize] < rho,
+                        None => net.iter().any(|&y| dist[y as usize] < rho),
                     }
                 };
                 if covered {
@@ -817,12 +817,15 @@ impl Scratch {
     /// `|set|` row entries and falls back to a plain scan of `set`, so a
     /// miss adds at most `|set|` probes to the plain scan.
     fn nearest(&self, m: &MetricSpace, v: NodeId, lv: u32, set: &[NodeId]) -> (Dist, NodeId) {
+        let dist = m.apsp().row(v);
         m.sorted_row(v)
             .iter()
             .take(set.len())
-            .find(|&&(_, y)| self.level[y as usize] == lv)
-            .copied()
-            .unwrap_or_else(|| set.iter().map(|&y| (m.dist(v, y), y)).min().expect("set nonempty"))
+            .find(|&&y| self.level[y as usize] == lv)
+            .map(|&y| (dist[y as usize], y))
+            .unwrap_or_else(|| {
+                set.iter().map(|&y| (dist[y as usize], y)).min().expect("set nonempty")
+            })
     }
 }
 
@@ -832,7 +835,7 @@ mod tests {
     use doubling_metric::{gen, Eps, MetricSpace};
 
     fn ball_of(m: &MetricSpace, c: NodeId, r: Dist) -> Vec<NodeId> {
-        m.ball(c, r).iter().map(|&(_, x)| x).collect()
+        m.ball(c, r).to_vec()
     }
 
     fn make(m: &MetricSpace, c: NodeId, r: Dist, eps: Eps, cap: Option<u32>) -> SearchTree<u32> {

@@ -27,9 +27,10 @@
 //!
 //! [`PackedSearchTree::encode`] only writes the fields. Records are
 //! variable-size, so [`PackedSearchTree::decode`] walks them once from the
-//! arena alone and keeps per-local bit offsets for O(1) addressing. It
-//! reads only the counts, light-trail lengths and `has_range` flags, and
-//! skips node ids, keys, payloads and child indices.
+//! arena alone and keeps per-local bit offsets for O(1) addressing: one
+//! absolute base per tree and a 32-bit offset per record relative to it.
+//! It reads only the counts, light-trail lengths and `has_range` flags,
+//! and skips node ids, keys, payloads and child indices.
 
 use doubling_metric::graph::NodeId;
 use netsim::plane::{BitArena, BitCursor};
@@ -133,8 +134,10 @@ pub struct PackedTreeWidths {
 pub struct PackedSearchTree<C: PayloadCodec> {
     codec: C,
     widths: PackedTreeWidths,
-    /// Absolute bit offset of each local's record.
-    local_off: Vec<u64>,
+    /// Absolute bit offset of the tree's first record.
+    base: u64,
+    /// Bit offset of each local's record, relative to `base`.
+    local_off: Vec<u32>,
 }
 
 impl<C: PayloadCodec> PackedSearchTree<C> {
@@ -174,11 +177,17 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
 
     /// Walks one packed tree starting at the cursor and builds its offset
     /// index, leaving the cursor just past the tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree's records span `2^32` bits or more: the index
+    /// keeps 32-bit relative offsets.
     pub fn decode(cur: &mut BitCursor<'_>, codec: C, widths: PackedTreeWidths) -> Self {
         let len = cur.take(widths.cnt);
+        let base = cur.pos();
         let mut local_off = Vec::with_capacity(len as usize);
         for _ in 0..len {
-            local_off.push(cur.pos());
+            local_off.push((cur.pos() - base) as u32);
             cur.skip(widths.node);
             for _ in 0..cur.take(widths.cnt) {
                 cur.skip(widths.key);
@@ -191,7 +200,14 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
                 }
             }
         }
-        PackedSearchTree { codec, widths, local_off }
+        assert!(cur.pos() - base < 1 << 32, "packed search tree spans 2^32 bits or more");
+        PackedSearchTree { codec, widths, base, local_off }
+    }
+
+    /// Absolute bit offset of `local`'s record.
+    #[inline]
+    fn record(&self, local: u32) -> u64 {
+        self.base + self.local_off[local as usize] as u64
     }
 
     /// The read-only record view of this tree inside `arena`.
@@ -219,12 +235,12 @@ impl<C: PayloadCodec> TreeScan for PackedTreeView<'_, C> {
 
     #[inline]
     fn node_of(&self, local: u32) -> NodeId {
-        self.arena.read(self.tree.local_off[local as usize], self.tree.widths.node) as NodeId
+        self.arena.read(self.tree.record(local), self.tree.widths.node) as NodeId
     }
 
     fn scan(&self, local: u32, key: u64) -> NodeScan<C::Item> {
         let w = &self.tree.widths;
-        let mut cur = BitCursor::new(self.arena, self.tree.local_off[local as usize] + w.node);
+        let mut cur = BitCursor::new(self.arena, self.tree.record(local) + w.node);
         let npairs = cur.take(w.cnt);
         for _ in 0..npairs {
             if cur.take(w.key) == key {
@@ -271,9 +287,9 @@ mod tests {
     }
 
     fn sample_tree(m: &MetricSpace) -> SearchTree<u32> {
-        let ball: Vec<NodeId> = m.ball(12, 6).iter().map(|&(_, x)| x).collect();
+        let ball = m.ball(12, 6);
         let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64, x)).collect();
-        SearchTree::new(m, 12, &ball, SearchTreeConfig { eps_r: 1, max_levels: None }, pairs)
+        SearchTree::new(m, 12, ball, SearchTreeConfig { eps_r: 1, max_levels: None }, pairs)
     }
 
     #[test]
@@ -290,7 +306,7 @@ mod tests {
         // PortLabel payloads of varying light-trail lengths, three per
         // node of a multi-level tree: scans skip the payloads they pass,
         // within a node and before its child ranges, and decode only the hit.
-        let ball: Vec<NodeId> = m.ball(12, 6).iter().map(|&(_, x)| x).collect();
+        let ball = m.ball(12, 6);
         let pairs: Vec<(u64, PortLabel)> = (0..3 * ball.len() as u32)
             .map(|k| {
                 let lights = (0..k % 4).map(|i| ((k + i) % 32, i % 8)).collect();
@@ -298,7 +314,7 @@ mod tests {
             })
             .collect();
         let config = SearchTreeConfig { eps_r: 4, max_levels: None };
-        let st = SearchTree::new(&m, 12, &ball, config, pairs);
+        let st = SearchTree::new(&m, 12, ball, config, pairs);
         assert!(st.levels() > 1, "the descent must pass interior nodes");
         let codec = PortLabelCodec { node: 5, port: 3, cnt: 3 };
         let widths = PackedTreeWidths { key: 7, cnt: 6, node: 5 };
@@ -312,7 +328,7 @@ mod tests {
         // last one exercise the scan's early exit.
         let pairs: Vec<(u64, u32)> =
             (0..ball.len() as u32 / 3).map(|i| (10 * i as u64 + 5, i)).collect();
-        let st = SearchTree::new(&m, 12, &ball, config, pairs.clone());
+        let st = SearchTree::new(&m, 12, ball, config, pairs.clone());
         let t = st.tree();
         let ranged =
             |u: u32| t.children(u).iter().filter(|&&c| st.subtree_range_of(c).is_some()).count();

@@ -237,7 +237,7 @@ proptest! {
         let ball: Vec<NodeId> = m
             .ball(center, radius)
             .iter()
-            .map(|&(_, x)| x)
+            .copied()
             .filter(|&x| x == center || rng.gen_range(0u64..100) < keep_pct)
             .collect();
         let eps = if eps_inv == 1 { Eps::new(3, 4).unwrap() } else { Eps::one_over(eps_inv) };

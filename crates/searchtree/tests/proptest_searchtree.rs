@@ -43,13 +43,13 @@ proptest! {
     ) {
         let m = MetricSpace::new(&g);
         let center = center_raw % m.n() as u32;
-        let ball: Vec<u32> = m.ball(center, radius).iter().map(|&(_, x)| x).collect();
+        let ball = m.ball(center, radius);
         let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64 * 3 + 1, x)).collect();
         let eps = Eps::one_over(inv);
         let st = SearchTree::new(
             &m,
             center,
-            &ball,
+            ball,
             SearchTreeConfig { eps_r: eps.mul_floor(radius).max(1), max_levels: cap },
             pairs.clone(),
         );
@@ -76,12 +76,12 @@ proptest! {
         let m = MetricSpace::new(&g);
         let center = center_raw % m.n() as u32;
         let radius = m.diameter();
-        let ball: Vec<u32> = m.ball(center, radius).iter().map(|&(_, x)| x).collect();
+        let ball = m.ball(center, radius);
         let eps = Eps::one_over(inv);
         let st = SearchTree::new(
             &m,
             center,
-            &ball,
+            ball,
             SearchTreeConfig { eps_r: eps.mul_floor(radius).max(1), max_levels: None },
             Vec::<(u64, u32)>::new(),
         );
@@ -119,11 +119,11 @@ proptest! {
         let m = MetricSpace::new(&g);
         let center = center_raw % m.n() as u32;
         let radius = m.diameter();
-        let ball: Vec<u32> = m.ball(center, radius).iter().map(|&(_, x)| x).collect();
+        let ball = m.ball(center, radius);
         let st = SearchTree::new(
             &m,
             center,
-            &ball,
+            ball,
             SearchTreeConfig { eps_r: (radius / 2).max(1), max_levels: None },
             Vec::<(u64, u32)>::new(),
         );
