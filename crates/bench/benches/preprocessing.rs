@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use doubling_metric::graph::NodeId;
-use doubling_metric::nets::{ChurnBatch, NetRepairBudget};
+use doubling_metric::nets::ChurnBatch;
 use doubling_metric::{gen, Eps, MetricSpace};
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
@@ -95,13 +95,12 @@ fn bench_churn_repair(c: &mut Criterion) {
     let leaving: Vec<NodeId> = vec![61, 212, 347, 498];
     let batches =
         [ChurnBatch::new(Vec::new(), leaving.clone()), ChurnBatch::new(leaving, Vec::new())];
-    let budget = NetRepairBudget::unbounded();
     group.bench_with_input(BenchmarkId::new("churn-repair", n), &batches, |b, batches| {
         b.iter(|| {
             let mut rings = 0;
             for s in schemes.iter_mut() {
                 for batch in batches {
-                    rings += s.repair(&m, batch, &budget).rings_rebuilt;
+                    rings += s.repair(&m, batch).rings_rebuilt;
                 }
             }
             rings

@@ -32,7 +32,7 @@
 use std::time::Instant;
 
 use doubling_metric::graph::NodeId;
-use doubling_metric::nets::{ChurnBatch, NetHierarchy, NetRepairBudget};
+use doubling_metric::nets::{ChurnBatch, NetHierarchy};
 use doubling_metric::{gen, Eps, MetricSpace};
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
@@ -222,12 +222,7 @@ fn run_cell<S: Maintainable + Clone + PartialEq>(
     };
     for (i, batch) in schedule.iter().enumerate() {
         out.updates += batch.len();
-        for &v in &batch.leaves {
-            active[v as usize] = false;
-        }
-        for &v in &batch.joins {
-            active[v as usize] = true;
-        }
+        batch.apply(&mut active);
         let ids: Vec<NodeId> = (0..m.n() as NodeId).filter(|&v| active[v as usize]).collect();
         // Audit pairs sampled over the *post-batch* active set.
         let pairs: Vec<(NodeId, NodeId)> =
@@ -328,13 +323,9 @@ fn run_adversarial(
     let nets = NetHierarchy::new(m);
     let per_batch = (m.n() / 16).max(2);
     let schedule = churn_schedule(m, Some(&nets), 2, per_batch, seed);
-    let config = MaintainerConfig {
-        budget: NetRepairBudget::unbounded(),
-        // Net-center churn rebuilds far more than 2% of the structures, so
-        // the blast rung must trip and degrade to a whole-scheme rebuild.
-        max_blast_fraction: 0.02,
-        ..Default::default()
-    };
+    // Net-center churn rebuilds far more than 2% of the structures, so the
+    // blast rung must trip and degrade to a whole-scheme rebuild.
+    let config = MaintainerConfig { max_blast_fraction: 0.02 };
     let scheme = NetLabeled::new(m, eps).expect("eps within range");
     let cell = run_cell(
         m,
@@ -550,12 +541,7 @@ mod tests {
         for b in &batches {
             b.validate(&active).expect("schedule batches are valid in order");
             left_total += b.leaves.len();
-            for &v in &b.leaves {
-                active[v as usize] = false;
-            }
-            for &v in &b.joins {
-                active[v as usize] = true;
-            }
+            b.apply(&mut active);
         }
         assert_eq!(left_total, 12);
         assert!(active.iter().all(|&a| a), "every leaver rejoins");

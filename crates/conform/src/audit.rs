@@ -589,11 +589,11 @@ mod tests {
 
     #[test]
     fn spot_audit_passes_on_healthy_overlay_tables() {
-        use doubling_metric::nets::{ChurnBatch, NetRepairBudget};
+        use doubling_metric::nets::ChurnBatch;
         use netsim::stats::sample_pairs;
         let m = MetricSpace::new(&gen::grid(6, 6));
         let mut s = NetLabeled::new(&m, Eps::one_over(8)).unwrap();
-        s.repair(&m, &ChurnBatch::new(vec![], vec![4, 17]), &NetRepairBudget::unbounded());
+        s.repair(&m, &ChurnBatch::new(vec![], vec![4, 17]));
         // Sampled pairs restricted to the active overlay.
         let pairs: Vec<_> = sample_pairs(m.n(), 80, 3)
             .into_iter()

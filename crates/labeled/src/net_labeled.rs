@@ -22,7 +22,7 @@
 //! `⌈log n⌉` bits and headers carry just the destination label.
 
 use doubling_metric::graph::NodeId;
-use doubling_metric::nets::{ChurnBatch, NetHierarchy, NetRepair, NetRepairBudget};
+use doubling_metric::nets::{ChurnBatch, NetHierarchy};
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 
@@ -135,22 +135,17 @@ impl NetLabeled {
     /// # Panics
     ///
     /// Panics if the batch is invalid against the current active set.
-    pub fn repair(
-        &mut self,
-        m: &MetricSpace,
-        batch: &ChurnBatch,
-        budget: &NetRepairBudget,
-    ) -> (NetRepair, RingRepair) {
-        let rep = self.nets.apply_churn(m, batch, budget);
+    pub fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> RingRepair {
+        let deltas = self.nets.apply_churn(m, batch);
         let mut rr = RingRepair::default();
-        for i in 0..self.num_levels {
-            let changed = rep.deltas[i].changed();
+        for (i, delta) in deltas.iter().enumerate() {
+            let changed = delta.changed();
             let affected = (!changed.is_empty()).then(|| affected_nodes(m, self.eps, i, &changed));
             let ranges = level_ranges(&self.nets, m.n(), i);
             for u in 0..m.n() {
                 let ring = &mut self.rings[u][i];
                 if affected.as_ref().is_some_and(|a| a[u]) {
-                    patch_ring(ring, m, &ranges, self.eps, u as NodeId, i, &rep.deltas[i]);
+                    patch_ring(ring, m, &ranges, self.eps, u as NodeId, i, delta);
                     rr.rebuilt += 1;
                 } else {
                     refresh_ring_ranges(ring, &ranges);
@@ -158,7 +153,7 @@ impl NetLabeled {
                 }
             }
         }
-        (rep, rr)
+        rr
     }
 
     /// The `ε` the scheme was built with.
@@ -297,16 +292,10 @@ impl netsim::maintain::Maintainable for NetLabeled {
         self.nets.active_nodes().to_vec()
     }
 
-    fn repair(
-        &mut self,
-        m: &MetricSpace,
-        batch: &ChurnBatch,
-        budget: &NetRepairBudget,
-    ) -> netsim::maintain::RepairStats {
+    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> netsim::maintain::RepairStats {
         // Inherent `repair` takes precedence over the trait method here.
-        let (net, rr) = self.repair(m, batch, budget);
+        let rr = self.repair(m, batch);
         netsim::maintain::RepairStats {
-            net,
             rings_rebuilt: rr.rebuilt,
             rings_refreshed: rr.refreshed,
             ..Default::default()
@@ -438,9 +427,7 @@ mod tests {
             doubling_metric::nets::ChurnBatch::new(vec![7], vec![0, 35]),
             doubling_metric::nets::ChurnBatch::new(vec![0, 20], vec![1]),
         ] {
-            let (rep, rr) =
-                s.repair(&m, &batch, &doubling_metric::nets::NetRepairBudget::unbounded());
-            assert_eq!(rep.deltas.len(), s.num_levels());
+            let rr = s.repair(&m, &batch);
             assert!(rr.rebuilt + rr.refreshed > 0);
             active.retain(|v| batch.leaves.binary_search(v).is_err());
             active.extend(&batch.joins);

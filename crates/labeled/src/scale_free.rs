@@ -27,7 +27,7 @@
 use std::borrow::Cow;
 
 use doubling_metric::graph::{Dist, NodeId};
-use doubling_metric::nets::{ChurnBatch, NetHierarchy, NetRepair, NetRepairBudget};
+use doubling_metric::nets::{ChurnBatch, NetHierarchy};
 use doubling_metric::packing::Packings;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
@@ -290,19 +290,14 @@ impl ScaleFreeLabeled {
     /// cell's `(label, local-label)` pair set over its **unchanged**
     /// physical skeleton, and re-prices the per-node search shares. The
     /// repaired scheme is **identical** to [`Self::new_over`] on the
-    /// post-churn active set. Returns the net repair report, ring counters,
-    /// and the number of cell pair sets refreshed.
+    /// post-churn active set. Returns the ring counters and the number of
+    /// cell pair sets refreshed.
     ///
     /// # Panics
     ///
     /// Panics if the batch is invalid against the current active set.
-    pub fn repair(
-        &mut self,
-        m: &MetricSpace,
-        batch: &ChurnBatch,
-        budget: &NetRepairBudget,
-    ) -> (NetRepair, RingRepair, u64) {
-        let rep = self.nets.apply_churn(m, batch, budget);
+    pub fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> (RingRepair, u64) {
+        let deltas = self.nets.apply_churn(m, batch);
 
         // Rings: stored levels only. Lazily compute per-level blast zones
         // and range tables.
@@ -315,7 +310,7 @@ impl ScaleFreeLabeled {
             for (i, ring) in self.rings[u].iter_mut() {
                 let i = *i as usize;
                 let zone = zones[i].get_or_insert_with(|| {
-                    let changed = rep.deltas[i].changed();
+                    let changed = deltas[i].changed();
                     if changed.is_empty() {
                         vec![false; m.n()]
                     } else {
@@ -324,7 +319,7 @@ impl ScaleFreeLabeled {
                 });
                 let ranges = tables[i].get_or_insert_with(|| level_ranges(nets, m.n(), i));
                 if zone[u] {
-                    patch_ring(ring, m, ranges, eps, u as NodeId, i, &rep.deltas[i]);
+                    patch_ring(ring, m, ranges, eps, u as NodeId, i, &deltas[i]);
                     rr.rebuilt += 1;
                 } else {
                     refresh_ring_ranges(ring, ranges);
@@ -350,7 +345,7 @@ impl ScaleFreeLabeled {
         }
 
         self.search_bits = compute_search_bits(m.n(), &self.widths, &self.cells);
-        (rep, rr, cells_refreshed)
+        (rr, cells_refreshed)
     }
 
     /// The net hierarchy the labels come from.
@@ -661,16 +656,10 @@ impl netsim::maintain::Maintainable for ScaleFreeLabeled {
         self.nets.active_nodes().to_vec()
     }
 
-    fn repair(
-        &mut self,
-        m: &MetricSpace,
-        batch: &ChurnBatch,
-        budget: &NetRepairBudget,
-    ) -> netsim::maintain::RepairStats {
+    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> netsim::maintain::RepairStats {
         // Inherent `repair` takes precedence over the trait method here.
-        let (net, rr, cells_refreshed) = self.repair(m, batch, budget);
+        let (rr, cells_refreshed) = self.repair(m, batch);
         netsim::maintain::RepairStats {
-            net,
             rings_rebuilt: rr.rebuilt,
             rings_refreshed: rr.refreshed,
             trees_rebuilt: 0,
@@ -806,7 +795,7 @@ mod tests {
 
     #[test]
     fn new_over_all_equals_new_and_repair_matches_rebuild() {
-        use doubling_metric::nets::{ChurnBatch, NetRepairBudget};
+        use doubling_metric::nets::ChurnBatch;
         let m = MetricSpace::new(&gen::grid(5, 5));
         let eps = Eps::one_over(8);
         let all: Vec<NodeId> = (0..25).collect();
@@ -819,9 +808,8 @@ mod tests {
             ChurnBatch::new(vec![12], vec![0]),
             ChurnBatch::new(vec![0, 6], vec![24]),
         ] {
-            let (rep, _rr, refreshed) = s.repair(&m, &batch, &NetRepairBudget::unbounded());
+            let (_rr, refreshed) = s.repair(&m, &batch);
             assert!(refreshed > 0);
-            assert_eq!(rep.deltas.len(), m.num_scales());
             active.retain(|v| batch.leaves.binary_search(v).is_err());
             active.extend(&batch.joins);
             active.sort_unstable();

@@ -1,13 +1,12 @@
 //! Property-based check of ring repair by level delta: on random connected
 //! graphs under churn batches that mix joins and leaves, every stored ring
 //! of both labeled schemes must equal [`build_ring`] against the repaired
-//! hierarchy after every batch — whether the hierarchy repair ran its
-//! dirty-set sweep or fell back to a scoped per-level rebuild.
+//! hierarchy after every batch.
 
 use proptest::prelude::*;
 
 use doubling_metric::graph::{Graph, GraphBuilder, NodeId};
-use doubling_metric::nets::{ChurnBatch, NetRepairBudget};
+use doubling_metric::nets::ChurnBatch;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 use labeled_routing::rings::build_ring;
@@ -60,14 +59,9 @@ fn mixed_script(n: usize, raw: &[Vec<usize>]) -> Vec<ChurnBatch> {
                 count -= 1;
             }
         }
-        for &v in &joins {
-            active[v as usize] = true;
-        }
-        for &v in &leaves {
-            active[v as usize] = false;
-        }
-        last_left = leaves.first().copied();
         let batch = ChurnBatch::new(joins, leaves);
+        batch.apply(&mut active);
+        last_left = batch.leaves.first().copied();
         if !batch.is_empty() {
             script.push(batch);
         }
@@ -87,21 +81,15 @@ proptest! {
             proptest::collection::vec(0usize..usize::MAX, 1..4),
             2..6,
         ),
-        tight in 0u32..2,
         inv_eps in 4u64..=8,
     ) {
         let m = MetricSpace::new(&g);
         let eps = Eps::one_over(inv_eps);
-        // A one-evaluation budget sends every changed level through the
-        // scoped from-scratch rebuild; the unbounded one through the sweep.
-        let budget =
-            if tight == 1 { NetRepairBudget::per_level(1) } else { NetRepairBudget::unbounded() };
         let mut net = NetLabeled::new(&m, eps).unwrap();
         let mut sf = ScaleFreeLabeled::new(&m, eps).unwrap();
         for (b, batch) in mixed_script(m.n(), &raw).iter().enumerate() {
-            let (rep, _) = net.repair(&m, batch, &budget);
-            sf.repair(&m, batch, &budget);
-            prop_assert_eq!(rep.deltas.len(), m.num_scales());
+            net.repair(&m, batch);
+            sf.repair(&m, batch);
             for u in 0..m.n() as NodeId {
                 for i in 0..net.num_levels() {
                     let fresh = build_ring(&m, net.nets(), eps, u, i);

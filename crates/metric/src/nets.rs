@@ -100,6 +100,17 @@ impl ChurnBatch {
         all
     }
 
+    /// Applies the batch to `active` flags: leavers off, joiners on. Check
+    /// it with [`Self::validate`] against the same flags first.
+    pub fn apply(&self, active: &mut [bool]) {
+        for &v in &self.leaves {
+            active[v as usize] = false;
+        }
+        for &v in &self.joins {
+            active[v as usize] = true;
+        }
+    }
+
     /// Checks the batch against the current active flags.
     ///
     /// # Errors
@@ -132,35 +143,6 @@ impl ChurnBatch {
     }
 }
 
-/// Work budget for a single [`NetHierarchy::apply_churn`] call.
-///
-/// `level_evals` caps the number of distance-row entries the dirty-set sweep
-/// may inspect *per level*; when exceeded the level degrades to a scoped
-/// from-scratch greedy rebuild (recorded in [`NetRepair::scoped_rebuilds`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetRepairBudget {
-    /// Max distance evaluations per level before the scoped-rebuild fallback.
-    pub level_evals: u64,
-}
-
-impl NetRepairBudget {
-    /// No cap: the dirty-set sweep always runs to completion.
-    pub fn unbounded() -> Self {
-        NetRepairBudget { level_evals: u64::MAX }
-    }
-
-    /// Cap of `evals` distance evaluations per level.
-    pub fn per_level(evals: u64) -> Self {
-        NetRepairBudget { level_evals: evals }
-    }
-}
-
-impl Default for NetRepairBudget {
-    fn default() -> Self {
-        Self::unbounded()
-    }
-}
-
 /// Membership changes of one net level, sorted by id.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LevelDelta {
@@ -181,30 +163,6 @@ impl LevelDelta {
         let mut all: Vec<NodeId> = self.added.iter().chain(self.removed.iter()).copied().collect();
         all.sort_unstable();
         all
-    }
-}
-
-/// Outcome report of one [`NetHierarchy::apply_churn`] call.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetRepair {
-    /// Per-level membership deltas (index = level).
-    pub deltas: Vec<LevelDelta>,
-    /// Levels whose dirty-set sweep blew the eval budget and were rebuilt
-    /// from scratch (greedy, scoped to that level).
-    pub scoped_rebuilds: Vec<u32>,
-    /// Distance-row entries inspected across all levels and parent repairs.
-    pub evals: u64,
-}
-
-impl NetRepair {
-    /// Total membership changes across all levels.
-    pub fn total_changes(&self) -> u64 {
-        self.deltas.iter().map(|d| (d.added.len() + d.removed.len()) as u64).sum()
-    }
-
-    /// Levels with a nonempty delta.
-    pub fn changed_levels(&self) -> Vec<usize> {
-        (0..self.deltas.len()).filter(|&i| !self.deltas[i].is_empty()).collect()
     }
 }
 
@@ -238,8 +196,6 @@ struct Finished {
 /// let (lo, hi) = h.range(1, x).unwrap();
 /// assert!(lo <= h.label(u) && h.label(u) <= hi);
 /// ```
-/// The full net hierarchy with zooming sequences, netting tree and DFS leaf
-/// labels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetHierarchy {
     /// `levels[i]` = members of `Y_i`, sorted by node id. `levels.len()`
@@ -265,21 +221,14 @@ pub struct NetHierarchy {
 }
 
 /// One greedy net level: seeds plus, in id order, every active node at
-/// distance `>= s_i` from all current members. Returns `(members, evals)`.
-fn greedy_level(
-    m: &MetricSpace,
-    seeds: &[NodeId],
-    active: &[bool],
-    s_i: Dist,
-) -> (Vec<NodeId>, u64) {
+/// distance `>= s_i` from all current members.
+fn greedy_level(m: &MetricSpace, seeds: &[NodeId], active: &[bool], s_i: Dist) -> Vec<NodeId> {
     let n = m.n();
     let mut members = seeds.to_vec();
     // Track the minimum distance from each node to the current set,
     // so the pass below is O(n·|added|) rather than O(n·|Y_i|²).
     let mut min_d: Vec<Dist> = vec![Dist::MAX; n];
-    let mut evals: u64 = 0;
     for &y in seeds {
-        evals += n as u64;
         for v in 0..n as NodeId {
             let d = m.dist(v, y);
             if d < min_d[v as usize] {
@@ -290,7 +239,6 @@ fn greedy_level(
     for v in 0..n as NodeId {
         if active[v as usize] && min_d[v as usize] >= s_i {
             members.push(v);
-            evals += n as u64;
             for x in 0..n as NodeId {
                 let d = m.dist(x, v);
                 if d < min_d[x as usize] {
@@ -300,7 +248,7 @@ fn greedy_level(
         }
     }
     members.sort_unstable();
-    (members, evals)
+    members
 }
 
 /// Sorted two-pointer diff `old → new`.
@@ -438,8 +386,7 @@ fn finish(n: usize, levels: &[Vec<NodeId>], parent: &[Vec<NodeId>]) -> Finished 
 /// Dirty-set repair of one level: re-decides membership only for candidates
 /// reachable from the change set, in increasing id order (the greedy order),
 /// so the fixpoint equals the from-scratch greedy net over the new seeds and
-/// active set. Returns `(members, delta, evals, scoped_rebuild)`.
-#[allow(clippy::too_many_arguments)]
+/// active set. Returns `(members, delta)`.
 fn repair_level(
     m: &MetricSpace,
     s_i: Dist,
@@ -448,8 +395,7 @@ fn repair_level(
     seed_delta: &LevelDelta,
     batch: &ChurnBatch,
     active: &[bool],
-    budget: &NetRepairBudget,
-) -> (Vec<NodeId>, LevelDelta, u64, bool) {
+) -> (Vec<NodeId>, LevelDelta) {
     let n = m.n();
     // Blocking radius: v is blocked by members strictly closer than s_i.
     let rad = s_i - 1;
@@ -510,17 +456,10 @@ fn repair_level(
     // no other member y with (seed(y) or y < v) lies strictly within s_i —
     // exactly the greedy rule. Membership flips propagate only to larger
     // ids, so one pass reaches the greedy fixpoint.
-    let mut evals: u64 = 0;
-    let mut scoped = false;
     while let Some(Reverse(v)) = heap.pop() {
         let vi = v as usize;
         in_heap[vi] = false;
         let ball = m.ball(v, rad);
-        evals += ball.len() as u64;
-        if evals > budget.level_evals {
-            scoped = true;
-            break;
-        }
         let mut blocked = false;
         for &y in ball {
             let yi = y as usize;
@@ -542,15 +481,9 @@ fn repair_level(
         }
     }
 
-    if scoped {
-        let (members, g_evals) = greedy_level(m, seeds, active, s_i);
-        let delta = diff_sorted(old, &members);
-        return (members, delta, evals + g_evals, true);
-    }
-
     let members: Vec<NodeId> = (0..n as NodeId).filter(|&v| mem[v as usize]).collect();
     let delta = diff_sorted(old, &members);
-    (members, delta, evals, false)
+    (members, delta)
 }
 
 impl NetHierarchy {
@@ -598,8 +531,7 @@ impl NetHierarchy {
         // order, every active node at distance >= s_i from all current
         // members.
         for i in (0..top).rev() {
-            let (members, _) = greedy_level(m, &levels[i + 1], &active, m.scale(i));
-            levels[i] = members;
+            levels[i] = greedy_level(m, &levels[i + 1], &active, m.scale(i));
         }
         if top > 0 {
             debug_assert_eq!(levels[0].len(), count, "Y_0 must equal the active set");
@@ -641,44 +573,29 @@ impl NetHierarchy {
     /// `NetHierarchy::new_over(m, new_active)` — the dirty-set sweep
     /// re-decides candidates in increasing id order, which is exactly the
     /// greedy insertion order, so it converges to the same fixpoint.
-    ///
-    /// Levels whose sweep exceeds `budget.level_evals` distance inspections
-    /// degrade to a scoped from-scratch greedy rebuild of that level alone
-    /// (still exact; recorded in [`NetRepair::scoped_rebuilds`]).
+    /// Returns the per-level membership deltas (index = level).
     ///
     /// # Panics
     ///
     /// Panics if the batch fails [`ChurnBatch::validate`] against the
     /// current active set.
-    pub fn apply_churn(
-        &mut self,
-        m: &MetricSpace,
-        batch: &ChurnBatch,
-        budget: &NetRepairBudget,
-    ) -> NetRepair {
+    pub fn apply_churn(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> Vec<LevelDelta> {
         batch.validate(&self.active).expect("invalid churn batch");
         let n = m.n();
         let num = self.levels.len();
         let top = num - 1;
         if batch.is_empty() {
-            return NetRepair { deltas: vec![LevelDelta::default(); num], ..NetRepair::default() };
+            return vec![LevelDelta::default(); num];
         }
 
         let mut active = self.active.clone();
-        for &v in &batch.leaves {
-            active[v as usize] = false;
-        }
-        for &v in &batch.joins {
-            active[v as usize] = true;
-        }
+        batch.apply(&mut active);
 
         let old_levels = std::mem::take(&mut self.levels);
         let old_parent = std::mem::take(&mut self.parent);
 
         let mut levels: Vec<Vec<NodeId>> = vec![Vec::new(); num];
         let mut deltas: Vec<LevelDelta> = vec![LevelDelta::default(); num];
-        let mut scoped_rebuilds: Vec<u32> = Vec::new();
-        let mut evals: u64 = 0;
 
         // Top singleton: the least active id.
         let root = active.iter().position(|&a| a).expect("validated nonempty") as NodeId;
@@ -691,7 +608,7 @@ impl NetHierarchy {
         // Top-down level repair: level i's seeds are the already-repaired
         // Y_{i+1}, its seed delta the one just computed.
         for i in (0..top).rev() {
-            let (members, delta, lv_evals, scoped) = repair_level(
+            (levels[i], deltas[i]) = repair_level(
                 m,
                 m.scale(i),
                 &old_levels[i],
@@ -699,14 +616,7 @@ impl NetHierarchy {
                 &deltas[i + 1],
                 batch,
                 &active,
-                budget,
             );
-            evals += lv_evals;
-            if scoped {
-                scoped_rebuilds.push(i as u32);
-            }
-            levels[i] = members;
-            deltas[i] = delta;
         }
         if top > 0 {
             debug_assert_eq!(
@@ -739,7 +649,6 @@ impl NetHierarchy {
                         let p_old = old_parent[i][k_old];
                         if up_removed.binary_search(&p_old).is_err() {
                             let mut best = (m.dist(y, p_old), p_old);
-                            evals += 1 + up_added.len() as u64;
                             for &a in up_added {
                                 let cand = (m.dist(y, a), a);
                                 if cand < best {
@@ -749,7 +658,6 @@ impl NetHierarchy {
                             return best.1;
                         }
                     }
-                    evals += up.len() as u64;
                     m.nearest_in(y, up).expect("upper net nonempty")
                 })
                 .collect();
@@ -766,7 +674,7 @@ impl NetHierarchy {
         self.level_of = fin.level_of;
         self.active = active;
 
-        NetRepair { deltas, scoped_rebuilds, evals }
+        deltas
     }
 
     /// Number of levels (`= MetricSpace::num_scales()`).
@@ -1119,15 +1027,14 @@ mod tests {
                 if batch.is_empty() {
                     continue;
                 }
-                let rep = h.apply_churn(&m, &batch, &NetRepairBudget::unbounded());
-                assert_eq!(rep.deltas.len(), h.num_levels());
-                assert!(rep.scoped_rebuilds.is_empty());
-                for &v in &batch.leaves {
-                    active[v as usize] = false;
+                let old: Vec<Vec<NodeId>> =
+                    (0..h.num_levels()).map(|i| h.level(i).to_vec()).collect();
+                let deltas = h.apply_churn(&m, &batch);
+                assert_eq!(deltas.len(), h.num_levels());
+                for (i, d) in deltas.iter().enumerate() {
+                    assert_eq!(*d, diff_sorted(&old[i], h.level(i)), "level {i} delta");
                 }
-                for &v in &batch.joins {
-                    active[v as usize] = true;
-                }
+                batch.apply(&mut active);
                 let ids: Vec<NodeId> = (0..n as NodeId).filter(|&v| active[v as usize]).collect();
                 let fresh = NetHierarchy::new_over(&m, &ids);
                 assert_eq!(h, fresh, "repair diverged from rebuild at round {round}");
@@ -1142,28 +1049,14 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(6, 6));
         let mut h = NetHierarchy::new(&m);
         let batch = ChurnBatch::new(vec![], vec![0]);
-        let rep = h.apply_churn(&m, &batch, &NetRepairBudget::unbounded());
-        assert!(!rep.deltas[h.num_levels() - 1].is_empty(), "root must change");
+        let deltas = h.apply_churn(&m, &batch);
+        assert!(!deltas[h.num_levels() - 1].is_empty(), "root must change");
         let ids: Vec<NodeId> = (1..36).collect();
         assert_eq!(h, NetHierarchy::new_over(&m, &ids));
         // And the node can come back.
-        let rep =
-            h.apply_churn(&m, &ChurnBatch::new(vec![0], vec![]), &NetRepairBudget::unbounded());
-        assert!(rep.total_changes() > 0);
+        let deltas = h.apply_churn(&m, &ChurnBatch::new(vec![0], vec![]));
+        assert!(deltas.iter().any(|d| !d.is_empty()));
         assert_eq!(h, NetHierarchy::new(&m));
-    }
-
-    #[test]
-    fn apply_churn_scoped_rebuild_under_tiny_budget_is_still_exact() {
-        let m = MetricSpace::new(&gen::grid(6, 6));
-        let mut h = NetHierarchy::new(&m);
-        // Removing a mid-grid node with a 1-eval budget forces the scoped
-        // per-level greedy fallback on every level it touched.
-        let batch = ChurnBatch::new(vec![], vec![14]);
-        let rep = h.apply_churn(&m, &batch, &NetRepairBudget::per_level(1));
-        assert!(!rep.scoped_rebuilds.is_empty(), "budget must trip");
-        let ids: Vec<NodeId> = (0..36).filter(|&v| v != 14).collect();
-        assert_eq!(h, NetHierarchy::new_over(&m, &ids));
     }
 
     #[test]
@@ -1171,6 +1064,9 @@ mod tests {
         let active = vec![true, true, false, true];
         let ok = ChurnBatch::new(vec![2], vec![0]);
         assert!(ok.validate(&active).is_ok());
+        let mut after = active.clone();
+        ok.apply(&mut after);
+        assert_eq!(after, [false, true, true, true]);
         assert_eq!(
             ChurnBatch::new(vec![9], vec![]).validate(&active),
             Err(ChurnBatchError::OutOfRange(9))

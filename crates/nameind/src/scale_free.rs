@@ -26,7 +26,7 @@
 //! so Lemma 3.4's `(9+O(ε))` stretch argument applies unchanged.
 
 use doubling_metric::graph::{Dist, NodeId};
-use doubling_metric::nets::{ChurnBatch, NetRepair, NetRepairBudget};
+use doubling_metric::nets::ChurnBatch;
 use doubling_metric::packing::PackedBall;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
@@ -408,18 +408,13 @@ impl ScaleFreeNameIndependent {
     /// # Panics
     ///
     /// Panics if `batch` is invalid against the current active set.
-    pub fn repair(
-        &mut self,
-        m: &MetricSpace,
-        batch: &ChurnBatch,
-        budget: &NetRepairBudget,
-    ) -> (NetRepair, RingRepair, TreeRepair) {
+    pub fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> (RingRepair, TreeRepair) {
         let log2_n = m.log2_n();
         let eps = self.underlying.eps();
         let old_hosts: Vec<Vec<NodeId>> = (0..self.rounds.count())
             .map(|k| self.underlying.nets().level(self.rounds.host_level(k)).to_vec())
             .collect();
-        let (net, rr, cells_refreshed) = self.underlying.repair(m, batch, budget);
+        let (rr, cells_refreshed) = self.underlying.repair(m, batch);
 
         let changed = batch.changed();
         let mut tr = TreeRepair { rebuilt: 0, refreshed: cells_refreshed };
@@ -534,7 +529,7 @@ impl ScaleFreeNameIndependent {
         }
 
         self.search_bits = compute_search_bits(m.n(), self.widths, &self.btrees, &self.facility);
-        (net, rr, tr)
+        (rr, tr)
     }
 
     /// The underlying scale-free labeled scheme.
@@ -710,16 +705,10 @@ impl netsim::maintain::Maintainable for ScaleFreeNameIndependent {
         self.underlying.nets().active_nodes().to_vec()
     }
 
-    fn repair(
-        &mut self,
-        m: &MetricSpace,
-        batch: &ChurnBatch,
-        budget: &NetRepairBudget,
-    ) -> netsim::maintain::RepairStats {
+    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> netsim::maintain::RepairStats {
         // Inherent `repair` takes precedence over the trait method here.
-        let (net, rr, tr) = self.repair(m, batch, budget);
+        let (rr, tr) = self.repair(m, batch);
         netsim::maintain::RepairStats {
-            net,
             rings_rebuilt: rr.rebuilt,
             rings_refreshed: rr.refreshed,
             trees_rebuilt: tr.rebuilt,
@@ -867,20 +856,14 @@ mod tests {
         let mut s = ScaleFreeNameIndependent::new_over(&m, eps, naming.clone(), &all).unwrap();
         assert_eq!(s, ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap());
 
-        use doubling_metric::nets::{ChurnBatch, NetRepairBudget};
+        use doubling_metric::nets::ChurnBatch;
         let mut active = [true; 25];
-        let budget = NetRepairBudget::unbounded();
         for (joins, leaves) in
             [(vec![], vec![6u32, 18, 0]), (vec![6u32, 0], vec![20, 21]), (vec![21u32], vec![2, 3])]
         {
             let batch = ChurnBatch::new(joins, leaves);
-            s.repair(&m, &batch, &budget);
-            for &v in &batch.joins {
-                active[v as usize] = true;
-            }
-            for &v in &batch.leaves {
-                active[v as usize] = false;
-            }
+            s.repair(&m, &batch);
+            batch.apply(&mut active);
             let ids: Vec<NodeId> = (0..25u32).filter(|&v| active[v as usize]).collect();
             let fresh = ScaleFreeNameIndependent::new_over(&m, eps, naming.clone(), &ids).unwrap();
             assert_eq!(s, fresh, "repair must be byte-identical to rebuild");

@@ -21,7 +21,7 @@
 //! `(1/ε)^{O(α)}·log Δ·log n` bits.
 
 use doubling_metric::graph::NodeId;
-use doubling_metric::nets::{ChurnBatch, NetRepair, NetRepairBudget};
+use doubling_metric::nets::ChurnBatch;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 
@@ -234,16 +234,11 @@ impl SimpleNameIndependent {
     /// # Panics
     ///
     /// Panics if `batch` is invalid against the current active set.
-    pub fn repair(
-        &mut self,
-        m: &MetricSpace,
-        batch: &ChurnBatch,
-        budget: &NetRepairBudget,
-    ) -> (NetRepair, RingRepair, TreeRepair) {
+    pub fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> (RingRepair, TreeRepair) {
         let old_hosts: Vec<Vec<NodeId>> = (0..self.rounds.count())
             .map(|k| self.underlying.nets().level(self.rounds.host_level(k)).to_vec())
             .collect();
-        let (net, rr) = self.underlying.repair(m, batch, budget);
+        let rr = self.underlying.repair(m, batch);
 
         let changed = batch.changed();
         let mut tr = TreeRepair::default();
@@ -282,7 +277,7 @@ impl SimpleNameIndependent {
                 .collect();
         }
         self.search_bits = compute_search_bits(m.n(), self.widths, &self.trees);
-        (net, rr, tr)
+        (rr, tr)
     }
 
     /// The underlying labeled scheme.
@@ -385,16 +380,10 @@ impl netsim::maintain::Maintainable for SimpleNameIndependent {
         self.underlying.nets().active_nodes().to_vec()
     }
 
-    fn repair(
-        &mut self,
-        m: &MetricSpace,
-        batch: &ChurnBatch,
-        budget: &NetRepairBudget,
-    ) -> netsim::maintain::RepairStats {
+    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> netsim::maintain::RepairStats {
         // Inherent `repair` takes precedence over the trait method here.
-        let (net, rr, tr) = self.repair(m, batch, budget);
+        let (rr, tr) = self.repair(m, batch);
         netsim::maintain::RepairStats {
-            net,
             rings_rebuilt: rr.rebuilt,
             rings_refreshed: rr.refreshed,
             trees_rebuilt: tr.rebuilt,
@@ -542,20 +531,14 @@ mod tests {
         let mut s = SimpleNameIndependent::new_over(&m, eps, naming.clone(), &all).unwrap();
         assert_eq!(s, SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap());
 
-        use doubling_metric::nets::{ChurnBatch, NetRepairBudget};
+        use doubling_metric::nets::ChurnBatch;
         let mut active = [true; 36];
-        let budget = NetRepairBudget::unbounded();
         for (joins, leaves) in
             [(vec![], vec![7u32, 21, 0]), (vec![7u32, 0], vec![30, 31]), (vec![31u32], vec![2, 3])]
         {
             let batch = ChurnBatch::new(joins, leaves);
-            s.repair(&m, &batch, &budget);
-            for &v in &batch.joins {
-                active[v as usize] = true;
-            }
-            for &v in &batch.leaves {
-                active[v as usize] = false;
-            }
+            s.repair(&m, &batch);
+            batch.apply(&mut active);
             let ids: Vec<NodeId> = (0..36u32).filter(|&v| active[v as usize]).collect();
             let fresh = SimpleNameIndependent::new_over(&m, eps, naming.clone(), &ids).unwrap();
             assert_eq!(s, fresh, "repair must be byte-identical to rebuild");

@@ -8,19 +8,19 @@
 //! degradation ladder the robustness contract demands:
 //!
 //! 1. **Dirty-set repair** — the scheme re-seats affected net points,
-//!    rings and subtrees locally (per-level eval budgets inside
-//!    [`NetRepairBudget`] already degrade single levels to scoped greedy
-//!    rebuilds).
-//! 2. **Whole-scheme rebuild** — if the batch's blast radius exceeds the
-//!    configured fraction, or the post-repair conform spot-audit fails,
-//!    the maintainer discards the repair and rebuilds from scratch.
+//!    rings and subtrees locally; the net hierarchy's dirty-set sweep
+//!    reproduces the greedy nets exactly.
+//! 2. **Whole-scheme rebuild** — if the repair's blast radius exceeds
+//!    [`MaintainerConfig::max_blast_fraction`], or the post-repair conform
+//!    spot-audit fails, the maintainer discards the repair and rebuilds
+//!    from scratch.
 //!
 //! Each committed batch is *epoch-stamped*: [`Maintainer::epoch`] advances
 //! only after the repair (or fallback rebuild) has passed its audit, so
 //! readers keyed on the epoch never observe a half-repaired table.
 
 use doubling_metric::graph::NodeId;
-use doubling_metric::nets::{ChurnBatch, ChurnBatchError, NetRepair, NetRepairBudget};
+use doubling_metric::nets::{ChurnBatch, ChurnBatchError};
 use doubling_metric::space::MetricSpace;
 
 /// Counters for search-tree repair work: how many trees were rebuilt
@@ -34,20 +34,9 @@ pub struct TreeRepair {
     pub refreshed: u64,
 }
 
-impl TreeRepair {
-    /// Merges another pass's counters into this one.
-    pub fn merge(&mut self, other: TreeRepair) {
-        self.rebuilt += other.rebuilt;
-        self.refreshed += other.refreshed;
-    }
-}
-
 /// What one [`Maintainable::repair`] call did, structure by structure.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// The net-hierarchy repair report (level deltas, scoped rebuilds,
-    /// distance evaluations).
-    pub net: NetRepair,
     /// Rings within the ring radius of a churned net member, patched by
     /// the level delta (the ring part of the blast zone).
     pub rings_rebuilt: u64,
@@ -72,20 +61,16 @@ impl RepairStats {
             rebuilt as f64 / total as f64
         }
     }
-
-    /// Number of net levels that degraded to a scoped greedy rebuild.
-    pub fn scoped_rebuilds(&self) -> usize {
-        self.net.scoped_rebuilds.len()
-    }
 }
 
 /// Why a maintenance batch was rejected outright.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaintainError {
-    /// The batch is inconsistent with the maintainer's active set.
+    /// The batch is inconsistent with the scheme's active set.
     InvalidBatch(ChurnBatchError),
     /// The conform spot-audit failed even after the whole-scheme rebuild —
-    /// the scheme or the audit itself is broken; the epoch did not advance.
+    /// the scheme or the audit itself is broken; the epoch did not advance
+    /// (see [`Maintainer::apply_batch`]).
     AuditFailedAfterRebuild,
     /// A compiled forwarding plane is older than the maintainer's last
     /// committed batch: serving from it would forward on pre-churn tables.
@@ -148,12 +133,7 @@ pub trait Maintainable {
 
     /// Incrementally repairs the tables for `batch`, re-seating only
     /// affected net points, rings and subtrees.
-    fn repair(
-        &mut self,
-        m: &MetricSpace,
-        batch: &ChurnBatch,
-        budget: &NetRepairBudget,
-    ) -> RepairStats;
+    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> RepairStats;
 
     /// From-scratch rebuild over `active` — the graceful-degradation
     /// fallback.
@@ -164,27 +144,18 @@ pub trait Maintainable {
     fn total_table_bits(&self) -> u64;
 }
 
-/// Fallback thresholds for the [`Maintainer`].
+/// Fallback threshold for the [`Maintainer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintainerConfig {
-    /// Per-level eval budget handed to the scheme's net repair.
-    pub budget: NetRepairBudget,
     /// If a repair's [`RepairStats::blast_fraction`] exceeds this, the
     /// repair result is discarded and the scheme rebuilt from scratch
     /// (`1.0` disables the ladder rung).
     pub max_blast_fraction: f64,
-    /// If more than this many net levels degraded to scoped rebuilds, the
-    /// whole scheme is rebuilt.
-    pub max_scoped_rebuilds: usize,
 }
 
 impl Default for MaintainerConfig {
     fn default() -> Self {
-        MaintainerConfig {
-            budget: NetRepairBudget::unbounded(),
-            max_blast_fraction: 1.0,
-            max_scoped_rebuilds: usize::MAX,
-        }
+        MaintainerConfig { max_blast_fraction: 1.0 }
     }
 }
 
@@ -193,12 +164,9 @@ impl Default for MaintainerConfig {
 pub enum BatchAction {
     /// Incremental repair, no fallback.
     Repaired,
-    /// Incremental repair, with one or more scoped net-level rebuilds.
-    RepairedScoped,
-    /// Blast radius exceeded the budget — whole-scheme rebuild.
+    /// Blast radius exceeded the configured fraction — whole-scheme
+    /// rebuild.
     RebuiltBlast,
-    /// Too many scoped level rebuilds — whole-scheme rebuild.
-    RebuiltScoped,
     /// Post-repair audit failed — whole-scheme rebuild recovered.
     RebuiltAudit,
 }
@@ -206,19 +174,14 @@ pub enum BatchAction {
 impl BatchAction {
     /// Whether the batch fell back to a whole-scheme rebuild.
     pub fn is_fallback(&self) -> bool {
-        matches!(
-            self,
-            BatchAction::RebuiltBlast | BatchAction::RebuiltScoped | BatchAction::RebuiltAudit
-        )
+        matches!(self, BatchAction::RebuiltBlast | BatchAction::RebuiltAudit)
     }
 
     /// Stable lowercase tag for JSON reports.
     pub fn tag(&self) -> &'static str {
         match self {
             BatchAction::Repaired => "repaired",
-            BatchAction::RepairedScoped => "repaired-scoped",
             BatchAction::RebuiltBlast => "rebuilt-blast",
-            BatchAction::RebuiltScoped => "rebuilt-scoped",
             BatchAction::RebuiltAudit => "rebuilt-audit",
         }
     }
@@ -247,20 +210,15 @@ pub struct BatchReport {
 #[derive(Debug)]
 pub struct Maintainer<S> {
     scheme: S,
-    active: Vec<bool>,
+    n: usize,
     epoch: u64,
-    fallbacks: u64,
     config: MaintainerConfig,
 }
 
 impl<S: Maintainable> Maintainer<S> {
     /// Wraps `scheme` (serving `n` physical nodes) for maintenance.
     pub fn new(n: usize, scheme: S, config: MaintainerConfig) -> Self {
-        let mut active = vec![false; n];
-        for v in scheme.active_nodes() {
-            active[v as usize] = true;
-        }
-        Maintainer { scheme, active, epoch: 0, fallbacks: 0, config }
+        Maintainer { scheme, n, epoch: 0, config }
     }
 
     /// The maintained scheme (read-only — mutate only through batches).
@@ -271,16 +229,6 @@ impl<S: Maintainable> Maintainer<S> {
     /// Epoch of the last committed batch (0 before any batch).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Whole-scheme rebuild fallbacks so far.
-    pub fn fallbacks(&self) -> u64 {
-        self.fallbacks
-    }
-
-    /// Current number of active nodes.
-    pub fn active_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
     }
 
     /// Certifies that a compiled forwarding plane is current: its stamped
@@ -313,54 +261,46 @@ impl<S: Maintainable> Maintainer<S> {
         Ok(())
     }
 
-    /// Applies one churn batch end to end: validate → incremental repair →
-    /// blast-radius check → conform spot-audit (`audit` must sample-check
-    /// the scheme, e.g. via `conform::audit` oracles) → epoch stamp.
-    /// Degrades to a whole-scheme rebuild when a ladder rung fails.
+    /// Applies one churn batch end to end: validate against the scheme's
+    /// active set → incremental repair → blast-radius check → conform
+    /// spot-audit (`audit` must sample-check the scheme, e.g. via
+    /// `conform::audit` oracles) → epoch stamp. Degrades to a whole-scheme
+    /// rebuild when a ladder rung fails.
     ///
     /// # Errors
     ///
     /// [`MaintainError::InvalidBatch`] if the batch does not fit the
-    /// current active set (nothing is modified), or
+    /// scheme's current active set (nothing is modified), or
     /// [`MaintainError::AuditFailedAfterRebuild`] if even the rebuilt
-    /// scheme fails the audit (the epoch does not advance).
+    /// scheme fails the audit. In that case the epoch does not advance,
+    /// but the scheme already serves the post-batch active set (it was
+    /// repaired or rebuilt over it): the next batch is validated against
+    /// that set, and a plane compiled from the scheme now carries the
+    /// pre-batch epoch.
     pub fn apply_batch(
         &mut self,
         m: &MetricSpace,
         batch: &ChurnBatch,
         audit: impl Fn(&S) -> bool,
     ) -> Result<BatchReport, MaintainError> {
-        batch.validate(&self.active)?;
-        let mut new_active = self.active.clone();
-        for &v in &batch.leaves {
-            new_active[v as usize] = false;
+        let mut active = vec![false; self.n];
+        for v in self.scheme.active_nodes() {
+            active[v as usize] = true;
         }
-        for &v in &batch.joins {
-            new_active[v as usize] = true;
-        }
-        let ids: Vec<NodeId> =
-            (0..new_active.len() as NodeId).filter(|&v| new_active[v as usize]).collect();
+        batch.validate(&active)?;
+        batch.apply(&mut active);
+        let ids: Vec<NodeId> = (0..self.n as NodeId).filter(|&v| active[v as usize]).collect();
 
-        let stats = self.scheme.repair(m, batch, &self.config.budget);
-        let mut action = if stats.net.scoped_rebuilds.is_empty() {
-            BatchAction::Repaired
-        } else {
-            BatchAction::RepairedScoped
-        };
+        let stats = self.scheme.repair(m, batch);
+        let mut action = BatchAction::Repaired;
         if stats.blast_fraction() > self.config.max_blast_fraction {
             self.scheme.rebuild(m, &ids);
-            self.fallbacks += 1;
             action = BatchAction::RebuiltBlast;
-        } else if stats.scoped_rebuilds() > self.config.max_scoped_rebuilds {
-            self.scheme.rebuild(m, &ids);
-            self.fallbacks += 1;
-            action = BatchAction::RebuiltScoped;
         }
 
         let mut audit_ok = audit(&self.scheme);
         if !audit_ok && !action.is_fallback() {
             self.scheme.rebuild(m, &ids);
-            self.fallbacks += 1;
             action = BatchAction::RebuiltAudit;
             audit_ok = audit(&self.scheme);
         }
@@ -368,7 +308,6 @@ impl<S: Maintainable> Maintainer<S> {
             return Err(MaintainError::AuditFailedAfterRebuild);
         }
 
-        self.active = new_active;
         self.epoch += 1;
         Ok(BatchReport {
             epoch: self.epoch,
@@ -401,7 +340,94 @@ mod tests {
     fn batch_action_tags_are_stable() {
         assert_eq!(BatchAction::Repaired.tag(), "repaired");
         assert!(BatchAction::RebuiltAudit.is_fallback());
-        assert!(!BatchAction::RepairedScoped.is_fallback());
+        assert!(!BatchAction::Repaired.is_fallback());
+    }
+
+    /// A scheme that only tracks its active set and counts the calls the
+    /// maintainer makes.
+    #[derive(Debug, Default)]
+    struct Stub {
+        active: Vec<NodeId>,
+        repairs: u32,
+        rebuilds: u32,
+    }
+
+    impl Maintainable for Stub {
+        fn maintain_name(&self) -> &'static str {
+            "stub"
+        }
+
+        fn active_nodes(&self) -> Vec<NodeId> {
+            self.active.clone()
+        }
+
+        fn repair(&mut self, _m: &MetricSpace, batch: &ChurnBatch) -> RepairStats {
+            self.repairs += 1;
+            self.active.retain(|v| !batch.leaves.contains(v));
+            self.active.extend(&batch.joins);
+            self.active.sort_unstable();
+            RepairStats::default()
+        }
+
+        fn rebuild(&mut self, _m: &MetricSpace, active: &[NodeId]) {
+            self.rebuilds += 1;
+            self.active = active.to_vec();
+        }
+
+        fn total_table_bits(&self) -> u64 {
+            self.active.len() as u64
+        }
+    }
+
+    fn stub_maintainer() -> (MetricSpace, Maintainer<Stub>) {
+        let m = MetricSpace::new(&doubling_metric::gen::grid(6, 6));
+        let stub = Stub { active: (0..36).collect(), ..Stub::default() };
+        (m, Maintainer::new(36, stub, MaintainerConfig::default()))
+    }
+
+    #[test]
+    fn audit_failing_once_is_recovered_by_a_rebuild() {
+        let (m, mut mt) = stub_maintainer();
+        let audits = std::cell::Cell::new(0);
+        let report = mt
+            .apply_batch(&m, &ChurnBatch::new(vec![], vec![5]), |_| {
+                audits.set(audits.get() + 1);
+                audits.get() > 1
+            })
+            .unwrap();
+        assert_eq!(report.action, BatchAction::RebuiltAudit);
+        assert!(report.audit_ok);
+        assert_eq!((report.epoch, mt.epoch()), (1, 1));
+        assert_eq!((audits.get(), mt.scheme().repairs, mt.scheme().rebuilds), (2, 1, 1));
+        assert_eq!(report.active, 35);
+        assert!(!mt.scheme().active_nodes().contains(&5));
+    }
+
+    #[test]
+    fn audit_failing_after_rebuild_keeps_the_epoch_and_the_schemes_set() {
+        let (m, mut mt) = stub_maintainer();
+        let err = mt.apply_batch(&m, &ChurnBatch::new(vec![], vec![5]), |_| false);
+        assert_eq!(err, Err(MaintainError::AuditFailedAfterRebuild));
+        assert_eq!(mt.epoch(), 0);
+        assert_eq!(mt.scheme().rebuilds, 1);
+        assert!(!mt.scheme().active_nodes().contains(&5));
+        // The next batch is validated against the set the scheme serves.
+        assert_eq!(
+            mt.apply_batch(&m, &ChurnBatch::new(vec![], vec![5]), |_| true),
+            Err(MaintainError::InvalidBatch(ChurnBatchError::NotActive(5)))
+        );
+        let report = mt.apply_batch(&m, &ChurnBatch::new(vec![5], vec![]), |_| true).unwrap();
+        assert_eq!((report.action, report.epoch, report.active), (BatchAction::Repaired, 1, 36));
+    }
+
+    #[test]
+    fn invalid_batch_modifies_nothing() {
+        let (m, mut mt) = stub_maintainer();
+        let err = mt.apply_batch(&m, &ChurnBatch::new(vec![3], vec![]), |_| unreachable!());
+        assert_eq!(err, Err(MaintainError::InvalidBatch(ChurnBatchError::AlreadyActive(3))));
+        assert_eq!(mt.epoch(), 0);
+        assert_eq!((mt.scheme().repairs, mt.scheme().rebuilds), (0, 0));
+        assert_eq!(mt.scheme().active_nodes(), (0..36).collect::<Vec<NodeId>>());
     }
 
     #[test]

@@ -346,7 +346,6 @@ pub struct ResilientRouter<'a, D: ?Sized> {
     scheme: &'a D,
     policy: RecoveryPolicy,
     nets: Option<&'a NetHierarchy>,
-    oracle: Option<&'a dyn doubling_metric::DistanceProvider>,
     hop_budget: Option<usize>,
 }
 
@@ -358,13 +357,13 @@ impl<'a, D: ?Sized> ResilientRouter<'a, D> {
         D: FallbackHierarchy,
     {
         let nets = Some(scheme.fallback_hierarchy());
-        ResilientRouter { m, scheme, policy, nets, oracle: None, hop_budget: None }
+        ResilientRouter { m, scheme, policy, nets, hop_budget: None }
     }
 
     /// A router with no hierarchy: [`RecoveryPolicy::LevelFallback`] has
     /// no landmarks to climb to and fails like an exhausted budget.
     pub fn without_hierarchy(m: &'a MetricSpace, scheme: &'a D, policy: RecoveryPolicy) -> Self {
-        ResilientRouter { m, scheme, policy, nets: None, oracle: None, hop_budget: None }
+        ResilientRouter { m, scheme, policy, nets: None, hop_budget: None }
     }
 
     /// Caps the *total* hops of one delivery, independent of any per-policy
@@ -376,20 +375,6 @@ impl<'a, D: ?Sized> ResilientRouter<'a, D> {
     /// counts as delivered.
     pub fn with_hop_budget(mut self, budget: usize) -> Self {
         self.hop_budget = Some(budget);
-        self
-    }
-
-    /// Takes the delivered-stretch denominator from `oracle` instead of
-    /// the dense matrix inside `m`. With an exact backend (e.g.
-    /// [`doubling_metric::OnDemandDijkstra`]) every
-    /// [`DeliveryOutcome`] is bit-identical to the default; an estimated
-    /// backend reports a lower bound on the realized stretch. Routing and
-    /// detour planning still simulate over `m` either way.
-    pub fn with_distance_oracle(
-        mut self,
-        oracle: &'a dyn doubling_metric::DistanceProvider,
-    ) -> Self {
-        self.oracle = Some(oracle);
         self
     }
 
@@ -443,10 +428,7 @@ impl<'a, D: ?Sized> ResilientRouter<'a, D> {
             let cur = rec.current();
             if cur == dst {
                 let route = rec.finish();
-                let stretch = match self.oracle {
-                    Some(o) => route.stretch_with(o),
-                    None => route.stretch(self.m),
-                };
+                let stretch = route.stretch(self.m);
                 return DeliveryOutcome::Delivered { stretch, detour_hops, recoveries, route };
             }
             if idx + 1 >= path.len() {
@@ -855,31 +837,6 @@ mod tests {
         let timeline = FaultTimeline::from_plan(plan);
         let router = ResilientRouter::without_hierarchy(&m, &scheme, policy);
         router.deliver(src, dst, &timeline, &mut |_| {})
-    }
-
-    #[test]
-    fn exact_distance_oracle_preserves_outcomes_bit_for_bit() {
-        let g = std::sync::Arc::new(gen::grid(4, 4));
-        let m = MetricSpace::from_shared(std::sync::Arc::clone(&g), 1);
-        let full = FullTable::new(&m);
-        let scheme = Labeled(&full);
-        let mut plan = FaultPlan::none(m.n());
-        plan.kill_node(1);
-        let timeline = FaultTimeline::from_plan(plan);
-        let policy = RecoveryPolicy::LocalDetour { ttl: 8 };
-        let lazy = doubling_metric::OnDemandDijkstra::new(g, 2);
-        for (src, dst) in [(0, 3), (0, 15), (4, 7)] {
-            let plain = ResilientRouter::without_hierarchy(&m, &scheme, policy.clone()).deliver(
-                src,
-                dst,
-                &timeline,
-                &mut |_| {},
-            );
-            let via_oracle = ResilientRouter::without_hierarchy(&m, &scheme, policy.clone())
-                .with_distance_oracle(&lazy)
-                .deliver(src, dst, &timeline, &mut |_| {});
-            assert_eq!(plain, via_oracle, "oracle changed the outcome for {src} -> {dst}");
-        }
     }
 
     #[test]

@@ -145,19 +145,6 @@ impl Route {
         self.cost as f64 / m.dist(self.src, self.dst) as f64
     }
 
-    /// [`Route::stretch`] against any distance backend: the denominator is
-    /// [`doubling_metric::DistanceProvider::dist`], so exact backends reproduce
-    /// [`Route::stretch`] bit for bit and estimated backends yield a
-    /// *lower bound* on the true stretch (their `dist` is an upper bound
-    /// on the true distance). The denominator is clamped to ≥ 1 so a
-    /// degenerate estimate cannot divide by zero.
-    pub fn stretch_with(&self, provider: &dyn doubling_metric::DistanceProvider) -> f64 {
-        if self.src == self.dst {
-            return 1.0;
-        }
-        self.cost as f64 / provider.dist(self.src, self.dst).max(1) as f64
-    }
-
     /// Number of edge traversals.
     pub fn hop_count(&self) -> usize {
         self.hops.len().saturating_sub(1)

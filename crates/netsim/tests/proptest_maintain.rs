@@ -241,10 +241,9 @@ fn facility_repair_follows_leaving_and_rejoining_centers() {
 
     // The script does move the decision: away from c, then back to it.
     let mut probe = sf.clone();
-    let budget = doubling_metric::nets::NetRepairBudget::unbounded();
-    probe.repair(&m, &script[0], &budget);
+    probe.repair(&m, &script[0]);
     assert_ne!(probe.link(k, y), Some((j, c)), "H(y, k) must leave the departed center");
-    probe.repair(&m, &script[1], &budget);
+    probe.repair(&m, &script[1]);
     assert_eq!(probe.link(k, y), Some((j, c)), "the rejoined center must win H(y, k) back");
 
     assert_repair_equals_rebuild(&m, sf, &script, 8, |s: &ScaleFreeNameIndependent, u, v| {

@@ -275,7 +275,7 @@ mod tests {
         let tel = Telemetry::on(Tracer::recording());
         tel.maintain_batch(
             || vec![("scheme", "net-labeled".into())],
-            &report(BatchAction::RepairedScoped, true),
+            &report(BatchAction::RebuiltBlast, true),
         );
         let log = tel.tracer.finish();
         assert_eq!(log.events.len(), 1);
@@ -286,7 +286,7 @@ mod tests {
             keys,
             ["scheme", "epoch", "action", "blast", "audit_ok", "table_bits", "active"]
         );
-        assert_eq!(e.fields[2].1, Value::from("repaired-scoped"));
+        assert_eq!(e.fields[2].1, Value::from("rebuilt-blast"));
     }
 
     #[test]
