@@ -4,7 +4,7 @@
 //! measures each scheme twice:
 //!
 //! * **stale** — the scheme routes with the tables it built *before* the
-//!   failures (see [`netsim::scheme::Deliver::route_with_faults`]);
+//!   failures (see [`netsim::faults::FaultPlan::route_stale`]);
 //!   reported as reachability, surviving-route stretch, and a loss
 //!   breakdown ([`FaultEvalResult`]).
 //! * **rebuilt** — preprocessing is re-run from scratch on the largest

@@ -38,7 +38,7 @@ use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::faults::{FaultPlan, FaultTimeline};
 use netsim::json::Value;
-use netsim::maintain::{BatchReport, Maintainable, Maintainer, MaintainerConfig};
+use netsim::maintain::{BatchAction, BatchReport, Maintainable, Maintainer, MaintainerConfig};
 use netsim::scheme::{Certifiable, LabeledScheme, NameIndependentScheme};
 use netsim::stats::sample_pairs;
 use netsim::Naming;
@@ -181,8 +181,11 @@ impl CellResult {
     }
 }
 
+/// Batches whose repaired tables failed their spot audit (absorbed by a
+/// rebuild; a batch failing the rebuilt audit too is an error, not a
+/// report).
 fn audit_failures(reports: &[BatchReport]) -> u64 {
-    reports.iter().filter(|r| !r.audit_ok).count() as u64
+    reports.iter().filter(|r| r.action == BatchAction::RebuiltAudit).count() as u64
 }
 
 /// Drives one scheme instance through `schedule`, maintaining a second
@@ -530,6 +533,26 @@ pub fn maintain_main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::maintain::RepairStats;
+
+    #[test]
+    fn audit_failures_count_rebuilt_audit_batches() {
+        let report = |epoch, action| BatchReport {
+            epoch,
+            action,
+            stats: RepairStats::default(),
+            table_bits: 0,
+            active: 0,
+        };
+        let reports = [
+            report(1, BatchAction::Repaired),
+            report(2, BatchAction::RebuiltAudit),
+            report(3, BatchAction::RebuiltBlast),
+            report(4, BatchAction::RebuiltAudit),
+        ];
+        assert_eq!(audit_failures(&reports), 2);
+        assert_eq!(audit_failures(&reports[..1]), 0);
+    }
 
     #[test]
     fn churn_schedule_is_cumulative_and_returns_everyone() {

@@ -47,11 +47,6 @@ impl LbParams {
         self.p * self.q
     }
 
-    /// `ε` as a float (reporting only).
-    pub fn eps_f64(&self) -> f64 {
-        self.eps_num as f64 / self.eps_den as f64
-    }
-
     /// The unscaled attachment weight `w_{i,j} = 2^i(q + j)`.
     ///
     /// # Panics

@@ -237,11 +237,6 @@ impl GraphBuilder {
         self.edges.clone()
     }
 
-    /// Number of nodes this builder was created with.
-    pub fn node_capacity(&self) -> usize {
-        self.n
-    }
-
     /// Finalizes the graph.
     ///
     /// # Errors

@@ -6,17 +6,20 @@
 //! churn experiments need:
 //!
 //! * A [`FaultPlan`] is a set of dead nodes and dead edges. Plans are built
-//!   by removal strategies — uniformly random ([`FaultPlan::random_nodes`],
-//!   [`FaultPlan::random_edges`]), targeted at high-degree nodes
-//!   ([`FaultPlan::targeted_by_degree`]), or targeted at the net centers of
-//!   the paper's hierarchies ([`FaultPlan::targeted_net_centers`]) — the
-//!   natural adversarial target, since a level-`i` net center carries the
-//!   search-tree and zoom traffic of its whole level-`i` cell.
-//! * **Stale-table routing**: [`crate::route::RouteRecorder::with_faults`]
-//!   rejects any hop into a dead node or over a dead edge, so a route
-//!   computed from pre-failure tables is delivered only if its realized
-//!   path avoids every casualty. [`FaultPlan::check_route`] replays a
-//!   finished route under this rule.
+//!   by removal strategies — uniformly random ([`FaultPlan::random_nodes`]),
+//!   targeted at high-degree nodes ([`FaultPlan::targeted_by_degree`]), or
+//!   targeted at the net centers of the paper's hierarchies
+//!   ([`FaultPlan::targeted_net_centers`]) — the natural adversarial
+//!   target, since a level-`i` net center carries the search-tree and zoom
+//!   traffic of its whole level-`i` cell.
+//! * **The casualty rule** is written once, in [`FaultPlan::blocks`]: a
+//!   hop is refused if it enters a dead node or crosses a dead edge. The
+//!   stale-table replay, the timeline replay, the recovery runtime's drive
+//!   loop and its surviving-graph searches all ask it.
+//! * **Stale-table routing**: [`FaultPlan::route_stale`] routes with the
+//!   scheme's pre-failure tables and delivers the packet only if its
+//!   realized path avoids every casualty; otherwise it is lost at the
+//!   first one.
 //! * **Rebuild**: [`SurvivingNetwork`] extracts the largest connected
 //!   component of the post-failure graph with a fresh [`MetricSpace`], so
 //!   callers can re-run preprocessing and measure its wall-clock cost and
@@ -35,13 +38,13 @@
 //! use doubling_metric::{gen, MetricSpace};
 //! use netsim::baseline::FullTable;
 //! use netsim::faults::FaultPlan;
-//! use netsim::scheme::{Deliver, Labeled};
+//! use netsim::scheme::Labeled;
 //!
 //! let m = MetricSpace::new(&gen::grid(4, 4));
 //! let scheme = FullTable::new(&m);
 //! let mut plan = FaultPlan::none(m.n());
 //! plan.kill_node(5); // on the shortest 0 → 15 route's path? replay decides
-//! let stale = Labeled(&scheme).route_with_faults(&m, 0, 15, &plan);
+//! let stale = plan.route_stale(&Labeled(&scheme), &m, 0, 15);
 //! // Either the packet got through on a survivor path, or it was lost at a
 //! // dead element — never silently misdelivered.
 //! if let Ok(route) = &stale {
@@ -60,7 +63,8 @@ use doubling_metric::nets::NetHierarchy;
 use doubling_metric::space::MetricSpace;
 
 use crate::json::Value;
-use crate::route::{Route, RouteError, RouteRecorder};
+use crate::route::{Route, RouteError};
+use crate::scheme::Deliver;
 
 /// Why a [`FaultTimeline`] schedule is invalid.
 ///
@@ -248,6 +252,21 @@ impl FaultPlan {
             || self.dead_edges.contains(&(u.min(v), u.max(v)))
     }
 
+    /// The casualty rule for one hop `cur → next` (`cur ≠ next`): the
+    /// loss it causes, or `None` if the hop survives. Entering a dead node
+    /// is [`RouteError::NodeFailed`]; otherwise crossing a dead edge is
+    /// [`RouteError::EdgeFailed`].
+    #[inline]
+    pub fn blocks(&self, cur: NodeId, next: NodeId) -> Option<RouteError> {
+        if self.is_node_dead(next) {
+            Some(RouteError::NodeFailed { node: next })
+        } else if self.is_edge_dead(cur, next) {
+            Some(RouteError::EdgeFailed { u: cur, v: next })
+        } else {
+            None
+        }
+    }
+
     /// Number of failed nodes.
     pub fn dead_node_count(&self) -> usize {
         self.dead_node_count
@@ -278,20 +297,6 @@ impl FaultPlan {
         let mut rng = StdRng::seed_from_u64(seed);
         order.shuffle(&mut rng);
         Self::targeted_by_order(&order, n, fraction)
-    }
-
-    /// Kills a uniformly random `fraction` of the edges (deterministic in
-    /// `seed`). Nodes all survive; only links fail.
-    pub fn random_edges(g: &Graph, fraction: f64, seed: u64) -> Self {
-        let mut edges: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        edges.shuffle(&mut rng);
-        let k = Self::removal_count(edges.len(), fraction);
-        let mut plan = Self::none(g.node_count());
-        for &(u, v) in &edges[..k] {
-            plan.kill_edge(u, v);
-        }
-        plan
     }
 
     /// Kills the `fraction` of nodes with the highest degree (ties broken
@@ -330,20 +335,33 @@ impl FaultPlan {
         plan
     }
 
-    /// Replays a finished route under this plan through a fault-aware
-    /// [`RouteRecorder`]: delivery stands only if no hop enters a dead node
-    /// or crosses a dead edge.
+    /// Routes `src → dst` under *stale tables*: the scheme picks its path
+    /// as if nothing failed (its tables predate the failures), and the
+    /// packet is delivered only if that path avoids every casualty
+    /// ([`Self::blocks`]). No recovery is attempted — wrap the scheme in a
+    /// [`crate::recovery::ResilientRouter`] for that. With an empty plan
+    /// the route is [`Deliver::route_to`]'s.
     ///
     /// # Errors
     ///
-    /// [`RouteError::NodeFailed`] / [`RouteError::EdgeFailed`] at the first
-    /// casualty on the path (including a dead source).
-    pub fn check_route(&self, m: &MetricSpace, route: &Route) -> Result<(), RouteError> {
-        let mut rec = RouteRecorder::with_faults(m, route.src, self)?;
-        for &x in &route.hops[1..] {
-            rec.hop(x)?;
+    /// [`RouteError::NodeFailed`] for a dead source, the scheme's own
+    /// errors, or the first hop's casualty.
+    pub fn route_stale<D: Deliver + ?Sized>(
+        &self,
+        d: &D,
+        m: &MetricSpace,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<Route, RouteError> {
+        if self.is_node_dead(src) {
+            return Err(RouteError::NodeFailed { node: src });
         }
-        Ok(())
+        let route = d.route_to(m, src, dst)?;
+        let mut hops = route.hops.windows(2).filter(|w| w[0] != w[1]);
+        match hops.find_map(|w| self.blocks(w[0], w[1])) {
+            Some(casualty) => Err(casualty),
+            None => Ok(route),
+        }
     }
 
     /// Whether every casualty of `self` is also a casualty of `other`.
@@ -516,10 +534,10 @@ impl FaultTimeline {
     }
 
     /// Replays a finished route epoch-aware: hop number `i` (0-based) is
-    /// checked against [`FaultTimeline::active`]`(i)`. Zero-cost stays
-    /// (`hops[i] == hops[i+1]`) advance no epoch, matching the recovery
-    /// runtime's hop accounting. Adjacency and cost are [`Route::verify`]'s
-    /// job, not this one's.
+    /// checked by [`FaultPlan::blocks`] of [`FaultTimeline::active`]`(i)`.
+    /// Zero-cost stays (`hops[i] == hops[i+1]`) advance no epoch, matching
+    /// the recovery runtime's hop accounting. Adjacency and cost are
+    /// [`Route::verify`]'s job, not this one's.
     ///
     /// # Errors
     ///
@@ -536,12 +554,8 @@ impl FaultTimeline {
             if cur == next {
                 continue;
             }
-            let plan = self.active(hops_taken);
-            if plan.is_node_dead(next) {
-                return Err(RouteError::NodeFailed { node: next });
-            }
-            if plan.is_edge_dead(cur, next) {
-                return Err(RouteError::EdgeFailed { u: cur, v: next });
+            if let Some(casualty) = self.active(hops_taken).blocks(cur, next) {
+                return Err(casualty);
             }
             hops_taken += 1;
         }
@@ -666,6 +680,7 @@ impl SurvivingNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::RouteRecorder;
     use doubling_metric::gen;
 
     #[test]

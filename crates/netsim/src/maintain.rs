@@ -16,7 +16,8 @@
 //!    from scratch.
 //!
 //! Each committed batch is *epoch-stamped*: [`Maintainer::epoch`] advances
-//! only after the repair (or fallback rebuild) has passed its audit, so
+//! only after the repair (or fallback rebuild) has passed its audit, and a
+//! batch that fails its audit even after the rebuild is rolled back, so
 //! readers keyed on the epoch never observe a half-repaired table.
 
 use doubling_metric::graph::NodeId;
@@ -167,7 +168,8 @@ pub enum BatchAction {
     /// Blast radius exceeded the configured fraction — whole-scheme
     /// rebuild.
     RebuiltBlast,
-    /// Post-repair audit failed — whole-scheme rebuild recovered.
+    /// Post-repair audit failed — whole-scheme rebuild recovered. The
+    /// only committed batch whose first audit failed.
     RebuiltAudit,
 }
 
@@ -197,8 +199,6 @@ pub struct BatchReport {
     /// Stats of the incremental repair attempt (kept even when the result
     /// was discarded for a rebuild, for blast-radius accounting).
     pub stats: RepairStats,
-    /// Whether the committed tables passed the conform spot-audit.
-    pub audit_ok: bool,
     /// Total table bits after the batch (the re-price).
     pub table_bits: u64,
     /// Active node count after the batch.
@@ -272,19 +272,19 @@ impl<S: Maintainable> Maintainer<S> {
     /// [`MaintainError::InvalidBatch`] if the batch does not fit the
     /// scheme's current active set (nothing is modified), or
     /// [`MaintainError::AuditFailedAfterRebuild`] if even the rebuilt
-    /// scheme fails the audit. In that case the epoch does not advance,
-    /// but the scheme already serves the post-batch active set (it was
-    /// repaired or rebuilt over it): the next batch is validated against
-    /// that set, and a plane compiled from the scheme now carries the
-    /// pre-batch epoch.
+    /// scheme fails the audit. In that case the scheme is rebuilt over the
+    /// pre-batch active set — by the repair ≡ rebuild contract, the tables
+    /// committed at the unchanged epoch — so a plane compiled from it
+    /// matches the planes already serving that epoch.
     pub fn apply_batch(
         &mut self,
         m: &MetricSpace,
         batch: &ChurnBatch,
         audit: impl Fn(&S) -> bool,
     ) -> Result<BatchReport, MaintainError> {
+        let before = self.scheme.active_nodes();
         let mut active = vec![false; self.n];
-        for v in self.scheme.active_nodes() {
+        for &v in &before {
             active[v as usize] = true;
         }
         batch.validate(&active)?;
@@ -305,6 +305,7 @@ impl<S: Maintainable> Maintainer<S> {
             audit_ok = audit(&self.scheme);
         }
         if !audit_ok {
+            self.scheme.rebuild(m, &before);
             return Err(MaintainError::AuditFailedAfterRebuild);
         }
 
@@ -313,7 +314,6 @@ impl<S: Maintainable> Maintainer<S> {
             epoch: self.epoch,
             action,
             stats,
-            audit_ok,
             table_bits: self.scheme.total_table_bits(),
             active: ids.len(),
         })
@@ -396,11 +396,14 @@ mod tests {
             })
             .unwrap();
         assert_eq!(report.action, BatchAction::RebuiltAudit);
-        assert!(report.audit_ok);
         assert_eq!((report.epoch, mt.epoch()), (1, 1));
         assert_eq!((audits.get(), mt.scheme().repairs, mt.scheme().rebuilds), (2, 1, 1));
         assert_eq!(report.active, 35);
         assert!(!mt.scheme().active_nodes().contains(&5));
+        // A clean batch after it: one of the two reports failed an audit.
+        let next = mt.apply_batch(&m, &ChurnBatch::new(vec![5], vec![]), |_| true).unwrap();
+        let failed = [&report, &next].into_iter().filter(|r| r.action == BatchAction::RebuiltAudit);
+        assert_eq!((next.action, next.epoch, failed.count()), (BatchAction::Repaired, 2, 1));
     }
 
     #[test]
@@ -409,15 +412,16 @@ mod tests {
         let err = mt.apply_batch(&m, &ChurnBatch::new(vec![], vec![5]), |_| false);
         assert_eq!(err, Err(MaintainError::AuditFailedAfterRebuild));
         assert_eq!(mt.epoch(), 0);
-        assert_eq!(mt.scheme().rebuilds, 1);
-        assert!(!mt.scheme().active_nodes().contains(&5));
-        // The next batch is validated against the set the scheme serves.
+        // The fallback rebuild, then the rollback to the pre-batch set.
+        assert_eq!((mt.scheme().repairs, mt.scheme().rebuilds), (1, 2));
+        assert_eq!(mt.scheme().active_nodes(), (0..36).collect::<Vec<NodeId>>());
+        // The next batch is validated against the set the epoch committed.
         assert_eq!(
-            mt.apply_batch(&m, &ChurnBatch::new(vec![], vec![5]), |_| true),
-            Err(MaintainError::InvalidBatch(ChurnBatchError::NotActive(5)))
+            mt.apply_batch(&m, &ChurnBatch::new(vec![5], vec![]), |_| true),
+            Err(MaintainError::InvalidBatch(ChurnBatchError::AlreadyActive(5)))
         );
-        let report = mt.apply_batch(&m, &ChurnBatch::new(vec![5], vec![]), |_| true).unwrap();
-        assert_eq!((report.action, report.epoch, report.active), (BatchAction::Repaired, 1, 36));
+        let report = mt.apply_batch(&m, &ChurnBatch::new(vec![], vec![5]), |_| true).unwrap();
+        assert_eq!((report.action, report.epoch, report.active), (BatchAction::Repaired, 1, 35));
     }
 
     #[test]

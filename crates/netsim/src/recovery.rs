@@ -10,7 +10,15 @@
 //! node or edge, applies a [`RecoveryPolicy`]:
 //!
 //! * [`RecoveryPolicy::Drop`] — the baseline: give up at the first
-//!   casualty, reproducing [`Deliver::route_with_faults`] semantics exactly.
+//!   casualty. This is not stale-table routing
+//!   ([`FaultPlan::route_stale`]) in general: the drive loop delivers as
+//!   soon as the packet first stands on `dst`, while the scheme's own
+//!   route, and stale-table evaluation, follow the plan to its end. The
+//!   two agree where routes reach `dst` only at their end (shortest-path
+//!   schemes such as the full-table baseline); a name-independent
+//!   search may pass `dst` before it finds it, and there `Drop` can
+//!   deliver earlier, at lower cost, or where stale-table routing loses
+//!   the packet.
 //! * [`RecoveryPolicy::LocalDetour`] — breadth-first search of the
 //!   surviving graph around the casualty, bounded by a TTL, re-entering
 //!   the scheme's planned route at the furthest reachable planned hop.
@@ -78,8 +86,8 @@ use crate::scheme::{Deliver, Labeled, Named};
 /// What to do when an in-flight packet hits a dead node or edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryPolicy {
-    /// Give up: the packet is lost at the first casualty (the stale-table
-    /// baseline).
+    /// Give up: the packet is lost at the first casualty (delivered when
+    /// it first stands on the destination; see the [module docs](self)).
     Drop,
     /// Bounded breadth-first search of the surviving graph to bypass the
     /// casualty and re-enter the planned route. `ttl` bounds the BFS
@@ -451,14 +459,7 @@ impl<'a, D: ?Sized> ResilientRouter<'a, D> {
                 continue;
             }
             let plan = timeline.active(hops_taken);
-            let blocker = if plan.is_node_dead(next) {
-                Some(RouteError::NodeFailed { node: next })
-            } else if plan.is_edge_dead(cur, next) {
-                Some(RouteError::EdgeFailed { u: cur, v: next })
-            } else {
-                None
-            };
-            let Some(original) = blocker else {
+            let Some(original) = plan.blocks(cur, next) else {
                 match rec.hop(next) {
                     Ok(()) => {
                         hops_taken += 1;
@@ -637,7 +638,7 @@ impl<'a, D: ?Sized> ResilientRouter<'a, D> {
             for &u in &frontier {
                 for nb in g.neighbors(u) {
                     let v = nb.node;
-                    if visited[v as usize] || plan.is_node_dead(v) || plan.is_edge_dead(u, v) {
+                    if visited[v as usize] || plan.blocks(u, v).is_some() {
                         continue;
                     }
                     visited[v as usize] = true;
@@ -695,7 +696,7 @@ impl<'a, D: ?Sized> ResilientRouter<'a, D> {
         while let Some(u) = stack.pop() {
             for nb in g.neighbors(u) {
                 let v = nb.node;
-                if visited[v as usize] || plan.is_node_dead(v) || plan.is_edge_dead(u, v) {
+                if visited[v as usize] || plan.blocks(u, v).is_some() {
                     continue;
                 }
                 if v == to {

@@ -22,12 +22,10 @@ use std::fmt;
 use doubling_metric::graph::{Dist, NodeId};
 use doubling_metric::space::MetricSpace;
 
-use crate::faults::FaultPlan;
-
 /// Why a route failed. Without fault injection, any failure is a bug in a
 /// scheme (the paper's schemes always deliver); surfacing them as errors
 /// rather than panics lets the test suite assert their absence over large
-/// samples. Under a [`FaultPlan`], the `NodeFailed` / `EdgeFailed`
+/// samples. Under a [`crate::faults::FaultPlan`], the `NodeFailed` / `EdgeFailed`
 /// variants are expected outcomes — a packet lost to churn — and are
 /// counted by the reachability statistics rather than treated as bugs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -256,7 +254,6 @@ const SEGMENT_CAPACITY: usize = 16;
 /// exactly costed as it happens.
 pub struct RouteRecorder<'m> {
     m: &'m MetricSpace,
-    faults: Option<&'m FaultPlan>,
     hops: Vec<NodeId>,
     cost: Dist,
     max_header_bits: u64,
@@ -278,7 +275,6 @@ impl<'m> RouteRecorder<'m> {
         hops.push(src);
         RouteRecorder {
             m,
-            faults: None,
             hops,
             cost: 0,
             max_header_bits: 0,
@@ -290,27 +286,6 @@ impl<'m> RouteRecorder<'m> {
             hop_budget: 64 * m.n() + 64,
             depth: 0,
         }
-    }
-
-    /// Starts a fault-aware route at `src`: every subsequent hop is
-    /// rejected if it enters a dead node or crosses a dead edge of
-    /// `faults`.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::NodeFailed`] immediately if the source itself is dead
-    /// — a failed node cannot originate traffic.
-    pub fn with_faults(
-        m: &'m MetricSpace,
-        src: NodeId,
-        faults: &'m FaultPlan,
-    ) -> Result<Self, RouteError> {
-        if faults.is_node_dead(src) {
-            return Err(RouteError::NodeFailed { node: src });
-        }
-        let mut rec = Self::new(m, src);
-        rec.faults = Some(faults);
-        Ok(rec)
     }
 
     /// The metric every hop is validated and charged against.
@@ -380,14 +355,6 @@ impl<'m> RouteRecorder<'m> {
         let w = self.m.graph().edge_weight(cur, next).ok_or_else(|| {
             RouteError::Internal(format!("scheme attempted non-edge hop {cur} -> {next}"))
         })?;
-        if let Some(faults) = self.faults {
-            if faults.is_node_dead(next) {
-                return Err(RouteError::NodeFailed { node: next });
-            }
-            if faults.is_edge_dead(cur, next) {
-                return Err(RouteError::EdgeFailed { u: cur, v: next });
-            }
-        }
         if self.hops.len() > self.hop_budget {
             return Err(RouteError::HopBudgetExceeded { budget: self.hop_budget });
         }

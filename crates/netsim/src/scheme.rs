@@ -18,7 +18,6 @@ use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
 
 use crate::bits::{FieldWidths, TableComponent};
-use crate::faults::FaultPlan;
 use crate::naming::Naming;
 use crate::route::{Route, RouteError};
 
@@ -123,35 +122,6 @@ pub trait Deliver: Sync {
     ///
     /// Any error indicates a scheme bug; the paper's schemes always deliver.
     fn route_to(&self, m: &MetricSpace, src: NodeId, dst: NodeId) -> Result<Route, RouteError>;
-
-    /// Routes under *stale tables* with the given faults injected: the
-    /// scheme picks its path as if nothing failed (its tables predate the
-    /// failures), and the simulator delivers the packet only if that path
-    /// avoids every dead node and edge. No recovery is attempted — wrap
-    /// the scheme in a [`crate::recovery::ResilientRouter`] for that.
-    ///
-    /// With an empty plan, the returned route is byte-identical to
-    /// [`Deliver::route_to`].
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::NodeFailed`] / [`RouteError::EdgeFailed`] when the
-    /// packet is lost to a casualty (including a dead source), plus
-    /// whatever scheme errors plain routing can produce.
-    fn route_with_faults(
-        &self,
-        m: &MetricSpace,
-        src: NodeId,
-        dst: NodeId,
-        faults: &FaultPlan,
-    ) -> Result<Route, RouteError> {
-        if faults.is_node_dead(src) {
-            return Err(RouteError::NodeFailed { node: src });
-        }
-        let route = self.route_to(m, src, dst)?;
-        faults.check_route(m, &route)?;
-        Ok(route)
-    }
 }
 
 /// A [`LabeledScheme`] behind the [`Deliver`] seam: routes to

@@ -346,7 +346,7 @@ pub struct FaultEvalResult {
 }
 
 /// Evaluates a scheme routing with *stale tables* under `faults`
-/// ([`Deliver::route_with_faults`]): reachability, surviving-route
+/// ([`FaultPlan::route_stale`]): reachability, surviving-route
 /// stretch, and loss breakdown. `observe(u, v, outcome)` sees every
 /// attempted pair, so each individual loss (node kill, edge kill) is
 /// attributable; pairs skipped for dead endpoints are not observed.
@@ -372,7 +372,7 @@ where
             continue; // dead endpoint: out of the denominator entirely
         }
         attempted += 1;
-        let res = d.route_with_faults(m, u, v, faults);
+        let res = faults.route_stale(d, m, u, v);
         match &res {
             Ok(r) => {
                 assert_eq!(r.dst, v, "fault-free delivery must reach the destination");
@@ -407,9 +407,13 @@ where
 ///
 /// The denominator convention matches [`FaultEvalResult`]: pairs with an
 /// endpoint dead in the timeline's *initial* epoch are out of the
-/// denominator (a dead customer, not a routing failure); with the `Drop`
-/// policy and a single-epoch timeline the delivered/lost split is
-/// identical to [`eval_under_faults`].
+/// denominator (a dead customer, not a routing failure). With the `Drop`
+/// policy and a single-epoch timeline the result equals
+/// [`eval_under_faults`] only for schemes whose routes reach the
+/// destination at their end: `Drop` delivers when the packet first stands
+/// on it, so a name-independent scheme whose search passes the
+/// destination early can deliver more, and at lower stretch (see
+/// [`crate::recovery`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryEvalResult {
     /// Scheme display name.

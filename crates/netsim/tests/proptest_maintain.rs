@@ -17,7 +17,7 @@ use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
-use netsim::maintain::{Maintainable, Maintainer, MaintainerConfig};
+use netsim::maintain::{BatchAction, Maintainable, Maintainer, MaintainerConfig};
 use netsim::naming::Naming;
 use netsim::scheme::{LabeledScheme, NameIndependentScheme};
 use netsim::stats::sample_pairs;
@@ -85,7 +85,8 @@ fn assert_repair_equals_rebuild<S, R>(
     let mut mt = Maintainer::new(m.n(), scheme, MaintainerConfig::default());
     for (i, batch) in script.iter().enumerate() {
         let report = mt.apply_batch(m, batch, |_| true).expect("script batches are valid");
-        prop_assert!(report.audit_ok);
+        // The repair itself was committed, not a fallback rebuild.
+        prop_assert_eq!(report.action, BatchAction::Repaired);
 
         let active = mt.scheme().active_nodes();
         baseline.rebuild(m, &active);

@@ -2,8 +2,10 @@
 //! graphs under random fault schedules, a `Delivered` outcome must be a
 //! real route — it never traverses a node or edge that was dead in the
 //! epoch it crossed it, its recorded cost is the sum of its segment
-//! costs (via `Route::verify`), and the `Drop` baseline agrees exactly
-//! with the legacy stale-table path.
+//! costs (via `Route::verify`), and on shortest-path routes the `Drop`
+//! baseline agrees exactly with stale-table routing. On a
+//! name-independent scheme the two differ: `Drop` delivers as soon as
+//! the packet first stands on the destination.
 
 // The vendored proptest macro expands deeply for three-property blocks.
 #![recursion_limit = "1024"]
@@ -12,11 +14,14 @@ use proptest::prelude::*;
 
 use doubling_metric::graph::{Graph, GraphBuilder, NodeId};
 use doubling_metric::space::MetricSpace;
+use doubling_metric::{gen, Eps};
+use name_independent::SimpleNameIndependent;
 use netsim::baseline::FullTable;
 use netsim::faults::{FaultPlan, FaultTimeline};
+use netsim::naming::Naming;
 use netsim::recovery::{DeliveryOutcome, LossReason, RecoveryPolicy, ResilientRouter};
 use netsim::route::RouteError;
-use netsim::scheme::{Deliver, Labeled};
+use netsim::scheme::{Labeled, Named};
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (3usize..=max_n).prop_flat_map(|n| {
@@ -106,10 +111,11 @@ proptest! {
         }
     }
 
-    /// `Drop` through the resilient runtime is the legacy stale-table
-    /// path, outcome for outcome, on single-epoch timelines.
+    /// `Drop` through the resilient runtime is stale-table routing,
+    /// outcome for outcome, on single-epoch timelines — for the full-table
+    /// baseline, whose shortest-path routes reach `dst` only at their end.
     #[test]
-    fn drop_policy_matches_route_with_faults(
+    fn drop_policy_matches_route_stale_on_shortest_paths(
         g in arb_connected_graph(14),
         frac_pct in 0u64..50,
         seed in 0u64..1000,
@@ -126,7 +132,7 @@ proptest! {
                 if u == v {
                     continue;
                 }
-                let legacy = scheme.route_with_faults(&m, u, v, &plan);
+                let legacy = plan.route_stale(&scheme, &m, u, v);
                 let resilient = router.deliver(u, v, &timeline, &mut |_| {});
                 match (&legacy, &resilient) {
                     (Ok(r), DeliveryOutcome::Delivered { route, .. }) => {
@@ -186,4 +192,36 @@ proptest! {
             last = d;
         }
     }
+}
+
+/// `Drop` is not stale-table routing on a name-independent scheme: the
+/// simple-NI search from 0 for node 7 of a 5×5 grid passes 7, goes on to
+/// 12, walks back to 0 and only then returns to 7. `Drop` delivers the
+/// first time the packet stands on 7; the scheme's own route, which
+/// stale-table routing replays, follows the plan to its end.
+#[test]
+fn drop_delivers_where_a_name_independent_search_first_passes_dst() {
+    let m = MetricSpace::new(&gen::grid(5, 5));
+    let naming = Naming::random(m.n(), 1);
+    let sni = SimpleNameIndependent::new(&m, Eps::one_over(4), naming.clone()).unwrap();
+    let scheme = Named(&sni, &naming);
+    let drop_cost = |plan: &FaultPlan| {
+        let router = ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::Drop);
+        match router.deliver(0, 7, &FaultTimeline::from_plan(plan.clone()), &mut |_| {}) {
+            DeliveryOutcome::Delivered { route, .. } => route.cost,
+            lost => panic!("Drop must deliver 0 -> 7, got {lost:?}"),
+        }
+    };
+
+    let none = FaultPlan::none(m.n());
+    let stale = none.route_stale(&scheme, &m, 0, 7).unwrap();
+    assert_eq!(stale.hops, [0, 1, 2, 7, 12, 7, 2, 1, 0, 1, 2, 7]);
+    assert_eq!((drop_cost(&none), stale.cost), (3, 11));
+
+    // Node 12 lies only on the part of the plan after the first visit to
+    // 7: stale-table routing loses the packet there, `Drop` delivers it.
+    let mut plan = FaultPlan::none(m.n());
+    plan.kill_node(12);
+    assert_eq!(plan.route_stale(&scheme, &m, 0, 7), Err(RouteError::NodeFailed { node: 12 }));
+    assert_eq!(drop_cost(&plan), 3);
 }

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
 use netsim::json::Value;
-use netsim::maintain::BatchReport;
+use netsim::maintain::{BatchAction, BatchReport};
 use netsim::recovery::{DeliveryOutcome, RecoveryEvent};
 use netsim::{Route, RouteError};
 
@@ -163,19 +163,22 @@ impl Telemetry {
 
     /// One committed maintenance batch. The `"maintain-batch"` event
     /// carries the `base` context first, then epoch, action tag, blast
-    /// fraction, audit verdict, table bits and active count. The registry
-    /// counts `maintain.batches`, `maintain.<action tag>` (e.g.
+    /// fraction, first-audit verdict (false for a `rebuilt-audit` batch),
+    /// table bits and active count. The registry counts
+    /// `maintain.batches`, `maintain.<action tag>` (e.g.
     /// `maintain.repaired`), `maintain.fallbacks` for whole-scheme
-    /// rebuilds and `maintain.audit_failures`, and records the
-    /// `maintain.table_bits` histogram. Committed tables that failed their
-    /// spot audit are an `"audit-failure"` anomaly in the flight ring.
+    /// rebuilds and `maintain.audit_failures` for `rebuilt-audit` batches,
+    /// and records the `maintain.table_bits` histogram. A batch whose
+    /// repaired tables failed their spot audit is an `"audit-failure"`
+    /// anomaly in the flight ring.
     pub fn maintain_batch(&self, base: impl FnOnce() -> Fields, report: &BatchReport) {
+        let audit_failed = report.action == BatchAction::RebuiltAudit;
         self.tracer.event_lazy("maintain-batch", || {
             let mut fields = base();
             fields.push(("epoch", report.epoch.into()));
             fields.push(("action", report.action.tag().into()));
             fields.push(("blast", report.stats.blast_fraction().into()));
-            fields.push(("audit_ok", report.audit_ok.into()));
+            fields.push(("audit_ok", (!audit_failed).into()));
             fields.push(("table_bits", report.table_bits.into()));
             fields.push(("active", report.active.into()));
             fields
@@ -187,12 +190,12 @@ impl Telemetry {
             if report.action.is_fallback() {
                 reg.counter("maintain.fallbacks").inc();
             }
-            if !report.audit_ok {
+            if audit_failed {
                 reg.counter("maintain.audit_failures").inc();
             }
             reg.histogram("maintain.table_bits").record(report.table_bits);
         }
-        if !report.audit_ok {
+        if audit_failed {
             self.flight.borrow_mut().note_anomaly("audit-failure");
         }
     }
@@ -234,14 +237,13 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::maintain::{BatchAction, RepairStats};
+    use netsim::maintain::RepairStats;
 
-    fn report(action: BatchAction, audit_ok: bool) -> BatchReport {
+    fn report(action: BatchAction) -> BatchReport {
         BatchReport {
             epoch: 3,
             action,
             stats: RepairStats { rings_rebuilt: 1, rings_refreshed: 3, ..Default::default() },
-            audit_ok,
             table_bits: 4096,
             active: 30,
         }
@@ -250,22 +252,23 @@ mod tests {
     #[test]
     fn maintain_batches_are_metered_by_action() {
         let tel = Telemetry::on(Tracer::noop());
-        tel.maintain_batch(Vec::new, &report(BatchAction::Repaired, true));
-        tel.maintain_batch(Vec::new, &report(BatchAction::RebuiltBlast, true));
-        tel.maintain_batch(Vec::new, &report(BatchAction::RebuiltAudit, false));
+        tel.maintain_batch(Vec::new, &report(BatchAction::Repaired));
+        tel.maintain_batch(Vec::new, &report(BatchAction::RebuiltBlast));
+        tel.maintain_batch(Vec::new, &report(BatchAction::RebuiltAudit));
         let snap = tel.registry.snapshot();
         assert_eq!(snap.counter("maintain.batches"), Some(3));
         assert_eq!(snap.counter("maintain.repaired"), Some(1));
         assert_eq!(snap.counter("maintain.rebuilt-blast"), Some(1));
         assert_eq!(snap.counter("maintain.rebuilt-audit"), Some(1));
         assert_eq!(snap.counter("maintain.fallbacks"), Some(2));
+        // Only the batch whose first audit failed counts as a failure.
         assert_eq!(snap.counter("maintain.audit_failures"), Some(1));
         assert_eq!(snap.histogram("maintain.table_bits").map(|h| h.count()), Some(3));
         // The failed audit is a flight anomaly.
         assert_eq!(tel.flight.borrow().anomalies(), 1);
         // Everything off: one branch per sink, no counters.
         let off = Telemetry::off();
-        off.maintain_batch(|| unreachable!(), &report(BatchAction::Repaired, false));
+        off.maintain_batch(|| unreachable!(), &report(BatchAction::RebuiltAudit));
         assert!(off.registry.snapshot().counter("maintain.batches").is_none());
         assert_eq!(off.flight.borrow().anomalies(), 0);
     }
@@ -275,10 +278,11 @@ mod tests {
         let tel = Telemetry::on(Tracer::recording());
         tel.maintain_batch(
             || vec![("scheme", "net-labeled".into())],
-            &report(BatchAction::RebuiltBlast, true),
+            &report(BatchAction::RebuiltBlast),
         );
+        tel.maintain_batch(Vec::new, &report(BatchAction::RebuiltAudit));
         let log = tel.tracer.finish();
-        assert_eq!(log.events.len(), 1);
+        assert_eq!(log.events.len(), 2);
         let e = &log.events[0];
         assert_eq!(e.name, "maintain-batch");
         let keys: Vec<&str> = e.fields.iter().map(|(k, _)| *k).collect();
@@ -287,6 +291,10 @@ mod tests {
             ["scheme", "epoch", "action", "blast", "audit_ok", "table_bits", "active"]
         );
         assert_eq!(e.fields[2].1, Value::from("rebuilt-blast"));
+        assert_eq!(e.fields[4].1, Value::from(true));
+        // The verdict is derived from the action: a rebuilt-audit batch
+        // failed its first audit.
+        assert_eq!(log.events[1].fields[3], ("audit_ok", Value::from(false)));
     }
 
     #[test]

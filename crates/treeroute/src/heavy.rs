@@ -1,12 +1,12 @@
-//! The heavy-path decomposition and forwarding decision shared by the two
-//! label-based tree routers.
+//! The heavy-path decomposition and forwarding decision of the tree
+//! router, shared with the forwarding plane's packed records.
 //!
 //! Every node has a *heavy* child (largest subtree, ties by least graph
 //! id); edges to other children are *light*. DFS numbers visit the heavy
 //! child first, then light children in graph-id order. A label is a DFS
 //! number plus one `(dfs(x), exit)` pair per light edge on the root path,
-//! where `exit` names the light edge out of `x`: a graph node id in
-//! [`crate::compact`], a physical port in [`crate::port`]. Forwarding at
+//! where `exit` is the physical port of the light edge out of `x` (see
+//! [`crate::port`]). Forwarding at
 //! `u` toward a label `L` ([`decide`]):
 //!
 //! 1. `dfs(u) == L.dfs` → deliver;
@@ -20,8 +20,8 @@ use doubling_metric::graph::NodeId;
 use crate::tree::Tree;
 
 /// A read-only view of a heavy-path router's per-node records (by tree
-/// local index) — exactly what [`decide`] reads. The routers implement it
-/// over their vectors; a forwarding plane implements it over packed bits.
+/// local index) — exactly what [`decide`] reads. The router implements it
+/// over its vectors; a forwarding plane implements it over packed bits.
 pub trait RouterRecords {
     /// Graph node at local index `i`.
     fn node(&self, i: u32) -> NodeId;

@@ -1,13 +1,12 @@
 //! Port-based heavy-path tree routing — the Fraigniaud–Gavoille port
 //! model.
 //!
-//! [`crate::compact::CompactTreeRouter`] stores a full node id per light
-//! edge in the label. The original tree-routing schemes instead name the
-//! *output port*: the index of the link at the branching node. A node
-//! knows its own physical links for free (they are its network
-//! interfaces, not routing state), so ports cost `⌈log₂ Δ_G⌉` bits
-//! instead of `⌈log₂ n⌉` — the step toward Lemma 4.1's tighter label
-//! sizes.
+//! A label names each light edge on the root path by its *output port*:
+//! the index of the link at the branching node. A node knows its own
+//! physical links for free (they are its network interfaces, not routing
+//! state), so a light edge costs `⌈log₂ Δ_G⌉` bits for the port instead
+//! of another `⌈log₂ n⌉` for a node id — the step toward Lemma 4.1's
+//! tighter label sizes.
 //!
 //! Ports are physical-link indices, so this router applies to trees whose
 //! edges are graph edges — exactly the Voronoi shortest-path trees
@@ -165,8 +164,9 @@ impl PortTreeRouter {
         Ok(path)
     }
 
-    /// Table bits per node: same seven node-sized fields as the id-based
-    /// router (the port tables are the node's physical links, free).
+    /// Table bits per node: own DFS number and interval, parent, heavy
+    /// child and its interval — seven node-sized fields, independent of
+    /// degree (the port tables are the node's physical links, free).
     pub fn table_bits(&self, _v: NodeId, node_bits: u64) -> u64 {
         7 * node_bits
     }
@@ -245,7 +245,6 @@ fn netsim_bits(count: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compact::CompactTreeRouter;
     use doubling_metric::{gen, MetricSpace};
 
     /// A shortest-path tree of the whole graph rooted at `root` — every
@@ -259,37 +258,38 @@ mod tests {
         Tree::new(root, edges).expect("SPT is a tree")
     }
 
-    #[test]
-    fn routes_match_id_based_router() {
-        let m = MetricSpace::new(&gen::grid(6, 6));
-        let tree = spt(&m, 14);
-        let pr = PortTreeRouter::new(tree.clone(), m.graph()).unwrap();
-        let cr = CompactTreeRouter::new(tree);
-        for a in 0..36u32 {
-            for b in 0..36u32 {
-                assert_eq!(
-                    pr.route(m.graph(), a, pr.label_of(b)).unwrap(),
-                    cr.route(a, cr.label_of(b)),
-                    "{a}->{b}"
-                );
+    /// Every route between two nodes of `m` is the tree path.
+    fn assert_routes_are_tree_paths(pr: &PortTreeRouter, m: &MetricSpace) {
+        for a in 0..m.n() as NodeId {
+            for b in 0..m.n() as NodeId {
+                let route = pr.route(m.graph(), a, pr.label_of(b)).unwrap();
+                assert_eq!(route, pr.tree().path(a, b), "{a}->{b}");
             }
         }
     }
 
     #[test]
+    fn routes_match_tree_paths_on_a_grid_spt() {
+        let m = MetricSpace::new(&gen::grid(6, 6));
+        let pr = PortTreeRouter::new(spt(&m, 14), m.graph()).unwrap();
+        assert_routes_are_tree_paths(&pr, &m);
+    }
+
+    #[test]
     fn port_labels_are_smaller() {
-        // On a bounded-degree graph, ports are much narrower than ids.
+        // On a bounded-degree graph, ports are much narrower than ids: an
+        // id-named light edge costs two node-sized fields.
         let m = MetricSpace::new(&gen::grid(10, 10));
-        let tree = spt(&m, 0);
-        let pr = PortTreeRouter::new(tree.clone(), m.graph()).unwrap();
-        let cr = CompactTreeRouter::new(tree);
+        let pr = PortTreeRouter::new(spt(&m, 0), m.graph()).unwrap();
         let node_bits = 7; // ⌈log2 100⌉
         assert_eq!(pr.port_bits(), 2); // max degree 4
+        let max_lights = (0..100).map(|v| pr.label_of(v).lights.len() as u64).max().unwrap();
+        assert!(max_lights > 0, "some node lies below a light edge");
+        let id_label_bits = node_bits + max_lights * 2 * node_bits;
         assert!(
-            pr.max_label_bits(node_bits) <= cr.max_label_bits(node_bits),
-            "port labels {} vs id labels {}",
-            pr.max_label_bits(node_bits),
-            cr.max_label_bits(node_bits)
+            pr.max_label_bits(node_bits) < id_label_bits,
+            "port labels {} vs id labels {id_label_bits}",
+            pr.max_label_bits(node_bits)
         );
     }
 
@@ -304,16 +304,17 @@ mod tests {
     #[test]
     fn routes_on_random_geometric_spt() {
         let m = MetricSpace::new(&gen::random_geometric(40, 260, 8));
-        let tree = spt(&m, 3);
-        let pr = PortTreeRouter::new(tree, m.graph()).unwrap();
-        for a in 0..40u32 {
-            for b in 0..40u32 {
-                let route = pr.route(m.graph(), a, pr.label_of(b)).unwrap();
-                assert_eq!(route, pr.tree().path(a, b));
-            }
-        }
+        let pr = PortTreeRouter::new(spt(&m, 3), m.graph()).unwrap();
+        assert_routes_are_tree_paths(&pr, &m);
     }
 
+    #[test]
+    fn singleton_routes_to_itself() {
+        let m = MetricSpace::new(&gen::path(5));
+        let pr = PortTreeRouter::new(Tree::singleton(3), m.graph()).unwrap();
+        assert_eq!(pr.route(m.graph(), 3, pr.label_of(3)).unwrap(), vec![3]);
+        assert_eq!(pr.max_label_bits(5), 5);
+    }
     #[test]
     fn light_trail_without_branching_port_is_an_error() {
         // A spider's center branches into equal legs: every leg but the

@@ -279,7 +279,7 @@ impl Tree {
 
     /// The tree path between two members, as graph ids (inclusive).
     ///
-    /// Used by tests as the ground truth the routers must match.
+    /// Used by tests as the ground truth the router must match.
     ///
     /// # Panics
     ///

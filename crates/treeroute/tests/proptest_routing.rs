@@ -1,10 +1,10 @@
-//! Property-based tests: both tree routers must route along the exact
-//! tree path for arbitrary random trees, and their compactness invariants
-//! must hold; the edge-list and local-index constructors must agree.
+//! Property-based tests: the tree router must route along the exact tree
+//! path for arbitrary random trees, and its compactness invariant must
+//! hold; the edge-list and local-index constructors must agree.
 
-use doubling_metric::graph::{Dist, NodeId};
+use doubling_metric::graph::{Dist, Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
-use treeroute::{CompactTreeRouter, IntervalRouter, Tree};
+use treeroute::{PortTreeRouter, Tree};
 
 /// Strategy: a random rooted tree on `2..=max_n` nodes with random parent
 /// choices and weights.
@@ -23,6 +23,15 @@ fn arb_tree(max_n: usize) -> impl Strategy<Value = Tree> {
                 Tree::new(0, edges).expect("parent structure is a tree")
             })
     })
+}
+
+/// The graph whose edges are exactly `t`'s, so every tree edge has a port.
+fn own_graph(t: &Tree) -> Graph {
+    let mut b = GraphBuilder::new(t.len());
+    for i in 1..t.len() as u32 {
+        b.edge(t.node(i), t.node(t.parent(i)), t.weight_up(i)).unwrap();
+    }
+    b.build().expect("a tree is connected")
 }
 
 /// Strategy: a random tree on `1..=max_n` nodes with scattered graph ids
@@ -81,40 +90,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn interval_router_routes_exact_tree_paths(t in arb_tree(40)) {
+    fn port_router_routes_exact_tree_paths(t in arb_tree(40)) {
         let n = t.len();
-        let r = IntervalRouter::new(t);
+        let g = own_graph(&t);
+        let r = PortTreeRouter::new(t, &g).unwrap();
         for a in 0..n as u32 {
             for b in 0..n as u32 {
-                let route = r.route(a, r.label_of(b));
+                let route = r.route(&g, a, r.label_of(b)).unwrap();
                 prop_assert_eq!(&route, &r.tree().path(a, b));
-            }
-        }
-    }
-
-    #[test]
-    fn compact_router_routes_exact_tree_paths(t in arb_tree(40)) {
-        let n = t.len();
-        let r = CompactTreeRouter::new(t);
-        for a in 0..n as u32 {
-            for b in 0..n as u32 {
-                let route = r.route(a, r.label_of(b));
-                prop_assert_eq!(&route, &r.tree().path(a, b));
-            }
-        }
-    }
-
-    #[test]
-    fn routers_agree_with_each_other(t in arb_tree(30)) {
-        let n = t.len();
-        let ri = IntervalRouter::new(t.clone());
-        let rc = CompactTreeRouter::new(t);
-        for a in 0..n as u32 {
-            for b in 0..n as u32 {
-                prop_assert_eq!(
-                    ri.route(a, ri.label_of(b)),
-                    rc.route(a, rc.label_of(b))
-                );
             }
         }
     }
@@ -122,23 +105,11 @@ proptest! {
     #[test]
     fn light_trails_stay_logarithmic(t in arb_tree(64)) {
         let n = t.len() as u64;
-        let r = CompactTreeRouter::new(t);
+        let g = own_graph(&t);
+        let r = PortTreeRouter::new(t, &g).unwrap();
         let bound = (64 - (n.max(2) - 1).leading_zeros()) as usize; // ⌈log2 n⌉
         for v in 0..n as u32 {
             prop_assert!(r.label_of(v).lights.len() <= bound);
-        }
-    }
-
-    #[test]
-    fn interval_labels_are_bijective(t in arb_tree(40)) {
-        let n = t.len();
-        let r = IntervalRouter::new(t);
-        let mut seen = vec![false; n];
-        for v in 0..n as u32 {
-            let l = r.label_of(v) as usize;
-            prop_assert!(!seen[l]);
-            seen[l] = true;
-            prop_assert_eq!(r.node_of_label(l as u32), v);
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use compact_routing::netsim::faults::FaultPlan;
 use compact_routing::netsim::route::RouteError;
-use compact_routing::netsim::scheme::{Deliver, Labeled, Named};
+use compact_routing::netsim::scheme::{Labeled, Named};
 use compact_routing::netsim::stats::sample_pairs;
 use compact_routing::{gen, Eps, MetricSpace, Naming};
 use compact_routing::{
@@ -28,11 +28,11 @@ fn routing_from_a_failed_source_reports_the_source() {
     let mut plan = FaultPlan::none(m.n());
     plan.kill_node(3);
 
-    match Labeled(&nl).route_with_faults(&m, 3, 40, &plan) {
+    match plan.route_stale(&Labeled(&nl), &m, 3, 40) {
         Err(RouteError::NodeFailed { node }) => assert_eq!(node, 3),
         other => panic!("expected NodeFailed at the source, got {other:?}"),
     }
-    match Named(&sni, &naming).route_with_faults(&m, 3, 40, &plan) {
+    match plan.route_stale(&Named(&sni, &naming), &m, 3, 40) {
         Err(RouteError::NodeFailed { node }) => assert_eq!(node, 3),
         other => panic!("expected NodeFailed at the source, got {other:?}"),
     }
@@ -50,11 +50,11 @@ fn routing_to_a_failed_destination_dies_at_the_destination() {
 
     // The packet must be lost to a casualty — and since only the
     // destination is dead, the casualty must be the destination itself.
-    match Labeled(&nl).route_with_faults(&m, 3, 40, &plan) {
+    match plan.route_stale(&Labeled(&nl), &m, 3, 40) {
         Err(RouteError::NodeFailed { node }) => assert_eq!(node, 40),
         other => panic!("expected NodeFailed at the destination, got {other:?}"),
     }
-    match Named(&sfni, &naming).route_with_faults(&m, 3, 40, &plan) {
+    match plan.route_stale(&Named(&sfni, &naming), &m, 3, 40) {
         Err(RouteError::NodeFailed { node }) => assert_eq!(node, 40),
         other => panic!("expected NodeFailed at the destination, got {other:?}"),
     }
@@ -85,14 +85,14 @@ fn killing_every_net_center_of_a_level_degrades_but_never_panics() {
         attempted += 1;
         // Both schemes must either deliver around the hole or report a
         // clean fault — anything else is a scheme bug.
-        match Labeled(&nl).route_with_faults(&m, u, v, &plan) {
+        match plan.route_stale(&Labeled(&nl), &m, u, v) {
             Ok(r) => assert_eq!(r.dst, v),
             Err(e) => {
                 assert!(e.is_fault(), "non-fault error: {e}");
                 losses += 1;
             }
         }
-        match Named(&sni, &naming).route_with_faults(&m, u, v, &plan) {
+        match plan.route_stale(&Named(&sni, &naming), &m, u, v) {
             Ok(r) => assert_eq!(r.dst, v),
             Err(e) => assert!(e.is_fault(), "non-fault error: {e}"),
         }
@@ -117,19 +117,19 @@ fn empty_fault_plan_is_byte_identical_to_baseline() {
 
     for (u, v) in sample_pairs(m.n(), 200, 29) {
         let a = nl.route(&m, u, nl.label_of(v)).unwrap();
-        let b = Labeled(&nl).route_with_faults(&m, u, v, &plan).unwrap();
+        let b = plan.route_stale(&Labeled(&nl), &m, u, v).unwrap();
         assert_eq!(a, b);
 
         let a = sfl.route(&m, u, sfl.label_of(v)).unwrap();
-        let b = Labeled(&sfl).route_with_faults(&m, u, v, &plan).unwrap();
+        let b = plan.route_stale(&Labeled(&sfl), &m, u, v).unwrap();
         assert_eq!(a, b);
 
         let a = sni.route(&m, u, naming.name_of(v)).unwrap();
-        let b = Named(&sni, &naming).route_with_faults(&m, u, v, &plan).unwrap();
+        let b = plan.route_stale(&Named(&sni, &naming), &m, u, v).unwrap();
         assert_eq!(a, b);
 
         let a = sfni.route(&m, u, naming.name_of(v)).unwrap();
-        let b = Named(&sfni, &naming).route_with_faults(&m, u, v, &plan).unwrap();
+        let b = plan.route_stale(&Named(&sfni, &naming), &m, u, v).unwrap();
         assert_eq!(a, b);
     }
 }
