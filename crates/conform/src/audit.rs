@@ -590,6 +590,7 @@ mod tests {
     #[test]
     fn spot_audit_passes_on_healthy_overlay_tables() {
         use doubling_metric::nets::ChurnBatch;
+        use netsim::maintain::Maintainable;
         use netsim::stats::sample_pairs;
         let m = MetricSpace::new(&gen::grid(6, 6));
         let mut s = NetLabeled::new(&m, Eps::one_over(8)).unwrap();

@@ -27,6 +27,7 @@ use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 
 use netsim::bits::{BitTally, FieldWidths, TableComponent};
+use netsim::maintain::{Maintainable, RepairStats};
 use netsim::route::{Route, RouteError, RouteRecorder};
 use netsim::scheme::{Certifiable, Label, LabeledScheme};
 use obs::Tracer;
@@ -34,7 +35,7 @@ use obs::Tracer;
 use crate::error::SchemeError;
 use crate::rings::{
     affected_nodes, build_ring, level_ranges, patch_ring, refresh_ring_ranges, ring_lookup,
-    RingEntry, RingRepair,
+    RingEntry,
 };
 use crate::view::{LabeledView, NetLabeledView, RingHit};
 
@@ -124,36 +125,6 @@ impl NetLabeled {
             .map(|u| (0..num_levels).map(|i| build_ring(m, &nets, eps, u, i)).collect())
             .collect();
         NetLabeled { nets, eps, widths: FieldWidths::new(m), rings, num_levels }
-    }
-
-    /// Applies an overlay churn batch incrementally: repairs the net
-    /// hierarchy via [`NetHierarchy::apply_churn`], then patches the rings
-    /// within the ring radius of a changed net member by their level delta
-    /// ([`patch_ring`]) and range-refreshes the rest. The repaired scheme
-    /// is **identical** to [`Self::new_over`] on the post-churn active set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is invalid against the current active set.
-    pub fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> RingRepair {
-        let deltas = self.nets.apply_churn(m, batch);
-        let mut rr = RingRepair::default();
-        for (i, delta) in deltas.iter().enumerate() {
-            let changed = delta.changed();
-            let affected = (!changed.is_empty()).then(|| affected_nodes(m, self.eps, i, &changed));
-            let ranges = level_ranges(&self.nets, m.n(), i);
-            for u in 0..m.n() {
-                let ring = &mut self.rings[u][i];
-                if affected.as_ref().is_some_and(|a| a[u]) {
-                    patch_ring(ring, m, &ranges, self.eps, u as NodeId, i, delta);
-                    rr.rebuilt += 1;
-                } else {
-                    refresh_ring_ranges(ring, &ranges);
-                    rr.refreshed += 1;
-                }
-            }
-        }
-        rr
     }
 
     /// The `ε` the scheme was built with.
@@ -283,7 +254,7 @@ impl Certifiable for NetLabeled {
     }
 }
 
-impl netsim::maintain::Maintainable for NetLabeled {
+impl Maintainable for NetLabeled {
     fn maintain_name(&self) -> &'static str {
         "net-labeled"
     }
@@ -292,14 +263,34 @@ impl netsim::maintain::Maintainable for NetLabeled {
         self.nets.active_nodes().to_vec()
     }
 
-    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> netsim::maintain::RepairStats {
-        // Inherent `repair` takes precedence over the trait method here.
-        let rr = self.repair(m, batch);
-        netsim::maintain::RepairStats {
-            rings_rebuilt: rr.rebuilt,
-            rings_refreshed: rr.refreshed,
-            ..Default::default()
+    /// Repairs the net hierarchy via [`NetHierarchy::apply_churn`], then
+    /// patches the rings within the ring radius of a changed net member by
+    /// their level delta ([`patch_ring`]) and range-refreshes the rest. The
+    /// repaired scheme is **identical** to [`NetLabeled::new_over`] on the
+    /// post-churn active set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch is invalid against the current active set.
+    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> RepairStats {
+        let deltas = self.nets.apply_churn(m, batch);
+        let mut stats = RepairStats::default();
+        for (i, delta) in deltas.iter().enumerate() {
+            let changed = delta.changed();
+            let affected = (!changed.is_empty()).then(|| affected_nodes(m, self.eps, i, &changed));
+            let ranges = level_ranges(&self.nets, m.n(), i);
+            for u in 0..m.n() {
+                let ring = &mut self.rings[u][i];
+                if affected.as_ref().is_some_and(|a| a[u]) {
+                    patch_ring(ring, m, &ranges, self.eps, u as NodeId, i, delta);
+                    stats.rings_rebuilt += 1;
+                } else {
+                    refresh_ring_ranges(ring, &ranges);
+                    stats.rings_refreshed += 1;
+                }
+            }
         }
+        stats
     }
 
     fn rebuild(&mut self, m: &MetricSpace, active: &[NodeId]) {
@@ -427,8 +418,8 @@ mod tests {
             doubling_metric::nets::ChurnBatch::new(vec![7], vec![0, 35]),
             doubling_metric::nets::ChurnBatch::new(vec![0, 20], vec![1]),
         ] {
-            let rr = s.repair(&m, &batch);
-            assert!(rr.rebuilt + rr.refreshed > 0);
+            let stats = s.repair(&m, &batch);
+            assert!(stats.rings_rebuilt + stats.rings_refreshed > 0);
             active.retain(|v| batch.leaves.binary_search(v).is_err());
             active.extend(&batch.joins);
             active.sort_unstable();

@@ -11,27 +11,6 @@ use doubling_metric::nets::{LevelDelta, NetHierarchy};
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 
-/// Counters from a ring-table repair pass: how many `(node, level)` rings
-/// lay in a blast zone (patched by their level delta) vs merely
-/// range-refreshed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RingRepair {
-    /// Rings within the ring radius of a churned net member, patched by
-    /// the level delta ([`patch_ring`]). They count as the repair's blast
-    /// zone, as a from-scratch rebuild of the ring would.
-    pub rebuilt: u64,
-    /// Rings whose membership was provably unchanged (ranges refreshed).
-    pub refreshed: u64,
-}
-
-impl RingRepair {
-    /// Merges another pass's counters into this one.
-    pub fn merge(&mut self, other: RingRepair) {
-        self.rebuilt += other.rebuilt;
-        self.refreshed += other.refreshed;
-    }
-}
-
 /// One ring entry: a net point visible from `u` at level `i`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingEntry {

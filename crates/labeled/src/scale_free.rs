@@ -33,6 +33,7 @@ use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 
 use netsim::bits::{BitTally, FieldWidths, TableComponent};
+use netsim::maintain::{Maintainable, RepairStats};
 use netsim::route::{Route, RouteError, RouteRecorder};
 use netsim::scheme::{Certifiable, Label, LabeledScheme};
 use obs::Tracer;
@@ -42,7 +43,7 @@ use treeroute::{PortLabel, PortTreeRouter, RouterRecords, Tree};
 use crate::error::SchemeError;
 use crate::rings::{
     affected_nodes, build_ring, level_ranges, patch_ring, refresh_ring_ranges, ring_lookup,
-    RingEntry, RingRepair,
+    RingEntry,
 };
 use crate::view::{CellView, LabeledView, RingHit, ScaleFreeView};
 
@@ -282,70 +283,6 @@ impl ScaleFreeLabeled {
         };
 
         ScaleFreeLabeled { nets, eps, widths, rings, packings, cells, search_bits, log2_n }
-    }
-
-    /// Applies an overlay churn batch incrementally: repairs the hierarchy,
-    /// patches the rings near changed net members by their level delta
-    /// ([`patch_ring`]; range-refreshing the rest), redistributes every
-    /// cell's `(label, local-label)` pair set over its **unchanged**
-    /// physical skeleton, and re-prices the per-node search shares. The
-    /// repaired scheme is **identical** to [`Self::new_over`] on the
-    /// post-churn active set. Returns the ring counters and the number of
-    /// cell pair sets refreshed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is invalid against the current active set.
-    pub fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> (RingRepair, u64) {
-        let deltas = self.nets.apply_churn(m, batch);
-
-        // Rings: stored levels only. Lazily compute per-level blast zones
-        // and range tables.
-        let mut zones: Vec<Option<Vec<bool>>> = vec![None; m.num_scales()];
-        let mut tables: Vec<Option<Vec<(u32, u32)>>> = vec![None; m.num_scales()];
-        let mut rr = RingRepair::default();
-        for u in 0..m.n() {
-            // Split borrow: rings mutably, the rest of self immutably.
-            let (nets, eps) = (&self.nets, self.eps);
-            for (i, ring) in self.rings[u].iter_mut() {
-                let i = *i as usize;
-                let zone = zones[i].get_or_insert_with(|| {
-                    let changed = deltas[i].changed();
-                    if changed.is_empty() {
-                        vec![false; m.n()]
-                    } else {
-                        affected_nodes(m, eps, i, &changed)
-                    }
-                });
-                let ranges = tables[i].get_or_insert_with(|| level_ranges(nets, m.n(), i));
-                if zone[u] {
-                    patch_ring(ring, m, ranges, eps, u as NodeId, i, &deltas[i]);
-                    rr.rebuilt += 1;
-                } else {
-                    refresh_ring_ranges(ring, ranges);
-                    rr.refreshed += 1;
-                }
-            }
-        }
-
-        // Cells: skeletons and routers are physical — only the pair sets
-        // (active membership and labels) change. Redistribute wholesale.
-        let mut cells_refreshed = 0u64;
-        for (j, level_cells) in self.cells.iter_mut().enumerate() {
-            let j = j as u32;
-            let packing = self.packings.at(j);
-            let regions = packing.voronoi_regions();
-            for ((cell, ball), region) in level_cells.iter_mut().zip(packing.balls()).zip(regions) {
-                let c = ball.center;
-                let r_j1 = m.r_small(c, (j + 1).min(self.log2_n));
-                let pairs = cell_pairs(m, &self.nets, &region, &cell.router, c, r_j1);
-                cell.search.refresh_pairs(pairs);
-                cells_refreshed += 1;
-            }
-        }
-
-        self.search_bits = compute_search_bits(m.n(), &self.widths, &self.cells);
-        (rr, cells_refreshed)
     }
 
     /// The net hierarchy the labels come from.
@@ -647,7 +584,7 @@ impl Certifiable for ScaleFreeLabeled {
     }
 }
 
-impl netsim::maintain::Maintainable for ScaleFreeLabeled {
+impl Maintainable for ScaleFreeLabeled {
     fn maintain_name(&self) -> &'static str {
         "scale-free-labeled"
     }
@@ -656,15 +593,66 @@ impl netsim::maintain::Maintainable for ScaleFreeLabeled {
         self.nets.active_nodes().to_vec()
     }
 
-    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> netsim::maintain::RepairStats {
-        // Inherent `repair` takes precedence over the trait method here.
-        let (rr, cells_refreshed) = self.repair(m, batch);
-        netsim::maintain::RepairStats {
-            rings_rebuilt: rr.rebuilt,
-            rings_refreshed: rr.refreshed,
-            trees_rebuilt: 0,
-            trees_refreshed: cells_refreshed,
+    /// Repairs the hierarchy, patches the rings near changed net members
+    /// by their level delta ([`patch_ring`]; range-refreshing the rest),
+    /// redistributes every cell's `(label, local-label)` pair set over its
+    /// **unchanged** physical skeleton (each counted as a refreshed tree),
+    /// and re-prices the per-node search shares. The repaired scheme is
+    /// **identical** to [`ScaleFreeLabeled::new_over`] on the post-churn
+    /// active set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch is invalid against the current active set.
+    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> RepairStats {
+        let deltas = self.nets.apply_churn(m, batch);
+
+        // Rings: stored levels only. Lazily compute per-level blast zones
+        // and range tables.
+        let mut zones: Vec<Option<Vec<bool>>> = vec![None; m.num_scales()];
+        let mut tables: Vec<Option<Vec<(u32, u32)>>> = vec![None; m.num_scales()];
+        let mut stats = RepairStats::default();
+        for u in 0..m.n() {
+            // Split borrow: rings mutably, the rest of self immutably.
+            let (nets, eps) = (&self.nets, self.eps);
+            for (i, ring) in self.rings[u].iter_mut() {
+                let i = *i as usize;
+                let zone = zones[i].get_or_insert_with(|| {
+                    let changed = deltas[i].changed();
+                    if changed.is_empty() {
+                        vec![false; m.n()]
+                    } else {
+                        affected_nodes(m, eps, i, &changed)
+                    }
+                });
+                let ranges = tables[i].get_or_insert_with(|| level_ranges(nets, m.n(), i));
+                if zone[u] {
+                    patch_ring(ring, m, ranges, eps, u as NodeId, i, &deltas[i]);
+                    stats.rings_rebuilt += 1;
+                } else {
+                    refresh_ring_ranges(ring, ranges);
+                    stats.rings_refreshed += 1;
+                }
+            }
         }
+
+        // Cells: skeletons and routers are physical — only the pair sets
+        // (active membership and labels) change. Redistribute wholesale.
+        for (j, level_cells) in self.cells.iter_mut().enumerate() {
+            let j = j as u32;
+            let packing = self.packings.at(j);
+            let regions = packing.voronoi_regions();
+            for ((cell, ball), region) in level_cells.iter_mut().zip(packing.balls()).zip(regions) {
+                let c = ball.center;
+                let r_j1 = m.r_small(c, (j + 1).min(self.log2_n));
+                let pairs = cell_pairs(m, &self.nets, &region, &cell.router, c, r_j1);
+                cell.search.refresh_pairs(pairs);
+                stats.trees_refreshed += 1;
+            }
+        }
+
+        self.search_bits = compute_search_bits(m.n(), &self.widths, &self.cells);
+        stats
     }
 
     fn rebuild(&mut self, m: &MetricSpace, active: &[NodeId]) {
@@ -808,8 +796,7 @@ mod tests {
             ChurnBatch::new(vec![12], vec![0]),
             ChurnBatch::new(vec![0, 6], vec![24]),
         ] {
-            let (_rr, refreshed) = s.repair(&m, &batch);
-            assert!(refreshed > 0);
+            assert!(s.repair(&m, &batch).trees_refreshed > 0);
             active.retain(|v| batch.leaves.binary_search(v).is_err());
             active.extend(&batch.joins);
             active.sort_unstable();

@@ -11,6 +11,7 @@ use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 use labeled_routing::rings::build_ring;
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
+use netsim::maintain::Maintainable;
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (6usize..=max_n).prop_flat_map(|n| {

@@ -18,14 +18,14 @@
 use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
 
-use labeled_routing::LabeledView;
+use labeled_routing::NetLabeled;
 use netsim::bits::BitTally;
 use netsim::route::{Route, RouteError, RouteRecorder};
-use netsim::scheme::Label;
+use netsim::scheme::{Label, LabeledScheme, Name};
 use searchtree::{SearchTree, SearchTreeConfig};
 
 use crate::simple::SimpleNameIndependent;
-use crate::view::go;
+use crate::view::{search_rounds, Facility, NameIndependentView};
 
 /// An application-level object key (independent of node names).
 pub type ObjectKey = u32;
@@ -54,8 +54,23 @@ pub struct ObjectDirectory<'s> {
     /// `trees[k][j]`: object search tree of the `j`-th host of round `k`
     /// (parallel to the scheme's own trees).
     trees: Vec<Vec<SearchTree<Label>>>,
-    /// Registered `(key, host)` pairs, for verification.
+    /// Registered `(key, host)` pairs, in registration order; a move
+    /// re-stores the trees it touches from them.
     placements: Vec<(ObjectKey, NodeId)>,
+}
+
+/// The `(key, label(host))` pairs of the placements whose host lies in a
+/// tree's ball, in placement order.
+fn ball_pairs(
+    underlying: &NetLabeled,
+    placements: &[(ObjectKey, NodeId)],
+    in_ball: impl Fn(NodeId) -> bool,
+) -> Vec<(u64, Label)> {
+    placements
+        .iter()
+        .filter(|&&(_, h)| in_ball(h))
+        .map(|&(key, h)| (key as u64, underlying.label_of(h)))
+        .collect()
 }
 
 impl<'s> ObjectDirectory<'s> {
@@ -73,7 +88,6 @@ impl<'s> ObjectDirectory<'s> {
         let underlying = scheme.underlying();
         let nets = underlying.nets();
         let rounds = scheme.rounds();
-        let eps = underlying_eps(scheme);
 
         let mut placements = Vec::new();
         for (key, hosts) in replicas {
@@ -83,30 +97,22 @@ impl<'s> ObjectDirectory<'s> {
             }
         }
 
-        let mut trees = Vec::with_capacity(rounds.count());
-        for k in 0..rounds.count() {
-            let radius = rounds.radius(k);
-            let mut level = Vec::new();
-            for &y in nets.level(rounds.host_level(k)) {
-                let ball = m.ball(y, radius);
-                // Pairs: every replica hosted inside this ball.
-                let pairs: Vec<(u64, Label)> = placements
+        let trees = (0..rounds.count())
+            .map(|k| {
+                let radius = rounds.radius(k);
+                let config = SearchTreeConfig {
+                    eps_r: scheme.eps().mul_floor(radius).max(1),
+                    max_levels: None,
+                };
+                nets.level(rounds.host_level(k))
                     .iter()
-                    .filter(|&&(_, h)| ball.binary_search(&h).is_ok() || ball.contains(&h))
-                    .map(|&(key, h)| {
-                        (key as u64, netsim::scheme::LabeledScheme::label_of(underlying, h))
+                    .map(|&y| {
+                        let pairs = ball_pairs(underlying, &placements, |h| m.dist(y, h) <= radius);
+                        SearchTree::new(m, y, m.ball(y, radius), config, pairs)
                     })
-                    .collect();
-                level.push(SearchTree::new(
-                    m,
-                    y,
-                    ball,
-                    SearchTreeConfig { eps_r: eps.mul_floor(radius).max(1), max_levels: None },
-                    pairs,
-                ));
-            }
-            trees.push(level);
-        }
+                    .collect()
+            })
+            .collect();
         ObjectDirectory { scheme, trees, placements }
     }
 
@@ -116,11 +122,11 @@ impl<'s> ObjectDirectory<'s> {
     }
 
     /// Moves a replica of `key` from `from` to `to` — the paper's "tracking
-    /// of mobile objects" application. The pair is withdrawn from every
-    /// round-tree whose ball covers `from` and published into every tree
-    /// whose ball covers `to`; lookups (which use backtracking search)
-    /// keep finding the object with the same locality guarantee relative
-    /// to its *new* position.
+    /// of mobile objects" application. Every round-tree whose ball covers
+    /// `from` or `to` re-stores (Algorithm 1) the placements inside its
+    /// ball, so the directory equals one built afresh over the moved
+    /// placements, and lookups find the object with the same locality
+    /// guarantee relative to its *new* position.
     ///
     /// Returns the number of trees updated — the control-message cost of
     /// the move, `O(log Δ · (1/ε)^{O(α)})` updates per move.
@@ -129,7 +135,6 @@ impl<'s> ObjectDirectory<'s> {
     ///
     /// Panics if `(key, from)` is not a registered placement.
     pub fn move_object(&mut self, key: ObjectKey, from: NodeId, to: NodeId) -> usize {
-        let underlying = self.scheme.underlying();
         let slot = self
             .placements
             .iter()
@@ -137,38 +142,13 @@ impl<'s> ObjectDirectory<'s> {
             .expect("placement (key, from) must exist");
         self.placements[slot] = (key, to);
 
-        use netsim::scheme::LabeledScheme;
-        let old_label = underlying.label_of(from);
-        let new_label = underlying.label_of(to);
+        let underlying = self.scheme.underlying();
         let mut updated = 0usize;
-        for level in &mut self.trees {
-            for tree in level {
-                let had = tree.contains(from);
-                let has = tree.contains(to);
-                if had {
-                    // Withdraw one copy pointing at the old host. (The same
-                    // key may legitimately remain if another replica lives
-                    // in this ball.)
-                    let mut removed = Vec::new();
-                    while let Some(d) = tree.remove_pair(key as u64) {
-                        if d == old_label && removed.iter().all(|&x| x != old_label) {
-                            removed.push(d);
-                            // keep the others out only momentarily
-                            break;
-                        }
-                        removed.push(d);
-                    }
-                    for d in removed.into_iter().filter(|&d| d != old_label) {
-                        tree.insert_pair(key as u64, d);
-                    }
-                    updated += 1;
-                }
-                if has {
-                    tree.insert_pair(key as u64, new_label);
-                    if !had {
-                        updated += 1;
-                    }
-                }
+        for tree in self.trees.iter_mut().flatten() {
+            if tree.contains(from) || tree.contains(to) {
+                let pairs = ball_pairs(underlying, &self.placements, |h| tree.contains(h));
+                tree.refresh_pairs(pairs);
+                updated += 1;
             }
         }
         updated
@@ -202,30 +182,11 @@ impl<'s> ObjectDirectory<'s> {
         src: NodeId,
         key: ObjectKey,
     ) -> Result<(Route, NodeId), RouteError> {
-        let underlying = self.scheme.underlying();
-        let nets = underlying.nets();
-        let rounds = self.scheme.rounds();
         let mut rec = RouteRecorder::new(m, src);
         rec.note_header_bits(32 + 8); // object key + round counter
-
-        for k in 0..rounds.count() {
-            let y = nets.zoom(src, rounds.host_level(k));
-            rec.begin_segment("zoom", Some(k as u32));
-            go(underlying, &mut rec, underlying.label_at(y))?;
-
-            rec.begin_segment("search", Some(k as u32));
-            let level = nets.level(rounds.host_level(k));
-            let j = level.binary_search(&y).expect("zoom lands in net level");
-            let walk = self.trees[k][j].search_all(key as u64);
-            for &x in &walk.nodes[1..] {
-                go(underlying, &mut rec, underlying.label_at(x))?;
-            }
-            if let Some(label) = walk.result {
-                rec.begin_segment("final", Some(k as u32));
-                go(underlying, &mut rec, label)?;
-                let replica = rec.current();
-                return Ok((rec.finish(), replica));
-            }
+        if search_rounds(self, &mut rec, src, key as u64)? {
+            let replica = rec.current();
+            return Ok((rec.finish(), replica));
         }
         Err(RouteError::LookupFailed {
             at: rec.current(),
@@ -234,8 +195,38 @@ impl<'s> ObjectDirectory<'s> {
     }
 }
 
-fn underlying_eps(scheme: &SimpleNameIndependent) -> doubling_metric::Eps {
-    scheme.eps()
+/// The directory's rounds are the scheme's; each host's facility is its
+/// own object tree.
+impl NameIndependentView for ObjectDirectory<'_> {
+    type Labeled = NetLabeled;
+    type Tree<'a>
+        = &'a SearchTree<Label>
+    where
+        Self: 'a;
+
+    fn underlying(&self) -> &NetLabeled {
+        self.scheme.underlying()
+    }
+
+    fn name_at(&self, u: NodeId) -> Name {
+        self.scheme.name_at(u)
+    }
+
+    fn round_count(&self) -> usize {
+        self.scheme.round_count()
+    }
+
+    fn hosts(&self, k: usize) -> usize {
+        self.scheme.hosts(k)
+    }
+
+    fn zoom_row(&self, u: NodeId, k: usize) -> (NodeId, usize) {
+        self.scheme.zoom_row(u, k)
+    }
+
+    fn facility(&self, k: usize, j: usize) -> Facility<&SearchTree<Label>> {
+        Facility::Own(&self.trees[k][j])
+    }
 }
 
 #[cfg(test)]
@@ -366,6 +357,21 @@ mod tests {
         assert_eq!(near35, 35);
         let (_, near1) = dir.locate(&m, 2, 5).unwrap();
         assert_eq!(near1, 1);
+    }
+
+    #[test]
+    fn a_moved_directory_equals_a_fresh_one() {
+        let (m, s) = setup(6);
+        // Key 5 has two replicas; key 8 tours the grid.
+        let mut dir = ObjectDirectory::new(&m, &s, &[(5, vec![0, 35]), (8, vec![14])]);
+        for (key, from, to) in [(5, 0, 1), (8, 14, 20), (5, 35, 30), (8, 20, 0), (5, 1, 2)] {
+            dir.move_object(key, from, to);
+        }
+        assert_eq!(dir.placements(), &[(5, 2), (5, 30), (8, 0)]);
+        let replicas: Vec<(ObjectKey, Vec<NodeId>)> =
+            dir.placements().iter().map(|&(key, h)| (key, vec![h])).collect();
+        let fresh = ObjectDirectory::new(&m, &s, &replicas);
+        assert!(dir.trees == fresh.trees, "moves must re-store the trees as a fresh build would");
     }
 
     #[test]

@@ -31,10 +31,9 @@ use doubling_metric::packing::PackedBall;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 
-use labeled_routing::rings::RingRepair;
 use labeled_routing::{ScaleFreeLabeled, SchemeError};
 use netsim::bits::{BitTally, FieldWidths, TableComponent};
-use netsim::maintain::TreeRepair;
+use netsim::maintain::{Maintainable, RepairStats};
 use netsim::naming::Naming;
 use netsim::route::{Route, RouteError};
 use netsim::scheme::{Certifiable, Label, LabeledScheme, Name, NameIndependentScheme};
@@ -385,153 +384,6 @@ impl ScaleFreeNameIndependent {
         }
     }
 
-    /// Incrementally repairs the scheme after `batch` joins and leaves.
-    ///
-    /// The underlying scale-free labeled scheme repairs first. A ℬ-type
-    /// tree is rebuilt only when its indexed ball `B_c(r_big)` was touched
-    /// by some churned node (this covers the skeleton and the center's own
-    /// activity); untouched ℬ-trees re-store their renumbered pairs.
-    ///
-    /// A facility decision is the least `(j, d(y, c), c)` qualifying packed
-    /// ball with an active center (an own tree counting as +∞), and
-    /// qualification is physical. Every node centers its own `ℬ_0` ball,
-    /// so every batch moves some packing center; but a batch can change a
-    /// host's decision only when the linked center leaves or a center that
-    /// joined in this batch qualifies with a smaller key. A surviving host
-    /// keeps its decision unless one of those holds: kept links are
-    /// copied, kept own trees are rebuilt only when their ball `B_y(ρ_k)`
-    /// was touched and refreshed otherwise. New hosts and hosts whose
-    /// decision fails the test are re-decided from scratch. Search-bit
-    /// shares are recomputed wholesale. The result is byte-identical to
-    /// [`Self::new_over`] on the post-churn active set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is invalid against the current active set.
-    pub fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> (RingRepair, TreeRepair) {
-        let log2_n = m.log2_n();
-        let eps = self.underlying.eps();
-        let old_hosts: Vec<Vec<NodeId>> = (0..self.rounds.count())
-            .map(|k| self.underlying.nets().level(self.rounds.host_level(k)).to_vec())
-            .collect();
-        let (rr, cells_refreshed) = self.underlying.repair(m, batch);
-
-        let changed = batch.changed();
-        let mut tr = TreeRepair { rebuilt: 0, refreshed: cells_refreshed };
-
-        // ℬ-type trees: the packing is physical, so the tree list shape is
-        // static; only contents react to churn.
-        for j in 0..=log2_n {
-            for bk in 0..self.underlying.packings().at(j).balls().len() {
-                let ball = &self.underlying.packings().at(j).balls()[bk];
-                let c = ball.center;
-                let r_big = m.r_small(c, (j + 2).min(log2_n));
-                if changed.iter().any(|&v| m.dist(v, c) <= r_big) {
-                    self.btrees[j as usize][bk] =
-                        build_btree(m, eps, &self.naming, &self.underlying, ball, r_big);
-                    tr.rebuilt += 1;
-                } else {
-                    let pairs = btree_pairs(m, &self.naming, &self.underlying, c, r_big);
-                    self.btrees[j as usize][bk].refresh_pairs(pairs);
-                    tr.refreshed += 1;
-                }
-            }
-        }
-
-        // The packed balls whose centers joined in this batch, listed once:
-        // the only candidates that can beat a kept facility decision.
-        let packings = self.underlying.packings();
-        let joined: Vec<(u32, &PackedBall)> = (0..=log2_n)
-            .flat_map(|j| {
-                let packing = packings.at(j);
-                batch.joins.iter().filter_map(move |&v| {
-                    let b = &packing.balls()[packing.ball_index_of(v)? as usize];
-                    (b.center == v).then_some((j, b))
-                })
-            })
-            .collect();
-        // Whether `y`'s old decision survives the batch: its linked center
-        // stayed and no joined center qualifies with a smaller key.
-        let stands = |f: &Facility, y: NodeId, rho: Dist, s_host: Dist| {
-            let key = match *f {
-                Facility::Link { j, ball } => {
-                    let c = packings.at(j).balls()[ball as usize].center;
-                    if batch.leaves.contains(&c) {
-                        return false;
-                    }
-                    Some((j, m.dist(y, c), c))
-                }
-                Facility::Own(_) => None,
-            };
-            !joined.iter().any(|&(j, b)| {
-                link_distance(m, y, rho, s_host, b, j, log2_n)
-                    .is_some_and(|d| key.is_none_or(|key| (j, d, b.center) < key))
-            })
-        };
-        #[allow(clippy::needless_range_loop)] // k also indexes self.facility
-        for k in 0..self.rounds.count() {
-            let rho = self.rounds.radius(k);
-            let host = self.rounds.host_level(k);
-            let s_host = m.scale(host);
-            let hosts = self.underlying.nets().level(host);
-            let mut old: Vec<Option<Facility>> =
-                std::mem::take(&mut self.facility[k]).into_iter().map(Some).collect();
-            self.facility[k] = hosts
-                .iter()
-                .map(|&y| {
-                    let prev = old_hosts[k]
-                        .binary_search(&y)
-                        .ok()
-                        .and_then(|p| old[p].take())
-                        .filter(|f| stands(f, y, rho, s_host));
-                    match prev {
-                        Some(Facility::Link { j, ball }) => Facility::Link { j, ball },
-                        Some(Facility::Own(mut tree)) => {
-                            if changed.iter().any(|&v| m.dist(v, y) <= rho) {
-                                tr.rebuilt += 1;
-                                Facility::Own(Box::new(build_own_tree(
-                                    m,
-                                    eps,
-                                    &self.naming,
-                                    &self.underlying,
-                                    y,
-                                    rho,
-                                )))
-                            } else {
-                                // Ball ∩ active unchanged: keep the skeleton,
-                                // re-store the renumbered labels.
-                                let pairs =
-                                    pairs_for(&self.naming, &self.underlying, tree.tree().nodes());
-                                tree.refresh_pairs(pairs);
-                                tr.refreshed += 1;
-                                Facility::Own(tree)
-                            }
-                        }
-                        None => {
-                            let f = compute_facility(
-                                m,
-                                eps,
-                                &self.naming,
-                                &self.underlying,
-                                y,
-                                rho,
-                                s_host,
-                                log2_n,
-                            );
-                            if matches!(f, Facility::Own(_)) {
-                                tr.rebuilt += 1;
-                            }
-                            f
-                        }
-                    }
-                })
-                .collect();
-        }
-
-        self.search_bits = compute_search_bits(m.n(), self.widths, &self.btrees, &self.facility);
-        (rr, tr)
-    }
-
     /// The underlying scale-free labeled scheme.
     pub fn underlying(&self) -> &ScaleFreeLabeled {
         &self.underlying
@@ -696,7 +548,7 @@ impl Certifiable for ScaleFreeNameIndependent {
     }
 }
 
-impl netsim::maintain::Maintainable for ScaleFreeNameIndependent {
+impl Maintainable for ScaleFreeNameIndependent {
     fn maintain_name(&self) -> &'static str {
         "scale-free-name-independent"
     }
@@ -705,15 +557,150 @@ impl netsim::maintain::Maintainable for ScaleFreeNameIndependent {
         self.underlying.nets().active_nodes().to_vec()
     }
 
-    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> netsim::maintain::RepairStats {
-        // Inherent `repair` takes precedence over the trait method here.
-        let (rr, tr) = self.repair(m, batch);
-        netsim::maintain::RepairStats {
-            rings_rebuilt: rr.rebuilt,
-            rings_refreshed: rr.refreshed,
-            trees_rebuilt: tr.rebuilt,
-            trees_refreshed: tr.refreshed,
+    /// Incrementally repairs the scheme after `batch` joins and leaves.
+    ///
+    /// The underlying scale-free labeled scheme repairs first. A ℬ-type
+    /// tree is rebuilt only when its indexed ball `B_c(r_big)` was touched
+    /// by some churned node (this covers the skeleton and the center's own
+    /// activity); untouched ℬ-trees re-store their renumbered pairs.
+    ///
+    /// A facility decision is the least `(j, d(y, c), c)` qualifying packed
+    /// ball with an active center (an own tree counting as +∞), and
+    /// qualification is physical. Every node centers its own `ℬ_0` ball,
+    /// so every batch moves some packing center; but a batch can change a
+    /// host's decision only when the linked center leaves or a center that
+    /// joined in this batch qualifies with a smaller key. A surviving host
+    /// keeps its decision unless one of those holds: kept links are
+    /// copied, kept own trees are rebuilt only when their ball `B_y(ρ_k)`
+    /// was touched and refreshed otherwise. New hosts and hosts whose
+    /// decision fails the test are re-decided from scratch. Search-bit
+    /// shares are recomputed wholesale. The result is byte-identical to
+    /// [`ScaleFreeNameIndependent::new_over`] on the post-churn active set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is invalid against the current active set.
+    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> RepairStats {
+        let log2_n = m.log2_n();
+        let eps = self.underlying.eps();
+        let old_hosts: Vec<Vec<NodeId>> = (0..self.rounds.count())
+            .map(|k| self.underlying.nets().level(self.rounds.host_level(k)).to_vec())
+            .collect();
+        let mut stats = self.underlying.repair(m, batch);
+
+        let changed = batch.changed();
+
+        // ℬ-type trees: the packing is physical, so the tree list shape is
+        // static; only contents react to churn.
+        for j in 0..=log2_n {
+            for bk in 0..self.underlying.packings().at(j).balls().len() {
+                let ball = &self.underlying.packings().at(j).balls()[bk];
+                let c = ball.center;
+                let r_big = m.r_small(c, (j + 2).min(log2_n));
+                if changed.iter().any(|&v| m.dist(v, c) <= r_big) {
+                    self.btrees[j as usize][bk] =
+                        build_btree(m, eps, &self.naming, &self.underlying, ball, r_big);
+                    stats.trees_rebuilt += 1;
+                } else {
+                    let pairs = btree_pairs(m, &self.naming, &self.underlying, c, r_big);
+                    self.btrees[j as usize][bk].refresh_pairs(pairs);
+                    stats.trees_refreshed += 1;
+                }
+            }
         }
+
+        // The packed balls whose centers joined in this batch, listed once:
+        // the only candidates that can beat a kept facility decision.
+        let packings = self.underlying.packings();
+        let joined: Vec<(u32, &PackedBall)> = (0..=log2_n)
+            .flat_map(|j| {
+                let packing = packings.at(j);
+                batch.joins.iter().filter_map(move |&v| {
+                    let b = &packing.balls()[packing.ball_index_of(v)? as usize];
+                    (b.center == v).then_some((j, b))
+                })
+            })
+            .collect();
+        // Whether `y`'s old decision survives the batch: its linked center
+        // stayed and no joined center qualifies with a smaller key.
+        let stands = |f: &Facility, y: NodeId, rho: Dist, s_host: Dist| {
+            let key = match *f {
+                Facility::Link { j, ball } => {
+                    let c = packings.at(j).balls()[ball as usize].center;
+                    if batch.leaves.contains(&c) {
+                        return false;
+                    }
+                    Some((j, m.dist(y, c), c))
+                }
+                Facility::Own(_) => None,
+            };
+            !joined.iter().any(|&(j, b)| {
+                link_distance(m, y, rho, s_host, b, j, log2_n)
+                    .is_some_and(|d| key.is_none_or(|key| (j, d, b.center) < key))
+            })
+        };
+        #[allow(clippy::needless_range_loop)] // k also indexes self.facility
+        for k in 0..self.rounds.count() {
+            let rho = self.rounds.radius(k);
+            let host = self.rounds.host_level(k);
+            let s_host = m.scale(host);
+            let hosts = self.underlying.nets().level(host);
+            let mut old: Vec<Option<Facility>> =
+                std::mem::take(&mut self.facility[k]).into_iter().map(Some).collect();
+            self.facility[k] = hosts
+                .iter()
+                .map(|&y| {
+                    let prev = old_hosts[k]
+                        .binary_search(&y)
+                        .ok()
+                        .and_then(|p| old[p].take())
+                        .filter(|f| stands(f, y, rho, s_host));
+                    match prev {
+                        Some(Facility::Link { j, ball }) => Facility::Link { j, ball },
+                        Some(Facility::Own(mut tree)) => {
+                            if changed.iter().any(|&v| m.dist(v, y) <= rho) {
+                                stats.trees_rebuilt += 1;
+                                Facility::Own(Box::new(build_own_tree(
+                                    m,
+                                    eps,
+                                    &self.naming,
+                                    &self.underlying,
+                                    y,
+                                    rho,
+                                )))
+                            } else {
+                                // Ball ∩ active unchanged: keep the skeleton,
+                                // re-store the renumbered labels.
+                                let pairs =
+                                    pairs_for(&self.naming, &self.underlying, tree.tree().nodes());
+                                tree.refresh_pairs(pairs);
+                                stats.trees_refreshed += 1;
+                                Facility::Own(tree)
+                            }
+                        }
+                        None => {
+                            let f = compute_facility(
+                                m,
+                                eps,
+                                &self.naming,
+                                &self.underlying,
+                                y,
+                                rho,
+                                s_host,
+                                log2_n,
+                            );
+                            if matches!(f, Facility::Own(_)) {
+                                stats.trees_rebuilt += 1;
+                            }
+                            f
+                        }
+                    }
+                })
+                .collect();
+        }
+
+        self.search_bits = compute_search_bits(m.n(), self.widths, &self.btrees, &self.facility);
+        stats
     }
 
     fn rebuild(&mut self, m: &MetricSpace, active: &[NodeId]) {

@@ -25,10 +25,9 @@ use doubling_metric::nets::ChurnBatch;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 
-use labeled_routing::rings::RingRepair;
 use labeled_routing::{NetLabeled, SchemeError};
 use netsim::bits::{BitTally, FieldWidths, TableComponent};
-use netsim::maintain::TreeRepair;
+use netsim::maintain::{Maintainable, RepairStats};
 use netsim::naming::Naming;
 use netsim::route::{Route, RouteError};
 use netsim::scheme::{Certifiable, Label, LabeledScheme, Name, NameIndependentScheme};
@@ -220,66 +219,6 @@ impl SimpleNameIndependent {
         SimpleNameIndependent { underlying, naming, eps, widths, rounds, trees, search_bits }
     }
 
-    /// Incrementally repairs the scheme after `batch` joins and leaves.
-    ///
-    /// The underlying labeled scheme repairs first; then, per round, a
-    /// host's search tree is fully rebuilt only when its ball was touched —
-    /// some churned node sits within the round radius — or when the host
-    /// itself is new to the level. Untouched trees keep their skeleton and
-    /// only re-store the `(name, label)` pairs (labels are renumbered by
-    /// every hierarchy repair). Search-bit shares are recomputed wholesale.
-    /// The result is byte-identical to [`Self::new_over`] on the post-churn
-    /// active set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is invalid against the current active set.
-    pub fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> (RingRepair, TreeRepair) {
-        let old_hosts: Vec<Vec<NodeId>> = (0..self.rounds.count())
-            .map(|k| self.underlying.nets().level(self.rounds.host_level(k)).to_vec())
-            .collect();
-        let rr = self.underlying.repair(m, batch);
-
-        let changed = batch.changed();
-        let mut tr = TreeRepair::default();
-        #[allow(clippy::needless_range_loop)] // k also indexes self.trees
-        for k in 0..self.rounds.count() {
-            let radius = self.rounds.radius(k);
-            let hosts = self.underlying.nets().level(self.rounds.host_level(k)).to_vec();
-            let mut old: Vec<Option<SearchTree<Label>>> =
-                std::mem::take(&mut self.trees[k]).into_iter().map(Some).collect();
-            self.trees[k] = hosts
-                .iter()
-                .map(|&y| {
-                    let kept = old_hosts[k]
-                        .binary_search(&y)
-                        .ok()
-                        .and_then(|j| old[j].take())
-                        .filter(|_| !changed.iter().any(|&c| m.dist(y, c) <= radius));
-                    match kept {
-                        Some(mut tree) => {
-                            // Ball ∩ active is unchanged: keep the skeleton,
-                            // re-store the renumbered labels.
-                            tree.refresh_pairs(tree_pairs(
-                                &self.naming,
-                                &self.underlying,
-                                tree.tree().nodes(),
-                            ));
-                            tr.refreshed += 1;
-                            tree
-                        }
-                        None => {
-                            tr.rebuilt += 1;
-                            build_tree(m, self.eps, &self.naming, &self.underlying, y, radius)
-                        }
-                    }
-                })
-                .collect();
-        }
-        self.search_bits = compute_search_bits(m.n(), self.widths, &self.trees);
-        (rr, tr)
-    }
-
     /// The underlying labeled scheme.
     pub fn underlying(&self) -> &NetLabeled {
         &self.underlying
@@ -371,7 +310,7 @@ impl Certifiable for SimpleNameIndependent {
     }
 }
 
-impl netsim::maintain::Maintainable for SimpleNameIndependent {
+impl Maintainable for SimpleNameIndependent {
     fn maintain_name(&self) -> &'static str {
         "simple-name-independent"
     }
@@ -380,15 +319,63 @@ impl netsim::maintain::Maintainable for SimpleNameIndependent {
         self.underlying.nets().active_nodes().to_vec()
     }
 
-    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> netsim::maintain::RepairStats {
-        // Inherent `repair` takes precedence over the trait method here.
-        let (rr, tr) = self.repair(m, batch);
-        netsim::maintain::RepairStats {
-            rings_rebuilt: rr.rebuilt,
-            rings_refreshed: rr.refreshed,
-            trees_rebuilt: tr.rebuilt,
-            trees_refreshed: tr.refreshed,
+    /// Incrementally repairs the scheme after `batch` joins and leaves.
+    ///
+    /// The underlying labeled scheme repairs first; then, per round, a
+    /// host's search tree is fully rebuilt only when its ball was touched —
+    /// some churned node sits within the round radius — or when the host
+    /// itself is new to the level. Untouched trees keep their skeleton and
+    /// only re-store the `(name, label)` pairs (labels are renumbered by
+    /// every hierarchy repair). Search-bit shares are recomputed wholesale.
+    /// The result is byte-identical to [`SimpleNameIndependent::new_over`]
+    /// on the post-churn active set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is invalid against the current active set.
+    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> RepairStats {
+        let old_hosts: Vec<Vec<NodeId>> = (0..self.rounds.count())
+            .map(|k| self.underlying.nets().level(self.rounds.host_level(k)).to_vec())
+            .collect();
+        let mut stats = self.underlying.repair(m, batch);
+
+        let changed = batch.changed();
+        #[allow(clippy::needless_range_loop)] // k also indexes self.trees
+        for k in 0..self.rounds.count() {
+            let radius = self.rounds.radius(k);
+            let hosts = self.underlying.nets().level(self.rounds.host_level(k)).to_vec();
+            let mut old: Vec<Option<SearchTree<Label>>> =
+                std::mem::take(&mut self.trees[k]).into_iter().map(Some).collect();
+            self.trees[k] = hosts
+                .iter()
+                .map(|&y| {
+                    let kept = old_hosts[k]
+                        .binary_search(&y)
+                        .ok()
+                        .and_then(|j| old[j].take())
+                        .filter(|_| !changed.iter().any(|&c| m.dist(y, c) <= radius));
+                    match kept {
+                        Some(mut tree) => {
+                            // Ball ∩ active is unchanged: keep the skeleton,
+                            // re-store the renumbered labels.
+                            tree.refresh_pairs(tree_pairs(
+                                &self.naming,
+                                &self.underlying,
+                                tree.tree().nodes(),
+                            ));
+                            stats.trees_refreshed += 1;
+                            tree
+                        }
+                        None => {
+                            stats.trees_rebuilt += 1;
+                            build_tree(m, self.eps, &self.naming, &self.underlying, y, radius)
+                        }
+                    }
+                })
+                .collect();
         }
+        self.search_bits = compute_search_bits(m.n(), self.widths, &self.trees);
+        stats
     }
 
     fn rebuild(&mut self, m: &MetricSpace, active: &[NodeId]) {

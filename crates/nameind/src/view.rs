@@ -6,10 +6,12 @@
 //! round's facility for the name — directly in the host's own tree
 //! (Algorithm 2), or by a detour through a packed ball's tree (Algorithm
 //! 4's `H(y, k)` link). Every movement is a real route of the underlying
-//! labeled scheme. [`route_named`] is that procedure, written once over a
-//! [`NameIndependentView`]; the in-memory schemes and their forwarding
-//! planes both implement the view, and [`go`] runs every sub-route through
-//! whichever [`LabeledView`] the view wraps.
+//! labeled scheme. That round loop is written once over a
+//! [`NameIndependentView`]; [`route_named`] runs it for a node name, and
+//! [`crate::ObjectDirectory::locate`] for an object key. The in-memory
+//! schemes, their forwarding planes and the object directory all implement
+//! the view, and [`go`] runs every sub-route through whichever
+//! [`LabeledView`] the view wraps.
 //!
 //! A query owns one [`RouteRecorder`]. Each underlying leg walks inside
 //! it through [`RouteRecorder::nested`], folding into the open zoom,
@@ -93,13 +95,13 @@ pub fn go<L: LabeledView + ?Sized>(
     rec.nested(|rec| underlying.walk_label(rec, target))
 }
 
-/// Searches one facility for `name` from its host (the current node),
+/// Searches one facility for `key` from its host (the current node),
 /// returning the label if found, with the packet back at the host.
 fn search<L: LabeledView + ?Sized, T: TreeScan<Item = Label>>(
     underlying: &L,
     rec: &mut RouteRecorder<'_>,
     facility: &Facility<T>,
-    name: Name,
+    key: u64,
 ) -> Result<Option<Label>, RouteError> {
     let (tree, host) = match facility {
         Facility::Own(tree) => (tree, None),
@@ -110,16 +112,48 @@ fn search<L: LabeledView + ?Sized, T: TreeScan<Item = Label>>(
             (tree, Some(host))
         }
     };
-    let found = descend(tree, name as u64, |x| go(underlying, rec, underlying.label_at(x)))?;
+    let found = descend(tree, key, |x| go(underlying, rec, underlying.label_at(x)))?;
     if let Some(y) = host {
         go(underlying, rec, underlying.label_at(y))?;
     }
     Ok(found)
 }
 
-/// Algorithm 3 over any [`NameIndependentView`]: for each round `k`, zoom
-/// to the host `u(i_k)`, search its facility, and on the first hit route
-/// to the returned label. The header carries the name and the round.
+/// Algorithm 3's rounds over any [`NameIndependentView`], with the packet
+/// at `src`: for each round `k`, zoom to the host `u(i_k)`, search its
+/// facility for `key`, and on the first hit route to the returned label.
+/// Returns whether a round found the key; the packet then stands at the
+/// label's node, and otherwise at the last round's host.
+///
+/// # Errors
+///
+/// A sub-route's errors.
+pub(crate) fn search_rounds<V: NameIndependentView + ?Sized>(
+    view: &V,
+    rec: &mut RouteRecorder<'_>,
+    src: NodeId,
+    key: u64,
+) -> Result<bool, RouteError> {
+    let underlying = view.underlying();
+    for k in 0..view.round_count() {
+        // Go to the round's host u(i_k) — reached by netting-tree hops
+        // whose labels the intermediate net points store.
+        let (y, j) = view.zoom_row(src, k);
+        rec.begin_segment("zoom", Some(k as u32));
+        go(underlying, rec, underlying.label_at(y))?;
+
+        rec.begin_segment("search", Some(k as u32));
+        if let Some(label) = search(underlying, rec, &view.facility(k, j), key)? {
+            rec.begin_segment("final", Some(k as u32));
+            go(underlying, rec, label)?;
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
+/// Algorithm 3 over any [`NameIndependentView`]: the search rounds for
+/// `name`, from `src`. The header carries the name and the round.
 ///
 /// # Errors
 ///
@@ -131,30 +165,14 @@ pub fn route_named<V: NameIndependentView + ?Sized>(
     src: NodeId,
     name: Name,
 ) -> Result<Route, RouteError> {
-    let underlying = view.underlying();
-    let widths = underlying.widths();
+    let widths = view.underlying().widths();
     let mut rec = RouteRecorder::new(m, src);
     // Name-independent header: the destination name plus the current
     // round; the nested underlying legs fold their headers in.
     rec.note_header_bits(widths.node + widths.level);
 
-    if view.name_at(src) == name {
+    if view.name_at(src) == name || search_rounds(view, &mut rec, src, name as u64)? {
         return Ok(rec.finish());
-    }
-
-    for k in 0..view.round_count() {
-        // Go to the round's host u(i_k) — reached by netting-tree hops
-        // whose labels the intermediate net points store.
-        let (y, j) = view.zoom_row(src, k);
-        rec.begin_segment("zoom", Some(k as u32));
-        go(underlying, &mut rec, underlying.label_at(y))?;
-
-        rec.begin_segment("search", Some(k as u32));
-        if let Some(label) = search(underlying, &mut rec, &view.facility(k, j), name)? {
-            rec.begin_segment("final", Some(k as u32));
-            go(underlying, &mut rec, label)?;
-            return Ok(rec.finish());
-        }
     }
     Err(RouteError::LookupFailed {
         at: rec.current(),

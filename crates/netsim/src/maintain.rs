@@ -24,17 +24,6 @@ use doubling_metric::graph::NodeId;
 use doubling_metric::nets::{ChurnBatch, ChurnBatchError};
 use doubling_metric::space::MetricSpace;
 
-/// Counters for search-tree repair work: how many trees were rebuilt
-/// (their metric ball touched the change set) vs pair-refreshed over an
-/// untouched skeleton.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TreeRepair {
-    /// Trees rebuilt from scratch over the new active ball.
-    pub rebuilt: u64,
-    /// Trees whose skeleton was provably untouched (pairs redistributed).
-    pub refreshed: u64,
-}
-
 /// What one [`Maintainable::repair`] call did, structure by structure.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairStats {

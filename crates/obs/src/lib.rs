@@ -14,11 +14,10 @@
 //!   *recording* mode that captures nested [`trace::SpanRecord`]s (name,
 //!   parent, wall-clock, allocation delta) and [`trace::EventRecord`]s,
 //!   exported as JSONL.
-//! * [`metrics`] — monotonic [`metrics::Counter`]s, [`metrics::Gauge`]s,
-//!   and the log₂-bucketed [`metrics::Log2Histogram`] (with exact
-//!   count/sum/min/max and lossless [`metrics::Log2Histogram::merge`]),
-//!   used for route costs, hop counts, header bits, and search-tree
-//!   lookup tallies.
+//! * [`metrics`] — monotonic [`metrics::Counter`]s and the log₂-bucketed
+//!   [`metrics::Log2Histogram`] (with exact count/sum/min/max and lossless
+//!   [`metrics::Log2Histogram::merge`]), used for route costs, hop counts,
+//!   header bits, and search-tree lookup tallies.
 //! * [`phase`] — aggregation of a recorded trace into a per-phase
 //!   time/allocation breakdown ([`phase::PhaseBreakdown`]), the table the
 //!   `profile` binary prints for every scheme's preprocessing.
@@ -100,7 +99,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use flight::FlightRecorder;
-pub use metrics::{Counter, Gauge, Log2Histogram};
+pub use metrics::{Counter, Log2Histogram};
 pub use phase::PhaseBreakdown;
 pub use registry::MetricsRegistry;
 pub use spans::{route_span_tree, RouteMetrics};

@@ -1,4 +1,4 @@
-//! Metrics primitives: counters, gauges, and the log₂-bucketed histogram.
+//! Metrics primitives: counters and the log₂-bucketed histogram.
 //!
 //! All types are plain values (no interior mutability, no atomics): the
 //! evaluation loops that feed them are single-threaded, and the parallel
@@ -31,28 +31,6 @@ impl Counter {
 
     /// The current count.
     pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A last-value-wins instantaneous measurement.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub fn new() -> Self {
-        Gauge(0.0)
-    }
-
-    /// Overwrites the value.
-    #[inline]
-    pub fn set(&mut self, v: f64) {
-        self.0 = v;
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
         self.0
     }
 }
@@ -249,7 +227,8 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let mut g = Gauge::new();
+        // The gauge is the registry's last-value-wins handle.
+        let g = crate::MetricsRegistry::new().gauge("g");
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
     }

@@ -11,7 +11,10 @@
 //! `(key, data)` pairs are distributed over the tree by a DFS traversal
 //! (**Algorithm 1**: `⌈k/m⌉` pairs per node in sorted key order) and
 //! retrieved by a root-to-holder descent that reports back to the root
-//! (**Algorithm 2**), costing at most `2(1+O(ε))·r`.
+//! (**Algorithm 2**), costing at most `2(1+O(ε))·r`. A tree's pairs change
+//! only by [`SearchTree::refresh_pairs`], which re-runs Algorithm 1 over
+//! the same skeleton, so every tree is an Algorithm 1 tree and the one
+//! descent, [`descend`], is exact on it.
 //!
 //! *Search tree II* `T'(c, r)` (Definition 4.2) truncates the layering at
 //! `⌈log n⌉` levels — necessary when `ε·r` is super-polynomial in `n`,
@@ -346,123 +349,15 @@ impl<D: Clone> SearchTree<D> {
         SearchWalk::collect(&self, key)
     }
 
-    /// Inserts a `(key, data)` pair after construction (mobility support:
-    /// a tracked object arriving in this tree's ball). The pair is stored
-    /// at the root and the root's range is widened; lookups that may run
-    /// after mutations should use [`Self::search_all`].
-    pub fn insert_pair(&mut self, key: u64, data: D) {
-        // The root leads the DFS order, so its span starts at 0 and every
-        // other span moves up by one.
-        let idx = self.local_pairs(0).partition_point(|&(k, _)| k < key);
-        self.pairs.insert(idx, (key, data));
-        self.spans[0].1 += 1;
-        for span in &mut self.spans[1..] {
-            span.0 += 1;
-        }
-        self.subtree_range[0] = Some(match self.subtree_range[0] {
-            Some((lo, hi)) => (lo.min(key), hi.max(key)),
-            None => (key, key),
-        });
-    }
-
-    /// Removes one pair with `key` (mobility support: the object left).
-    /// Ranges are left conservative (they may over-approximate after
-    /// removals), which [`Self::search_all`]'s backtracking tolerates.
-    ///
-    /// Returns the removed data, or `None` if the key is absent.
-    pub fn remove_pair(&mut self, key: u64) -> Option<D> {
-        // Backtracking DFS over range-matching subtrees.
-        let mut stack = vec![0u32];
-        while let Some(u) = stack.pop() {
-            if let Ok(idx) = self.local_pairs(u).binary_search_by_key(&key, |&(k, _)| k) {
-                // Spans after `u`'s in DFS order start past its start.
-                let start = self.spans[u as usize].0;
-                self.spans[u as usize].1 -= 1;
-                for span in &mut self.spans {
-                    if span.0 > start {
-                        span.0 -= 1;
-                    }
-                }
-                return Some(self.pairs.remove(start as usize + idx).1);
-            }
-            for &c in self.tree.children(u) {
-                if let Some((lo, hi)) = self.subtree_range[c as usize] {
-                    if lo <= key && key <= hi {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        None
-    }
-
     /// Wholesale pair refresh over the **existing** tree skeleton: rebuilds
     /// the Algorithm 1 distribution and subtree ranges from `items` exactly
     /// as construction would. A tree refreshed with some pair set is
     /// byte-identical to one freshly built over the same skeleton with that
     /// pair set, which is what incremental table repair relies on when only
-    /// keys/data changed (e.g. relabeled destinations) but the metric ball
-    /// the tree spans did not.
+    /// keys/data changed (e.g. relabeled destinations or a moved object)
+    /// but the metric ball the tree spans did not.
     pub fn refresh_pairs(&mut self, items: Vec<(u64, D)>) {
         self.store(items);
-    }
-
-    /// Backtracking variant of [`Self::search`]: explores *every* subtree
-    /// whose (possibly conservative) range contains the key, so it stays
-    /// correct after [`Self::remove_pair`] mutations. On unmutated trees
-    /// it visits the same single path as `search`.
-    pub fn search_all(&self, key: u64) -> SearchWalk<D> {
-        let mut nodes: Vec<NodeId> = vec![self.tree.node(0)];
-        let mut result = None;
-        let mut max_depth = 0usize;
-        // Recursive DFS recording down-and-up movement.
-        #[allow(clippy::too_many_arguments)]
-        fn dfs<D: Clone>(
-            st: &SearchTree<D>,
-            u: u32,
-            depth: usize,
-            key: u64,
-            nodes: &mut Vec<NodeId>,
-            result: &mut Option<D>,
-            max_depth: &mut usize,
-        ) {
-            if result.is_some() {
-                return;
-            }
-            *max_depth = (*max_depth).max(depth);
-            let own = st.local_pairs(u);
-            if let Ok(idx) = own.binary_search_by_key(&key, |&(k, _)| k) {
-                *result = Some(own[idx].1.clone());
-                return;
-            }
-            for &c in st.tree.children(u) {
-                if result.is_some() {
-                    return;
-                }
-                if let Some((lo, hi)) = st.subtree_range[c as usize] {
-                    if lo <= key && key <= hi {
-                        nodes.push(st.tree.node(c));
-                        dfs(st, c, depth + 1, key, nodes, result, max_depth);
-                        if result.is_some() {
-                            return;
-                        }
-                        nodes.push(st.tree.node(u)); // backtrack
-                    }
-                }
-            }
-        }
-        dfs(self, 0, 0, key, &mut nodes, &mut result, &mut max_depth);
-        // Return to the root along the remaining spine.
-        if let Some(&last) = nodes.last() {
-            if last != self.center {
-                let mut cur = self.tree.local(last).expect("member");
-                while self.tree.parent(cur) != cur {
-                    cur = self.tree.parent(cur);
-                    nodes.push(self.tree.node(cur));
-                }
-            }
-        }
-        SearchWalk { nodes, result, depth: max_depth }
     }
 
     /// The ball center (tree root).
@@ -955,9 +850,13 @@ mod tests {
         let st = SearchTree::new(&m, 0, &ball, config, pairs);
         let mut deepest = 0;
         for key in 0..100 {
-            let (a, b) = (st.search(key), st.search_all(key));
-            assert_eq!((&a.nodes, a.result, a.depth), (&b.nodes, b.result, b.depth), "key {key}");
-            deepest = deepest.max(a.depth);
+            let walk = st.search(key);
+            assert_eq!(walk.result, Some(key as u32), "key {key}");
+            // Down the tree path to the holder, and back up the same way.
+            let mut path = st.tree().path(0, walk.nodes[walk.depth]);
+            path.extend(path.clone().into_iter().rev().skip(1));
+            assert_eq!(walk.nodes, path, "key {key}");
+            deepest = deepest.max(walk.depth);
         }
         assert!(deepest > STACK_DEPTH, "deepest walk {deepest}");
     }
@@ -1069,36 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_and_search_all_roundtrip() {
-        let m = MetricSpace::new(&gen::grid(6, 6));
-        let mut st = make(&m, 14, 5, Eps::one_over(2), None);
-        // Insert a new key, find it, move it out, miss it.
-        st.insert_pair(999_999, 42);
-        assert_eq!(st.search_all(999_999).result, Some(42));
-        assert_eq!(st.remove_pair(999_999), Some(42));
-        assert_eq!(st.search_all(999_999).result, None);
-        assert_eq!(st.remove_pair(999_999), None);
-        // Original keys still retrievable by both lookups.
-        for &x in st.tree().nodes() {
-            assert_eq!(st.search(x as u64 * 10).result, Some(x));
-            assert_eq!(st.search_all(x as u64 * 10).result, Some(x));
-        }
-    }
-
-    #[test]
-    fn search_all_matches_search_on_fresh_trees() {
-        let m = MetricSpace::new(&gen::grid(7, 7));
-        let st = make(&m, 24, 6, Eps::one_over(2), None);
-        for &x in st.tree().nodes() {
-            let a = st.search(x as u64 * 10);
-            let b = st.search_all(x as u64 * 10);
-            assert_eq!(a.result, b.result);
-            assert_eq!(a.nodes, b.nodes, "walks must coincide on fresh trees");
-            assert_eq!(a.depth, b.depth, "descent depths must coincide too");
-        }
-    }
-
-    #[test]
     fn walk_depth_matches_descent() {
         let m = MetricSpace::new(&gen::grid(8, 8));
         let st = make(&m, 27, 6, Eps::one_over(2), None);
@@ -1120,37 +989,6 @@ mod tests {
             vec![(1u64, 27u32)],
         );
         assert_eq!(singleton.search(1).depth, 0);
-    }
-
-    #[test]
-    fn search_all_survives_removals_of_siblings() {
-        let m = MetricSpace::new(&gen::grid(6, 6));
-        let mut st = make(&m, 14, 5, Eps::one_over(2), None);
-        // Remove a batch of keys; all remaining keys stay findable even
-        // though ranges are now conservative.
-        let all: Vec<u64> = st.tree().nodes().iter().map(|&x| x as u64 * 10).collect();
-        for &k in &all[..all.len() / 2] {
-            assert!(st.remove_pair(k).is_some());
-        }
-        for (i, &k) in all.iter().enumerate() {
-            let expect = if i < all.len() / 2 { None } else { Some((k / 10) as u32) };
-            assert_eq!(st.search_all(k).result, expect, "key {k}");
-        }
-    }
-
-    #[test]
-    fn search_all_walks_start_and_end_at_center() {
-        let m = MetricSpace::new(&gen::grid(5, 5));
-        let mut st = make(&m, 12, 4, Eps::one_over(2), None);
-        st.remove_pair(0);
-        for &x in st.tree().nodes() {
-            let w = st.search_all(x as u64 * 10);
-            assert_eq!(*w.nodes.first().unwrap(), 12);
-            assert_eq!(*w.nodes.last().unwrap(), 12);
-        }
-        // A miss also returns to the center.
-        let w = st.search_all(123_456);
-        assert_eq!(*w.nodes.last().unwrap(), 12);
     }
 
     #[test]

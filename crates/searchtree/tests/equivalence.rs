@@ -9,7 +9,7 @@
 //! shape, edge weights, levels, relay entries, subtree ranges and stored
 //! pairs — on grids, random geometric graphs and exponential-weight paths,
 //! capped and uncapped, over full balls and balls filtered to a random
-//! active subset, and after random `insert_pair`/`remove_pair` sequences.
+//! active subset, and after a `refresh_pairs` with a fresh pair set.
 
 use std::collections::BTreeMap;
 
@@ -151,30 +151,6 @@ impl Reference {
             self.range.insert(u, range);
         }
     }
-
-    fn insert_pair(&mut self, key: u64, data: u32) {
-        let root = self.pairs.get_mut(&self.center).unwrap();
-        let idx = root.partition_point(|&(k, _)| k < key);
-        root.insert(idx, (key, data));
-        let r = self.range.get_mut(&self.center).unwrap();
-        *r = Some(r.map_or((key, key), |(lo, hi)| (lo.min(key), hi.max(key))));
-    }
-
-    fn remove_pair(&mut self, key: u64) -> Option<u32> {
-        let mut stack = vec![self.center];
-        while let Some(u) = stack.pop() {
-            let own = self.pairs.get_mut(&u).unwrap();
-            if let Ok(idx) = own.binary_search_by_key(&key, |&(k, _)| k) {
-                return Some(own.remove(idx).1);
-            }
-            for c in &self.children[&u] {
-                if matches!(self.range[c], Some((lo, hi)) if lo <= key && key <= hi) {
-                    stack.push(*c);
-                }
-            }
-        }
-        None
-    }
 }
 
 /// Asserts that `st` and `r` agree on every field.
@@ -252,18 +228,6 @@ proptest! {
         let mut st = SearchTree::new(&m, center, &ball, config, pairs.clone());
         let mut r = Reference::new(&m, center, &ball, config, pairs);
         assert_same(&m, &st, &r);
-
-        for _ in 0..30 {
-            let key = rng.gen_range(0u64..800);
-            if rng.gen_bool(0.4) {
-                let data = rng.gen_range(0u32..1_000);
-                st.insert_pair(key, data);
-                r.insert_pair(key, data);
-            } else {
-                prop_assert_eq!(st.remove_pair(key), r.remove_pair(key));
-            }
-            assert_same(&m, &st, &r);
-        }
 
         let fresh: Vec<(u64, u32)> =
             ball.iter().map(|&x| (rng.gen_range(0u64..800), x)).collect();

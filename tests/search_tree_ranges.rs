@@ -6,9 +6,7 @@
 //! hands the sorted keys out in DFS order). This test builds every search
 //! tree the four schemes make — own trees, ℬ-type trees and the PortLabel
 //! cell trees — over every core family at n = 40 and checks that order,
-//! also after `insert_pair`, `remove_pair` and `refresh_pairs`.
-
-use std::fmt::Debug;
+//! also after `refresh_pairs`.
 
 use compact_routing::labeled::ScaleFreeView;
 use compact_routing::nameind::{Facility, NameIndependentView};
@@ -29,29 +27,17 @@ fn assert_children_ascend<D: Clone>(st: &SearchTree<D>, what: &str) {
     }
 }
 
-/// Checks `st` as built, then after each kind of mutation.
-fn check_tree<D: Clone + Debug>(st: &SearchTree<D>, what: &str) {
+/// Checks `st` as built, then after a `refresh_pairs` with every third of
+/// its pairs.
+fn check_tree<D: Clone>(st: &SearchTree<D>, what: &str) {
     assert_children_ascend(st, what);
     let t = st.tree();
     let mut pairs: Vec<(u64, D)> =
         (0..t.len() as u32).flat_map(|u| st.pairs_at(t.node(u)).to_vec()).collect();
     pairs.sort_by_key(|&(k, _)| k);
-    let (Some((min, d)), Some(&(max, _))) = (pairs.first().cloned(), pairs.last()) else {
-        return;
-    };
-
-    let mut mutated = st.clone();
-    mutated.insert_pair(max + 1, d.clone());
-    if let Some(gap) = (min..max).find(|k| pairs.binary_search_by_key(k, |&(k, _)| k).is_err()) {
-        mutated.insert_pair(gap, d);
-    }
-    assert_children_ascend(&mutated, &format!("{what} after insert_pair"));
-    for &(k, _) in pairs.iter().step_by(2) {
-        assert!(mutated.remove_pair(k).is_some(), "{what}: key {k} stored");
-    }
-    assert_children_ascend(&mutated, &format!("{what} after remove_pair"));
-    mutated.refresh_pairs(pairs.into_iter().step_by(3).collect());
-    assert_children_ascend(&mutated, &format!("{what} after refresh_pairs"));
+    let mut refreshed = st.clone();
+    refreshed.refresh_pairs(pairs.into_iter().step_by(3).collect());
+    assert_children_ascend(&refreshed, &format!("{what} after refresh_pairs"));
 }
 
 #[test]
