@@ -54,10 +54,8 @@ fn bench_search_trees(c: &mut Criterion) {
         let config = SearchTreeConfig { eps_r: eps.mul_floor(radius).max(1), max_levels: None };
         for &y in s.underlying().nets().level(s.rounds().host_level(k)) {
             let ball = m.ball(y, radius);
-            let pairs: Vec<(u64, u32)> = ball
-                .iter()
-                .map(|&v| (naming.name_of(v) as u64, s.underlying().label_of(v)))
-                .collect();
+            let pairs: Vec<(u32, u32)> =
+                ball.iter().map(|&v| (naming.name_of(v), s.underlying().label_of(v))).collect();
             inputs.push((y, ball, config, pairs));
         }
     }

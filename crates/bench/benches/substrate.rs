@@ -27,7 +27,7 @@ fn bench_substrate(c: &mut Criterion) {
         let eps = Eps::one_over(8);
         let r = m.diameter() / 2;
         let ball = m.ball(0, r);
-        let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64, x)).collect();
+        let pairs: Vec<(u32, u32)> = ball.iter().map(|&x| (x, x)).collect();
         group.bench_with_input(BenchmarkId::new("search-tree-build", n), &n, |b, _| {
             b.iter(|| {
                 SearchTree::new(
@@ -49,7 +49,7 @@ fn bench_substrate(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("search-tree-lookup", n), &n, |b, _| {
             b.iter(|| {
                 for &x in ball {
-                    st.search(x as u64);
+                    st.search(x);
                 }
             })
         });

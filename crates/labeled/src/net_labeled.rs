@@ -62,7 +62,7 @@ pub struct NetLabeled {
     widths: FieldWidths,
     /// `rings[u][i]` = `X_i(u)`, all levels. Every physical node keeps
     /// forwarding state; only active nodes are destinations.
-    rings: Vec<Vec<Vec<RingEntry>>>,
+    rings: Vec<Vec<Box<[RingEntry]>>>,
     num_levels: usize,
 }
 
@@ -121,7 +121,7 @@ impl NetLabeled {
     /// whatever (full or overlay) hierarchy was built.
     fn from_nets(m: &MetricSpace, eps: Eps, nets: NetHierarchy) -> Self {
         let num_levels = m.num_scales();
-        let rings: Vec<Vec<Vec<RingEntry>>> = (0..m.n() as NodeId)
+        let rings: Vec<Vec<Box<[RingEntry]>>> = (0..m.n() as NodeId)
             .map(|u| (0..num_levels).map(|i| build_ring(m, &nets, eps, u, i)).collect())
             .collect();
         NetLabeled { nets, eps, widths: FieldWidths::new(m), rings, num_levels }
@@ -282,7 +282,7 @@ impl Maintainable for NetLabeled {
             for u in 0..m.n() {
                 let ring = &mut self.rings[u][i];
                 if affected.as_ref().is_some_and(|a| a[u]) {
-                    patch_ring(ring, m, &ranges, self.eps, u as NodeId, i, delta);
+                    *ring = patch_ring(ring, m, &ranges, self.eps, u as NodeId, i, delta);
                     stats.rings_rebuilt += 1;
                 } else {
                     refresh_ring_ranges(ring, &ranges);

@@ -5,6 +5,10 @@
 //! interval of the netting-tree subtree under `x`), the neighbour of `u` on
 //! the shortest path toward `x`, and `d(u, x)` (needed by Algorithm 5's
 //! stopping rule). By Lemma 2.2, `|X_i(u)| ≤ (4/ε)^α`.
+//!
+//! A ring is stored as a boxed slice at its exact size: 24 bytes per
+//! entry and no spare capacity. Rings are never grown in place; a repair
+//! that changes a ring's members builds its replacement ([`patch_ring`]).
 
 use doubling_metric::graph::{Dist, NodeId};
 use doubling_metric::nets::{LevelDelta, NetHierarchy};
@@ -26,14 +30,14 @@ pub struct RingEntry {
 }
 
 /// Builds `X_i(u)`, sorted by range start (ranges at one level are
-/// disjoint, so this supports binary-search lookup).
+/// disjoint, so this supports binary-search lookup), at its exact size.
 pub fn build_ring(
     m: &MetricSpace,
     nets: &NetHierarchy,
     eps: Eps,
     u: NodeId,
     i: usize,
-) -> Vec<RingEntry> {
+) -> Box<[RingEntry]> {
     let s_i = m.scale(i);
     let mut out: Vec<RingEntry> = nets
         .level(i)
@@ -50,7 +54,7 @@ pub fn build_ring(
         })
         .collect();
     out.sort_unstable_by_key(|e| e.range.0);
-    out
+    out.into_boxed_slice()
 }
 
 /// The exact ring radius at level `i`: the largest `d` with
@@ -101,34 +105,35 @@ pub fn refresh_ring_ranges(ring: &mut [RingEntry], ranges: &[(u32, u32)]) {
     ring.sort_unstable_by_key(|e| e.range.0);
 }
 
-/// Patches `X_i(u)` by its level's net membership delta: drops the members
-/// that left `Y_i`, appends the arrivals within the ring radius (computing
-/// `dist` and `next` for those alone), then refreshes every range from the
-/// level's [`level_ranges`] table and restores the sort order. Because
+/// Patches `X_i(u)` by its level's net membership delta, returning the
+/// new ring at its exact size: keeps the members that did not leave `Y_i`,
+/// appends the arrivals within the ring radius (computing `dist` and
+/// `next` for those alone), then refreshes every range from the level's
+/// [`level_ranges`] table and restores the sort order. Because
 /// `X_i(u) = B_u(2^i/ε) ∩ Y_i` and `delta` is the exact set difference of
 /// `Y_i`, the result is byte-identical to [`build_ring`] against the
 /// repaired hierarchy.
 pub fn patch_ring(
-    ring: &mut Vec<RingEntry>,
+    ring: &[RingEntry],
     m: &MetricSpace,
     ranges: &[(u32, u32)],
     eps: Eps,
     u: NodeId,
     i: usize,
     delta: &LevelDelta,
-) {
-    if !delta.removed.is_empty() {
-        ring.retain(|e| delta.removed.binary_search(&e.x).is_err());
-    }
+) -> Box<[RingEntry]> {
+    let mut out = Vec::with_capacity(ring.len() + delta.added.len());
+    out.extend(ring.iter().filter(|e| delta.removed.binary_search(&e.x).is_err()));
     let s_i = m.scale(i);
     for &x in &delta.added {
         let d = m.dist(u, x);
         if eps.mul_le(d, s_i) {
             let next = m.next_hop(u, x).unwrap_or(u);
-            ring.push(RingEntry { x, range: (0, 0), next, dist: d });
+            out.push(RingEntry { x, range: (0, 0), next, dist: d });
         }
     }
-    refresh_ring_ranges(ring, ranges);
+    refresh_ring_ranges(&mut out, ranges);
+    out.into_boxed_slice()
 }
 
 /// Binary-searches a ring for the entry whose range contains `label`.

@@ -58,13 +58,17 @@ fn cell_pairs(
     router: &PortTreeRouter,
     c: NodeId,
     r_j1: Dist,
-) -> Vec<(u64, PortLabel)> {
+) -> Vec<(u32, PortLabel)> {
     region
         .iter()
         .filter(|&&v| m.dist(c, v) <= r_j1 && nets.is_active(v))
-        .map(|&v| (nets.label(v) as u64, router.label_of(v).clone()))
+        .map(|&v| (nets.label(v), router.label_of(v).clone()))
         .collect()
 }
+
+/// One node's stored rings: `(level, ring)` for each level of `R(u)`,
+/// sorted by level.
+type NodeRings = Box<[(u32, Box<[RingEntry]>)]>;
 
 /// One Voronoi cell of a packed ball: its shortest-path tree router and the
 /// search tree indexing local labels.
@@ -110,8 +114,8 @@ pub struct ScaleFreeLabeled {
     nets: NetHierarchy,
     eps: Eps,
     widths: FieldWidths,
-    /// Rings for levels in `R(u)` only: `(level, ring)` sorted by level.
-    rings: Vec<Vec<(u32, Vec<RingEntry>)>>,
+    /// Rings for levels in `R(u)` only.
+    rings: Vec<NodeRings>,
     packings: Packings,
     /// `cells[j][k]` = cell of ball `k` in `ℬ_j`.
     cells: Vec<Vec<Cell>>,
@@ -184,23 +188,20 @@ impl ScaleFreeLabeled {
 
         // --- Ring tables on R(u). ---
         let eps6 = eps.div_by(6);
-        let mut rings: Vec<Vec<(u32, Vec<RingEntry>)>> = Vec::with_capacity(n);
-        {
+        let rings: Vec<NodeRings> = {
             let _s = tracer.span("ring-build");
-            for u in 0..n as NodeId {
-                let r_of: Vec<Dist> = (0..=log2_n).map(|j| m.r_small(u, j)).collect();
-                let mut mine = Vec::new();
-                for i in 0..m.num_scales() {
-                    let s_i = m.scale(i);
+            (0..n as NodeId)
+                .map(|u| {
+                    let r_of: Vec<Dist> = (0..=log2_n).map(|j| m.r_small(u, j)).collect();
                     // i ∈ R(u) ⟺ ∃j: (ε/6)·r_u(j) ≤ s_i ≤ r_u(j).
-                    let in_r = r_of.iter().any(|&r| eps6.mul_le(r, s_i) && s_i <= r);
-                    if in_r {
-                        mine.push((i as u32, build_ring(m, &nets, eps, u, i)));
-                    }
-                }
-                rings.push(mine);
-            }
-        }
+                    let in_r = |s_i: Dist| r_of.iter().any(|&r| eps6.mul_le(r, s_i) && s_i <= r);
+                    (0..m.num_scales())
+                        .filter(|&i| in_r(m.scale(i)))
+                        .map(|i| (i as u32, build_ring(m, &nets, eps, u, i)))
+                        .collect()
+                })
+                .collect()
+        };
 
         // --- Ball packings. ---
         let packings = {
@@ -312,7 +313,7 @@ impl ScaleFreeLabeled {
     /// # Panics
     ///
     /// Panics if `u` is out of range.
-    pub fn rings_of(&self, u: NodeId) -> &[(u32, Vec<RingEntry>)] {
+    pub fn rings_of(&self, u: NodeId) -> &[(u32, Box<[RingEntry]>)] {
         &self.rings[u as usize]
     }
 
@@ -416,7 +417,7 @@ fn packing_phase<V: ScaleFreeView + ?Sized>(
     // each tree node once the packet stands on it.
     rec.begin_segment("tree-search", Some(j));
     rec.note_header_bits(widths.node + widths.size_exp);
-    let found = searchtree::descend(&cell.search, target as u64, |x| rec.walk_shortest(x))?;
+    let found = searchtree::descend(&cell.search, target, |x| rec.walk_shortest(x))?;
     let local = found.ok_or_else(|| RouteError::LookupFailed {
         at: rec.current(),
         detail: format!("label {target} not in search tree of ball j={j} (Lemma 4.5)"),
@@ -627,7 +628,7 @@ impl Maintainable for ScaleFreeLabeled {
                 });
                 let ranges = tables[i].get_or_insert_with(|| level_ranges(nets, m.n(), i));
                 if zone[u] {
-                    patch_ring(ring, m, ranges, eps, u as NodeId, i, &deltas[i]);
+                    *ring = patch_ring(ring, m, ranges, eps, u as NodeId, i, &deltas[i]);
                     stats.rings_rebuilt += 1;
                 } else {
                     refresh_ring_ranges(ring, ranges);

@@ -1,7 +1,10 @@
 //! Property-based check of ring repair by level delta: on random connected
 //! graphs under churn batches that mix joins and leaves, every stored ring
 //! of both labeled schemes must equal [`build_ring`] against the repaired
-//! hierarchy after every batch.
+//! hierarchy after every batch, and hold exactly as many slots as entries.
+//!
+//! Slots are counted with the counting allocator, which this binary
+//! installs; it holds a single test, since the counters are process-global.
 
 use proptest::prelude::*;
 
@@ -12,6 +15,22 @@ use doubling_metric::Eps;
 use labeled_routing::rings::build_ring;
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use netsim::maintain::Maintainable;
+use obs::alloc::{live_bytes, CountingAlloc};
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc::new();
+
+/// The heap bytes `s` holds beyond an exact-size copy of itself (a clone
+/// allocates every vector at its length): the bytes of its spare slots.
+/// Leaves the copy in place of `s`.
+fn spare_bytes<S: Clone>(s: &mut S) -> u64 {
+    let before = live_bytes();
+    let copy = s.clone();
+    let exact = live_bytes() - before;
+    let before = live_bytes();
+    drop(std::mem::replace(s, copy));
+    (before - live_bytes()) - exact
+}
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (6usize..=max_n).prop_flat_map(|n| {
@@ -74,7 +93,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every `(u, i)` ring of both labeled schemes equals `build_ring`
-    /// against the repaired hierarchy after every mixed batch.
+    /// against the repaired hierarchy after every mixed batch, and each
+    /// repaired scheme holds no spare slot: a patched ring has exactly as
+    /// many slots as entries.
     #[test]
     fn patched_rings_equal_build_ring(
         g in arb_connected_graph(24),
@@ -91,6 +112,8 @@ proptest! {
         for (b, batch) in mixed_script(m.n(), &raw).iter().enumerate() {
             net.repair(&m, batch);
             sf.repair(&m, batch);
+            prop_assert_eq!(spare_bytes(&mut net), 0, "net-labeled spare slots, batch {}", b);
+            prop_assert_eq!(spare_bytes(&mut sf), 0, "scale-free spare slots, batch {}", b);
             for u in 0..m.n() as NodeId {
                 for i in 0..net.num_levels() {
                     let fresh = build_ring(&m, net.nets(), eps, u, i);

@@ -248,6 +248,8 @@ fn greedy_level(m: &MetricSpace, seeds: &[NodeId], active: &[bool], s_i: Dist) -
         }
     }
     members.sort_unstable();
+    // The hierarchy keeps the level: hold it at its length.
+    members.shrink_to_fit();
     members
 }
 
@@ -481,7 +483,9 @@ fn repair_level(
         }
     }
 
-    let members: Vec<NodeId> = (0..n as NodeId).filter(|&v| mem[v as usize]).collect();
+    let mut members: Vec<NodeId> = (0..n as NodeId).filter(|&v| mem[v as usize]).collect();
+    // As in `greedy_level`: a repaired level holds what a fresh one does.
+    members.shrink_to_fit();
     let delta = diff_sorted(old, &members);
     (members, delta)
 }

@@ -86,6 +86,8 @@ impl BallPacking {
             }
             balls.push(PackedBall { center: u, radius, nodes });
         }
+        // The packing keeps its balls: hold them at their length.
+        balls.shrink_to_fit();
 
         // Voronoi assignment to nearest center.
         let centers: Vec<NodeId> = balls.iter().map(|b| b.center).collect();

@@ -65,11 +65,11 @@ fn ball_pairs(
     underlying: &NetLabeled,
     placements: &[(ObjectKey, NodeId)],
     in_ball: impl Fn(NodeId) -> bool,
-) -> Vec<(u64, Label)> {
+) -> Vec<(ObjectKey, Label)> {
     placements
         .iter()
         .filter(|&&(_, h)| in_ball(h))
-        .map(|&(key, h)| (key as u64, underlying.label_of(h)))
+        .map(|&(key, h)| (key, underlying.label_of(h)))
         .collect()
 }
 
@@ -184,7 +184,7 @@ impl<'s> ObjectDirectory<'s> {
     ) -> Result<(Route, NodeId), RouteError> {
         let mut rec = RouteRecorder::new(m, src);
         rec.note_header_bits(32 + 8); // object key + round counter
-        if search_rounds(self, &mut rec, src, key as u64)? {
+        if search_rounds(self, &mut rec, src, key)? {
             let replica = rec.current();
             return Ok((rec.finish(), replica));
         }

@@ -49,8 +49,8 @@ fn pairs_for(
     naming: &Naming,
     underlying: &ScaleFreeLabeled,
     nodes: &[NodeId],
-) -> Vec<(u64, Label)> {
-    nodes.iter().map(|&v| (naming.name_of(v) as u64, underlying.label_of(v))).collect()
+) -> Vec<(Name, Label)> {
+    nodes.iter().map(|&v| (naming.name_of(v), underlying.label_of(v))).collect()
 }
 
 /// The pairs a ℬ-type tree stores: the active part of `B_c(r_big)` — empty
@@ -62,7 +62,7 @@ fn btree_pairs(
     underlying: &ScaleFreeLabeled,
     c: NodeId,
     r_big: Dist,
-) -> Vec<(u64, Label)> {
+) -> Vec<(Name, Label)> {
     if !underlying.nets().is_active(c) {
         return Vec::new();
     }

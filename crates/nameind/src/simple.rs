@@ -39,8 +39,8 @@ use crate::view::{route_named, Facility, NameIndependentView};
 
 /// The `(name, label)` pairs a search tree stores for the given (active)
 /// ball nodes. Keys are names, so the store order is irrelevant.
-fn tree_pairs(naming: &Naming, underlying: &NetLabeled, ball: &[NodeId]) -> Vec<(u64, Label)> {
-    ball.iter().map(|&v| (naming.name_of(v) as u64, underlying.label_of(v))).collect()
+fn tree_pairs(naming: &Naming, underlying: &NetLabeled, ball: &[NodeId]) -> Vec<(Name, Label)> {
+    ball.iter().map(|&v| (naming.name_of(v), underlying.label_of(v))).collect()
 }
 
 /// Builds the round search tree `T(y, radius)` over the *active* part of

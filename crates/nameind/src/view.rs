@@ -101,7 +101,7 @@ fn search<L: LabeledView + ?Sized, T: TreeScan<Item = Label>>(
     underlying: &L,
     rec: &mut RouteRecorder<'_>,
     facility: &Facility<T>,
-    key: u64,
+    key: u32,
 ) -> Result<Option<Label>, RouteError> {
     let (tree, host) = match facility {
         Facility::Own(tree) => (tree, None),
@@ -132,7 +132,7 @@ pub(crate) fn search_rounds<V: NameIndependentView + ?Sized>(
     view: &V,
     rec: &mut RouteRecorder<'_>,
     src: NodeId,
-    key: u64,
+    key: u32,
 ) -> Result<bool, RouteError> {
     let underlying = view.underlying();
     for k in 0..view.round_count() {
@@ -171,7 +171,7 @@ pub fn route_named<V: NameIndependentView + ?Sized>(
     // round; the nested underlying legs fold their headers in.
     rec.note_header_bits(widths.node + widths.level);
 
-    if view.name_at(src) == name || search_rounds(view, &mut rec, src, name as u64)? {
+    if view.name_at(src) == name || search_rounds(view, &mut rec, src, name)? {
         return Ok(rec.finish());
     }
     Err(RouteError::LookupFailed {

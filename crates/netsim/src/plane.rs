@@ -113,6 +113,7 @@ impl BitArena {
     /// Panics if `width` is 0 or exceeds 64, or if `value` does not fit in
     /// `width` bits — a plane compiler packing an out-of-range field is a
     /// bug, not a recoverable condition.
+    #[inline]
     pub fn push(&mut self, value: u64, width: u64) {
         assert!((1..=64).contains(&width), "field width {width} out of range");
         assert!(

@@ -103,7 +103,7 @@ fn same_outcome(
     }) as usize
 }
 
-fn assert_scans_agree<A, B>(a: &A, b: &B, len: usize, keys: u64)
+fn assert_scans_agree<A, B>(a: &A, b: &B, len: usize, keys: u32)
 where
     A: TreeScan,
     B: TreeScan<Item = A::Item>,
@@ -174,7 +174,7 @@ fn check_labeled(m: &MetricSpace, eps: Eps, naming: &Naming, departed: &[NodeId]
                     );
                 }
             }
-            assert_scans_agree(&a.search, &b.search, a.search.tree().len(), n as u64 + 1);
+            assert_scans_agree(&a.search, &b.search, a.search.tree().len(), n as u32 + 1);
         }
     }
 
@@ -234,7 +234,7 @@ where
                 }
                 _ => panic!("facility kind of host {j} round {k} differs"),
             };
-            assert_scans_agree(&a, &b, a.tree().len(), n as u64 + 1);
+            assert_scans_agree(&a, &b, a.tree().len(), n as u32 + 1);
         }
     }
 

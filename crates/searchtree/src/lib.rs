@@ -60,6 +60,22 @@
 //! them. A build that panics drops the scratch rather than return it
 //! dirty.
 //!
+//! # Memory
+//!
+//! Keys are `u32`: every key the schemes store is a name, a label or an
+//! object key, and all three are `u32`. A tree of `m` members holding `k`
+//! pairs, whose virtual edges pass `r` relay nodes, retains
+//! `44·m + size_of::<(u32, D)>()·k + 8·r` bytes plus the heap its payloads
+//! own, with no spare capacity:
+//!
+//! * per member, 28 B of skeleton (node id, parent, child-list slot and
+//!   start, edge weight, subtree size), 4 B of net level, 4 B for where
+//!   its Algorithm 1 share starts (one `⌈k/m⌉` per tree gives the
+//!   lengths) and 8 B of subtree key range (`lo > hi` when empty);
+//! * per pair, its key and payload: 8 B for a `u32` label. The pairs are
+//!   the caller's vector, shrunk to its length;
+//! * per relay node, its id and a `u32` count of next-hop entries.
+//!
 //! The tree is *virtual*: its edges are generally not graph edges.
 //! [`descend`] streams the walk to the calling scheme one tree node at a
 //! time, and the scheme executes each virtual hop with its underlying
@@ -127,7 +143,7 @@ pub trait TreeScan {
     fn node_of(&self, local: u32) -> NodeId;
 
     /// Scans the record of local index `local` for `key`.
-    fn scan(&self, local: u32, key: u64) -> NodeScan<Self::Item>;
+    fn scan(&self, local: u32, key: u32) -> NodeScan<Self::Item>;
 }
 
 /// Tree depth [`descend`] keeps on the call stack; only a deeper path (a
@@ -147,7 +163,7 @@ const STACK_DEPTH: usize = 32;
 /// The first error `visit` returns; the walk stops there.
 pub fn descend<T: TreeScan + ?Sized, E>(
     tree: &T,
-    key: u64,
+    key: u32,
     mut visit: impl FnMut(NodeId) -> Result<(), E>,
 ) -> Result<Option<T::Item>, E> {
     // Graph nodes above the packet, root first, for the report back up.
@@ -179,7 +195,7 @@ pub fn descend<T: TreeScan + ?Sized, E>(
 
 impl<D> SearchWalk<D> {
     /// Collects [`descend`] over `tree` into the whole walk.
-    fn collect<T: TreeScan<Item = D> + ?Sized>(tree: &T, key: u64) -> Self {
+    fn collect<T: TreeScan<Item = D> + ?Sized>(tree: &T, key: u32) -> Self {
         let mut nodes = vec![tree.node_of(0)];
         let Ok(result) = descend(tree, key, |x| {
             nodes.push(x);
@@ -203,7 +219,7 @@ impl<D> SearchWalk<D> {
 ///
 /// let m = MetricSpace::new(&gen::grid(5, 5));
 /// let ball = m.ball(12, 3);
-/// let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64, x)).collect();
+/// let pairs: Vec<(u32, u32)> = ball.iter().map(|&x| (x, x)).collect();
 /// let st = SearchTree::new(
 ///     &m,
 ///     12,
@@ -228,17 +244,26 @@ pub struct SearchTree<D> {
     has_tails: bool,
     /// Every stored pair, in ascending key order. Algorithm 1 hands them
     /// out in DFS order, so each node's share is one contiguous span.
-    pairs: Vec<(u64, D)>,
-    /// `(start, len)` of each local index's share of `pairs`.
-    spans: Vec<(u32, u32)>,
-    /// Min/max stored key in each local subtree (`None` if empty).
-    subtree_range: Vec<Option<(u64, u64)>>,
+    pairs: Box<[(u32, D)]>,
+    /// Algorithm 1's share length `⌈k/m⌉` (`0` with no pairs): every
+    /// span holds this many pairs, except that the last nonempty one may
+    /// hold fewer and the ones after it none.
+    per_node: u32,
+    /// Where each local index's share of `pairs` starts.
+    starts: Box<[u32]>,
+    /// Min/max stored key in each local subtree; [`NO_KEYS`] if it
+    /// stores none.
+    subtree_range: Box<[(u32, u32)]>,
     /// Lemma 4.3 relay accounting: for every *graph* node lying strictly
     /// inside the shortest path realizing a virtual tree edge, the number
     /// of next-hop entries it must store (two directions per edge it
     /// relays). Sorted by graph node id.
-    relay_entries: Vec<(NodeId, u64)>,
+    relay_entries: Box<[(NodeId, u32)]>,
 }
+
+/// The stored range of a subtree without keys: empty, since `lo > hi`, so
+/// no key tests inside it.
+const NO_KEYS: (u32, u32) = (u32::MAX, 0);
 
 impl<D: Clone> SearchTree<D> {
     /// Builds the search tree over `ball` (which must contain `center`)
@@ -252,7 +277,7 @@ impl<D: Clone> SearchTree<D> {
         center: NodeId,
         ball: &[NodeId],
         config: SearchTreeConfig,
-        pairs: Vec<(u64, D)>,
+        pairs: Vec<(u32, D)>,
     ) -> Self {
         // Local indexing: the center first, then the id-sorted rest of the
         // ball — the convention `Tree` uses, so no edge is ever sorted.
@@ -278,54 +303,50 @@ impl<D: Clone> SearchTree<D> {
     /// Algorithm 1: distribute the pairs over the tree in DFS order,
     /// `⌈k/m⌉` per node, and record subtree key ranges.
     ///
-    /// The sorted pairs stay in one flat vector; DFS order makes each
-    /// node's share a contiguous span of it.
-    fn store(&mut self, mut items: Vec<(u64, D)>) {
+    /// The sorted pairs stay in one flat slice: the caller's vector,
+    /// shrunk to its length. DFS order makes each node's share a
+    /// contiguous span of it.
+    fn store(&mut self, mut items: Vec<(u32, D)>) {
         items.sort_by_key(|&(k, _)| k);
         let m = self.tree.len();
         let k = items.len();
         assert!(u32::try_from(k).is_ok(), "{k} pairs overflow the u32 spans");
         let per_node = if k == 0 { 0 } else { k.div_ceil(m) };
 
-        let mut spans = vec![(0u32, 0u32); m];
+        let mut starts = vec![0u32; m].into_boxed_slice();
         let order = self.dfs_order();
         for (t, &u) in order.iter().enumerate() {
-            let start = (t * per_node).min(k);
-            spans[u as usize] = (start as u32, per_node.min(k - start) as u32);
+            starts[u as usize] = (t * per_node).min(k) as u32;
         }
-        self.pairs = items;
-        self.spans = spans;
+        self.pairs = items.into_boxed_slice();
+        self.per_node = per_node as u32;
+        self.starts = starts;
 
         // Subtree ranges bottom-up (children appear after parents in
         // `order`, so reverse iteration is a valid bottom-up order).
-        let mut range: Vec<Option<(u64, u64)>> = vec![None; m];
+        let mut range = vec![NO_KEYS; m].into_boxed_slice();
         for &u in order.iter().rev() {
-            let mut lo = u64::MAX;
-            let mut hi = 0u64;
-            let mut any = false;
             let own = self.local_pairs(u);
-            if let (Some(&(first, _)), Some(&(last, _))) = (own.first(), own.last()) {
-                lo = lo.min(first);
-                hi = hi.max(last);
-                any = true;
-            }
+            let (mut lo, mut hi) = match (own.first(), own.last()) {
+                (Some(&(first, _)), Some(&(last, _))) => (first, last),
+                _ => NO_KEYS,
+            };
             for &c in self.tree.children(u) {
-                if let Some((clo, chi)) = range[c as usize] {
-                    lo = lo.min(clo);
-                    hi = hi.max(chi);
-                    any = true;
-                }
+                let (clo, chi) = range[c as usize];
+                lo = lo.min(clo);
+                hi = hi.max(chi);
             }
-            range[u as usize] = any.then_some((lo, hi));
+            range[u as usize] = (lo, hi);
         }
         self.subtree_range = range;
     }
 
     /// The pairs stored at local index `u`, in ascending key order.
     #[inline]
-    fn local_pairs(&self, u: u32) -> &[(u64, D)] {
-        let (start, len) = self.spans[u as usize];
-        &self.pairs[start as usize..(start + len) as usize]
+    fn local_pairs(&self, u: u32) -> &[(u32, D)] {
+        let start = self.starts[u as usize] as usize;
+        let end = (start + self.per_node as usize).min(self.pairs.len());
+        &self.pairs[start..end]
     }
 
     /// Pre-order DFS over local indices, children in graph-id order — the
@@ -345,7 +366,7 @@ impl<D: Clone> SearchTree<D> {
     /// Algorithm 2: look up `key` starting from the root, returning the
     /// walk (down and back up) and the retrieved data if present — the
     /// shared [`descend`] over this tree's records, collected.
-    pub fn search(&self, key: u64) -> SearchWalk<D> {
+    pub fn search(&self, key: u32) -> SearchWalk<D> {
         SearchWalk::collect(&self, key)
     }
 
@@ -356,7 +377,7 @@ impl<D: Clone> SearchTree<D> {
     /// pair set, which is what incremental table repair relies on when only
     /// keys/data changed (e.g. relabeled destinations or a moved object)
     /// but the metric ball the tree spans did not.
-    pub fn refresh_pairs(&mut self, items: Vec<(u64, D)>) {
+    pub fn refresh_pairs(&mut self, items: Vec<(u32, D)>) {
         self.store(items);
     }
 
@@ -404,7 +425,7 @@ impl<D: Clone> SearchTree<D> {
     /// # Panics
     ///
     /// Panics if `v` is not a member.
-    pub fn pairs_at(&self, v: NodeId) -> &[(u64, D)] {
+    pub fn pairs_at(&self, v: NodeId) -> &[(u32, D)] {
         self.local_pairs(self.tree.local(v).expect("member"))
     }
 
@@ -416,8 +437,9 @@ impl<D: Clone> SearchTree<D> {
     /// # Panics
     ///
     /// Panics if `local` is out of range.
-    pub fn subtree_range_of(&self, local: u32) -> Option<(u64, u64)> {
-        self.subtree_range[local as usize]
+    pub fn subtree_range_of(&self, local: u32) -> Option<(u32, u32)> {
+        let (lo, hi) = self.subtree_range[local as usize];
+        (lo <= hi).then_some((lo, hi))
     }
 
     /// Maximum number of children of any tree node (the paper bounds this
@@ -484,7 +506,7 @@ impl<D: Clone> SearchTree<D> {
         // Members' relay bits belong to their storage_bits; everyone
         // else's are their whole share.
         for &(v, count) in &self.relay_entries {
-            bits[v as usize] += count * node_bits;
+            bits[v as usize] += u64::from(count) * node_bits;
         }
     }
 
@@ -512,7 +534,7 @@ impl<D: Clone> SearchTree<D> {
             Ok(idx) => self.relay_entries[idx].1,
             Err(_) => 0,
         };
-        count * node_bits
+        u64::from(count) * node_bits
     }
 }
 
@@ -524,13 +546,14 @@ impl<D: Clone> TreeScan for &SearchTree<D> {
         self.tree.node(local)
     }
 
-    fn scan(&self, local: u32, key: u64) -> NodeScan<D> {
+    fn scan(&self, local: u32, key: u32) -> NodeScan<D> {
         let own = self.local_pairs(local);
         if let Ok(idx) = own.binary_search_by_key(&key, |&(k, _)| k) {
             return NodeScan { hit: Some(own[idx].1.clone()), descend: None };
         }
         let descend = self.tree.children(local).iter().copied().find(|&c| {
-            self.subtree_range[c as usize].is_some_and(|(lo, hi)| lo <= key && key <= hi)
+            let (lo, hi) = self.subtree_range[c as usize];
+            lo <= key && key <= hi
         });
         NodeScan { hit: None, descend }
     }
@@ -558,7 +581,7 @@ struct Scratch {
     local: Vec<u32>,
     /// Lemma 4.3 relay entries per graph node; nonzero exactly at
     /// `touched` during a build, and all zero between builds.
-    relays: Vec<u64>,
+    relays: Vec<u32>,
     /// The graph nodes with a nonzero relay count.
     touched: Vec<NodeId>,
 }
@@ -698,9 +721,10 @@ impl Scratch {
             level_of,
             levels,
             has_tails,
-            pairs: Vec::new(),
-            spans: Vec::new(),
-            subtree_range: Vec::new(),
+            pairs: Box::default(),
+            per_node: 0,
+            starts: Box::default(),
+            subtree_range: Box::default(),
             relay_entries,
         }
     }
@@ -735,7 +759,7 @@ mod tests {
 
     fn make(m: &MetricSpace, c: NodeId, r: Dist, eps: Eps, cap: Option<u32>) -> SearchTree<u32> {
         let ball = ball_of(m, c, r);
-        let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64 * 10, x)).collect();
+        let pairs: Vec<(u32, u32)> = ball.iter().map(|&x| (x * 10, x)).collect();
         SearchTree::new(
             m,
             c,
@@ -751,7 +775,7 @@ mod tests {
         let st = make(&m, 27, 6, Eps::one_over(2), None);
         assert_eq!(st.tree().len(), ball_of(&m, 27, 6).len());
         for &x in st.tree().nodes() {
-            let walk = st.search(x as u64 * 10);
+            let walk = st.search(x * 10);
             assert_eq!(walk.result, Some(x), "lookup of {x} failed");
             assert_eq!(*walk.nodes.first().unwrap(), 27);
             assert_eq!(*walk.nodes.last().unwrap(), 27, "walk must report back to root");
@@ -762,7 +786,7 @@ mod tests {
     fn missing_keys_return_none() {
         let m = MetricSpace::new(&gen::grid(6, 6));
         let st = make(&m, 14, 5, Eps::one_over(2), None);
-        for bad in [1u64, 7, 999_999] {
+        for bad in [1, 7, 999_999] {
             let walk = st.search(bad);
             assert_eq!(walk.result, None);
             assert_eq!(*walk.nodes.last().unwrap(), 14);
@@ -787,7 +811,7 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(7, 7));
         let st = make(&m, 24, 6, Eps::one_over(2), None);
         for &x in st.tree().nodes() {
-            let walk = st.search(x as u64 * 10);
+            let walk = st.search(x * 10);
             let mut cost = 0;
             for w in walk.nodes.windows(2) {
                 cost += m.dist(w[0], w[1]);
@@ -800,14 +824,14 @@ mod tests {
     fn algorithm1_distributes_evenly() {
         let m = MetricSpace::new(&gen::grid(6, 6));
         let ball = ball_of(&m, 14, 4);
-        let pairs: Vec<(u64, u32)> = (0..3 * ball.len() as u64).map(|k| (k, k as u32)).collect();
+        let pairs: Vec<(u32, u32)> = (0..3 * ball.len() as u32).map(|k| (k, k)).collect();
         let st =
             SearchTree::new(&m, 14, &ball, SearchTreeConfig { eps_r: 2, max_levels: None }, pairs);
         for &v in st.tree().nodes() {
             assert!(st.pairs_at(v).len() <= 3, "⌈k/m⌉ = 3 pairs per node");
         }
-        for k in 0..3 * ball.len() as u64 {
-            assert_eq!(st.search(k).result, Some(k as u32));
+        for k in 0..3 * ball.len() as u32 {
+            assert_eq!(st.search(k).result, Some(k));
         }
     }
 
@@ -819,7 +843,7 @@ mod tests {
         let r = m.diameter();
         let ball = ball_of(&m, c, r);
         assert_eq!(ball.len(), 32);
-        let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64, x)).collect();
+        let pairs: Vec<(u32, u32)> = ball.iter().map(|&x| (x, x)).collect();
         let capped = SearchTree::new(
             &m,
             c,
@@ -831,7 +855,7 @@ mod tests {
         assert!(capped.has_tails(), "truncation must produce tails");
         // All lookups still succeed.
         for &x in &ball {
-            assert_eq!(capped.search(x as u64).result, Some(x));
+            assert_eq!(capped.search(x).result, Some(x));
         }
         // Tail members are at level levels()+1.
         let tail_count =
@@ -845,13 +869,13 @@ mod tests {
         // Definition 4.2 tail, far deeper than the descent's fixed stack.
         let m = MetricSpace::new(&gen::path(100));
         let ball: Vec<NodeId> = (0..100).collect();
-        let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64, x)).collect();
+        let pairs: Vec<(u32, u32)> = ball.iter().map(|&x| (x, x)).collect();
         let config = SearchTreeConfig { eps_r: 200, max_levels: Some(1) };
         let st = SearchTree::new(&m, 0, &ball, config, pairs);
         let mut deepest = 0;
         for key in 0..100 {
             let walk = st.search(key);
-            assert_eq!(walk.result, Some(key as u32), "key {key}");
+            assert_eq!(walk.result, Some(key), "key {key}");
             // Down the tree path to the holder, and back up the same way.
             let mut path = st.tree().path(0, walk.nodes[walk.depth]);
             path.extend(path.clone().into_iter().rev().skip(1));
@@ -891,7 +915,7 @@ mod tests {
             4,
             &[4],
             SearchTreeConfig { eps_r: 1, max_levels: None },
-            vec![(99u64, 4u32)],
+            vec![(99u32, 4u32)],
         );
         assert_eq!(st.search(99).result, Some(4));
         assert_eq!(st.search(99).nodes, vec![4]);
@@ -960,7 +984,7 @@ mod tests {
     fn duplicate_keys_first_match_wins() {
         let m = MetricSpace::new(&gen::grid(3, 3));
         let ball = ball_of(&m, 4, 2);
-        let pairs = vec![(5u64, 100u32), (5, 100), (7, 200)];
+        let pairs = vec![(5u32, 100u32), (5, 100), (7, 200)];
         let st =
             SearchTree::new(&m, 4, &ball, SearchTreeConfig { eps_r: 1, max_levels: None }, pairs);
         assert_eq!(st.search(5).result, Some(100));
@@ -973,7 +997,7 @@ mod tests {
         let st = make(&m, 27, 6, Eps::one_over(2), None);
         let mut some_deep = false;
         for &x in st.tree().nodes() {
-            let w = st.search(x as u64 * 10);
+            let w = st.search(x * 10);
             // depth edges down + depth edges back = whole walk.
             assert_eq!(w.nodes.len(), 2 * w.depth + 1);
             assert!(w.depth <= (st.levels() + 1) as usize);
@@ -986,7 +1010,7 @@ mod tests {
             27,
             &[27],
             SearchTreeConfig { eps_r: 1, max_levels: None },
-            vec![(1u64, 27u32)],
+            vec![(1u32, 27u32)],
         );
         assert_eq!(singleton.search(1).depth, 0);
     }

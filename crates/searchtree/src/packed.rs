@@ -156,7 +156,7 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
             let pairs = tree.local_pairs(u);
             arena.push(pairs.len() as u64, widths.cnt);
             for (k, d) in pairs {
-                arena.push(*k, widths.key);
+                arena.push(u64::from(*k), widths.key);
                 codec.encode(arena, d);
             }
             let children = t.children(u);
@@ -166,8 +166,8 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
                 match tree.subtree_range_of(c) {
                     Some((lo, hi)) => {
                         arena.push(1, 1);
-                        arena.push(lo, widths.key);
-                        arena.push(hi, widths.key);
+                        arena.push(u64::from(lo), widths.key);
+                        arena.push(u64::from(hi), widths.key);
                     }
                     None => arena.push(0, 1),
                 }
@@ -218,7 +218,7 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
 
     /// Algorithm 2 against the packed bits: [`crate::descend`] over
     /// [`Self::view`], collected.
-    pub fn search(&self, arena: &BitArena, key: u64) -> SearchWalk<C::Item> {
+    pub fn search(&self, arena: &BitArena, key: u32) -> SearchWalk<C::Item> {
         SearchWalk::collect(&self.view(arena), key)
     }
 }
@@ -238,7 +238,8 @@ impl<C: PayloadCodec> TreeScan for PackedTreeView<'_, C> {
         self.arena.read(self.tree.record(local), self.tree.widths.node) as NodeId
     }
 
-    fn scan(&self, local: u32, key: u64) -> NodeScan<C::Item> {
+    fn scan(&self, local: u32, key: u32) -> NodeScan<C::Item> {
+        let key = u64::from(key);
         let w = &self.tree.widths;
         let mut cur = BitCursor::new(self.arena, self.tree.record(local) + w.node);
         let npairs = cur.take(w.cnt);
@@ -288,7 +289,7 @@ mod tests {
 
     fn sample_tree(m: &MetricSpace) -> SearchTree<u32> {
         let ball = m.ball(12, 6);
-        let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64, x)).collect();
+        let pairs: Vec<(u32, u32)> = ball.iter().map(|&x| (x, x)).collect();
         SearchTree::new(m, 12, ball, SearchTreeConfig { eps_r: 1, max_levels: None }, pairs)
     }
 
@@ -299,7 +300,7 @@ mod tests {
         let mut arena = BitArena::new();
         let widths = PackedTreeWidths { key: 5, cnt: 6, node: 5 };
         let packed = pack(&mut arena, &st, U32Codec { width: 5 }, widths);
-        for key in 0..30u64 {
+        for key in 0..30 {
             assert_eq!(packed.search(&arena, key), st.search(key), "key {key}");
         }
 
@@ -307,10 +308,10 @@ mod tests {
         // node of a multi-level tree: scans skip the payloads they pass,
         // within a node and before its child ranges, and decode only the hit.
         let ball = m.ball(12, 6);
-        let pairs: Vec<(u64, PortLabel)> = (0..3 * ball.len() as u32)
+        let pairs: Vec<(u32, PortLabel)> = (0..3 * ball.len() as u32)
             .map(|k| {
                 let lights = (0..k % 4).map(|i| ((k + i) % 32, i % 8)).collect();
-                (k as u64, PortLabel { dfs: k % 32, lights })
+                (k, PortLabel { dfs: k % 32, lights })
             })
             .collect();
         let config = SearchTreeConfig { eps_r: 4, max_levels: None };
@@ -319,15 +320,14 @@ mod tests {
         let codec = PortLabelCodec { node: 5, port: 3, cnt: 3 };
         let widths = PackedTreeWidths { key: 7, cnt: 6, node: 5 };
         let packed = pack(&mut arena, &st, codec, widths);
-        for key in 0..4 * ball.len() as u64 {
+        for key in 0..4 * ball.len() as u32 {
             assert_eq!(packed.search(&arena, key), st.search(key), "port-label key {key}");
         }
 
         // Few, spaced keys: the late DFS subtrees store nothing (unranged
         // children), and the keys between two child ranges and above the
         // last one exercise the scan's early exit.
-        let pairs: Vec<(u64, u32)> =
-            (0..ball.len() as u32 / 3).map(|i| (10 * i as u64 + 5, i)).collect();
+        let pairs: Vec<(u32, u32)> = (0..ball.len() as u32 / 3).map(|i| (10 * i + 5, i)).collect();
         let st = SearchTree::new(&m, 12, ball, config, pairs.clone());
         let t = st.tree();
         let ranged =
@@ -336,7 +336,7 @@ mod tests {
         assert!((0..t.len() as u32).any(|u| ranged(u) > 1), "no gap between child ranges");
         let widths = PackedTreeWidths { key: 9, cnt: 6, node: 5 };
         let packed = pack(&mut arena, &st, U32Codec { width: 5 }, widths);
-        for key in 0..10 * pairs.len() as u64 + 20 {
+        for key in 0..10 * pairs.len() as u32 + 20 {
             assert_eq!(packed.search(&arena, key), st.search(key), "spaced key {key}");
         }
     }
@@ -351,7 +351,7 @@ mod tests {
         let mut cur = BitCursor::new(&arena, 0);
         let dec = PackedSearchTree::decode(&mut cur, codec, widths);
         cur.finish("search tree");
-        for key in 0..30u64 {
+        for key in 0..30 {
             assert_eq!(dec.search(&arena, key), st.search(key), "key {key}");
         }
     }

@@ -32,8 +32,8 @@ struct Reference {
     levels: u32,
     has_tails: bool,
     relay: BTreeMap<NodeId, u64>,
-    pairs: BTreeMap<NodeId, Vec<(u64, u32)>>,
-    range: BTreeMap<NodeId, Option<(u64, u64)>>,
+    pairs: BTreeMap<NodeId, Vec<(u32, u32)>>,
+    range: BTreeMap<NodeId, Option<(u32, u32)>>,
 }
 
 impl Reference {
@@ -42,7 +42,7 @@ impl Reference {
         center: NodeId,
         ball: &[NodeId],
         config: SearchTreeConfig,
-        pairs: Vec<(u64, u32)>,
+        pairs: Vec<(u32, u32)>,
     ) -> Self {
         let mut remaining: Vec<NodeId> = ball.iter().copied().filter(|&x| x != center).collect();
         remaining.sort_unstable();
@@ -132,7 +132,7 @@ impl Reference {
         order
     }
 
-    fn store(&mut self, mut items: Vec<(u64, u32)>) {
+    fn store(&mut self, mut items: Vec<(u32, u32)>) {
         items.sort_by_key(|&(k, _)| k);
         let per_node = if items.is_empty() { 0 } else { items.len().div_ceil(self.level.len()) };
         let order = self.dfs_order();
@@ -141,7 +141,7 @@ impl Reference {
             order.iter().map(|&u| (u, it.by_ref().take(per_node).collect::<Vec<_>>())).collect();
         self.range.clear();
         for &u in order.iter().rev() {
-            let mut keys: Vec<u64> = self.pairs[&u].iter().map(|&(k, _)| k).collect();
+            let mut keys: Vec<u32> = self.pairs[&u].iter().map(|&(k, _)| k).collect();
             for c in &self.children[&u] {
                 if let Some((lo, hi)) = self.range[c] {
                     keys.extend([lo, hi]);
@@ -219,18 +219,20 @@ proptest! {
         let eps = if eps_inv == 1 { Eps::new(3, 4).unwrap() } else { Eps::one_over(eps_inv) };
         let config = SearchTreeConfig { eps_r: eps.mul_floor(radius).max(1), max_levels: cap };
         // Keys collide on purpose (x / 2), so duplicate keys are covered.
-        let pairs: Vec<(u64, u32)> = ball
+        let pairs: Vec<(u32, u32)> = ball
             .iter()
-            .map(|&x| (x as u64 / 2 * 7, x))
-            .chain((0..rng.gen_range(0usize..20)).map(|i| (rng.gen_range(0u64..800), i as u32)))
+            .map(|&x| (x / 2 * 7, x))
+            .chain(
+                (0..rng.gen_range(0usize..20)).map(|i| (rng.gen_range(0u64..800) as u32, i as u32)),
+            )
             .collect();
 
         let mut st = SearchTree::new(&m, center, &ball, config, pairs.clone());
         let mut r = Reference::new(&m, center, &ball, config, pairs);
         assert_same(&m, &st, &r);
 
-        let fresh: Vec<(u64, u32)> =
-            ball.iter().map(|&x| (rng.gen_range(0u64..800), x)).collect();
+        let fresh: Vec<(u32, u32)> =
+            ball.iter().map(|&x| (rng.gen_range(0u64..800) as u32, x)).collect();
         st.refresh_pairs(fresh.clone());
         r.store(fresh);
         assert_same(&m, &st, &r);

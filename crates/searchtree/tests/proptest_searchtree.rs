@@ -44,7 +44,7 @@ proptest! {
         let m = MetricSpace::new(&g);
         let center = center_raw % m.n() as u32;
         let ball = m.ball(center, radius);
-        let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64 * 3 + 1, x)).collect();
+        let pairs: Vec<(u32, u32)> = ball.iter().map(|&x| (x * 3 + 1, x)).collect();
         let eps = Eps::one_over(inv);
         let st = SearchTree::new(
             &m,
@@ -64,7 +64,7 @@ proptest! {
         }
         // Missing keys return None.
         prop_assert_eq!(st.search(0).result, None);
-        prop_assert_eq!(st.search(u64::MAX).result, None);
+        prop_assert_eq!(st.search(u32::MAX).result, None);
     }
 
     #[test]
@@ -83,7 +83,7 @@ proptest! {
             center,
             ball,
             SearchTreeConfig { eps_r: eps.mul_floor(radius).max(1), max_levels: None },
-            Vec::<(u64, u32)>::new(),
+            Vec::<(u32, u32)>::new(),
         );
         // Eqn (3): height ≤ r + εr (+ min_dist slack for integer floors).
         prop_assert!(st.height() <= radius + eps.mul_floor(radius) + m.min_dist());
@@ -97,7 +97,7 @@ proptest! {
         let m = MetricSpace::new(&g);
         let ball: Vec<u32> = (0..m.n() as u32).collect();
         let k = ball.len() * multiplier;
-        let pairs: Vec<(u64, u32)> = (0..k as u64).map(|i| (i, i as u32)).collect();
+        let pairs: Vec<(u32, u32)> = (0..k as u32).map(|i| (i, i)).collect();
         let st = SearchTree::new(
             &m,
             0,
@@ -125,7 +125,7 @@ proptest! {
             center,
             ball,
             SearchTreeConfig { eps_r: (radius / 2).max(1), max_levels: None },
-            Vec::<(u64, u32)>::new(),
+            Vec::<(u32, u32)>::new(),
         );
         let mut expected = 0u64;
         for &v in st.tree().nodes() {

@@ -129,10 +129,15 @@ impl HeavyPaths {
         let mut stack: Vec<(u32, Vec<(u32, u32)>)> = vec![(0, Vec::new())];
         while let Some((u, trail)) = stack.pop() {
             for &c in self.tree.children(u) {
-                let mut t = trail.clone();
-                if c != self.heavy[u as usize] {
+                // Each trail is allocated at its exact length: labels keep it.
+                let t = if c == self.heavy[u as usize] {
+                    trail.clone()
+                } else {
+                    let mut t = Vec::with_capacity(trail.len() + 1);
+                    t.extend_from_slice(&trail);
                     t.push((self.dfs[u as usize], exit(c)));
-                }
+                    t
+                };
                 stack.push((c, t));
             }
             labels[u as usize] = (self.dfs[u as usize], trail);

@@ -18,7 +18,7 @@ use compact_routing::{ScaleFreeNameIndependent, SimpleNameIndependent};
 fn assert_children_ascend<D: Clone>(st: &SearchTree<D>, what: &str) {
     let t = st.tree();
     for u in 0..t.len() as u32 {
-        let ranges: Vec<(u64, u64)> =
+        let ranges: Vec<(u32, u32)> =
             t.children(u).iter().filter_map(|&c| st.subtree_range_of(c)).collect();
         assert!(ranges.iter().all(|&(lo, hi)| lo <= hi), "{what}: inverted range at {u}");
         for w in ranges.windows(2) {
@@ -32,7 +32,7 @@ fn assert_children_ascend<D: Clone>(st: &SearchTree<D>, what: &str) {
 fn check_tree<D: Clone>(st: &SearchTree<D>, what: &str) {
     assert_children_ascend(st, what);
     let t = st.tree();
-    let mut pairs: Vec<(u64, D)> =
+    let mut pairs: Vec<(u32, D)> =
         (0..t.len() as u32).flat_map(|u| st.pairs_at(t.node(u)).to_vec()).collect();
     pairs.sort_by_key(|&(k, _)| k);
     let mut refreshed = st.clone();
