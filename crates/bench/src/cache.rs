@@ -17,8 +17,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use doubling_metric::OnDemandDijkstra;
-use doubling_metric::{gen, DistanceProvider, Graph, LandmarkEstimator, MetricSpace};
+use doubling_metric::{gen, Graph, MetricSpace};
 use netsim::json::Value;
 use obs::Tracer;
 
@@ -45,47 +44,10 @@ impl CacheStats {
     }
 }
 
-/// Which [`DistanceProvider`] backend a caller wants from the cache; see
-/// [`MetricCache::provider`]. The selection rules live in DESIGN.md
-/// ("Distance backends"): `Exact` below the `Θ(n²)` wall or whenever a
-/// certificate is produced, `OnDemand` for exact spot checks at scale,
-/// `Landmarks` only for bracketing estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DistanceBackend {
-    /// The dense APSP matrix inside the cached [`MetricSpace`] — exact,
-    /// `Θ(n²)` memory, builds the full metric on first use.
-    Exact,
-    /// [`OnDemandDijkstra`] over the cached graph — exact, keeps at most
-    /// `rows` source rows, never builds the dense matrix.
-    OnDemand {
-        /// LRU capacity in source rows.
-        rows: usize,
-    },
-    /// [`LandmarkEstimator`] over the cached graph — estimated
-    /// (lower/upper bracket only), `count` landmarks.
-    Landmarks {
-        /// Number of farthest-point landmarks.
-        count: usize,
-    },
-}
-
-impl DistanceBackend {
-    /// Cache-key suffix distinguishing backend variants.
-    fn key(self) -> String {
-        match self {
-            DistanceBackend::Exact => "exact".into(),
-            DistanceBackend::OnDemand { rows } => format!("ondemand:{rows}"),
-            DistanceBackend::Landmarks { count } => format!("landmarks:{count}"),
-        }
-    }
-}
-
 /// A memoizing store of [`MetricSpace`]s keyed by `(family, n, seed)`.
 pub struct MetricCache {
     threads: usize,
     map: Mutex<HashMap<MetricKey, Arc<MetricSpace>>>,
-    graphs: Mutex<HashMap<MetricKey, Arc<Graph>>>,
-    providers: Mutex<HashMap<(MetricKey, String), Arc<dyn DistanceProvider>>>,
     builds: AtomicU64,
     hits: AtomicU64,
 }
@@ -97,8 +59,6 @@ impl MetricCache {
         MetricCache {
             threads: threads.max(1),
             map: Mutex::new(HashMap::new()),
-            graphs: Mutex::new(HashMap::new()),
-            providers: Mutex::new(HashMap::new()),
             builds: AtomicU64::new(0),
             hits: AtomicU64::new(0),
         }
@@ -147,7 +107,7 @@ impl MetricCache {
         // both builds are byte-identical and the second insert wins.
         self.builds.fetch_add(1, Ordering::Relaxed);
         tracer.event_lazy("metric-cache-build", || cache_fields(name, n, seed));
-        let graph = self.graph_or_insert(&key, build);
+        let graph = Arc::new(build());
         let m = {
             let _span = tracer.span("metric-build");
             let (m, profile) = MetricSpace::build_profiled(graph, self.threads);
@@ -156,57 +116,6 @@ impl MetricCache {
         };
         self.map.lock().unwrap().insert(key, Arc::clone(&m));
         m
-    }
-
-    /// The shared graph for `key`, building (and memoizing) it if absent.
-    fn graph_or_insert(&self, key: &MetricKey, build: impl FnOnce() -> Graph) -> Arc<Graph> {
-        let mut graphs = self.graphs.lock().unwrap();
-        if let Some(g) = graphs.get(key) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(build());
-        graphs.insert(key.clone(), Arc::clone(&g));
-        g
-    }
-
-    /// The shared graph of `family.build(n, seed)` *without* triggering
-    /// the `Θ(n²)` metric build — the entry point for backends that scale
-    /// past the dense-matrix wall.
-    pub fn graph(&self, f: gen::Family, n: usize, seed: u64) -> Arc<Graph> {
-        let key = (f.name().to_string(), n, seed);
-        self.graph_or_insert(&key, || f.build(n, seed))
-    }
-
-    /// A memoized [`DistanceProvider`] over `family.build(n, seed)`.
-    ///
-    /// [`DistanceBackend::Exact`] builds (or reuses) the full
-    /// [`MetricSpace`]; the other backends only need the graph, so they
-    /// stay `O(capacity · n)` / `O(count · n)` even at `n` far beyond the
-    /// dense-matrix wall. Providers are cached per `(key, backend)` so
-    /// repeated requests share row caches and landmark tables.
-    pub fn provider(
-        &self,
-        f: gen::Family,
-        n: usize,
-        seed: u64,
-        backend: DistanceBackend,
-    ) -> Arc<dyn DistanceProvider> {
-        let key = (f.name().to_string(), n, seed);
-        let pkey = (key.clone(), backend.key());
-        if let Some(p) = self.providers.lock().unwrap().get(&pkey) {
-            return Arc::clone(p);
-        }
-        let provider: Arc<dyn DistanceProvider> = match backend {
-            DistanceBackend::Exact => self.family_traced(f, n, seed, &Tracer::noop()),
-            DistanceBackend::OnDemand { rows } => {
-                Arc::new(OnDemandDijkstra::new(self.graph(f, n, seed), rows))
-            }
-            DistanceBackend::Landmarks { count } => {
-                Arc::new(LandmarkEstimator::new(&self.graph(f, n, seed), count))
-            }
-        };
-        self.providers.lock().unwrap().insert(pkey, Arc::clone(&provider));
-        provider
     }
 
     /// Current build/hit counters.
@@ -259,45 +168,6 @@ mod tests {
         let b = cache.get_or_build_traced("exp-path", 12, 0, &noop, || unreachable!("must hit"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn on_demand_provider_never_builds_the_dense_metric() {
-        let cache = MetricCache::new(1);
-        let p = cache.provider(gen::Family::Grid, 25, 3, DistanceBackend::OnDemand { rows: 4 });
-        assert!(p.is_exact());
-        assert!(p.dist(0, 24) > 0);
-        // No Θ(n²) build happened — only the graph was generated.
-        assert_eq!(cache.stats().builds, 0);
-        // The exact backend *does* build, and agrees with the lazy one.
-        let exact = cache.provider(gen::Family::Grid, 25, 3, DistanceBackend::Exact);
-        assert_eq!(cache.stats().builds, 1);
-        for v in 0..25 {
-            assert_eq!(p.dist(0, v), exact.dist(0, v));
-        }
-        // Providers are memoized per backend.
-        let again = cache.provider(gen::Family::Grid, 25, 3, DistanceBackend::OnDemand { rows: 4 });
-        assert!(Arc::ptr_eq(&p, &again));
-    }
-
-    #[test]
-    fn landmark_provider_brackets_the_exact_backend() {
-        let cache = MetricCache::new(1);
-        let lm = cache.provider(gen::Family::Grid, 36, 1, DistanceBackend::Landmarks { count: 4 });
-        assert!(!lm.is_exact());
-        let exact = cache.provider(gen::Family::Grid, 36, 1, DistanceBackend::Exact);
-        for v in 1..36 {
-            let b = lm.dist_bounds(0, v);
-            assert!(b.contains(exact.dist(0, v)));
-        }
-    }
-
-    #[test]
-    fn graph_is_shared_between_backends_and_the_metric() {
-        let cache = MetricCache::new(1);
-        let g = cache.graph(gen::Family::Grid, 16, 2);
-        let m = cache.family_traced(gen::Family::Grid, 16, 2, &Tracer::noop());
-        assert!(Arc::ptr_eq(&g, &m.graph_arc()));
     }
 
     #[test]

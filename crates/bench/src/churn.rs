@@ -4,9 +4,10 @@
 //! measures each scheme twice:
 //!
 //! * **stale** — the scheme routes with the tables it built *before* the
-//!   failures (see [`netsim::faults::FaultPlan::route_stale`]);
-//!   reported as reachability, surviving-route stretch, and a loss
-//!   breakdown ([`FaultEvalResult`]).
+//!   failures: [`eval_resilient`] under [`RecoveryPolicy::Drop`] on a
+//!   single-epoch [`FaultTimeline`], so a pair is delivered exactly when
+//!   the scheme's own route avoids every casualty; reported as
+//!   reachability, surviving-route stretch, and a loss breakdown.
 //! * **rebuilt** — preprocessing is re-run from scratch on the largest
 //!   surviving component ([`SurvivingNetwork`]), wall-clock measured;
 //!   reachability then counts exactly the sampled pairs that ended up in
@@ -23,11 +24,9 @@ use doubling_metric::nets::NetHierarchy;
 use doubling_metric::{gen, Eps};
 use netsim::faults::{FaultPlan, FaultTimeline, SurvivingNetwork};
 use netsim::json::Value;
-use netsim::recovery::{RecoveryPolicy, ResilientRouter};
+use netsim::recovery::{DeliveryOutcome, LossReason, RecoveryPolicy, ResilientRouter};
 use netsim::route::{Route, RouteError};
-use netsim::stats::{
-    eval_resilient, eval_under_faults, sample_pairs, FaultEvalResult, RecoveryEvalResult,
-};
+use netsim::stats::{eval_resilient, sample_pairs, RecoveryEvalResult};
 use netsim::Naming;
 use obs::{Telemetry, Tracer};
 
@@ -58,12 +57,31 @@ impl CellCtx<'_> {
 }
 
 /// The trace-event `kind` for one stale-routing loss.
-fn loss_kind(e: &RouteError) -> &'static str {
-    match e {
-        RouteError::NodeFailed { .. } => "node-failed",
-        RouteError::EdgeFailed { .. } => "edge-failed",
+fn loss_kind(reason: &LossReason) -> &'static str {
+    match reason {
+        LossReason::Casualty { error: RouteError::NodeFailed { .. } } => "node-failed",
+        LossReason::Casualty { error: RouteError::EdgeFailed { .. } } => "edge-failed",
         _ => "other",
     }
+}
+
+/// The `stale` block of a scheme cell: the `Drop` evaluation under the
+/// churn document's long-standing keys. `Drop` on a single-epoch timeline
+/// over live endpoints loses a packet only to a casualty, a hop-budget
+/// trip or a scheme error, so `lost_other` counts the last two.
+fn stale_json(r: &RecoveryEvalResult) -> Value {
+    Value::Object(vec![
+        ("scheme".into(), r.scheme.into()),
+        ("attempted".into(), r.attempted.into()),
+        ("delivered".into(), r.delivered.into()),
+        ("reachability".into(), r.delivered_fraction.into()),
+        ("avg_stretch".into(), r.avg_stretch.into()),
+        ("max_stretch".into(), r.max_stretch.into()),
+        ("lost_to_node".into(), r.lost_to_node.into()),
+        ("lost_to_edge".into(), r.lost_to_edge.into()),
+        ("lost_other".into(), r.lost_other.into()),
+        ("understretch".into(), r.understretch.into()),
+    ])
 }
 
 /// Reachability and mean stretch after a full rebuild on the surviving
@@ -102,7 +120,8 @@ fn rebuilt_on(
 
 /// One scheme's measurements in one (strategy, fraction) cell.
 struct SchemeCell {
-    stale: FaultEvalResult,
+    /// Stale tables: `Drop` on the cell's single-epoch timeline.
+    stale: RecoveryEvalResult,
     /// `None` when every node failed (no component to rebuild on).
     rebuilt: Option<(f64, f64, f64)>, // (reachability, avg stretch, rebuild ms)
     /// Resilient delivery under `--policy`, absent on the legacy path.
@@ -113,7 +132,7 @@ impl SchemeCell {
     fn to_json(&self) -> Value {
         let mut fields = vec![
             ("scheme".to_string(), self.stale.scheme.into()),
-            ("stale".to_string(), self.stale.to_json()),
+            ("stale".to_string(), stale_json(&self.stale)),
         ];
         match self.rebuilt {
             Some((reach, stretch, ms)) => {
@@ -138,7 +157,7 @@ impl SchemeCell {
             strategy.to_string(),
             f2(fraction),
             self.stale.scheme.to_string(),
-            f2(self.stale.reachability),
+            f2(self.stale.delivered_fraction),
             rr,
             f2(self.stale.avg_stretch),
             rs,
@@ -175,12 +194,12 @@ fn rebuild_and_eval(
 
 /// A per-pair observer emitting one `"stale-loss"` event (with the loss
 /// kind) for every pair the stale tables failed to deliver.
-fn stale_observer(ctx: CellCtx<'_>) -> impl FnMut(NodeId, NodeId, &Result<Route, RouteError>) + '_ {
-    move |u, v, res| {
-        if let Err(e) = res {
+fn stale_observer(ctx: CellCtx<'_>) -> impl FnMut(NodeId, NodeId, &DeliveryOutcome) + '_ {
+    move |u, v, outcome| {
+        if let DeliveryOutcome::Lost { reason, .. } = outcome {
             ctx.tracer.event_lazy("stale-loss", || {
                 let mut fields = ctx.fields(u, v);
-                fields.push(("kind", loss_kind(e).into()));
+                fields.push(("kind", loss_kind(reason).into()));
                 fields
             });
         }
@@ -261,7 +280,7 @@ pub fn run_churn(
         for (strategy, plan) in plans {
             let sn = SurvivingNetwork::build(g, &plan);
             let naming2 = sn.as_ref().map(|sn| Naming::random(sn.n(), seed ^ 0xA5));
-            let timeline = policy.map(|_| FaultTimeline::from_plan(plan.clone()));
+            let timeline = FaultTimeline::from_plan(plan.clone());
 
             // One cell per scheme: stale tables, a rebuild on the
             // survivors, and — when --policy asked for it — resilient
@@ -274,7 +293,13 @@ pub fn run_churn(
                     let scheme = s.scheme_name();
                     let ctx = CellCtx { tracer: &tel.tracer, strategy, fraction, scheme };
                     SchemeCell {
-                        stale: eval_under_faults(&**s, &m, &plan, &pairs, stale_observer(ctx)),
+                        stale: eval_resilient(
+                            &ResilientRouter::new(&m, &**s, RecoveryPolicy::Drop),
+                            &timeline,
+                            &pairs,
+                            |_, _, _| {},
+                            stale_observer(ctx),
+                        ),
                         rebuilt: sn.as_ref().map(|sn| {
                             let nm = naming2.as_ref().unwrap();
                             rebuild_and_eval(sn, &plan, &pairs, ctx, i, eps, nm, stable)
@@ -282,7 +307,7 @@ pub fn run_churn(
                         recovery: policy.map(|p| {
                             eval_resilient(
                                 &ResilientRouter::new(&m, &**s, p.clone()),
-                                timeline.as_ref().unwrap(),
+                                &timeline,
                                 &pairs,
                                 |u, v, ev| tel.recovery_event(|| ctx.fields(u, v), ev),
                                 |u, v, o| tel.delivery(u, v, o),

@@ -5,9 +5,9 @@
 //! [`netsim::recovery::ResilientRouter`] against the strategy's fault
 //! schedule, measuring the delivered fraction, the stretch of survivors
 //! (detour hops included in the cost), and the recovery effort. The
-//! policy grid always contains [`RecoveryPolicy::Drop`] — today's
-//! stale-table behavior — as the baseline every other policy is read
-//! against.
+//! policy grid always contains [`RecoveryPolicy::Drop`] — stale-table
+//! routing, the same replay as the churn experiment's `stale` column —
+//! as the baseline every other policy is read against.
 //!
 //! The `random` strategy is *dynamic*: a two-epoch [`FaultTimeline`]
 //! (half the casualties at departure, the rest landing mid-route), built

@@ -14,12 +14,14 @@
 //!   traffic of its whole level-`i` cell.
 //! * **The casualty rule** is written once, in [`FaultPlan::blocks`]: a
 //!   hop is refused if it enters a dead node or crosses a dead edge. The
-//!   stale-table replay, the timeline replay, the recovery runtime's drive
-//!   loop and its surviving-graph searches all ask it.
-//! * **Stale-table routing**: [`FaultPlan::route_stale`] routes with the
-//!   scheme's pre-failure tables and delivers the packet only if its
-//!   realized path avoids every casualty; otherwise it is lost at the
-//!   first one.
+//!   recovery runtime's drive loop and its surviving-graph searches ask
+//!   it, and so does [`FaultTimeline::check_route`], the oracle that
+//!   re-verifies a delivered route.
+//! * **Stale-table routing** is the recovery runtime's
+//!   [`RecoveryPolicy::Drop`](crate::recovery::RecoveryPolicy::Drop) on
+//!   [`FaultTimeline::from_plan`]: the scheme routes with its pre-failure
+//!   tables, and the packet is delivered only if that route avoids every
+//!   casualty; otherwise it is lost at the first one.
 //! * **Rebuild**: [`SurvivingNetwork`] extracts the largest connected
 //!   component of the post-failure graph with a fresh [`MetricSpace`], so
 //!   callers can re-run preprocessing and measure its wall-clock cost and
@@ -37,18 +39,22 @@
 //! ```rust
 //! use doubling_metric::{gen, MetricSpace};
 //! use netsim::baseline::FullTable;
-//! use netsim::faults::FaultPlan;
+//! use netsim::faults::{FaultPlan, FaultTimeline};
+//! use netsim::recovery::{DeliveryOutcome, RecoveryPolicy, ResilientRouter};
 //! use netsim::scheme::Labeled;
 //!
 //! let m = MetricSpace::new(&gen::grid(4, 4));
 //! let scheme = FullTable::new(&m);
 //! let mut plan = FaultPlan::none(m.n());
 //! plan.kill_node(5); // on the shortest 0 → 15 route's path? replay decides
-//! let stale = plan.route_stale(&Labeled(&scheme), &m, 0, 15);
+//! let timeline = FaultTimeline::from_plan(plan);
+//! let labeled = Labeled(&scheme);
+//! let stale = ResilientRouter::without_hierarchy(&m, &labeled, RecoveryPolicy::Drop);
 //! // Either the packet got through on a survivor path, or it was lost at a
 //! // dead element — never silently misdelivered.
-//! if let Ok(route) = &stale {
-//!     assert!(route.hops.iter().all(|&h| !plan.is_node_dead(h)));
+//! match stale.deliver(0, 15, &timeline, &mut |_| {}) {
+//!     DeliveryOutcome::Delivered { route, .. } => timeline.check_route(&route).unwrap(),
+//!     DeliveryOutcome::Lost { .. } => {}
 //! }
 //! ```
 
@@ -64,7 +70,6 @@ use doubling_metric::space::MetricSpace;
 
 use crate::json::Value;
 use crate::route::{Route, RouteError};
-use crate::scheme::Deliver;
 
 /// Why a [`FaultTimeline`] schedule is invalid.
 ///
@@ -333,35 +338,6 @@ impl FaultPlan {
             plan.kill_node(v);
         }
         plan
-    }
-
-    /// Routes `src → dst` under *stale tables*: the scheme picks its path
-    /// as if nothing failed (its tables predate the failures), and the
-    /// packet is delivered only if that path avoids every casualty
-    /// ([`Self::blocks`]). No recovery is attempted — wrap the scheme in a
-    /// [`crate::recovery::ResilientRouter`] for that. With an empty plan
-    /// the route is [`Deliver::route_to`]'s.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::NodeFailed`] for a dead source, the scheme's own
-    /// errors, or the first hop's casualty.
-    pub fn route_stale<D: Deliver + ?Sized>(
-        &self,
-        d: &D,
-        m: &MetricSpace,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Result<Route, RouteError> {
-        if self.is_node_dead(src) {
-            return Err(RouteError::NodeFailed { node: src });
-        }
-        let route = d.route_to(m, src, dst)?;
-        let mut hops = route.hops.windows(2).filter(|w| w[0] != w[1]);
-        match hops.find_map(|w| self.blocks(w[0], w[1])) {
-            Some(casualty) => Err(casualty),
-            None => Ok(route),
-        }
     }
 
     /// Whether every casualty of `self` is also a casualty of `other`.

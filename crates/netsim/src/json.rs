@@ -32,7 +32,7 @@ use doubling_metric::graph::{Graph, GraphBuilder};
 
 use crate::naming::Naming;
 use crate::route::Route;
-use crate::stats::{EvalResult, FaultEvalResult, RecoveryEvalResult, StretchQuantiles};
+use crate::stats::{EvalResult, RecoveryEvalResult, StretchQuantiles};
 
 /// A JSON document: the usual six shapes.
 ///
@@ -494,24 +494,6 @@ impl StretchQuantiles {
             ("p90".into(), self.p90.into()),
             ("p99".into(), self.p99.into()),
             ("max".into(), self.max.into()),
-        ])
-    }
-}
-
-impl FaultEvalResult {
-    /// This churn result as a JSON object (field names match the struct).
-    pub fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("scheme".into(), self.scheme.into()),
-            ("attempted".into(), self.attempted.into()),
-            ("delivered".into(), self.delivered.into()),
-            ("reachability".into(), self.reachability.into()),
-            ("avg_stretch".into(), self.avg_stretch.into()),
-            ("max_stretch".into(), self.max_stretch.into()),
-            ("lost_to_node".into(), self.lost_to_node.into()),
-            ("lost_to_edge".into(), self.lost_to_edge.into()),
-            ("lost_other".into(), self.lost_other.into()),
-            ("understretch".into(), self.understretch.into()),
         ])
     }
 }

@@ -1,24 +1,21 @@
 //! Self-healing routing runtime: hop-by-hop delivery with in-flight
 //! recovery from failures.
 //!
-//! The stale-table fault model of [`crate::faults`] is all-or-nothing: a
-//! precomputed route either avoids every casualty or the packet is
-//! dropped at the first dead element. Real deployments — and the
-//! dynamic-doubling line of work the paper cites — *recover* in flight.
-//! This module drives any scheme behind the [`Deliver`] seam
-//! one hop at a time against a [`FaultTimeline`] and, on hitting a dead
-//! node or edge, applies a [`RecoveryPolicy`]:
+//! Routing with stale tables is all-or-nothing: a precomputed route
+//! either avoids every casualty or the packet is dropped at the first
+//! dead element. Real deployments — and the dynamic-doubling line of work
+//! the paper cites — *recover* in flight. This module drives any scheme
+//! behind the [`Deliver`] seam one hop at a time against a
+//! [`FaultTimeline`] and, on hitting a dead node or edge, applies a
+//! [`RecoveryPolicy`]. Whatever the policy, a delivery ends where the
+//! scheme's plan ends, after any detour splice or fallback re-plan: a
+//! name-independent search that passes `dst` before it finds it walks
+//! on, exactly as the scheme's own route does.
 //!
-//! * [`RecoveryPolicy::Drop`] — the baseline: give up at the first
-//!   casualty. This is not stale-table routing
-//!   ([`FaultPlan::route_stale`]) in general: the drive loop delivers as
-//!   soon as the packet first stands on `dst`, while the scheme's own
-//!   route, and stale-table evaluation, follow the plan to its end. The
-//!   two agree where routes reach `dst` only at their end (shortest-path
-//!   schemes such as the full-table baseline); a name-independent
-//!   search may pass `dst` before it finds it, and there `Drop` can
-//!   deliver earlier, at lower cost, or where stale-table routing loses
-//!   the packet.
+//! * [`RecoveryPolicy::Drop`] — the baseline, and the one stale-table
+//!   replay: the packet follows [`Deliver::route_to`]'s plan and is lost
+//!   at the first hop [`FaultPlan::blocks`]. With no faults the
+//!   delivered route is the scheme's own, hop for hop.
 //! * [`RecoveryPolicy::LocalDetour`] — breadth-first search of the
 //!   surviving graph around the casualty, bounded by a TTL, re-entering
 //!   the scheme's planned route at the furthest reachable planned hop.
@@ -86,8 +83,8 @@ use crate::scheme::{Deliver, Labeled, Named};
 /// What to do when an in-flight packet hits a dead node or edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryPolicy {
-    /// Give up: the packet is lost at the first casualty (delivered when
-    /// it first stands on the destination; see the [module docs](self)).
+    /// Give up: the packet is lost at the first casualty of the scheme's
+    /// plan, and delivered where that plan ends (stale-table routing).
     Drop,
     /// Bounded breadth-first search of the surviving graph to bypass the
     /// casualty and re-enter the planned route. `ttl` bounds the BFS
@@ -379,8 +376,8 @@ impl<'a, D: ?Sized> ResilientRouter<'a, D> {
     /// traversals is reported lost with [`LossReason::HopBudget`]. Without
     /// this cap, only the recorder's generous `64·n + 64` loop guard
     /// terminates a plan that cycles; a deployment-style budget makes the
-    /// loss deterministic and cheap. Arriving exactly on the budget still
-    /// counts as delivered.
+    /// loss deterministic and cheap. Ending the plan exactly on the budget
+    /// still counts as delivered.
     pub fn with_hop_budget(mut self, budget: usize) -> Self {
         self.hop_budget = Some(budget);
         self
@@ -402,7 +399,8 @@ impl<'a, D: ?Sized> ResilientRouter<'a, D> {
     }
 
     /// The core drive loop: walk the planned path, re-checking every hop
-    /// against the epoch active at that hop count; recover on casualties.
+    /// against the epoch active at that hop count; recover on casualties;
+    /// deliver where the (possibly spliced or re-planned) path ends.
     fn drive(
         &self,
         src: NodeId,
@@ -434,12 +432,14 @@ impl<'a, D: ?Sized> ResilientRouter<'a, D> {
 
         loop {
             let cur = rec.current();
-            if cur == dst {
-                let route = rec.finish();
-                let stretch = route.stretch(self.m);
-                return DeliveryOutcome::Delivered { stretch, detour_hops, recoveries, route };
-            }
             if idx + 1 >= path.len() {
+                // A delivery ends where the plan ends (after any splice or
+                // re-plan), as every route the scheme itself returns does.
+                if cur == dst {
+                    let route = rec.finish();
+                    let stretch = route.stretch(self.m);
+                    return DeliveryOutcome::Delivered { stretch, detour_hops, recoveries, route };
+                }
                 // The planned route ended short of the destination — a
                 // scheme bug (plans always claim to reach dst).
                 let e = RouteError::Internal(format!(
@@ -463,17 +463,17 @@ impl<'a, D: ?Sized> ResilientRouter<'a, D> {
                 match rec.hop(next) {
                     Ok(()) => {
                         hops_taken += 1;
-                        if self.hop_budget.is_some_and(|b| hops_taken >= b) && rec.current() != dst
-                        {
+                        idx += 1;
+                        let plan_ends = idx + 1 >= path.len();
+                        if self.hop_budget.is_some_and(|b| hops_taken >= b) && !plan_ends {
                             return lost(
                                 LossReason::HopBudget,
-                                rec.current(),
+                                next,
                                 hops_taken,
                                 rec.cost(),
                                 recoveries,
                             );
                         }
-                        idx += 1;
                         continue;
                     }
                     Err(RouteError::HopBudgetExceeded { .. }) => {

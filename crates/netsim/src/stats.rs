@@ -1,13 +1,14 @@
 //! Evaluation harness: run a scheme over a sample of source–destination
 //! pairs and aggregate the quantities the paper's tables report.
 //!
-//! Four entry points, each written once over the [`Deliver`] seam so the
+//! Three entry points, each written once over the [`Deliver`] seam so the
 //! labeled and name-independent models share every line of accounting:
 //! [`eval`] (stretch, table and header bits; optionally parallel),
 //! [`sampled_stretch`] (stretch with a confidence interval against any
-//! [`DistanceProvider`]), [`eval_under_faults`] (stale tables under a
-//! [`FaultPlan`]) and [`eval_resilient`] (a [`ResilientRouter`] under a
-//! [`FaultTimeline`]). Each takes a per-pair observer — the seam
+//! [`DistanceProvider`]) and [`eval_resilient`] (a [`ResilientRouter`]
+//! under a [`FaultTimeline`]; stale-table routing is its
+//! [`RecoveryPolicy::Drop`](crate::recovery::RecoveryPolicy::Drop) on a
+//! single-epoch timeline). Each takes a per-pair observer — the seam
 //! observability layers attach to without this crate depending on them;
 //! plain callers pass a no-op closure.
 
@@ -18,7 +19,7 @@ use doubling_metric::graph::NodeId;
 use doubling_metric::provider::DistanceProvider;
 use doubling_metric::space::MetricSpace;
 
-use crate::faults::{FaultPlan, FaultTimeline};
+use crate::faults::FaultTimeline;
 use crate::recovery::{DeliveryOutcome, LossReason, RecoveryEvent, ResilientRouter};
 use crate::route::{Route, RouteError};
 use crate::scheme::Deliver;
@@ -313,107 +314,17 @@ where
     SampledStretch::from_observations(&obs, failures, provider.is_exact())
 }
 
-/// Aggregated measurements for one scheme routing under a [`FaultPlan`].
-///
-/// Reachability follows the DRFE-R convention: the denominator is the set
-/// of sampled pairs whose *endpoints* both survive (a dead endpoint is a
-/// lost customer, not a routing failure), and a pair counts as delivered
-/// only if the scheme's path avoided every casualty.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultEvalResult {
-    /// Scheme display name.
-    pub scheme: &'static str,
-    /// Pairs attempted (both endpoints alive).
-    pub attempted: usize,
-    /// Pairs delivered (path avoided all dead nodes/edges).
-    pub delivered: usize,
-    /// `delivered / attempted` (1.0 when nothing was attempted).
-    pub reachability: f64,
-    /// Mean stretch over delivered routes.
-    pub avg_stretch: f64,
-    /// Worst stretch over delivered routes.
-    pub max_stretch: f64,
-    /// Routes lost entering a dead node.
-    pub lost_to_node: usize,
-    /// Routes lost crossing a dead edge.
-    pub lost_to_edge: usize,
-    /// Routes lost to non-fault scheme errors (must stay 0 for correct
-    /// schemes).
-    pub lost_other: usize,
-    /// Delivered routes whose measured stretch fell below 1 (see
-    /// [`EvalResult::understretch`]).
-    pub understretch: usize,
-}
-
-/// Evaluates a scheme routing with *stale tables* under `faults`
-/// ([`FaultPlan::route_stale`]): reachability, surviving-route
-/// stretch, and loss breakdown. `observe(u, v, outcome)` sees every
-/// attempted pair, so each individual loss (node kill, edge kill) is
-/// attributable; pairs skipped for dead endpoints are not observed.
-///
-/// # Panics
-///
-/// Panics if a delivered route misdelivers or fails [`Route::verify`].
-pub fn eval_under_faults<O>(
-    d: &dyn Deliver,
-    m: &MetricSpace,
-    faults: &FaultPlan,
-    pairs: &[(NodeId, NodeId)],
-    mut observe: O,
-) -> FaultEvalResult
-where
-    O: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
-{
-    let mut stretches = Vec::new();
-    let mut attempted = 0usize;
-    let (mut lost_to_node, mut lost_to_edge, mut lost_other) = (0usize, 0usize, 0usize);
-    for &(u, v) in pairs {
-        if faults.is_node_dead(u) || faults.is_node_dead(v) {
-            continue; // dead endpoint: out of the denominator entirely
-        }
-        attempted += 1;
-        let res = faults.route_stale(d, m, u, v);
-        match &res {
-            Ok(r) => {
-                assert_eq!(r.dst, v, "fault-free delivery must reach the destination");
-                r.verify(m).expect("route must verify");
-                stretches.push(r.stretch(m));
-            }
-            Err(RouteError::NodeFailed { .. }) => lost_to_node += 1,
-            Err(RouteError::EdgeFailed { .. }) => lost_to_edge += 1,
-            Err(_) => lost_other += 1,
-        }
-        observe(u, v, &res);
-    }
-    let delivered = stretches.len();
-    let (max_stretch, avg_stretch, understretch) = stretch_summary(&stretches);
-    FaultEvalResult {
-        scheme: d.scheme_name(),
-        attempted,
-        delivered,
-        reachability: if attempted == 0 { 1.0 } else { delivered as f64 / attempted as f64 },
-        avg_stretch,
-        max_stretch,
-        lost_to_node,
-        lost_to_edge,
-        lost_other,
-        understretch,
-    }
-}
-
 /// Aggregated measurements for one scheme delivering under a
 /// [`FaultTimeline`] with a recovery policy (see
 /// [`crate::recovery::ResilientRouter`]).
 ///
-/// The denominator convention matches [`FaultEvalResult`]: pairs with an
-/// endpoint dead in the timeline's *initial* epoch are out of the
-/// denominator (a dead customer, not a routing failure). With the `Drop`
-/// policy and a single-epoch timeline the result equals
-/// [`eval_under_faults`] only for schemes whose routes reach the
-/// destination at their end: `Drop` delivers when the packet first stands
-/// on it, so a name-independent scheme whose search passes the
-/// destination early can deliver more, and at lower stretch (see
-/// [`crate::recovery`]).
+/// Reachability follows the DRFE-R convention: pairs with an endpoint
+/// dead in the timeline's *initial* epoch are out of the denominator (a
+/// dead customer, not a routing failure). Every delivered route ends
+/// where the scheme's plan ends, so its stretch is that of the route
+/// [`eval`] measures, plus any detour. With the `Drop` policy and a
+/// single-epoch timeline this is stale-table routing: a pair is
+/// delivered exactly when the scheme's own route avoids every casualty.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryEvalResult {
     /// Scheme display name.
@@ -576,7 +487,9 @@ impl StretchQuantiles {
 mod tests {
     use super::*;
     use crate::baseline::FullTable;
+    use crate::faults::FaultPlan;
     use crate::naming::Naming;
+    use crate::recovery::{RecoveryPolicy, ResilientRouter};
     use crate::scheme::{Labeled, LabeledScheme, Named};
     use doubling_metric::gen;
 
@@ -777,19 +690,29 @@ mod tests {
 
     #[test]
     fn fault_understretch_is_surfaced_not_clamped() {
-        // Under faults the same summary feeds `FaultEvalResult`: a clean
-        // run reports no violations and a neutral stretch when every
-        // attempted pair is lost.
+        // Under faults the same summary feeds `RecoveryEvalResult`: a
+        // clean stale-table run reports no violations and a neutral
+        // stretch when every attempted pair is lost.
         let m = MetricSpace::new(&gen::grid(4, 4));
         let s = FullTable::new(&m);
-        let pairs = sample_pairs(16, 40, 3);
-        let res = eval_under_faults(&Labeled(&s), &m, &FaultPlan::none(16), &pairs, |_, _, _| {});
+        let d = Labeled(&s);
+        let stale = |plan: FaultPlan, pairs: &[(NodeId, NodeId)]| {
+            let router = ResilientRouter::without_hierarchy(&m, &d, RecoveryPolicy::Drop);
+            eval_resilient(
+                &router,
+                &FaultTimeline::from_plan(plan),
+                pairs,
+                |_, _, _| {},
+                |_, _, _| {},
+            )
+        };
+        let res = stale(FaultPlan::none(16), &sample_pairs(16, 40, 3));
         assert_eq!((res.attempted, res.delivered, res.understretch), (40, 40, 0));
         let mut cut = FaultPlan::none(16);
         for u in [1, 4] {
             cut.kill_node(u);
         }
-        let res = eval_under_faults(&Labeled(&s), &m, &cut, &[(0, 15)], |_, _, _| {});
+        let res = stale(cut, &[(0, 15)]);
         assert_eq!((res.delivered, res.max_stretch, res.understretch), (0, 1.0, 0));
     }
 
@@ -820,33 +743,7 @@ mod tests {
     }
 
     #[test]
-    fn resilient_drop_single_epoch_matches_legacy_fault_eval() {
-        use crate::recovery::{RecoveryPolicy, ResilientRouter};
-        let m = MetricSpace::new(&gen::grid(5, 5));
-        let s = FullTable::new(&m);
-        let pairs = sample_pairs(25, 80, 7);
-        let faults = FaultPlan::random_nodes(25, 0.2, 11);
-        let d = Labeled(&s);
-        let legacy = eval_under_faults(&d, &m, &faults, &pairs, |_, _, _| {});
-        let timeline = FaultTimeline::from_plan(faults);
-        let router = ResilientRouter::without_hierarchy(&m, &d, RecoveryPolicy::Drop);
-        let res = eval_resilient(&router, &timeline, &pairs, |_, _, _| {}, |_, _, _| {});
-        assert_eq!(res.attempted, legacy.attempted);
-        assert_eq!(res.delivered, legacy.delivered);
-        assert_eq!(res.lost_to_node, legacy.lost_to_node);
-        assert_eq!(res.lost_to_edge, legacy.lost_to_edge);
-        assert_eq!(res.lost_other + res.lost_unreachable + res.lost_exhausted, legacy.lost_other);
-        assert!((res.delivered_fraction - legacy.reachability).abs() < 1e-12);
-        assert!((res.avg_stretch - legacy.avg_stretch).abs() < 1e-12);
-        assert!((res.max_stretch - legacy.max_stretch).abs() < 1e-12);
-        assert_eq!(res.recoveries, 0);
-        assert_eq!(res.detour_hops, 0);
-        assert_eq!(res.policy, "drop");
-    }
-
-    #[test]
     fn resilient_detour_delivers_at_least_as_much_as_drop() {
-        use crate::recovery::{RecoveryPolicy, ResilientRouter};
         let m = MetricSpace::new(&gen::grid(6, 6));
         let s = FullTable::new(&m);
         let pairs = sample_pairs(36, 120, 3);
@@ -876,15 +773,21 @@ mod tests {
 
     #[test]
     fn resilient_ni_eval_delivers_under_faults() {
-        use crate::recovery::{RecoveryPolicy, ResilientRouter};
         let m = MetricSpace::new(&gen::grid(5, 5));
         let nm = Naming::random(25, 5);
         let s = FullTable::with_naming(&m, nm.clone());
         let pairs = sample_pairs(25, 60, 13);
-        let faults = FaultPlan::random_nodes(25, 0.2, 17);
         let d = Named(&s, &nm);
-        let legacy = eval_under_faults(&d, &m, &faults, &pairs, |_, _, _| {});
-        let timeline = FaultTimeline::from_plan(faults);
+        let timeline = FaultTimeline::from_plan(FaultPlan::random_nodes(25, 0.2, 17));
+        let faults = timeline.initial();
+        // Stale-table reference: the scheme's own route, kept when the
+        // verification oracle finds no casualty on it.
+        let alive =
+            pairs.iter().filter(|&&(u, v)| !faults.is_node_dead(u) && !faults.is_node_dead(v));
+        let survivors = alive
+            .clone()
+            .filter(|&&(u, v)| timeline.check_route(&d.route_to(&m, u, v).unwrap()).is_ok())
+            .count();
         let drop = eval_resilient(
             &ResilientRouter::without_hierarchy(&m, &d, RecoveryPolicy::Drop),
             &timeline,
@@ -892,8 +795,8 @@ mod tests {
             |_, _, _| {},
             |_, _, _| {},
         );
-        assert_eq!(drop.delivered, legacy.delivered);
-        assert_eq!(drop.attempted, legacy.attempted);
+        assert_eq!(drop.delivered, survivors);
+        assert_eq!(drop.attempted, alive.count());
         let detour = eval_resilient(
             &ResilientRouter::without_hierarchy(&m, &d, RecoveryPolicy::LocalDetour { ttl: 8 }),
             &timeline,

@@ -2,10 +2,9 @@
 //! graphs under random fault schedules, a `Delivered` outcome must be a
 //! real route — it never traverses a node or edge that was dead in the
 //! epoch it crossed it, its recorded cost is the sum of its segment
-//! costs (via `Route::verify`), and on shortest-path routes the `Drop`
-//! baseline agrees exactly with stale-table routing. On a
-//! name-independent scheme the two differ: `Drop` delivers as soon as
-//! the packet first stands on the destination.
+//! costs (via `Route::verify`), and the `Drop` baseline is stale-table
+//! routing for all four of the paper's schemes: the scheme's own route,
+//! delivered where its plan ends or lost at its first casualty.
 
 // The vendored proptest macro expands deeply for three-property blocks.
 #![recursion_limit = "1024"]
@@ -15,13 +14,14 @@ use proptest::prelude::*;
 use doubling_metric::graph::{Graph, GraphBuilder, NodeId};
 use doubling_metric::space::MetricSpace;
 use doubling_metric::{gen, Eps};
-use name_independent::SimpleNameIndependent;
+use labeled_routing::{NetLabeled, ScaleFreeLabeled};
+use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::baseline::FullTable;
 use netsim::faults::{FaultPlan, FaultTimeline};
 use netsim::naming::Naming;
 use netsim::recovery::{DeliveryOutcome, LossReason, RecoveryPolicy, ResilientRouter};
-use netsim::route::RouteError;
-use netsim::scheme::{Labeled, Named};
+use netsim::route::{Route, RouteError};
+use netsim::scheme::{Deliver, Labeled, Named};
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (3usize..=max_n).prop_flat_map(|n| {
@@ -44,6 +44,26 @@ fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
                 b.build().expect("connected by construction")
             })
     })
+}
+
+/// Test-local stale-table reference: the scheme's own route, lost at the
+/// first hop [`FaultPlan::blocks`] refuses (a dead source is lost where
+/// it stands).
+fn stale_reference(
+    d: &dyn Deliver,
+    m: &MetricSpace,
+    plan: &FaultPlan,
+    u: NodeId,
+    v: NodeId,
+) -> Result<Route, RouteError> {
+    if plan.is_node_dead(u) {
+        return Err(RouteError::NodeFailed { node: u });
+    }
+    let route = d.route_to(m, u, v)?;
+    match route.hops.windows(2).find_map(|w| plan.blocks(w[0], w[1])) {
+        Some(casualty) => Err(casualty),
+        None => Ok(route),
+    }
 }
 
 fn arb_policy() -> impl Strategy<Value = RecoveryPolicy> {
@@ -112,50 +132,62 @@ proptest! {
     }
 
     /// `Drop` through the resilient runtime is stale-table routing,
-    /// outcome for outcome, on single-epoch timelines — for the full-table
-    /// baseline, whose shortest-path routes reach `dst` only at their end.
+    /// outcome for outcome, on single-epoch timelines — for each of the
+    /// paper's four schemes, whose name-independent searches may pass
+    /// `dst` before their plans end there.
     #[test]
-    fn drop_policy_matches_route_stale_on_shortest_paths(
+    fn drop_policy_matches_the_stale_table_reference_for_all_four_schemes(
         g in arb_connected_graph(14),
         frac_pct in 0u64..50,
         seed in 0u64..1000,
+        eps_pick in 0u64..2,
     ) {
         let m = MetricSpace::new(&g);
         let n = m.n();
+        let eps = Eps::one_over(if eps_pick == 0 { 4 } else { 8 });
+        let naming = Naming::random(n, seed);
         let plan = FaultPlan::random_nodes(n, frac_pct as f64 / 100.0, seed);
         let timeline = FaultTimeline::from_plan(plan.clone());
-        let full = FullTable::new(&m);
-        let scheme = Labeled(&full);
-        let router = ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::Drop);
-        for u in 0..n as NodeId {
-            for v in 0..n as NodeId {
-                if u == v {
-                    continue;
-                }
-                let legacy = plan.route_stale(&scheme, &m, u, v);
-                let resilient = router.deliver(u, v, &timeline, &mut |_| {});
-                match (&legacy, &resilient) {
-                    (Ok(r), DeliveryOutcome::Delivered { route, .. }) => {
-                        prop_assert_eq!(&r.hops, &route.hops);
-                        prop_assert_eq!(r.cost, route.cost);
+        let nl = NetLabeled::new(&m, eps).expect("eps within range");
+        let sfl = ScaleFreeLabeled::new(&m, eps).expect("eps within range");
+        let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
+        let sfni =
+            ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
+        let schemes: [&dyn Deliver; 4] =
+            [&Labeled(&nl), &Labeled(&sfl), &Named(&sni, &naming), &Named(&sfni, &naming)];
+        for scheme in schemes {
+            let router = ResilientRouter::without_hierarchy(&m, scheme, RecoveryPolicy::Drop);
+            for u in 0..n as NodeId {
+                for v in 0..n as NodeId {
+                    if u == v {
+                        continue;
                     }
-                    (Err(RouteError::NodeFailed { node }), DeliveryOutcome::Lost { reason, .. }) => {
-                        match reason {
-                            LossReason::SourceDead => prop_assert_eq!(*node, u),
-                            LossReason::Casualty { error: RouteError::NodeFailed { node: n2 } } => {
-                                prop_assert_eq!(node, n2)
-                            }
-                            other => prop_assert!(false, "mismatched loss {:?}", other),
+                    let reference = stale_reference(scheme, &m, &plan, u, v);
+                    let resilient = router.deliver(u, v, &timeline, &mut |_| {});
+                    let name = scheme.scheme_name();
+                    match (&reference, &resilient) {
+                        (Ok(r), DeliveryOutcome::Delivered { route, .. }) => {
+                            prop_assert_eq!(&r.hops, &route.hops, "{} {}->{}", name, u, v);
+                            prop_assert_eq!(r.cost, route.cost);
                         }
+                        (Err(RouteError::NodeFailed { node }), DeliveryOutcome::Lost { reason, .. }) => {
+                            match reason {
+                                LossReason::SourceDead => prop_assert_eq!(*node, u),
+                                LossReason::Casualty { error: RouteError::NodeFailed { node: n2 } } => {
+                                    prop_assert_eq!(node, n2)
+                                }
+                                other => prop_assert!(false, "{} mismatched loss {:?}", name, other),
+                            }
+                        }
+                        (Err(RouteError::EdgeFailed { u: eu, v: ev }), DeliveryOutcome::Lost { reason, .. }) => {
+                            prop_assert!(matches!(
+                                reason,
+                                LossReason::Casualty { error: RouteError::EdgeFailed { u: u2, v: v2 } }
+                                    if u2 == eu && v2 == ev
+                            ));
+                        }
+                        (l, r) => prop_assert!(false, "{} reference {:?} vs resilient {:?}", name, l, r),
                     }
-                    (Err(RouteError::EdgeFailed { u: eu, v: ev }), DeliveryOutcome::Lost { reason, .. }) => {
-                        prop_assert!(matches!(
-                            reason,
-                            LossReason::Casualty { error: RouteError::EdgeFailed { u: u2, v: v2 } }
-                                if u2 == eu && v2 == ev
-                        ));
-                    }
-                    (l, r) => prop_assert!(false, "legacy {:?} vs resilient {:?}", l, r),
                 }
             }
         }
@@ -194,34 +226,71 @@ proptest! {
     }
 }
 
-/// `Drop` is not stale-table routing on a name-independent scheme: the
-/// simple-NI search from 0 for node 7 of a 5×5 grid passes 7, goes on to
-/// 12, walks back to 0 and only then returns to 7. `Drop` delivers the
-/// first time the packet stands on 7; the scheme's own route, which
-/// stale-table routing replays, follows the plan to its end.
-#[test]
-fn drop_delivers_where_a_name_independent_search_first_passes_dst() {
+/// Simple-NI on a 5×5 grid, whose search from 0 for node 7 passes 7, goes
+/// on to 12, walks back to 0 and only then returns to 7, where its plan
+/// ends.
+fn simple_ni_on_grid() -> (MetricSpace, SimpleNameIndependent, Naming) {
     let m = MetricSpace::new(&gen::grid(5, 5));
     let naming = Naming::random(m.n(), 1);
     let sni = SimpleNameIndependent::new(&m, Eps::one_over(4), naming.clone()).unwrap();
-    let scheme = Named(&sni, &naming);
-    let drop_cost = |plan: &FaultPlan| {
-        let router = ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::Drop);
-        match router.deliver(0, 7, &FaultTimeline::from_plan(plan.clone()), &mut |_| {}) {
-            DeliveryOutcome::Delivered { route, .. } => route.cost,
-            lost => panic!("Drop must deliver 0 -> 7, got {lost:?}"),
-        }
-    };
+    (m, sni, naming)
+}
 
-    let none = FaultPlan::none(m.n());
-    let stale = none.route_stale(&scheme, &m, 0, 7).unwrap();
-    assert_eq!(stale.hops, [0, 1, 2, 7, 12, 7, 2, 1, 0, 1, 2, 7]);
-    assert_eq!((drop_cost(&none), stale.cost), (3, 11));
+/// `Drop` follows that plan to its end, like the scheme's own route: it
+/// delivers at the route's full cost, and a casualty on the part after
+/// the first pass of 7 loses the packet.
+#[test]
+fn drop_follows_a_name_independent_search_to_the_end_of_its_plan() {
+    let (m, sni, naming) = simple_ni_on_grid();
+    let scheme = Named(&sni, &naming);
+    let router = ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::Drop);
+    let drop = |plan: FaultPlan| router.deliver(0, 7, &FaultTimeline::from_plan(plan), &mut |_| {});
+
+    let own = scheme.route_to(&m, 0, 7).unwrap();
+    assert_eq!(own.hops, [0, 1, 2, 7, 12, 7, 2, 1, 0, 1, 2, 7]);
+    match drop(FaultPlan::none(m.n())) {
+        DeliveryOutcome::Delivered { route, .. } => {
+            assert_eq!(route.hops, own.hops);
+            assert_eq!((route.cost, own.cost), (11, 11));
+        }
+        lost => panic!("Drop must deliver 0 -> 7, got {lost:?}"),
+    }
 
     // Node 12 lies only on the part of the plan after the first visit to
-    // 7: stale-table routing loses the packet there, `Drop` delivers it.
+    // 7: the packet is lost there, as stale-table routing loses it.
     let mut plan = FaultPlan::none(m.n());
     plan.kill_node(12);
-    assert_eq!(plan.route_stale(&scheme, &m, 0, 7), Err(RouteError::NodeFailed { node: 12 }));
-    assert_eq!(drop_cost(&plan), 3);
+    match drop(plan) {
+        DeliveryOutcome::Lost { reason, progress } => {
+            assert_eq!(reason, LossReason::Casualty { error: RouteError::NodeFailed { node: 12 } });
+            assert_eq!((progress.reached, progress.hops), (7, 3));
+        }
+        delivered => panic!("Drop must lose the packet at node 12, got {delivered:?}"),
+    }
+}
+
+/// The hop budget counts the end of the plan, not a pass of `dst`: the
+/// same search stands on 7 after 3 hops but its plan ends there only
+/// after 11.
+#[test]
+fn hop_budget_is_met_only_where_the_plan_ends() {
+    let (m, sni, naming) = simple_ni_on_grid();
+    let scheme = Named(&sni, &naming);
+    let timeline = FaultTimeline::from_plan(FaultPlan::none(m.n()));
+    let budgeted = |budget| {
+        ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::Drop)
+            .with_hop_budget(budget)
+            .deliver(0, 7, &timeline, &mut |_| {})
+    };
+    // Standing on 7 exactly at budget 3, mid-plan, is a loss there.
+    for (budget, reached) in [(3, 7), (10, 2)] {
+        match budgeted(budget) {
+            DeliveryOutcome::Lost { reason: LossReason::HopBudget, progress } => {
+                assert_eq!((progress.hops, progress.reached), (budget, reached));
+            }
+            other => panic!("budget {budget}: expected HopBudget loss, got {other:?}"),
+        }
+    }
+    // Ending the plan exactly on the budget delivers.
+    assert!(budgeted(11).is_delivered());
 }
