@@ -34,7 +34,7 @@ use obs::Tracer;
 
 use crate::error::SchemeError;
 use crate::rings::{
-    affected_nodes, build_ring, level_ranges, patch_ring, refresh_ring_ranges, ring_lookup,
+    affected_nodes, level_ranges, patch_ring, refresh_ring_ranges, ring_lookup, RingBuilder,
     RingEntry,
 };
 use crate::view::{LabeledView, NetLabeledView, RingHit};
@@ -121,8 +121,9 @@ impl NetLabeled {
     /// whatever (full or overlay) hierarchy was built.
     fn from_nets(m: &MetricSpace, eps: Eps, nets: NetHierarchy) -> Self {
         let num_levels = m.num_scales();
+        let mut builder = RingBuilder::new(m, &nets, eps);
         let rings: Vec<Vec<Box<[RingEntry]>>> = (0..m.n() as NodeId)
-            .map(|u| (0..num_levels).map(|i| build_ring(m, &nets, eps, u, i)).collect())
+            .map(|u| (0..num_levels).map(|i| builder.ring(u, i)).collect())
             .collect();
         NetLabeled { nets, eps, widths: FieldWidths::new(m), rings, num_levels }
     }

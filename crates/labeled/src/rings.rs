@@ -6,9 +6,18 @@
 //! the shortest path toward `x`, and `d(u, x)` (needed by Algorithm 5's
 //! stopping rule). By Lemma 2.2, `|X_i(u)| ≤ (4/ε)^α`.
 //!
-//! A ring is stored as a boxed slice at its exact size: 24 bytes per
-//! entry and no spare capacity. Rings are never grown in place; a repair
-//! that changes a ring's members builds its replacement ([`patch_ring`]).
+//! A ring is stored as a boxed slice at its exact size, sorted by range
+//! start: 24 bytes per entry and no spare capacity. Rings are never grown
+//! in place; a repair that changes a ring's members builds its replacement
+//! ([`patch_ring`]).
+//!
+//! [`RingBuilder`] builds every ring of a scheme in one pass per node. It
+//! lists each level `Y_i` once, as `(lo, hi, x)` with `Range(x, i) =
+//! [lo, hi]`, in range-start (DFS-label) order, so a ring filtered out of
+//! that list is already sorted. For each node it fills one first-hop row
+//! ([`MetricSpace::first_hop_row`]), so every entry's next hop is an array
+//! read. A node's rings then cost `O(n + Σ_i |Y_i|)`, with no sort, no
+//! binary search and no parent-chain walk.
 
 use doubling_metric::graph::{Dist, NodeId};
 use doubling_metric::nets::{LevelDelta, NetHierarchy};
@@ -29,37 +38,69 @@ pub struct RingEntry {
     pub dist: Dist,
 }
 
-/// Builds `X_i(u)`, sorted by range start (ranges at one level are
-/// disjoint, so this supports binary-search lookup), at its exact size.
-pub fn build_ring(
-    m: &MetricSpace,
-    nets: &NetHierarchy,
+/// Builds the rings `X_i(u)` of one hierarchy, node by node.
+///
+/// Ask for a node's rings consecutively: [`Self::ring`] fills the node's
+/// first-hop row when the node changes and reuses it for every further
+/// level of the same node. The level lists and the row are scratch,
+/// dropped with the builder; each ring is allocated at its exact size.
+#[derive(Debug)]
+pub struct RingBuilder<'a> {
+    m: &'a MetricSpace,
     eps: Eps,
-    u: NodeId,
-    i: usize,
-) -> Box<[RingEntry]> {
-    let s_i = m.scale(i);
-    let mut out: Vec<RingEntry> = nets
-        .level(i)
-        .iter()
-        .filter_map(|&x| {
-            let d = m.dist(u, x);
+    /// `levels[i]`: every `x ∈ Y_i` as `(lo, hi, x)` with
+    /// `Range(x, i) = [lo, hi]`, ascending by `lo`.
+    levels: Vec<Box<[(u32, u32, NodeId)]>>,
+    /// The node whose first-hop row `first_hop` holds.
+    node: Option<NodeId>,
+    first_hop: Vec<NodeId>,
+    entries: Vec<RingEntry>,
+}
+
+impl<'a> RingBuilder<'a> {
+    /// Lists every level of `nets` in range-start order.
+    pub fn new(m: &'a MetricSpace, nets: &NetHierarchy, eps: Eps) -> Self {
+        let levels = (0..nets.num_levels())
+            .map(|i| {
+                let mut level: Box<[_]> = nets
+                    .level(i)
+                    .iter()
+                    .map(|&x| {
+                        let (lo, hi) = nets.range(i, x).expect("x is in Y_i");
+                        (lo, hi, x)
+                    })
+                    .collect();
+                level.sort_unstable_by_key(|&(lo, _, _)| lo);
+                level
+            })
+            .collect();
+        RingBuilder { m, eps, levels, node: None, first_hop: vec![0; m.n()], entries: Vec::new() }
+    }
+
+    /// `X_i(u)`, sorted by range start (ranges at one level are disjoint,
+    /// so this supports binary-search lookup), at its exact size.
+    pub fn ring(&mut self, u: NodeId, i: usize) -> Box<[RingEntry]> {
+        if self.node != Some(u) {
+            self.m.first_hop_row(u, &mut self.first_hop);
+            self.node = Some(u);
+        }
+        let (s_i, dist) = (self.m.scale(i), self.m.apsp().row(u));
+        let (eps, first_hop) = (self.eps, &self.first_hop);
+        self.entries.clear();
+        self.entries.extend(self.levels[i].iter().filter_map(|&(lo, hi, x)| {
+            let d = dist[x as usize];
             // d ≤ s_i / ε, exactly.
-            if !eps.mul_le(d, s_i) {
-                return None;
-            }
-            let range = nets.range(i, x).expect("x is in Y_i");
-            let next = m.next_hop(u, x).unwrap_or(u);
-            Some(RingEntry { x, range, next, dist: d })
-        })
-        .collect();
-    out.sort_unstable_by_key(|e| e.range.0);
-    out.into_boxed_slice()
+            let next = first_hop[x as usize];
+            eps.mul_le(d, s_i).then_some(RingEntry { x, range: (lo, hi), next, dist: d })
+        }));
+        self.entries.as_slice().into()
+    }
 }
 
 /// The exact ring radius at level `i`: the largest `d` with
-/// `ε·d ≤ s_i`, i.e. `⌊s_i·den/num⌋` — membership of `X_i(u)` is
-/// `d(u, x) ≤ ring_radius(i)` by definition of [`build_ring`]'s filter.
+/// `ε·d ≤ s_i`, i.e. `⌊s_i·den/num⌋` (clamped at `Dist::MAX`) —
+/// membership of `X_i(u)` is `d(u, x) ≤ ring_radius(i)`, the same test as
+/// [`RingBuilder::ring`]'s filter.
 pub fn ring_radius(m: &MetricSpace, eps: Eps, i: usize) -> Dist {
     let r = m.scale(i) as u128 * eps.den() as u128 / eps.num() as u128;
     r.min(Dist::MAX as u128) as Dist
@@ -111,8 +152,8 @@ pub fn refresh_ring_ranges(ring: &mut [RingEntry], ranges: &[(u32, u32)]) {
 /// `next` for those alone), then refreshes every range from the level's
 /// [`level_ranges`] table and restores the sort order. Because
 /// `X_i(u) = B_u(2^i/ε) ∩ Y_i` and `delta` is the exact set difference of
-/// `Y_i`, the result is byte-identical to [`build_ring`] against the
-/// repaired hierarchy.
+/// `Y_i`, the result is byte-identical to [`RingBuilder::ring`] against
+/// the repaired hierarchy.
 pub fn patch_ring(
     ring: &[RingEntry],
     m: &MetricSpace,
@@ -156,9 +197,10 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(8, 8));
         let nets = NetHierarchy::new(&m);
         let eps = Eps::one_over(2);
+        let mut rings = RingBuilder::new(&m, &nets, eps);
         for u in [0u32, 13, 63] {
             for i in 0..m.num_scales() {
-                let ring = build_ring(&m, &nets, eps, u, i);
+                let ring = rings.ring(u, i);
                 for e in &ring {
                     assert!(nets.in_level(i, e.x));
                     assert!(eps.mul_le(m.dist(u, e.x), m.scale(i)));
@@ -176,10 +218,10 @@ mod tests {
     fn lookup_finds_exactly_the_containing_range() {
         let m = MetricSpace::new(&gen::grid(6, 6));
         let nets = NetHierarchy::new(&m);
-        let eps = Eps::one_over(3);
+        let mut rings = RingBuilder::new(&m, &nets, Eps::one_over(3));
         for u in 0..m.n() as NodeId {
             for i in 0..m.num_scales() {
-                let ring = build_ring(&m, &nets, eps, u, i);
+                let ring = rings.ring(u, i);
                 for v in 0..m.n() as NodeId {
                     let l = nets.label(v);
                     let hit = ring_lookup(&ring, l);
@@ -198,7 +240,7 @@ mod tests {
     fn next_hop_points_along_shortest_path() {
         let m = MetricSpace::new(&gen::grid(5, 5));
         let nets = NetHierarchy::new(&m);
-        let ring = build_ring(&m, &nets, Eps::one_over(2), 0, m.num_scales() - 1);
+        let ring = RingBuilder::new(&m, &nets, Eps::one_over(2)).ring(0, m.num_scales() - 1);
         for e in &ring {
             if e.x == 0 {
                 assert_eq!(e.next, 0);
@@ -216,9 +258,10 @@ mod tests {
         // |X_i(u)| ≤ (4/ε)^α; for the grid (α ≈ 2) and ε = 1/2 that is 64.
         let m = MetricSpace::new(&gen::grid(10, 10));
         let nets = NetHierarchy::new(&m);
+        let mut rings = RingBuilder::new(&m, &nets, Eps::one_over(2));
         for u in 0..m.n() as NodeId {
             for i in 0..m.num_scales() {
-                let ring = build_ring(&m, &nets, Eps::one_over(2), u, i);
+                let ring = rings.ring(u, i);
                 assert!(ring.len() <= 64, "ring too large: {}", ring.len());
             }
         }

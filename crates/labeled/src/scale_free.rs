@@ -42,7 +42,7 @@ use treeroute::{PortLabel, PortTreeRouter, RouterRecords, Tree};
 
 use crate::error::SchemeError;
 use crate::rings::{
-    affected_nodes, build_ring, level_ranges, patch_ring, refresh_ring_ranges, ring_lookup,
+    affected_nodes, level_ranges, patch_ring, refresh_ring_ranges, ring_lookup, RingBuilder,
     RingEntry,
 };
 use crate::view::{CellView, LabeledView, RingHit, ScaleFreeView};
@@ -190,6 +190,7 @@ impl ScaleFreeLabeled {
         let eps6 = eps.div_by(6);
         let rings: Vec<NodeRings> = {
             let _s = tracer.span("ring-build");
+            let mut builder = RingBuilder::new(m, &nets, eps);
             (0..n as NodeId)
                 .map(|u| {
                     let r_of: Vec<Dist> = (0..=log2_n).map(|j| m.r_small(u, j)).collect();
@@ -197,7 +198,7 @@ impl ScaleFreeLabeled {
                     let in_r = |s_i: Dist| r_of.iter().any(|&r| eps6.mul_le(r, s_i) && s_i <= r);
                     (0..m.num_scales())
                         .filter(|&i| in_r(m.scale(i)))
-                        .map(|i| (i as u32, build_ring(m, &nets, eps, u, i)))
+                        .map(|i| (i as u32, builder.ring(u, i)))
                         .collect()
                 })
                 .collect()

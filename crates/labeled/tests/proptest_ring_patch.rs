@@ -1,10 +1,12 @@
 //! Property-based check of ring repair by level delta: on random connected
 //! graphs under churn batches that mix joins and leaves, every stored ring
-//! of both labeled schemes must equal [`build_ring`] against the repaired
-//! hierarchy after every batch, and hold exactly as many slots as entries.
+//! of both labeled schemes must equal the ring [`RingBuilder`] builds fresh
+//! against the repaired hierarchy after every batch, and hold exactly as
+//! many slots as entries.
 //!
 //! Slots are counted with the counting allocator, which this binary
-//! installs; it holds a single test, since the counters are process-global.
+//! installs, on the test thread's own live-byte count; it holds a single
+//! test, since the global counters would also see a second one.
 
 use proptest::prelude::*;
 
@@ -12,10 +14,10 @@ use doubling_metric::graph::{Graph, GraphBuilder, NodeId};
 use doubling_metric::nets::ChurnBatch;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
-use labeled_routing::rings::build_ring;
+use labeled_routing::rings::RingBuilder;
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use netsim::maintain::Maintainable;
-use obs::alloc::{live_bytes, CountingAlloc};
+use obs::alloc::{thread_live_bytes, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc::new();
@@ -24,12 +26,12 @@ static GLOBAL: CountingAlloc = CountingAlloc::new();
 /// allocates every vector at its length): the bytes of its spare slots.
 /// Leaves the copy in place of `s`.
 fn spare_bytes<S: Clone>(s: &mut S) -> u64 {
-    let before = live_bytes();
+    let before = thread_live_bytes();
     let copy = s.clone();
-    let exact = live_bytes() - before;
-    let before = live_bytes();
+    let exact = thread_live_bytes() - before;
+    let before = thread_live_bytes();
     drop(std::mem::replace(s, copy));
-    (before - live_bytes()) - exact
+    ((before - thread_live_bytes()) - exact) as u64
 }
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -92,12 +94,13 @@ fn mixed_script(n: usize, raw: &[Vec<usize>]) -> Vec<ChurnBatch> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every `(u, i)` ring of both labeled schemes equals `build_ring`
-    /// against the repaired hierarchy after every mixed batch, and each
+    /// Every `(u, i)` ring of both labeled schemes equals a fresh
+    /// [`RingBuilder`] ring against the repaired hierarchy after every
+    /// mixed batch, and each
     /// repaired scheme holds no spare slot: a patched ring has exactly as
     /// many slots as entries.
     #[test]
-    fn patched_rings_equal_build_ring(
+    fn patched_rings_equal_fresh_rings(
         g in arb_connected_graph(24),
         raw in proptest::collection::vec(
             proptest::collection::vec(0usize..usize::MAX, 1..4),
@@ -114,9 +117,11 @@ proptest! {
             sf.repair(&m, batch);
             prop_assert_eq!(spare_bytes(&mut net), 0, "net-labeled spare slots, batch {}", b);
             prop_assert_eq!(spare_bytes(&mut sf), 0, "scale-free spare slots, batch {}", b);
+            let mut net_fresh = RingBuilder::new(&m, net.nets(), eps);
+            let mut sf_fresh = RingBuilder::new(&m, sf.nets(), eps);
             for u in 0..m.n() as NodeId {
                 for i in 0..net.num_levels() {
-                    let fresh = build_ring(&m, net.nets(), eps, u, i);
+                    let fresh = net_fresh.ring(u, i);
                     prop_assert_eq!(
                         net.ring(u, i),
                         &fresh[..],
@@ -127,7 +132,7 @@ proptest! {
                     );
                 }
                 for (i, ring) in sf.rings_of(u) {
-                    let fresh = build_ring(&m, sf.nets(), eps, u, *i as usize);
+                    let fresh = sf_fresh.ring(u, *i as usize);
                     prop_assert_eq!(ring, &fresh, "scale-free u={} i={} batch {}", u, i, b);
                 }
             }

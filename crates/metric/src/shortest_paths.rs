@@ -224,7 +224,12 @@ impl Apsp {
     /// source, so without it an unreachable `dst` would silently decode as
     /// a bogus one-hop neighbour.
     ///
-    /// This is exactly the "next hop" a routing-table entry stores.
+    /// This is exactly the "next hop" a routing-table entry stores. It
+    /// walks `dst`'s parent chain, `O(hops)` per call; a caller that needs
+    /// next hops from one source to many destinations fills the source's
+    /// first-hop row once instead
+    /// ([`crate::space::MetricSpace::first_hop_row`], `O(n)` for all of
+    /// them).
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
         if src == dst || self.dist(src, dst) == INFINITY {
             return None;

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use crate::build::{run_rows, BuildProfile};
 use crate::ceil_log2;
-use crate::graph::{Dist, Graph, NodeId};
+use crate::graph::{Dist, Graph, NodeId, INFINITY};
 use crate::shortest_paths::Apsp;
 
 /// A finite metric space induced by a connected weighted graph.
@@ -246,6 +246,33 @@ impl MetricSpace {
     #[inline]
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
         self.apsp.next_hop(src, dst)
+    }
+
+    /// Writes `u`'s first-hop row into `row` (length `n`): `row[v]` is
+    /// `next_hop(u, v).unwrap_or(u)` for every `v` — `u` itself for `v == u`
+    /// and for `v` unreachable from `u`.
+    ///
+    /// One pass over [`Self::sorted_row`]: edge weights are positive, so a
+    /// node's shortest-path parent precedes it in the row and already has
+    /// its entry. `O(n)` for the whole row, where `n` separate
+    /// [`Self::next_hop`] calls walk `O(n · hops)` parent links.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != n`.
+    pub fn first_hop_row(&self, u: NodeId, row: &mut [NodeId]) {
+        assert_eq!(row.len(), self.n(), "first-hop row must have one slot per node");
+        let dist = self.apsp.row(u);
+        for &v in self.sorted_row(u) {
+            let p = self.apsp.parent(u, v);
+            row[v as usize] = if v == u || dist[v as usize] == INFINITY {
+                u
+            } else if p == u {
+                v
+            } else {
+                row[p as usize]
+            };
+        }
     }
 
     /// The full shortest path from `src` to `dst` (inclusive).

@@ -1,10 +1,12 @@
 //! Property-based tests of the metric substrate: exact rational ε
 //! arithmetic, shortest-path metric axioms, sorted-row order, and
-//! ball/radius consistency on random graphs.
+//! ball/radius consistency on random graphs, and first-hop rows against
+//! per-pair next hops.
 
 use proptest::prelude::*;
 
 use doubling_metric::eps::Eps;
+use doubling_metric::gen;
 use doubling_metric::graph::{Graph, GraphBuilder, NodeId};
 use doubling_metric::space::MetricSpace;
 
@@ -147,6 +149,37 @@ proptest! {
                 let h = m.next_hop(u, v).unwrap();
                 let w = m.graph().edge_weight(u, h).unwrap();
                 prop_assert_eq!(m.dist(u, v), w + m.dist(h, v));
+            }
+        }
+    }
+
+    /// The first-hop row is `next_hop(u, v).unwrap_or(u)` for every ordered
+    /// pair: on random graphs with tie-heavy weights, on grids (where
+    /// equal-length paths are everywhere) and on random edge sets that are
+    /// usually disconnected (unreachable nodes map to `u`).
+    #[test]
+    fn first_hop_row_equals_next_hop(
+        tied in arb_weighted_graph(30, 3),
+        side in (1usize..=7, 1usize..=7),
+        sparse in (2usize..=30).prop_flat_map(|n| {
+            (Just(n), proptest::collection::vec((0..n as u32, 0..n as u32, 1u64..4), 0..n))
+        }),
+    ) {
+        let (n, edges) = sparse;
+        let mut b = GraphBuilder::new(n);
+        for (u, v, wt) in edges {
+            if u != v {
+                b.edge(u, v, wt).unwrap();
+            }
+        }
+        for g in [tied, gen::grid(side.0, side.1), b.build_any().expect("any edge set builds")] {
+            let m = MetricSpace::new(&g);
+            let mut row = vec![0; m.n()];
+            for u in 0..m.n() as NodeId {
+                m.first_hop_row(u, &mut row);
+                for v in 0..m.n() as NodeId {
+                    prop_assert_eq!(row[v as usize], m.next_hop(u, v).unwrap_or(u), "u={} v={}", u, v);
+                }
             }
         }
     }

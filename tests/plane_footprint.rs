@@ -7,13 +7,14 @@
 //! rows) plus its shared graph. The index bound below is derived from the
 //! plane's own counts, read off the scheme it was compiled from.
 //!
-//! This binary installs the counting allocator and holds a single test:
-//! the counters are process-global, and a second test running beside it
-//! would be counted too.
+//! This binary installs the counting allocator and holds a single test.
+//! Every measurement reads the test thread's own live-byte count: the
+//! global counters also see the harness's threads, and a second test
+//! running beside this one would be counted in them too.
 
 use compact_routing::labeled::{NetLabeledPlane, ScaleFreeLabeledPlane, ScaleFreeView};
 use compact_routing::nameind::{Facility, NameIndependentView, ScaleFreeNiPlane, SimpleNiPlane};
-use compact_routing::obs::alloc::{live_bytes, CountingAlloc};
+use compact_routing::obs::alloc::{thread_live_bytes, CountingAlloc};
 use compact_routing::searchtree::SearchTree;
 use compact_routing::{gen, Eps, Label, MetricSpace, Naming};
 use compact_routing::{
@@ -37,11 +38,13 @@ const PER_CELL: u64 = 112;
 /// The header of one per-level (or per-round) vector of trees.
 const PER_LIST: u64 = 24;
 
-/// Runs `build`, returning its value and the live heap it retains.
+/// Runs `build`, returning its value and the live heap it retains: the
+/// calling thread's own count, so whatever the test harness's other
+/// threads allocate meanwhile stays out.
 fn retained<T>(build: impl FnOnce() -> T) -> (T, u64) {
-    let before = live_bytes();
+    let before = thread_live_bytes();
     let value = build();
-    (value, live_bytes() - before)
+    (value, (thread_live_bytes() - before) as u64)
 }
 
 /// The index bytes of one list of packed trees, `fixed` bytes each plus

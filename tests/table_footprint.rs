@@ -12,9 +12,10 @@
 //! that first; the clone's bytes of any part are then that part's bytes
 //! inside the scheme.
 //!
-//! This binary installs the counting allocator and holds a single test:
-//! the counters are process-global, and a second test running beside it
-//! would be counted too.
+//! This binary installs the counting allocator and holds a single test.
+//! Every measurement reads the test thread's own live-byte count: the
+//! global counters also see the harness's threads, and a second test
+//! running beside this one would be counted in them too.
 
 use std::mem::size_of;
 
@@ -24,7 +25,7 @@ use compact_routing::metric::nets::{ChurnBatch, NetHierarchy};
 use compact_routing::metric::packing::Packings;
 use compact_routing::nameind::{Facility, NameIndependentView};
 use compact_routing::netsim::maintain::{Maintainable, Maintainer, MaintainerConfig};
-use compact_routing::obs::alloc::{live_bytes, CountingAlloc};
+use compact_routing::obs::alloc::{thread_live_bytes, CountingAlloc};
 use compact_routing::searchtree::SearchTree;
 use compact_routing::treeroute::{PortLabel, PortTreeRouter};
 use compact_routing::{gen, Eps, Label, MetricSpace, Naming};
@@ -46,18 +47,20 @@ const RELAY: u64 = 8;
 /// One light edge of a [`PortLabel`]'s trail.
 const LIGHT: u64 = 8;
 
-/// Runs `build`, returning its value and the live heap it retains.
+/// Runs `build`, returning its value and the live heap it retains: the
+/// calling thread's own count, so whatever the test harness's other
+/// threads allocate meanwhile stays out.
 fn retained<T>(build: impl FnOnce() -> T) -> (T, u64) {
-    let before = live_bytes();
+    let before = thread_live_bytes();
     let value = build();
-    (value, live_bytes() - before)
+    (value, (thread_live_bytes() - before) as u64)
 }
 
 /// The heap bytes `value` holds: what dropping it frees.
 fn freed<T>(value: T) -> u64 {
-    let before = live_bytes();
+    let before = thread_live_bytes();
     drop(value);
-    before - live_bytes()
+    (before - thread_live_bytes()) as u64
 }
 
 /// Builds a scheme, asserts it holds no spare capacity, and returns it
