@@ -8,14 +8,9 @@
 //! name-independent ones) — the ns/op number the serving engine's
 //! throughput rests on.
 
+use bench::schemes::{Built, SHORT_NAMES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use doubling_metric::{gen, Eps, MetricSpace};
-use labeled_routing::{NetLabeled, NetLabeledPlane, ScaleFreeLabeled, ScaleFreeLabeledPlane};
-use name_independent::{
-    ScaleFreeNameIndependent, ScaleFreeNiPlane, SimpleNameIndependent, SimpleNiPlane,
-};
-use netsim::plane::ForwardingPlane;
-use netsim::scheme::{LabeledScheme, NameIndependentScheme};
 use netsim::stats::sample_pairs;
 use netsim::Naming;
 
@@ -27,77 +22,29 @@ fn bench_plane_throughput(c: &mut Criterion) {
     let naming = Naming::random(m.n(), 3);
     let pairs = sample_pairs(m.n(), 64, 9);
 
-    let nl = NetLabeled::new(&m, eps).unwrap();
-    let nl_plane = NetLabeledPlane::compile(&m, &nl, Some(&naming), 0);
-    let sfl = ScaleFreeLabeled::new(&m, eps).unwrap();
-    let sfl_plane = ScaleFreeLabeledPlane::compile(&m, &sfl, Some(&naming), 0);
-    let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap();
-    let sni_plane = SimpleNiPlane::compile(&m, &sni, 0);
-    let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
-    let sfni_plane = ScaleFreeNiPlane::compile(&m, &sfni, 0);
-
     let mut group = c.benchmark_group("plane_throughput");
-
-    group.bench_with_input(BenchmarkId::new("net-labeled/unpacked", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                nl.route(&m, u, nl.label_of(v)).unwrap();
-            }
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("net-labeled/packed-route", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                nl_plane.route(&m, u, nl.label_of(v)).unwrap();
-            }
-        })
-    });
-
-    group.bench_with_input(BenchmarkId::new("scale-free-labeled/unpacked", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                sfl.route(&m, u, sfl.label_of(v)).unwrap();
-            }
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("scale-free-labeled/packed-route", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                sfl_plane.route(&m, u, sfl.label_of(v)).unwrap();
-            }
-        })
-    });
-
-    group.bench_with_input(BenchmarkId::new("simple-ni/unpacked", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                sni.route(&m, u, naming.name_of(v)).unwrap();
-            }
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("simple-ni/packed-route", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                sni_plane.route_named(&m, u, naming.name_of(v)).unwrap();
-            }
-        })
-    });
-
-    group.bench_with_input(BenchmarkId::new("scale-free-ni/unpacked", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                sfni.route(&m, u, naming.name_of(v)).unwrap();
-            }
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("scale-free-ni/packed-route", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                sfni_plane.route_named(&m, u, naming.name_of(v)).unwrap();
-            }
-        })
-    });
-
+    for (s, name) in Built::all(&m, eps, &naming).iter().zip(SHORT_NAMES) {
+        let (seam, plane) = (s.seam(), s.compile(&m, &naming, 0));
+        let name = name.to_lowercase();
+        group.bench_with_input(BenchmarkId::new(format!("{name}/unpacked"), n), &n, |b, _| {
+            b.iter(|| {
+                for &(u, v) in &pairs {
+                    seam.route_to(&m, u, v).unwrap();
+                }
+            })
+        });
+        group.bench_with_input(BenchmarkId::new(format!("{name}/packed-route"), n), &n, |b, _| {
+            b.iter(|| {
+                for &(u, v) in &pairs {
+                    match seam.label_of(v) {
+                        Some(label) => plane.route(&m, u, label),
+                        None => plane.route_named(&m, u, naming.name_of(v)),
+                    }
+                    .unwrap();
+                }
+            })
+        });
+    }
     group.finish();
 }
 

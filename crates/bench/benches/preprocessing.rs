@@ -1,14 +1,15 @@
 //! Preprocessing-time benchmarks: how long each scheme takes to build its
 //! tables (the "preprocessing step" of the paper's model).
 
+use bench::schemes::{Built, SHORT_NAMES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use doubling_metric::graph::NodeId;
 use doubling_metric::nets::ChurnBatch;
 use doubling_metric::{gen, Eps, MetricSpace};
-use labeled_routing::{NetLabeled, ScaleFreeLabeled};
-use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
+use name_independent::SimpleNameIndependent;
 use netsim::maintain::Maintainable;
 use netsim::{LabeledScheme, Naming};
+use obs::Tracer;
 use searchtree::{SearchTree, SearchTreeConfig};
 
 fn bench_preprocessing(c: &mut Criterion) {
@@ -18,21 +19,15 @@ fn bench_preprocessing(c: &mut Criterion) {
         let g = gen::Family::Grid.build(n, 7);
         let m = MetricSpace::new(&g);
         let eps = Eps::one_over(8);
+        let naming = Naming::random(m.n(), 3);
         group.bench_with_input(BenchmarkId::new("metric", n), &n, |b, _| {
             b.iter(|| MetricSpace::new(&g))
         });
-        group.bench_with_input(BenchmarkId::new("net-labeled", n), &n, |b, _| {
-            b.iter(|| NetLabeled::new(&m, eps).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("scale-free-labeled", n), &n, |b, _| {
-            b.iter(|| ScaleFreeLabeled::new(&m, eps).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("simple-ni", n), &n, |b, _| {
-            b.iter(|| SimpleNameIndependent::new(&m, eps, Naming::random(m.n(), 3)).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("scale-free-ni", n), &n, |b, _| {
-            b.iter(|| ScaleFreeNameIndependent::new(&m, eps, Naming::random(m.n(), 3)).unwrap())
-        });
+        for (i, name) in SHORT_NAMES.iter().enumerate() {
+            group.bench_with_input(BenchmarkId::new(name.to_lowercase(), n), &n, |b, _| {
+                b.iter(|| Built::new(i, &m, eps, &naming, &Tracer::noop()))
+            });
+        }
     }
     group.finish();
 }
@@ -84,12 +79,7 @@ fn bench_churn_repair(c: &mut Criterion) {
     let m = MetricSpace::new(&gen::Family::Grid.build(n, 7));
     let eps = Eps::one_over(8);
     let naming = Naming::random(m.n(), 3);
-    let mut schemes: Vec<Box<dyn Maintainable>> = vec![
-        Box::new(NetLabeled::new(&m, eps).unwrap()),
-        Box::new(ScaleFreeLabeled::new(&m, eps).unwrap()),
-        Box::new(SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap()),
-        Box::new(ScaleFreeNameIndependent::new(&m, eps, naming).unwrap()),
-    ];
+    let mut schemes = Built::all(&m, eps, &naming);
     let leaving: Vec<NodeId> = vec![61, 212, 347, 498];
     let batches =
         [ChurnBatch::new(Vec::new(), leaving.clone()), ChurnBatch::new(leaving, Vec::new())];

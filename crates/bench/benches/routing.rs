@@ -3,12 +3,11 @@
 //! wire latency — the paper's cost metric is the path length, reported by
 //! the table/figure binaries instead).
 
+use bench::schemes::{Built, SHORT_NAMES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use doubling_metric::{gen, Eps, MetricSpace};
-use labeled_routing::{NetLabeled, ScaleFreeLabeled};
-use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::baseline::FullTable;
-use netsim::scheme::{LabeledScheme, NameIndependentScheme};
+use netsim::scheme::LabeledScheme;
 use netsim::stats::sample_pairs;
 use netsim::Naming;
 
@@ -21,10 +20,7 @@ fn bench_routing(c: &mut Criterion) {
     let pairs = sample_pairs(m.n(), 64, 9);
 
     let full = FullTable::with_naming(&m, naming.clone());
-    let nl = NetLabeled::new(&m, eps).unwrap();
-    let sfl = ScaleFreeLabeled::new(&m, eps).unwrap();
-    let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap();
-    let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).unwrap();
+    let built = Built::all(&m, eps, &naming);
 
     let mut group = c.benchmark_group("routing");
     group.bench_with_input(BenchmarkId::new("full-table", n), &n, |b, _| {
@@ -34,34 +30,16 @@ fn bench_routing(c: &mut Criterion) {
             }
         })
     });
-    group.bench_with_input(BenchmarkId::new("net-labeled", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                nl.route(&m, u, nl.label_of(v)).unwrap();
-            }
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("scale-free-labeled", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                sfl.route(&m, u, sfl.label_of(v)).unwrap();
-            }
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("simple-ni", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                sni.route(&m, u, naming.name_of(v)).unwrap();
-            }
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("scale-free-ni", n), &n, |b, _| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                sfni.route(&m, u, naming.name_of(v)).unwrap();
-            }
-        })
-    });
+    for (s, name) in built.iter().zip(SHORT_NAMES) {
+        let seam = s.seam();
+        group.bench_with_input(BenchmarkId::new(name.to_lowercase(), n), &n, |b, _| {
+            b.iter(|| {
+                for &(u, v) in &pairs {
+                    seam.route_to(&m, u, v).unwrap();
+                }
+            })
+        });
+    }
     group.finish();
 }
 

@@ -19,17 +19,15 @@
 use std::sync::Arc;
 
 use doubling_metric::{gen, DistanceProvider, Eps, OnDemandDijkstra};
-use labeled_routing::{NetLabeled, ScaleFreeLabeled};
-use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::json::Value;
 use netsim::stats::{all_pairs, sample_pairs};
 use netsim::Naming;
 use obs::Telemetry;
 
-use conform::{certify_labeled_with, certify_lower_bound, certify_name_independent_with};
-use conform::{Certificate, Guarantee, Params};
+use conform::{certify, certify_lower_bound, Certificate, Params};
 
 use crate::cache::MetricCache;
+use crate::schemes::Built;
 use crate::table::f2;
 
 /// Size of the Theorem 1.3 lower-bound tree and the number of
@@ -165,54 +163,13 @@ pub fn run_conformance(
                     };
                     let eps_str = eps.to_string();
 
-                    let nl = NetLabeled::new(&m, eps).expect("eps within range");
-                    let sfl = ScaleFreeLabeled::new(&m, eps).expect("eps within range");
-                    let sni = SimpleNameIndependent::new(&m, eps, naming.clone())
-                        .expect("eps within range");
-                    let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone())
-                        .expect("eps within range");
-
-                    let o = oracle.as_ref();
-                    let certs = vec![
-                        certify_labeled_with(
-                            &m,
-                            o,
-                            &nl,
-                            &Guarantee::lemma_3_1(),
-                            &params,
-                            &pairs,
-                            threads,
-                        ),
-                        certify_labeled_with(
-                            &m,
-                            o,
-                            &sfl,
-                            &Guarantee::theorem_1_2(),
-                            &params,
-                            &pairs,
-                            threads,
-                        ),
-                        certify_name_independent_with(
-                            &m,
-                            o,
-                            &sni,
-                            &naming,
-                            &Guarantee::theorem_1_4(),
-                            &params,
-                            &pairs,
-                            threads,
-                        ),
-                        certify_name_independent_with(
-                            &m,
-                            o,
-                            &sfni,
-                            &naming,
-                            &Guarantee::theorem_1_1(),
-                            &params,
-                            &pairs,
-                            threads,
-                        ),
-                    ];
+                    let certs: Vec<Certificate> = Built::all(&m, eps, &naming)
+                        .iter()
+                        .map(|b| {
+                            let g = b.guarantee();
+                            certify(&m, oracle.as_ref(), &*b.seam(), &g, &params, &pairs, threads)
+                        })
+                        .collect();
 
                     for cert in &certs {
                         observe_cert(tel, family.name(), m.n(), &eps_str, s, cert);

@@ -55,10 +55,9 @@ fn table_row(
     m: &MetricSpace,
     d: &dyn Deliver,
     pairs: &[(NodeId, NodeId)],
-    label_bits: Option<u64>,
     with_ci: bool,
 ) -> Vec<String> {
-    let mut row = eval_row(family, m.n(), &eval(d, m, pairs, 1, |_, _, _| {}), label_bits);
+    let mut row = eval_row(family, m.n(), &eval(d, m, pairs, 1, |_, _, _| {}), d.label_bits());
     if with_ci {
         row.push(f2(sampled_stretch(d, m, m, pairs, |_, _, _| {}).ci_half_width));
     }
@@ -152,15 +151,15 @@ fn run_table(
         let built: Vec<Built> =
             (first..first + 2).map(|i| Built::new(i, &m, eps, &naming, &tel.tracer)).collect();
         let full = FullTable::with_naming(&m, naming.clone());
-        let mut schemes: Vec<(Box<dyn Deliver + '_>, Option<u64>)> =
-            built.iter().map(|b| (b.seam() as Box<dyn Deliver>, b.label_bits())).collect();
+        let mut schemes: Vec<Box<dyn Deliver + '_>> =
+            built.iter().map(|b| b.seam() as Box<dyn Deliver>).collect();
         schemes.push(if labeled {
-            (Box::new(Labeled(&full)), Some(LabeledScheme::label_bits(&full)))
+            Box::new(Labeled(&full))
         } else {
-            (Box::new(Named(&full, &naming)), None)
+            Box::new(Named(&full, &naming))
         });
-        for (d, label_bits) in &schemes {
-            rows.push(table_row(f.name(), &m, &**d, &pairs, *label_bits, with_ci));
+        for d in &schemes {
+            rows.push(table_row(f.name(), &m, &**d, &pairs, with_ci));
         }
     }
     (headers, rows)

@@ -22,8 +22,14 @@
 //! experiment binary threads one [`obs::Telemetry`] from
 //! [`cli::Cli::telemetry`] through its run into [`cli::Cli::finish`].
 //!
+//! Every experiment handles the paper's four schemes through one roster,
+//! [`schemes::Built`]: it builds, maintains, compiles and certifies each
+//! by its table-order index, so an experiment loops over the schemes once
+//! and no other module names a scheme type.
+//!
 //! Criterion benches (`benches/`) time preprocessing, routing, search-tree
-//! lookups and game evaluation on the same inputs.
+//! lookups and game evaluation on the same inputs, through the same
+//! roster.
 
 #![warn(missing_docs)]
 

@@ -4,7 +4,8 @@
 //! For every (n, scheme, per-batch churn rate) cell the experiment drives
 //! a seeded join/leave schedule — leave batches derived from the deltas
 //! of a cumulative [`FaultTimeline`], followed by rejoin batches
-//! re-admitting the same nodes — through a [`Maintainer`], and measures:
+//! re-admitting the same nodes — through a
+//! [`netsim::maintain::Maintainer`], and measures:
 //!
 //! * **amortized update cost** — repair wall time per join/leave event,
 //!   next to the cost of absorbing the same batch by rebuilding the
@@ -34,17 +35,15 @@ use std::time::Instant;
 use doubling_metric::graph::NodeId;
 use doubling_metric::nets::{ChurnBatch, NetHierarchy};
 use doubling_metric::{gen, Eps, MetricSpace};
-use labeled_routing::{NetLabeled, ScaleFreeLabeled};
-use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::faults::{FaultPlan, FaultTimeline};
 use netsim::json::Value;
-use netsim::maintain::{BatchAction, BatchReport, Maintainable, Maintainer, MaintainerConfig};
-use netsim::scheme::{Certifiable, LabeledScheme, NameIndependentScheme};
+use netsim::maintain::{BatchAction, BatchReport, Maintainable, MaintainerConfig};
 use netsim::stats::sample_pairs;
 use netsim::Naming;
-use obs::{Log2Histogram, Telemetry};
+use obs::{Log2Histogram, Telemetry, Tracer};
 
 use crate::cache::MetricCache;
+use crate::schemes::{self, Built};
 use crate::table::f2;
 
 /// Version of the `results/maintain.json` document layout.
@@ -188,29 +187,35 @@ fn audit_failures(reports: &[BatchReport]) -> u64 {
     reports.iter().filter(|r| r.action == BatchAction::RebuiltAudit).count() as u64
 }
 
-/// Drives one scheme instance through `schedule`, maintaining a second
-/// copy by full rebuilds as the baseline (and equivalence witness).
+/// Drives scheme `i` of the table order through `schedule`, maintaining
+/// a second copy by full rebuilds as the baseline (and equivalence
+/// witness). Every batch is spot-audited ([`conform::spot_audit`]):
+/// sampled routes over the post-batch active set plus the full table
+/// re-price.
 #[allow(clippy::too_many_arguments)] // experiment cell: one knob per measured dimension
-fn run_cell<S: Maintainable + Clone + PartialEq>(
+fn run_cell(
     m: &MetricSpace,
-    scheme: S,
-    scheme_name: &'static str,
+    i: usize,
+    eps: Eps,
+    naming: &Naming,
     schedule: &[ChurnBatch],
     config: MaintainerConfig,
     audit_pairs: usize,
     seed: u64,
     per_batch: usize,
+    threads: usize,
     stable: bool,
     tel: &Telemetry,
-    audit: impl Fn(&S, &[(NodeId, NodeId)]) -> bool,
 ) -> CellResult {
     let pin = |v: u64| if stable { 0 } else { v };
+    let scheme_name = schemes::SHORT_NAMES[i];
+    let scheme = Built::new(i, m, eps, naming, &Tracer::noop());
     let mut baseline = scheme.clone();
     let mut active = vec![false; m.n()];
     for v in scheme.active_nodes() {
         active[v as usize] = true;
     }
-    let mut mt = Maintainer::new(m.n(), scheme, config);
+    let mut mt = scheme.maintainer(m.n(), config);
     let mut out = CellResult {
         scheme: scheme_name,
         per_batch,
@@ -223,13 +228,13 @@ fn run_cell<S: Maintainable + Clone + PartialEq>(
         equal: true,
         reports: Vec::new(),
     };
-    for (i, batch) in schedule.iter().enumerate() {
+    for (k, batch) in schedule.iter().enumerate() {
         out.updates += batch.len();
         batch.apply(&mut active);
         let ids: Vec<NodeId> = (0..m.n() as NodeId).filter(|&v| active[v as usize]).collect();
         // Audit pairs sampled over the *post-batch* active set.
         let pairs: Vec<(NodeId, NodeId)> =
-            sample_pairs(ids.len(), audit_pairs, seed ^ ((i as u64 + 1) << 8))
+            sample_pairs(ids.len(), audit_pairs, seed ^ ((k as u64 + 1) << 8))
                 .into_iter()
                 .map(|(a, b)| (ids[a as usize], ids[b as usize]))
                 .collect();
@@ -239,7 +244,16 @@ fn run_cell<S: Maintainable + Clone + PartialEq>(
         let report = mt
             .apply_batch(m, batch, |s| {
                 let ta = Instant::now();
-                let ok = audit(s, &pairs);
+                let seam = s.seam();
+                let ok = conform::spot_audit(
+                    m,
+                    s,
+                    |u| seam.table_bits(u),
+                    &pairs,
+                    threads,
+                    |u, v| seam.route_to(m, u, v),
+                )
+                .ok();
                 audit_spent.set(audit_spent.get() + ta.elapsed().as_micros() as u64);
                 ok
             })
@@ -273,50 +287,15 @@ fn run_cell<S: Maintainable + Clone + PartialEq>(
     out
 }
 
-/// Spot-audit closures per scheme kind: sampled differential route audit
-/// plus the full table re-price (see [`conform::spot_audit`]).
-fn audit_labeled<S: LabeledScheme + Certifiable + Sync>(
-    m: &MetricSpace,
-    threads: usize,
-) -> impl Fn(&S, &[(NodeId, NodeId)]) -> bool + '_ {
-    move |s, pairs| {
-        conform::spot_audit(
-            m,
-            s,
-            |u| s.table_bits(u),
-            pairs,
-            threads,
-            |u, v| s.route_to_node(m, u, v),
-        )
-        .ok()
-    }
-}
-
-fn audit_name_independent<'a, S: NameIndependentScheme + Certifiable + Sync>(
-    m: &'a MetricSpace,
-    naming: &'a Naming,
-    threads: usize,
-) -> impl Fn(&S, &[(NodeId, NodeId)]) -> bool + 'a {
-    move |s, pairs| {
-        conform::spot_audit(
-            m,
-            s,
-            |u| s.table_bits(u),
-            pairs,
-            threads,
-            |u, v| s.route(m, u, naming.name_of(v)),
-        )
-        .ok()
-    }
-}
-
 /// Runs the adversarial cell: net-center-targeted leaves under a blast
 /// budget tight enough that the degradation ladder must fire, followed by
 /// the rejoins. Returns its JSON block; the embedded assertions are the
 /// acceptance criterion (fallback fires AND the maintainer recovers).
+#[allow(clippy::too_many_arguments)] // experiment cell: one knob per measured dimension
 fn run_adversarial(
     m: &MetricSpace,
     eps: Eps,
+    naming: &Naming,
     audit_pairs: usize,
     seed: u64,
     threads: usize,
@@ -329,26 +308,26 @@ fn run_adversarial(
     // Net-center churn rebuilds far more than 2% of the structures, so the
     // blast rung must trip and degrade to a whole-scheme rebuild.
     let config = MaintainerConfig { max_blast_fraction: 0.02 };
-    let scheme = NetLabeled::new(m, eps).expect("eps within range");
     let cell = run_cell(
         m,
-        scheme,
-        "net-labeled",
+        0,
+        eps,
+        naming,
         &schedule,
         config,
         audit_pairs,
         seed,
         per_batch,
+        threads,
         stable,
         tel,
-        audit_labeled(m, threads),
     );
     let recovered = audit_failures(&cell.reports) == 0
         && cell.reports.last().map_or(0, |r| r.epoch) == cell.reports.len() as u64
         && cell.equal;
     Value::Object(vec![
         ("n".to_string(), m.n().into()),
-        ("scheme".into(), "net-labeled".into()),
+        ("scheme".into(), cell.scheme.into()),
         ("strategy".into(), "netcenter".into()),
         ("per_batch".into(), per_batch.into()),
         ("batches".into(), cell.reports.len().into()),
@@ -403,69 +382,28 @@ pub fn run_maintain(
         let naming = Naming::random(m.n(), seed ^ 0xA5);
         for &rate in rates {
             let schedule = churn_schedule(&m, None, leave_batches, rate, seed ^ rate as u64);
-            let config = MaintainerConfig::default();
-            let cell_results = [
-                run_cell(
+            for i in 0..schemes::COUNT {
+                let cell = run_cell(
                     &m,
-                    NetLabeled::new(&m, eps).expect("eps within range"),
-                    "net-labeled",
+                    i,
+                    eps,
+                    &naming,
                     &schedule,
-                    config,
+                    MaintainerConfig::default(),
                     audit_pairs,
                     seed,
                     rate,
+                    threads,
                     stable,
                     tel,
-                    audit_labeled(&m, threads),
-                ),
-                run_cell(
-                    &m,
-                    ScaleFreeLabeled::new(&m, eps).expect("eps within range"),
-                    "scale-free-labeled",
-                    &schedule,
-                    config,
-                    audit_pairs,
-                    seed,
-                    rate,
-                    stable,
-                    tel,
-                    audit_labeled(&m, threads),
-                ),
-                run_cell(
-                    &m,
-                    SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range"),
-                    "simple-NI",
-                    &schedule,
-                    config,
-                    audit_pairs,
-                    seed,
-                    rate,
-                    stable,
-                    tel,
-                    audit_name_independent(&m, &naming, threads),
-                ),
-                run_cell(
-                    &m,
-                    ScaleFreeNameIndependent::new(&m, eps, naming.clone())
-                        .expect("eps within range"),
-                    "scale-free-NI",
-                    &schedule,
-                    config,
-                    audit_pairs,
-                    seed,
-                    rate,
-                    stable,
-                    tel,
-                    audit_name_independent(&m, &naming, threads),
-                ),
-            ];
-            for cell in cell_results {
+                );
                 rows.push(cell.row(m.n()));
                 cells.push(cell.to_json(m.n(), stable));
             }
         }
         if adversarial.is_none() {
-            adversarial = Some(run_adversarial(&m, eps, audit_pairs, seed, threads, stable, tel));
+            adversarial =
+                Some(run_adversarial(&m, eps, &naming, audit_pairs, seed, threads, stable, tel));
         }
     }
 

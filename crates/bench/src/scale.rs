@@ -199,7 +199,7 @@ fn scheme_cell(
         scheme: schemes::SHORT_NAMES[i],
         build_us: pin(build_us),
         peak_bytes: pin(peak),
-        label_bits: s.label_bits(),
+        label_bits: seam.label_bits(),
         max_table_bits: table_bits.iter().copied().max().unwrap_or(0),
         avg_table_bits: table_bits.iter().sum::<u64>() as f64 / n as f64,
         deterministic: stats == check,

@@ -2,9 +2,9 @@
 //! planes.
 //!
 //! Each of the four schemes is compiled into an immutable
-//! [`ForwardingPlane`] (one contiguous bit arena), epoch-checked against a
-//! [`Maintainer`], and then shared read-only across worker threads that
-//! drain a seeded open-loop workload:
+//! [`ForwardingPlane`] (one contiguous bit arena), epoch-checked against
+//! a [`netsim::maintain::Maintainer`], and then shared read-only across
+//! worker threads that drain a seeded open-loop workload:
 //!
 //! * **Zipf popularity** over (source, destination) pairs — pair ranks
 //!   are a seeded shuffle of all ordered pairs, sampled through an
@@ -45,21 +45,18 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use doubling_metric::{gen, Eps, MetricSpace, NodeId};
-use labeled_routing::{NetLabeled, NetLabeledPlane, ScaleFreeLabeled, ScaleFreeLabeledPlane};
-use name_independent::{
-    ScaleFreeNameIndependent, ScaleFreeNiPlane, SimpleNameIndependent, SimpleNiPlane,
-};
 use netsim::json::Value;
-use netsim::maintain::{Maintainer, MaintainerConfig};
+use netsim::maintain::MaintainerConfig;
 use netsim::plane::ForwardingPlane;
-use netsim::route::{Route, RouteError};
-use netsim::scheme::{Label, LabeledScheme, Name, NameIndependentScheme};
+use netsim::route::Route;
+use netsim::scheme::{Label, Name};
 use netsim::Naming;
-use obs::{Log2Histogram, MetricsRegistry, Telemetry};
+use obs::{Log2Histogram, MetricsRegistry, Telemetry, Tracer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 
+use crate::schemes::{self, Built};
 use crate::table::f2;
 
 /// Version of the `results/serve.json` document layout.
@@ -273,16 +270,6 @@ fn serve_cell(
     (agg, hist, wall_us)
 }
 
-/// One scheme's serving setup: its plane, its resolved query stream, and
-/// a reference closure producing the oracle route for any query.
-struct ServeScheme<'a> {
-    name: &'static str,
-    plane: &'a dyn ForwardingPlane,
-    queries: Vec<Query>,
-    #[allow(clippy::type_complexity)]
-    reference: Box<dyn Fn(NodeId, Ingress) -> Result<Route, RouteError> + 'a>,
-}
-
 /// One (scheme, workers) cell of the report.
 struct ServeCell {
     scheme: &'static str,
@@ -414,91 +401,16 @@ pub fn run_serve(
     // the maintainer epoch, and gate serving on the epoch check — the
     // serving path must refuse stale planes (see `Maintainer::check_plane`).
     let compile_span = tel.tracer.span("plane-compile");
-    let mt_nl =
-        Maintainer::new(n, NetLabeled::new(&m, eps).expect("eps ok"), MaintainerConfig::default());
-    let nl_plane = NetLabeledPlane::compile(&m, mt_nl.scheme(), Some(&naming), mt_nl.epoch());
-    mt_nl.check_plane(&nl_plane).expect("fresh plane serves");
-
-    let mt_sfl = Maintainer::new(
-        n,
-        ScaleFreeLabeled::new(&m, eps).expect("eps ok"),
-        MaintainerConfig::default(),
-    );
-    let sfl_plane =
-        ScaleFreeLabeledPlane::compile(&m, mt_sfl.scheme(), Some(&naming), mt_sfl.epoch());
-    mt_sfl.check_plane(&sfl_plane).expect("fresh plane serves");
-
-    let mt_sni = Maintainer::new(
-        n,
-        SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps ok"),
-        MaintainerConfig::default(),
-    );
-    let sni_plane = SimpleNiPlane::compile(&m, mt_sni.scheme(), mt_sni.epoch());
-    mt_sni.check_plane(&sni_plane).expect("fresh plane serves");
-
-    let mt_sfni = Maintainer::new(
-        n,
-        ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps ok"),
-        MaintainerConfig::default(),
-    );
-    let sfni_plane = ScaleFreeNiPlane::compile(&m, mt_sfni.scheme(), mt_sfni.epoch());
-    mt_sfni.check_plane(&sfni_plane).expect("fresh plane serves");
+    let served: Vec<_> = (0..schemes::COUNT)
+        .map(|i| {
+            let mt = Built::new(i, &m, eps, &naming, &Tracer::noop())
+                .maintainer(n, MaintainerConfig::default());
+            let plane = mt.scheme().compile(&m, &naming, mt.epoch());
+            mt.check_plane(plane.as_ref()).expect("fresh plane serves");
+            (schemes::SHORT_NAMES[i], mt, plane)
+        })
+        .collect();
     drop(compile_span);
-
-    // Resolve the scheme-independent workload into per-scheme streams and
-    // reference closures (the oracle the differential pass replays).
-    let resolve = |label_of: &dyn Fn(NodeId) -> Label| -> Vec<Query> {
-        workload
-            .iter()
-            .map(|&(src, dst, named)| Query {
-                src,
-                ingress: if named {
-                    Ingress::Name(naming.name_of(dst))
-                } else {
-                    Ingress::Label(label_of(dst))
-                },
-            })
-            .collect()
-    };
-    let (nl, sfl, sni, sfni) = (mt_nl.scheme(), mt_sfl.scheme(), mt_sni.scheme(), mt_sfni.scheme());
-    let schemes: Vec<ServeScheme> = vec![
-        ServeScheme {
-            name: "net-labeled",
-            plane: &nl_plane,
-            queries: resolve(&|v| nl.label_of(v)),
-            reference: Box::new(|src, ingress| match ingress {
-                Ingress::Label(l) => nl.route(&m, src, l),
-                Ingress::Name(name) => nl.route(&m, src, nl.label_of(naming.node_of(name))),
-            }),
-        },
-        ServeScheme {
-            name: "scale-free-labeled",
-            plane: &sfl_plane,
-            queries: resolve(&|v| sfl.label_of(v)),
-            reference: Box::new(|src, ingress| match ingress {
-                Ingress::Label(l) => sfl.route(&m, src, l),
-                Ingress::Name(name) => sfl.route(&m, src, sfl.label_of(naming.node_of(name))),
-            }),
-        },
-        ServeScheme {
-            name: "simple-NI",
-            plane: &sni_plane,
-            queries: resolve(&|v| sni.underlying().label_of(v)),
-            reference: Box::new(|src, ingress| match ingress {
-                Ingress::Label(l) => sni.underlying().route(&m, src, l),
-                Ingress::Name(name) => sni.route(&m, src, name),
-            }),
-        },
-        ServeScheme {
-            name: "scale-free-NI",
-            plane: &sfni_plane,
-            queries: resolve(&|v| sfni.underlying().label_of(v)),
-            reference: Box::new(|src, ingress| match ingress {
-                Ingress::Label(l) => sfni.underlying().route(&m, src, l),
-                Ingress::Name(name) => sfni.route(&m, src, name),
-            }),
-        },
-    ];
 
     let mut rows = Vec::new();
     let mut cells_json = Vec::new();
@@ -509,13 +421,27 @@ pub fn run_serve(
     let mut failures = 0u64;
     let mut total_queries = 0u64;
 
-    for s in &schemes {
+    for (name, mt, plane) in &served {
+        let (name, scheme, plane) = (*name, mt.scheme(), plane.as_ref());
+        // The scheme-independent workload, resolved into this scheme's
+        // ingress addresses.
+        let queries: Vec<Query> = workload
+            .iter()
+            .map(|&(src, dst, named)| Query {
+                src,
+                ingress: if named {
+                    Ingress::Name(naming.name_of(dst))
+                } else {
+                    Ingress::Label(scheme.label_of(dst))
+                },
+            })
+            .collect();
         let mut baseline_digest = None;
         let mut single_qps = 0.0f64;
         for &workers in &WORKER_GRID {
             let (agg, hist, wall_us) = {
                 let _sp = tel.tracer.span("serve");
-                serve_cell(&m, s.plane, &s.queries, workers, &tel.registry, s.name)
+                serve_cell(&m, plane, &queries, workers, &tel.registry, name)
             };
             let wall_s = (wall_us.max(1) as f64) / 1e6;
             let qps = agg.queries as f64 / wall_s;
@@ -530,7 +456,7 @@ pub fn run_serve(
             failures += agg.failures;
             total_queries += agg.queries;
             let cell = ServeCell {
-                scheme: s.name,
+                scheme: name,
                 workers,
                 msg_per_s: agg.hops as f64 / wall_s,
                 qps,
@@ -538,7 +464,7 @@ pub fn run_serve(
                 p50_ns: hist.p50().unwrap_or(0),
                 p99_ns: hist.p99().unwrap_or(0),
                 p999_ns: hist.p999().unwrap_or(0),
-                plane_bits: s.plane.packed_bits(),
+                plane_bits: plane.packed_bits(),
                 deterministic,
                 agg,
             };
@@ -549,24 +475,25 @@ pub fn run_serve(
         // Untimed differential pass: every query, plane vs reference.
         let _differential = tel.tracer.span("differential");
         let mut scheme_divergences = 0u64;
-        for (idx, q) in s.queries.iter().enumerate() {
-            let got = match q.ingress {
-                Ingress::Label(l) => s.plane.route(&m, q.src, l),
-                Ingress::Name(name) => s.plane.route_named(&m, q.src, name),
+        for (idx, q) in queries.iter().enumerate() {
+            let (got, want) = match q.ingress {
+                Ingress::Label(l) => (plane.route(&m, q.src, l), scheme.route_label(&m, q.src, l)),
+                Ingress::Name(nm) => {
+                    (plane.route_named(&m, q.src, nm), scheme.route_name(&m, &naming, q.src, nm))
+                }
             };
-            let want = (s.reference)(q.src, q.ingress);
             if got != want {
                 scheme_divergences += 1;
                 tel.registry.counter("serve.divergences").inc();
                 if scheme_divergences == 1 {
-                    eprintln!("divergence: scheme={} query#{idx} {:?}", s.name, q);
+                    eprintln!("divergence: scheme={name} query#{idx} {q:?}");
                 }
             }
         }
         divergences += scheme_divergences;
         verify_json.push(Value::Object(vec![
-            ("scheme".into(), s.name.into()),
-            ("queries".into(), s.queries.len().into()),
+            ("scheme".into(), name.into()),
+            ("queries".into(), queries.len().into()),
             ("divergences".into(), scheme_divergences.into()),
         ]));
     }

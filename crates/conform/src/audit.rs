@@ -18,9 +18,8 @@ use doubling_metric::provider::DistanceProvider;
 use doubling_metric::space::MetricSpace;
 use lowerbound::{game, LbParams, LowerBoundTree};
 use netsim::json::Value;
-use netsim::naming::Naming;
-use netsim::route::{Route, RouteError};
-use netsim::scheme::{Certifiable, LabeledScheme, NameIndependentScheme};
+use netsim::route::{hop_budget, Route, RouteError};
+use netsim::scheme::{Certifiable, Deliver};
 
 use crate::certificate::{Certificate, ClauseResult, Direction, Witness};
 use crate::guarantee::{Expr, Guarantee, Params};
@@ -28,12 +27,6 @@ use crate::guarantee::{Expr, Guarantee, Params};
 /// At most this many violation descriptions are kept verbatim (the total
 /// count is always exact).
 const MAX_VIOLATIONS_KEPT: usize = 8;
-
-/// Hop budget mirrored from [`netsim::route::RouteRecorder`]: exceeding it
-/// means a routing loop.
-fn hop_budget(n: usize) -> usize {
-    64 * n + 64
-}
 
 /// Outcome of the exhaustive route audit.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,30 +146,12 @@ where
 /// maxima, so the result — including the worst-pair witness and the order
 /// of kept violations — is identical at any thread count.
 ///
-/// The baseline distance comes from `m`'s dense matrix; see
-/// [`audit_routes_with`] for the backend-parameterized variant used by
-/// seeded spot audits above the exhaustive wall.
-pub fn audit_routes<F>(
-    m: &MetricSpace,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-    route_fn: F,
-) -> RouteAudit
-where
-    F: Fn(NodeId, NodeId) -> Result<Route, RouteError> + Sync,
-{
-    audit_routes_with(m, m, pairs, threads, route_fn)
-}
-
-/// [`audit_routes`] with an explicit baseline [`DistanceProvider`]: the
-/// differential oracle cross-checks every route cost against
-/// `oracle.dist` instead of the dense matrix.
-///
-/// The oracle **must be exact** — with an estimated backend a legal route
-/// could "beat" a too-high baseline and be flagged as an accounting bug.
-/// The exact on-demand backend ([`doubling_metric::OnDemandDijkstra`])
-/// is the intended choice for seeded spot audits at `n` beyond the
-/// `Θ(n²)` wall.
+/// The differential oracle cross-checks every route cost against
+/// `oracle.dist`: pass `m` itself for the dense matrix. The oracle **must
+/// be exact** — with an estimated backend a legal route could "beat" a
+/// too-high baseline and be flagged as an accounting bug. The exact
+/// on-demand backend ([`doubling_metric::OnDemandDijkstra`]) is the
+/// intended choice for seeded spot audits at `n` beyond the `Θ(n²)` wall.
 ///
 /// # Panics
 ///
@@ -249,7 +224,7 @@ pub struct TableAudit {
 /// Audits every node's table: re-prices the [`Certifiable`] enumeration
 /// and compares it with the claimed bits from `claimed` (the scheme
 /// trait's `table_bits`).
-pub fn audit_tables<C: Certifiable>(
+pub fn audit_tables<C: Certifiable + ?Sized>(
     n: usize,
     claimed: impl Fn(NodeId) -> u64,
     scheme: &C,
@@ -351,33 +326,18 @@ fn assemble(
     }
 }
 
-/// Certifies a labeled scheme against its guarantee: exhaustive route
-/// audit over `pairs`, per-node table audit, label-size and
-/// label-bijection checks.
-pub fn certify_labeled<S>(
-    m: &MetricSpace,
-    scheme: &S,
-    g: &Guarantee,
-    params: &Params,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> Certificate
-where
-    S: LabeledScheme + Certifiable + Sync,
-{
-    certify_labeled_with(m, m, scheme, g, params, pairs, threads)
-}
-
-/// [`certify_labeled`] with an explicit (exact) baseline backend for the
-/// route audit — the spot-audit path above the exhaustive wall, where the
-/// caller samples `pairs` and supplies an on-demand oracle instead of the
-/// dense matrix. Table, label and header audits are unchanged (they never
-/// touch distances).
+/// Certifies a scheme against its guarantee: a route audit over `pairs`
+/// (every route requested the way the scheme addresses destinations,
+/// its cost checked against the exact `oracle`; pass `m` for the dense
+/// matrix) and a per-node table audit. A scheme addressed by label
+/// ([`Deliver::label_bits`] is `Some`) also gets the label-size clause
+/// and the label-bijection check.
 ///
 /// # Panics
 ///
-/// As [`audit_routes_with`].
-pub fn certify_labeled_with<S>(
+/// As [`audit_routes_with`], and if `g` bounds label bits exactly when
+/// the scheme is not addressed by label.
+pub fn certify<S>(
     m: &MetricSpace,
     oracle: &dyn DistanceProvider,
     scheme: &S,
@@ -387,68 +347,31 @@ pub fn certify_labeled_with<S>(
     threads: usize,
 ) -> Certificate
 where
-    S: LabeledScheme + Certifiable + Sync,
+    S: Deliver + Certifiable + ?Sized,
 {
-    let routes = audit_routes_with(m, oracle, pairs, threads, |u, v| scheme.route_to_node(m, u, v));
+    let routes = audit_routes_with(m, oracle, pairs, threads, |u, v| scheme.route_to(m, u, v));
     let tables = audit_tables(m.n(), |u| scheme.table_bits(u), scheme);
-    let label_expr = g.label_bits.as_ref().expect("labeled guarantee must bound label bits");
-    let label_clause =
-        clause("label-bits", label_expr, params, scheme.label_bits() as f64, Direction::AtMost);
     let mut extra = Vec::new();
-    let mut labels: Vec<_> = (0..m.n() as NodeId).map(|v| scheme.label_of(v)).collect();
-    labels.sort_unstable();
-    labels.dedup();
-    if labels.len() != m.n() {
-        extra.push(format!(
-            "labels are not a bijection: {} distinct labels for {} nodes",
-            labels.len(),
-            m.n()
-        ));
-    }
-    assemble(g, scheme.scheme_name(), params, routes, tables, Some(label_clause), extra)
-}
-
-/// Certifies a name-independent scheme against its guarantee: every route
-/// is requested by the destination's *original name* under `naming`.
-pub fn certify_name_independent<S>(
-    m: &MetricSpace,
-    scheme: &S,
-    naming: &Naming,
-    g: &Guarantee,
-    params: &Params,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> Certificate
-where
-    S: NameIndependentScheme + Certifiable + Sync,
-{
-    certify_name_independent_with(m, m, scheme, naming, g, params, pairs, threads)
-}
-
-/// [`certify_name_independent`] with an explicit (exact) baseline backend
-/// for the route audit; see [`certify_labeled_with`].
-///
-/// # Panics
-///
-/// As [`audit_routes_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn certify_name_independent_with<S>(
-    m: &MetricSpace,
-    oracle: &dyn DistanceProvider,
-    scheme: &S,
-    naming: &Naming,
-    g: &Guarantee,
-    params: &Params,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> Certificate
-where
-    S: NameIndependentScheme + Certifiable + Sync,
-{
-    let routes =
-        audit_routes_with(m, oracle, pairs, threads, |u, v| scheme.route(m, u, naming.name_of(v)));
-    let tables = audit_tables(m.n(), |u| scheme.table_bits(u), scheme);
-    assemble(g, scheme.scheme_name(), params, routes, tables, None, Vec::new())
+    let label_clause = match (scheme.label_bits(), &g.label_bits) {
+        (Some(bits), Some(expr)) => {
+            let mut labels: Vec<_> =
+                (0..m.n() as NodeId).filter_map(|v| scheme.label_of(v)).collect();
+            labels.sort_unstable();
+            labels.dedup();
+            if labels.len() != m.n() {
+                extra.push(format!(
+                    "labels are not a bijection: {} distinct labels for {} nodes",
+                    labels.len(),
+                    m.n()
+                ));
+            }
+            Some(clause("label-bits", expr, params, bits as f64, Direction::AtMost))
+        }
+        (None, None) => None,
+        (Some(_), None) => panic!("labeled guarantee must bound label bits"),
+        (None, Some(_)) => panic!("a name-independent scheme has no labels to bound"),
+    };
+    assemble(g, scheme.scheme_name(), params, routes, tables, label_clause, extra)
 }
 
 /// Outcome of a post-repair spot audit: the sampled route audit plus the
@@ -473,11 +396,11 @@ impl SpotAudit {
     }
 }
 
-/// Spot-audits a scheme after an incremental repair: [`audit_routes`] over
-/// the caller-sampled (active) `pairs` and [`audit_tables`] over all
-/// physical nodes.
+/// Spot-audits a scheme after an incremental repair: [`audit_routes_with`]
+/// against `m` over the caller-sampled (active) `pairs` and
+/// [`audit_tables`] over all physical nodes.
 ///
-/// Unlike [`certify_labeled`] this does **not** require the labels to
+/// Unlike [`certify`] this does **not** require the labels to
 /// biject over all of `V` — under an active overlay, inactive nodes carry
 /// no label, so the bijection check would reject perfectly healthy
 /// repaired tables. Route delivery and table re-pricing are exactly the
@@ -494,7 +417,7 @@ where
     C: Certifiable,
     F: Fn(NodeId, NodeId) -> Result<Route, RouteError> + Sync,
 {
-    let routes = audit_routes(m, pairs, threads, route_fn);
+    let routes = audit_routes_with(m, m, pairs, threads, route_fn);
     let tables = audit_tables(m.n(), claimed, scheme);
     SpotAudit { routes, tables }
 }
@@ -544,6 +467,8 @@ mod tests {
     use super::*;
     use doubling_metric::{gen, Eps, MetricSpace};
     use labeled_routing::NetLabeled;
+    use netsim::naming::Naming;
+    use netsim::scheme::{Labeled, LabeledScheme, Named};
     use netsim::stats::all_pairs;
 
     #[test]
@@ -551,9 +476,9 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(6, 6));
         let s = NetLabeled::new(&m, Eps::one_over(8)).unwrap();
         let pairs = all_pairs(m.n());
-        let base = audit_routes(&m, &pairs, 1, |u, v| s.route_to_node(&m, u, v));
+        let base = audit_routes_with(&m, &m, &pairs, 1, |u, v| s.route_to_node(&m, u, v));
         for threads in [2, 3, 8] {
-            let alt = audit_routes(&m, &pairs, threads, |u, v| s.route_to_node(&m, u, v));
+            let alt = audit_routes_with(&m, &m, &pairs, threads, |u, v| s.route_to_node(&m, u, v));
             assert_eq!(base, alt, "audit differs at {threads} threads");
         }
         assert_eq!(base.failures, 0);
@@ -569,7 +494,7 @@ mod tests {
         let m = MetricSpace::from_shared(std::sync::Arc::clone(&g), 1);
         let s = NetLabeled::new(&m, Eps::one_over(8)).unwrap();
         let pairs = sample_pairs(m.n(), 120, 11);
-        let dense = audit_routes(&m, &pairs, 2, |u, v| s.route_to_node(&m, u, v));
+        let dense = audit_routes_with(&m, &m, &pairs, 2, |u, v| s.route_to_node(&m, u, v));
         let lazy = OnDemandDijkstra::new(g, 4);
         let spot = audit_routes_with(&m, &lazy, &pairs, 2, |u, v| s.route_to_node(&m, u, v));
         assert_eq!(dense, spot);
@@ -604,6 +529,28 @@ mod tests {
             spot_audit(&m, &s, |u| s.table_bits(u), &pairs, 2, |u, v| s.route_to_node(&m, u, v));
         assert!(audit.ok(), "violations: {:?}", audit.routes.violations);
         assert!(audit.tables.total_bits > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no labels to bound")]
+    fn a_label_bound_on_a_name_addressed_scheme_panics() {
+        use name_independent::SimpleNameIndependent;
+        let m = MetricSpace::new(&gen::grid(3, 3));
+        let eps = Eps::one_over(8);
+        let naming = Naming::identity(m.n());
+        let s = SimpleNameIndependent::new(&m, eps, naming.clone()).unwrap();
+        let p = Params::measure(&m, eps);
+        certify(&m, &m, &Named(&s, &naming), &Guarantee::lemma_3_1(), &p, &[(0, 1)], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must bound label bits")]
+    fn a_label_addressed_scheme_needs_a_label_bound() {
+        let m = MetricSpace::new(&gen::grid(3, 3));
+        let eps = Eps::one_over(8);
+        let s = NetLabeled::new(&m, eps).unwrap();
+        let p = Params::measure(&m, eps);
+        certify(&m, &m, &Labeled(&s), &Guarantee::theorem_1_4(), &p, &[(0, 1)], 1);
     }
 
     #[test]

@@ -25,21 +25,29 @@
 //! [`sabotage`] wrappers exist so the test suite can prove the checker
 //! rejects corrupted schemes instead of passing vacuously.
 //!
+//! [`audit::certify`] takes any scheme behind the
+//! [`netsim::scheme::Deliver`] seam, so one certifier covers both
+//! addressing models: a [`netsim::scheme::Labeled`] scheme also gets the
+//! label-size and label-bijection checks, a [`netsim::scheme::Named`] one
+//! is routed by original names.
+//!
 //! # Example
 //!
 //! ```rust
-//! use conform::audit::certify_labeled;
+//! use conform::audit::certify;
 //! use conform::guarantee::{Guarantee, Params};
 //! use doubling_metric::{gen, Eps, MetricSpace};
 //! use labeled_routing::NetLabeled;
+//! use netsim::scheme::Labeled;
 //! use netsim::stats::all_pairs;
 //!
 //! let m = MetricSpace::new(&gen::grid(5, 5));
 //! let eps = Eps::one_over(8);
 //! let s = NetLabeled::new(&m, eps)?;
-//! let cert = certify_labeled(
+//! let cert = certify(
 //!     &m,
-//!     &s,
+//!     &m,
+//!     &Labeled(&s),
 //!     &Guarantee::lemma_3_1(),
 //!     &Params::measure(&m, eps),
 //!     &all_pairs(m.n()),
@@ -57,9 +65,8 @@ pub mod guarantee;
 pub mod sabotage;
 
 pub use audit::{
-    audit_routes, audit_routes_with, audit_tables, certify_labeled, certify_labeled_with,
-    certify_lower_bound, certify_name_independent, certify_name_independent_with, spot_audit,
-    RouteAudit, SpotAudit, TableAudit,
+    audit_routes_with, audit_tables, certify, certify_lower_bound, spot_audit, RouteAudit,
+    SpotAudit, TableAudit,
 };
 pub use certificate::{Certificate, ClauseResult, Direction, Witness};
 pub use guarantee::{Expr, Guarantee, Params};

@@ -14,6 +14,9 @@ pub enum SchemeError {
         /// Human-readable bound, e.g. `"1/2"`.
         bound: &'static str,
     },
+    /// The graph has unreachable pairs: its diameter is infinite, so no
+    /// net scale covers it.
+    Disconnected,
 }
 
 impl fmt::Display for SchemeError {
@@ -22,6 +25,7 @@ impl fmt::Display for SchemeError {
             SchemeError::EpsTooLarge { got, bound } => {
                 write!(f, "epsilon {got} too large: this scheme requires epsilon <= {bound}")
             }
+            SchemeError::Disconnected => write!(f, "graph is disconnected: no scale covers it"),
         }
     }
 }

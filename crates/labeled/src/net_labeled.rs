@@ -21,7 +21,7 @@
 //! `(1/ε)^{O(α)}·log Δ·log n` bits per node, matching Lemma 3.1. Labels are
 //! `⌈log n⌉` bits and headers carry just the destination label.
 
-use doubling_metric::graph::NodeId;
+use doubling_metric::graph::{NodeId, INFINITY};
 use doubling_metric::nets::{ChurnBatch, NetHierarchy};
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
@@ -72,7 +72,8 @@ impl NetLabeled {
     /// # Errors
     ///
     /// Returns [`SchemeError::EpsTooLarge`] if `ε > 1/2` (the level-descent
-    /// progress argument needs `2^i ≤ 2^{i−1}/ε`).
+    /// progress argument needs `2^i ≤ 2^{i−1}/ε`), and
+    /// [`SchemeError::Disconnected`] if the graph is disconnected.
     pub fn new(m: &MetricSpace, eps: Eps) -> Result<Self, SchemeError> {
         Self::new_traced(m, eps, &Tracer::noop())
     }
@@ -90,9 +91,7 @@ impl NetLabeled {
     ///
     /// Panics if `active` is empty, has duplicates, or is out of range.
     pub fn new_over(m: &MetricSpace, eps: Eps, active: &[NodeId]) -> Result<Self, SchemeError> {
-        if !eps.mul_le(2, 1) {
-            return Err(SchemeError::EpsTooLarge { got: eps, bound: "1/2" });
-        }
+        Self::check(m, eps)?;
         let nets = NetHierarchy::new_over(m, active);
         Ok(Self::from_nets(m, eps, nets))
     }
@@ -105,16 +104,26 @@ impl NetLabeled {
     ///
     /// As [`Self::new`].
     pub fn new_traced(m: &MetricSpace, eps: Eps, tracer: &Tracer) -> Result<Self, SchemeError> {
-        if !eps.mul_le(2, 1) {
-            // 2 ≤ 1/ε  ⟺  ε ≤ 1/2
-            return Err(SchemeError::EpsTooLarge { got: eps, bound: "1/2" });
-        }
+        Self::check(m, eps)?;
         let nets = {
             let _s = tracer.span("net-hierarchy");
             NetHierarchy::new(m)
         };
         let _s = tracer.span("ring-build");
         Ok(Self::from_nets(m, eps, nets))
+    }
+
+    /// The inputs every constructor rejects: `ε > 1/2`, or a graph with
+    /// unreachable pairs.
+    fn check(m: &MetricSpace, eps: Eps) -> Result<(), SchemeError> {
+        if !eps.mul_le(2, 1) {
+            // 2 ≤ 1/ε  ⟺  ε ≤ 1/2
+            return Err(SchemeError::EpsTooLarge { got: eps, bound: "1/2" });
+        }
+        if m.diameter() == INFINITY {
+            return Err(SchemeError::Disconnected);
+        }
+        Ok(())
     }
 
     /// Shared tail of every constructor: rings for all physical nodes over

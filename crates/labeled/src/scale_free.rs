@@ -26,7 +26,7 @@
 
 use std::borrow::Cow;
 
-use doubling_metric::graph::{Dist, NodeId};
+use doubling_metric::graph::{Dist, NodeId, INFINITY};
 use doubling_metric::nets::{ChurnBatch, NetHierarchy};
 use doubling_metric::packing::Packings;
 use doubling_metric::space::MetricSpace;
@@ -131,7 +131,8 @@ impl ScaleFreeLabeled {
     ///
     /// Returns [`SchemeError::EpsTooLarge`] if `ε > 1/4` (needed so a ring
     /// hit exists at every node — see the module docs of
-    /// [`crate::net_labeled`] and Claim 4.6's `ε < 3/4` requirement).
+    /// [`crate::net_labeled`] and Claim 4.6's `ε < 3/4` requirement), and
+    /// [`SchemeError::Disconnected`] if the graph is disconnected.
     pub fn new(m: &MetricSpace, eps: Eps) -> Result<Self, SchemeError> {
         Self::new_traced(m, eps, &Tracer::noop())
     }
@@ -150,9 +151,7 @@ impl ScaleFreeLabeled {
     ///
     /// Panics if `active` is empty, has duplicates, or is out of range.
     pub fn new_over(m: &MetricSpace, eps: Eps, active: &[NodeId]) -> Result<Self, SchemeError> {
-        if !eps.mul_le(4, 1) {
-            return Err(SchemeError::EpsTooLarge { got: eps, bound: "1/4" });
-        }
+        Self::check(m, eps)?;
         let nets = NetHierarchy::new_over(m, active);
         Ok(Self::from_nets(m, eps, nets, &Tracer::noop()))
     }
@@ -168,15 +167,25 @@ impl ScaleFreeLabeled {
     ///
     /// As [`Self::new`].
     pub fn new_traced(m: &MetricSpace, eps: Eps, tracer: &Tracer) -> Result<Self, SchemeError> {
-        if !eps.mul_le(4, 1) {
-            // 4 ≤ 1/ε  ⟺  ε ≤ 1/4
-            return Err(SchemeError::EpsTooLarge { got: eps, bound: "1/4" });
-        }
+        Self::check(m, eps)?;
         let nets = {
             let _s = tracer.span("net-hierarchy");
             NetHierarchy::new(m)
         };
         Ok(Self::from_nets(m, eps, nets, tracer))
+    }
+
+    /// The inputs every constructor rejects: `ε > 1/4`, or a graph with
+    /// unreachable pairs.
+    fn check(m: &MetricSpace, eps: Eps) -> Result<(), SchemeError> {
+        if !eps.mul_le(4, 1) {
+            // 4 ≤ 1/ε  ⟺  ε ≤ 1/4
+            return Err(SchemeError::EpsTooLarge { got: eps, bound: "1/4" });
+        }
+        if m.diameter() == INFINITY {
+            return Err(SchemeError::Disconnected);
+        }
+        Ok(())
     }
 
     /// Shared tail of every constructor: everything downstream of the

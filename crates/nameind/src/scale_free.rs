@@ -248,8 +248,9 @@ impl ScaleFreeNameIndependent {
     ///
     /// # Errors
     ///
-    /// Propagates [`SchemeError::EpsTooLarge`] from the underlying
-    /// scale-free labeled scheme (`ε ≤ 1/4`).
+    /// Propagates [`SchemeError::EpsTooLarge`] (`ε ≤ 1/4`) and
+    /// [`SchemeError::Disconnected`] from the underlying scale-free labeled
+    /// scheme.
     ///
     /// # Panics
     ///

@@ -117,8 +117,8 @@ impl SimpleNameIndependent {
     ///
     /// # Errors
     ///
-    /// Propagates [`SchemeError::EpsTooLarge`] from the underlying labeled
-    /// scheme (`ε ≤ 1/2`).
+    /// Propagates [`SchemeError::EpsTooLarge`] (`ε ≤ 1/2`) and
+    /// [`SchemeError::Disconnected`] from the underlying labeled scheme.
     ///
     /// # Panics
     ///

@@ -248,6 +248,12 @@ const HOP_CAPACITY: usize = 256;
 /// that grid opens (10, on a named query).
 const SEGMENT_CAPACITY: usize = 16;
 
+/// The most hops a route on `n` nodes may take, `64·n + 64`: far above
+/// any compact scheme's worst case, so exceeding it means a loop.
+pub fn hop_budget(n: usize) -> usize {
+    64 * n + 64
+}
+
 /// Incremental builder for [`Route`], used inside scheme implementations.
 ///
 /// The recorder borrows the metric so that every movement is validated and
@@ -268,8 +274,7 @@ pub struct RouteRecorder<'m> {
 }
 
 impl<'m> RouteRecorder<'m> {
-    /// Starts a route at `src`. The default hop budget is `64·n + 64`,
-    /// far above any compact scheme's worst case; exceeding it means a loop.
+    /// Starts a route at `src`, with a budget of [`hop_budget`] hops.
     pub fn new(m: &'m MetricSpace, src: NodeId) -> Self {
         let mut hops = Vec::with_capacity(HOP_CAPACITY);
         hops.push(src);
@@ -283,7 +288,7 @@ impl<'m> RouteRecorder<'m> {
             seg_start_hops: 0,
             seg_label: "route",
             seg_level: None,
-            hop_budget: 64 * m.n() + 64,
+            hop_budget: hop_budget(m.n()),
             depth: 0,
         }
     }

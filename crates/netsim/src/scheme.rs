@@ -10,9 +10,11 @@
 //! accounting of per-node storage stays honest.
 //!
 //! The two models differ only in how a destination is addressed, so the
-//! evaluation harness ([`crate::stats`]) drives both through one seam,
-//! [`Deliver`], which routes to a destination *node*: [`Labeled`] looks up
-//! its label, [`Named`] its original name.
+//! evaluation harness ([`crate::stats`]) and the conformance certifier
+//! drive both through one seam, [`Deliver`], which routes to a destination
+//! *node*: [`Labeled`] looks up its label, [`Named`] its original name.
+//! Only [`Labeled`] answers [`Deliver::label_bits`], which is how the
+//! certifier knows to check the labels.
 
 use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
@@ -122,6 +124,18 @@ pub trait Deliver: Sync {
     ///
     /// Any error indicates a scheme bug; the paper's schemes always deliver.
     fn route_to(&self, m: &MetricSpace, src: NodeId, dst: NodeId) -> Result<Route, RouteError>;
+
+    /// The size of a routing label in bits, when destinations are
+    /// addressed by label; `None` when they are addressed by name.
+    fn label_bits(&self) -> Option<u64> {
+        None
+    }
+
+    /// The label `route_to` addresses `v` by, when destinations are
+    /// addressed by label; `None` when they are addressed by name.
+    fn label_of(&self, _v: NodeId) -> Option<Label> {
+        None
+    }
 }
 
 /// A [`LabeledScheme`] behind the [`Deliver`] seam: routes to
@@ -144,6 +158,14 @@ impl<S: LabeledScheme + Sync + ?Sized> Deliver for Labeled<'_, S> {
     fn route_to(&self, m: &MetricSpace, src: NodeId, dst: NodeId) -> Result<Route, RouteError> {
         self.0.route(m, src, self.0.label_of(dst))
     }
+
+    fn label_bits(&self) -> Option<u64> {
+        Some(self.0.label_bits())
+    }
+
+    fn label_of(&self, v: NodeId) -> Option<Label> {
+        Some(self.0.label_of(v))
+    }
 }
 
 impl<S: NameIndependentScheme + Sync + ?Sized> Deliver for Named<'_, S> {
@@ -157,5 +179,25 @@ impl<S: NameIndependentScheme + Sync + ?Sized> Deliver for Named<'_, S> {
 
     fn route_to(&self, m: &MetricSpace, src: NodeId, dst: NodeId) -> Result<Route, RouteError> {
         self.0.route(m, src, self.1.name_of(dst))
+    }
+}
+
+impl<S: Certifiable + ?Sized> Certifiable for Labeled<'_, S> {
+    fn field_widths(&self) -> FieldWidths {
+        self.0.field_widths()
+    }
+
+    fn table_components(&self, u: NodeId) -> Vec<TableComponent> {
+        self.0.table_components(u)
+    }
+}
+
+impl<S: Certifiable + ?Sized> Certifiable for Named<'_, S> {
+    fn field_widths(&self) -> FieldWidths {
+        self.0.field_widths()
+    }
+
+    fn table_components(&self, u: NodeId) -> Vec<TableComponent> {
+        self.0.table_components(u)
     }
 }

@@ -10,15 +10,14 @@
 
 use proptest::prelude::*;
 
-use conform::{
-    certify_labeled, certify_name_independent, BitWiden, Guarantee, NextHopSwap, Params,
-};
+use conform::{certify, BitWiden, Guarantee, NextHopSwap, Params};
 use doubling_metric::graph::{Graph, GraphBuilder};
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::naming::Naming;
+use netsim::scheme::{Labeled, Named};
 use netsim::stats::all_pairs;
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -63,22 +62,22 @@ proptest! {
         let p = Params::measure(&m, eps);
 
         let nl = NetLabeled::new(&m, eps).expect("eps within range");
-        let cert = certify_labeled(&m, &nl, &Guarantee::lemma_3_1(), &p, &pairs, 2);
+        let cert = certify(&m, &m, &Labeled(&nl), &Guarantee::lemma_3_1(), &p, &pairs, 2);
         prop_assert!(cert.pass(), "lemma-3.1 failed: {:?}", cert.violations);
 
         let sfl = ScaleFreeLabeled::new(&m, eps).expect("eps within range");
-        let cert = certify_labeled(&m, &sfl, &Guarantee::theorem_1_2(), &p, &pairs, 2);
+        let cert = certify(&m, &m, &Labeled(&sfl), &Guarantee::theorem_1_2(), &p, &pairs, 2);
         prop_assert!(cert.pass(), "theorem 1.2 failed: {:?}", cert.violations);
 
         let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-        let cert =
-            certify_name_independent(&m, &sni, &naming, &Guarantee::theorem_1_4(), &p, &pairs, 2);
+        let g = Guarantee::theorem_1_4();
+        let cert = certify(&m, &m, &Named(&sni, &naming), &g, &p, &pairs, 2);
         prop_assert!(cert.pass(), "theorem 1.4 failed: {:?}", cert.violations);
 
         let sfni =
             ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-        let cert =
-            certify_name_independent(&m, &sfni, &naming, &Guarantee::theorem_1_1(), &p, &pairs, 2);
+        let g = Guarantee::theorem_1_1();
+        let cert = certify(&m, &m, &Named(&sfni, &naming), &g, &p, &pairs, 2);
         prop_assert!(cert.pass(), "theorem 1.1 failed: {:?}", cert.violations);
     }
 
@@ -94,9 +93,10 @@ proptest! {
         let eps = Eps::one_over(8);
         let nl = NetLabeled::new(&m, eps).expect("eps within range");
         let bad = BitWiden { inner: &nl, node: (node_pick % m.n()) as u32, extra_bits: extra };
-        let cert = certify_labeled(
+        let cert = certify(
             &m,
-            &bad,
+            &m,
+            &Labeled(&bad),
             &Guarantee::lemma_3_1(),
             &Params::measure(&m, eps),
             &all_pairs(m.n()),
@@ -127,7 +127,7 @@ fn swapped_next_hop_fails_route_oracle() {
 
     let nl = NetLabeled::new(&m, eps).expect("eps within range");
     let bad = NextHopSwap { inner: &nl, pair };
-    let cert = certify_labeled(&m, &bad, &Guarantee::lemma_3_1(), &p, &pairs, 2);
+    let cert = certify(&m, &m, &Labeled(&bad), &Guarantee::lemma_3_1(), &p, &pairs, 2);
     assert!(!cert.pass(), "corrupted labeled route must not certify");
     assert!(
         cert.violations.iter().any(|v| v.contains("replay") || v.contains("end")),
@@ -138,8 +138,7 @@ fn swapped_next_hop_fails_route_oracle() {
     let naming = Naming::random(m.n(), 3);
     let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
     let bad = NextHopSwap { inner: &sni, pair };
-    let cert =
-        certify_name_independent(&m, &bad, &naming, &Guarantee::theorem_1_4(), &p, &pairs, 2);
+    let cert = certify(&m, &m, &Named(&bad, &naming), &Guarantee::theorem_1_4(), &p, &pairs, 2);
     assert!(!cert.pass(), "corrupted name-independent route must not certify");
     assert!(cert.violation_count > 0);
 }
@@ -154,10 +153,10 @@ fn honest_grid_baseline_certifies() {
     let p = Params::measure(&m, eps);
 
     let nl = NetLabeled::new(&m, eps).expect("eps within range");
-    assert!(certify_labeled(&m, &nl, &Guarantee::lemma_3_1(), &p, &pairs, 2).pass());
+    assert!(certify(&m, &m, &Labeled(&nl), &Guarantee::lemma_3_1(), &p, &pairs, 2).pass());
 
     let naming = Naming::random(m.n(), 3);
     let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-    assert!(certify_name_independent(&m, &sni, &naming, &Guarantee::theorem_1_4(), &p, &pairs, 2)
-        .pass());
+    let g = Guarantee::theorem_1_4();
+    assert!(certify(&m, &m, &Named(&sni, &naming), &g, &p, &pairs, 2).pass());
 }

@@ -1,13 +1,15 @@
 //! Non-unit-fraction ε values (2/7, 3/16, 5/32, …) exercise every exact
 //! cross-multiplied comparison in the stack; all schemes must keep their
-//! guarantees for any rational ε in range.
+//! guarantees for any rational ε in range. Out of range, and on a graph
+//! with unreachable pairs, every constructor returns an error instead.
 
+use compact_routing::metric::graph::GraphBuilder;
 use compact_routing::netsim::scheme::{Labeled, Named};
 use compact_routing::netsim::stats::{eval, sample_pairs};
 use compact_routing::{gen, Eps, MetricSpace, Naming};
 use compact_routing::{
     LabeledScheme, NameIndependentScheme, NetLabeled, ScaleFreeLabeled, ScaleFreeNameIndependent,
-    SimpleNameIndependent,
+    SchemeError, SimpleNameIndependent,
 };
 
 #[test]
@@ -66,6 +68,22 @@ fn boundary_eps_values() {
     // Just above the bounds: rejected.
     assert!(NetLabeled::new(&m, Eps::new(33, 64).unwrap()).is_err());
     assert!(ScaleFreeLabeled::new(&m, Eps::new(17, 64).unwrap()).is_err());
+}
+
+#[test]
+fn disconnected_graphs_are_rejected_by_every_constructor() {
+    // 0-1-2-3 and 4-5-6: the diameter is infinite, so no scale covers it.
+    let mut b = GraphBuilder::new(7);
+    for (u, v, w) in [(0, 1, 1), (1, 2, 1), (2, 3, 2), (4, 5, 1), (5, 6, 1)] {
+        b.edge(u, v, w).unwrap();
+    }
+    let m = MetricSpace::new(&b.build_any().unwrap());
+    let (eps, naming) = (Eps::one_over(4), Naming::identity(m.n()));
+    let want = Some(SchemeError::Disconnected);
+    assert_eq!(NetLabeled::new(&m, eps).err(), want);
+    assert_eq!(ScaleFreeLabeled::new(&m, eps).err(), want);
+    assert_eq!(SimpleNameIndependent::new(&m, eps, naming.clone()).err(), want);
+    assert_eq!(ScaleFreeNameIndependent::new(&m, eps, naming).err(), want);
 }
 
 #[test]
