@@ -215,6 +215,12 @@ impl Packings {
     pub fn iter(&self) -> impl Iterator<Item = &BallPacking> {
         self.packings.iter()
     }
+
+    /// The packings `ℬ_0, …, ℬ_{⌈log₂ n⌉}`, indexed by `j`.
+    #[inline]
+    pub fn as_slice(&self) -> &[BallPacking] {
+        &self.packings
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //!
 //! A name-independent scheme must deliver a packet given only the
 //! destination's *arbitrary original name* (not a designer-chosen label).
-//! Both schemes here follow the same two-layer recipe (Section 3):
+//! Both schemes follow the same two-layer recipe (Section 3):
 //!
 //! 1. An **underlying labeled scheme** provides `(1+O(ε))`-stretch routing
 //!    once the destination's label is known.
@@ -16,18 +16,29 @@
 //!    `j` yields total cost `(9 + O(ε))·d(u, v)` (**Lemma 3.4**) — and
 //!    stretch 9 is optimal by the paper's Theorem 1.3.
 //!
-//! * [`simple::SimpleNameIndependent`] (**Theorem 1.4**) keeps one search
-//!   tree per net point per level — `(1/ε)^{O(α)}·log Δ·log n` bits per
-//!   node, `O(log n)` headers; not scale-free.
-//! * [`scale_free::ScaleFreeNameIndependent`] (**Theorem 1.1**) replaces
-//!   most per-level search trees with shared trees over the ball packings
-//!   `ℬ_j` (Section 3.3): a ball `B_u(2^i/ε)` whose contents are already
-//!   indexed by a packed ball's tree stores only a link `H(u, i)` to that
-//!   ball (**Algorithm 4** redirects the search through the link). Claims
-//!   3.6–3.9 bound the storage at `(1/ε)^{O(α)}·log³ n` bits — independent
-//!   of Δ. Together with the matching lower bound this is the first
-//!   optimal-stretch scale-free name-independent compact routing scheme
-//!   for doubling networks.
+//! Theorem 1.1 differs from Theorem 1.4 only in its labeled layer and in
+//! replacing a round's own tree with a link to a packed ball's tree, so
+//! one scheme is written once, [`NameIndependent<U>`], generic over its
+//! underlying labeled scheme ([`UnderlyingScheme`]), with two instances:
+//!
+//! * [`ScaleFreeNameIndependent`] = `NameIndependent<ScaleFreeLabeled>`
+//!   (**Theorem 1.1**) replaces most per-level search trees with shared
+//!   trees over the ball packings `ℬ_j` (Section 3.3): a ball
+//!   `B_u(2^i/ε)` whose contents are already indexed by a packed ball's
+//!   tree stores only a link `H(u, i)` to that ball (**Algorithm 4**
+//!   redirects the search through the link). Claims 3.6–3.9 bound the
+//!   storage at `(1/ε)^{O(α)}·log³ n` bits — independent of Δ. Together
+//!   with the matching lower bound this is the first optimal-stretch
+//!   scale-free name-independent compact routing scheme for doubling
+//!   networks.
+//! * [`SimpleNameIndependent`] = `NameIndependent<NetLabeled>`
+//!   (**Theorem 1.4**): `NetLabeled` packs no balls, so no round links
+//!   and the scheme keeps one search tree per net point per level —
+//!   `(1/ε)^{O(α)}·log Δ·log n` bits per node, `O(log n)` headers; not
+//!   scale-free.
+//!
+//! Both route by the one Algorithm 3 loop ([`view::route_named`]) and
+//! compile into one plane type ([`NiPlane`]).
 
 #![warn(missing_docs)]
 
@@ -40,7 +51,7 @@ pub mod view;
 
 pub use objects::ObjectDirectory;
 pub use plane::{NiPlane, ScaleFreeNiPlane, SimpleNiPlane};
-pub use scale_free::ScaleFreeNameIndependent;
+pub use scale_free::{NameIndependent, ScaleFreeNameIndependent, UnderlyingScheme};
 pub use simple::SimpleNameIndependent;
 pub use view::{Facility, NameIndependentView};
 

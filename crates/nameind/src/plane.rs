@@ -25,23 +25,27 @@
 use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
 
-use labeled_routing::{LabeledView, NetLabeledPlane, ScaleFreeLabeledPlane};
+use labeled_routing::{
+    LabeledView, NetLabeled, NetLabeledPlane, ScaleFreeLabeled, ScaleFreeLabeledPlane,
+};
 use netsim::bits::{bits_for_count, FieldWidths};
 use netsim::plane::{
     push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane, SMALL_FIELD_BITS,
 };
 use netsim::route::{Route, RouteError};
 use netsim::scheme::{Label, Name};
-use searchtree::{PackedSearchTree, PackedTreeView, PackedTreeWidths, SearchTree, U32Codec};
+use searchtree::{PackedSearchTree, PackedTreeView, PackedTreeWidths, U32Codec};
 
+use crate::scale_free::{NameIndependent, UnderlyingScheme};
 use crate::view::{route_named, Facility, NameIndependentView};
+#[cfg(test)]
 use crate::{ScaleFreeNameIndependent, SimpleNameIndependent};
 
-/// The labeled plane an [`NiPlane`] wraps, which also fixes which of the
-/// two name-independent schemes sits on top of it.
+/// The labeled plane an [`NiPlane`] wraps, which also fixes which
+/// name-independent scheme sits on top of it.
 pub trait NiUnderlying: ForwardingPlane + LabeledView {
-    /// The name-independent plane's [`ForwardingPlane::plane_name`].
-    const NAME: &'static str;
+    /// The labeled scheme this plane packs.
+    type Scheme: UnderlyingScheme<Plane = Self>;
 
     /// Whether the layer packs ℬ-type trees and `H(y, k)` links (the
     /// scale-free scheme) or only own trees (the simple scheme).
@@ -49,12 +53,12 @@ pub trait NiUnderlying: ForwardingPlane + LabeledView {
 }
 
 impl NiUnderlying for NetLabeledPlane {
-    const NAME: &'static str = "simple-name-independent";
+    type Scheme = NetLabeled;
     const LINKS: bool = false;
 }
 
 impl NiUnderlying for ScaleFreeLabeledPlane {
-    const NAME: &'static str = "scale-free-name-independent";
+    type Scheme = ScaleFreeLabeled;
     const LINKS: bool = true;
 }
 
@@ -83,8 +87,8 @@ pub struct NiPlane<L> {
     facility: Vec<Vec<PackedFacility>>,
 }
 
-/// The [`SimpleNameIndependent`] scheme compiled into a bit arena, layered
-/// over a packed [`NetLabeledPlane`].
+/// The [`SimpleNameIndependent`](crate::SimpleNameIndependent) scheme
+/// compiled into a bit arena, layered over a packed [`NetLabeledPlane`].
 ///
 /// # Examples
 ///
@@ -101,40 +105,26 @@ pub struct NiPlane<L> {
 /// ```
 pub type SimpleNiPlane = NiPlane<NetLabeledPlane>;
 
-/// The [`ScaleFreeNameIndependent`] scheme compiled into a bit arena,
-/// layered over a packed [`ScaleFreeLabeledPlane`].
+/// The [`ScaleFreeNameIndependent`](crate::ScaleFreeNameIndependent)
+/// scheme compiled into a bit arena, layered over a packed
+/// [`ScaleFreeLabeledPlane`].
 pub type ScaleFreeNiPlane = NiPlane<ScaleFreeLabeledPlane>;
 
-impl SimpleNiPlane {
-    /// Compiles `s` (and its underlying labeled scheme) at epoch `epoch`.
-    pub fn compile(m: &MetricSpace, s: &SimpleNameIndependent, epoch: u64) -> Self {
-        let underlying = NetLabeledPlane::compile(m, s.underlying(), None, epoch);
-        Self::decode(Self::pack(m, s, &[], epoch), underlying)
-    }
-}
-
-impl ScaleFreeNiPlane {
-    /// Compiles `s` (and its underlying labeled scheme) at epoch `epoch`.
-    pub fn compile(m: &MetricSpace, s: &ScaleFreeNameIndependent, epoch: u64) -> Self {
-        let underlying = ScaleFreeLabeledPlane::compile(m, s.underlying(), None, epoch);
-        let pools: Vec<_> = (0..=s.underlying().log2_n()).map(|j| s.btrees_at(j)).collect();
-        Self::decode(Self::pack(m, s, &pools, epoch), underlying)
-    }
-}
-
 impl<L: NiUnderlying> NiPlane<L> {
-    /// Packs the name-resolution layer of `s` (with ℬ-type `pools` when
+    /// Compiles `s` (and its underlying labeled scheme) at epoch `epoch`.
+    pub fn compile(m: &MetricSpace, s: &NameIndependent<L::Scheme>, epoch: u64) -> Self {
+        let underlying = s.underlying().compile(m, epoch);
+        Self::decode(Self::pack(m, s, epoch), underlying)
+    }
+
+    /// Packs the name-resolution layer of `s` (with its ℬ-type trees when
     /// `L::LINKS`) into its own arena.
-    fn pack<S: 'static + for<'a> NameIndependentView<Tree<'a> = &'a SearchTree<Label>>>(
-        m: &MetricSpace,
-        s: &S,
-        pools: &[&[SearchTree<Label>]],
-        epoch: u64,
-    ) -> BitArena {
+    fn pack(m: &MetricSpace, s: &NameIndependent<L::Scheme>, epoch: u64) -> BitArena {
         let n = m.n();
         let widths = FieldWidths::new(m);
         let (node, cnt) = (widths.node, bits_for_count(n as u64 + 1));
         let nrounds = s.round_count();
+        let npools = s.underlying().ball_packings().len() as u32;
         let (codec, tw) = (U32Codec { width: node }, PackedTreeWidths { key: node, cnt, node });
 
         let mut arena = BitArena::new();
@@ -143,7 +133,7 @@ impl<L: NiUnderlying> NiPlane<L> {
         arena.push(epoch, 64);
         arena.push(nrounds as u64, SMALL_FIELD_BITS);
         if L::LINKS {
-            arena.push(pools.len() as u64 - 1, SMALL_FIELD_BITS);
+            arena.push(u64::from(npools) - 1, SMALL_FIELD_BITS);
         }
         for u in 0..n as NodeId {
             arena.push(s.name_at(u) as u64, node);
@@ -153,9 +143,9 @@ impl<L: NiUnderlying> NiPlane<L> {
                 arena.push(j as u64, cnt);
             }
         }
-        for pool in pools {
+        for pool in (0..npools).map(|j| s.btrees_at(j)) {
             arena.push(pool.len() as u64, cnt);
-            for t in *pool {
+            for t in pool {
                 PackedSearchTree::encode(&mut arena, t, &codec, tw);
             }
         }
@@ -224,7 +214,7 @@ impl<L: NiUnderlying> NiPlane<L> {
                     .collect()
             })
             .collect();
-        cur.finish(L::NAME);
+        cur.finish(<L::Scheme as UnderlyingScheme>::NAME);
         NiPlane { underlying, arena, epoch, n, node, cnt, node_off, btrees, facility }
     }
 
@@ -279,7 +269,7 @@ impl<L: NiUnderlying> NameIndependentView for NiPlane<L> {
 
 impl<L: NiUnderlying> ForwardingPlane for NiPlane<L> {
     fn plane_name(&self) -> &'static str {
-        L::NAME
+        <L::Scheme as UnderlyingScheme>::NAME
     }
 
     fn epoch(&self) -> u64 {

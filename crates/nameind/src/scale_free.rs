@@ -1,5 +1,6 @@
-//! The scale-free name-independent scheme — **Theorem 1.1**, Section 3.3
-//! of the paper.
+//! The name-independent scheme, written once over its underlying labeled
+//! scheme — **Theorem 1.1**, Section 3.3 of the paper, and with no packed
+//! balls to link to **Theorem 1.4** (Sections 3.1–3.2).
 //!
 //! The simpler scheme's `log Δ` factor comes from keeping a search tree for
 //! *every* ball `B_u(2^i/ε)`, `u ∈ Y_i`, `i ∈ [log Δ]`. The scale-free
@@ -24,14 +25,22 @@
 //! or detour to the linked ball's center, search its ℬ-tree, and return.
 //! Either way the search covers `B_{u(i_k)}(ρ_k)` at cost `≈ 2ρ_k(1+O(ε))`,
 //! so Lemma 3.4's `(9+O(ε))` stretch argument applies unchanged.
+//!
+//! [`NameIndependent`] takes the underlying labeled scheme as a parameter
+//! ([`UnderlyingScheme`]). Over [`ScaleFreeLabeled`] it is Theorem 1.1's
+//! [`ScaleFreeNameIndependent`]. [`NetLabeled`] packs no balls, so no
+//! round links and every facility is an own tree `T(y, ρ_k)`: that
+//! instance is Theorem 1.4's [`crate::SimpleNameIndependent`].
 
 use doubling_metric::graph::{Dist, NodeId};
-use doubling_metric::nets::ChurnBatch;
-use doubling_metric::packing::PackedBall;
+use doubling_metric::nets::{ChurnBatch, NetHierarchy};
+use doubling_metric::packing::{BallPacking, PackedBall};
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 
-use labeled_routing::{ScaleFreeLabeled, SchemeError};
+use labeled_routing::{
+    LabeledView, NetLabeled, NetLabeledPlane, ScaleFreeLabeled, ScaleFreeLabeledPlane, SchemeError,
+};
 use netsim::bits::{BitTally, FieldWidths, TableComponent};
 use netsim::maintain::{Maintainable, RepairStats};
 use netsim::naming::Naming;
@@ -40,26 +49,141 @@ use netsim::scheme::{Certifiable, Label, LabeledScheme, Name, NameIndependentSch
 use obs::Tracer;
 use searchtree::{SearchTree, SearchTreeConfig};
 
+use crate::plane::NiUnderlying;
 use crate::rounds::Rounds;
 use crate::view::{self, route_named, NameIndependentView};
 
+/// The labeled scheme a [`NameIndependent`] scheme routes over: its
+/// constructors, its net hierarchy, the ball packings a round may link
+/// to, and its packed plane.
+pub trait UnderlyingScheme:
+    LabeledScheme + LabeledView + Certifiable + Maintainable + Clone
+{
+    /// The name-independent scheme's name over this layer: its
+    /// [`NameIndependentScheme::scheme_name`], its
+    /// [`Maintainable::maintain_name`] and its plane's name.
+    const NAME: &'static str;
+
+    /// The packed plane the scheme compiles to.
+    type Plane: NiUnderlying<Scheme = Self>;
+
+    /// Builds the scheme over every node, with its preprocessing phases
+    /// recorded into `tracer`.
+    ///
+    /// # Errors
+    ///
+    /// [`SchemeError::EpsTooLarge`] and [`SchemeError::Disconnected`].
+    fn new_traced(m: &MetricSpace, eps: Eps, tracer: &Tracer) -> Result<Self, SchemeError>;
+
+    /// Builds the scheme over the active overlay `active`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::new_traced`].
+    fn new_over(m: &MetricSpace, eps: Eps, active: &[NodeId]) -> Result<Self, SchemeError>;
+
+    /// The `ε` the scheme was built with.
+    fn eps(&self) -> Eps;
+
+    /// The net hierarchy the labels come from.
+    fn nets(&self) -> &NetHierarchy;
+
+    /// The ball packings `ℬ_0, …, ℬ_{⌈log₂ n⌉}` whose ℬ-type trees a round
+    /// may link to; empty when the layer packs no balls.
+    fn ball_packings(&self) -> &[BallPacking];
+
+    /// Compiles the scheme, without a naming, into its plane at `epoch`.
+    fn compile(&self, m: &MetricSpace, epoch: u64) -> Self::Plane;
+}
+
+impl UnderlyingScheme for NetLabeled {
+    const NAME: &'static str = "simple-name-independent";
+    type Plane = NetLabeledPlane;
+
+    fn new_traced(m: &MetricSpace, eps: Eps, tracer: &Tracer) -> Result<Self, SchemeError> {
+        NetLabeled::new_traced(m, eps, tracer)
+    }
+
+    fn new_over(m: &MetricSpace, eps: Eps, active: &[NodeId]) -> Result<Self, SchemeError> {
+        NetLabeled::new_over(m, eps, active)
+    }
+
+    #[inline]
+    fn eps(&self) -> Eps {
+        NetLabeled::eps(self)
+    }
+
+    #[inline]
+    fn nets(&self) -> &NetHierarchy {
+        NetLabeled::nets(self)
+    }
+
+    #[inline]
+    fn ball_packings(&self) -> &[BallPacking] {
+        &[]
+    }
+
+    fn compile(&self, m: &MetricSpace, epoch: u64) -> NetLabeledPlane {
+        NetLabeledPlane::compile(m, self, None, epoch)
+    }
+}
+
+impl UnderlyingScheme for ScaleFreeLabeled {
+    const NAME: &'static str = "scale-free-name-independent";
+    type Plane = ScaleFreeLabeledPlane;
+
+    fn new_traced(m: &MetricSpace, eps: Eps, tracer: &Tracer) -> Result<Self, SchemeError> {
+        ScaleFreeLabeled::new_traced(m, eps, tracer)
+    }
+
+    fn new_over(m: &MetricSpace, eps: Eps, active: &[NodeId]) -> Result<Self, SchemeError> {
+        ScaleFreeLabeled::new_over(m, eps, active)
+    }
+
+    #[inline]
+    fn eps(&self) -> Eps {
+        ScaleFreeLabeled::eps(self)
+    }
+
+    #[inline]
+    fn nets(&self) -> &NetHierarchy {
+        ScaleFreeLabeled::nets(self)
+    }
+
+    #[inline]
+    fn ball_packings(&self) -> &[BallPacking] {
+        self.packings().as_slice()
+    }
+
+    fn compile(&self, m: &MetricSpace, epoch: u64) -> ScaleFreeLabeledPlane {
+        ScaleFreeLabeledPlane::compile(m, self, None, epoch)
+    }
+}
+
 /// The `(name, label)` pairs for the given (active) nodes. Keys are names,
 /// so the store order is irrelevant.
-fn pairs_for(
+fn pairs_for<U: UnderlyingScheme>(
     naming: &Naming,
-    underlying: &ScaleFreeLabeled,
+    underlying: &U,
     nodes: &[NodeId],
 ) -> Vec<(Name, Label)> {
     nodes.iter().map(|&v| (naming.name_of(v), underlying.label_of(v))).collect()
 }
 
+/// `r_c(j+2)`: the radius of the ball whose pairs the ℬ-type tree of the
+/// packed ball centered at `c` in `ℬ_j` stores.
+#[inline]
+fn indexed_radius(m: &MetricSpace, c: NodeId, j: u32) -> Dist {
+    m.r_small(c, (j + 2).min(m.log2_n()))
+}
+
 /// The pairs a ℬ-type tree stores: the active part of `B_c(r_big)` — empty
 /// when the ball's center itself is inactive (the tree is a stub that no
 /// `H(y, k)` link may target).
-fn btree_pairs(
+fn btree_pairs<U: UnderlyingScheme>(
     m: &MetricSpace,
     naming: &Naming,
-    underlying: &ScaleFreeLabeled,
+    underlying: &U,
     c: NodeId,
     r_big: Dist,
 ) -> Vec<(Name, Label)> {
@@ -75,16 +199,18 @@ fn btree_pairs(
 /// single-node stub (kept so `btrees[j]` indices track the physical
 /// packing); an active center gets the active part of the ball's nodes as
 /// skeleton and the active part of `B_c(r_big)` as pairs.
-fn build_btree(
+fn build_btree<U: UnderlyingScheme>(
     m: &MetricSpace,
-    eps: Eps,
     naming: &Naming,
-    underlying: &ScaleFreeLabeled,
+    underlying: &U,
     ball: &PackedBall,
     r_big: Dist,
 ) -> SearchTree<Label> {
     let c = ball.center;
-    let config = SearchTreeConfig { eps_r: eps.mul_floor(ball.radius).max(1), max_levels: None };
+    let config = SearchTreeConfig {
+        eps_r: underlying.eps().mul_floor(ball.radius).max(1),
+        max_levels: None,
+    };
     if !underlying.nets().is_active(c) {
         return SearchTree::new(m, c, &[c], config, Vec::new());
     }
@@ -94,13 +220,12 @@ fn build_btree(
     SearchTree::new(m, c, &skeleton, config, pairs)
 }
 
-/// Builds the own 𝒜-type tree of a round host over the active part of
-/// `B_y(rho)`.
-fn build_own_tree(
+/// Builds the own 𝒜-type tree `T(y, ρ)` of a round host over the active
+/// part of `B_y(rho)`.
+fn build_own_tree<U: UnderlyingScheme>(
     m: &MetricSpace,
-    eps: Eps,
     naming: &Naming,
-    underlying: &ScaleFreeLabeled,
+    underlying: &U,
     y: NodeId,
     rho: Dist,
 ) -> SearchTree<Label> {
@@ -111,7 +236,7 @@ fn build_own_tree(
         m,
         y,
         &ball,
-        SearchTreeConfig { eps_r: eps.mul_floor(rho).max(1), max_levels: None },
+        SearchTreeConfig { eps_r: underlying.eps().mul_floor(rho).max(1), max_levels: None },
         pairs,
     )
 }
@@ -123,7 +248,9 @@ fn build_own_tree(
 ///   (2) d(y,c) + ρ_k ≤ r_c(j+2)
 ///       [y's search ball inside the indexed ball]
 /// Returns `d(y, c)` when both hold. Activity of the center is the
-/// caller's check.
+/// caller's check. Inlined into the facility loop, which each instance
+/// of the generic scheme compiles in its own crate.
+#[inline]
 fn link_distance(
     m: &MetricSpace,
     y: NodeId,
@@ -131,38 +258,33 @@ fn link_distance(
     s_host: Dist,
     b: &PackedBall,
     j: u32,
-    log2_n: u32,
 ) -> Option<Dist> {
     let d = m.dist(y, b.center);
     if d.saturating_add(b.radius) > rho.saturating_add(s_host) {
         return None;
     }
-    let r_big = m.r_small(b.center, (j + 2).min(log2_n));
-    (d.saturating_add(rho) <= r_big).then_some(d)
+    (d.saturating_add(rho) <= indexed_radius(m, b.center, j)).then_some(d)
 }
 
 /// Decides the facility of round host `y`: the qualifying packed ball
 /// with an *active* center and the least `(j, d(y, c), c)`, or an own
 /// 𝒜-type tree when none qualifies.
-#[allow(clippy::too_many_arguments)]
-fn compute_facility(
+fn compute_facility<U: UnderlyingScheme>(
     m: &MetricSpace,
-    eps: Eps,
     naming: &Naming,
-    underlying: &ScaleFreeLabeled,
+    underlying: &U,
     y: NodeId,
     rho: Dist,
     s_host: Dist,
-    log2_n: u32,
 ) -> Facility {
-    for j in 0..=log2_n {
-        let packing = underlying.packings().at(j);
+    let nets = underlying.nets();
+    for (packing, j) in underlying.ball_packings().iter().zip(0..) {
         let mut best: Option<(u64, NodeId, u32)> = None;
         for (bk, b) in packing.balls().iter().enumerate() {
-            if !underlying.nets().is_active(b.center) {
+            if !nets.is_active(b.center) {
                 continue;
             }
-            let Some(d) = link_distance(m, y, rho, s_host, b, j, log2_n) else {
+            let Some(d) = link_distance(m, y, rho, s_host, b, j) else {
                 continue;
             };
             if best.is_none_or(|(bd, bc, _)| (d, b.center) < (bd, bc)) {
@@ -173,34 +295,35 @@ fn compute_facility(
             return Facility::Link { j, ball: bk };
         }
     }
-    Facility::Own(Box::new(build_own_tree(m, eps, naming, underlying, y, rho)))
+    Facility::Own(Box::new(build_own_tree(m, naming, underlying, y, rho)))
 }
 
-/// Per-node search-tree storage shares (ℬ-type + own 𝒜-type), recomputed
-/// wholesale after any tree change.
-fn compute_search_bits(
-    n: usize,
+/// Per-node storage shares, recomputed wholesale after any tree change:
+/// each node's search-tree bits (ℬ-type and own 𝒜-type trees) and the
+/// number of `H(y, k)` links it stores as a round host.
+fn compute_shares(
+    m: &MetricSpace,
     widths: FieldWidths,
+    nets: &NetHierarchy,
+    rounds: &Rounds,
     btrees: &[Vec<SearchTree<Label>>],
     facility: &[Vec<Facility>],
-) -> Vec<u64> {
-    let mut search_bits = vec![0u64; n];
+) -> (Vec<u64>, Vec<u32>) {
+    let mut search_bits = vec![0u64; m.n()];
+    let mut links = vec![0u32; m.n()];
     let mut tally = |tree: &SearchTree<Label>| {
         tree.add_storage_bits(&mut search_bits, widths.node, widths.node, |_| widths.node)
     };
-    for level in btrees {
-        for tree in level {
-            tally(tree);
-        }
-    }
-    for level in facility {
-        for f in level {
-            if let Facility::Own(tree) = f {
-                tally(tree);
+    btrees.iter().flatten().for_each(&mut tally);
+    for (k, level) in facility.iter().enumerate() {
+        for (&y, f) in nets.level(rounds.host_level(k)).iter().zip(level) {
+            match f {
+                Facility::Own(tree) => tally(tree),
+                Facility::Link { .. } => links[y as usize] += 1,
             }
         }
     }
-    search_bits
+    (search_bits, links)
 }
 
 /// Per-(round, net point) search facility: own 𝒜-type tree, or a link to a
@@ -211,6 +334,24 @@ enum Facility {
     Own(Box<SearchTree<Label>>),
     /// `H(y, k)`: redirect to the ℬ-type tree of ball `ball` in `ℬ_j`.
     Link { j: u32, ball: u32 },
+}
+
+/// The `(9+O(ε))`-stretch name-independent scheme over the underlying
+/// labeled scheme `U`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NameIndependent<U> {
+    underlying: U,
+    naming: Naming,
+    widths: FieldWidths,
+    rounds: Rounds,
+    /// `btrees[j][k]` = ℬ-type search tree of ball `k` in `ℬ_j`.
+    btrees: Vec<Vec<SearchTree<Label>>>,
+    /// `facility[k][j]` for the `j`-th member of round `k`'s hosting level.
+    facility: Vec<Vec<Facility>>,
+    /// Per-node search-tree storage share (bits).
+    search_bits: Vec<u64>,
+    /// Per-node count of the `H(y, k)` links it stores.
+    links: Vec<u32>,
 }
 
 /// The `(9+O(ε))`-stretch scale-free name-independent scheme.
@@ -229,28 +370,16 @@ enum Facility {
 /// assert_eq!(route.dst, naming.node_of(11));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScaleFreeNameIndependent {
-    underlying: ScaleFreeLabeled,
-    naming: Naming,
-    widths: FieldWidths,
-    rounds: Rounds,
-    /// `btrees[j][k]` = ℬ-type search tree of ball `k` in `ℬ_j`.
-    btrees: Vec<Vec<SearchTree<Label>>>,
-    /// `facility[k][j]` for the `j`-th member of round `k`'s hosting level.
-    facility: Vec<Vec<Facility>>,
-    /// Per-node search-tree storage share (bits).
-    search_bits: Vec<u64>,
-}
+pub type ScaleFreeNameIndependent = NameIndependent<ScaleFreeLabeled>;
 
-impl ScaleFreeNameIndependent {
-    /// Preprocesses the scheme.
+impl<U: UnderlyingScheme> NameIndependent<U> {
+    /// Preprocesses the scheme over `m` with the adversarial `naming`.
     ///
     /// # Errors
     ///
-    /// Propagates [`SchemeError::EpsTooLarge`] (`ε ≤ 1/4`) and
-    /// [`SchemeError::Disconnected`] from the underlying scale-free labeled
-    /// scheme.
+    /// Propagates [`SchemeError::EpsTooLarge`] (`ε ≤ 1/2` over
+    /// [`NetLabeled`], `ε ≤ 1/4` over [`ScaleFreeLabeled`]) and
+    /// [`SchemeError::Disconnected`] from the underlying labeled scheme.
     ///
     /// # Panics
     ///
@@ -260,11 +389,11 @@ impl ScaleFreeNameIndependent {
     }
 
     /// [`Self::new`] with preprocessing phases recorded into `tracer`:
-    /// `"underlying-labeled"` (the [`ScaleFreeLabeled`] build, sub-phases
-    /// nested inside), `"round-schedule"`, `"btree-build"` (the ℬ-type
-    /// trees), `"facility-build"` (the 𝒜-type trees and `H(y, k)` links),
-    /// and `"table-assembly"` (per-node bit shares). With
-    /// [`Tracer::noop`] this is exactly `new`.
+    /// `"underlying-labeled"` (the underlying build, sub-phases nested
+    /// inside), `"round-schedule"`, `"btree-build"` (the ℬ-type trees),
+    /// `"facility-build"` (the 𝒜-type trees and `H(y, k)` links), and
+    /// `"table-assembly"` (per-node bit shares). With [`Tracer::noop`]
+    /// this is exactly `new`.
     ///
     /// # Errors
     ///
@@ -282,16 +411,16 @@ impl ScaleFreeNameIndependent {
         assert_eq!(naming.n(), m.n(), "naming must cover the graph");
         let underlying = {
             let _s = tracer.span("underlying-labeled");
-            ScaleFreeLabeled::new_traced(m, eps, tracer)?
+            U::new_traced(m, eps, tracer)?
         };
-        Ok(Self::from_underlying(m, eps, naming, underlying, tracer))
+        Ok(Self::from_underlying(m, naming, underlying, tracer))
     }
 
     /// As [`Self::new`], but over the *active overlay* `active` only: ℬ-type
     /// skeletons and pairs, link eligibility, and 𝒜-type balls are all
     /// restricted to active nodes, and only active names are routable.
-    /// Physical forwarding state (rings, port routers) still spans every
-    /// node.
+    /// Physical forwarding state (the underlying rings) still spans every
+    /// node, so inactive nodes forward but are invisible to name lookups.
     ///
     /// # Errors
     ///
@@ -308,41 +437,33 @@ impl ScaleFreeNameIndependent {
         active: &[NodeId],
     ) -> Result<Self, SchemeError> {
         assert_eq!(naming.n(), m.n(), "naming must cover the graph");
-        let underlying = ScaleFreeLabeled::new_over(m, eps, active)?;
-        Ok(Self::from_underlying(m, eps, naming, underlying, &Tracer::noop()))
+        let underlying = U::new_over(m, eps, active)?;
+        Ok(Self::from_underlying(m, naming, underlying, &Tracer::noop()))
     }
 
     /// Builds the round schedule, ℬ/𝒜 trees, links, and per-node bit shares
     /// on top of an already-built underlying scheme. Shared by every
     /// construction path and by whole-scheme rebuilds, so repairs are
     /// byte-comparable to from-scratch builds.
-    fn from_underlying(
-        m: &MetricSpace,
-        eps: Eps,
-        naming: Naming,
-        underlying: ScaleFreeLabeled,
-        tracer: &Tracer,
-    ) -> Self {
+    fn from_underlying(m: &MetricSpace, naming: Naming, underlying: U, tracer: &Tracer) -> Self {
         let widths = FieldWidths::new(m);
         let rounds = {
             let _s = tracer.span("round-schedule");
-            Rounds::new(m, eps)
+            Rounds::new(m, underlying.eps())
         };
-        let log2_n = m.log2_n();
 
         // --- ℬ-type trees: one per packed ball, storing the pairs of the
         // 4×-larger ball. ---
         let btrees: Vec<Vec<SearchTree<Label>>> = {
             let _s = tracer.span("btree-build");
-            (0..=log2_n)
-                .map(|j| {
-                    let packing = underlying.packings().at(j);
+            (underlying.ball_packings().iter().zip(0..))
+                .map(|(packing, j)| {
                     packing
                         .balls()
                         .iter()
                         .map(|ball| {
-                            let r_big = m.r_small(ball.center, (j + 2).min(log2_n));
-                            build_btree(m, eps, &naming, &underlying, ball, r_big)
+                            let r_big = indexed_radius(m, ball.center, j);
+                            build_btree(m, &naming, &underlying, ball, r_big)
                         })
                         .collect()
                 })
@@ -361,32 +482,22 @@ impl ScaleFreeNameIndependent {
                         .nets()
                         .level(host)
                         .iter()
-                        .map(|&y| {
-                            compute_facility(m, eps, &naming, &underlying, y, rho, s_host, log2_n)
-                        })
+                        .map(|&y| compute_facility(m, &naming, &underlying, y, rho, s_host))
                         .collect()
                 })
                 .collect()
         };
 
-        let search_bits = {
+        let (search_bits, links) = {
             let _s = tracer.span("table-assembly");
-            compute_search_bits(m.n(), widths, &btrees, &facility)
+            compute_shares(m, widths, underlying.nets(), &rounds, &btrees, &facility)
         };
 
-        ScaleFreeNameIndependent {
-            underlying,
-            naming,
-            widths,
-            rounds,
-            btrees,
-            facility,
-            search_bits,
-        }
+        NameIndependent { underlying, naming, widths, rounds, btrees, facility, search_bits, links }
     }
 
-    /// The underlying scale-free labeled scheme.
-    pub fn underlying(&self) -> &ScaleFreeLabeled {
+    /// The underlying labeled scheme.
+    pub fn underlying(&self) -> &U {
         &self.underlying
     }
 
@@ -400,10 +511,15 @@ impl ScaleFreeNameIndependent {
         &self.rounds
     }
 
+    /// The `ε` this scheme was built with.
+    pub fn eps(&self) -> Eps {
+        self.underlying.eps()
+    }
+
     /// How many rounds hosted by `y` use a link rather than their own tree
     /// (`|S(y)|` in the paper's notation, bounded by Claim 3.9).
     pub fn link_count(&self, y: NodeId) -> usize {
-        (0..self.facility.len()).filter(|&k| self.link(k, y).is_some()).count()
+        self.links[y as usize] as usize
     }
 
     /// The link `H(y, k)` as `(j, c)`: round `k`'s host `y` searches the
@@ -417,7 +533,7 @@ impl ScaleFreeNameIndependent {
         let hosts = self.underlying.nets().level(self.rounds.host_level(k));
         match self.facility[k][hosts.binary_search(&y).ok()?] {
             Facility::Link { j, ball } => {
-                Some((j, self.underlying.packings().at(j).balls()[ball as usize].center))
+                Some((j, self.underlying.ball_packings()[j as usize].balls()[ball as usize].center))
             }
             Facility::Own(_) => None,
         }
@@ -444,17 +560,24 @@ impl ScaleFreeNameIndependent {
     }
 
     /// The ℬ-type search trees of the balls in `ℬ_j` (stub trees for
-    /// never-linked balls included, so indices track `packings().at(j)`).
+    /// never-linked balls included, so indices track the packing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the underlying scheme packs no `ℬ_j`.
     pub fn btrees_at(&self, j: u32) -> &[SearchTree<Label>] {
         &self.btrees[j as usize]
     }
 }
 
-impl NameIndependentView for ScaleFreeNameIndependent {
-    type Labeled = ScaleFreeLabeled;
-    type Tree<'a> = &'a SearchTree<Label>;
+impl<U: UnderlyingScheme> NameIndependentView for NameIndependent<U> {
+    type Labeled = U;
+    type Tree<'a>
+        = &'a SearchTree<Label>
+    where
+        U: 'a;
 
-    fn underlying(&self) -> &ScaleFreeLabeled {
+    fn underlying(&self) -> &U {
         &self.underlying
     }
 
@@ -484,27 +607,21 @@ impl NameIndependentView for ScaleFreeNameIndependent {
     }
 }
 
-impl NameIndependentScheme for ScaleFreeNameIndependent {
+impl<U: UnderlyingScheme> NameIndependentScheme for NameIndependent<U> {
     fn scheme_name(&self) -> &'static str {
-        "scale-free-name-independent"
+        U::NAME
     }
 
     fn table_bits(&self, u: NodeId) -> u64 {
+        let links = u64::from(self.links[u as usize]);
         let mut t = BitTally::new();
         t.raw(self.underlying.table_bits(u));
         // One netting-tree parent label.
         t.nodes(&self.widths, 1);
         // H(u, k) links: round tag + center label, for each linked round
         // that u hosts.
-        let nets = self.underlying.nets();
-        for k in 0..self.facility.len() {
-            if let Ok(j) = nets.level(self.rounds.host_level(k)).binary_search(&u) {
-                if matches!(self.facility[k][j], Facility::Link { .. }) {
-                    t.levels(&self.widths, 1);
-                    t.nodes(&self.widths, 1);
-                }
-            }
-        }
+        t.levels(&self.widths, links);
+        t.nodes(&self.widths, links);
         // Search-tree shares (both ℬ- and 𝒜-type).
         t.raw(self.search_bits[u as usize]);
         t.total()
@@ -515,17 +632,17 @@ impl NameIndependentScheme for ScaleFreeNameIndependent {
     }
 }
 
-impl Certifiable for ScaleFreeNameIndependent {
+impl<U: UnderlyingScheme> Certifiable for NameIndependent<U> {
     fn field_widths(&self) -> FieldWidths {
         self.widths
     }
 
-    /// Splices in the underlying [`ScaleFreeLabeled`] enumeration, then
-    /// adds the netting-tree parent label (`"net-parent"`), one
-    /// `"round-link"` (round tag + center label) per linked round `u`
-    /// hosts, and the node's ℬ/𝒜 search-tree shares (`"search-share"`).
-    /// Independent of [`NameIndependentScheme::table_bits`] by
-    /// construction.
+    /// Splices in the underlying labeled enumeration, then adds the
+    /// netting-tree parent label (`"net-parent"`), one `"round-link"`
+    /// (round tag + center label) per linked round `u` hosts, and the
+    /// node's ℬ/𝒜 search-tree shares (`"search-share"`). Independent of
+    /// [`NameIndependentScheme::table_bits`] by construction: the links
+    /// are found by a walk over the rounds, not read from the link count.
     fn table_components(&self, u: NodeId) -> Vec<TableComponent> {
         let mut out = self.underlying.table_components(u);
         out.push(TableComponent { nodes: 1, ..TableComponent::new("net-parent", 0) });
@@ -549,9 +666,9 @@ impl Certifiable for ScaleFreeNameIndependent {
     }
 }
 
-impl Maintainable for ScaleFreeNameIndependent {
+impl<U: UnderlyingScheme> Maintainable for NameIndependent<U> {
     fn maintain_name(&self) -> &'static str {
-        "scale-free-name-independent"
+        U::NAME
     }
 
     fn active_nodes(&self) -> Vec<NodeId> {
@@ -560,9 +677,9 @@ impl Maintainable for ScaleFreeNameIndependent {
 
     /// Incrementally repairs the scheme after `batch` joins and leaves.
     ///
-    /// The underlying scale-free labeled scheme repairs first. A ℬ-type
-    /// tree is rebuilt only when its indexed ball `B_c(r_big)` was touched
-    /// by some churned node (this covers the skeleton and the center's own
+    /// The underlying labeled scheme repairs first. A ℬ-type tree is
+    /// rebuilt only when its indexed ball `B_c(r_big)` was touched by some
+    /// churned node (this covers the skeleton and the center's own
     /// activity); untouched ℬ-trees re-store their renumbered pairs.
     ///
     /// A facility decision is the least `(j, d(y, c), c)` qualifying packed
@@ -573,17 +690,16 @@ impl Maintainable for ScaleFreeNameIndependent {
     /// joined in this batch qualifies with a smaller key. A surviving host
     /// keeps its decision unless one of those holds: kept links are
     /// copied, kept own trees are rebuilt only when their ball `B_y(ρ_k)`
-    /// was touched and refreshed otherwise. New hosts and hosts whose
-    /// decision fails the test are re-decided from scratch. Search-bit
-    /// shares are recomputed wholesale. The result is byte-identical to
-    /// [`ScaleFreeNameIndependent::new_over`] on the post-churn active set.
+    /// was touched and refreshed otherwise (labels are renumbered by every
+    /// hierarchy repair). New hosts and hosts whose decision fails the
+    /// test are re-decided from scratch. Shares are recomputed wholesale.
+    /// The result is byte-identical to [`NameIndependent::new_over`] on
+    /// the post-churn active set.
     ///
     /// # Panics
     ///
     /// Panics if `batch` is invalid against the current active set.
     fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> RepairStats {
-        let log2_n = m.log2_n();
-        let eps = self.underlying.eps();
         let old_hosts: Vec<Vec<NodeId>> = (0..self.rounds.count())
             .map(|k| self.underlying.nets().level(self.rounds.host_level(k)).to_vec())
             .collect();
@@ -593,18 +709,16 @@ impl Maintainable for ScaleFreeNameIndependent {
 
         // ℬ-type trees: the packing is physical, so the tree list shape is
         // static; only contents react to churn.
-        for j in 0..=log2_n {
-            for bk in 0..self.underlying.packings().at(j).balls().len() {
-                let ball = &self.underlying.packings().at(j).balls()[bk];
+        let packings = self.underlying.ball_packings();
+        for ((packing, trees), j) in packings.iter().zip(&mut self.btrees).zip(0..) {
+            for (ball, tree) in packing.balls().iter().zip(trees) {
                 let c = ball.center;
-                let r_big = m.r_small(c, (j + 2).min(log2_n));
+                let r_big = indexed_radius(m, c, j);
                 if changed.iter().any(|&v| m.dist(v, c) <= r_big) {
-                    self.btrees[j as usize][bk] =
-                        build_btree(m, eps, &self.naming, &self.underlying, ball, r_big);
+                    *tree = build_btree(m, &self.naming, &self.underlying, ball, r_big);
                     stats.trees_rebuilt += 1;
                 } else {
-                    let pairs = btree_pairs(m, &self.naming, &self.underlying, c, r_big);
-                    self.btrees[j as usize][bk].refresh_pairs(pairs);
+                    tree.refresh_pairs(btree_pairs(m, &self.naming, &self.underlying, c, r_big));
                     stats.trees_refreshed += 1;
                 }
             }
@@ -612,10 +726,8 @@ impl Maintainable for ScaleFreeNameIndependent {
 
         // The packed balls whose centers joined in this batch, listed once:
         // the only candidates that can beat a kept facility decision.
-        let packings = self.underlying.packings();
-        let joined: Vec<(u32, &PackedBall)> = (0..=log2_n)
-            .flat_map(|j| {
-                let packing = packings.at(j);
+        let joined: Vec<(u32, &PackedBall)> = (packings.iter().zip(0..))
+            .flat_map(|(packing, j)| {
                 batch.joins.iter().filter_map(move |&v| {
                     let b = &packing.balls()[packing.ball_index_of(v)? as usize];
                     (b.center == v).then_some((j, b))
@@ -627,8 +739,8 @@ impl Maintainable for ScaleFreeNameIndependent {
         let stands = |f: &Facility, y: NodeId, rho: Dist, s_host: Dist| {
             let key = match *f {
                 Facility::Link { j, ball } => {
-                    let c = packings.at(j).balls()[ball as usize].center;
-                    if batch.leaves.contains(&c) {
+                    let c = packings[j as usize].balls()[ball as usize].center;
+                    if batch.leaves.binary_search(&c).is_ok() {
                         return false;
                     }
                     Some((j, m.dist(y, c), c))
@@ -636,7 +748,7 @@ impl Maintainable for ScaleFreeNameIndependent {
                 Facility::Own(_) => None,
             };
             !joined.iter().any(|&(j, b)| {
-                link_distance(m, y, rho, s_host, b, j, log2_n)
+                link_distance(m, y, rho, s_host, b, j)
                     .is_some_and(|d| key.is_none_or(|key| (j, d, b.center) < key))
             })
         };
@@ -663,7 +775,6 @@ impl Maintainable for ScaleFreeNameIndependent {
                                 stats.trees_rebuilt += 1;
                                 Facility::Own(Box::new(build_own_tree(
                                     m,
-                                    eps,
                                     &self.naming,
                                     &self.underlying,
                                     y,
@@ -680,16 +791,8 @@ impl Maintainable for ScaleFreeNameIndependent {
                             }
                         }
                         None => {
-                            let f = compute_facility(
-                                m,
-                                eps,
-                                &self.naming,
-                                &self.underlying,
-                                y,
-                                rho,
-                                s_host,
-                                log2_n,
-                            );
+                            let f =
+                                compute_facility(m, &self.naming, &self.underlying, y, rho, s_host);
                             if matches!(f, Facility::Own(_)) {
                                 stats.trees_rebuilt += 1;
                             }
@@ -700,18 +803,20 @@ impl Maintainable for ScaleFreeNameIndependent {
                 .collect();
         }
 
-        self.search_bits = compute_search_bits(m.n(), self.widths, &self.btrees, &self.facility);
+        (self.search_bits, self.links) = compute_shares(
+            m,
+            self.widths,
+            self.underlying.nets(),
+            &self.rounds,
+            &self.btrees,
+            &self.facility,
+        );
         stats
     }
 
     fn rebuild(&mut self, m: &MetricSpace, active: &[NodeId]) {
-        *self = ScaleFreeNameIndependent::new_over(
-            m,
-            self.underlying.eps(),
-            self.naming.clone(),
-            active,
-        )
-        .expect("eps validated at construction");
+        *self = Self::new_over(m, self.eps(), self.naming.clone(), active)
+            .expect("eps validated at construction");
     }
 
     fn total_table_bits(&self) -> u64 {
@@ -719,11 +824,11 @@ impl Maintainable for ScaleFreeNameIndependent {
     }
 }
 
-impl netsim::recovery::FallbackHierarchy for ScaleFreeNameIndependent {
+impl<U: UnderlyingScheme> netsim::recovery::FallbackHierarchy for NameIndependent<U> {
     /// The underlying labeled scheme's net hierarchy: a fallback re-issues
-    /// the name lookup from a coarser net center, whose hash-table rounds
-    /// cover a larger name range.
-    fn fallback_hierarchy(&self) -> &doubling_metric::nets::NetHierarchy {
+    /// the name lookup from a coarser net center, whose rounds cover a
+    /// larger name range.
+    fn fallback_hierarchy(&self) -> &NetHierarchy {
         self.underlying.nets()
     }
 }
@@ -859,6 +964,36 @@ mod tests {
                 let (u, v) = (ids[a], ids[b]);
                 let r = s.route(&m, u, naming.name_of(v)).unwrap();
                 assert_eq!(r.dst, v);
+            }
+        }
+    }
+
+    #[test]
+    fn over_net_labeled_every_facility_is_an_own_tree() {
+        // NetLabeled packs no balls, so the generic scheme over it is
+        // Theorem 1.4's: no ℬ-type trees, no H(y, k) link, no link bits.
+        for f in gen::Family::all() {
+            let m = MetricSpace::new(&f.build(40, 3));
+            for eps in [Eps::one_over(4), Eps::one_over(8)] {
+                let s = NameIndependent::<labeled_routing::NetLabeled>::new(
+                    &m,
+                    eps,
+                    Naming::random(m.n(), 6),
+                )
+                .unwrap();
+                assert!(s.btrees.is_empty(), "{f:?} {eps}: ℬ-type trees over NetLabeled");
+                assert!(
+                    s.facility.iter().flatten().all(|f| matches!(f, Facility::Own(_))),
+                    "{f:?} {eps}: a Link facility over NetLabeled"
+                );
+                assert_eq!(s.link_fraction(), 0.0, "{f:?} {eps}");
+                for u in 0..m.n() as NodeId {
+                    assert_eq!(s.link_count(u), 0, "{f:?} {eps}: links at {u}");
+                    assert!(
+                        s.table_components(u).iter().all(|c| c.part != "round-link"),
+                        "{f:?} {eps}: a round-link component at {u}"
+                    );
+                }
             }
         }
     }

@@ -19,67 +19,20 @@
 //! Storage (Lemma 3.3): each node appears in `(1/ε)^{O(α)}` search trees
 //! per round and `O(log Δ + log 1/ε)` rounds —
 //! `(1/ε)^{O(α)}·log Δ·log n` bits.
+//!
+//! This is Theorem 1.1's scheme ([`NameIndependent`]) over [`NetLabeled`]:
+//! that layer packs no balls, so no round links to a ℬ-type tree and every
+//! facility is the host's own tree `T(y, ρ_k)`.
 
-use doubling_metric::graph::NodeId;
-use doubling_metric::nets::ChurnBatch;
-use doubling_metric::space::MetricSpace;
-use doubling_metric::Eps;
+use labeled_routing::NetLabeled;
 
-use labeled_routing::{NetLabeled, SchemeError};
-use netsim::bits::{BitTally, FieldWidths, TableComponent};
-use netsim::maintain::{Maintainable, RepairStats};
-use netsim::naming::Naming;
-use netsim::route::{Route, RouteError};
-use netsim::scheme::{Certifiable, Label, LabeledScheme, Name, NameIndependentScheme};
-use obs::Tracer;
-use searchtree::{SearchTree, SearchTreeConfig};
+use crate::scale_free::NameIndependent;
 
-use crate::rounds::Rounds;
-use crate::view::{route_named, Facility, NameIndependentView};
-
-/// The `(name, label)` pairs a search tree stores for the given (active)
-/// ball nodes. Keys are names, so the store order is irrelevant.
-fn tree_pairs(naming: &Naming, underlying: &NetLabeled, ball: &[NodeId]) -> Vec<(Name, Label)> {
-    ball.iter().map(|&v| (naming.name_of(v), underlying.label_of(v))).collect()
-}
-
-/// Builds the round search tree `T(y, radius)` over the *active* part of
-/// `B_y(radius)`.
-fn build_tree(
-    m: &MetricSpace,
-    eps: Eps,
-    naming: &Naming,
-    underlying: &NetLabeled,
-    y: NodeId,
-    radius: doubling_metric::graph::Dist,
-) -> SearchTree<Label> {
-    let ball: Vec<NodeId> =
-        m.ball(y, radius).iter().copied().filter(|&x| underlying.nets().is_active(x)).collect();
-    let pairs = tree_pairs(naming, underlying, &ball);
-    SearchTree::new(
-        m,
-        y,
-        &ball,
-        SearchTreeConfig { eps_r: eps.mul_floor(radius).max(1), max_levels: None },
-        pairs,
-    )
-}
-
-/// Per-node search-tree storage shares (bits), recomputed wholesale after
-/// any tree change.
-fn compute_search_bits(
-    n: usize,
-    widths: FieldWidths,
-    trees: &[Vec<SearchTree<Label>>],
-) -> Vec<u64> {
-    let mut search_bits = vec![0u64; n];
-    for level in trees {
-        for tree in level {
-            tree.add_storage_bits(&mut search_bits, widths.node, widths.node, |_| widths.node);
-        }
-    }
-    search_bits
-}
+#[cfg(test)]
+use {
+    doubling_metric::{graph::NodeId, space::MetricSpace, Eps},
+    netsim::{maintain::Maintainable, naming::Naming, scheme::NameIndependentScheme},
+};
 
 /// The `(9+O(ε))`-stretch non-scale-free name-independent scheme.
 ///
@@ -98,304 +51,7 @@ fn compute_search_bits(
 /// assert_eq!(route.dst, naming.node_of(17));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimpleNameIndependent {
-    underlying: NetLabeled,
-    naming: Naming,
-    eps: Eps,
-    widths: FieldWidths,
-    rounds: Rounds,
-    /// `trees[k][j]` = search tree of the `j`-th member of the round-`k`
-    /// hosting net level.
-    trees: Vec<Vec<SearchTree<Label>>>,
-    /// Per-node search-tree storage share (bits), precomputed.
-    search_bits: Vec<u64>,
-}
-
-impl SimpleNameIndependent {
-    /// Preprocesses the scheme over `m` with the adversarial `naming`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchemeError::EpsTooLarge`] (`ε ≤ 1/2`) and
-    /// [`SchemeError::Disconnected`] from the underlying labeled scheme.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `naming.n() != m.n()`.
-    pub fn new(m: &MetricSpace, eps: Eps, naming: Naming) -> Result<Self, SchemeError> {
-        Self::new_traced(m, eps, naming, &Tracer::noop())
-    }
-
-    /// [`Self::new`] with preprocessing phases recorded into `tracer`:
-    /// `"underlying-labeled"` (the [`NetLabeled`] build, with its own
-    /// sub-phases nested inside), `"round-schedule"`,
-    /// `"search-tree-build"` (all `T(y, ρ_k)`), and `"table-assembly"`
-    /// (per-node bit shares). With [`Tracer::noop`] this is exactly `new`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `naming.n() != m.n()`.
-    pub fn new_traced(
-        m: &MetricSpace,
-        eps: Eps,
-        naming: Naming,
-        tracer: &Tracer,
-    ) -> Result<Self, SchemeError> {
-        assert_eq!(naming.n(), m.n(), "naming must cover the graph");
-        let underlying = {
-            let _s = tracer.span("underlying-labeled");
-            NetLabeled::new_traced(m, eps, tracer)?
-        };
-        Ok(Self::from_underlying(m, eps, naming, underlying, tracer))
-    }
-
-    /// As [`Self::new`], but over the *active overlay* `active` only: trees
-    /// are hosted by active net points and index active nodes only, and
-    /// routes may only target active names. Physical forwarding state (the
-    /// underlying rings) still spans every node, so inactive nodes forward
-    /// but are invisible to name lookups.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty, duplicated, or out-of-range `active` set, or if
-    /// `naming.n() != m.n()`.
-    pub fn new_over(
-        m: &MetricSpace,
-        eps: Eps,
-        naming: Naming,
-        active: &[NodeId],
-    ) -> Result<Self, SchemeError> {
-        assert_eq!(naming.n(), m.n(), "naming must cover the graph");
-        let underlying = NetLabeled::new_over(m, eps, active)?;
-        Ok(Self::from_underlying(m, eps, naming, underlying, &Tracer::noop()))
-    }
-
-    /// Builds the round schedule, search trees, and per-node bit shares on
-    /// top of an already-built underlying scheme. Shared by every
-    /// construction path and by whole-scheme rebuilds, so repairs are
-    /// byte-comparable to from-scratch builds.
-    fn from_underlying(
-        m: &MetricSpace,
-        eps: Eps,
-        naming: Naming,
-        underlying: NetLabeled,
-        tracer: &Tracer,
-    ) -> Self {
-        let widths = FieldWidths::new(m);
-        let rounds = {
-            let _s = tracer.span("round-schedule");
-            Rounds::new(m, eps)
-        };
-
-        let trees: Vec<Vec<SearchTree<Label>>> = {
-            let _s = tracer.span("search-tree-build");
-            (0..rounds.count())
-                .map(|k| {
-                    let radius = rounds.radius(k);
-                    underlying
-                        .nets()
-                        .level(rounds.host_level(k))
-                        .iter()
-                        .map(|&y| build_tree(m, eps, &naming, &underlying, y, radius))
-                        .collect()
-                })
-                .collect()
-        };
-
-        let search_bits = {
-            let _s = tracer.span("table-assembly");
-            compute_search_bits(m.n(), widths, &trees)
-        };
-
-        SimpleNameIndependent { underlying, naming, eps, widths, rounds, trees, search_bits }
-    }
-
-    /// The underlying labeled scheme.
-    pub fn underlying(&self) -> &NetLabeled {
-        &self.underlying
-    }
-
-    /// The naming this scheme resolves.
-    pub fn naming(&self) -> &Naming {
-        &self.naming
-    }
-
-    /// The round schedule.
-    pub fn rounds(&self) -> &Rounds {
-        &self.rounds
-    }
-
-    /// The `ε` this scheme was built with.
-    pub fn eps(&self) -> Eps {
-        self.eps
-    }
-}
-
-impl NameIndependentView for SimpleNameIndependent {
-    type Labeled = NetLabeled;
-    type Tree<'a> = &'a SearchTree<Label>;
-
-    fn underlying(&self) -> &NetLabeled {
-        &self.underlying
-    }
-
-    fn name_at(&self, u: NodeId) -> Name {
-        self.naming.name_of(u)
-    }
-
-    fn round_count(&self) -> usize {
-        self.rounds.count()
-    }
-
-    fn hosts(&self, k: usize) -> usize {
-        self.underlying.nets().level(self.rounds.host_level(k)).len()
-    }
-
-    fn zoom_row(&self, u: NodeId, k: usize) -> (NodeId, usize) {
-        self.rounds.zoom_row(self.underlying.nets(), u, k)
-    }
-
-    fn facility(&self, k: usize, j: usize) -> Facility<&SearchTree<Label>> {
-        Facility::Own(&self.trees[k][j])
-    }
-}
-
-impl NameIndependentScheme for SimpleNameIndependent {
-    fn scheme_name(&self) -> &'static str {
-        "simple-name-independent"
-    }
-
-    fn table_bits(&self, u: NodeId) -> u64 {
-        let mut t = BitTally::new();
-        // Underlying labeled tables.
-        t.raw(self.underlying.table_bits(u));
-        // One netting-tree parent label.
-        t.nodes(&self.widths, 1);
-        // Search-tree shares.
-        t.raw(self.search_bits[u as usize]);
-        t.total()
-    }
-
-    fn route(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
-        route_named(self, m, src, name)
-    }
-}
-
-impl Certifiable for SimpleNameIndependent {
-    fn field_widths(&self) -> FieldWidths {
-        self.widths
-    }
-
-    /// Splices in the underlying [`NetLabeled`] enumeration, then adds the
-    /// one netting-tree parent label (`"net-parent"`) and the node's
-    /// search-tree shares (`"search-share"`). Independent of
-    /// [`NameIndependentScheme::table_bits`] by construction.
-    fn table_components(&self, u: NodeId) -> Vec<TableComponent> {
-        let mut out = self.underlying.table_components(u);
-        out.push(TableComponent { nodes: 1, ..TableComponent::new("net-parent", 0) });
-        out.push(TableComponent {
-            raw: self.search_bits[u as usize],
-            ..TableComponent::new("search-share", 0)
-        });
-        out
-    }
-}
-
-impl Maintainable for SimpleNameIndependent {
-    fn maintain_name(&self) -> &'static str {
-        "simple-name-independent"
-    }
-
-    fn active_nodes(&self) -> Vec<NodeId> {
-        self.underlying.nets().active_nodes().to_vec()
-    }
-
-    /// Incrementally repairs the scheme after `batch` joins and leaves.
-    ///
-    /// The underlying labeled scheme repairs first; then, per round, a
-    /// host's search tree is fully rebuilt only when its ball was touched —
-    /// some churned node sits within the round radius — or when the host
-    /// itself is new to the level. Untouched trees keep their skeleton and
-    /// only re-store the `(name, label)` pairs (labels are renumbered by
-    /// every hierarchy repair). Search-bit shares are recomputed wholesale.
-    /// The result is byte-identical to [`SimpleNameIndependent::new_over`]
-    /// on the post-churn active set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is invalid against the current active set.
-    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> RepairStats {
-        let old_hosts: Vec<Vec<NodeId>> = (0..self.rounds.count())
-            .map(|k| self.underlying.nets().level(self.rounds.host_level(k)).to_vec())
-            .collect();
-        let mut stats = self.underlying.repair(m, batch);
-
-        let changed = batch.changed();
-        #[allow(clippy::needless_range_loop)] // k also indexes self.trees
-        for k in 0..self.rounds.count() {
-            let radius = self.rounds.radius(k);
-            let hosts = self.underlying.nets().level(self.rounds.host_level(k)).to_vec();
-            let mut old: Vec<Option<SearchTree<Label>>> =
-                std::mem::take(&mut self.trees[k]).into_iter().map(Some).collect();
-            self.trees[k] = hosts
-                .iter()
-                .map(|&y| {
-                    let kept = old_hosts[k]
-                        .binary_search(&y)
-                        .ok()
-                        .and_then(|j| old[j].take())
-                        .filter(|_| !changed.iter().any(|&c| m.dist(y, c) <= radius));
-                    match kept {
-                        Some(mut tree) => {
-                            // Ball ∩ active is unchanged: keep the skeleton,
-                            // re-store the renumbered labels.
-                            tree.refresh_pairs(tree_pairs(
-                                &self.naming,
-                                &self.underlying,
-                                tree.tree().nodes(),
-                            ));
-                            stats.trees_refreshed += 1;
-                            tree
-                        }
-                        None => {
-                            stats.trees_rebuilt += 1;
-                            build_tree(m, self.eps, &self.naming, &self.underlying, y, radius)
-                        }
-                    }
-                })
-                .collect();
-        }
-        self.search_bits = compute_search_bits(m.n(), self.widths, &self.trees);
-        stats
-    }
-
-    fn rebuild(&mut self, m: &MetricSpace, active: &[NodeId]) {
-        *self = SimpleNameIndependent::new_over(m, self.eps, self.naming.clone(), active)
-            .expect("eps validated at construction");
-    }
-
-    fn total_table_bits(&self) -> u64 {
-        (0..self.naming.n() as NodeId).map(|u| self.table_bits(u)).sum()
-    }
-}
-
-impl netsim::recovery::FallbackHierarchy for SimpleNameIndependent {
-    /// The underlying labeled scheme's net hierarchy: a fallback re-issues
-    /// the name lookup from a coarser net center, whose ball tables cover
-    /// a larger name range.
-    fn fallback_hierarchy(&self) -> &doubling_metric::nets::NetHierarchy {
-        self.underlying.nets()
-    }
-}
+pub type SimpleNameIndependent = NameIndependent<NetLabeled>;
 
 #[cfg(test)]
 mod tests {

@@ -24,13 +24,10 @@ use doubling_metric::graph::NodeId;
 use netsim::json::Value;
 use netsim::recovery::{DeliveryOutcome, RecoveryEvent};
 use netsim::route::{Route, RouteError};
+use netsim::stats::UNDERSTRETCH_TOL;
 
 /// Default ring capacity used by the experiment binaries.
 pub const DEFAULT_CAPACITY: usize = 64;
-
-/// Stretch below `1 − UNDERSTRETCH_TOL` flags an under-stretch anomaly
-/// (same tolerance as [`netsim::stats`]).
-const UNDERSTRETCH_TOL: f64 = 1e-9;
 
 /// One edge traversal: the node arrived at and the segment (label, level)
 /// that governed the hop.

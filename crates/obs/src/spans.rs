@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 
 use netsim::json::Value;
+use netsim::stats::UNDERSTRETCH_TOL;
 use netsim::Route;
 
 use crate::metrics::{Counter, Log2Histogram};
@@ -91,9 +92,9 @@ impl RouteMetrics {
     }
 
     /// Records a route's measured stretch, counting under-stretch
-    /// violations (stretch < 1 beyond float tolerance).
+    /// violations (stretch below `1 − UNDERSTRETCH_TOL`).
     pub fn record_stretch(&mut self, stretch: f64) {
-        if stretch < 1.0 - 1e-9 {
+        if stretch < 1.0 - UNDERSTRETCH_TOL {
             self.understretch.inc();
         }
     }
