@@ -17,27 +17,18 @@
 //! `v(0) = v`. The stretch analysis is the paper's Eqns. (19)–(21)
 //! specialized to `t = final`, giving `1 + O(ε)`.
 //!
+//! This is Algorithm 5 ([`Labeled`]) under [`AllLevels`]: with every level
+//! stored, the first phase alone delivers, so no balls are packed and the
+//! walk takes no stall test.
+//!
 //! Storage: `O(log Δ)` rings of `(4/ε)^α` entries of `O(log n)` bits —
 //! `(1/ε)^{O(α)}·log Δ·log n` bits per node, matching Lemma 3.1. Labels are
 //! `⌈log n⌉` bits and headers carry just the destination label.
 
-use doubling_metric::graph::{NodeId, INFINITY};
-use doubling_metric::nets::{ChurnBatch, NetHierarchy};
-use doubling_metric::space::MetricSpace;
-use doubling_metric::Eps;
+use doubling_metric::graph::NodeId;
 
-use netsim::bits::{BitTally, FieldWidths, TableComponent};
-use netsim::maintain::{Maintainable, RepairStats};
-use netsim::route::{Route, RouteError, RouteRecorder};
-use netsim::scheme::{Certifiable, Label, LabeledScheme};
-use obs::Tracer;
-
-use crate::error::SchemeError;
-use crate::rings::{
-    affected_nodes, level_ranges, patch_ring, refresh_ring_ranges, ring_lookup, RingBuilder,
-    RingEntry,
-};
-use crate::view::{LabeledView, NetLabeledView, RingHit};
+use crate::rings::RingEntry;
+use crate::scale_free::{AllLevels, Labeled};
 
 /// The non-scale-free `(1+O(ε))`-stretch labeled scheme.
 ///
@@ -55,277 +46,35 @@ use crate::view::{LabeledView, NetLabeledView, RingHit};
 /// assert!(route.stretch(&m) <= 1.5);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetLabeled {
-    nets: NetHierarchy,
-    eps: Eps,
-    widths: FieldWidths,
-    /// `rings[u][i]` = `X_i(u)`, all levels. Every physical node keeps
-    /// forwarding state; only active nodes are destinations.
-    rings: Vec<Vec<Box<[RingEntry]>>>,
-    num_levels: usize,
-}
+pub type NetLabeled = Labeled<AllLevels>;
 
 impl NetLabeled {
-    /// Preprocesses the scheme.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemeError::EpsTooLarge`] if `ε > 1/2` (the level-descent
-    /// progress argument needs `2^i ≤ 2^{i−1}/ε`), and
-    /// [`SchemeError::Disconnected`] if the graph is disconnected.
-    pub fn new(m: &MetricSpace, eps: Eps) -> Result<Self, SchemeError> {
-        Self::new_traced(m, eps, &Tracer::noop())
-    }
-
-    /// [`Self::new`] restricted to an active overlay subset: the hierarchy,
-    /// labels and rings cover only `active` (every physical node still
-    /// stores rings — inactive nodes simply never appear in them). With all
-    /// nodes active this equals `new` exactly.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active` is empty, has duplicates, or is out of range.
-    pub fn new_over(m: &MetricSpace, eps: Eps, active: &[NodeId]) -> Result<Self, SchemeError> {
-        Self::check(m, eps)?;
-        let nets = NetHierarchy::new_over(m, active);
-        Ok(Self::from_nets(m, eps, nets))
-    }
-
-    /// [`Self::new`] with preprocessing phases recorded into `tracer`:
-    /// `"net-hierarchy"` (net-tree construction) and `"ring-build"` (all
-    /// `X_i(u)` rings). With [`Tracer::noop`] this is exactly `new`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::new`].
-    pub fn new_traced(m: &MetricSpace, eps: Eps, tracer: &Tracer) -> Result<Self, SchemeError> {
-        Self::check(m, eps)?;
-        let nets = {
-            let _s = tracer.span("net-hierarchy");
-            NetHierarchy::new(m)
-        };
-        let _s = tracer.span("ring-build");
-        Ok(Self::from_nets(m, eps, nets))
-    }
-
-    /// The inputs every constructor rejects: `ε > 1/2`, or a graph with
-    /// unreachable pairs.
-    fn check(m: &MetricSpace, eps: Eps) -> Result<(), SchemeError> {
-        if !eps.mul_le(2, 1) {
-            // 2 ≤ 1/ε  ⟺  ε ≤ 1/2
-            return Err(SchemeError::EpsTooLarge { got: eps, bound: "1/2" });
-        }
-        if m.diameter() == INFINITY {
-            return Err(SchemeError::Disconnected);
-        }
-        Ok(())
-    }
-
-    /// Shared tail of every constructor: rings for all physical nodes over
-    /// whatever (full or overlay) hierarchy was built.
-    fn from_nets(m: &MetricSpace, eps: Eps, nets: NetHierarchy) -> Self {
-        let num_levels = m.num_scales();
-        let mut builder = RingBuilder::new(m, &nets, eps);
-        let rings: Vec<Vec<Box<[RingEntry]>>> = (0..m.n() as NodeId)
-            .map(|u| (0..num_levels).map(|i| builder.ring(u, i)).collect())
-            .collect();
-        NetLabeled { nets, eps, widths: FieldWidths::new(m), rings, num_levels }
-    }
-
-    /// The `ε` the scheme was built with.
-    pub fn eps(&self) -> Eps {
-        self.eps
-    }
-
-    /// The net hierarchy the labels come from (shared with upper layers).
-    pub fn nets(&self) -> &NetHierarchy {
-        &self.nets
-    }
-
     /// Number of ring levels stored per node (`Θ(log Δ)` — the
     /// non-scale-free factor).
     pub fn num_levels(&self) -> usize {
-        self.num_levels
+        self.nets().num_levels()
     }
 
-    /// The ring `X_i(u)` — the per-node table a plane compiler packs.
+    /// The ring `X_i(u)`.
     ///
     /// # Panics
     ///
     /// Panics if `u` or `i` is out of range.
     pub fn ring(&self, u: NodeId, i: usize) -> &[RingEntry] {
-        &self.rings[u as usize][i]
-    }
-}
-
-/// The greedy ring walk over any [`NetLabeledView`] — the scheme's one
-/// routing procedure, run by [`NetLabeled`] and by
-/// [`crate::NetLabeledPlane`] alike: at each node take the minimal-level
-/// ring hit for the target and step toward it, opening a `"ring-walk"`
-/// segment whenever the level changes. The header is the destination
-/// label.
-pub(crate) fn walk<V: NetLabeledView + ?Sized>(
-    view: &V,
-    rec: &mut RouteRecorder<'_>,
-    target: Label,
-) -> Result<(), RouteError> {
-    rec.note_header_bits(view.widths().node);
-    let mut seg_level: Option<u32> = None;
-    loop {
-        let u = rec.current();
-        if view.label_at(u) == target {
-            return Ok(());
-        }
-        let hit = view.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
-            at: u,
-            detail: "no ring hit at any level (broken hierarchy)".into(),
-        })?;
-        if seg_level != Some(hit.level) {
-            rec.begin_segment("ring-walk", Some(hit.level));
-            seg_level = Some(hit.level);
-        }
-        rec.hop(hit.next)?;
-    }
-}
-
-impl LabeledView for NetLabeled {
-    fn widths(&self) -> FieldWidths {
-        self.widths
-    }
-
-    fn label_at(&self, u: NodeId) -> Label {
-        self.nets.label(u)
-    }
-
-    fn walk_label(&self, rec: &mut RouteRecorder<'_>, target: Label) -> Result<(), RouteError> {
-        walk(self, rec, target)
-    }
-}
-
-impl NetLabeledView for NetLabeled {
-    fn min_hit(&self, u: NodeId, label: Label) -> Option<RingHit> {
-        self.rings[u as usize].iter().enumerate().find_map(|(i, ring)| {
-            ring_lookup(ring, label).map(|e| RingHit { level: i as u32, x: e.x, next: e.next })
-        })
-    }
-}
-
-impl LabeledScheme for NetLabeled {
-    fn scheme_name(&self) -> &'static str {
-        "net-labeled"
-    }
-
-    fn label_of(&self, v: NodeId) -> Label {
-        self.nets.label(v)
-    }
-
-    fn label_bits(&self) -> u64 {
-        self.widths.node
-    }
-
-    fn table_bits(&self, u: NodeId) -> u64 {
-        // Per entry: net point id + range (2 labels) + next hop.
-        let mut t = BitTally::new();
-        for ring in &self.rings[u as usize] {
-            t.nodes(&self.widths, 4 * ring.len() as u64);
-        }
-        t.total()
-    }
-
-    fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        self.route_label(m, src, target)
-    }
-}
-
-impl Certifiable for NetLabeled {
-    fn field_widths(&self) -> FieldWidths {
-        self.widths
-    }
-
-    /// One `"ring"` component per level `i`: `X_i(u)` stores, per entry,
-    /// a net point id, the label range `[lo, hi]`, and a next hop — four
-    /// node-sized fields. Enumerated independently of
-    /// [`LabeledScheme::table_bits`] so a conformance audit can
-    /// cross-check the two totals.
-    fn table_components(&self, u: NodeId) -> Vec<TableComponent> {
-        self.rings[u as usize]
-            .iter()
-            .enumerate()
-            .map(|(i, ring)| TableComponent {
-                nodes: 4 * ring.len() as u64,
-                ..TableComponent::new("ring", i as u32)
-            })
-            .collect()
-    }
-}
-
-impl Maintainable for NetLabeled {
-    fn maintain_name(&self) -> &'static str {
-        "net-labeled"
-    }
-
-    fn active_nodes(&self) -> Vec<NodeId> {
-        self.nets.active_nodes().to_vec()
-    }
-
-    /// Repairs the net hierarchy via [`NetHierarchy::apply_churn`], then
-    /// patches the rings within the ring radius of a changed net member by
-    /// their level delta ([`patch_ring`]) and range-refreshes the rest. The
-    /// repaired scheme is **identical** to [`NetLabeled::new_over`] on the
-    /// post-churn active set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is invalid against the current active set.
-    fn repair(&mut self, m: &MetricSpace, batch: &ChurnBatch) -> RepairStats {
-        let deltas = self.nets.apply_churn(m, batch);
-        let mut stats = RepairStats::default();
-        for (i, delta) in deltas.iter().enumerate() {
-            let changed = delta.changed();
-            let affected = (!changed.is_empty()).then(|| affected_nodes(m, self.eps, i, &changed));
-            let ranges = level_ranges(&self.nets, m.n(), i);
-            for u in 0..m.n() {
-                let ring = &mut self.rings[u][i];
-                if affected.as_ref().is_some_and(|a| a[u]) {
-                    *ring = patch_ring(ring, m, &ranges, self.eps, u as NodeId, i, delta);
-                    stats.rings_rebuilt += 1;
-                } else {
-                    refresh_ring_ranges(ring, &ranges);
-                    stats.rings_refreshed += 1;
-                }
-            }
-        }
-        stats
-    }
-
-    fn rebuild(&mut self, m: &MetricSpace, active: &[NodeId]) {
-        *self = NetLabeled::new_over(m, self.eps, active).expect("eps validated at construction");
-    }
-
-    fn total_table_bits(&self) -> u64 {
-        (0..self.rings.len() as NodeId).map(|u| self.table_bits(u)).sum()
-    }
-}
-
-impl netsim::recovery::FallbackHierarchy for NetLabeled {
-    /// The scheme's own net hierarchy: `LevelFallback` climbs the zooming
-    /// sequence these routing tables are built on, so a fallback landmark
-    /// is always a node the scheme can re-plan from.
-    fn fallback_hierarchy(&self) -> &NetHierarchy {
-        self.nets()
+        &self.rings_of(u)[i]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doubling_metric::gen;
-    use netsim::scheme::Labeled;
+    use crate::error::SchemeError;
+    use crate::rings::ring_lookup;
+    use crate::NetLabeledPlane;
+    use doubling_metric::{gen, Eps, MetricSpace};
+    use netsim::maintain::Maintainable;
+    use netsim::plane::ForwardingPlane;
+    use netsim::scheme::{Labeled, LabeledScheme};
     use netsim::stats::{all_pairs, eval, sample_pairs};
 
     fn check_graph(g: &doubling_metric::Graph, eps: Eps, max_allowed: f64) {
@@ -367,6 +116,50 @@ mod tests {
         for f in gen::Family::all() {
             let g = f.build(60, 11);
             check_graph(&g, Eps::one_over(8), 4.0);
+        }
+    }
+
+    /// Every pair delivers, at n = 40 for ε = 1/2, 1/4 and 1/8 and at
+    /// n = 80 for ε = 1/2 (the largest ε the scheme accepts, and one the
+    /// scale-free policy rejects), and the plane routes as the scheme
+    /// does. With every level stored, Algorithm 5's continuation test
+    /// holds on every hop: the hit is the destination itself, or its
+    /// level does not rise and its net point is still far
+    /// (`2ε·(d(u, x) + s_i) ≥ s_i`). That is why the walk takes no stall
+    /// test under [`AllLevels`]. The hits are recomputed here from the
+    /// rings and the metric, not read from the walk.
+    #[test]
+    fn delivers_every_pair_without_a_stall() {
+        for f in gen::Family::all() {
+            for (n, invs) in [(40, &[2, 4, 8][..]), (80, &[2][..])] {
+                let m = MetricSpace::new(&f.build(n, 11));
+                for eps in invs.iter().map(|&inv| Eps::one_over(inv)) {
+                    let s = NetLabeled::new(&m, eps).unwrap();
+                    let plane = NetLabeledPlane::compile(&m, &s, None, 0);
+                    let (num, den) = (eps.num() as u128, eps.den() as u128);
+                    for (src, dst) in all_pairs(m.n()) {
+                        let target = s.label_of(dst);
+                        let route = s.route(&m, src, target).unwrap();
+                        let at = || format!("{f:?} n={n} eps {eps}: {src}->{dst}");
+                        assert_eq!(route.dst, dst, "{}", at());
+                        assert_eq!(plane.route(&m, src, target).as_ref(), Ok(&route), "{}", at());
+                        let mut i_prev = usize::MAX;
+                        for &u in &route.hops[..route.hops.len() - 1] {
+                            let (i, x) = (0..s.num_levels())
+                                .find_map(|i| ring_lookup(s.ring(u, i), target).map(|e| (i, e.x)))
+                                .unwrap();
+                            let (d, s_i) = (m.dist(u, x) as u128, m.scale(i) as u128);
+                            assert!(
+                                s.label_of(x) == target
+                                    || (i <= i_prev && 2 * (d + s_i) * num >= s_i * den),
+                                "{} stalls at {u} (level {i})",
+                                at()
+                            );
+                            i_prev = i;
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -19,14 +19,13 @@
 //! A level-0 hit means `x = v` and the estimate is exact. The oracle
 //! costs nothing beyond the routing tables the scheme already stores.
 
-use doubling_metric::graph::Dist;
-use doubling_metric::graph::NodeId;
+use doubling_metric::graph::{Dist, NodeId};
+use doubling_metric::MetricSpace;
 
 use netsim::scheme::{Label, LabeledScheme};
 
 use crate::net_labeled::NetLabeled;
-use crate::rings::ring_lookup;
-use crate::view::{NetLabeledView, ScaleFreeView};
+use crate::scale_free::ScaleFreeLabeled;
 
 /// The result of a local distance query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,16 +47,14 @@ impl NetLabeled {
     /// observable).
     pub fn distance_estimate(
         &self,
-        m: &doubling_metric::MetricSpace,
+        m: &MetricSpace,
         u: NodeId,
         target: Label,
     ) -> Option<DistanceEstimate> {
         if self.label_of(u) == target {
             return Some(DistanceEstimate { estimate: 0, level: 0, error_bound: 0 });
         }
-        let hit = self.min_hit(u, target)?;
-        // The stored d(u, x) of the hit's ring entry.
-        let estimate = ring_lookup(self.ring(u, hit.level as usize), target)?.dist;
+        let (hit, estimate) = self.ring_hit(u, target)?;
         let error_bound = if self.label_of(hit.x) == target {
             0 // the hit is the destination itself
         } else {
@@ -67,7 +64,7 @@ impl NetLabeled {
     }
 }
 
-impl crate::scale_free::ScaleFreeLabeled {
+impl ScaleFreeLabeled {
     /// Certified distance bounds from the sparse `R(u)` rings: returns
     /// `(lo, hi)` with `lo ≤ d(u, v) ≤ hi`, computed from `u`'s local
     /// table alone.
@@ -83,15 +80,14 @@ impl crate::scale_free::ScaleFreeLabeled {
     /// `ε ≤ 1/4`).
     pub fn distance_bounds(
         &self,
-        m: &doubling_metric::MetricSpace,
+        m: &MetricSpace,
         u: NodeId,
         target: Label,
     ) -> Option<(Dist, Dist)> {
-        use netsim::scheme::LabeledScheme;
         if self.label_of(u) == target {
             return Some((0, 0));
         }
-        let (hit, dist) = self.min_hit(u, target)?;
+        let (hit, dist) = self.ring_hit(u, target)?;
         if self.label_of(hit.x) == target {
             return Some((dist, dist));
         }
@@ -105,8 +101,7 @@ impl crate::scale_free::ScaleFreeLabeled {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doubling_metric::{gen, Eps, MetricSpace};
-    use netsim::scheme::LabeledScheme;
+    use doubling_metric::{gen, Eps};
 
     fn check_oracle(g: &doubling_metric::Graph, inv: u64) {
         let m = MetricSpace::new(g);
@@ -182,7 +177,6 @@ mod tests {
 
     #[test]
     fn scale_free_bounds_are_certified() {
-        use crate::scale_free::ScaleFreeLabeled;
         for g in [gen::grid(7, 7), gen::exp_weight_path(20), gen::random_geometric(40, 260, 2)] {
             let m = MetricSpace::new(&g);
             let s = ScaleFreeLabeled::new(&m, Eps::one_over(8)).unwrap();
@@ -198,7 +192,6 @@ mod tests {
 
     #[test]
     fn scale_free_bounds_tight_for_close_pairs() {
-        use crate::scale_free::ScaleFreeLabeled;
         let m = MetricSpace::new(&gen::grid(6, 6));
         let s = ScaleFreeLabeled::new(&m, Eps::one_over(8)).unwrap();
         for (u, v, w) in m.graph().edges() {

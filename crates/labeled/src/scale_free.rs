@@ -1,8 +1,9 @@
-//! The scale-free `(1+O(ε))`-stretch labeled scheme — **Theorem 1.2**,
-//! Section 4 of the paper.
+//! The labeled scheme, written once over its level policy — **Theorem
+//! 1.2**, Section 4 of the paper, and with every level stored the
+//! workspace's Lemma 3.1 scheme.
 //!
-//! Storage cannot afford all `Θ(log Δ)` ring levels, so each node `u` keeps
-//! rings only for the index set
+//! Storage cannot afford all `Θ(log Δ)` ring levels, so under
+//! [`SparseLevels`] each node `u` keeps rings only for the index set
 //! `R(u) = {i : ∃j ∈ [log n], (ε/6)·r_u(j) ≤ 2^i ≤ r_u(j)}` —
 //! `O(log n)` *bands* of `O(log(1/ε))` levels each, pinned to the radii at
 //! which `u`'s ball sizes double. The greedy ring walk (**Algorithm 5**,
@@ -23,8 +24,15 @@
 //! `Δ`: rings for `R(u)` only, one Voronoi-center local label per `j`, the
 //! degree-independent tree-router tables, and its share of the search
 //! trees' `(key, data)` pairs — `(1/ε)^{O(α)}·log³ n` bits (Lemma 4.4).
+//!
+//! Under [`AllLevels`] every node stores every level and no balls are
+//! packed: the stretch argument (Eqns. 19–21) then holds at the walk's
+//! end, so the continuation test always holds and the walk takes none
+//! ([`crate::net_labeled`]). Both policies run the one [`Labeled`] scheme
+//! and its one walk.
 
 use std::borrow::Cow;
+use std::fmt;
 
 use doubling_metric::graph::{Dist, NodeId, INFINITY};
 use doubling_metric::nets::{ChurnBatch, NetHierarchy};
@@ -45,7 +53,174 @@ use crate::rings::{
     affected_nodes, level_ranges, patch_ring, refresh_ring_ranges, ring_lookup, RingBuilder,
     RingEntry,
 };
-use crate::view::{CellView, LabeledView, RingHit, ScaleFreeView};
+use crate::view::{CellView, LabeledView, RingHit};
+
+/// Which ring levels a node stores — every level, or `R(u)` beside ball
+/// packings — and what follows from that: the largest ε the delivery
+/// argument allows, the scheme's name, whether the walk can stall, and so
+/// the header (a label, or a label and a level) and a ring entry's cost
+/// (four node fields, or a level tag per ring and four node fields and a
+/// distance per entry). [`AllLevels`] and [`SparseLevels`] are the two
+/// policies.
+pub trait LevelPolicy: Copy + fmt::Debug + PartialEq + Eq + Send + Sync + 'static {
+    /// The scheme's name: its [`LabeledScheme::scheme_name`], its
+    /// [`Maintainable::maintain_name`] and its plane's name.
+    const NAME: &'static str;
+
+    /// Whether nodes store `R(u)` only and the scheme packs balls, so the
+    /// walk can stall into Algorithm 5's packing phase.
+    const PACKS: bool;
+
+    /// The largest accepted ε as `(1/ε, text)`.
+    const EPS_MAX: (u64, &'static str);
+
+    /// The walk's lookup-failure detail at a node with no ring hit.
+    const NO_HIT: &'static str;
+
+    /// One node's stored rings.
+    type Rings: Clone + fmt::Debug + PartialEq + Eq + Send + Sync;
+
+    /// What a ring hit reports besides its net point: the stored
+    /// `d(u, x)` where the walk can stall, nothing where it cannot.
+    type HitDist: Copy + Default + fmt::Debug + PartialEq + Eq;
+
+    /// Builds node `u`'s rings with `builder`.
+    fn node_rings(
+        builder: &mut RingBuilder<'_>,
+        m: &MetricSpace,
+        eps: Eps,
+        u: NodeId,
+    ) -> Self::Rings;
+
+    /// The stored `(level, ring)` pairs in ascending level order.
+    fn levels(rings: &Self::Rings) -> impl Iterator<Item = (u32, &[RingEntry])>;
+
+    /// [`Self::levels`], each ring replaceable.
+    fn levels_mut(rings: &mut Self::Rings) -> impl Iterator<Item = (u32, &mut Box<[RingEntry]>)>;
+
+    /// A hit's report of its entry's stored distance `d`.
+    fn hit_dist(d: Dist) -> Self::HitDist;
+
+    /// Whether the walk stalls at `hit` (taken at the current node of a
+    /// walk through `m`, whose previous level was `i_prev`) and hands off
+    /// to the packing phase.
+    fn stalled<V: LabeledView<Policy = Self> + ?Sized>(
+        view: &V,
+        m: &MetricSpace,
+        target: Label,
+        hit: RingHit,
+        dist: Self::HitDist,
+        i_prev: u32,
+    ) -> bool;
+}
+
+/// Every level `i ∈ [log Δ]` stored and no balls packed: the walk never
+/// stalls, so it reads no hit distance, and `ε ≤ 1/2` suffices for the
+/// level descent ([`crate::net_labeled`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllLevels;
+
+impl LevelPolicy for AllLevels {
+    const NAME: &'static str = "net-labeled";
+    const PACKS: bool = false;
+    // 2^i ≤ 2^{i−1}/ε: level-i−1 targets stay inside the ring at v(i).
+    const EPS_MAX: (u64, &'static str) = (2, "1/2");
+    const NO_HIT: &'static str = "no ring hit at any level (broken hierarchy)";
+
+    /// `rings[i]` = `X_i(u)`.
+    type Rings = Vec<Box<[RingEntry]>>;
+    type HitDist = ();
+
+    fn node_rings(
+        builder: &mut RingBuilder<'_>,
+        m: &MetricSpace,
+        _: Eps,
+        u: NodeId,
+    ) -> Self::Rings {
+        (0..m.num_scales()).map(|i| builder.ring(u, i)).collect()
+    }
+
+    fn levels(rings: &Self::Rings) -> impl Iterator<Item = (u32, &[RingEntry])> {
+        rings.iter().zip(0..).map(|(ring, i)| (i, &**ring))
+    }
+
+    fn levels_mut(rings: &mut Self::Rings) -> impl Iterator<Item = (u32, &mut Box<[RingEntry]>)> {
+        rings.iter_mut().zip(0..).map(|(ring, i)| (i, ring))
+    }
+
+    fn hit_dist(_: Dist) {}
+
+    fn stalled<V: LabeledView<Policy = Self> + ?Sized>(
+        _: &V,
+        _: &MetricSpace,
+        _: Label,
+        _: RingHit,
+        _: (),
+        _: u32,
+    ) -> bool {
+        false
+    }
+}
+
+/// Rings on `R(u)` beside the ball packings `ℬ_j` (Theorem 1.2): the walk
+/// stalls by Algorithm 5's line 3, and `ε ≤ 1/4` keeps a ring hit at
+/// every node (Claim 4.6 needs `ε < 3/4`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SparseLevels;
+
+impl LevelPolicy for SparseLevels {
+    const NAME: &'static str = "scale-free-labeled";
+    const PACKS: bool = true;
+    const EPS_MAX: (u64, &'static str) = (4, "1/4");
+    const NO_HIT: &'static str = "no ring hit on R(u) (requires eps <= 1/4)";
+
+    /// `(level, ring)` for each level of `R(u)`, sorted by level.
+    type Rings = Box<[(u32, Box<[RingEntry]>)]>;
+    type HitDist = Dist;
+
+    fn node_rings(
+        builder: &mut RingBuilder<'_>,
+        m: &MetricSpace,
+        eps: Eps,
+        u: NodeId,
+    ) -> Self::Rings {
+        let eps6 = eps.div_by(6);
+        let r_of: Vec<Dist> = (0..=m.log2_n()).map(|j| m.r_small(u, j)).collect();
+        // i ∈ R(u) ⟺ ∃j: (ε/6)·r_u(j) ≤ s_i ≤ r_u(j).
+        let in_r = |s_i: Dist| r_of.iter().any(|&r| eps6.mul_le(r, s_i) && s_i <= r);
+        (0..m.num_scales())
+            .filter(|&i| in_r(m.scale(i)))
+            .map(|i| (i as u32, builder.ring(u, i)))
+            .collect()
+    }
+
+    fn levels(rings: &Self::Rings) -> impl Iterator<Item = (u32, &[RingEntry])> {
+        rings.iter().map(|(i, ring)| (*i, &**ring))
+    }
+
+    fn levels_mut(rings: &mut Self::Rings) -> impl Iterator<Item = (u32, &mut Box<[RingEntry]>)> {
+        rings.iter_mut().map(|(i, ring)| (*i, ring))
+    }
+
+    fn hit_dist(d: Dist) -> Dist {
+        d
+    }
+
+    /// Line 3: the walk goes on while the hit is the destination itself,
+    /// or the level does not increase and the target is still far.
+    fn stalled<V: LabeledView<Policy = Self> + ?Sized>(
+        view: &V,
+        m: &MetricSpace,
+        target: Label,
+        hit: RingHit,
+        dist: Dist,
+        i_prev: u32,
+    ) -> bool {
+        let i = hit.level;
+        !(view.label_at(hit.x) == target
+            || (i <= i_prev && far_from_target(view.eps_ratio(), dist, m.scale(i as usize))))
+    }
+}
 
 /// The `(l(v), l(v;c,j))` pair set of one Voronoi cell: active region
 /// members within `r_c(j+1)`, keyed by hierarchy label. Cell *skeletons*
@@ -65,10 +240,6 @@ fn cell_pairs(
         .map(|&v| (nets.label(v), router.label_of(v).clone()))
         .collect()
 }
-
-/// One node's stored rings: `(level, ring)` for each level of `R(u)`,
-/// sorted by level.
-type NodeRings = Box<[(u32, Box<[RingEntry]>)]>;
 
 /// One Voronoi cell of a packed ball: its shortest-path tree router and the
 /// search tree indexing local labels.
@@ -92,6 +263,24 @@ fn compute_search_bits(n: usize, widths: &FieldWidths, cells: &[Vec<Cell>]) -> V
     search_bits
 }
 
+/// The `(1+O(ε))`-stretch labeled scheme under the level policy `P`:
+/// [`crate::NetLabeled`] stores every level, [`ScaleFreeLabeled`] `R(u)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Labeled<P: LevelPolicy> {
+    nets: NetHierarchy,
+    eps: Eps,
+    widths: FieldWidths,
+    /// Every physical node's rings; only active nodes are destinations.
+    rings: Vec<P::Rings>,
+    /// The packings `ℬ_j`; empty when `P` packs no balls.
+    packings: Packings,
+    /// `cells[j][k]` = cell of ball `k` in `ℬ_j`, as the packings.
+    cells: Vec<Vec<Cell>>,
+    /// Per-node search-tree storage (bits); empty when `P` packs no balls.
+    search_bits: Vec<u64>,
+    log2_n: u32,
+}
+
 /// The scale-free labeled scheme of Theorem 1.2.
 ///
 /// # Examples
@@ -109,39 +298,27 @@ fn compute_search_bits(n: usize, widths: &FieldWidths, cells: &[Vec<Cell>]) -> V
 /// assert!(route.stretch(&m) <= 1.5);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScaleFreeLabeled {
-    nets: NetHierarchy,
-    eps: Eps,
-    widths: FieldWidths,
-    /// Rings for levels in `R(u)` only.
-    rings: Vec<NodeRings>,
-    packings: Packings,
-    /// `cells[j][k]` = cell of ball `k` in `ℬ_j`.
-    cells: Vec<Vec<Cell>>,
-    /// Precomputed per-node search-tree storage (bits).
-    search_bits: Vec<u64>,
-    log2_n: u32,
-}
+pub type ScaleFreeLabeled = Labeled<SparseLevels>;
 
-impl ScaleFreeLabeled {
+impl<P: LevelPolicy> Labeled<P> {
     /// Preprocesses the scheme.
     ///
     /// # Errors
     ///
-    /// Returns [`SchemeError::EpsTooLarge`] if `ε > 1/4` (needed so a ring
-    /// hit exists at every node — see the module docs of
-    /// [`crate::net_labeled`] and Claim 4.6's `ε < 3/4` requirement), and
-    /// [`SchemeError::Disconnected`] if the graph is disconnected.
+    /// Returns [`SchemeError::EpsTooLarge`] if `ε` exceeds the policy's
+    /// bound ([`LevelPolicy::EPS_MAX`]: `1/2` with every level stored,
+    /// `1/4` on `R(u)`), and [`SchemeError::Disconnected`] if the graph is
+    /// disconnected.
     pub fn new(m: &MetricSpace, eps: Eps) -> Result<Self, SchemeError> {
         Self::new_traced(m, eps, &Tracer::noop())
     }
 
     /// [`Self::new`] restricted to an active overlay subset. The packing,
     /// Voronoi routers and search-tree skeletons are physical (they serve
-    /// any forwarding node); only the hierarchy, rings and search-tree pair
-    /// sets are restricted to `active`. With all nodes active this equals
-    /// `new` exactly.
+    /// any forwarding node), and every physical node stores rings; only
+    /// the hierarchy, the rings' members and the search-tree pair sets are
+    /// restricted to `active`. With all nodes active this equals `new`
+    /// exactly.
     ///
     /// # Errors
     ///
@@ -157,7 +334,8 @@ impl ScaleFreeLabeled {
     }
 
     /// [`Self::new`] with preprocessing phases recorded into `tracer`:
-    /// `"net-hierarchy"`, `"ring-build"` (rings on `R(u)`),
+    /// `"net-hierarchy"` (net-tree construction) and `"ring-build"` (the
+    /// stored rings), then, where the policy packs balls,
     /// `"ball-packing"` (the `ℬ_j` packings), `"voronoi-trees"` (the
     /// `T_c(j)` shortest-path-tree routers), `"search-tree-build"` (the
     /// `T'(c, r_c(j))` trees), and `"table-assembly"` (per-node bit
@@ -175,12 +353,13 @@ impl ScaleFreeLabeled {
         Ok(Self::from_nets(m, eps, nets, tracer))
     }
 
-    /// The inputs every constructor rejects: `ε > 1/4`, or a graph with
-    /// unreachable pairs.
+    /// The inputs every constructor rejects: `ε` above the policy's bound,
+    /// or a graph with unreachable pairs.
     fn check(m: &MetricSpace, eps: Eps) -> Result<(), SchemeError> {
-        if !eps.mul_le(4, 1) {
-            // 4 ≤ 1/ε  ⟺  ε ≤ 1/4
-            return Err(SchemeError::EpsTooLarge { got: eps, bound: "1/4" });
+        let (inv, bound) = P::EPS_MAX;
+        if !eps.mul_le(inv, 1) {
+            // inv ≤ 1/ε  ⟺  ε ≤ 1/inv
+            return Err(SchemeError::EpsTooLarge { got: eps, bound });
         }
         if m.diameter() == INFINITY {
             return Err(SchemeError::Disconnected);
@@ -195,23 +374,15 @@ impl ScaleFreeLabeled {
         let log2_n = m.log2_n();
         let n = m.n();
 
-        // --- Ring tables on R(u). ---
-        let eps6 = eps.div_by(6);
-        let rings: Vec<NodeRings> = {
+        let rings: Vec<P::Rings> = {
             let _s = tracer.span("ring-build");
             let mut builder = RingBuilder::new(m, &nets, eps);
-            (0..n as NodeId)
-                .map(|u| {
-                    let r_of: Vec<Dist> = (0..=log2_n).map(|j| m.r_small(u, j)).collect();
-                    // i ∈ R(u) ⟺ ∃j: (ε/6)·r_u(j) ≤ s_i ≤ r_u(j).
-                    let in_r = |s_i: Dist| r_of.iter().any(|&r| eps6.mul_le(r, s_i) && s_i <= r);
-                    (0..m.num_scales())
-                        .filter(|&i| in_r(m.scale(i)))
-                        .map(|i| (i as u32, builder.ring(u, i)))
-                        .collect()
-                })
-                .collect()
+            (0..n as NodeId).map(|u| P::node_rings(&mut builder, m, eps, u)).collect()
         };
+        if !P::PACKS {
+            let (packings, cells, search_bits) = (Packings::default(), Vec::new(), Vec::new());
+            return Labeled { nets, eps, widths, rings, packings, cells, search_bits, log2_n };
+        }
 
         // --- Ball packings. ---
         let packings = {
@@ -293,16 +464,17 @@ impl ScaleFreeLabeled {
             compute_search_bits(n, &widths, &cells)
         };
 
-        ScaleFreeLabeled { nets, eps, widths, rings, packings, cells, search_bits, log2_n }
+        Labeled { nets, eps, widths, rings, packings, cells, search_bits, log2_n }
     }
 
-    /// The net hierarchy the labels come from.
+    /// The net hierarchy the labels come from (shared with upper layers).
     pub fn nets(&self) -> &NetHierarchy {
         &self.nets
     }
 
     /// The ball packings `ℬ_j` (shared with the name-independent layer,
-    /// which builds its `ℬ`-type search trees over the same packing).
+    /// which builds its `ℬ`-type search trees over the same packing);
+    /// empty when the policy packs no balls.
     pub fn packings(&self) -> &Packings {
         &self.packings
     }
@@ -312,24 +484,33 @@ impl ScaleFreeLabeled {
         self.eps
     }
 
-    /// The levels in `R(u)` (the only levels `u` stores rings for).
+    /// The levels `u` stores rings for: every level, or `R(u)`.
     pub fn ring_levels(&self, u: NodeId) -> Vec<u32> {
-        self.rings[u as usize].iter().map(|&(i, _)| i).collect()
+        P::levels(&self.rings[u as usize]).map(|(i, _)| i).collect()
     }
 
-    /// The stored `(level, ring)` tables of `u` in ascending level order —
-    /// the per-node state a plane compiler packs.
+    /// Node `u`'s stored rings ([`LevelPolicy::levels`] lists them) — the
+    /// per-node state a plane compiler packs.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
-    pub fn rings_of(&self, u: NodeId) -> &[(u32, Box<[RingEntry]>)] {
+    pub fn rings_of(&self, u: NodeId) -> &P::Rings {
         &self.rings[u as usize]
     }
 
     /// `⌈log₂ n⌉` — the number of ball-packing size exponents minus one.
     pub fn log2_n(&self) -> u32 {
         self.log2_n
+    }
+
+    /// The minimal-level ring hit for `label` among `u`'s stored levels,
+    /// with its stored `d(u, x)`: the one lookup behind
+    /// [`LabeledView::min_hit`] and the distance oracle.
+    pub(crate) fn ring_hit(&self, u: NodeId, label: Label) -> Option<(RingHit, Dist)> {
+        P::levels(&self.rings[u as usize]).find_map(|(level, ring)| {
+            ring_lookup(ring, label).map(|e| (RingHit { level, x: e.x, next: e.next }, e.dist))
+        })
     }
 }
 
@@ -340,27 +521,29 @@ fn far_from_target((num, den): (u64, u64), d: Dist, s_i: Dist) -> bool {
     2 * (d + s_i) as u128 * num as u128 >= s_i as u128 * den as u128
 }
 
-/// Algorithm 5 over any [`ScaleFreeView`] — the scheme's one routing
-/// procedure, run by [`ScaleFreeLabeled`] and by
-/// [`crate::ScaleFreeLabeledPlane`] alike.
+/// Algorithm 5 over any [`LabeledView`] — the labeled schemes' one routing
+/// procedure, run by [`Labeled`] and by [`crate::plane::LabeledPlane`]
+/// alike under either policy.
 ///
-/// Phase 1 (lines 1–6) is the greedy ring walk over `R(u)`: step toward
-/// the minimal-level hit while the level does not increase and the hit is
-/// still far. When the hit is the destination itself (`x = v`, which
-/// happens whenever `v ∈ Y_i` — in particular at every level-0 hit) the
-/// walk goes straight to it: the per-hop recomputation keeps the target
-/// fixed, so this is the exact shortest path. Claim 4.6's analysis only
-/// covers stalls with `x_t ≠ v` (it needs `i_t ≥ 1` and `x' = v(i_t − 1)`
-/// distinct from the walk target). Once the walk stalls, phase 2 hands off
-/// to the ball-packing machinery.
-pub(crate) fn walk<V: ScaleFreeView + ?Sized>(
+/// Phase 1 (lines 1–6) is the greedy ring walk over the stored levels:
+/// step toward the minimal-level hit until the policy's stall test fires
+/// ([`LevelPolicy::stalled`]; never with every level stored). When the hit
+/// is the destination itself (`x = v`, which happens whenever `v ∈ Y_i` —
+/// in particular at every level-0 hit) the walk goes straight to it: the
+/// per-hop recomputation keeps the target fixed, so this is the exact
+/// shortest path. Claim 4.6's analysis only covers stalls with `x_t ≠ v`
+/// (it needs `i_t ≥ 1` and `x' = v(i_t − 1)` distinct from the walk
+/// target). Once the walk stalls, phase 2 hands off to the ball-packing
+/// machinery.
+pub(crate) fn walk<P: LevelPolicy, V: LabeledView<Policy = P> + ?Sized>(
     view: &V,
     rec: &mut RouteRecorder<'_>,
     target: Label,
 ) -> Result<(), RouteError> {
     let widths = view.widths();
-    // Phase-1 header: destination label + previous level.
-    rec.note_header_bits(widths.node + widths.level);
+    // The header: the destination label, and the previous level where the
+    // walk can stall.
+    rec.note_header_bits(widths.node + if P::PACKS { widths.level } else { 0 });
     let mut i_prev = u32::MAX;
     let mut seg_level: Option<u32> = None;
     loop {
@@ -368,32 +551,27 @@ pub(crate) fn walk<V: ScaleFreeView + ?Sized>(
         if view.label_at(u) == target {
             return Ok(());
         }
-        let (hit, dist) = view.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
-            at: u,
-            detail: "no ring hit on R(u) (requires eps <= 1/4)".into(),
-        })?;
+        let (hit, dist) = view
+            .min_hit(u, target)
+            .ok_or_else(|| RouteError::LookupFailed { at: u, detail: P::NO_HIT.into() })?;
         let i = hit.level;
-        if view.label_at(hit.x) == target
-            || (i <= i_prev
-                && far_from_target(view.eps_ratio(), dist, rec.metric().scale(i as usize)))
-        {
-            if seg_level != Some(i) {
-                rec.begin_segment("ring-walk", Some(i));
-                seg_level = Some(i);
+        if P::stalled(view, rec.metric(), target, hit, dist, i_prev) {
+            // Hand off to the ball-packing machinery.
+            packing_phase(view, rec, target, i)?;
+            let arrived = rec.current();
+            if view.label_at(arrived) != target {
+                return Err(RouteError::Internal(format!(
+                    "packing phase delivered to {arrived}, not the target"
+                )));
             }
-            rec.hop(hit.next)?;
-            i_prev = i;
-            continue;
+            return Ok(());
         }
-        // Stalled: hand off to the ball-packing machinery.
-        packing_phase(view, rec, target, i)?;
-        let arrived = rec.current();
-        if view.label_at(arrived) != target {
-            return Err(RouteError::Internal(format!(
-                "packing phase delivered to {arrived}, not the target"
-            )));
+        if seg_level != Some(i) {
+            rec.begin_segment("ring-walk", Some(i));
+            seg_level = Some(i);
         }
-        return Ok(());
+        rec.hop(hit.next)?;
+        i_prev = i;
     }
 }
 
@@ -401,7 +579,7 @@ pub(crate) fn walk<V: ScaleFreeView + ?Sized>(
 /// to the center `c` of `u_t`'s Voronoi ball in `ℬ_j` on `T_c(j)`, look up
 /// the target's local label in `T'(c, r_c(j))`, and route to it on
 /// `T_c(j)`.
-fn packing_phase<V: ScaleFreeView + ?Sized>(
+fn packing_phase<V: LabeledView + ?Sized>(
     view: &V,
     rec: &mut RouteRecorder<'_>,
     target: Label,
@@ -411,7 +589,7 @@ fn packing_phase<V: ScaleFreeView + ?Sized>(
     let u_t = rec.current();
     let s_it = m.scale(i_t as usize);
     // j: the largest index with r_{u_t}(j) ≤ 2^{i_t}.
-    let j = (0..=view.log2_n())
+    let j = (0..=m.log2_n())
         .rev()
         .find(|&j| m.r_small(u_t, j) <= s_it)
         .expect("r_u(0) = 0 always qualifies");
@@ -441,7 +619,7 @@ fn packing_phase<V: ScaleFreeView + ?Sized>(
 
 /// Forwards on a cell's tree `T_c(j)` until `target` is reached; each
 /// hop's tree-local index is the forwarding node's own Voronoi row.
-fn tree_walk<V: ScaleFreeView + ?Sized, R: RouterRecords>(
+fn tree_walk<V: LabeledView + ?Sized, R: RouterRecords>(
     view: &V,
     rec: &mut RouteRecorder<'_>,
     j: u32,
@@ -458,7 +636,11 @@ fn tree_walk<V: ScaleFreeView + ?Sized, R: RouterRecords>(
     }
 }
 
-impl LabeledView for ScaleFreeLabeled {
+impl<P: LevelPolicy> LabeledView for Labeled<P> {
+    type Policy = P;
+    type Router<'a> = &'a PortTreeRouter;
+    type Search<'a> = &'a SearchTree<PortLabel>;
+
     fn widths(&self) -> FieldWidths {
         self.widths
     }
@@ -467,27 +649,12 @@ impl LabeledView for ScaleFreeLabeled {
         self.nets.label(u)
     }
 
-    fn walk_label(&self, rec: &mut RouteRecorder<'_>, target: Label) -> Result<(), RouteError> {
-        walk(self, rec, target)
+    fn min_hit(&self, u: NodeId, label: Label) -> Option<(RingHit, P::HitDist)> {
+        self.ring_hit(u, label).map(|(hit, d)| (hit, P::hit_dist(d)))
     }
-}
-
-impl ScaleFreeView for ScaleFreeLabeled {
-    type Router<'a> = &'a PortTreeRouter;
-    type Search<'a> = &'a SearchTree<PortLabel>;
 
     fn eps_ratio(&self) -> (u64, u64) {
         (self.eps.num(), self.eps.den())
-    }
-
-    fn log2_n(&self) -> u32 {
-        self.log2_n
-    }
-
-    fn min_hit(&self, u: NodeId, label: Label) -> Option<(RingHit, Dist)> {
-        self.rings[u as usize].iter().find_map(|(i, ring)| {
-            ring_lookup(ring, label).map(|e| (RingHit { level: *i, x: e.x, next: e.next }, e.dist))
-        })
     }
 
     fn voronoi_row(&self, u: NodeId, j: u32) -> (u32, u32) {
@@ -513,9 +680,9 @@ impl ScaleFreeView for ScaleFreeLabeled {
     }
 }
 
-impl LabeledScheme for ScaleFreeLabeled {
+impl<P: LevelPolicy> LabeledScheme for Labeled<P> {
     fn scheme_name(&self) -> &'static str {
-        "scale-free-labeled"
+        P::NAME
     }
 
     fn label_of(&self, v: NodeId) -> Label {
@@ -528,24 +695,27 @@ impl LabeledScheme for ScaleFreeLabeled {
 
     fn table_bits(&self, u: NodeId) -> u64 {
         let mut t = BitTally::new();
-        // Rings: level tag + entries of (x, range lo/hi, next, dist).
-        for (_i, ring) in &self.rings[u as usize] {
-            t.levels(&self.widths, 1);
+        // Rings: per entry the net point, range lo/hi and next hop; on
+        // R(u) also a level tag per ring and the distance per entry.
+        for (_, ring) in P::levels(&self.rings[u as usize]) {
             t.nodes(&self.widths, 4 * ring.len() as u64);
-            t.dists(&self.widths, ring.len() as u64);
+            if P::PACKS {
+                t.levels(&self.widths, 1);
+                t.dists(&self.widths, ring.len() as u64);
+            }
         }
         // Per j: the local label of u's Voronoi center plus tree-router
         // table (degree-independent).
-        for j in 0..=self.log2_n {
-            let packing = self.packings.at(j);
-            let k = packing.voronoi_index(u);
-            let cell = &self.cells[j as usize][k as usize];
-            let c = packing.balls()[k as usize].center;
-            t.raw(cell.router.label_of(c).bits(self.widths.node, cell.router.port_bits()));
-            t.raw(cell.router.table_bits(u, self.widths.node));
+        for (packing, cells) in self.packings.iter().zip(&self.cells) {
+            let k = packing.voronoi_index(u) as usize;
+            let (router, c) = (&cells[k].router, packing.balls()[k].center);
+            t.raw(router.label_of(c).bits(self.widths.node, router.port_bits()));
+            t.raw(router.table_bits(u, self.widths.node));
         }
         // Search-tree shares.
-        t.raw(self.search_bits[u as usize]);
+        if P::PACKS {
+            t.raw(self.search_bits[u as usize]);
+        }
         t.total()
     }
 
@@ -554,63 +724,67 @@ impl LabeledScheme for ScaleFreeLabeled {
     }
 }
 
-impl Certifiable for ScaleFreeLabeled {
+impl<P: LevelPolicy> Certifiable for Labeled<P> {
     fn field_widths(&self) -> FieldWidths {
         self.widths
     }
 
-    /// Enumerates, per node: one `"ring"` component per stored level (a
-    /// level tag plus, per entry, net point / range lo / range hi / next
-    /// hop and a distance), one `"voronoi-cell"` component per size
-    /// exponent `j` (the local tree-router label of `u`'s cell center plus
-    /// `u`'s share of the cell's tree-router table, both already priced in
-    /// raw bits), and the node's `"search-share"`. Independent of
-    /// [`LabeledScheme::table_bits`] by construction.
+    /// Enumerates, per node: one `"ring"` component per stored level (per
+    /// entry a net point, range lo, range hi and next hop, plus on `R(u)`
+    /// a level tag and a distance per entry), then where balls are packed
+    /// one `"voronoi-cell"` component per size exponent `j` (the local
+    /// tree-router label of `u`'s cell center plus `u`'s share of the
+    /// cell's tree-router table, both already priced in raw bits) and the
+    /// node's `"search-share"`. Independent of
+    /// [`LabeledScheme::table_bits`] by construction, so a conformance
+    /// audit can cross-check the two totals.
     fn table_components(&self, u: NodeId) -> Vec<TableComponent> {
-        let mut out = Vec::new();
-        for (i, ring) in &self.rings[u as usize] {
+        let mut out: Vec<TableComponent> = P::levels(&self.rings[u as usize])
+            .map(|(i, ring)| {
+                let len = ring.len() as u64;
+                TableComponent {
+                    levels: u64::from(P::PACKS),
+                    nodes: 4 * len,
+                    dists: if P::PACKS { len } else { 0 },
+                    ..TableComponent::new("ring", i)
+                }
+            })
+            .collect();
+        for (j, (packing, cells)) in (0..).zip(self.packings.iter().zip(&self.cells)) {
+            let k = packing.voronoi_index(u) as usize;
+            let (router, c) = (&cells[k].router, packing.balls()[k].center);
             out.push(TableComponent {
-                levels: 1,
-                nodes: 4 * ring.len() as u64,
-                dists: ring.len() as u64,
-                ..TableComponent::new("ring", *i)
-            });
-        }
-        for j in 0..=self.log2_n {
-            let packing = self.packings.at(j);
-            let k = packing.voronoi_index(u);
-            let cell = &self.cells[j as usize][k as usize];
-            let c = packing.balls()[k as usize].center;
-            out.push(TableComponent {
-                raw: cell.router.label_of(c).bits(self.widths.node, cell.router.port_bits())
-                    + cell.router.table_bits(u, self.widths.node),
+                raw: router.label_of(c).bits(self.widths.node, router.port_bits())
+                    + router.table_bits(u, self.widths.node),
                 ..TableComponent::new("voronoi-cell", j)
             });
         }
-        out.push(TableComponent {
-            raw: self.search_bits[u as usize],
-            ..TableComponent::new("search-share", 0)
-        });
+        if P::PACKS {
+            out.push(TableComponent {
+                raw: self.search_bits[u as usize],
+                ..TableComponent::new("search-share", 0)
+            });
+        }
         out
     }
 }
 
-impl Maintainable for ScaleFreeLabeled {
+impl<P: LevelPolicy> Maintainable for Labeled<P> {
     fn maintain_name(&self) -> &'static str {
-        "scale-free-labeled"
+        P::NAME
     }
 
     fn active_nodes(&self) -> Vec<NodeId> {
         self.nets.active_nodes().to_vec()
     }
 
-    /// Repairs the hierarchy, patches the rings near changed net members
-    /// by their level delta ([`patch_ring`]; range-refreshing the rest),
-    /// redistributes every cell's `(label, local-label)` pair set over its
-    /// **unchanged** physical skeleton (each counted as a refreshed tree),
-    /// and re-prices the per-node search shares. The repaired scheme is
-    /// **identical** to [`ScaleFreeLabeled::new_over`] on the post-churn
-    /// active set.
+    /// Repairs the hierarchy, patches the stored rings near changed net
+    /// members by their level delta ([`patch_ring`]; range-refreshing the
+    /// rest), and where balls are packed redistributes every cell's
+    /// `(label, local-label)` pair set over its **unchanged** physical
+    /// skeleton (each counted as a refreshed tree) and re-prices the
+    /// per-node search shares. The repaired scheme is **identical** to
+    /// [`Labeled::new_over`] on the post-churn active set.
     ///
     /// # Panics
     ///
@@ -623,11 +797,10 @@ impl Maintainable for ScaleFreeLabeled {
         let mut zones: Vec<Option<Vec<bool>>> = vec![None; m.num_scales()];
         let mut tables: Vec<Option<Vec<(u32, u32)>>> = vec![None; m.num_scales()];
         let mut stats = RepairStats::default();
-        for u in 0..m.n() {
-            // Split borrow: rings mutably, the rest of self immutably.
-            let (nets, eps) = (&self.nets, self.eps);
-            for (i, ring) in self.rings[u].iter_mut() {
-                let i = *i as usize;
+        let (nets, eps) = (&self.nets, self.eps);
+        for (u, rings) in self.rings.iter_mut().enumerate() {
+            for (i, ring) in P::levels_mut(rings) {
+                let i = i as usize;
                 let zone = zones[i].get_or_insert_with(|| {
                     let changed = deltas[i].changed();
                     if changed.is_empty() {
@@ -645,6 +818,9 @@ impl Maintainable for ScaleFreeLabeled {
                     stats.rings_refreshed += 1;
                 }
             }
+        }
+        if !P::PACKS {
+            return stats;
         }
 
         // Cells: skeletons and routers are physical — only the pair sets
@@ -667,8 +843,7 @@ impl Maintainable for ScaleFreeLabeled {
     }
 
     fn rebuild(&mut self, m: &MetricSpace, active: &[NodeId]) {
-        *self =
-            ScaleFreeLabeled::new_over(m, self.eps, active).expect("eps validated at construction");
+        *self = Self::new_over(m, self.eps, active).expect("eps validated at construction");
     }
 
     fn total_table_bits(&self) -> u64 {
@@ -676,9 +851,10 @@ impl Maintainable for ScaleFreeLabeled {
     }
 }
 
-impl netsim::recovery::FallbackHierarchy for ScaleFreeLabeled {
+impl<P: LevelPolicy> netsim::recovery::FallbackHierarchy for Labeled<P> {
     /// The scheme's own net hierarchy: `LevelFallback` climbs the zooming
-    /// sequence the ring/packing tables are built on.
+    /// sequence the ring tables are built on, so a fallback landmark is
+    /// always a node the scheme can re-plan from.
     fn fallback_hierarchy(&self) -> &NetHierarchy {
         self.nets()
     }

@@ -176,8 +176,9 @@ impl BallPacking {
     }
 }
 
-/// All packings `ℬ_0, …, ℬ_{⌈log n⌉}`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// All packings `ℬ_0, …, ℬ_{⌈log n⌉}`. The default holds none, and
+/// allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Packings {
     packings: Vec<BallPacking>,
 }
@@ -205,7 +206,7 @@ impl Packings {
         self.packings.len()
     }
 
-    /// Whether there are no packings (never true after construction).
+    /// Whether there are no packings (never true after [`Packings::new`]).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.packings.is_empty()

@@ -18,24 +18,25 @@
 //!
 //! Theorem 1.1 differs from Theorem 1.4 only in its labeled layer and in
 //! replacing a round's own tree with a link to a packed ball's tree, so
-//! one scheme is written once, [`NameIndependent<U>`], generic over its
-//! underlying labeled scheme ([`UnderlyingScheme`]), with two instances:
+//! one scheme is written once, [`NameIndependent<P>`], generic over the
+//! level policy of its underlying labeled scheme
+//! ([`labeled_routing::LevelPolicy`]), with two instances:
 //!
-//! * [`ScaleFreeNameIndependent`] = `NameIndependent<ScaleFreeLabeled>`
-//!   (**Theorem 1.1**) replaces most per-level search trees with shared
-//!   trees over the ball packings `ℬ_j` (Section 3.3): a ball
-//!   `B_u(2^i/ε)` whose contents are already indexed by a packed ball's
-//!   tree stores only a link `H(u, i)` to that ball (**Algorithm 4**
-//!   redirects the search through the link). Claims 3.6–3.9 bound the
+//! * [`ScaleFreeNameIndependent`] = `NameIndependent<SparseLevels>`, over
+//!   `ScaleFreeLabeled` (**Theorem 1.1**), replaces most per-level search
+//!   trees with shared trees over the ball packings `ℬ_j` (Section 3.3): a
+//!   ball `B_u(2^i/ε)` whose contents are already indexed by a packed
+//!   ball's tree stores only a link `H(u, i)` to that ball (**Algorithm
+//!   4** redirects the search through the link). Claims 3.6–3.9 bound the
 //!   storage at `(1/ε)^{O(α)}·log³ n` bits — independent of Δ. Together
 //!   with the matching lower bound this is the first optimal-stretch
 //!   scale-free name-independent compact routing scheme for doubling
 //!   networks.
-//! * [`SimpleNameIndependent`] = `NameIndependent<NetLabeled>`
-//!   (**Theorem 1.4**): `NetLabeled` packs no balls, so no round links
-//!   and the scheme keeps one search tree per net point per level —
-//!   `(1/ε)^{O(α)}·log Δ·log n` bits per node, `O(log n)` headers; not
-//!   scale-free.
+//! * [`SimpleNameIndependent`] = `NameIndependent<AllLevels>`, over
+//!   `NetLabeled` (**Theorem 1.4**): `NetLabeled` packs no balls, so no
+//!   round links and the scheme keeps one search tree per net point per
+//!   level — `(1/ε)^{O(α)}·log Δ·log n` bits per node, `O(log n)`
+//!   headers; not scale-free.
 //!
 //! Both route by the one Algorithm 3 loop ([`view::route_named`]) and
 //! compile into one plane type ([`NiPlane`]).
@@ -51,7 +52,7 @@ pub mod view;
 
 pub use objects::ObjectDirectory;
 pub use plane::{NiPlane, ScaleFreeNiPlane, SimpleNiPlane};
-pub use scale_free::{NameIndependent, ScaleFreeNameIndependent, UnderlyingScheme};
+pub use scale_free::{NameIndependent, ScaleFreeNameIndependent};
 pub use simple::SimpleNameIndependent;
 pub use view::{Facility, NameIndependentView};
 

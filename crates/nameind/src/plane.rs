@@ -7,12 +7,13 @@
 //! [`NiPlane::decode`] is the one place that builds a plane and derives
 //! its offset indices from those bits. The plane implements
 //! [`NameIndependentView`] over its bits, with the wrapped labeled plane as
-//! its [`LabeledView`], and [`ForwardingPlane::route_named`] runs the one
-//! Algorithm 3 procedure, [`route_named`], over that view — the procedure
-//! the reference schemes run.
+//! its [`LabeledView`](labeled_routing::LabeledView), and
+//! [`ForwardingPlane::route_named`] runs the one Algorithm 3 procedure,
+//! [`route_named`], over that view — the procedure the reference schemes
+//! run.
 //!
-//! Own-arena layout; the bracketed parts are packed only over the
-//! scale-free labeled plane ([`NiUnderlying::LINKS`]):
+//! Own-arena layout; the bracketed parts are packed only over a labeled
+//! plane that packs balls ([`LevelPolicy::PACKS`]):
 //!
 //! ```text
 //!   widths:5×7  n:cnt  epoch:64  nrounds:7  [log2_n:7]
@@ -25,9 +26,7 @@
 use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
 
-use labeled_routing::{
-    LabeledView, NetLabeled, NetLabeledPlane, ScaleFreeLabeled, ScaleFreeLabeledPlane,
-};
+use labeled_routing::{AllLevels, LabeledPlane, LevelPolicy, SparseLevels};
 use netsim::bits::{bits_for_count, FieldWidths};
 use netsim::plane::{
     push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane, SMALL_FIELD_BITS,
@@ -36,31 +35,10 @@ use netsim::route::{Route, RouteError};
 use netsim::scheme::{Label, Name};
 use searchtree::{PackedSearchTree, PackedTreeView, PackedTreeWidths, U32Codec};
 
-use crate::scale_free::{NameIndependent, UnderlyingScheme};
+use crate::scale_free::{scheme_name, NameIndependent};
 use crate::view::{route_named, Facility, NameIndependentView};
 #[cfg(test)]
 use crate::{ScaleFreeNameIndependent, SimpleNameIndependent};
-
-/// The labeled plane an [`NiPlane`] wraps, which also fixes which
-/// name-independent scheme sits on top of it.
-pub trait NiUnderlying: ForwardingPlane + LabeledView {
-    /// The labeled scheme this plane packs.
-    type Scheme: UnderlyingScheme<Plane = Self>;
-
-    /// Whether the layer packs ℬ-type trees and `H(y, k)` links (the
-    /// scale-free scheme) or only own trees (the simple scheme).
-    const LINKS: bool;
-}
-
-impl NiUnderlying for NetLabeledPlane {
-    type Scheme = NetLabeled;
-    const LINKS: bool = false;
-}
-
-impl NiUnderlying for ScaleFreeLabeledPlane {
-    type Scheme = ScaleFreeLabeled;
-    const LINKS: bool = true;
-}
 
 /// One packed facility: an own tree, or a link into the ℬ-type pool.
 #[derive(Debug, Clone)]
@@ -70,10 +48,10 @@ enum PackedFacility {
 }
 
 /// A name-independent scheme compiled into a bit arena, layered over the
-/// packed plane `L` of its underlying labeled scheme.
+/// packed plane of its underlying labeled scheme (level policy `P`).
 #[derive(Debug, Clone)]
-pub struct NiPlane<L> {
-    underlying: L,
+pub struct NiPlane<P> {
+    underlying: LabeledPlane<P>,
     arena: BitArena,
     epoch: u64,
     n: usize,
@@ -88,7 +66,8 @@ pub struct NiPlane<L> {
 }
 
 /// The [`SimpleNameIndependent`](crate::SimpleNameIndependent) scheme
-/// compiled into a bit arena, layered over a packed [`NetLabeledPlane`].
+/// compiled into a bit arena, layered over a packed
+/// [`NetLabeledPlane`](labeled_routing::NetLabeledPlane).
 ///
 /// # Examples
 ///
@@ -103,28 +82,28 @@ pub struct NiPlane<L> {
 /// assert_eq!(plane.route_named(&m, 0, 7)?, s.route(&m, 0, 7)?);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub type SimpleNiPlane = NiPlane<NetLabeledPlane>;
+pub type SimpleNiPlane = NiPlane<AllLevels>;
 
 /// The [`ScaleFreeNameIndependent`](crate::ScaleFreeNameIndependent)
 /// scheme compiled into a bit arena, layered over a packed
-/// [`ScaleFreeLabeledPlane`].
-pub type ScaleFreeNiPlane = NiPlane<ScaleFreeLabeledPlane>;
+/// [`ScaleFreeLabeledPlane`](labeled_routing::ScaleFreeLabeledPlane).
+pub type ScaleFreeNiPlane = NiPlane<SparseLevels>;
 
-impl<L: NiUnderlying> NiPlane<L> {
+impl<P: LevelPolicy> NiPlane<P> {
     /// Compiles `s` (and its underlying labeled scheme) at epoch `epoch`.
-    pub fn compile(m: &MetricSpace, s: &NameIndependent<L::Scheme>, epoch: u64) -> Self {
-        let underlying = s.underlying().compile(m, epoch);
+    pub fn compile(m: &MetricSpace, s: &NameIndependent<P>, epoch: u64) -> Self {
+        let underlying = LabeledPlane::compile(m, s.underlying(), None, epoch);
         Self::decode(Self::pack(m, s, epoch), underlying)
     }
 
-    /// Packs the name-resolution layer of `s` (with its ℬ-type trees when
-    /// `L::LINKS`) into its own arena.
-    fn pack(m: &MetricSpace, s: &NameIndependent<L::Scheme>, epoch: u64) -> BitArena {
+    /// Packs the name-resolution layer of `s` (with its ℬ-type trees where
+    /// `P` packs balls) into its own arena.
+    fn pack(m: &MetricSpace, s: &NameIndependent<P>, epoch: u64) -> BitArena {
         let n = m.n();
         let widths = FieldWidths::new(m);
         let (node, cnt) = (widths.node, bits_for_count(n as u64 + 1));
         let nrounds = s.round_count();
-        let npools = s.underlying().ball_packings().len() as u32;
+        let npools = s.underlying().packings().len() as u32;
         let (codec, tw) = (U32Codec { width: node }, PackedTreeWidths { key: node, cnt, node });
 
         let mut arena = BitArena::new();
@@ -132,7 +111,7 @@ impl<L: NiUnderlying> NiPlane<L> {
         arena.push(n as u64, cnt);
         arena.push(epoch, 64);
         arena.push(nrounds as u64, SMALL_FIELD_BITS);
-        if L::LINKS {
+        if P::PACKS {
             arena.push(u64::from(npools) - 1, SMALL_FIELD_BITS);
         }
         for u in 0..n as NodeId {
@@ -154,7 +133,7 @@ impl<L: NiUnderlying> NiPlane<L> {
             for j in 0..s.hosts(k) {
                 match s.facility(k, j) {
                     Facility::Own(tree) => {
-                        if L::LINKS {
+                        if P::PACKS {
                             arena.push(1, 1);
                         }
                         PackedSearchTree::encode(&mut arena, tree, &codec, tw);
@@ -177,7 +156,7 @@ impl<L: NiUnderlying> NiPlane<L> {
     ///
     /// Panics if the layout reads past the end of `arena` or does not end
     /// exactly at it ([`BitCursor::finish`]).
-    pub fn decode(mut arena: BitArena, underlying: L) -> Self {
+    pub fn decode(mut arena: BitArena, underlying: LabeledPlane<P>) -> Self {
         arena.trim();
         let mut cur = BitCursor::new(&arena, 0);
         let (widths, cnt) = take_width_header(&mut cur);
@@ -186,7 +165,7 @@ impl<L: NiUnderlying> NiPlane<L> {
         let n = cur.take(cnt) as usize;
         let epoch = cur.take(64);
         let nrounds = cur.take(SMALL_FIELD_BITS) as usize;
-        let npools = if L::LINKS { cur.take(SMALL_FIELD_BITS) + 1 } else { 0 };
+        let npools = if P::PACKS { cur.take(SMALL_FIELD_BITS) + 1 } else { 0 };
         let node_off = (0..n)
             .map(|_| {
                 let off = cur.pos();
@@ -203,7 +182,7 @@ impl<L: NiUnderlying> NiPlane<L> {
             .map(|_| {
                 (0..cur.take(cnt))
                     .map(|_| {
-                        if !L::LINKS || cur.take(1) == 1 {
+                        if !P::PACKS || cur.take(1) == 1 {
                             PackedFacility::Own(PackedSearchTree::decode(&mut cur, codec, tw))
                         } else {
                             let j = cur.take(SMALL_FIELD_BITS) as u32;
@@ -214,7 +193,7 @@ impl<L: NiUnderlying> NiPlane<L> {
                     .collect()
             })
             .collect();
-        cur.finish(<L::Scheme as UnderlyingScheme>::NAME);
+        cur.finish(scheme_name::<P>());
         NiPlane { underlying, arena, epoch, n, node, cnt, node_off, btrees, facility }
     }
 
@@ -224,14 +203,14 @@ impl<L: NiUnderlying> NiPlane<L> {
     }
 }
 
-impl<L: NiUnderlying> NameIndependentView for NiPlane<L> {
-    type Labeled = L;
+impl<P: LevelPolicy> NameIndependentView for NiPlane<P> {
+    type Labeled = LabeledPlane<P>;
     type Tree<'a>
         = PackedTreeView<'a, U32Codec>
     where
-        L: 'a;
+        P: 'a;
 
-    fn underlying(&self) -> &L {
+    fn underlying(&self) -> &LabeledPlane<P> {
         &self.underlying
     }
 
@@ -267,9 +246,9 @@ impl<L: NiUnderlying> NameIndependentView for NiPlane<L> {
     }
 }
 
-impl<L: NiUnderlying> ForwardingPlane for NiPlane<L> {
+impl<P: LevelPolicy> ForwardingPlane for NiPlane<P> {
     fn plane_name(&self) -> &'static str {
-        <L::Scheme as UnderlyingScheme>::NAME
+        scheme_name::<P>()
     }
 
     fn epoch(&self) -> u64 {
@@ -297,6 +276,7 @@ impl<L: NiUnderlying> ForwardingPlane for NiPlane<L> {
 mod tests {
     use super::*;
     use doubling_metric::{gen, Eps};
+    use labeled_routing::{NetLabeledPlane, ScaleFreeLabeledPlane};
     use netsim::scheme::NameIndependentScheme;
     use netsim::Naming;
 

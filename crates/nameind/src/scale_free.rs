@@ -26,21 +26,21 @@
 //! Either way the search covers `B_{u(i_k)}(ρ_k)` at cost `≈ 2ρ_k(1+O(ε))`,
 //! so Lemma 3.4's `(9+O(ε))` stretch argument applies unchanged.
 //!
-//! [`NameIndependent`] takes the underlying labeled scheme as a parameter
-//! ([`UnderlyingScheme`]). Over [`ScaleFreeLabeled`] it is Theorem 1.1's
-//! [`ScaleFreeNameIndependent`]. [`NetLabeled`] packs no balls, so no
-//! round links and every facility is an own tree `T(y, ρ_k)`: that
-//! instance is Theorem 1.4's [`crate::SimpleNameIndependent`].
+//! [`NameIndependent`] takes the level policy of its underlying labeled
+//! scheme ([`Labeled`]) as a parameter. Over
+//! [`ScaleFreeLabeled`](labeled_routing::ScaleFreeLabeled) it is Theorem
+//! 1.1's [`ScaleFreeNameIndependent`].
+//! [`NetLabeled`](labeled_routing::NetLabeled) packs no balls, so no round
+//! links and every facility is an own tree `T(y, ρ_k)`: that instance is
+//! Theorem 1.4's [`crate::SimpleNameIndependent`].
 
 use doubling_metric::graph::{Dist, NodeId};
 use doubling_metric::nets::{ChurnBatch, NetHierarchy};
-use doubling_metric::packing::{BallPacking, PackedBall};
+use doubling_metric::packing::PackedBall;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::Eps;
 
-use labeled_routing::{
-    LabeledView, NetLabeled, NetLabeledPlane, ScaleFreeLabeled, ScaleFreeLabeledPlane, SchemeError,
-};
+use labeled_routing::{Labeled, LevelPolicy, SchemeError, SparseLevels};
 use netsim::bits::{BitTally, FieldWidths, TableComponent};
 use netsim::maintain::{Maintainable, RepairStats};
 use netsim::naming::Naming;
@@ -49,122 +49,25 @@ use netsim::scheme::{Certifiable, Label, LabeledScheme, Name, NameIndependentSch
 use obs::Tracer;
 use searchtree::{SearchTree, SearchTreeConfig};
 
-use crate::plane::NiUnderlying;
 use crate::rounds::Rounds;
 use crate::view::{self, route_named, NameIndependentView};
 
-/// The labeled scheme a [`NameIndependent`] scheme routes over: its
-/// constructors, its net hierarchy, the ball packings a round may link
-/// to, and its packed plane.
-pub trait UnderlyingScheme:
-    LabeledScheme + LabeledView + Certifiable + Maintainable + Clone
-{
-    /// The name-independent scheme's name over this layer: its
-    /// [`NameIndependentScheme::scheme_name`], its
-    /// [`Maintainable::maintain_name`] and its plane's name.
-    const NAME: &'static str;
-
-    /// The packed plane the scheme compiles to.
-    type Plane: NiUnderlying<Scheme = Self>;
-
-    /// Builds the scheme over every node, with its preprocessing phases
-    /// recorded into `tracer`.
-    ///
-    /// # Errors
-    ///
-    /// [`SchemeError::EpsTooLarge`] and [`SchemeError::Disconnected`].
-    fn new_traced(m: &MetricSpace, eps: Eps, tracer: &Tracer) -> Result<Self, SchemeError>;
-
-    /// Builds the scheme over the active overlay `active`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::new_traced`].
-    fn new_over(m: &MetricSpace, eps: Eps, active: &[NodeId]) -> Result<Self, SchemeError>;
-
-    /// The `ε` the scheme was built with.
-    fn eps(&self) -> Eps;
-
-    /// The net hierarchy the labels come from.
-    fn nets(&self) -> &NetHierarchy;
-
-    /// The ball packings `ℬ_0, …, ℬ_{⌈log₂ n⌉}` whose ℬ-type trees a round
-    /// may link to; empty when the layer packs no balls.
-    fn ball_packings(&self) -> &[BallPacking];
-
-    /// Compiles the scheme, without a naming, into its plane at `epoch`.
-    fn compile(&self, m: &MetricSpace, epoch: u64) -> Self::Plane;
-}
-
-impl UnderlyingScheme for NetLabeled {
-    const NAME: &'static str = "simple-name-independent";
-    type Plane = NetLabeledPlane;
-
-    fn new_traced(m: &MetricSpace, eps: Eps, tracer: &Tracer) -> Result<Self, SchemeError> {
-        NetLabeled::new_traced(m, eps, tracer)
-    }
-
-    fn new_over(m: &MetricSpace, eps: Eps, active: &[NodeId]) -> Result<Self, SchemeError> {
-        NetLabeled::new_over(m, eps, active)
-    }
-
-    #[inline]
-    fn eps(&self) -> Eps {
-        NetLabeled::eps(self)
-    }
-
-    #[inline]
-    fn nets(&self) -> &NetHierarchy {
-        NetLabeled::nets(self)
-    }
-
-    #[inline]
-    fn ball_packings(&self) -> &[BallPacking] {
-        &[]
-    }
-
-    fn compile(&self, m: &MetricSpace, epoch: u64) -> NetLabeledPlane {
-        NetLabeledPlane::compile(m, self, None, epoch)
-    }
-}
-
-impl UnderlyingScheme for ScaleFreeLabeled {
-    const NAME: &'static str = "scale-free-name-independent";
-    type Plane = ScaleFreeLabeledPlane;
-
-    fn new_traced(m: &MetricSpace, eps: Eps, tracer: &Tracer) -> Result<Self, SchemeError> {
-        ScaleFreeLabeled::new_traced(m, eps, tracer)
-    }
-
-    fn new_over(m: &MetricSpace, eps: Eps, active: &[NodeId]) -> Result<Self, SchemeError> {
-        ScaleFreeLabeled::new_over(m, eps, active)
-    }
-
-    #[inline]
-    fn eps(&self) -> Eps {
-        ScaleFreeLabeled::eps(self)
-    }
-
-    #[inline]
-    fn nets(&self) -> &NetHierarchy {
-        ScaleFreeLabeled::nets(self)
-    }
-
-    #[inline]
-    fn ball_packings(&self) -> &[BallPacking] {
-        self.packings().as_slice()
-    }
-
-    fn compile(&self, m: &MetricSpace, epoch: u64) -> ScaleFreeLabeledPlane {
-        ScaleFreeLabeledPlane::compile(m, self, None, epoch)
+/// The scheme's name over the labeled layer with level policy `P`: its
+/// [`NameIndependentScheme::scheme_name`], its
+/// [`Maintainable::maintain_name`] and its plane's name.
+pub(crate) const fn scheme_name<P: LevelPolicy>() -> &'static str {
+    if P::PACKS {
+        "scale-free-name-independent"
+    } else {
+        "simple-name-independent"
     }
 }
 
 /// The `(name, label)` pairs for the given (active) nodes. Keys are names,
 /// so the store order is irrelevant.
-fn pairs_for<U: UnderlyingScheme>(
+fn pairs_for<P: LevelPolicy>(
     naming: &Naming,
-    underlying: &U,
+    underlying: &Labeled<P>,
     nodes: &[NodeId],
 ) -> Vec<(Name, Label)> {
     nodes.iter().map(|&v| (naming.name_of(v), underlying.label_of(v))).collect()
@@ -180,10 +83,10 @@ fn indexed_radius(m: &MetricSpace, c: NodeId, j: u32) -> Dist {
 /// The pairs a ℬ-type tree stores: the active part of `B_c(r_big)` — empty
 /// when the ball's center itself is inactive (the tree is a stub that no
 /// `H(y, k)` link may target).
-fn btree_pairs<U: UnderlyingScheme>(
+fn btree_pairs<P: LevelPolicy>(
     m: &MetricSpace,
     naming: &Naming,
-    underlying: &U,
+    underlying: &Labeled<P>,
     c: NodeId,
     r_big: Dist,
 ) -> Vec<(Name, Label)> {
@@ -199,10 +102,10 @@ fn btree_pairs<U: UnderlyingScheme>(
 /// single-node stub (kept so `btrees[j]` indices track the physical
 /// packing); an active center gets the active part of the ball's nodes as
 /// skeleton and the active part of `B_c(r_big)` as pairs.
-fn build_btree<U: UnderlyingScheme>(
+fn build_btree<P: LevelPolicy>(
     m: &MetricSpace,
     naming: &Naming,
-    underlying: &U,
+    underlying: &Labeled<P>,
     ball: &PackedBall,
     r_big: Dist,
 ) -> SearchTree<Label> {
@@ -222,10 +125,10 @@ fn build_btree<U: UnderlyingScheme>(
 
 /// Builds the own 𝒜-type tree `T(y, ρ)` of a round host over the active
 /// part of `B_y(rho)`.
-fn build_own_tree<U: UnderlyingScheme>(
+fn build_own_tree<P: LevelPolicy>(
     m: &MetricSpace,
     naming: &Naming,
-    underlying: &U,
+    underlying: &Labeled<P>,
     y: NodeId,
     rho: Dist,
 ) -> SearchTree<Label> {
@@ -269,16 +172,16 @@ fn link_distance(
 /// Decides the facility of round host `y`: the qualifying packed ball
 /// with an *active* center and the least `(j, d(y, c), c)`, or an own
 /// 𝒜-type tree when none qualifies.
-fn compute_facility<U: UnderlyingScheme>(
+fn compute_facility<P: LevelPolicy>(
     m: &MetricSpace,
     naming: &Naming,
-    underlying: &U,
+    underlying: &Labeled<P>,
     y: NodeId,
     rho: Dist,
     s_host: Dist,
 ) -> Facility {
     let nets = underlying.nets();
-    for (packing, j) in underlying.ball_packings().iter().zip(0..) {
+    for (packing, j) in underlying.packings().iter().zip(0..) {
         let mut best: Option<(u64, NodeId, u32)> = None;
         for (bk, b) in packing.balls().iter().enumerate() {
             if !nets.is_active(b.center) {
@@ -336,11 +239,11 @@ enum Facility {
     Link { j: u32, ball: u32 },
 }
 
-/// The `(9+O(ε))`-stretch name-independent scheme over the underlying
-/// labeled scheme `U`.
+/// The `(9+O(ε))`-stretch name-independent scheme over the labeled
+/// scheme `Labeled<P>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NameIndependent<U> {
-    underlying: U,
+pub struct NameIndependent<P: LevelPolicy> {
+    underlying: Labeled<P>,
     naming: Naming,
     widths: FieldWidths,
     rounds: Rounds,
@@ -370,15 +273,15 @@ pub struct NameIndependent<U> {
 /// assert_eq!(route.dst, naming.node_of(11));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub type ScaleFreeNameIndependent = NameIndependent<ScaleFreeLabeled>;
+pub type ScaleFreeNameIndependent = NameIndependent<SparseLevels>;
 
-impl<U: UnderlyingScheme> NameIndependent<U> {
+impl<P: LevelPolicy> NameIndependent<P> {
     /// Preprocesses the scheme over `m` with the adversarial `naming`.
     ///
     /// # Errors
     ///
-    /// Propagates [`SchemeError::EpsTooLarge`] (`ε ≤ 1/2` over
-    /// [`NetLabeled`], `ε ≤ 1/4` over [`ScaleFreeLabeled`]) and
+    /// Propagates [`SchemeError::EpsTooLarge`] (`ε ≤ 1/2` with every level
+    /// stored, `ε ≤ 1/4` on `R(u)`: [`LevelPolicy::EPS_MAX`]) and
     /// [`SchemeError::Disconnected`] from the underlying labeled scheme.
     ///
     /// # Panics
@@ -411,7 +314,7 @@ impl<U: UnderlyingScheme> NameIndependent<U> {
         assert_eq!(naming.n(), m.n(), "naming must cover the graph");
         let underlying = {
             let _s = tracer.span("underlying-labeled");
-            U::new_traced(m, eps, tracer)?
+            Labeled::new_traced(m, eps, tracer)?
         };
         Ok(Self::from_underlying(m, naming, underlying, tracer))
     }
@@ -437,7 +340,7 @@ impl<U: UnderlyingScheme> NameIndependent<U> {
         active: &[NodeId],
     ) -> Result<Self, SchemeError> {
         assert_eq!(naming.n(), m.n(), "naming must cover the graph");
-        let underlying = U::new_over(m, eps, active)?;
+        let underlying = Labeled::new_over(m, eps, active)?;
         Ok(Self::from_underlying(m, naming, underlying, &Tracer::noop()))
     }
 
@@ -445,7 +348,12 @@ impl<U: UnderlyingScheme> NameIndependent<U> {
     /// on top of an already-built underlying scheme. Shared by every
     /// construction path and by whole-scheme rebuilds, so repairs are
     /// byte-comparable to from-scratch builds.
-    fn from_underlying(m: &MetricSpace, naming: Naming, underlying: U, tracer: &Tracer) -> Self {
+    fn from_underlying(
+        m: &MetricSpace,
+        naming: Naming,
+        underlying: Labeled<P>,
+        tracer: &Tracer,
+    ) -> Self {
         let widths = FieldWidths::new(m);
         let rounds = {
             let _s = tracer.span("round-schedule");
@@ -456,7 +364,7 @@ impl<U: UnderlyingScheme> NameIndependent<U> {
         // 4×-larger ball. ---
         let btrees: Vec<Vec<SearchTree<Label>>> = {
             let _s = tracer.span("btree-build");
-            (underlying.ball_packings().iter().zip(0..))
+            (underlying.packings().iter().zip(0..))
                 .map(|(packing, j)| {
                     packing
                         .balls()
@@ -497,7 +405,7 @@ impl<U: UnderlyingScheme> NameIndependent<U> {
     }
 
     /// The underlying labeled scheme.
-    pub fn underlying(&self) -> &U {
+    pub fn underlying(&self) -> &Labeled<P> {
         &self.underlying
     }
 
@@ -533,7 +441,7 @@ impl<U: UnderlyingScheme> NameIndependent<U> {
         let hosts = self.underlying.nets().level(self.rounds.host_level(k));
         match self.facility[k][hosts.binary_search(&y).ok()?] {
             Facility::Link { j, ball } => {
-                Some((j, self.underlying.ball_packings()[j as usize].balls()[ball as usize].center))
+                Some((j, self.underlying.packings().at(j).balls()[ball as usize].center))
             }
             Facility::Own(_) => None,
         }
@@ -570,14 +478,14 @@ impl<U: UnderlyingScheme> NameIndependent<U> {
     }
 }
 
-impl<U: UnderlyingScheme> NameIndependentView for NameIndependent<U> {
-    type Labeled = U;
+impl<P: LevelPolicy> NameIndependentView for NameIndependent<P> {
+    type Labeled = Labeled<P>;
     type Tree<'a>
         = &'a SearchTree<Label>
     where
-        U: 'a;
+        P: 'a;
 
-    fn underlying(&self) -> &U {
+    fn underlying(&self) -> &Labeled<P> {
         &self.underlying
     }
 
@@ -607,9 +515,9 @@ impl<U: UnderlyingScheme> NameIndependentView for NameIndependent<U> {
     }
 }
 
-impl<U: UnderlyingScheme> NameIndependentScheme for NameIndependent<U> {
+impl<P: LevelPolicy> NameIndependentScheme for NameIndependent<P> {
     fn scheme_name(&self) -> &'static str {
-        U::NAME
+        scheme_name::<P>()
     }
 
     fn table_bits(&self, u: NodeId) -> u64 {
@@ -632,7 +540,7 @@ impl<U: UnderlyingScheme> NameIndependentScheme for NameIndependent<U> {
     }
 }
 
-impl<U: UnderlyingScheme> Certifiable for NameIndependent<U> {
+impl<P: LevelPolicy> Certifiable for NameIndependent<P> {
     fn field_widths(&self) -> FieldWidths {
         self.widths
     }
@@ -666,9 +574,9 @@ impl<U: UnderlyingScheme> Certifiable for NameIndependent<U> {
     }
 }
 
-impl<U: UnderlyingScheme> Maintainable for NameIndependent<U> {
+impl<P: LevelPolicy> Maintainable for NameIndependent<P> {
     fn maintain_name(&self) -> &'static str {
-        U::NAME
+        scheme_name::<P>()
     }
 
     fn active_nodes(&self) -> Vec<NodeId> {
@@ -709,7 +617,7 @@ impl<U: UnderlyingScheme> Maintainable for NameIndependent<U> {
 
         // ℬ-type trees: the packing is physical, so the tree list shape is
         // static; only contents react to churn.
-        let packings = self.underlying.ball_packings();
+        let packings = self.underlying.packings().as_slice();
         for ((packing, trees), j) in packings.iter().zip(&mut self.btrees).zip(0..) {
             for (ball, tree) in packing.balls().iter().zip(trees) {
                 let c = ball.center;
@@ -824,7 +732,7 @@ impl<U: UnderlyingScheme> Maintainable for NameIndependent<U> {
     }
 }
 
-impl<U: UnderlyingScheme> netsim::recovery::FallbackHierarchy for NameIndependent<U> {
+impl<P: LevelPolicy> netsim::recovery::FallbackHierarchy for NameIndependent<P> {
     /// The underlying labeled scheme's net hierarchy: a fallback re-issues
     /// the name lookup from a coarser net center, whose rounds cover a
     /// larger name range.
@@ -975,7 +883,7 @@ mod tests {
         for f in gen::Family::all() {
             let m = MetricSpace::new(&f.build(40, 3));
             for eps in [Eps::one_over(4), Eps::one_over(8)] {
-                let s = NameIndependent::<labeled_routing::NetLabeled>::new(
+                let s = NameIndependent::<labeled_routing::AllLevels>::new(
                     &m,
                     eps,
                     Naming::random(m.n(), 6),

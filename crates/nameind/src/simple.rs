@@ -20,11 +20,13 @@
 //! per round and `O(log Δ + log 1/ε)` rounds —
 //! `(1/ε)^{O(α)}·log Δ·log n` bits.
 //!
-//! This is Theorem 1.1's scheme ([`NameIndependent`]) over [`NetLabeled`]:
+//! This is Theorem 1.1's scheme ([`NameIndependent`]) over
+//! [`NetLabeled`](labeled_routing::NetLabeled), the labeled scheme under
+//! [`AllLevels`]:
 //! that layer packs no balls, so no round links to a ℬ-type tree and every
 //! facility is the host's own tree `T(y, ρ_k)`.
 
-use labeled_routing::NetLabeled;
+use labeled_routing::AllLevels;
 
 use crate::scale_free::NameIndependent;
 
@@ -51,7 +53,7 @@ use {
 /// assert_eq!(route.dst, naming.node_of(17));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub type SimpleNameIndependent = NameIndependent<NetLabeled>;
+pub type SimpleNameIndependent = NameIndependent<AllLevels>;
 
 #[cfg(test)]
 mod tests {

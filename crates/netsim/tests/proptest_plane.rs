@@ -26,8 +26,7 @@ use doubling_metric::nets::ChurnBatch;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::{gen, Eps};
 use labeled_routing::{
-    LabeledView, NetLabeled, NetLabeledPlane, NetLabeledView, ScaleFreeLabeled,
-    ScaleFreeLabeledPlane, ScaleFreeView,
+    LabeledView, NetLabeled, NetLabeledPlane, ScaleFreeLabeled, ScaleFreeLabeledPlane,
 };
 use name_independent::{
     Facility, NameIndependentView, ScaleFreeNameIndependent, ScaleFreeNiPlane,
@@ -143,9 +142,9 @@ fn check_labeled(m: &MetricSpace, eps: Eps, naming: &Naming, departed: &[NodeId]
             }
         }
         for label in 0..n {
-            let (a, b) = (NetLabeledView::min_hit(&nl, u, label), nlp.min_hit(u, label));
+            let (a, b) = (LabeledView::min_hit(&nl, u, label), nlp.min_hit(u, label));
             assert_eq!(a, b, "net-labeled ring hit at {u} for {label}");
-            let (a, b) = (ScaleFreeView::min_hit(&sfl, u, label), sflp.min_hit(u, label));
+            let (a, b) = (LabeledView::min_hit(&sfl, u, label), sflp.min_hit(u, label));
             assert_eq!(a, b, "scale-free ring hit at {u} for {label}");
         }
         for j in 0..=sfl.log2_n() {
@@ -154,7 +153,7 @@ fn check_labeled(m: &MetricSpace, eps: Eps, naming: &Naming, departed: &[NodeId]
     }
     for j in 0..=sfl.log2_n() {
         for k in 0..sfl.packings().at(j).balls().len() as u32 {
-            let (a, b) = (ScaleFreeView::cell(&sfl, j, k), sflp.cell(j, k));
+            let (a, b) = (LabeledView::cell(&sfl, j, k), sflp.cell(j, k));
             assert_eq!(
                 (a.center, a.port_bits, &a.root_label),
                 (b.center, b.port_bits, &b.root_label)

@@ -12,7 +12,7 @@
 //! global counters also see the harness's threads, and a second test
 //! running beside this one would be counted in them too.
 
-use compact_routing::labeled::{NetLabeledPlane, ScaleFreeLabeledPlane, ScaleFreeView};
+use compact_routing::labeled::{LabeledView, NetLabeledPlane, ScaleFreeLabeledPlane};
 use compact_routing::nameind::{Facility, NameIndependentView, ScaleFreeNiPlane, SimpleNiPlane};
 use compact_routing::obs::alloc::{thread_live_bytes, CountingAlloc};
 use compact_routing::searchtree::SearchTree;

@@ -8,7 +8,7 @@
 //! cell trees — over every core family at n = 40 and checks that order,
 //! also after `refresh_pairs`.
 
-use compact_routing::labeled::ScaleFreeView;
+use compact_routing::labeled::LabeledView;
 use compact_routing::nameind::{Facility, NameIndependentView};
 use compact_routing::searchtree::SearchTree;
 use compact_routing::{gen, Eps, MetricSpace, Naming};

@@ -20,7 +20,7 @@
 use std::mem::size_of;
 
 use compact_routing::labeled::rings::RingEntry;
-use compact_routing::labeled::ScaleFreeView;
+use compact_routing::labeled::LabeledView;
 use compact_routing::metric::nets::{ChurnBatch, NetHierarchy};
 use compact_routing::metric::packing::Packings;
 use compact_routing::nameind::{Facility, NameIndependentView};
